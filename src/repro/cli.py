@@ -104,6 +104,52 @@ def _resolve_device(driver_name, spec_name=None):
     return driver, kind, spec
 
 
+#: ``--adaptive`` help shared by the subcommands that execute queries.
+ADAPTIVE_HELP = ("enable adaptive execution (online calibration, dynamic "
+                 "chunk sizing, work stealing)")
+
+
+def _add_plan_options(cmd, *, sf, chunk_size, described=False,
+                      adaptive=None) -> None:
+    """Declare the data / device / plan flags the query subcommands share.
+
+    Args:
+        sf, chunk_size: The subcommand's defaults.
+        described: Attach the long help texts (``run`` / ``compare``).
+        adaptive: Help text of ``--adaptive``; a subcommand that passes
+            none (``serve`` — its requests come from the workload
+            generator) gets neither ``--no-fuse`` nor ``--adaptive``.
+    """
+    def doc(text):
+        return text if described else None
+
+    cmd.add_argument("--sf", type=float, default=sf,
+                     help=doc(f"physical TPC-H scale factor (default {sf})"))
+    cmd.add_argument("--seed", type=int, default=42)
+    cmd.add_argument("--driver", choices=sorted(DRIVERS), default="cuda")
+    cmd.add_argument("--spec", choices=sorted(SPECS), default=None,
+                     help=doc("hardware spec (defaults to the driver's kind)"))
+    cmd.add_argument("--chunk-size", type=int, default=chunk_size,
+                     help=doc("logical rows per chunk (default 2^25)"))
+    cmd.add_argument("--data-scale", type=int, default=1,
+                     help=doc("logical rows represented per physical row"))
+    cmd.add_argument("--memory-limit", type=int, default=None,
+                     help=doc("cap the device memory in bytes"))
+    if adaptive is not None:
+        cmd.add_argument("--no-fuse", action="store_true",
+                         help="disable the kernel-fusion pass"
+                              + (" (MAP/FILTER chains run as individual "
+                                 "kernels)" if described else ""))
+        cmd.add_argument("--adaptive", action="store_true", help=adaptive)
+
+
+def _plan_kwargs(args) -> dict:
+    """The plan flags of *args* as the keywords ``run`` / ``execute`` /
+    ``QueryRequest`` / ``cluster.run`` / ``explain`` all take."""
+    return dict(chunk_size=args.chunk_size, data_scale=args.data_scale,
+                fuse=not args.no_fuse, adaptive=args.adaptive)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -148,11 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     concurrent.add_argument("--queries", default="q3,q4,q6",
                             help="comma-separated query list "
                                  "(default q3,q4,q6)")
-    concurrent.add_argument("--sf", type=float, default=0.01)
-    concurrent.add_argument("--seed", type=int, default=42)
-    concurrent.add_argument("--driver", choices=sorted(DRIVERS),
-                            default="cuda")
-    concurrent.add_argument("--spec", choices=sorted(SPECS), default=None)
+    _add_plan_options(concurrent, sf=0.01, chunk_size=2048,
+                      adaptive=ADAPTIVE_HELP)
     concurrent.add_argument("--model",
                             choices=[*sorted(MODELS), "auto"],
                             default=None,
@@ -163,22 +206,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "model, placement, fusion and chunk "
                                  "size (same as --model auto; conflicts "
                                  "with an explicit --model)")
-    concurrent.add_argument("--chunk-size", type=int, default=2048)
-    concurrent.add_argument("--data-scale", type=int, default=1)
-    concurrent.add_argument("--memory-limit", type=int, default=None)
     concurrent.add_argument("--rounds", type=int, default=2,
                             help="repeat the batch to show the residency "
                                  "cache warming up (default 2)")
-    concurrent.add_argument("--no-fuse", action="store_true",
-                            help="disable the kernel-fusion pass")
     concurrent.add_argument("--no-subplan-cache", action="store_true",
                             help="disable the cross-query subplan "
                                  "result cache (computed intermediates "
                                  "are re-derived every round)")
-    concurrent.add_argument("--adaptive", action="store_true",
-                            help="enable adaptive execution (online "
-                                 "calibration, dynamic chunk sizing, "
-                                 "work stealing)")
     concurrent.add_argument("--faults", default=None, metavar="SPEC",
                             help="inject faults, e.g. "
                                  "'dev0:transient:0.05,seed=7' "
@@ -202,16 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--duration", type=float, default=0.02,
                        help="arrival window in virtual seconds "
                             "(default 0.02)")
-    serve.add_argument("--sf", type=float, default=0.002)
-    serve.add_argument("--seed", type=int, default=42)
-    serve.add_argument("--driver", choices=sorted(DRIVERS), default="cuda")
-    serve.add_argument("--spec", choices=sorted(SPECS), default=None)
+    _add_plan_options(serve, sf=0.002, chunk_size=2048)
     serve.add_argument("--queries", default="q1,q6,q14,q19",
                        help="comma-separated query mix "
                             "(default q1,q6,q14,q19)")
-    serve.add_argument("--chunk-size", type=int, default=2048)
-    serve.add_argument("--data-scale", type=int, default=1)
-    serve.add_argument("--memory-limit", type=int, default=None)
     serve.add_argument("--interactive-frac", type=float, default=0.5,
                        help="fraction of arrivals routed to the "
                             "interactive lane (default 0.5)")
@@ -255,22 +283,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "variants, cost estimates) without running it")
     explain_cmd.add_argument("query", nargs="?", default="q6",
                              choices=sorted(QUERIES))
-    explain_cmd.add_argument("--sf", type=float, default=0.01)
-    explain_cmd.add_argument("--seed", type=int, default=42)
-    explain_cmd.add_argument("--driver", choices=sorted(DRIVERS),
-                             default="cuda")
-    explain_cmd.add_argument("--spec", choices=sorted(SPECS), default=None)
+    _add_plan_options(explain_cmd, sf=0.01, chunk_size=DEFAULT_CHUNK_SIZE,
+                      adaptive="annotate the plan with adaptive-execution "
+                               "actions")
     explain_cmd.add_argument("--model", choices=sorted(MODELS),
                              default="chunked")
-    explain_cmd.add_argument("--chunk-size", type=int,
-                             default=DEFAULT_CHUNK_SIZE)
-    explain_cmd.add_argument("--data-scale", type=int, default=1)
-    explain_cmd.add_argument("--memory-limit", type=int, default=None)
-    explain_cmd.add_argument("--no-fuse", action="store_true",
-                             help="disable the kernel-fusion pass")
-    explain_cmd.add_argument("--adaptive", action="store_true",
-                             help="annotate the plan with adaptive-"
-                                  "execution actions")
     explain_cmd.add_argument("--plans", type=int, default=None,
                              metavar="K",
                              help="EXPLAIN PLANS mode: render the "
@@ -290,25 +307,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             ("compare", "run one query under all models")):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--query", choices=sorted(QUERIES), default="q6")
-        cmd.add_argument("--sf", type=float, default=0.01,
-                         help="physical TPC-H scale factor (default 0.01)")
-        cmd.add_argument("--seed", type=int, default=42)
-        cmd.add_argument("--driver", choices=sorted(DRIVERS), default="cuda")
-        cmd.add_argument("--spec", choices=sorted(SPECS), default=None,
-                         help="hardware spec (defaults to the driver's kind)")
-        cmd.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
-                         help="logical rows per chunk (default 2^25)")
-        cmd.add_argument("--data-scale", type=int, default=1,
-                         help="logical rows represented per physical row")
-        cmd.add_argument("--memory-limit", type=int, default=None,
-                         help="cap the device memory in bytes")
-        cmd.add_argument("--no-fuse", action="store_true",
-                         help="disable the kernel-fusion pass (MAP/FILTER "
-                              "chains run as individual kernels)")
-        cmd.add_argument("--adaptive", action="store_true",
-                         help="enable adaptive execution (online "
-                              "calibration, dynamic chunk sizing, work "
-                              "stealing); results stay byte-identical")
+        _add_plan_options(cmd, sf=0.01, chunk_size=DEFAULT_CHUNK_SIZE,
+                          described=True,
+                          adaptive=ADAPTIVE_HELP
+                          + "; results stay byte-identical")
         if name == "run":
             cmd.add_argument("--model",
                              choices=[*sorted(MODELS), "auto"],
@@ -514,7 +516,7 @@ def _write_metrics(path: str, metrics) -> None:
     print(f"metrics written to {path}")
 
 
-def _run_with_faults(args, graph, catalog, plan, *, analyze=False):
+def _run_with_faults(args, graph, catalog, plan, flags):
     """Run one query in engine mode with *plan* armed and recovery on.
 
     A GPU driver gets a host fallback device plugged alongside, so a
@@ -533,11 +535,7 @@ def _run_with_faults(args, graph, catalog, plan, *, analyze=False):
                        memory_limit=args.memory_limit, default=True)
     if kind == "GPU":
         engine.plug_device("host0", OpenMPDevice, CPU_I7_8700)
-    result = engine.execute(graph, catalog, model=args.model,
-                            chunk_size=args.chunk_size,
-                            data_scale=args.data_scale,
-                            fuse=not args.no_fuse, analyze=analyze,
-                            adaptive=args.adaptive)
+    result = engine.execute(graph, catalog, **flags)
     return result, engine.metrics
 
 
@@ -581,9 +579,7 @@ def _cmd_run_distributed(args, plan) -> int:
     if plan is not None:
         cluster.install_faults("node0", plan)
     result = cluster.run(build, catalog, model=args.model,
-                         chunk_size=args.chunk_size,
-                         data_scale=args.data_scale,
-                         fuse=not args.no_fuse, adaptive=args.adaptive)
+                         **_plan_kwargs(args))
     answer = module.finalize(result, catalog)
     expected = _oracle(args, catalog)
     matches = (answer == expected if not isinstance(answer, float)
@@ -620,6 +616,7 @@ def cmd_explain(args) -> int:
     if args.plans is not None and args.plans < 1:
         print(f"--plans must be >= 1, got {args.plans}", file=sys.stderr)
         return 2
+    flags = dict(model=args.model, **_plan_kwargs(args))
     if args.nodes > 1:
         from repro.observe import explain_distributed
 
@@ -628,11 +625,8 @@ def cmd_explain(args) -> int:
                   file=sys.stderr)
             return 2
         cluster = _make_cluster(args)
-        print(explain_distributed(graph, catalog, cluster=cluster,
-                                  model=args.model,
-                                  chunk_size=args.chunk_size,
-                                  data_scale=args.data_scale,
-                                  fuse=not args.no_fuse))
+        del flags["adaptive"]  # no adaptive annotations across nodes
+        print(explain_distributed(graph, catalog, cluster=cluster, **flags))
         return 0
     executor = _make_executor(args)
     if args.plans is not None:
@@ -643,10 +637,7 @@ def cmd_explain(args) -> int:
                             top_k=args.plans))
         return 0
     print(explain(graph, catalog, devices=executor.devices,
-                  default_device=executor.default_device,
-                  model=args.model, chunk_size=args.chunk_size,
-                  data_scale=args.data_scale, fuse=not args.no_fuse,
-                  adaptive=args.adaptive))
+                  default_device=executor.default_device, **flags))
     return 0
 
 
@@ -663,17 +654,14 @@ def cmd_run(args) -> int:
         return 2
     catalog = generate(args.sf, seed=args.seed)
     module, graph = _build_graph(args, catalog)
+    flags = dict(model=args.model, analyze=args.analyze,
+                 **_plan_kwargs(args))
     if plan is not None or args.retry_budget is not None:
         result, metrics = _run_with_faults(args, graph, catalog, plan,
-                                           analyze=args.analyze)
+                                           flags)
     else:
         executor = _make_executor(args)
-        result = executor.run(graph, catalog, model=args.model,
-                              chunk_size=args.chunk_size,
-                              data_scale=args.data_scale,
-                              fuse=not args.no_fuse,
-                              analyze=args.analyze,
-                              adaptive=args.adaptive)
+        result = executor.run(graph, catalog, **flags)
         metrics = executor.metrics
     answer = module.finalize(result, catalog)
     expected = _oracle(args, catalog)
@@ -718,10 +706,7 @@ def cmd_compare(args) -> int:
                   "four_phase_pipelined"):
         try:
             result = executor.run(graph, catalog, model=model,
-                                  chunk_size=args.chunk_size,
-                                  data_scale=args.data_scale,
-                                  fuse=not args.no_fuse,
-                                  adaptive=args.adaptive)
+                                  **_plan_kwargs(args))
         except Exception as error:  # OOM for oaat is expected behaviour
             print(f"{model:24s} --   {type(error).__name__}: {error}")
             continue
@@ -767,10 +752,8 @@ def cmd_concurrent(args) -> int:
     def batch():
         return [QueryRequest(
             graph=_build_query(name, catalog)[1],
-            catalog=catalog, model=args.model, chunk_size=args.chunk_size,
-            data_scale=args.data_scale, label=name,
-            fuse=not args.no_fuse, analyze=args.analyze,
-            adaptive=args.adaptive,
+            catalog=catalog, model=args.model, label=name,
+            analyze=args.analyze, **_plan_kwargs(args),
         ) for name in names]
 
     status = 0

@@ -303,6 +303,8 @@ class ClusterExecutor:
             broadcast_seconds(nbytes, self.network, self.num_nodes)
             for nbytes in bcast.values())
 
+        flags = dict(model=model, chunk_size=chunk_size,
+                     data_scale=data_scale, fuse=fuse, adaptive=adaptive)
         node_seconds: dict[str, float] = {n.name: 0.0
                                           for n in self.nodes}
         shard_results: list[QueryResult] = []
@@ -313,20 +315,15 @@ class ClusterExecutor:
                                               distribution)
             graph = probe if index == 0 else graph_factory()
             try:
-                result = node.execute(
-                    graph, exec_catalog, model=model,
-                    chunk_size=chunk_size, data_scale=data_scale,
-                    fuse=fuse, adaptive=adaptive)
+                result = node.execute(graph, exec_catalog, **flags)
                 ran_on = node
             except NodeLostError:
                 failovers += 1
                 survivor = self._survivor()
                 self.metrics.inc("adamant_node_failovers_total",
                                  node=node.name)
-                result = survivor.execute(
-                    graph_factory(), exec_catalog, model=model,
-                    chunk_size=chunk_size, data_scale=data_scale,
-                    fuse=fuse, adaptive=adaptive)
+                result = survivor.execute(graph_factory(), exec_catalog,
+                                          **flags)
                 ran_on = survivor
             node_seconds[ran_on.name] += result.stats.makespan
             shard_results.append(result)

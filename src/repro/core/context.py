@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -14,6 +15,9 @@ from repro.hardware.clock import VirtualClock
 from repro.primitives.values import Bitmap, JoinPairs, PositionList, PrefixSum
 from repro.storage import Catalog
 from repro.task.registry import TaskRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - the planner imports this layer
+    from repro.planner.ir import PhysicalPlan
 
 __all__ = ["ExecutionContext", "ExecutionStats", "QueryContext",
            "QueryResult", "RecoveryLog", "cardinality"]
@@ -210,29 +214,21 @@ class QueryResult:
 class ExecutionContext:
     """Everything an execution model needs to run one query.
 
-    Since the plan-IR refactor the context is a thin binding of a
-    :class:`~repro.planner.ir.PhysicalPlan` (the *decisions*: graph,
-    chunk size, fusion, adaptive arming, ANALYZE) to the *machinery*
-    that executes it (catalog, devices, registry, clock, query
-    identity, retry policy, metrics).  Pass ``plan=`` directly, or use
-    the legacy keyword form (``graph=``, ``chunk_size=``, ``fuse=``,
-    ...) and the context builds the plan internally — byte-identical
-    behavior either way.
+    A thin binding of a :class:`~repro.planner.ir.PhysicalPlan` (the
+    *decisions*: graph, model, chunk size, fusion, adaptive arming,
+    ANALYZE) to the *machinery* that executes it (catalog, devices,
+    registry, clock, query identity, retry policy, metrics).  Plans
+    come from :func:`~repro.planner.compile.compile_plan` or the
+    optimizer, both of which hand over validated plans; the context
+    checks only what it adds — the devices.
     """
 
-    def __init__(self, *, catalog: Catalog,
+    def __init__(self, *, plan: "PhysicalPlan", catalog: Catalog,
                  devices: dict[str, Device], registry: TaskRegistry,
                  clock: VirtualClock, default_device: str,
-                 plan: "object | None" = None,
-                 graph: PrimitiveGraph | None = None,
-                 chunk_size: int | None = None,
-                 data_scale: int = 1,
                  query: QueryContext | None = None,
-                 fuse: bool = False,
                  retry_policy: "RetryPolicy | None" = None,
                  metrics: object | None = None,
-                 analyze: bool = False,
-                 adaptive: bool = False,
                  subplan_cache: object | None = None) -> None:
         if not devices:
             raise ExecutionError("no devices plugged into the executor")
@@ -241,29 +237,6 @@ class ExecutionContext:
                 f"default device {default_device!r} not registered; "
                 f"plugged: {sorted(devices)}"
             )
-        if plan is None:
-            # Legacy construction: build the plan from loose flags.
-            if graph is None:
-                raise ExecutionError(
-                    "ExecutionContext needs a plan= or a graph=")
-            # Imported lazily: the planner imports core.graph, so a
-            # module-level import here would be circular.
-            from repro.planner.fusion import FusionPass
-            from repro.planner.ir import DEFAULT_CHUNK_SIZE, PhysicalPlan
-            plan = PhysicalPlan(
-                graph=graph,
-                chunk_size=(chunk_size if chunk_size is not None
-                            else DEFAULT_CHUNK_SIZE),
-                data_scale=data_scale,
-                analyze=analyze, adaptive=adaptive,
-            )
-            self._validate_plan(plan)
-            if fuse:
-                plan = FusionPass()(plan)
-        elif graph is not None:
-            raise ExecutionError("pass either plan= or graph=, not both")
-        else:
-            self._validate_plan(plan)
         #: The :class:`~repro.planner.ir.PhysicalPlan` this context
         #: executes; ``graph``/``chunk_size``/``data_scale``/``analyze``
         #: /``adaptive`` delegate to it.
@@ -283,19 +256,6 @@ class ExecutionContext:
         #: (None outside engine mode or when the cache is disabled);
         #: execution models serve and populate whole pipelines from it.
         self.subplan_cache = subplan_cache
-
-    @staticmethod
-    def _validate_plan(plan) -> None:
-        if plan.data_scale < 1:
-            raise ExecutionError(
-                f"data_scale must be >= 1, got {plan.data_scale}")
-        if plan.chunk_size <= 0 \
-                or plan.chunk_size % (32 * plan.data_scale) != 0:
-            raise ExecutionError(
-                f"chunk_size must be a positive multiple of 32*data_scale "
-                f"rows (bitmap word alignment after descaling), got "
-                f"{plan.chunk_size} with data_scale={plan.data_scale}"
-            )
 
     # -- plan delegation ----------------------------------------------------
 

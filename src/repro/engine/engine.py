@@ -21,7 +21,7 @@ engine (``fresh`` mode), byte-compatible with its original behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.context import ExecutionContext, QueryResult
@@ -39,9 +39,11 @@ from repro.faults import FaultPlan, RetryPolicy
 from repro.hardware.clock import VirtualClock
 from repro.hardware.specs import DeviceKind, DeviceSpec
 from repro.observe.metrics import MetricsRegistry
+from repro.planner.compile import compile_plan
 from repro.planner.cost import CostOverlayStore
 from repro.planner.ir import DEFAULT_CHUNK_SIZE, PhysicalPlan
 from repro.planner.optimizer import OptimizerReport, PlanOptimizer
+from repro.planner.placement import annotate_devices
 from repro.storage import Catalog
 from repro.task.registry import TaskRegistry, default_registry
 
@@ -327,51 +329,19 @@ class Engine:
         the chosen plan then runs through the normal path, so the
         result is byte-identical to the same manual configuration.
         """
-        plan = report = None
-        if model == "auto":
-            plan, report = self._optimize(
-                graph, catalog, chunk_size=chunk_size,
-                default_device=default_device, data_scale=data_scale,
-                analyze=analyze, adaptive=adaptive)
-            graph, model, chunk_size = plan.graph, plan.model, \
-                plan.chunk_size
-            fuse = False
-        model_cls = self._resolve_model(model)
+        request = QueryRequest(
+            graph=graph, catalog=catalog, model=model,
+            chunk_size=chunk_size, default_device=default_device,
+            data_scale=data_scale, memory_budget=memory_budget,
+            fuse=fuse, analyze=analyze, adaptive=adaptive)
+        plan, report = self._resolve(request)
         if fresh:
-            result = self._execute_fresh(
-                model_cls, graph, catalog, chunk_size=chunk_size,
-                default_device=default_device, data_scale=data_scale,
-                fuse=fuse, analyze=analyze, adaptive=adaptive, plan=plan)
+            result = self._execute_fresh(plan, catalog, default_device)
             self._finish_optimized(report, result)
             return result
-
-        auto_session = session is None
-        if auto_session:
-            session = self.open_session(memory_budget=memory_budget)
-        try:
-            epoch_start = self.clock.begin_epoch()
-            model_obj = self._build_model(
-                model_cls, session, graph, catalog, chunk_size=chunk_size,
-                default_device=default_device, data_scale=data_scale,
-                epoch_start=epoch_start, fuse=fuse, analyze=analyze,
-                adaptive=adaptive, plan=plan)
-            rebuild = self._make_rebuild(
-                model_cls, session, graph, catalog,
-                default_device=default_device, data_scale=data_scale,
-                epoch_start=epoch_start, fuse=fuse, analyze=analyze,
-                adaptive=adaptive)
-            self._scheduler.run([(session, model_obj, rebuild)])
-            self._sweep_subplan_cache()
-            self._record_query(model_obj.name, result=session.result,
-                               error=session.error)
-            if session.error is not None:
-                raise session.error
-            assert session.result is not None
-            self._finish_optimized(report, session.result)
-            return session.result
-        finally:
-            if auto_session:
-                session.close()
+        [result] = self._run_wave([(request, plan, report)],
+                                  session=session)
+        return result
 
     def run_concurrent(self, requests: list[QueryRequest], *,
                        return_exceptions: bool = False
@@ -395,112 +365,95 @@ class Engine:
                 "each concurrent request needs its own graph instance "
                 "(primitive graphs carry runtime edge state)"
             )
-        # Resolve ``model="auto"`` requests up front: each gets its
-        # optimizer-chosen plan before any wave is admitted.
-        plans: list[PhysicalPlan | None] = [None] * len(requests)
-        reports: list[OptimizerReport | None] = [None] * len(requests)
-        normalized: list[QueryRequest] = []
-        for i, request in enumerate(requests):
-            if request.model == "auto":
-                plan, opt_report = self._optimize(
-                    request.graph, request.catalog,
-                    chunk_size=request.chunk_size,
-                    default_device=request.default_device,
-                    data_scale=request.data_scale,
-                    analyze=request.analyze, adaptive=request.adaptive)
-                request = replace(
-                    request, graph=plan.graph, model=plan.model,
-                    chunk_size=plan.chunk_size, fuse=False)
-                plans[i], reports[i] = plan, opt_report
-            normalized.append(request)
-        requests = normalized
-        for request in requests:
-            self._resolve_model(request.model)  # fail before admitting
+        # Every request gets its plan before any wave is admitted, so a
+        # bad flag fails the batch up front.
+        resolved = [(request, *self._resolve(request))
+                    for request in requests]
         results: list[QueryResult | Exception] = []
         step = self.max_concurrent
-        for offset in range(0, len(requests), step):
-            wave = requests[offset:offset + step]
-            epoch_start = self.clock.begin_epoch()
-            work: list[tuple] = []
-            try:
-                for j, request in enumerate(wave):
-                    session = self.open_session(
-                        memory_budget=request.memory_budget,
-                        label=request.label)
-                    model_cls = self._resolve_model(request.model)
-                    model_obj = self._build_model(
-                        model_cls, session,
-                        request.graph, request.catalog,
-                        chunk_size=request.chunk_size,
-                        default_device=request.default_device,
-                        data_scale=request.data_scale,
-                        epoch_start=epoch_start, fuse=request.fuse,
-                        analyze=request.analyze,
-                        adaptive=request.adaptive,
-                        plan=plans[offset + j])
-                    rebuild = self._make_rebuild(
-                        model_cls, session, request.graph, request.catalog,
-                        default_device=request.default_device,
-                        data_scale=request.data_scale,
-                        epoch_start=epoch_start, fuse=request.fuse,
-                        analyze=request.analyze,
-                        adaptive=request.adaptive)
-                    work.append((session, model_obj, rebuild))
-                self._scheduler.run(work)
-                self._sweep_subplan_cache()
-                failure: Exception | None = None
-                for session, model_obj, _ in work:
-                    self._record_query(model_obj.name,
-                                       result=session.result,
-                                       error=session.error)
-                    if session.error is not None:
-                        results.append(session.error)
-                        failure = failure or session.error
-                    else:
-                        assert session.result is not None
-                        results.append(session.result)
-                if failure is not None and not return_exceptions:
-                    raise failure
-            finally:
-                for session, *_ in work:
-                    session.close()
-        for i, opt_report in enumerate(reports):
-            if opt_report is not None and i < len(results) \
-                    and isinstance(results[i], QueryResult):
-                self._finish_optimized(opt_report, results[i])
+        for offset in range(0, len(resolved), step):
+            results += self._run_wave(resolved[offset:offset + step],
+                                      return_exceptions=return_exceptions)
         return results
 
     # -- helpers -------------------------------------------------------------
 
-    @staticmethod
-    def _resolve_model(model: str) -> type[ExecutionModel]:
-        try:
-            return MODELS[model]
-        except KeyError:
-            raise ExecutionError(
-                f"unknown execution model {model!r}; "
-                f"available: {sorted(MODELS)} (or 'auto')"
-            ) from None
-
-    def _optimize(self, graph: PrimitiveGraph, catalog: Catalog, *,
-                  chunk_size: int, default_device: str | None,
-                  data_scale: int, analyze: bool, adaptive: bool
-                  ) -> tuple[PhysicalPlan, OptimizerReport]:
-        """Run the cost-based optimizer for one ``model="auto"`` query."""
+    def _resolve(self, request: QueryRequest
+                 ) -> tuple[PhysicalPlan, OptimizerReport | None]:
+        """Turn a request's loose flags into the plan that will run:
+        ``model="auto"`` asks the cost-based optimizer, anything else
+        compiles the flags as given."""
+        if request.model != "auto":
+            return compile_plan(
+                request.graph, model=request.model,
+                chunk_size=request.chunk_size,
+                data_scale=request.data_scale, fuse=request.fuse,
+                analyze=request.analyze, adaptive=request.adaptive), None
         devices = self._healthy_devices()
-        default = default_device or self.default_device
         optimizer = PlanOptimizer(
-            catalog, devices, default_device=default,
-            data_scale=data_scale, overlay=self.overlay.factors(devices),
+            request.catalog, devices,
+            default_device=request.default_device or self.default_device,
+            data_scale=request.data_scale,
+            overlay=self.overlay.factors(devices),
             metrics=self.metrics, subplan_cache=self.subplan_cache)
-        return optimizer.choose(graph, chunk_size=chunk_size,
-                                analyze=analyze, adaptive=adaptive)
+        return optimizer.choose(request.graph,
+                                chunk_size=request.chunk_size,
+                                analyze=request.analyze,
+                                adaptive=request.adaptive)
+
+    def _run_wave(self, wave: list[tuple[QueryRequest, PhysicalPlan,
+                                         OptimizerReport | None]], *,
+                  session: QuerySession | None = None,
+                  return_exceptions: bool = False
+                  ) -> list[QueryResult | Exception]:
+        """Run resolved requests interleaved in one clock epoch.
+
+        Each request runs under a session opened (and closed) here —
+        except :meth:`execute`'s wave of one under the caller's
+        *session*, which stays open.  The first failure is raised after
+        the whole wave finished unless *return_exceptions* is set.
+        """
+        epoch_start = self.clock.begin_epoch()
+        sessions: list[QuerySession] = []
+        work: list[tuple] = []
+        try:
+            for request, plan, _ in wave:
+                own = session if session is not None else \
+                    self.open_session(memory_budget=request.memory_budget,
+                                      label=request.label)
+                sessions.append(own)
+                work.append((
+                    own,
+                    self._build_model(plan, request.catalog,
+                                      request.default_device, session=own,
+                                      epoch_start=epoch_start),
+                    self._make_rebuild(own, request, plan, epoch_start)))
+            self._scheduler.run(work)
+            self._sweep_subplan_cache()
+            results: list[QueryResult | Exception] = []
+            for own, (_, plan, _) in zip(sessions, wave):
+                self._record_query(plan.model, result=own.result,
+                                   error=own.error)
+                results.append(own.error if own.error is not None
+                               else own.result)
+            failure = next((r for r in results
+                            if isinstance(r, Exception)), None)
+            if failure is not None and not return_exceptions:
+                raise failure
+            for result, (_, _, report) in zip(results, wave):
+                if isinstance(result, QueryResult):
+                    self._finish_optimized(report, result)
+            return results
+        finally:
+            if session is None:
+                for own in sessions:
+                    own.close()
 
     def _finish_optimized(self, report: OptimizerReport | None,
-                          result: QueryResult | None) -> None:
+                          result: QueryResult) -> None:
         """Fold one optimizer-chosen execution's observed makespan back
         into the overlay store and the metrics."""
-        if report is None or result is None:
+        if report is None:
             return
         chosen = report.chosen
         healthy = self._healthy_devices()
@@ -518,36 +471,20 @@ class Engine:
         self.metrics.set("adamant_optimizer_observed_seconds", observed,
                          query=report.graph_name or "q0")
 
-    def _context(self, graph: PrimitiveGraph, catalog: Catalog, *,
-                 model: str, chunk_size: int,
-                 default_device: str | None, data_scale: int,
-                 devices: dict[str, SimulatedDevice] | None = None,
-                 query=None, fuse: bool = False, analyze: bool = False,
-                 adaptive: bool = False,
-                 plan: PhysicalPlan | None = None,
-                 subplan_cache: SubplanCache | None = None
-                 ) -> ExecutionContext:
-        """Build the per-query context around a :class:`PhysicalPlan`.
-
-        Without an optimizer-made *plan*, the engine assembles one here
-        from the loose knobs, running the planner passes the flags ask
-        for (fusion, adaptive arming) — the legacy configuration path,
-        byte-identical to the pre-IR behavior.
-        """
-        if plan is None:
-            plan = PhysicalPlan(
-                graph=graph, model=model, chunk_size=chunk_size,
-                data_scale=data_scale, analyze=analyze)
-            ExecutionContext._validate_plan(plan)
-            if fuse:
-                # Imported lazily: keeps engine import light and
-                # mirrors the context's own legacy path.
-                from repro.planner.fusion import FusionPass
-                plan = FusionPass()(plan)
-            if adaptive:
-                from repro.planner.adaptive import AdaptivePass
-                plan = AdaptivePass()(plan)
-        return ExecutionContext(
+    def _build_model(self, plan: PhysicalPlan, catalog: Catalog,
+                     default_device: str | None, *,
+                     session: QuerySession | None = None,
+                     epoch_start: float = 0.0,
+                     devices: dict[str, SimulatedDevice] | None = None
+                     ) -> ExecutionModel:
+        """Bind *plan* to the engine's machinery and instantiate its
+        execution model.  Without a *session* (fresh mode) the query
+        gets the default identity and no cross-query subplan cache."""
+        query = subplan_cache = None
+        if session is not None:
+            query = session.query_context(epoch_start=epoch_start)
+            subplan_cache = self.subplan_cache
+        ctx = ExecutionContext(
             plan=plan,
             catalog=catalog,
             devices=devices if devices is not None
@@ -560,37 +497,26 @@ class Engine:
             metrics=self.metrics,
             subplan_cache=subplan_cache,
         )
+        return MODELS[plan.model](ctx)
 
-    def _build_model(self, model_cls: type[ExecutionModel],
-                     session: QuerySession, graph: PrimitiveGraph,
-                     catalog: Catalog, *, chunk_size: int,
-                     default_device: str | None, data_scale: int,
-                     epoch_start: float, fuse: bool = False,
-                     analyze: bool = False, adaptive: bool = False,
-                     plan: PhysicalPlan | None = None) -> ExecutionModel:
-        ctx = self._context(
-            graph, catalog, model=model_cls.name, chunk_size=chunk_size,
-            default_device=default_device, data_scale=data_scale,
-            query=session.query_context(epoch_start=epoch_start),
-            fuse=fuse, analyze=analyze, adaptive=adaptive, plan=plan,
-            subplan_cache=self.subplan_cache,
-        )
-        return model_cls(ctx)
-
-    def _make_rebuild(self, model_cls: type[ExecutionModel],
-                      session: QuerySession, graph: PrimitiveGraph,
-                      catalog: Catalog, *, default_device: str | None,
-                      data_scale: int, epoch_start: float, fuse: bool,
-                      analyze: bool = False, adaptive: bool = False):
+    def _make_rebuild(self, session: QuerySession, request: QueryRequest,
+                      plan: PhysicalPlan, epoch_start: float):
         """The scheduler's recovery callback: a fresh model for the same
         query at a degraded configuration (new chunk size, devices
         excluded after quarantine, or placement spilled to the host).
 
         Failover re-runs the cost-based placement pass over the
-        *original* graph restricted to the surviving devices, so the
-        re-placed plan is the one the optimizer would have produced had
-        the dead device never been plugged.
+        request's graph restricted to the surviving devices, then
+        recompiles the request's flags at the degraded chunk size — the
+        plan the engine would have built had the dead device never been
+        plugged.  An optimizer-made plan's graph is already fused, so it
+        is re-placed and re-armed as it stands.
         """
+        if request.model == "auto":
+            graph, fuse = plan.graph, False
+        else:
+            graph, fuse = request.graph, request.fuse
+
         def rebuild(*, chunk_size: int, exclude: set[str],
                     spill: bool) -> ExecutionModel:
             survivors = self._healthy_devices(exclude=exclude)
@@ -605,49 +531,34 @@ class Engine:
             stale = any(node.device and node.device not in survivors
                         for node in graph.nodes.values())
             if stale or spill:
-                # Imported lazily: the planner builds on the core layer,
-                # importing it at engine import time would be circular
-                # through the executor facade.
-                from repro.planner.placement import annotate_devices
-                annotate_devices(graph, catalog, survivors,
-                                 data_scale=data_scale)
-            default = default_device or self._default_device
+                annotate_devices(graph, request.catalog, survivors,
+                                 data_scale=plan.data_scale)
+            default = request.default_device or self._default_device
             if default not in survivors:
                 default = next(iter(survivors))
-            ctx = self._context(
-                graph, catalog, model=model_cls.name,
-                chunk_size=chunk_size,
-                default_device=default, data_scale=data_scale,
-                devices=survivors,
-                query=session.query_context(epoch_start=epoch_start),
-                fuse=fuse, analyze=analyze, adaptive=adaptive,
-                subplan_cache=self.subplan_cache,
-            )
-            return model_cls(ctx)
+            degraded = compile_plan(
+                graph, model=plan.model, chunk_size=chunk_size,
+                data_scale=plan.data_scale, fuse=fuse,
+                analyze=plan.analyze, adaptive=plan.adaptive)
+            return self._build_model(degraded, request.catalog, default,
+                                     session=session,
+                                     epoch_start=epoch_start,
+                                     devices=survivors)
         return rebuild
 
-    def _execute_fresh(self, model_cls: type[ExecutionModel],
-                       graph: PrimitiveGraph, catalog: Catalog, *,
-                       chunk_size: int, default_device: str | None,
-                       data_scale: int, fuse: bool = False,
-                       analyze: bool = False, adaptive: bool = False,
-                       plan: PhysicalPlan | None = None) -> QueryResult:
+    def _execute_fresh(self, plan: PhysicalPlan, catalog: Catalog,
+                       default_device: str | None) -> QueryResult:
         """Single-shot semantics: reset the timeline and devices, run."""
         self.clock.reset()
         for device in self.devices.values():
-            device.reset(data_scale=data_scale)
-        ctx = self._context(graph, catalog, model=model_cls.name,
-                            chunk_size=chunk_size,
-                            default_device=default_device,
-                            data_scale=data_scale, fuse=fuse,
-                            analyze=analyze, adaptive=adaptive, plan=plan)
-        model_obj = model_cls(ctx)
+            device.reset(data_scale=plan.data_scale)
+        model_obj = self._build_model(plan, catalog, default_device)
         try:
             result = model_obj.run()
         except Exception as error:
-            self._record_query(model_obj.name, error=error)
+            self._record_query(plan.model, error=error)
             raise
-        self._record_query(model_obj.name, result=result)
+        self._record_query(plan.model, result=result)
         return result
 
     # -- statistics ----------------------------------------------------------

@@ -353,8 +353,8 @@ class DeviceScheduler:
 
 
 def _halve_chunk(chunk_size: int, data_scale: int) -> int | None:
-    """Half of *chunk_size*, floored to the bitmap-word alignment the
-    execution context enforces; None when it cannot shrink further."""
+    """Half of *chunk_size*, floored to the bitmap-word alignment
+    ``compile_plan`` enforces; None when it cannot shrink further."""
     quantum = 32 * data_scale
     halved = (chunk_size // 2) // quantum * quantum
     if halved < quantum or halved >= chunk_size:

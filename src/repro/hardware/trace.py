@@ -171,8 +171,15 @@ def overlap_ratio(clock: VirtualClock, stream_a: str, stream_b: str) -> float:
     busy_a = sum(end - start for start, end in a)
     if busy_a == 0:
         return 0.0
+    # Events of one stream are serial and time-ordered, so one merge
+    # over both interval lists visits every overlapping pair.
     overlap = 0.0
-    for sa, ea in a:
-        for sb, eb in b:
-            overlap += max(0.0, min(ea, eb) - max(sa, sb))
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (sa, ea), (sb, eb) = a[i], b[j]
+        overlap += max(0.0, min(ea, eb) - max(sa, sb))
+        if ea <= eb:
+            i += 1
+        else:
+            j += 1
     return min(1.0, overlap / busy_a)

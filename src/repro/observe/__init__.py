@@ -13,13 +13,8 @@ documented surface; see ``docs/observability.md``).
   Prometheus text or JSON.
 """
 
-# estimate_graph_seconds / estimate_node_seconds are deprecated
-# re-exports: the estimators live in repro.planner.cost since the
-# plan-IR refactor (observe builds on the planner, not vice versa).
 from repro.observe.admission import explain_admission
 from repro.observe.explain import (
-    estimate_graph_seconds,
-    estimate_node_seconds,
     explain,
     explain_distributed,
     explain_plans,
@@ -38,8 +33,6 @@ __all__ = [
     "NodeProfile",
     "QueryProfile",
     "build_profile",
-    "estimate_graph_seconds",
-    "estimate_node_seconds",
     "explain",
     "explain_admission",
     "explain_distributed",

@@ -24,23 +24,13 @@ from repro.core.pipelines import split_pipelines
 from repro.devices.base import SimulatedDevice
 from repro.errors import ExecutionError
 from repro.hardware.costmodel import TransferDirection
-
-# Deprecated re-exports: the estimators moved to repro.planner.cost so
-# the observe layer depends on the planner (not the other way around).
-# Import them from repro.planner.cost in new code; these names stay for
-# compatibility with pre-optimizer callers.
-from repro.planner.cost import (  # noqa: F401  (re-exported)
-    DEFAULT_SELECTIVITY as _DEFAULT_SELECTIVITY,
-    SELECTIVE_PRIMITIVES as _SELECTIVE_PRIMITIVES,
-    estimate_graph_seconds,
-    estimate_node_seconds,
-)
+from repro.planner.compile import compile_plan
+from repro.planner.cost import estimate_graph_seconds
 from repro.planner.fusion import FUSED_PRIMITIVES
 from repro.planner.ir import DEFAULT_CHUNK_SIZE as _DEFAULT_CHUNK_SIZE
 from repro.storage import Catalog
 
-__all__ = ["explain", "explain_distributed", "explain_plans",
-           "estimate_node_seconds", "estimate_graph_seconds"]
+__all__ = ["explain", "explain_distributed", "explain_plans"]
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -110,13 +100,14 @@ def explain(graph: PrimitiveGraph, catalog: Catalog, *,
         raise ExecutionError(
             f"default device {default_device!r} not plugged; "
             f"plugged: {sorted(devices)}")
-    if fuse:
-        from repro.planner.fusion import fuse_graph
-        graph = fuse_graph(graph)
+    plan = compile_plan(graph, model=model, chunk_size=chunk_size,
+                        data_scale=data_scale, fuse=fuse, analyze=False,
+                        adaptive=adaptive)
+    graph = plan.graph
     graph.validate()
     estimates = estimate_graph_seconds(
         graph, catalog, devices, default_device, data_scale=data_scale)
-    physical_chunk = max(1, chunk_size // data_scale)
+    physical_chunk = plan.physical_chunk_rows
 
     cached_nodes: set[str] = set()
     if subplan_cache is not None and len(subplan_cache):
@@ -131,9 +122,10 @@ def explain(graph: PrimitiveGraph, catalog: Catalog, *,
 
     lines = [
         f"EXPLAIN {graph.name}",
-        f"  model={model}  chunk_size={chunk_size}  "
-        f"data_scale={data_scale}  fuse={'on' if fuse else 'off'}  "
-        f"adaptive={'on' if adaptive else 'off'}",
+        f"  model={plan.model}  chunk_size={plan.chunk_size}  "
+        f"data_scale={plan.data_scale}  "
+        f"fuse={'on' if plan.fuse else 'off'}  "
+        f"adaptive={'on' if plan.adaptive else 'off'}",
     ]
     for name in sorted(devices):
         device = devices[name]
@@ -160,7 +152,7 @@ def explain(graph: PrimitiveGraph, catalog: Catalog, *,
                 pipeline.scan_refs[0]).values.shape[0] * data_scale
         else:
             rows = 0
-        if model == "oaat" or not pipeline.is_chunkable:
+        if plan.model == "oaat" or not pipeline.is_chunkable:
             chunks = 1
         else:
             physical_rows = rows // data_scale
@@ -170,8 +162,8 @@ def explain(graph: PrimitiveGraph, catalog: Catalog, *,
             f"  pipeline {pipeline.index}  device={'+'.join(placements)}  "
             f"rows={rows}  chunks={chunks}  "
             f"est={_fmt_seconds(node_est + transfer_est)}")
-        if adaptive and chunks > 1:
-            if model == "split_chunked" and len(devices) > 1:
+        if plan.adaptive and chunks > 1:
+            if plan.model == "split_chunked" and len(devices) > 1:
                 lines.append(
                     f"    adaptive: work-stealing morsel queue across "
                     f"{len(devices)} devices + online calibration")
@@ -210,9 +202,10 @@ def explain_distributed(graph: PrimitiveGraph, catalog: Catalog, *,
     """
     from repro.cluster.planner import ShardPlanner
 
-    if fuse:
-        from repro.planner.fusion import fuse_graph
-        graph = fuse_graph(graph)
+    plan = compile_plan(graph, model=model, chunk_size=chunk_size,
+                        data_scale=data_scale, fuse=fuse, analyze=False,
+                        adaptive=False)
+    graph = plan.graph
     graph.validate()
     estimate = ShardPlanner(cluster).estimate(
         graph, catalog, cluster.num_nodes, data_scale=data_scale)
@@ -225,8 +218,9 @@ def explain_distributed(graph: PrimitiveGraph, catalog: Catalog, *,
 
     lines = [
         f"EXPLAIN DISTRIBUTED {graph.name}",
-        f"  model={model}  chunk_size={chunk_size}  "
-        f"data_scale={data_scale}  fuse={'on' if fuse else 'off'}",
+        f"  model={plan.model}  chunk_size={plan.chunk_size}  "
+        f"data_scale={plan.data_scale}  "
+        f"fuse={'on' if plan.fuse else 'off'}",
         f"  cluster: {cluster.num_nodes} nodes  network={tier.name} "
         f"({tier.bandwidth / 1e9:g}GB/s, {tier.latency_s * 1e6:g}us)",
     ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.pipelines import split_pipelines
-from repro.observe.explain import estimate_graph_seconds
+from repro.planner.cost import estimate_graph_seconds
 
 __all__ = ["NodeProfile", "QueryProfile", "build_profile"]
 

@@ -1,12 +1,14 @@
 """Logical plans, the shared plan IR, and the cost-based optimizer."""
 
 from repro.planner.adaptive import AdaptivePass
+from repro.planner.compile import compile_plan
 from repro.planner.cost import (
     CostOverlayStore,
     PipelineCost,
     PlanCost,
     estimate_graph_seconds,
     estimate_node_seconds,
+    estimate_pipeline_seconds,
     estimate_plan_seconds,
 )
 from repro.planner.fusion import (
@@ -46,7 +48,6 @@ from repro.planner.placement import (
     PlacementPass,
     PlacementReport,
     annotate_devices,
-    estimate_pipeline_seconds,
 )
 from repro.planner.stats import conjunction_selectivity, estimate_selectivity
 from repro.planner.translate import translate
@@ -75,6 +76,7 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "Pass",
     "PhysicalPlan",
+    "compile_plan",
     "CostOverlayStore",
     "PipelineCost",
     "PlanCost",

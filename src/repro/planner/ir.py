@@ -1,13 +1,6 @@
 """The shared plan IR: one object carrying every planning decision.
 
-Before this module existed, the decisions that shape an execution were
-smeared across call sites: device annotations lived on graph nodes
-(placement), fusion was a boolean rewritten inside the execution
-context, the execution model and chunk size were loose keyword
-arguments, and adaptive arming was yet another flag.  Nothing tied them
-together, so nothing could *choose* among them.
-
-:class:`PhysicalPlan` is that tie.  It carries the
+:class:`PhysicalPlan` carries the
 :class:`~repro.core.graph.PrimitiveGraph` plus the full decision vector
 — execution model, chunk size, fusion groups, placement reports,
 adaptive arming — and the planner's transformations are :class:`Pass`
@@ -20,11 +13,15 @@ objects that consume and produce plans:
 * :class:`~repro.planner.adaptive.AdaptivePass` — arms online
   calibration / dynamic chunk sizing / work stealing.
 
-The :mod:`~repro.planner.optimizer` enumerates alternative decision
-vectors over this IR and prices them with :mod:`~repro.planner.cost`;
-the engine executes whatever plan comes out.  Every pass records itself
-in :attr:`PhysicalPlan.provenance`, so a plan always knows how it was
-made (EXPLAIN shows it).
+Plans are made in two places only:
+:func:`~repro.planner.compile.compile_plan` turns the loose flags of
+the public entry points into a plan, and the
+:mod:`~repro.planner.optimizer` enumerates alternative decision vectors
+over this IR and prices them with :mod:`~repro.planner.cost`.  The
+engine executes, EXPLAIN renders and fault recovery degrades whatever
+plan comes out.  A plan is a *mutable* dataclass: passes update it in
+place (graphs are big) and record themselves in
+:attr:`PhysicalPlan.provenance`, so a plan always knows how it was made.
 """
 
 from __future__ import annotations

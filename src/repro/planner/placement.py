@@ -9,9 +9,9 @@ volume plus calibrated kernel time per primitive, plus cross-device
 routing for hash tables consumed from other pipelines.
 
 The estimator itself lives in :mod:`repro.planner.cost`
-(:func:`~repro.planner.cost.estimate_pipeline_seconds`, re-exported here
-for compatibility), so placement decisions are consistent with what the
-executor will charge and with what the plan optimizer prices.
+(:func:`~repro.planner.cost.estimate_pipeline_seconds`), so placement
+decisions are consistent with what the executor will charge and with
+what the plan optimizer prices.
 
 :class:`PlacementPass` is the pass-form of :func:`annotate_devices` over
 the shared plan IR (:mod:`repro.planner.ir`).
@@ -30,8 +30,7 @@ from repro.planner.cost import estimate_pipeline_seconds
 from repro.planner.ir import Pass, PhysicalPlan
 from repro.storage import Catalog
 
-__all__ = ["PlacementPass", "PlacementReport", "annotate_devices",
-           "estimate_pipeline_seconds"]
+__all__ = ["PlacementPass", "PlacementReport", "annotate_devices"]
 
 
 @dataclass(frozen=True)

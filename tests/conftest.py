@@ -6,6 +6,7 @@ import functools
 
 import pytest
 
+from repro.core.context import ExecutionContext
 from repro.core.executor import AdamantExecutor
 from repro.devices import CudaDevice, OpenCLDevice, OpenMPDevice
 from repro.hardware import (
@@ -13,7 +14,10 @@ from repro.hardware import (
     GPU_RTX_2080_TI,
     VirtualClock,
 )
+from repro.planner.compile import compile_plan
+from repro.task import default_registry
 from repro.tpch import generate
+from repro.tpch.queries import q6
 
 
 def pytest_addoption(parser):
@@ -89,6 +93,31 @@ def make_executor(driver=CudaDevice, spec=GPU_RTX_2080_TI, *,
     if model is not None:
         executor.run = functools.partial(executor.run, model=model)
     return executor
+
+
+def make_context(catalog, *, graph=None, devices=None, chunk_size=1024,
+                 driver=CudaDevice, spec=GPU_RTX_2080_TI):
+    """Execution-context factory for tests that drive the hub or an
+    execution model directly, below the engine.
+
+    Compiles the plan the way the engine does and binds it to *devices*
+    (initialized, on one shared clock; the first is the default device)
+    or, without any, to one fresh ``"dev"`` device of *driver*/*spec*.
+    *graph* defaults to Q6.
+    """
+    if devices is None:
+        device = driver("dev", spec, VirtualClock())
+        device.initialize()
+        devices = {"dev": device}
+    default = next(iter(devices))
+    plan = compile_plan(graph if graph is not None else q6.build(),
+                        model="chunked", chunk_size=chunk_size,
+                        data_scale=1, fuse=False, analyze=False,
+                        adaptive=False)
+    return ExecutionContext(
+        plan=plan, catalog=catalog, devices=devices,
+        registry=default_registry(), clock=devices[default].clock,
+        default_device=default)
 
 
 @pytest.fixture()

@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core.context import ExecutionContext
 from repro.core.graph import PrimitiveGraph
 from repro.core.hub import DataTransferHub
 from repro.devices import CudaDevice
 from repro.hardware import GPU_RTX_2080_TI, Sdk, VirtualClock
 from repro.hardware.costmodel import CostModel
 from repro.storage import Catalog, Column, Table
-from repro.task import default_registry
 from repro.tpch import generate
 from repro.tpch.schema import TPCH_TABLES
+from tests.conftest import make_context
 
 
 class TestSchemaDbgenConsistency:
@@ -92,10 +91,8 @@ class TestHubPublishOnly:
         clock = VirtualClock()
         device = CudaDevice("dev", GPU_RTX_2080_TI, clock)
         device.initialize()
-        ctx = ExecutionContext(
-            graph=graph, catalog=catalog, devices={"dev": device},
-            registry=default_registry(), clock=clock, chunk_size=64,
-            default_device="dev")
+        ctx = make_context(catalog, graph=graph, devices={"dev": device},
+                           chunk_size=64)
         hub = DataTransferHub(ctx)
         edge = graph.edges[0]
         device.add_pinned_memory("buf", 64 * 8)

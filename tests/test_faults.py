@@ -26,6 +26,7 @@ from repro.errors import (
 from repro.faults.plan import FaultKind
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI
 from repro.hardware.trace import counters
+from repro.tpch import reference
 from repro.tpch.queries import q3, q4, q6
 
 CHUNK = 2048
@@ -256,6 +257,23 @@ class TestDeviceLossFailover:
         assert gpu.memory.device_used == 0
         assert not gpu.memory.aliases()
         assert counters(engine.clock)["recovery_actions"] >= 1
+
+    @pytest.mark.parametrize("model", ["chunked", "auto"])
+    def test_failover_reruns_the_requested_decision_vector(
+            self, tiny_catalog, model):
+        """The rebuilt model executes what the request asked for — the
+        recovery callback recompiles the flags, it has no pass sequence
+        (or default) of its own."""
+        engine = hybrid_engine(FaultPlan.parse("gpu0:device_loss:2"),
+                               enable_subplan_cache=False)
+        result = engine.execute(q6.build(), tiny_catalog, model=model,
+                                chunk_size=1024, default_device="gpu0",
+                                fuse=True, adaptive=True, analyze=True)
+        assert result.stats.failovers >= 1
+        assert result.stats.fused_nodes > 0
+        assert result.profile is not None
+        assert q6.finalize(result, tiny_catalog) == \
+            reference.q6(tiny_catalog)
 
     def test_loss_evicts_subplan_cache_entries(self, tiny_catalog):
         """Results computed by hardware that later proved faulty are

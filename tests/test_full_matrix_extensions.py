@@ -22,7 +22,7 @@ from repro.hardware import (
 from repro.task.registry import register_variant_kernels
 from repro.tpch import reference
 from repro.tpch.queries import q1, q3, q4, q5, q6, q12, q14, q18, q19
-from tests.conftest import make_executor
+from tests.conftest import make_context, make_executor
 
 QUERIES = {
     "q1": (q1, False), "q3": (q3, True), "q4": (q4, False),
@@ -144,11 +144,8 @@ class TestMultiHopRouting:
         """A hash table daisy-chained across three devices stays intact
         (the split model's broadcast path, exercised directly)."""
         import numpy as np
-        from repro.core.context import ExecutionContext
         from repro.core.hub import DataTransferHub
         from repro.hardware import VirtualClock
-        from repro.task import default_registry
-        from repro.tpch.queries import q6 as q6mod
 
         clock = VirtualClock()
         gpu = CudaDevice("gpu", GPU_RTX_2080_TI, clock)
@@ -156,11 +153,8 @@ class TestMultiHopRouting:
         fpga = FpgaDevice("fpga", FPGA_ALVEO_U250, clock)
         for device in (gpu, cpu, fpga):
             device.initialize()
-        ctx = ExecutionContext(
-            graph=q6mod.build(), catalog=tiny_catalog,
-            devices={"gpu": gpu, "cpu": cpu, "fpga": fpga},
-            registry=default_registry(), clock=clock, chunk_size=1024,
-            default_device="gpu")
+        ctx = make_context(
+            tiny_catalog, devices={"gpu": gpu, "cpu": cpu, "fpga": fpga})
         hub = DataTransferHub(ctx)
         payload = np.arange(16, dtype=np.int64)
         gpu.place_data("x", payload)

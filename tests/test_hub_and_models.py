@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.context import ExecutionContext, cardinality
+from repro.core.context import cardinality
 from repro.core.executor import AdamantExecutor
 from repro.core.hub import DataTransferHub
 from repro.core.models import MODELS, shallow_hash_pipeline
@@ -12,10 +12,9 @@ from repro.devices import CudaDevice, OpenMPDevice
 from repro.errors import DeviceMemoryError, ExecutionError
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI, VirtualClock
 from repro.primitives.values import Bitmap, JoinPairs, PositionList, PrefixSum
-from repro.task import default_registry
 from repro.tpch import reference
 from repro.tpch.queries import q3, q4, q6
-from tests.conftest import make_executor
+from tests.conftest import make_context, make_executor
 
 
 class TestCardinality:
@@ -26,18 +25,6 @@ class TestCardinality:
         assert cardinality(JoinPairs(np.arange(2), np.arange(2))) == 2
         assert cardinality(PrefixSum(np.arange(4))) == 4
         assert cardinality(None) == 0
-
-
-def make_context(catalog, *, driver=CudaDevice, spec=GPU_RTX_2080_TI,
-                 chunk_size=1024, graph=None):
-    clock = VirtualClock()
-    device = driver("dev", spec, clock)
-    device.initialize()
-    return ExecutionContext(
-        graph=graph or q6.build(), catalog=catalog,
-        devices={"dev": device}, registry=default_registry(),
-        clock=clock, chunk_size=chunk_size, default_device="dev",
-    )
 
 
 class TestHub:
@@ -93,11 +80,7 @@ class TestHub:
         gpu = CudaDevice("gpu", GPU_RTX_2080_TI, clock)
         cpu = OpenMPDevice("cpu", CPU_I7_8700, clock)
         gpu.initialize(), cpu.initialize()
-        ctx = ExecutionContext(
-            graph=q6.build(), catalog=tiny_catalog,
-            devices={"gpu": gpu, "cpu": cpu}, registry=default_registry(),
-            clock=clock, chunk_size=1024, default_device="gpu",
-        )
+        ctx = make_context(tiny_catalog, devices={"gpu": gpu, "cpu": cpu})
         hub = DataTransferHub(ctx)
         gpu.place_data("x", np.arange(8, dtype=np.int64))
         edge = ctx.graph.edges[0]

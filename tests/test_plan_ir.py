@@ -8,7 +8,9 @@ from repro.core.context import ExecutionContext
 from repro.devices import OpenMPDevice
 from repro.errors import ExecutionError
 from repro.hardware import CPU_I7_8700
+from repro.observe import explain
 from repro.planner.adaptive import AdaptivePass
+from repro.planner.compile import compile_plan
 from repro.planner.fusion import (
     FUSED_PRIMITIVES,
     FusionPass,
@@ -104,6 +106,53 @@ class TestPasses:
         assert plan.provenance == ("adaptive",)
 
 
+class TestCompilePlan:
+    """The one site where loose flags become a plan."""
+
+    FLAGS = dict(model="pipelined", chunk_size=1024, data_scale=1,
+                 fuse=False, adaptive=False)
+
+    @pytest.mark.parametrize("fuse,adaptive,provenance", [
+        (False, False, ()),
+        (True, False, ("fusion",)),
+        (False, True, ("adaptive",)),
+        (True, True, ("fusion", "adaptive")),
+    ])
+    def test_flags_become_passes(self, tiny_catalog, fuse, adaptive,
+                                 provenance):
+        flags = {**self.FLAGS, "fuse": fuse, "adaptive": adaptive}
+        plan = compile_plan(q6.build(), **flags, analyze=True)
+        assert plan.provenance == provenance
+        assert plan.model == "pipelined" and plan.chunk_size == 1024
+        assert plan.analyze
+        assert plan.fuse == fuse and plan.adaptive == adaptive
+        assert bool(plan.fused_groups) == fuse
+        # EXPLAIN renders that same plan: its header and fused-step
+        # lines are the plan's fields, not a second reading of the flags.
+        text = explain(q6.build(), tiny_catalog,
+                       devices=make_executor().devices, **flags)
+        on = {True: "on", False: "off"}
+        assert text.splitlines()[1] == (
+            f"  model={plan.model}  chunk_size={plan.chunk_size}  "
+            f"data_scale={plan.data_scale}  fuse={on[plan.fuse]}  "
+            f"adaptive={on[plan.adaptive]}")
+        for exit_id in plan.fused_groups:
+            node = plan.graph.nodes[exit_id]
+            steps = "+".join(s["primitive"] for s in node.params["steps"])
+            assert f"    {exit_id}: {node.primitive}[{steps}]" in text
+
+    @pytest.mark.parametrize("bad,match", [
+        (dict(chunk_size=33), "positive multiple"),
+        (dict(chunk_size=1024, data_scale=64), "positive multiple"),
+        (dict(data_scale=0), "data_scale must be >= 1"),
+        (dict(model="auto"), "unknown execution model"),
+    ])
+    def test_flags_validated(self, bad, match):
+        with pytest.raises(ExecutionError, match=match):
+            compile_plan(q6.build(), **{**self.FLAGS, **bad},
+                         analyze=False)
+
+
 class TestContextPlanBinding:
     def _machinery(self, catalog):
         executor = make_executor(name="dev0")
@@ -111,65 +160,27 @@ class TestContextPlanBinding:
                     registry=executor.registry,
                     clock=executor.clock, default_device="dev0")
 
-    def test_plan_and_graph_conflict(self, tiny_catalog):
-        graph = q6.build()
-        with pytest.raises(ExecutionError, match="not both"):
-            ExecutionContext(plan=PhysicalPlan(graph=graph), graph=graph,
-                             **self._machinery(tiny_catalog))
+    def test_context_takes_a_plan_only(self):
+        import inspect
 
-    def test_needs_plan_or_graph(self, tiny_catalog):
-        with pytest.raises(ExecutionError, match="plan= or a graph="):
-            ExecutionContext(**self._machinery(tiny_catalog))
-
-    def test_plan_path_matches_legacy_path(self, tiny_catalog):
-        legacy = ExecutionContext(graph=q6.build(), chunk_size=1024,
-                                  **self._machinery(tiny_catalog))
-        plan = PhysicalPlan(graph=q6.build(), chunk_size=1024)
-        direct = ExecutionContext(plan=plan,
-                                  **self._machinery(tiny_catalog))
-        assert legacy.chunk_size == direct.chunk_size == 1024
-        assert legacy.data_scale == direct.data_scale == 1
-        assert direct.plan is plan
-
-    def test_plan_validated(self, tiny_catalog):
-        bad = PhysicalPlan(graph=q6.build(), chunk_size=33)
-        with pytest.raises(ExecutionError, match="positive multiple"):
-            ExecutionContext(plan=bad, **self._machinery(tiny_catalog))
+        params = inspect.signature(ExecutionContext.__init__).parameters
+        assert "plan" in params
+        assert not {"graph", "chunk_size", "data_scale", "fuse",
+                    "analyze", "adaptive"} & set(params)
 
     def test_context_properties_delegate(self, tiny_catalog):
         plan = PhysicalPlan(graph=q6.build(), chunk_size=2048,
                             analyze=True, adaptive=True)
         ctx = ExecutionContext(plan=plan,
                                **self._machinery(tiny_catalog))
+        assert ctx.plan is plan
         assert ctx.graph is plan.graph
         assert ctx.chunk_size == 2048
         assert ctx.analyze and ctx.adaptive
 
 
 class TestLayering:
-    """The estimators live in planner.cost; observe re-exports them."""
-
-    def test_observe_reexports_are_identical(self):
-        import importlib
-
-        import repro.observe as observe
-        from repro.planner import cost
-
-        # the explain() function shadows the submodule attribute
-        explain_mod = importlib.import_module("repro.observe.explain")
-
-        assert observe.estimate_graph_seconds \
-            is cost.estimate_graph_seconds
-        assert observe.estimate_node_seconds \
-            is cost.estimate_node_seconds
-        assert explain_mod.estimate_graph_seconds \
-            is cost.estimate_graph_seconds
-
-    def test_placement_reexport_is_identical(self):
-        from repro.planner import cost, placement
-
-        assert placement.estimate_pipeline_seconds \
-            is cost.estimate_pipeline_seconds
+    """The estimators live in planner.cost and nowhere else."""
 
     def test_engine_chunk_size_reexport(self):
         from repro.engine import engine as engine_mod
@@ -182,5 +193,15 @@ class TestLayering:
 
         for name in ("PhysicalPlan", "Pass", "PlacementPass",
                      "FusionPass", "AdaptivePass", "PlanOptimizer",
-                     "CostOverlayStore", "estimate_plan_seconds"):
+                     "CostOverlayStore", "estimate_plan_seconds",
+                     "compile_plan"):
             assert hasattr(planner, name), name
+        # The deprecated estimator re-exports are gone: callers import
+        # from repro.planner.cost.
+        import repro.observe as observe
+        from repro.planner import placement
+
+        assert not {"estimate_graph_seconds", "estimate_node_seconds"} \
+            & set(observe.__all__)
+        assert not hasattr(observe, "estimate_node_seconds")
+        assert "estimate_pipeline_seconds" not in placement.__all__
