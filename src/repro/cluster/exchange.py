@@ -19,7 +19,7 @@ GATHER and SHUFFLE produce the *same merged bytes* — concatenating
 range-merged sorted group tables equals one global merge — so the
 executor picks whichever prices cheaper and correctness is unaffected.
 The merge kernels are the single-node chunk combiners
-(:meth:`~repro.primitives.values.GroupTable.merge`,
+(:meth:`~repro.primitives.values.GroupTable.merge_all`,
 :func:`~repro.primitives.kernels.hash_ops.merge_hash_tables`,
 :func:`~repro.primitives.kernels.reduce.merge_partials`), so a
 distributed answer is byte-identical to the single-node one —
@@ -91,13 +91,12 @@ def output_agg_fn(graph: PrimitiveGraph, node_id: str) -> str:
 
 
 def merge_group_tables(partials: list[GroupTable]) -> GroupTable:
-    """Fold node-partial group tables into one (count merges as sum)."""
-    merged = partials[0]
-    for other in partials[1:]:
-        how = {name: ("sum" if name == "count" else name)
-               for name in merged.aggregates}
-        merged = merged.merge(other, how=how)
-    return merged
+    """Merge node-partial group tables into one (count merges as sum)."""
+    if len(partials) == 1:
+        return partials[0]
+    how = {name: ("sum" if name == "count" else name)
+           for name in partials[0].aggregates}
+    return GroupTable.merge_all(partials, how=how)
 
 
 def merge_outputs(graph: PrimitiveGraph,
@@ -120,10 +119,7 @@ def merge_outputs(graph: PrimitiveGraph,
         elif isinstance(first, GroupTable):
             merged[out_id] = merge_group_tables(values)
         elif isinstance(first, HashTable):
-            table = first
-            for other in values[1:]:
-                table = merge_hash_tables(table, other)
-            merged[out_id] = table
+            merged[out_id] = merge_hash_tables(*values)
         elif isinstance(first, np.ndarray):
             merged[out_id] = merge_partials(
                 values, fn=output_agg_fn(graph, out_id))

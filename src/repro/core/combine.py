@@ -11,7 +11,8 @@ chunks.  The combination rule follows the value's semantic:
 * group tables merge per-key (a chunked shared hash table);
 * hash tables union (per-chunk inserts into the global table — build
   kernels are invoked with the chunk's ``base_position`` so row ids stay
-  global);
+  global); both merges take all chunks at once, so the breaker costs one
+  sort over the partials, not one per chunk;
 * prefix sums concatenate with the previous chunk's total carried over.
 
 This mirrors what the paper's single *global* device-side structures do
@@ -80,15 +81,10 @@ def combine_chunk_results(partials: list[ChunkPartial], *,
             right=np.concatenate([p.value.right for p in partials]),
         )
     if isinstance(first, GroupTable):
-        merged = partials[0].value
-        for p in partials[1:]:
-            merged = merged.merge(p.value, how={agg_fn: _merge_kind(agg_fn)})
-        return merged
+        return GroupTable.merge_all([p.value for p in partials],
+                                    how={agg_fn: _merge_kind(agg_fn)})
     if isinstance(first, HashTable):
-        merged = partials[0].value
-        for p in partials[1:]:
-            merged = merge_hash_tables(merged, p.value)
-        return merged
+        return merge_hash_tables(*[p.value for p in partials])
     if isinstance(first, PrefixSum):
         return _combine_prefix_sums([p.value for p in partials])
     raise ExecutionError(

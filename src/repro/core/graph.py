@@ -114,8 +114,45 @@ class PrimitiveNode:
         return self.defn.pipeline_breaker
 
 
+class _EdgeIndex:
+    """Adjacency of a graph's edge list, built in one pass over it."""
+
+    __slots__ = ("edge_count", "inputs", "outputs", "scan_refs")
+
+    def __init__(self, edges: list[DataEdge]) -> None:
+        #: Length of the edge list the index was built from.
+        self.edge_count = len(edges)
+        #: target node id -> its in-edges, ordered by input slot.
+        self.inputs: dict[str, list[DataEdge]] = {}
+        #: source node id -> its (non-scan) out-edges, in edge-list order.
+        self.outputs: dict[str, list[DataEdge]] = {}
+        refs: set[str] = set()
+        for edge in edges:
+            self.inputs.setdefault(edge.target, []).append(edge)
+            if edge.is_scan:
+                refs.add(edge.source.ref)
+            else:
+                self.outputs.setdefault(edge.source, []).append(edge)
+        for slots in self.inputs.values():
+            slots.sort(key=lambda e: e.input_index)  # stable, like sorted()
+        #: Distinct base-table columns read, sorted.
+        self.scan_refs = sorted(refs)
+
+
 class PrimitiveGraph:
-    """A DAG of primitives with annotated data edges."""
+    """A DAG of primitives with annotated data edges.
+
+    **Mutation contract.**  The structure changes only through
+    :meth:`add_node`, :meth:`connect` and :meth:`mark_output`; each drops
+    the derived caches (adjacency index, topological order, pipeline
+    split).  ``nodes``, ``edges`` and ``outputs`` are public for reading
+    — do not append to them, and do not rewire an edge's ``source`` /
+    ``target`` / ``input_index`` in place.  (Runtime bookkeeping on an
+    edge — ``device_id`` and the cursors — and a node's ``device`` /
+    ``params`` annotations are not structure and may change freely.)  As
+    a safety net, an ``edges.append`` behind :meth:`connect`'s back is
+    noticed by its length and drops the caches too.
+    """
 
     def __init__(self, name: str = "query") -> None:
         self.name = name
@@ -123,15 +160,27 @@ class PrimitiveGraph:
         self.edges: list[DataEdge] = []
         self.outputs: list[str] = []
         self._edge_ids = itertools.count()
-        # Derived-structure caches (topological order, pipeline split).
-        # Chunked/pipelined models recompute these per chunk otherwise;
-        # any structural mutation invalidates them.
+        # Derived-structure caches (adjacency, topological order,
+        # pipeline split).  Chunked/pipelined models recompute these per
+        # chunk otherwise; any structural mutation invalidates them.
+        self._edge_index: _EdgeIndex | None = None
         self._topo_cache: list[str] | None = None
         self._pipeline_cache: list | None = None
 
     def _invalidate_caches(self) -> None:
+        self._edge_index = None
         self._topo_cache = None
         self._pipeline_cache = None
+
+    def _index(self) -> _EdgeIndex:
+        """The adjacency index, (re)built when the edge list changed."""
+        index = self._edge_index
+        if index is None or index.edge_count != len(self.edges):
+            # A length mismatch is an out-of-band ``edges.append``: every
+            # derived cache is stale, not only this one.
+            self._invalidate_caches()
+            index = self._edge_index = _EdgeIndex(self.edges)
+        return index
 
     # -- construction -------------------------------------------------------
 
@@ -183,21 +232,17 @@ class PrimitiveGraph:
     # -- queries ---------------------------------------------------------------
 
     def in_edges(self, node_id: str) -> list[DataEdge]:
-        """Input edges of *node_id*, ordered by input slot."""
-        return sorted(
-            (e for e in self.edges if e.target == node_id),
-            key=lambda e: e.input_index,
-        )
+        """Input edges of *node_id*, ordered by input slot (a fresh list)."""
+        return list(self._index().inputs.get(node_id, ()))
 
     def out_edges(self, node_id: str) -> list[DataEdge]:
-        return [e for e in self.edges
-                if not e.is_scan and e.source == node_id]
+        """Edges carrying *node_id*'s result to its consumers, in the
+        order they were connected (a fresh list)."""
+        return list(self._index().outputs.get(node_id, ()))
 
     def scan_refs(self) -> list[str]:
         """All distinct base-table columns the plan reads."""
-        return sorted({
-            e.source.ref for e in self.edges if e.is_scan
-        })
+        return list(self._index().scan_refs)
 
     def topological_order(self) -> list[str]:
         """Node ids in dependency order; raises on cycles.
@@ -205,18 +250,19 @@ class PrimitiveGraph:
         The order is cached until the graph is mutated — chunked models
         would otherwise re-sort the same structure once per chunk.
         """
+        index = self._index()
         if self._topo_cache is not None:
             return list(self._topo_cache)
-        incoming = {
-            nid: sum(1 for e in self.in_edges(nid) if not e.is_scan)
-            for nid in self.nodes
-        }
+        incoming = dict.fromkeys(self.nodes, 0)
+        for edges in index.outputs.values():
+            for edge in edges:
+                incoming[edge.target] += 1
         ready = sorted(nid for nid, deg in incoming.items() if deg == 0)
         order: list[str] = []
         while ready:
             nid = ready.pop(0)
             order.append(nid)
-            for edge in self.out_edges(nid):
+            for edge in index.outputs.get(nid, ()):
                 incoming[edge.target] -= 1
                 if incoming[edge.target] == 0:
                     ready.append(edge.target)

@@ -13,11 +13,12 @@ them.
 from __future__ import annotations
 
 import abc
+from typing import NamedTuple
 
 from repro.core.combine import ChunkPartial, combine_chunk_results
 from repro.core.context import ExecutionContext, QueryResult, cardinality
 from repro.core.fingerprint import subplan_fingerprint
-from repro.core.graph import PrimitiveGraph, PrimitiveNode
+from repro.core.graph import DataEdge, PrimitiveGraph, PrimitiveNode
 from repro.core.hub import DataTransferHub
 from repro.core.pipelines import (
     Pipeline,
@@ -36,8 +37,21 @@ from repro.hardware.clock import Event
 from repro.hardware.costmodel import TransferDirection
 from repro.hardware.specs import Sdk
 from repro.primitives.values import value_nbytes
+from repro.task.containers import KernelContainer
 
 __all__ = ["ExecutionModel", "shallow_hash_pipeline"]
+
+
+class _Launch(NamedTuple):
+    """What launching one node on one device needs that no chunk changes.
+
+    The kernel's cost key and argument count travel inside *container*.
+    """
+
+    container: KernelContainer
+    in_edges: list[DataEdge]   # ordered by input slot
+    out_edges: list[DataEdge]
+    chunk_offset_param: str | None
 
 
 def shallow_hash_pipeline(graph: PrimitiveGraph, pipeline: Pipeline) -> bool:
@@ -148,6 +162,10 @@ class ExecutionModel(abc.ABC):
         #: keeps concurrent queries' buffers apart in shared devices.
         self.qp = ctx.query.alias_prefix
         self._spans: list[tuple[int, float, float]] = []
+        #: (node id, device name) -> the chunk-invariant part of that
+        #: launch, filled by the first chunk.  A model executes one fixed
+        #: graph, and re-placing a node changes its key.
+        self._launches: dict[tuple[str, str], _Launch] = {}
         #: Engine-scope cross-query subplan result cache (None outside
         #: engine mode or when disabled); pipelines whose persisted
         #: results are all cached are served instead of executed.
@@ -266,8 +284,18 @@ class ExecutionModel(abc.ABC):
                 interconnect itself (zero-copy mode); charged on the
                 compute stream ahead of the kernel.
         """
-        container = self.ctx.registry.resolve(
-            node.primitive, node.variant or device.variant_key)
+        key = (node.node_id, device.name)
+        launch = self._launches.get(key)
+        if launch is None:
+            graph = self.plan.graph
+            launch = self._launches[key] = _Launch(
+                self.ctx.registry.resolve(
+                    node.primitive, node.variant or device.variant_key),
+                graph.in_edges(node.node_id),
+                graph.out_edges(node.node_id),
+                node.defn.chunk_offset_param,
+            )
+        container, in_edges, out_edges, offset_param = launch
         wait = list(deps or ())
         if uma_read_bytes:
             rate = (device.cost.bandwidth("h2d", pinned=True)
@@ -281,8 +309,7 @@ class ExecutionModel(abc.ABC):
                 node=node.node_id,
             ))
         routed: list[str] = []
-        for edge, alias in zip(self.ctx.graph.in_edges(node.node_id),
-                               input_aliases):
+        for edge, alias in zip(in_edges, input_aliases):
             alias, events = self.hub.router(edge, alias, device)
             routed.append(alias)
             wait.extend(events)
@@ -290,7 +317,6 @@ class ExecutionModel(abc.ABC):
         n = cardinality(device._resolve_value(first)) if first else 0
         self.hub.prepare_output_buffer(node, device, output_alias, n)
         params = node.params
-        offset_param = node.defn.chunk_offset_param
         if offset_param is not None:
             params = {**params, offset_param: chunk_base}
         task = Task(
@@ -299,10 +325,10 @@ class ExecutionModel(abc.ABC):
             node_id=node.node_id,
         )
         event = self._execute_with_retry(node, device, task, wait)
-        for edge in self.ctx.graph.in_edges(node.node_id):
-            edge.processed_until = max(edge.processed_until,
-                                       edge.fetched_until)
-        for edge in self.ctx.graph.out_edges(node.node_id):
+        for edge in in_edges:
+            if edge.fetched_until > edge.processed_until:
+                edge.processed_until = edge.fetched_until
+        for edge in out_edges:
             edge.device_id = device.name
         self.node_alias[node.node_id] = output_alias
         self.node_device[node.node_id] = device.name
@@ -444,6 +470,20 @@ class ExecutionModel(abc.ABC):
 
         persisted = self._persisted_nodes(pipeline)
         partials: dict[str, list[ChunkPartial]] = {nid: [] for nid in persisted}
+        # Per node, what every chunk reuses: the node, its result alias
+        # and (zero-copy) the bytes per row its scan inputs pull over the
+        # interconnect.
+        scan_row_bytes = dict.fromkeys(pipeline.node_ids, 0)
+        if self.zero_copy:
+            for ref, edges in scan_edges_by_ref.items():
+                width = int(self.ctx.catalog.column(ref).dtype.itemsize)
+                for edge in edges:
+                    scan_row_bytes[edge.target] += width
+        steps = [
+            (nid, graph.nodes[nid], f"{self.qp}p{pipeline.index}:n:{nid}",
+             scan_row_bytes[nid])
+            for nid in pipeline.node_ids
+        ]
 
         chunk_last_compute: list[Event] = []
         full_input_nodes = [
@@ -497,20 +537,11 @@ class ExecutionModel(abc.ABC):
                     edge.fetched_until = stop
 
             last = None
-            for nid in pipeline.node_ids:
-                node = graph.nodes[nid]
-                out_alias = f"{self.qp}p{pipeline.index}:n:{nid}"
+            for nid, node, out_alias, row_bytes in steps:
                 aliases = self.input_alias(nid, scan_alias_of=scan_alias_of)
-                uma_bytes = 0
-                if self.zero_copy:
-                    uma_bytes = sum(
-                        self.ctx.catalog.column(e.source.ref)
-                        .dtype.itemsize * (stop - start)
-                        for e in graph.in_edges(nid) if e.is_scan
-                    )
-                last = self.execute_node(node, device, aliases, out_alias,
-                                         chunk_base=start,
-                                         uma_read_bytes=uma_bytes)
+                last = self.execute_node(
+                    node, device, aliases, out_alias, chunk_base=start,
+                    uma_read_bytes=row_bytes * (stop - start))
                 if nid in persisted:
                     value = device.memory.get(out_alias).value
                     partials[nid].append(ChunkPartial(value, start))
@@ -591,11 +622,9 @@ class ExecutionModel(abc.ABC):
             if actual > buffer.nbytes:
                 device.memory.resize(alias, actual,
                                      at_time=self.ctx.clock.now())
-        for nid in pipeline.node_ids:
-            if nid not in persisted:
-                alias = f"{self.qp}p{pipeline.index}:n:{nid}"
-                if alias in device.memory:
-                    device.delete_memory(alias)
+        for nid, _, alias, _ in steps:
+            if nid not in persisted and alias in device.memory:
+                device.delete_memory(alias)
         # Delete phase: release the staging buffers.
         for buffers in scan_buffers.values():
             for alias in buffers:

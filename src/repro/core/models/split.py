@@ -69,8 +69,7 @@ class SplitChunkedModel(ExecutionModel):
         per_device_external: dict[tuple[str, str], str] = {}
         for ext in pipeline.external_inputs:
             current = self.node_alias[ext]
-            carrier = next(e for e in graph.edges
-                           if not e.is_scan and e.source == ext)
+            carrier = graph.out_edges(ext)[0]
             for device in devices:
                 current, _ = self.hub.router(carrier, current, device)
                 per_device_external[(ext, device.name)] = current

@@ -55,10 +55,9 @@ def persisted_node_ids(graph: PrimitiveGraph,
     member = set(pipeline.node_ids)
     out = set(pipeline.breaker_ids)
     out |= member & set(graph.outputs)
-    for edge in graph.edges:
-        if not edge.is_scan and edge.source in member \
-                and edge.target not in member:
-            out.add(edge.source)
+    for nid in pipeline.node_ids:
+        if any(edge.target not in member for edge in graph.out_edges(nid)):
+            out.add(nid)
     return out
 
 
@@ -68,6 +67,7 @@ def split_pipelines(graph: PrimitiveGraph) -> list[Pipeline]:
     The split is cached on the graph until it is mutated; callers treat
     the returned :class:`Pipeline` objects as read-only.
     """
+    graph._index()  # drops the caches after an out-of-band edges.append
     if graph._pipeline_cache is not None:
         return list(graph._pipeline_cache)
     order = graph.topological_order()

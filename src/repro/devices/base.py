@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,12 +29,13 @@ from repro.errors import (
     DeviceNotInitializedError,
     KernelCompilationError,
     QueryBudgetError,
+    SignatureError,
 )
 from repro.hardware.clock import Event, VirtualClock
 from repro.hardware.costmodel import CostModel, TransferDirection
 from repro.hardware.specs import DeviceKind, DeviceSpec, Sdk
 from repro.primitives.definitions import definition
-from repro.primitives.values import value_nbytes
+from repro.primitives.values import IOSemantic, semantic_of, value_nbytes
 from repro.task.containers import DataContainer, KernelContainer
 from repro.devices.memory import Buffer, MemoryManager
 
@@ -206,16 +208,19 @@ class SimulatedDevice(Device):
         """
         return self.sdk.value
 
-    @property
+    # A device's name and variant key are fixed for its lifetime, so the
+    # strings derived from them are built once, not per interface call.
+
+    @cached_property
     def data_format(self) -> str:
         """The SDK's native data-format tag (``"cuda.devptr"`` ...)."""
         return f"{self.variant_key}.buffer"
 
-    @property
+    @cached_property
     def transfer_stream(self) -> str:
         return f"{self.name}.transfer"
 
-    @property
+    @cached_property
     def compute_stream(self) -> str:
         return f"{self.name}.compute"
 
@@ -485,8 +490,10 @@ class SimulatedDevice(Device):
         self._require_initialized()
         latency_factor = (self.faults.on_execute(self, task)
                           if self.faults is not None else 1.0)
-        if task.container.needs_compilation:
-            self.prepare_kernel(task.container)
+        container = task.container
+        primitive = container.primitive
+        if container.needs_compilation:
+            self.prepare_kernel(container)
         wait = list(deps or ())
         values = []
         for alias in task.inputs:
@@ -498,8 +505,8 @@ class SimulatedDevice(Device):
         # The kernel runs functionally first so the cost model can use the
         # true result statistics (e.g. the group count of HASH_AGG, which a
         # real shared hash table pays for through atomic contention).
-        result = task.container(*values, **task.params)
-        self._check_output_semantic(task.container.primitive, result)
+        result = container(*values, **task.params)
+        self._check_output_semantic(primitive, result)
         cost_params = dict(task.cost_params)
         # A fused node (planner.fusion) charges ONE launch whose argument
         # count is the summed per-step mapping cost, and one fused sweep
@@ -512,12 +519,12 @@ class SimulatedDevice(Device):
             # cost_params.
             cost_params["groups"] = max(1, result.num_groups * self.data_scale)
 
-        num_args = (task.container.num_args if fused_num_args is None
+        num_args = (container.num_args if fused_num_args is None
                     else int(fused_num_args))
         launch = self.clock.schedule(
             self.compute_stream,
             self.cost.launch_seconds(num_args),
-            label=f"{self.name}:launch:{task.container.primitive}",
+            label=f"{self.name}:launch:{primitive}",
             deps=wait,
             category="launch",
             node=task.node_id,
@@ -530,25 +537,23 @@ class SimulatedDevice(Device):
             duration = self.cost.fused_kernel_seconds(
                 fused_steps, logical_n, groups=cost_params.get("groups"))
         else:
-            cost_key = (task.container.cost_key
-                        or definition(task.container.primitive).cost_key)
+            cost_key = (container.cost_key
+                        or definition(primitive).cost_key)
             duration = self.cost.kernel_seconds(cost_key, logical_n,
                                                 **cost_params)
         event = self.clock.schedule(
             self.compute_stream,
             duration * latency_factor,
-            label=f"{self.name}:run:{task.container.primitive}",
+            label=f"{self.name}:run:{primitive}",
             deps=[launch],
             category="compute",
             node=task.node_id,
         )
         if self.metrics is not None:
             self.metrics.inc("adamant_kernel_launches_total",
-                             device=self.name,
-                             primitive=task.container.primitive)
+                             device=self.name, primitive=primitive)
             self.metrics.inc("adamant_kernel_seconds_total", event.duration,
-                             device=self.name,
-                             primitive=task.container.primitive)
+                             device=self.name, primitive=primitive)
 
         if task.output is not None:
             if task.output not in self.memory:
@@ -571,9 +576,6 @@ class SimulatedDevice(Device):
         silently returns the wrong edge type before the value corrupts a
         downstream primitive.
         """
-        from repro.errors import SignatureError
-        from repro.primitives.values import IOSemantic, semantic_of
-
         expected = definition(primitive).output
         if expected is IOSemantic.GENERIC or result is None:
             return

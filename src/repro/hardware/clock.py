@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from repro.errors import SchedulingError
 
 __all__ = ["Event", "Stream", "VirtualClock"]
 
 
-@dataclass(frozen=True)
-class Event:
-    """A completed piece of scheduled work on a stream.
+class Event(NamedTuple):
+    """A completed piece of scheduled work on a stream (immutable).
 
     Attributes:
         eid: Monotonically increasing event id (schedule order).
@@ -83,6 +84,9 @@ class Stream:
         return sum(e.duration for e in self.events)
 
 
+_EID = attrgetter("eid")
+
+
 class VirtualClock:
     """Deterministic scheduler for streams of timed events.
 
@@ -94,6 +98,10 @@ class VirtualClock:
     def __init__(self) -> None:
         self._streams: dict[str, Stream] = {}
         self._events: list[Event] = []
+        #: owner -> its events in schedule order (``""`` = unowned), so
+        #: per-query accounting on a long-lived engine does not re-read
+        #: the whole timeline.
+        self._events_by_owner: dict[str, list[Event]] = {}
         self._ids = itertools.count()
         #: Epoch counter: a long-lived engine advances an epoch per query
         #: batch instead of resetting the timeline, so device state (and
@@ -139,24 +147,23 @@ class VirtualClock:
             raise SchedulingError(
                 f"negative duration {duration!r} for event {label!r}"
             )
-        s = self.stream(stream)
-        start = max(s.available_at, not_before)
+        s = self._streams.get(stream)
+        if s is None:
+            s = self.stream(stream)
+        start = s.available_at
+        if not_before > start:
+            start = not_before
         for dep in deps or ():
-            start = max(start, dep.end)
-        event = Event(
-            eid=next(self._ids),
-            stream=stream,
-            label=label,
-            start=start,
-            end=start + duration,
-            category=category,
-            nbytes=nbytes,
-            owner=self.current_owner or "",
-            node=node,
-        )
-        s.available_at = event.end
+            if dep.end > start:
+                start = dep.end
+        owner = self.current_owner or ""
+        end = start + duration
+        event = Event(next(self._ids), stream, label, start, end, category,
+                      nbytes, owner, node)
+        s.available_at = end
         s.events.append(event)
         self._events.append(event)
+        self._events_by_owner.setdefault(owner, []).append(event)
         return event
 
     def barrier(self, streams: list[str] | None = None) -> float:
@@ -229,8 +236,16 @@ class VirtualClock:
         return self.epoch_start
 
     def events_of(self, owner: str) -> list[Event]:
-        """Events charged to *owner* plus unowned (engine-free) events."""
-        return [e for e in self._events if e.owner in (owner, "")]
+        """Events charged to *owner* plus unowned (engine-free) events,
+        in schedule order."""
+        unowned = self._events_by_owner.get("", ())
+        if not owner:
+            return list(unowned)
+        owned = self._events_by_owner.get(owner, ())
+        if not unowned:
+            return list(owned)
+        # Both runs are already in eid order: the sort is one merge.
+        return sorted([*owned, *unowned], key=_EID)
 
     def drop_stream(self, name: str) -> None:
         """Forget a stream's position (used when a device is unplugged);
@@ -241,6 +256,7 @@ class VirtualClock:
         """Forget all events and stream positions (fresh timeline)."""
         self._streams.clear()
         self._events.clear()
+        self._events_by_owner.clear()
         self._ids = itertools.count()
         self.epoch = 0
         self.epoch_start = 0.0

@@ -57,22 +57,22 @@ def counters(clock: VirtualClock) -> dict[str, int]:
     ``recovery_actions`` intentionally keep counting *every* recovery
     action, aborted attempts included.
     """
+    events = clock.events  # the property copies the timeline: read once
     restart_eid: dict[str, int] = {}
-    for e in clock.events:
+    for e in events:
         if e.category == "recovery":
             restart_eid[e.owner] = max(restart_eid.get(e.owner, -1), e.eid)
-    launches = [e for e in clock.events if e.category == "launch"
+    launches = [e for e in events if e.category == "launch"
                 and e.eid > restart_eid.get(e.owner, -1)]
     return {
         "kernels_launched": len(launches),
         "fused_kernels_launched": sum(
             1 for e in launches
             if (e.label or "").rsplit(":", 1)[-1].startswith("fused_")),
-        "retries": sum(1 for e in clock.events
-                       if e.category == "backoff"),
-        "recovery_actions": sum(1 for e in clock.events
+        "retries": sum(1 for e in events if e.category == "backoff"),
+        "recovery_actions": sum(1 for e in events
                                 if e.category == "recovery"),
-        "adaptive_actions": sum(1 for e in clock.events
+        "adaptive_actions": sum(1 for e in events
                                 if e.category == "adaptive"),
     }
 

@@ -181,6 +181,7 @@ class _Metric:
         self.name = name
         self.kind = kind
         self.labelnames = tuple(labelnames)
+        self._labelset = frozenset(self.labelnames)
         self.help = help_text
         self.buckets = tuple(buckets)
         #: label values (ordered by labelnames) -> scalar, or histogram
@@ -188,21 +189,20 @@ class _Metric:
         self.samples: dict[tuple[str, ...], list[float]] = {}
 
     def _key(self, labels: dict[str, str]) -> tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
+        if labels.keys() != self._labelset:
             raise ValueError(
                 f"metric {self.name!r} takes labels "
                 f"{sorted(self.labelnames)}, got {sorted(labels)}"
             )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        return tuple([str(labels[name]) for name in self.labelnames])
 
     def _series(self, labels: dict[str, str]) -> list[float]:
         key = self._key(labels)
-        if key not in self.samples:
-            if self.kind == "histogram":
-                self.samples[key] = [0.0] * (len(self.buckets) + 2)
-            else:
-                self.samples[key] = [0.0]
-        return self.samples[key]
+        series = self.samples.get(key)
+        if series is None:
+            width = len(self.buckets) + 2 if self.kind == "histogram" else 1
+            series = self.samples[key] = [0.0] * width
+        return series
 
     def inc(self, amount: float, **labels: str) -> None:
         if self.kind != "counter":
@@ -235,6 +235,11 @@ class MetricsRegistry:
     look the metric up in :data:`METRIC_CATALOG` — declared metrics get
     their documented type, labels and help automatically; undeclared
     names are created ad hoc from the call's keyword labels.
+
+    A name is validated once, when its metric is first declared; after
+    that a report costs one dict lookup, a kind check and a label-set
+    comparison (an invalid name can never have been declared, so it is
+    still rejected on every call).
     """
 
     def __init__(self) -> None:
@@ -245,14 +250,14 @@ class MetricsRegistry:
     def _declare(self, name: str, kind: str,
                  labelnames: tuple[str, ...] | None, help_text: str,
                  buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> _Metric:
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
         metric = self._metrics.get(name)
         if metric is not None:
             if metric.kind != kind:
                 raise ValueError(
                     f"metric {name!r} already registered as {metric.kind}")
             return metric
+        if not _NAME_RE.match(name):
+            raise ValueError(f"invalid metric name {name!r}")
         if name in METRIC_CATALOG:
             cat_kind, cat_labels, cat_help = METRIC_CATALOG[name]
             if cat_kind != kind:
@@ -281,21 +286,28 @@ class MetricsRegistry:
 
     # -- convenience instrumentation -----------------------------------------
 
+    def _instrument(self, name: str, kind: str,
+                    labels: dict[str, str]) -> _Metric:
+        """The *kind* metric called *name*: one dict lookup once it is
+        declared; first use (and a kind clash) go through
+        :meth:`_declare`."""
+        metric = self._metrics.get(name)
+        if metric is None or metric.kind != kind:
+            metric = self._declare(name, kind, tuple(sorted(labels)), "")
+        return metric
+
     def inc(self, name: str, amount: float = 1.0, **labels: str) -> None:
         """Increment counter *name* (creating it on first use)."""
-        self.counter(name, labelnames=tuple(sorted(labels))).inc(
-            amount, **labels)
+        self._instrument(name, "counter", labels).inc(amount, **labels)
 
     def set(self, name: str, value: float, **labels: str) -> None:
         """Set gauge *name* (creating it on first use)."""
-        self.gauge(name, labelnames=tuple(sorted(labels))).set(
-            value, **labels)
+        self._instrument(name, "gauge", labels).set(value, **labels)
 
     def observe(self, name: str, value: float, **labels: str) -> None:
         """Record *value* into histogram *name* (creating it on first
         use with :data:`DEFAULT_BUCKETS`)."""
-        self.histogram(name, labelnames=tuple(sorted(labels))).observe(
-            value, **labels)
+        self._instrument(name, "histogram", labels).observe(value, **labels)
 
     # -- reading -------------------------------------------------------------
 

@@ -36,47 +36,51 @@ def hash_build(keys: np.ndarray, *payload_columns: np.ndarray,
             f"{len(payload_columns)} payload columns but "
             f"{len(payload_names)} payload names"
         )
-    payload = dict(zip(payload_names, payload_columns))
     order = np.argsort(keys, kind="stable")
+    return _sorted_layout(keys, order, order.astype(np.int64) + base_position,
+                          dict(zip(payload_names, payload_columns)))
+
+
+def _sorted_layout(keys: np.ndarray, order: np.ndarray,
+                   positions: np.ndarray,
+                   payload: dict[str, np.ndarray]) -> HashTable:
+    """The probe-friendly table of rows ``keys[order]``: *positions* are
+    the row ids already in that order, *payload* columns are still in
+    input order."""
     sorted_keys = keys[order]
     uniques, starts = np.unique(sorted_keys, return_index=True)
     offsets = np.append(starts, len(sorted_keys)).astype(np.int64)
-    positions = order.astype(np.int64) + base_position
     carried = {}
-    if payload:
-        for name, column in payload.items():
-            if column.shape[0] != keys.shape[0]:
-                raise SignatureError(
-                    f"payload {name!r} length {column.shape[0]} != keys "
-                    f"{keys.shape[0]}"
-                )
-            carried[name] = column[order]
+    for name, column in payload.items():
+        if column.shape[0] != keys.shape[0]:
+            raise SignatureError(
+                f"payload {name!r} length {column.shape[0]} != keys "
+                f"{keys.shape[0]}"
+            )
+        carried[name] = column[order]
     return HashTable(keys=uniques, offsets=offsets, positions=positions,
                      payload=carried)
 
 
-def merge_hash_tables(left: HashTable, right: HashTable) -> HashTable:
-    """Union two partial hash tables (per-chunk builds of one pipeline)."""
-    keys = np.concatenate([
-        np.repeat(left.keys, np.diff(left.offsets)),
-        np.repeat(right.keys, np.diff(right.offsets)),
-    ])
-    positions = np.concatenate([left.positions, right.positions])
-    payload_names = sorted(set(left.payload) | set(right.payload))
-    columns = tuple(
-        np.concatenate([
-            left.payload.get(n, np.empty(0, dtype=np.int64)),
-            right.payload.get(n, np.empty(0, dtype=np.int64)),
-        ])
-        for n in payload_names
-    )
-    rebuilt = hash_build(keys, *columns, payload_names=tuple(payload_names))
-    # hash_build renumbered positions 0..n-1; restore the original row ids
-    # (the argsort here equals the one inside hash_build: same keys, both
-    # stable).
+def merge_hash_tables(*tables: HashTable) -> HashTable:
+    """Union partial hash tables (per-chunk builds of one pipeline, or
+    per-node builds of one cluster) in one pass.
+
+    Every table's rows are concatenated in argument order and laid out by
+    one stable sort, so rows of equal key keep table order, then their
+    order within the table — exactly what folding the tables pairwise
+    yields, without re-sorting the growing table once per partial.
+    """
+    keys = np.concatenate(
+        [np.repeat(t.keys, np.diff(t.offsets)) for t in tables])
+    positions = np.concatenate([t.positions for t in tables])
+    missing = np.empty(0, dtype=np.int64)
+    payload = {
+        name: np.concatenate([t.payload.get(name, missing) for t in tables])
+        for name in sorted(set().union(*(t.payload for t in tables)))
+    }
     order = np.argsort(keys, kind="stable")
-    rebuilt.positions = positions[order]
-    return rebuilt
+    return _sorted_layout(keys, order, positions[order], payload)
 
 
 def hash_probe(keys: np.ndarray, table: HashTable, *,

@@ -191,19 +191,33 @@ class GroupTable:
         )
 
     def merge(self, other: "GroupTable", *, how: dict[str, str]) -> "GroupTable":
-        """Merge two partial group tables (chunked execution combines the
-        per-chunk tables of a pipeline breaker).
+        """Merge two partial group tables (:meth:`merge_all` of the pair)."""
+        return GroupTable.merge_all([self, other], how=how)
+
+    @staticmethod
+    def merge_all(tables: "list[GroupTable]", *,
+                  how: dict[str, str]) -> "GroupTable":
+        """Merge partial group tables in one pass (chunked execution
+        combines the per-chunk tables of a pipeline breaker; a cluster
+        combines the per-node ones).
+
+        All keys are concatenated in table order and grouped by one
+        ``np.unique``; each aggregate is then reduced by one unbuffered
+        ``ufunc.at``, which applies the values of a key in concatenation
+        order — the same sequence of operations a left fold over pairwise
+        merges performs, so the result is bit-identical to it.
 
         Args:
             how: aggregate name -> "sum" | "min" | "max" (count merges as
                 sum).
         """
-        all_keys = np.concatenate([self.keys, other.keys])
-        keys, inverse = np.unique(all_keys, return_inverse=True)
+        keys, inverse = np.unique(
+            np.concatenate([table.keys for table in tables]),
+            return_inverse=True)
         merged: dict[str, np.ndarray] = {}
-        for name, mine in self.aggregates.items():
-            theirs = other.aggregates[name]
-            stacked = np.concatenate([mine, theirs])
+        for name in tables[0].aggregates:
+            stacked = np.concatenate(
+                [table.aggregates[name] for table in tables])
             kind = how.get(name, "sum")
             if kind == "sum":
                 out = np.zeros(len(keys), dtype=stacked.dtype)

@@ -104,6 +104,40 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             reg.inc("bad name")
 
+    def test_hot_metric_is_still_validated(self):
+        """A declared metric is found by one dict lookup; the checks a
+        first use runs must reject the same calls afterwards."""
+        reg = MetricsRegistry()
+        for _ in range(2):  # first use, then the hot path
+            reg.inc("adamant_queries_total", model="oaat", status="ok")
+            reg.set("depth", 3, lane="batch")
+            reg.observe("latency_seconds", 0.5, lane="batch")
+            for call in (
+                # wrong label sets: missing, extra, renamed
+                lambda: reg.inc("adamant_queries_total", model="oaat"),
+                lambda: reg.inc("adamant_queries_total", model="oaat",
+                                status="ok", extra="x"),
+                lambda: reg.set("depth", 1, queue="batch"),
+                lambda: reg.observe("latency_seconds", 0.1),
+                # kind clashes, every direction
+                lambda: reg.set("adamant_queries_total", 1,
+                                model="oaat", status="ok"),
+                lambda: reg.observe("depth", 1.0, lane="batch"),
+                lambda: reg.inc("latency_seconds", lane="batch"),
+                lambda: reg.gauge("adamant_queries_total"),
+                # invalid names can never have been declared
+                lambda: reg.inc("bad name"),
+                lambda: reg.set("9lives", 1),
+                lambda: reg.observe("", 1.0),
+            ):
+                with pytest.raises(ValueError):
+                    call()
+        assert reg.value("adamant_queries_total",
+                         model="oaat", status="ok") == 2.0
+        assert reg.value("depth", lane="batch") == 3.0
+        assert sorted(reg.snapshot()) == [
+            "adamant_queries_total", "depth", "latency_seconds"]
+
     def test_unset_metric_reads_zero(self):
         reg = MetricsRegistry()
         assert reg.value("nope") == 0.0
