@@ -24,12 +24,12 @@ reassembly and the single-node equivalence tests rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.errors import ClusterConfigError
-from repro.storage import Catalog, Column, DictionaryColumn, Table
+from repro.storage import Catalog, Table
 
 __all__ = [
     "CO_PARTITIONED_TABLES",
@@ -138,25 +138,23 @@ def make_scheme(catalog: Catalog, num_nodes: int) -> PartitionScheme:
     return scheme
 
 
-def _select(table: Table, mask: np.ndarray) -> Table:
-    """Row-select preserving dictionary columns (``Table.select`` does
-    not carry the decode dictionary through)."""
-    columns: list[Column] = []
-    for column in table.columns:
-        if isinstance(column, DictionaryColumn):
-            columns.append(DictionaryColumn(
-                column.name, column.values[mask],
-                dictionary=list(column.dictionary)))
-        else:
-            columns.append(Column(column.name, column.values[mask]))
-    return Table(table.name, columns)
-
-
 def partition_table(table: Table, key: str,
                     ranges: list[KeyRange]) -> list[Table]:
-    """Split *table* into one shard per key range (order-preserving)."""
+    """Split *table* into one shard per key range (order-preserving).
+
+    When the *key* column is in non-decreasing order -- every generated
+    table's is, and reassembly depends on it -- each range is one
+    contiguous run of rows, found by binary search, and the shard's
+    columns are zero-copy read-only views of the table's.  Rows in any
+    other order are selected by mask, which copies them.
+    """
     values = table.column(key).values
-    return [_select(table, (values >= r.lo) & (values < r.hi))
+    if np.all(values[:-1] <= values[1:]):
+        starts = np.searchsorted(values, [r.lo for r in ranges])
+        stops = np.searchsorted(values, [r.hi for r in ranges])
+        return [table.select(slice(start, stop))
+                for start, stop in zip(starts, stops)]
+    return [table.select((values >= r.lo) & (values < r.hi))
             for r in ranges]
 
 
@@ -198,14 +196,8 @@ def reassemble_table(parts: list[Table]) -> Table:
     """
     if not parts:
         raise ClusterConfigError("cannot reassemble zero shards")
-    columns: list[Column] = []
-    for i, column in enumerate(parts[0].columns):
-        stacked = np.concatenate(
-            [part.columns[i].values for part in parts])
-        if isinstance(column, DictionaryColumn):
-            columns.append(DictionaryColumn(
-                column.name, stacked,
-                dictionary=list(column.dictionary)))
-        else:
-            columns.append(Column(column.name, stacked))
+    columns = [
+        replace(column, values=np.concatenate(
+            [part.columns[i].values for part in parts]))
+        for i, column in enumerate(parts[0].columns)]
     return Table(parts[0].name, columns)

@@ -95,27 +95,28 @@ def hash_probe(keys: np.ndarray, table: HashTable, *,
     """
     if mode not in ("inner", "semi", "anti"):
         raise SignatureError(f"unknown probe mode {mode!r}")
-    idx = np.searchsorted(table.keys, keys)
-    idx_clipped = np.minimum(idx, max(table.num_keys - 1, 0))
-    if table.num_keys:
-        hit = table.keys[idx_clipped] == keys
-    else:
-        hit = np.zeros(keys.shape, dtype=bool)
-
+    slot, hit = table.find_slots(np.asarray(keys))
     if mode == "semi":
         return PositionList(np.nonzero(hit)[0])
     if mode == "anti":
         return PositionList(np.nonzero(~hit)[0])
 
     probe_rows = np.nonzero(hit)[0]
-    slot = idx_clipped[probe_rows]
-    counts = (table.offsets[slot + 1] - table.offsets[slot]).astype(np.int64)
-    left = np.repeat(probe_rows, counts)
-    right = np.concatenate([
-        table.positions[table.offsets[s]:table.offsets[s + 1]]
-        for s in slot
-    ]) if len(slot) else np.empty(0, dtype=np.int64)
-    return JoinPairs(left=left, right=right)
+    slot = slot[probe_rows]
+    starts = table.offsets[slot]
+    counts = table.offsets[slot + 1] - starts
+    if np.all(counts == 1):
+        # A key-unique build side (every primary-key join): nothing to
+        # expand, each matching probe row pairs with one build row.
+        return JoinPairs(left=probe_rows, right=table.positions[starts])
+    # Expand each matching key's run positions[start:start + count] with
+    # flat array operations: output entry j of a run that begins at
+    # output index b reads positions[start + (j - b)].
+    begins = np.cumsum(counts) - counts
+    source = np.repeat(starts - begins, counts)
+    source += np.arange(len(source))
+    return JoinPairs(left=np.repeat(probe_rows, counts),
+                     right=table.positions[source])
 
 
 def join_side(pairs: JoinPairs, *, side: str = "left") -> PositionList:
@@ -150,14 +151,7 @@ def gather_payload(pairs: JoinPairs, table: HashTable, *,
             f"hash table carries no payload {name!r}; "
             f"available: {sorted(table.payload)}"
         ) from None
-    # positions[i] is the original (global) build row of slot i; invert
-    # the permutation for the matched rows.
-    if len(pairs) == 0:
-        return np.empty(0, dtype=column.dtype)
-    size = int(table.positions.max()) + 1 if len(table.positions) else 0
-    slot_of_row = np.full(size, -1, dtype=np.int64)
-    slot_of_row[table.positions] = np.arange(len(table.positions))
-    slots = slot_of_row[pairs.right]
+    slots = table.slots_of_rows(pairs.right)
     if np.any(slots < 0):
         raise SignatureError("join pairs reference rows not in the table")
     return column[slots]

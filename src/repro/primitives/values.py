@@ -131,6 +131,14 @@ class PrefixSum:
         return int(self.sums.nbytes)
 
 
+#: A table gets a direct-address slot directory when its integer keys
+#: span at most this many entries per key (plus a floor for tiny tables).
+#: Every TPC-H key column qualifies: primary keys are dense, and the
+#: specification's sparse order keys use 8 of every 32 values.
+DIRECTORY_SPAN_PER_KEY = 8
+DIRECTORY_SPAN_FLOOR = 1024
+
+
 @dataclass
 class HashTable:
     """A join hash table built by HASH_BUILD (linear probing in the paper).
@@ -140,12 +148,34 @@ class HashTable:
     whose key equals ``keys[i]``.  Semantically identical to the paper's
     linear-probing table; the layout difference is invisible through the
     HASH_PROBE interface.
+
+    A table is immutable once built.  Two lookup structures are derived
+    from the four fields on first use and kept for the table's lifetime:
+
+    * the **slot directory** (:meth:`find_slots`): when the keys are
+      integers spanning at most ``8 * num_keys + 1024`` values,
+      ``directory[key - keys[0]]`` is the key's slot (or -1) -- a
+      perfect-hash join, one gather per probe key where a binary search
+      costs ``log2(num_keys)`` of them.  Sparse or non-integer keys keep
+      the binary search over ``keys``;
+    * the **row index** (:meth:`slots_of_rows`): the inverse of
+      ``positions``, which payload gathers go through.
+
+    Both are host-side acceleration of this simulator, not part of the
+    modelled table: they are no constructor argument, take no part in
+    comparison or ``repr`` and are **not in** :attr:`nbytes`, so the
+    bytes a device allocates, transfers and is charged for -- every
+    virtual figure -- do not depend on them.
     """
 
     keys: np.ndarray
     offsets: np.ndarray
     positions: np.ndarray
     payload: dict[str, np.ndarray] = field(default_factory=dict)
+    _directory: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _row_index: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def num_keys(self) -> int:
@@ -156,6 +186,45 @@ class HashTable:
         n = int(self.keys.nbytes + self.offsets.nbytes + self.positions.nbytes)
         n += sum(int(v.nbytes) for v in self.payload.values())
         return n
+
+    def find_slots(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Resolve probe *keys* to table slots.
+
+        Returns ``(slot, hit)``, one entry per key: ``hit[i]`` says
+        whether ``keys[i]`` is in the table and, where it is,
+        ``self.keys[slot[i]] == keys[i]``.  ``slot`` is unspecified
+        where ``hit`` is false.
+        """
+        if not self.num_keys:
+            return (np.zeros(keys.shape, dtype=np.intp),
+                    np.zeros(keys.shape, dtype=bool))
+        if self._directory is None:
+            self._directory = _build_directory(self.keys)
+        directory = self._directory
+        if not len(directory) or not _fits_int64(keys.dtype):
+            slot = np.minimum(np.searchsorted(self.keys, keys),
+                              self.num_keys - 1)
+            return slot, self.keys[slot] == keys
+        # As unsigned numbers, offsets of keys outside the span are all
+        # beyond it -- also where the int64 subtraction wraps: a key below
+        # keys[0] comes out at 2**63 - keys[0] or more, which keys[-1] -
+        # keys[0] cannot reach.  All of them are mapped to the directory's
+        # last entry, which is always -1.
+        offset = (keys.astype(np.int64, copy=False)
+                  - np.int64(self.keys[0])).view(np.uint64)
+        np.minimum(offset, np.uint64(len(directory) - 1), out=offset)
+        slot = directory[offset.view(np.int64)]
+        return slot, slot >= 0
+
+    def slots_of_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The index into ``positions`` (and every payload column) of
+        each build row number in *rows*; -1 for rows not in the table."""
+        if self._row_index is None:
+            size = int(self.positions.max()) + 1 if len(self.positions) else 0
+            index = np.full(size, -1, dtype=np.intp)
+            index[self.positions] = np.arange(len(self.positions))
+            self._row_index = index
+        return self._row_index[rows]
 
     def lookup_payload(self, key: int, name: str) -> int:
         """Payload value *name* of the first build row matching *key*.
@@ -168,6 +237,29 @@ class HashTable:
             raise KeyError(f"key {key!r} not in hash table")
         column = self.payload[name]
         return int(column[int(self.offsets[idx])])
+
+
+def _fits_int64(dtype: np.dtype) -> bool:
+    """Integer dtypes whose every value converts to int64 unchanged
+    (all but uint64; bool is not a key type)."""
+    return dtype.kind in "iu" and np.can_cast(dtype, np.int64)
+
+
+def _build_directory(keys: np.ndarray) -> np.ndarray:
+    """``directory[key - keys[0]]`` = slot of *key*, -1 where no key is,
+    plus one trailing -1 that out-of-span probes are mapped to.  Empty
+    when *keys* (sorted, unique, non-empty) are too sparse, or not
+    integers, to have one."""
+    none = np.empty(0, dtype=np.intp)
+    if not _fits_int64(keys.dtype):
+        return none
+    lo = int(keys[0])
+    span = int(keys[-1]) - lo + 1
+    if span > DIRECTORY_SPAN_PER_KEY * len(keys) + DIRECTORY_SPAN_FLOOR:
+        return none
+    directory = np.full(span + 1, -1, dtype=np.intp)
+    directory[keys.astype(np.int64, copy=False) - lo] = np.arange(len(keys))
+    return directory
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,9 +84,13 @@ class Table:
             )
         return {c.name: c.values[index] for c in self.columns}
 
-    def select(self, mask: np.ndarray) -> "Table":
-        """A new table with only the rows where *mask* is true."""
+    def select(self, rows: np.ndarray | slice) -> "Table":
+        """A new table with only the rows *rows* picks: a boolean mask
+        (the rows are copied) or a ``slice`` (every column is a
+        read-only zero-copy view of this table's).  Columns keep their
+        type; a dictionary column shares its decode dictionary with the
+        source (columns are immutable)."""
         return Table(
             self.name,
-            [Column(c.name, c.values[mask]) for c in self.columns],
+            [replace(c, values=c.values[rows]) for c in self.columns],
         )

@@ -6,11 +6,23 @@ primitive invocation costs on the chunk loop (chunk loop -> execute_node
 -> device interface -> clock + metrics).  The count is the same on every
 run of one interpreter, and it fails the day someone puts a per-chunk
 scan, lookup or validation back into the loop.
+
+The data path is gated the same way: the Python a probe executes does
+not grow with its matches, and a sharded run hands its nodes views of
+the catalog, not copies.
 """
 
 import cProfile
 import pstats
+import sys
 
+import numpy as np
+
+from repro.cluster import CO_PARTITIONED_TABLES, ClusterExecutor
+from repro.cluster.node import ClusterNode
+from repro.devices import CudaDevice
+from repro.hardware import GPU_RTX_2080_TI
+from repro.primitives.kernels import hash_build, hash_probe
 from repro.tpch.queries import q3
 from tests.conftest import make_executor
 
@@ -71,3 +83,74 @@ def test_graph_queries_do_not_scan_per_invocation(small_catalog):
     # chunks the run then streams.
     assert 0 < scans_many <= 8 * len(graph.edges)
     assert scans_many == scans_few
+
+
+# ---------------------------------------------------------------------------
+# The data path: no per-row Python, no per-run copy of the catalog
+
+
+def bytecode_steps(call) -> int:
+    """Python bytecode instructions executed while *call* runs, in every
+    frame.  (A function-call count cannot see per-row work: a
+    comprehension that slices once per row is a single call.)"""
+    steps = 0
+
+    def tracer(frame, event, arg):
+        nonlocal steps
+        frame.f_trace_opcodes = True
+        steps += event == "opcode"
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return steps
+
+
+def steps_of_inner_probe(table, matches: int) -> int:
+    """Bytecode steps of one inner ``hash_probe`` that yields *matches*
+    pairs (every build key is held by two rows)."""
+    probe = np.arange(matches // 2, dtype=np.int64) % table.num_keys
+    pairs = []
+    steps = bytecode_steps(lambda: pairs.append(hash_probe(probe, table)))
+    assert len(pairs[0]) == matches
+    return steps
+
+
+def test_probe_does_no_per_row_python():
+    table = hash_build(np.repeat(np.arange(1000, dtype=np.int64), 2))
+    steps_of_inner_probe(table, 2)     # builds the table's directory
+    few = steps_of_inner_probe(table, 500)
+    assert 0 < few < 1000
+    assert steps_of_inner_probe(table, 50_000) == few
+
+
+def test_cluster_shards_are_read_only_views_of_the_catalog(
+        small_catalog, monkeypatch):
+    seen = []
+    execute = ClusterNode.execute
+
+    def recording_execute(node, graph, catalog, **flags):
+        seen.append(catalog)
+        return execute(node, graph, catalog, **flags)
+
+    monkeypatch.setattr(ClusterNode, "execute", recording_execute)
+    cluster = ClusterExecutor(nodes=4, network="eth_100g")
+    cluster.plug_device("dev0", CudaDevice, GPU_RTX_2080_TI, default=True)
+    cluster.run(lambda: q3.build(small_catalog), small_catalog)
+
+    assert len(seen) == 4
+    for shard in seen:
+        for name in shard.tables:
+            source = small_catalog.table(name)
+            for column in shard.table(name).columns:
+                assert not column.values.flags.writeable
+                # Co-partitioned tables are slices of the source; all
+                # others are the source's own columns.  Nothing is copied.
+                assert np.shares_memory(column.values,
+                                        source.column(column.name).values)
+        assert all(len(shard.table(name)) < len(small_catalog.table(name))
+                   for name in CO_PARTITIONED_TABLES)

@@ -3,7 +3,10 @@
 The per-invocation path looks chunk-invariant things up once: the graph
 answers adjacency from an index, the clock answers ``events_of`` from
 per-owner lists, and breakers merge all chunk partials in one k-way
-pass.  Each of those replaced a scanning / pairwise implementation; the
+pass.  The data path does no per-row Python: a probe resolves keys
+through a direct-address directory and expands matches with flat array
+operations, and a cluster shards sorted tables into slice views.  Each
+of those replaced a scanning / pairwise / per-row implementation; the
 old bodies live on here, as oracles, and the new code must agree with
 them exactly — byte for byte where values are arrays.
 """
@@ -14,12 +17,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.exchange import merge_group_tables, merge_outputs
+from repro.cluster.partition import make_scheme, partition_table
 from repro.core.combine import ChunkPartial, combine_chunk_results
 from repro.core.graph import DataEdge, PrimitiveGraph
 from repro.core.pipelines import persisted_node_ids, split_pipelines
 from repro.hardware.clock import VirtualClock
-from repro.primitives.kernels import hash_agg, hash_build, merge_hash_tables
-from repro.primitives.values import GroupTable, HashTable
+from repro.errors import SignatureError
+from repro.primitives.kernels import (
+    gather_payload,
+    hash_agg,
+    hash_build,
+    hash_probe,
+    merge_hash_tables,
+)
+from repro.primitives.values import (
+    GroupTable,
+    HashTable,
+    JoinPairs,
+    PositionList,
+)
+from repro.storage import Catalog, Column, DictionaryColumn, Table
 
 # ---------------------------------------------------------------------------
 # (a) k-way breaker merge == left fold of the pairwise merge
@@ -357,3 +374,262 @@ class TestEventsOfIndex:
         clock.events_of("").append(None)
         assert len(clock.events_of("qa")) == 1
         assert clock.events_of("") == []
+
+
+# ---------------------------------------------------------------------------
+# (d) run-expanding, direct-address HASH_PROBE == one slice per matching row
+
+
+def slicing_hash_probe(keys, table, *, mode="inner"):
+    """``hash_probe`` as it was: a binary search per probe key, then one
+    slice of ``positions`` per matching probe row."""
+    idx = np.searchsorted(table.keys, keys)
+    idx_clipped = np.minimum(idx, max(table.num_keys - 1, 0))
+    if table.num_keys:
+        hit = table.keys[idx_clipped] == keys
+    else:
+        hit = np.zeros(keys.shape, dtype=bool)
+    if mode == "semi":
+        return PositionList(np.nonzero(hit)[0])
+    if mode == "anti":
+        return PositionList(np.nonzero(~hit)[0])
+    probe_rows = np.nonzero(hit)[0]
+    slot = idx_clipped[probe_rows]
+    counts = (table.offsets[slot + 1] - table.offsets[slot]).astype(np.int64)
+    left = np.repeat(probe_rows, counts)
+    right = np.concatenate([
+        table.positions[table.offsets[s]:table.offsets[s + 1]]
+        for s in slot
+    ]) if len(slot) else np.empty(0, dtype=np.int64)
+    return JoinPairs(left=left, right=right)
+
+
+def scattering_gather_payload(pairs, table, *, name):
+    """``gather_payload`` as it was: the row -> slot inverse rebuilt on
+    every call."""
+    column = table.payload[name]
+    if len(pairs) == 0:
+        return np.empty(0, dtype=column.dtype)
+    size = int(table.positions.max()) + 1 if len(table.positions) else 0
+    slot_of_row = np.full(size, -1, dtype=np.int64)
+    slot_of_row[table.positions] = np.arange(len(table.positions))
+    return column[slot_of_row[pairs.right]]
+
+
+def has_directory(table: HashTable) -> bool:
+    """Whether the probes made so far went through the slot directory."""
+    return table._directory is not None and len(table._directory) > 0
+
+
+def qualifies_for_directory(keys: np.ndarray) -> bool:
+    """The documented rule: integer keys, span <= 8 * num_keys + 1024."""
+    distinct = np.unique(keys)
+    if keys.dtype.kind not in "iu" or keys.dtype == np.uint64 \
+            or not len(distinct):
+        return False
+    span = int(distinct[-1]) - int(distinct[0]) + 1
+    return span <= 8 * len(distinct) + 1024
+
+
+def build_table(chunks: list[np.ndarray], base: int) -> HashTable:
+    """One table per chunk at consecutive row offsets (each carrying its
+    row numbers as payload ``v``), merged when there are several."""
+    tables = []
+    for keys in chunks:
+        rows = np.arange(base, base + len(keys), dtype=np.int64)
+        tables.append(hash_build(keys, rows * 7, payload_names=("v",),
+                                 base_position=base))
+        base += len(keys)
+    return tables[0] if len(tables) == 1 else merge_hash_tables(*tables)
+
+
+def assert_probe_matches_oracle(probe: np.ndarray, table: HashTable) -> None:
+    for mode in ("semi", "anti"):
+        new = hash_probe(probe, table, mode=mode)
+        old = slicing_hash_probe(probe, table, mode=mode)
+        assert same_array(new.positions, old.positions), mode
+    new = hash_probe(probe, table)
+    old = slicing_hash_probe(probe, table)
+    assert same_array(new.left, old.left)
+    assert same_array(new.right, old.right)
+    if "v" in table.payload:
+        assert same_array(gather_payload(new, table, name="v"),
+                          scattering_gather_payload(old, table, name="v"))
+
+
+def cast_keys(values: list[int], dtype) -> np.ndarray:
+    """*values* as *dtype*, clipped into its range first."""
+    if np.dtype(dtype).kind == "f":
+        # Halves make keys no integer equals.
+        return np.array(values, dtype=dtype) / 2
+    info = np.iinfo(dtype)
+    return np.array([min(max(v, info.min), info.max) for v in values],
+                    dtype=dtype)
+
+
+KEY_DTYPES = (np.int64, np.int32, np.int8, np.uint8, np.uint32, np.uint64,
+              np.float64)
+
+
+@st.composite
+def probe_cases(draw):
+    """(build chunks, base position, probe keys): dense or sparse build
+    keys of any key dtype, duplicates, 1-3 chunks, and probe keys that
+    hit, miss inside the span and fall below and above it."""
+    low = draw(st.sampled_from((0, -20, 10**6, -10**12)))
+    width = draw(st.sampled_from((6, 60, 10**5, 10**10)))
+    key = st.integers(low, low + width)
+    build_dtype = draw(st.sampled_from(KEY_DTYPES))
+    chunks = [cast_keys(draw(st.lists(key, max_size=25)), build_dtype)
+              for _ in range(draw(st.integers(1, 3)))]
+    built = [int(k) for chunk in chunks for k in chunk
+             if build_dtype != np.float64]
+    probe = st.one_of(
+        key, st.integers(low - 30, low + width + 30),
+        *([st.sampled_from(built)] if built else []))
+    probe_dtype = draw(st.sampled_from((build_dtype, *KEY_DTYPES)))
+    return (chunks, draw(st.sampled_from((0, 1000))),
+            cast_keys(draw(st.lists(probe, max_size=40)), probe_dtype))
+
+
+class TestHashProbe:
+    @settings(max_examples=300, deadline=None)
+    @given(probe_cases())
+    def test_new_probe_equals_slicing_probe(self, case):
+        chunks, base, probe = case
+        table = build_table(chunks, base)
+        assert_probe_matches_oracle(probe, table)
+        assert has_directory(table) \
+            == qualifies_for_directory(np.concatenate(chunks))
+
+    def test_dense_keys_get_a_directory_sparse_and_float_keys_do_not(self):
+        probe = np.array([5, 1, 99, 10**9, -3], dtype=np.int64)
+        dense = hash_build(np.array([5, 7, 5, 1, 99], dtype=np.int64))
+        sparse = hash_build(np.array([5, 7, 10**9], dtype=np.int64))
+        floats = hash_build(np.array([5.0, 7.0, 1.5]))
+        for table in (dense, sparse, floats):
+            assert table._directory is None     # nothing built eagerly
+            assert_probe_matches_oracle(probe, table)
+        assert has_directory(dense)
+        assert not has_directory(sparse) and not has_directory(floats)
+        # Derived state is not part of the modelled table.
+        assert dense.nbytes == hash_build(
+            np.array([5, 7, 5, 1, 99], dtype=np.int64)).nbytes
+
+    def test_float_probe_of_a_dense_table_is_searched(self):
+        table = hash_build(np.arange(10, dtype=np.int64))
+        probe = np.array([3.0, 3.5, -1.0, 9.0, 10.0])
+        assert_probe_matches_oracle(probe, table)
+        assert list(hash_probe(probe, table, mode="semi").positions) == [0, 3]
+
+    @pytest.mark.parametrize("build", [
+        [0, 1, 2], [-2**62 + 1, -2**62 + 2], [2**62 - 2, 2**62 - 1],
+        [-2**62, -2**62 + 1], [2**63 - 2, 2**63 - 1], [-2**63, -2**63 + 1],
+    ])
+    def test_probe_keys_at_the_ends_of_int64(self, build):
+        """No int64 wrap-around of ``key - keys[0]`` lands in the span."""
+        table = hash_build(np.array(build, dtype=np.int64))
+        probe = np.array([-2**63, -2**63 + 1, -2**62, -1, 0, 1, 2, 2**62,
+                          2**63 - 2, 2**63 - 1, *build], dtype=np.int64)
+        assert_probe_matches_oracle(probe, table)
+        assert has_directory(table)
+
+    def test_empty_table_and_empty_probe(self):
+        empty = hash_build(np.empty(0, dtype=np.int64))
+        table = hash_build(np.array([4, 4, 2], dtype=np.int64))
+        nothing = np.empty(0, dtype=np.int64)
+        assert_probe_matches_oracle(np.array([1, 2], dtype=np.int64), empty)
+        assert_probe_matches_oracle(nothing, empty)
+        assert_probe_matches_oracle(nothing, table)
+        pairs = hash_probe(np.array([9, 8], dtype=np.int64), table)
+        assert len(pairs) == 0 and pairs.right.dtype == np.int64
+
+    def test_gather_rejects_rows_the_table_does_not_hold(self):
+        table = hash_build(np.array([4, 2]), np.array([40, 20]),
+                           payload_names=("v",), base_position=3)
+        stray = JoinPairs(left=np.array([0]), right=np.array([1]))
+        with pytest.raises(SignatureError):
+            gather_payload(stray, table, name="v")
+
+
+# ---------------------------------------------------------------------------
+# (e) slice-view partitioning == one mask and one copy per column per node
+
+
+def mask_partition_table(table, key, ranges):
+    """``partition_table`` as it was (dictionaries copied per shard)."""
+    values = table.column(key).values
+    parts = []
+    for r in ranges:
+        mask = (values >= r.lo) & (values < r.hi)
+        columns = []
+        for column in table.columns:
+            if isinstance(column, DictionaryColumn):
+                columns.append(DictionaryColumn(
+                    column.name, column.values[mask],
+                    dictionary=list(column.dictionary)))
+            else:
+                columns.append(Column(column.name, column.values[mask]))
+        parts.append(Table(table.name, columns))
+    return parts
+
+
+def orders_table(keys: list[int]) -> Table:
+    rows = np.arange(len(keys), dtype=np.int64)
+    return Table("orders", [
+        Column("o_orderkey", np.array(keys, dtype=np.int64)),
+        Column("o_row", rows),
+        DictionaryColumn.from_strings(
+            "o_status", [("F", "O", "P")[k % 3] for k in keys]),
+    ])
+
+
+def assert_same_tables(new: list[Table], old: list[Table]) -> None:
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.name == b.name and a.column_names == b.column_names
+        for mine, theirs in zip(a.columns, b.columns):
+            assert type(mine) is type(theirs)
+            assert same_array(mine.values, theirs.values)
+            assert not mine.values.flags.writeable
+            if isinstance(mine, DictionaryColumn):
+                assert mine.dictionary == theirs.dictionary
+
+
+def shares_every_column(part: Table, table: Table) -> bool:
+    return all(np.shares_memory(c.values, table.column(c.name).values)
+               for c in part.columns)
+
+
+class TestPartitionTable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 60), max_size=40), st.integers(1, 8),
+           st.randoms(use_true_random=False))
+    def test_slice_path_equals_mask_path(self, keys, num_nodes, shuffler):
+        table = orders_table(sorted(keys))
+        catalog = Catalog()
+        catalog.add(table)
+        ranges = make_scheme(catalog, num_nodes).ranges["orders"]
+        parts = partition_table(table, "o_orderkey", ranges)
+        assert_same_tables(
+            parts, mask_partition_table(table, "o_orderkey", ranges))
+        # Sorted keys: every non-empty shard is a view (empty ranges --
+        # more nodes than distinct keys -- hold no bytes to share).
+        assert all(shares_every_column(part, table)
+                   for part in parts if part.num_rows)
+
+        shuffler.shuffle(keys)
+        shuffled = orders_table(keys)
+        parts = partition_table(shuffled, "o_orderkey", ranges)
+        assert_same_tables(
+            parts, mask_partition_table(shuffled, "o_orderkey", ranges))
+        if keys != sorted(keys):
+            assert not any(shares_every_column(part, shuffled)
+                           for part in parts)
+        # Still a disjoint exact cover: every row in exactly one shard,
+        # and in the shard whose range holds its key.
+        rows = np.concatenate([p.column("o_row").values for p in parts])
+        assert sorted(rows.tolist()) == list(range(len(keys)))
+        for part, key_range in zip(parts, ranges):
+            assert all(k in key_range
+                       for k in part.column("o_orderkey").values.tolist())

@@ -140,6 +140,29 @@ class TestTable:
         assert list(selected.column("a").values) == [0, 2]
         assert selected.num_rows == 2
 
+    def test_select_slice_is_a_read_only_view(self):
+        table = self.make()
+        selected = table.select(slice(1, 3))
+        assert list(selected.column("b").values) == [6, 7]
+        for column in selected.columns:
+            assert np.shares_memory(column.values,
+                                    table.column(column.name).values)
+            assert not column.values.flags.writeable
+        assert table.select(slice(2, 2)).num_rows == 0
+
+    @pytest.mark.parametrize(
+        "rows", [np.array([False, True, True]), slice(1, 3)])
+    def test_select_keeps_dictionary_columns(self, rows):
+        strings = DictionaryColumn.from_strings("s", ["b", "a", "c"])
+        table = Table("t", [Column("n", np.arange(3)), strings])
+        selected = table.select(rows)
+        assert type(selected.column("n")) is Column
+        kept = selected.column("s")
+        assert isinstance(kept, DictionaryColumn)
+        assert kept.decode() == ["a", "c"]
+        # Columns are immutable, so the decode dictionary is shared.
+        assert kept.dictionary is strings.dictionary
+
     def test_empty_table(self):
         table = Table("empty", [])
         assert table.num_rows == 0
