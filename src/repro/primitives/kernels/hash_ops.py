@@ -105,10 +105,6 @@ def hash_probe(keys: np.ndarray, table: HashTable, *,
     slot = slot[probe_rows]
     starts = table.offsets[slot]
     counts = table.offsets[slot + 1] - starts
-    if np.all(counts == 1):
-        # A key-unique build side (every primary-key join): nothing to
-        # expand, each matching probe row pairs with one build row.
-        return JoinPairs(left=probe_rows, right=table.positions[starts])
     # Expand each matching key's run positions[start:start + count] with
     # flat array operations: output entry j of a run that begins at
     # output index b reads positions[start + (j - b)].

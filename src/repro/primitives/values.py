@@ -134,7 +134,12 @@ class PrefixSum:
 #: A table gets a direct-address slot directory when its integer keys
 #: span at most this many entries per key (plus a floor for tiny tables).
 #: Every TPC-H key column qualifies: primary keys are dense, and the
-#: specification's sparse order keys use 8 of every 32 values.
+#: specification's sparse order keys use 8 of every 32 values.  The bound
+#: caps the directory's memory at eight words per key; it is not a
+#: measured speed crossover.  All five benchmark workloads probe tables
+#: on both sides of it (EXPERIMENTS.md, "Which probes take the
+#: directory"): a date filter that keeps one order in ten lands just
+#: beyond it, on the ``searchsorted`` side.
 DIRECTORY_SPAN_PER_KEY = 8
 DIRECTORY_SPAN_FLOOR = 1024
 
@@ -149,8 +154,11 @@ class HashTable:
     linear-probing table; the layout difference is invisible through the
     HASH_PROBE interface.
 
-    A table is immutable once built.  Two lookup structures are derived
-    from the four fields on first use and kept for the table's lifetime:
+    A table is immutable once built: construction makes ``keys``,
+    ``offsets``, ``positions`` and every payload column read-only, the
+    way :class:`~repro.storage.column.Column` does, because two lookup
+    structures are derived from them on first use and kept for the
+    table's lifetime (so a field must not be reassigned either):
 
     * the **slot directory** (:meth:`find_slots`): when the keys are
       integers spanning at most ``8 * num_keys + 1024`` values,
@@ -176,6 +184,11 @@ class HashTable:
         default=None, init=False, repr=False, compare=False)
     _row_index: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for array in (self.keys, self.offsets, self.positions,
+                      *self.payload.values()):
+            array.setflags(write=False)
 
     @property
     def num_keys(self) -> int:

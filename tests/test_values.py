@@ -101,6 +101,15 @@ class TestHashTable:
         bare = HashTable(table.keys, table.offsets, table.positions)
         assert table.nbytes > bare.nbytes
 
+    def test_arrays_are_read_only(self):
+        # The slot directory and row index are derived from the arrays
+        # once; writing through the table would leave them stale.
+        table = self.make()
+        for array in (table.keys, table.offsets, table.positions,
+                      table.payload["v"]):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
 
 class TestGroupTable:
     def test_merge_sum(self):
