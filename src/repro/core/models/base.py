@@ -113,8 +113,9 @@ class ExecutionModel(abc.ABC):
     #: the interconnect read itself (Listing 2's CL_MEM_ALLOC_HOST_PTR).
     zero_copy: bool = False
     #: Chunkable pipelines fan out across *all* plugged devices (the
-    #: split model); the plan pricer mirrors the model's proportional
-    #: chunk apportioning (slowest share bounds the makespan) and the
+    #: split model); the plan pricer asks the model class who takes
+    #: part and which chunk goes where (``participants`` / ``shares`` /
+    #: ``assign_chunks``; slowest share bounds the makespan) and the
     #: optimizer skips per-pipeline placement flips (the model owns
     #: placement at runtime).
     splits_chunks: bool = False

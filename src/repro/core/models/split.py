@@ -25,6 +25,10 @@ pipelines run on the fastest device alone.
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
+import numpy as np
+
 from repro.core.combine import ChunkPartial, combine_chunk_results
 from repro.core.models.base import ExecutionModel
 from repro.core.pipelines import Pipeline
@@ -37,7 +41,13 @@ __all__ = ["SplitChunkedModel"]
 
 
 class SplitChunkedModel(ExecutionModel):
-    """Chunk-parallel execution across all plugged devices."""
+    """Chunk-parallel execution across all plugged devices.
+
+    The model owns the static split: :meth:`participants` (who, in
+    which order), :meth:`shares` and :meth:`assign_chunks` (which chunk
+    goes where) are class-level so that the plan pricer predicts a run
+    by calling them, not by repeating them.
+    """
 
     name = "split_chunked"
     uses_pinned_staging = True
@@ -50,7 +60,7 @@ class SplitChunkedModel(ExecutionModel):
 
     def run_pipeline(self, pipeline: Pipeline) -> None:
         graph = self.ctx.graph
-        devices = self._participants()
+        devices = self.participants(self.ctx.devices.values())
         fast = devices[0]
         if not pipeline.is_chunkable or len(devices) == 1 or any(
             graph.nodes[nid].defn.requires_full_input
@@ -62,7 +72,6 @@ class SplitChunkedModel(ExecutionModel):
         total = self.scan_length(pipeline)
         chunk = self.ctx.physical_chunk_rows
         starts = list(range(0, total, chunk)) or [0]
-        shares = self._shares(devices, len(starts))
 
         # Broadcast external inputs to every participating device (a
         # daisy-chained copy: each hop retrieves from the previous home).
@@ -74,19 +83,11 @@ class SplitChunkedModel(ExecutionModel):
                 current, _ = self.hub.router(carrier, current, device)
                 per_device_external[(ext, device.name)] = current
 
-        # Assign chunks round-robin weighted by the shares.  Adaptive
-        # runs treat this static proportional split only as the baseline
-        # for steal accounting and instead claim each chunk from a
-        # shared morsel queue (greedy earliest-finish dispatch).
-        assignment: list[SimulatedDevice] = []
-        counters = dict.fromkeys(range(len(devices)), 0)
-        for index in range(len(starts)):
-            best = min(
-                range(len(devices)),
-                key=lambda i: (counters[i] + 1) / shares[i],
-            )
-            counters[best] += 1
-            assignment.append(devices[best])
+        # Adaptive runs treat the static proportional split only as the
+        # baseline for steal accounting and instead claim each chunk
+        # from a shared morsel queue (greedy earliest-finish dispatch).
+        assignment = [devices[i] for i in self.assign_chunks(
+            self.shares(devices), len(starts))]
 
         persisted = self._persisted_nodes(pipeline)
         partials: dict[str, list[ChunkPartial]] = {n: [] for n in persisted}
@@ -209,32 +210,55 @@ class SplitChunkedModel(ExecutionModel):
                 best, best_finish = device, finish
         return best
 
-    def _participants(self) -> list[SimulatedDevice]:
-        """All plugged devices, fastest (by streaming rate) first."""
-        devices = list(self.ctx.devices.values())
-        if not devices:
+    # -- the static split (shared with the plan pricer) -----------------------
+
+    @classmethod
+    def participants(cls, devices: Iterable[SimulatedDevice]
+                     ) -> list[SimulatedDevice]:
+        """*devices* fastest (by :meth:`rate_proxy`) first; devices tied
+        on the proxy keep the order they were given in (plug order)."""
+        ranked = sorted(devices, key=lambda d: -cls.rate_proxy(d))
+        if not ranked:
             raise ExecutionError("no devices plugged")
-        devices.sort(key=lambda d: -self.rate_proxy(d))
-        return devices  # type: ignore[return-value]
+        return ranked
 
     @staticmethod
     def rate_proxy(device: SimulatedDevice) -> float:
         """Chunks/second proxy: bounded by interconnect and map rate.
 
-        Public because the plan pricer
-        (:func:`~repro.planner.cost.estimate_plan_seconds`) must use
-        the *same* proxy to predict how this model apportions chunks —
-        the split is proportional to this rate, not to the true
-        per-pipeline cost, and a straggler share dominates makespan.
+        The split is proportional to this coarse rate, not to the true
+        per-pipeline cost, so a device the proxy misjudges becomes the
+        straggler whose share bounds the makespan.
         """
         bandwidth = device.cost.bandwidth("h2d", pinned=True)
         return min(bandwidth, device.cost.throughput("map", 2**20) * 8)
 
-    def _shares(self, devices: list[SimulatedDevice], chunks: int
-                ) -> list[float]:
-        rates = [self.rate_proxy(d) for d in devices]
+    @classmethod
+    def shares(cls, participants: Sequence[SimulatedDevice]) -> list[float]:
+        """Each participant's fraction of the summed rate proxies
+        (floored, so no participant's share is zero)."""
+        rates = [cls.rate_proxy(d) for d in participants]
         total = sum(rates)
         return [max(rate / total, 1e-6) for rate in rates]
+
+    @staticmethod
+    def assign_chunks(shares: Sequence[float], chunks: int) -> np.ndarray:
+        """Participant index of every chunk, in chunk order: the
+        weighted round-robin.
+
+        Chunk after chunk goes to the participant that minimises
+        ``(chunks it already has + 1) / share``, the lower index on a
+        tie.  That greedy loop is a merge of the per-participant
+        sequences ``k / share_i`` (k = 1, 2, ...), so the first *chunks*
+        entries of their stable sort are the same picks with no
+        per-chunk Python: rows are participants, so the flattened
+        position breaks ties towards the lower index, and no
+        participant can appear more than *chunks* times among the first
+        *chunks* picks, so *chunks* terms per sequence suffice.  Each
+        term is the loop's own IEEE division.
+        """
+        due = np.arange(1, chunks + 1) / np.asarray(shares, float)[:, None]
+        return np.argsort(due, axis=None, kind="stable")[:chunks] // chunks
 
     def _scan_edges(self, pipeline: Pipeline):
         scan_edges_by_ref: dict[str, list] = {}

@@ -16,6 +16,9 @@ Everything that turns "a plan" into "estimated seconds" lives here:
   that chunk count multiplies launch and DMA-setup overhead, and that
   the split model apportions chunks by its rate proxy and is bounded
   by its slowest device share;
+* :class:`PricingTable` — the code behind it: prices any number of
+  candidates over the same graphs and devices and resolves what they
+  share once (the optimizer keeps one per search);
 * :class:`CostOverlayStore` — per-device-spec
   :class:`~repro.hardware.costmodel.CostOverlay` corrections persisted
   across queries and (as JSON) across processes.
@@ -31,17 +34,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from repro.core.fingerprint import subplan_fingerprint
 from repro.core.graph import PrimitiveGraph, PrimitiveNode
-from repro.core.pipelines import Pipeline, split_pipelines
+from repro.core.models import MODELS, shallow_hash_pipeline
+from repro.core.pipelines import (
+    Pipeline,
+    persisted_node_ids,
+    split_pipelines,
+)
 from repro.devices.base import SimulatedDevice
 from repro.hardware import calibration as cal
-from repro.hardware.costmodel import CostOverlay, TransferDirection
+from repro.hardware.costmodel import CostModel, CostOverlay, TransferDirection
+from repro.hardware.specs import Sdk
 from repro.storage import Catalog
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -54,6 +64,7 @@ __all__ = [
     "CostOverlayStore",
     "PipelineCost",
     "PlanCost",
+    "PricingTable",
     "broadcast_seconds",
     "estimate_graph_seconds",
     "estimate_node_seconds",
@@ -62,6 +73,7 @@ __all__ = [
     "gather_seconds",
     "merge_seconds",
     "network_seconds",
+    "routed_input_seconds",
     "shuffle_seconds",
 ]
 
@@ -205,20 +217,14 @@ def _fused_group_key_slot(node: PrimitiveNode) -> int | None:
     return None
 
 
-def _agg_groups(graph: PrimitiveGraph, node: PrimitiveNode,
-                catalog: Catalog, *, data_scale: int,
-                chunks: int = 1) -> int | None:
-    """Estimated group count a HASH_AGG kernel will see.
+def _group_key_ndv(graph: PrimitiveGraph, node: PrimitiveNode,
+                   catalog: Catalog) -> int | None:
+    """Distinct count of the scan column a HASH_AGG node groups by.
 
-    The simulated driver charges hash_agg's atomic-contention curve
-    with the *true* per-chunk group count (it runs the kernel
-    functionally first).  The planner cannot, so it stands in the
-    group-key column's distinct count — divided across chunks, since
-    TPC-H keys are clustered and each chunk sees roughly its slice of
-    the key domain.  Returns None when the aggregation does not read a
-    scan column directly (no statistic to use).  For a fused
-    aggregation sink the key column is traced through the fused step
-    list back to the external scan it gathers from.
+    Returns None when the node is no aggregation, pins its own group
+    count, or does not read a scan column directly (no statistic to
+    use).  For a fused aggregation sink the key column is traced through
+    the fused step list back to the external scan it gathers from.
     """
     if node.defn.cost_key != "hash_agg" or "groups" in node.cost_params:
         return None
@@ -228,14 +234,37 @@ def _agg_groups(graph: PrimitiveGraph, node: PrimitiveNode,
             return None
         for edge in graph.in_edges(node.node_id):
             if edge.input_index == slot and edge.is_scan:
-                ndv = _column_ndv(catalog, edge.source.ref)
-                return max(1, round(ndv / max(1, chunks))) * data_scale
+                return _column_ndv(catalog, edge.source.ref)
         return None
     for edge in graph.in_edges(node.node_id):
         if edge.is_scan:
-            ndv = _column_ndv(catalog, edge.source.ref)
-            return max(1, round(ndv / max(1, chunks))) * data_scale
+            return _column_ndv(catalog, edge.source.ref)
     return None
+
+
+def _chunk_groups(ndv: int, *, data_scale: int, chunks: int) -> int:
+    """Groups one of *chunks* chunks sees of a key with *ndv* distinct
+    values: TPC-H keys are clustered, so each chunk sees roughly its
+    slice of the key domain."""
+    return max(1, round(ndv / max(1, chunks))) * data_scale
+
+
+def _agg_groups(graph: PrimitiveGraph, node: PrimitiveNode,
+                catalog: Catalog, *, data_scale: int,
+                chunks: int = 1) -> int | None:
+    """Estimated group count a HASH_AGG kernel will see.
+
+    The simulated driver charges hash_agg's atomic-contention curve
+    with the *true* per-chunk group count (it runs the kernel
+    functionally first).  The planner cannot, so it stands in the
+    group-key column's distinct count (:func:`_group_key_ndv`) divided
+    across chunks (:func:`_chunk_groups`).  Returns None when there is
+    no statistic to use.
+    """
+    ndv = _group_key_ndv(graph, node, catalog)
+    if ndv is None:
+        return None
+    return _chunk_groups(ndv, data_scale=data_scale, chunks=chunks)
 
 
 def _node_decay(node: PrimitiveNode) -> float:
@@ -398,82 +427,463 @@ class PlanCost:
         return sum(p.launch_seconds for p in self.pipelines)
 
 
-def _pipeline_components(graph: PrimitiveGraph, pipeline: Pipeline,
-                         catalog: Catalog, device: SimulatedDevice, *,
-                         data_scale: int, chunks: int, pinned: bool,
-                         zero_copy: bool,
-                         pinned_penalty: bool = True
-                         ) -> tuple[float, float, float]:
-    """(transfer, kernel, launch) seconds of *pipeline* on *device*.
+def routed_input_seconds(device: SimulatedDevice, data_scale: int) -> float:
+    """Seconds for an external input built on another device (a hash
+    table from an earlier pipeline) to reach *device*: a nominal table,
+    pageable.  The one routing charge, added by the placement pass and
+    the plan pricer alike."""
+    nbytes = _NOMINAL_ROWS * data_scale * _ROUTED_ROW_BYTES
+    return device.cost.transfer_seconds(
+        nbytes, direction=TransferDirection.H2D, pinned=False)
 
-    Kernel time is total work (chunking does not change it); launch and
-    DMA-setup overheads multiply with the chunk count — exactly the
-    trade the chunk-size ladder explores.
 
-    Args:
-        pinned_penalty: Charge the OpenCL shallow-hash pinned factor
-            (``ExecutionModel.transfer_factor``).  The split model's
-            fan-out loop stages chunks without that factor, so its
-            pricing branch turns this off to stay faithful.
+class _NodeShape(NamedTuple):
+    """What pricing one node needs, on any device at any chunk count."""
+
+    cost_key: str
+    #: ``node.cost_params`` without the fusion pass's bookkeeping keys.
+    cost_params: dict
+    fused_steps: tuple | None
+    #: Kernel arguments one launch maps.
+    launch_args: int
+    #: Row domain at this node (the scan cardinality, decayed).
+    rows: int
+    #: Group-key distinct count when the contention term divides by the
+    #: chunk count (:func:`_group_key_ndv`); None for every other node.
+    group_ndv: int | None
+    #: Scan bytes the node reads (what a zero-copy kernel pulls over
+    #: the interconnect itself).
+    scan_bytes: int
+
+    def kernel_seconds(self, cost: CostModel, groups: int | None) -> float:
+        params = self.cost_params
+        if groups is not None:
+            params = {**params, "groups": groups}
+        if self.fused_steps is not None:
+            return cost.fused_kernel_seconds(
+                self.fused_steps, self.rows, groups=params.get("groups"))
+        return cost.kernel_seconds(self.cost_key, self.rows, **params)
+
+
+@dataclass(eq=False)
+class _PipelineShape:
+    """The device- and chunk-independent facts of one pipeline of one
+    graph, and everything :class:`PricingTable` has priced from them."""
+
+    pipeline: Pipeline
+    #: Device the graph's annotations put the pipeline on.
+    annotated: str
+    #: Physical rows of the leading scan (0 for breaker-only pipelines).
+    physical_rows: int
+    #: Streams a scan and holds no full-input primitive.
+    streamable: bool
+    scan_bytes: int
+    shallow_hash: bool
+    nodes: tuple[_NodeShape, ...]
+    #: Pipeline index producing each external input, in their order.
+    producers: tuple[int | None, ...]
+    #: ``(device, zero_copy)`` -> :meth:`PricingTable._walk`.
+    walks: dict = field(default_factory=dict)
+    #: ``(device, chunks, pinned, zero_copy, pinned_penalty)`` ->
+    #: :meth:`PricingTable._components`.
+    components: dict = field(default_factory=dict)
+    #: Live subplan-cache entries of every persisted node, or () when
+    #: one is missing (None until resolved).
+    cached: tuple | None = None
+    #: Device label -> what serving the pipeline from those entries costs.
+    served: dict = field(default_factory=dict)
+
+
+@dataclass(eq=False)
+class _GraphShapes:
+    """One graph's pipelines as the table sees them.  Holding the graph
+    keeps its ``id`` — the table's key — from being reused."""
+
+    graph: PrimitiveGraph
+    pipelines: list[_PipelineShape]
+    #: ``subplan_fingerprint``'s memo, shared by every node of the graph.
+    fingerprints: dict = field(default_factory=dict)
+
+
+class _ModelTraits(NamedTuple):
+    """What pricing reads off an execution-model class."""
+
+    pinned: bool
+    overlapped: bool
+    zero_copy: bool
+    chunked: bool
+    model_cls: type
+    #: A splitting model's participants, fastest first, and their
+    #: shares; empty unless it has more than one device to split over.
+    participants: tuple[str, ...]
+    shares: tuple[float, ...]
+
+
+class PricingTable:
+    """Prices plan candidates for one catalog, device set and overlay,
+    and remembers every intermediate it resolved on the way.
+
+    Candidates of one search share almost everything: the same few
+    graphs (the caller's and its fused variants), the same pipelines,
+    the same devices, a handful of chunk counts.  The table resolves
+    each once — per graph the pipeline shapes (:class:`_PipelineShape`),
+    per (pipeline, device) the node walk, per (pipeline, device, chunk
+    count, staging) the ``(transfer, kernel, launch)`` triple, per
+    (model, chunk count) the split model's chunk assignment, per
+    pipeline the subplan-cache entries that would serve it — so what is
+    left per candidate is a few lookups and the sums.  The memoised
+    values are the very floats a cold computation produces, added in
+    the same order: a table changes what pricing costs, never a digit
+    of its result.
+
+    Nothing is ever invalidated, so a table must not outlive the things
+    it read: graphs (annotations included), catalog, devices, overlay
+    and subplan cache have to stay as they are while it is in use.
+    :meth:`PlanOptimizer.search` builds one per call;
+    :func:`estimate_plan_seconds` builds one per plan.
     """
-    cost = device.cost
-    scan_bytes = sum(
-        catalog.column(ref).nbytes for ref in pipeline.scan_refs
-    ) * data_scale
 
-    transfer = 0.0
-    if scan_bytes and not zero_copy:
-        setup = cost.transfer_seconds(0, direction=TransferDirection.H2D,
-                                      pinned=pinned)
-        per_column = chunks * setup
-        transfer = (len(pipeline.scan_refs) * per_column
-                    + scan_bytes / cost.bandwidth(TransferDirection.H2D,
-                                                  pinned=pinned))
-        if pinned and pinned_penalty:
-            # OpenCL shallow-hash pinned penalty (calibration, Q4).
-            from repro.core.models.base import shallow_hash_pipeline
-            from repro.hardware.specs import Sdk
-            if device.sdk is Sdk.OPENCL and \
-                    shallow_hash_pipeline(graph, pipeline):
-                transfer *= cal.OPENCL_SHALLOW_PINNED_FACTOR
+    def __init__(self, catalog: Catalog,
+                 devices: dict[str, SimulatedDevice], *,
+                 default_device: str, data_scale: int = 1,
+                 overlay: Mapping[str, float] | None = None,
+                 subplan_cache: object | None = None) -> None:
+        self.catalog = catalog
+        self.devices = devices
+        self.default_device = default_device
+        self.data_scale = data_scale
+        self.overlay = overlay or {}
+        self.subplan_cache = subplan_cache
+        self._names = sorted(devices)
+        self._graphs: dict[int, _GraphShapes] = {}
+        self._traits: dict[str, _ModelTraits] = {}
+        #: (model, chunks) -> :meth:`split_counts`.
+        self._split_counts: dict[tuple[str, int], dict[str, int]] = {}
 
-    if pipeline.scan_refs:
-        rows = catalog.column(pipeline.scan_refs[0]).values.shape[0]
-    else:
-        rows = _NOMINAL_ROWS
-    depth_rows = float(rows * data_scale)
+    # -- resolved once per model / graph / device --------------------------
 
-    kernel = launch = uma = 0.0
-    for nid in pipeline.node_ids:
-        node = graph.nodes[nid]
-        n = max(1, int(depth_rows))
-        cost_params = dict(node.cost_params)
-        fused_steps = cost_params.pop("fused_steps", None)
-        fused_num_args = cost_params.pop("fused_num_args", None)
-        groups = _agg_groups(graph, node, catalog,
-                             data_scale=data_scale, chunks=chunks)
-        if groups is not None and "groups" not in cost_params:
-            cost_params["groups"] = groups
-        if fused_steps is not None:
-            launch += chunks * cost.launch_seconds(int(fused_num_args or 2))
-            kernel += cost.fused_kernel_seconds(
-                fused_steps, n, groups=cost_params.get("groups"))
-        else:
-            launch += chunks * cost.launch_seconds(2)
-            kernel += cost.kernel_seconds(node.defn.cost_key, n,
-                                          **cost_params)
+    def _model(self, model: str) -> _ModelTraits:
+        traits = self._traits.get(model)
+        if traits is None:
+            cls = MODELS[model]
+            participants: list[SimulatedDevice] = []
+            if cls.splits_chunks and len(self.devices) > 1:
+                participants = cls.participants(self.devices.values())
+            traits = self._traits[model] = _ModelTraits(
+                pinned=cls.uses_pinned_staging, overlapped=cls.overlapped,
+                zero_copy=cls.zero_copy, chunked="chunk" in cls.tunable,
+                model_cls=cls,
+                participants=tuple(d.name for d in participants),
+                shares=tuple(cls.shares(participants)) if participants
+                else ())
+        return traits
+
+    def _shapes(self, graph: PrimitiveGraph) -> _GraphShapes:
+        shapes = self._graphs.get(id(graph))
+        if shapes is None:
+            pipelines = split_pipelines(graph)
+            producer = {nid: pipeline.index for pipeline in pipelines
+                        for nid in pipeline.node_ids}
+            shapes = self._graphs[id(graph)] = _GraphShapes(
+                graph, [self._shape(graph, pipeline, producer)
+                        for pipeline in pipelines])
+        return shapes
+
+    def _shape(self, graph: PrimitiveGraph, pipeline: Pipeline,
+               producer: dict[str, int]) -> _PipelineShape:
+        catalog, data_scale = self.catalog, self.data_scale
+        physical_rows = (
+            catalog.column(pipeline.scan_refs[0]).values.shape[0]
+            if pipeline.scan_refs else 0)
+        depth_rows = float(
+            (physical_rows if pipeline.scan_refs else _NOMINAL_ROWS)
+            * data_scale)
+        nodes = []
+        for nid in pipeline.node_ids:
+            node = graph.nodes[nid]
+            cost_params = dict(node.cost_params)
+            fused_steps = cost_params.pop("fused_steps", None)
+            fused_num_args = cost_params.pop("fused_num_args", None)
+            nodes.append(_NodeShape(
+                cost_key=node.defn.cost_key, cost_params=cost_params,
+                fused_steps=fused_steps,
+                launch_args=(int(fused_num_args or 2)
+                             if fused_steps is not None else 2),
+                rows=max(1, int(depth_rows)),
+                group_ndv=_group_key_ndv(graph, node, catalog),
+                scan_bytes=sum(
+                    catalog.column(e.source.ref).nbytes
+                    for e in graph.in_edges(nid) if e.is_scan
+                ) * data_scale))
+            depth_rows *= _node_decay(node)
+        return _PipelineShape(
+            pipeline=pipeline,
+            annotated=sorted({graph.nodes[nid].device or self.default_device
+                              for nid in pipeline.node_ids})[0],
+            physical_rows=physical_rows,
+            streamable=pipeline.is_chunkable and not any(
+                graph.nodes[nid].defn.requires_full_input
+                for nid in pipeline.node_ids),
+            scan_bytes=sum(catalog.column(ref).nbytes
+                           for ref in pipeline.scan_refs) * data_scale,
+            shallow_hash=shallow_hash_pipeline(graph, pipeline),
+            nodes=tuple(nodes),
+            producers=tuple(producer.get(ext)
+                            for ext in pipeline.external_inputs))
+
+    def _walk(self, shape: _PipelineShape, device: SimulatedDevice,
+              zero_copy: bool) -> tuple[tuple, tuple, float]:
+        """Per-node launch seconds, per-node kernel seconds (None where
+        they depend on the chunk count) and the pipeline's zero-copy
+        interconnect reads, on *device*."""
+        cost = device.cost
+        launches = tuple(cost.launch_seconds(node.launch_args)
+                         for node in shape.nodes)
+        kernels = tuple(None if node.group_ndv is not None
+                        else node.kernel_seconds(cost, None)
+                        for node in shape.nodes)
+        uma = 0.0
         if zero_copy:
             # Every kernel consuming scan data pays the interconnect
             # read itself, on the compute stream (Listing 2).
-            uma_bytes = sum(
-                catalog.column(e.source.ref).nbytes
-                for e in graph.in_edges(nid) if e.is_scan
-            ) * data_scale
-            uma += uma_bytes / (cost.bandwidth(TransferDirection.H2D,
-                                               pinned=True)
-                                * cal.UMA_READ_EFFICIENCY)
-        depth_rows *= _node_decay(node)
-    return transfer, kernel + uma, launch
+            read_rate = (cost.bandwidth(TransferDirection.H2D, pinned=True)
+                         * cal.UMA_READ_EFFICIENCY)
+            for node in shape.nodes:
+                uma += node.scan_bytes / read_rate
+        return launches, kernels, uma
+
+    def _components(self, shape: _PipelineShape, device: SimulatedDevice,
+                    chunks: int, pinned: bool, zero_copy: bool,
+                    pinned_penalty: bool) -> tuple[float, float, float]:
+        """(transfer, kernel, launch) seconds of a pipeline on *device*.
+
+        Kernel time is total work (chunking does not change it, the
+        aggregation's groups-per-chunk term aside); launch and DMA
+        set-up multiply with the chunk count — exactly the trade the
+        chunk-size ladder explores.
+
+        Args:
+            pinned_penalty: Charge the OpenCL shallow-hash pinned factor
+                (``ExecutionModel.transfer_factor``).  The split model's
+                fan-out loop stages chunks without that factor, so its
+                pricing branch turns this off to stay faithful.
+        """
+        cost = device.cost
+        key = (device.name, zero_copy)
+        walk = shape.walks.get(key)
+        if walk is None:
+            walk = shape.walks[key] = self._walk(shape, device, zero_copy)
+        launches, kernels, uma = walk
+
+        transfer = 0.0
+        if shape.scan_bytes and not zero_copy:
+            setup = cost.transfer_seconds(0, direction=TransferDirection.H2D,
+                                          pinned=pinned)
+            per_column = chunks * setup
+            transfer = (len(shape.pipeline.scan_refs) * per_column
+                        + shape.scan_bytes / cost.bandwidth(
+                            TransferDirection.H2D, pinned=pinned))
+            if pinned and pinned_penalty and device.sdk is Sdk.OPENCL \
+                    and shape.shallow_hash:
+                # OpenCL shallow-hash pinned penalty (calibration, Q4).
+                transfer *= cal.OPENCL_SHALLOW_PINNED_FACTOR
+
+        kernel = launch = 0.0
+        for node, per_launch, seconds in zip(shape.nodes, launches, kernels):
+            launch += chunks * per_launch
+            if seconds is None:
+                seconds = node.kernel_seconds(cost, _chunk_groups(
+                    node.group_ndv, data_scale=self.data_scale,
+                    chunks=chunks))
+            kernel += seconds
+        return transfer, kernel + uma, launch
+
+    def _priced(self, shape: _PipelineShape, name: str, chunks: int,
+                traits: _ModelTraits, *, pinned_penalty: bool = True
+                ) -> tuple[float, float, float]:
+        key = (name, chunks, traits.pinned, traits.zero_copy, pinned_penalty)
+        priced = shape.components.get(key)
+        if priced is None:
+            priced = shape.components[key] = self._components(
+                shape, self.devices[name], chunks, traits.pinned,
+                traits.zero_copy, pinned_penalty)
+        return priced
+
+    def split_counts(self, model: str, chunks: int) -> dict[str, int]:
+        """How many of a pipeline's *chunks* the splitting *model* hands
+        each participant: its own discrete assignment, counted."""
+        key = (model, chunks)
+        counts = self._split_counts.get(key)
+        if counts is None:
+            traits = self._model(model)
+            per_participant = np.bincount(
+                traits.model_cls.assign_chunks(traits.shares, chunks),
+                minlength=len(traits.participants)).tolist()
+            counts = self._split_counts[key] = dict(
+                zip(traits.participants, per_participant))
+        return counts
+
+    # -- per candidate -----------------------------------------------------
+
+    def price(self, graph: PrimitiveGraph, *, model: str, chunk_size: int,
+              placement: Mapping[int, str] | None = None) -> PlanCost:
+        """Price *graph* run by *model* at *chunk_size* logical rows,
+        pipelines placed by *placement* (the graph's own annotations
+        where it has no entry)."""
+        traits = self._model(model)
+        # PhysicalPlan.physical_chunk_rows
+        physical_chunk = max(1, chunk_size // self.data_scale)
+        overlay = self.overlay
+        placement = placement or {}
+        placed: dict[int, str] = {}  # pipeline -> device (routing charges)
+        pipeline_costs: list[PipelineCost] = []
+        for shape in self._shapes(graph).pipelines:
+            index = shape.pipeline.index
+            dev_name = placement.get(index, shape.annotated)
+            chunkable = traits.chunked and shape.streamable
+            chunks = (max(1, math.ceil(shape.physical_rows / physical_chunk))
+                      if chunkable else 1)
+            placed[index] = dev_name
+
+            if traits.participants and chunkable:
+                # Static proportional split: the model hands each device
+                # a share of chunks proportional to its coarse
+                # streaming-rate proxy, NOT to its true per-pipeline cost
+                # — devices run their shares concurrently and the
+                # slowest share is the makespan.  Pricing the ideal
+                # harmonic combination here would systematically
+                # underprice the model whenever the proxy misjudges a
+                # device.  The shares are the model's *discrete*
+                # assignment (whole chunks, not fluid shares): with few
+                # chunks the split is lumpy and the over-assigned device
+                # stretches the makespan — the pricer must see that, or
+                # it prefers oversized chunks whose launch savings are
+                # dwarfed by the load imbalance they cause.
+                counts = self.split_counts(model, chunks)
+                total = 0.0
+                transfer = kernel = launch = 0.0
+                for name in self._names:
+                    t, k, ln = self._priced(shape, name, chunks, traits,
+                                            pinned_penalty=False)
+                    seconds = (t + k + ln) * overlay.get(name, 1.0)
+                    share = counts[name] / chunks
+                    total = max(total, seconds * share)
+                    transfer += t * share
+                    kernel += k * share
+                    launch += ln * share
+                for producer in shape.producers:
+                    # One broadcast hop per participant beyond the home.
+                    home = placed.get(producer)
+                    for name in self._names:
+                        if home == name:
+                            continue
+                        hop = routed_input_seconds(
+                            self.devices[name], self.data_scale
+                        ) * overlay.get(name, 1.0)
+                        total += hop
+                        transfer += hop
+                pipeline_costs.append(PipelineCost(
+                    index=index, device="+".join(self._names),
+                    chunks=chunks, transfer_seconds=transfer,
+                    kernel_seconds=kernel, launch_seconds=launch,
+                    total=total))
+                continue
+
+            if traits.participants:
+                # Non-splittable pipelines run on the fastest participant
+                # (``_run_single`` overrides annotations; split owns
+                # placement), through the chunked loop with its penalty.
+                placed[index] = dev_name = traits.participants[0]
+            transfer, kernel, launch = self._priced(shape, dev_name, chunks,
+                                                    traits)
+            # Routing charge for external inputs built on another device.
+            for producer in shape.producers:
+                if placed.get(producer) not in (None, dev_name):
+                    transfer += routed_input_seconds(
+                        self.devices[dev_name], self.data_scale)
+            if traits.overlapped and chunks > 1:
+                # Dual buffers: transfer of chunk c+1 hides behind compute
+                # of chunk c; the longer stream dominates.
+                total = max(transfer, kernel + launch)
+            else:
+                total = transfer + kernel + launch
+            total *= overlay.get(dev_name, 1.0)
+            pipeline_costs.append(PipelineCost(
+                index=index, device=dev_name, chunks=chunks,
+                transfer_seconds=transfer, kernel_seconds=kernel,
+                launch_seconds=launch, total=total))
+        return self._discount_cached(graph, PlanCost(
+            total=sum(p.total for p in pipeline_costs),
+            pipelines=tuple(pipeline_costs)))
+
+
+    def _discount_cached(self, graph: PrimitiveGraph,
+                         cost: PlanCost) -> PlanCost:
+        """Re-price pipelines the subplan cache would serve outright.
+
+        A pipeline whose persisted nodes all have live cache entries
+        never executes — the model installs the cached values and pays
+        only their transfer (see ``_serve_cached_pipeline``).  Pricing
+        must see the same thing, or the search keeps paying full
+        freight for work a prior query already did.  ``peek`` is
+        read-only: pricing probes never pin entries or skew hit/miss
+        accounting.
+        """
+        cache = self.subplan_cache
+        if cache is None or not len(cache):
+            return cost
+        shapes = self._shapes(graph)
+        priced = []
+        changed = False
+        for pc, shape in zip(cost.pipelines, shapes.pipelines):
+            if shape.cached is None:
+                shape.cached = self._cached_entries(shapes, shape)
+            if not shape.cached:
+                priced.append(pc)
+                continue
+            served = shape.served.get(pc.device)
+            if served is None:
+                served = shape.served[pc.device] = self._served(
+                    shape, pc.device)
+            priced.append(served)
+            changed = True
+        if not changed:
+            return cost
+        return PlanCost(total=sum(p.total for p in priced),
+                        pipelines=tuple(priced))
+
+    def _cached_entries(self, shapes: _GraphShapes,
+                        shape: _PipelineShape) -> tuple:
+        graph = shapes.graph
+        healthy = set(self.devices)
+        entries = []
+        for nid in sorted(persisted_node_ids(graph, shape.pipeline)):
+            entry = self.subplan_cache.peek(
+                subplan_fingerprint(graph, nid, _memo=shapes.fingerprints),
+                self.catalog, self.data_scale, healthy)
+            if entry is None:
+                return ()
+            entries.append(entry)
+        return tuple(entries)
+
+    def _served(self, shape: _PipelineShape, label: str) -> PipelineCost:
+        """The cost of installing a pipeline's cached results instead of
+        running it, on the device *label* names."""
+        # Split-mode labels join participants ("cpu+gpu"); charge
+        # the serve transfer on whichever single device we know.
+        device = self.devices.get(label, self.devices[self.default_device])
+        transfer = 0.0
+        for entry in shape.cached:
+            logical = max(1, entry.nbytes) * self.data_scale
+            direction = (TransferDirection.D2D if entry.device == label
+                         else TransferDirection.H2D)
+            transfer += device.cost.transfer_seconds(
+                logical, direction=direction)
+        transfer *= self.overlay.get(label, 1.0)
+        return PipelineCost(
+            index=shape.pipeline.index, device=label, chunks=1,
+            transfer_seconds=transfer, kernel_seconds=0.0,
+            launch_seconds=0.0, total=transfer)
 
 
 def estimate_plan_seconds(plan: "PhysicalPlan", catalog: Catalog,
@@ -484,6 +894,15 @@ def estimate_plan_seconds(plan: "PhysicalPlan", catalog: Catalog,
                           ) -> PlanCost:
     """Price one plan candidate, model-awarely, without executing it.
 
+    One plan through a fresh :class:`PricingTable`; whoever prices many
+    candidates over the same graphs and devices (the optimizer's search)
+    keeps one table for all of them and gets the same numbers.
+
+    The split model's fan-out is not mirrored here: participant order,
+    shares and the chunk-by-chunk assignment are asked of the model
+    class (``participants`` / ``shares`` / ``assign_chunks``), so the
+    estimate and the run apportion chunks identically.
+
     Args:
         plan: The candidate (its graph carries fusion state; its model /
             chunk size / data scale shape the estimate).
@@ -493,143 +912,10 @@ def estimate_plan_seconds(plan: "PhysicalPlan", catalog: Catalog,
             so the optimizer can price alternative placements without
             mutating the graph's annotations.
     """
-    from repro.core.models import MODELS  # lazy: core imports planner
-
-    model_cls = MODELS[plan.model]
-    pinned = model_cls.uses_pinned_staging
-    overlapped = model_cls.overlapped
-    zero_copy = model_cls.zero_copy
-    splits = model_cls.splits_chunks
-    chunked = "chunk" in model_cls.tunable
-    physical_chunk = plan.physical_chunk_rows
-    overlay = overlay or {}
-    graph = plan.graph
-
-    split_mode = splits and len(devices) > 1
-    fastest = None
-    proxies: dict[str, float] = {}
-    proxy_total = 0.0
-    if split_mode:
-        rate_fn = getattr(model_cls, "rate_proxy", None)
-        proxies = {
-            name: (rate_fn(devices[name]) if rate_fn is not None
-                   else 1.0)
-            for name in sorted(devices)
-        }
-        proxy_total = sum(proxies.values())
-        fastest = sorted(proxies, key=lambda n: (-proxies[n], n))[0]
-
-    placed: dict[str, str] = {}  # node id -> device (for routing charges)
-    pipeline_costs: list[PipelineCost] = []
-    for pipeline in split_pipelines(graph):
-        if placement is not None and pipeline.index in placement:
-            dev_name = placement[pipeline.index]
-        else:
-            names = sorted({
-                graph.nodes[nid].device or default_device
-                for nid in pipeline.node_ids
-            })
-            dev_name = names[0]
-        physical_rows = (
-            catalog.column(pipeline.scan_refs[0]).values.shape[0]
-            if pipeline.scan_refs else 0
-        )
-        full_input = any(graph.nodes[nid].defn.requires_full_input
-                         for nid in pipeline.node_ids)
-        chunkable = (chunked and pipeline.is_chunkable and not full_input)
-        chunks = (max(1, math.ceil(physical_rows / physical_chunk))
-                  if chunkable else 1)
-
-        if split_mode and chunkable:
-            # Static proportional split: the model hands each device a
-            # share of chunks proportional to its coarse streaming-rate
-            # proxy (SplitChunked.rate_proxy), NOT to its true
-            # per-pipeline cost — devices run their shares concurrently
-            # and the slowest share is the makespan.  Pricing the ideal
-            # harmonic combination here would systematically underprice
-            # the model whenever the proxy misjudges a device.
-            # Replicate the model's *discrete* weighted round-robin
-            # assignment (whole chunks, not fluid shares): with few
-            # chunks the split is lumpy and the over-assigned device
-            # stretches the makespan — the pricer must see that, or it
-            # prefers oversized chunks whose launch savings are dwarfed
-            # by the load imbalance they cause.
-            order = sorted(proxies, key=lambda n: (-proxies[n], n))
-            weights = [max(proxies[n] / proxy_total, 1e-6)
-                       if proxy_total > 0 else 1.0 / len(order)
-                       for n in order]
-            counts = [0] * len(order)
-            for _ in range(chunks):
-                best = min(range(len(order)),
-                           key=lambda i: (counts[i] + 1) / weights[i])
-                counts[best] += 1
-            fraction = {name: counts[i] / chunks
-                        for i, name in enumerate(order)}
-            total = 0.0
-            transfer = kernel = launch = 0.0
-            for name in sorted(devices):
-                t, k, ln = _pipeline_components(
-                    graph, pipeline, catalog, devices[name],
-                    data_scale=plan.data_scale, chunks=chunks,
-                    pinned=pinned, zero_copy=zero_copy,
-                    pinned_penalty=False)
-                seconds = (t + k + ln) * overlay.get(name, 1.0)
-                share = fraction[name]
-                total = max(total, seconds * share)
-                transfer += t * share
-                kernel += k * share
-                launch += ln * share
-            for ext in pipeline.external_inputs:
-                # One broadcast hop per participant beyond the home.
-                nbytes = _NOMINAL_ROWS * plan.data_scale * _ROUTED_ROW_BYTES
-                for name in sorted(devices):
-                    if placed.get(ext) == name:
-                        continue
-                    hop = devices[name].cost.transfer_seconds(
-                        nbytes, direction=TransferDirection.H2D,
-                        pinned=False) * overlay.get(name, 1.0)
-                    total += hop
-                    transfer += hop
-            dev_label = "+".join(sorted(devices))
-            for nid in pipeline.node_ids:
-                placed[nid] = dev_name
-            pipeline_costs.append(PipelineCost(
-                index=pipeline.index, device=dev_label, chunks=chunks,
-                transfer_seconds=transfer, kernel_seconds=kernel,
-                launch_seconds=launch, total=total))
-            continue
-
-        if split_mode:
-            # Non-splittable pipelines run on the fastest participant
-            # (``_run_single`` overrides annotations; split owns
-            # placement), through the chunked loop with its penalty.
-            dev_name = fastest
-        device = devices[dev_name]
-        transfer, kernel, launch = _pipeline_components(
-            graph, pipeline, catalog, device,
-            data_scale=plan.data_scale, chunks=chunks,
-            pinned=pinned, zero_copy=zero_copy)
-        # Routing charge for external inputs built on another device.
-        for ext in pipeline.external_inputs:
-            if placed.get(ext) not in (None, dev_name):
-                nbytes = _NOMINAL_ROWS * plan.data_scale * _ROUTED_ROW_BYTES
-                transfer += device.cost.transfer_seconds(
-                    nbytes, direction=TransferDirection.H2D, pinned=False)
-        if overlapped and chunks > 1:
-            # Dual buffers: transfer of chunk c+1 hides behind compute
-            # of chunk c; the longer stream dominates.
-            total = max(transfer, kernel + launch)
-        else:
-            total = transfer + kernel + launch
-        total *= overlay.get(dev_name, 1.0)
-        for nid in pipeline.node_ids:
-            placed[nid] = dev_name
-        pipeline_costs.append(PipelineCost(
-            index=pipeline.index, device=dev_name, chunks=chunks,
-            transfer_seconds=transfer, kernel_seconds=kernel,
-            launch_seconds=launch, total=total))
-    return PlanCost(total=sum(p.total for p in pipeline_costs),
-                    pipelines=tuple(pipeline_costs))
+    table = PricingTable(catalog, devices, default_device=default_device,
+                         data_scale=plan.data_scale, overlay=overlay)
+    return table.price(plan.graph, model=plan.model,
+                       chunk_size=plan.chunk_size, placement=placement)
 
 
 # -- persistent overlay store ------------------------------------------------

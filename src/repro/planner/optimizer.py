@@ -16,8 +16,10 @@ module is that optimizer for the decision vector the repo exposes:
 Exhaustively crossing the axes would be
 ``placements x models x 2^groups x rungs``; instead the search runs in
 three stages with a beam between them (placement x model first, then
-fusion, then the chunk ladder), pricing every candidate with
-:func:`~repro.planner.cost.estimate_plan_seconds` and an optional
+fusion, then the chunk ladder), pricing every candidate through one
+:class:`~repro.planner.cost.PricingTable` per search (the code behind
+:func:`~repro.planner.cost.estimate_plan_seconds`, remembering what the
+candidates share) and an optional
 :class:`~repro.planner.cost.CostOverlayStore` correction.  Enumeration
 order and tie-breaking are deterministic, so ``EXPLAIN PLANS`` output
 is byte-stable for a given catalog and device set.
@@ -32,18 +34,16 @@ byte-identical to running the same knobs by hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping
 
-from repro.core.fingerprint import subplan_fingerprint
 from repro.core.graph import PrimitiveGraph
 from repro.core.models import MODELS
-from repro.core.pipelines import persisted_node_ids, split_pipelines
+from repro.core.pipelines import split_pipelines
 from repro.devices.base import SimulatedDevice
 from repro.errors import PlanError
-from repro.hardware.costmodel import TransferDirection
-from repro.planner.cost import PlanCost, estimate_plan_seconds
+from repro.planner.cost import PlanCost, PricingTable
 from repro.planner.fusion import fuse_graph, fusion_groups
 from repro.planner.ir import DEFAULT_CHUNK_SIZE, PhysicalPlan
 from repro.planner.placement import annotate_devices
@@ -260,77 +260,6 @@ class PlanOptimizer:
                 configs.append(flipped)
         return greedy, configs
 
-    # -- pricing -----------------------------------------------------------
-
-    def _price(self, graph: PrimitiveGraph, model: str, chunk_size: int,
-               placement: dict[int, str]) -> PlanCost:
-        stub = PhysicalPlan(graph=graph, model=model,
-                            chunk_size=chunk_size,
-                            data_scale=self.data_scale)
-        cost = estimate_plan_seconds(
-            stub, self.catalog, self.devices,
-            default_device=self.default_device,
-            overlay=self.overlay or None, placement=placement)
-        return self._discount_cached(graph, cost)
-
-    def _discount_cached(self, graph: PrimitiveGraph,
-                         cost: PlanCost) -> PlanCost:
-        """Re-price pipelines the subplan cache would serve outright.
-
-        A pipeline whose persisted nodes all have live cache entries
-        never executes — the model installs the cached values and pays
-        only their transfer (see ``_serve_cached_pipeline``).  Pricing
-        must see the same thing, or the search keeps paying full
-        freight for work a prior query already did.  ``peek`` is
-        read-only: pricing probes never pin entries or skew hit/miss
-        accounting.
-        """
-        cache = self.subplan_cache
-        if cache is None or not len(cache):
-            return cost
-        healthy = set(self.devices)
-        memo: dict = {}
-        by_index = {p.index: p for p in split_pipelines(graph)}
-        priced: list = []
-        changed = False
-        for pc in cost.pipelines:
-            pipeline = by_index.get(pc.index)
-            persisted = (sorted(persisted_node_ids(graph, pipeline))
-                         if pipeline is not None else [])
-            entries = []
-            for nid in persisted:
-                entry = cache.peek(
-                    subplan_fingerprint(graph, nid, _memo=memo),
-                    self.catalog, self.data_scale, healthy)
-                if entry is None:
-                    entries = None
-                    break
-                entries.append(entry)
-            if not entries:
-                priced.append(pc)
-                continue
-            # Split-mode labels join participants ("cpu+gpu"); charge
-            # the serve transfer on whichever single device we know.
-            device = self.devices.get(pc.device,
-                                      self.devices[self.default_device])
-            transfer = 0.0
-            for entry in entries:
-                logical = max(1, entry.nbytes) * self.data_scale
-                direction = (TransferDirection.D2D
-                             if entry.device == pc.device
-                             else TransferDirection.H2D)
-                transfer += device.cost.transfer_seconds(
-                    logical, direction=direction)
-            transfer *= self.overlay.get(pc.device, 1.0)
-            priced.append(replace(
-                pc, chunks=1, transfer_seconds=transfer,
-                kernel_seconds=0.0, launch_seconds=0.0, total=transfer))
-            changed = True
-        if not changed:
-            return cost
-        return PlanCost(total=sum(p.total for p in priced),
-                        pipelines=tuple(priced))
-
     def _supports(self, model: str, graph: PrimitiveGraph,
                   chunk_size: int) -> bool:
         physical = max(1, chunk_size // self.data_scale)
@@ -367,6 +296,15 @@ class PlanOptimizer:
         greedy, placements = self._placements(graph)
         fusion_options = self._fusion_options(graph)
         fused_cache: dict[tuple[str, ...], PrimitiveGraph] = {(): graph}
+        # One table per search: its candidates share their graphs,
+        # devices and chunk counts, so what is priced for one is looked
+        # up by the next.  It dies with the search, so the next one sees
+        # whatever changed in between (overlay folds, subplan-cache
+        # inserts and evictions, re-annotated graphs).
+        table = PricingTable(
+            self.catalog, self.devices, default_device=self.default_device,
+            data_scale=self.data_scale, overlay=self.overlay,
+            subplan_cache=self.subplan_cache)
 
         def fused_graph(option: tuple[str, ...]) -> PrimitiveGraph:
             if option not in fused_cache:
@@ -384,7 +322,8 @@ class PlanOptimizer:
             tunable = MODELS[model].tunable
             configs = (placements if "placement" in tunable else [greedy])
             for placement in configs:
-                cost = self._price(graph, model, chunk, placement)
+                cost = table.price(graph, model=model, chunk_size=chunk,
+                                   placement=placement)
                 enumerated += 1
                 stage.append(_Candidate(
                     model=model, chunk_size=chunk, fused=(),
@@ -413,8 +352,9 @@ class PlanOptimizer:
                     and fg.nodes[exit_id].cost_params.get("fused_steps"))
                 if not actually_fused:
                     continue
-                cost = self._price(fg, cand.model, cand.chunk_size,
-                                   cand.placement)
+                cost = table.price(fg, model=cand.model,
+                                   chunk_size=cand.chunk_size,
+                                   placement=cand.placement)
                 enumerated += 1
                 stage.append(_Candidate(
                     model=cand.model, chunk_size=cand.chunk_size,
@@ -437,8 +377,9 @@ class PlanOptimizer:
                 if chunk == cand.chunk_size:
                     cost = cand.cost
                 else:
-                    cost = self._price(cand.graph, cand.model, chunk,
-                                       cand.placement)
+                    cost = table.price(cand.graph, model=cand.model,
+                                       chunk_size=chunk,
+                                       placement=cand.placement)
                     enumerated += 1
                 counts = tuple(p.chunks for p in cost.pipelines)
                 if counts in seen_counts:

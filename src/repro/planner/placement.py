@@ -25,8 +25,10 @@ from repro.core.graph import PrimitiveGraph
 from repro.core.pipelines import split_pipelines
 from repro.devices.base import SimulatedDevice
 from repro.errors import PlanError
-from repro.hardware.costmodel import TransferDirection
-from repro.planner.cost import estimate_pipeline_seconds
+from repro.planner.cost import (
+    estimate_pipeline_seconds,
+    routed_input_seconds,
+)
 from repro.planner.ir import Pass, PhysicalPlan
 from repro.storage import Catalog
 
@@ -85,11 +87,7 @@ def annotate_devices(graph: PrimitiveGraph, catalog: Catalog,
             # Routing charge for external hash tables built elsewhere.
             for ext in pipeline.external_inputs:
                 if placed.get(ext) not in (None, name):
-                    ext_rows = 1024 * data_scale
-                    nbytes = ext_rows * 16
-                    seconds += device.cost.transfer_seconds(
-                        nbytes, direction=TransferDirection.H2D, pinned=False,
-                    )
+                    seconds += routed_input_seconds(device, data_scale)
             estimates[name] = seconds
         chosen = min(sorted(estimates), key=estimates.__getitem__)
         for nid in pipeline.node_ids:

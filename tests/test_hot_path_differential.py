@@ -11,18 +11,47 @@ old bodies live on here, as oracles, and the new code must agree with
 them exactly — byte for byte where values are arrays.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import QUERIES
 from repro.cluster.exchange import merge_group_tables, merge_outputs
 from repro.cluster.partition import make_scheme, partition_table
 from repro.core.combine import ChunkPartial, combine_chunk_results
+from repro.core.fingerprint import subplan_fingerprint
 from repro.core.graph import DataEdge, PrimitiveGraph
+from repro.core.models import MODELS, SplitChunkedModel, shallow_hash_pipeline
 from repro.core.pipelines import persisted_node_ids, split_pipelines
-from repro.hardware.clock import VirtualClock
+from repro.devices import (
+    CoupledDevice,
+    CudaDevice,
+    OpenCLDevice,
+    OpenMPDevice,
+    RTCoreDevice,
+)
+from repro.engine import Engine
 from repro.errors import SignatureError
+from repro.hardware import (
+    APU_RYZEN_7_8700G,
+    CPU_I7_8700,
+    CPU_XEON_5220R,
+    GPU_A100,
+    GPU_RTX_2080_TI,
+    GPU_RTX_3090,
+)
+from repro.hardware import calibration as cal
+from repro.hardware.clock import VirtualClock
+from repro.hardware.costmodel import TransferDirection
+from repro.hardware.specs import Sdk
+from repro.planner import cost as cost_module
+from repro.planner.cost import PipelineCost, PlanCost, PricingTable
+from repro.planner.ir import PhysicalPlan
+from repro.planner.optimizer import PlanOptimizer
 from repro.primitives.kernels import (
     gather_payload,
     hash_agg,
@@ -37,6 +66,8 @@ from repro.primitives.values import (
     PositionList,
 )
 from repro.storage import Catalog, Column, DictionaryColumn, Table
+from repro.tpch.queries import q3
+from tests.conftest import make_executor
 
 # ---------------------------------------------------------------------------
 # (a) k-way breaker merge == left fold of the pairwise merge
@@ -633,3 +664,437 @@ class TestPartitionTable:
         for part, key_range in zip(parts, ranges):
             assert all(k in key_range
                        for k in part.column("o_orderkey").values.tolist())
+
+
+# ---------------------------------------------------------------------------
+# (f) vectorised weighted round-robin == the chunk-by-chunk greedy loop
+
+
+def looping_round_robin(shares, chunks: int) -> list[int]:
+    """The split model's chunk assignment as it was written, twice (in
+    the model and again in the plan pricer): one ``min`` per chunk."""
+    counters = [0] * len(shares)
+    picks = []
+    for _ in range(chunks):
+        best = min(range(len(shares)),
+                   key=lambda i: (counters[i] + 1) / shares[i])
+        counters[best] += 1
+        picks.append(best)
+    return picks
+
+
+def extended_fleet_devices() -> dict:
+    """The benchmark's five-device fleet (``perf/workloads.py``); its
+    first two devices are the seed fleet."""
+    executor = make_executor(
+        CudaDevice, GPU_RTX_2080_TI, name="gpu0", extra_devices=[
+            ("gpu1", OpenCLDevice, GPU_A100),
+            ("cpu", OpenMPDevice, CPU_XEON_5220R),
+            ("rt", RTCoreDevice, GPU_RTX_3090),
+            ("apu", CoupledDevice, APU_RYZEN_7_8700G)])
+    return executor.devices
+
+
+def seed_fleet_devices() -> dict:
+    devices = extended_fleet_devices()
+    return {name: devices[name] for name in ("gpu0", "gpu1")}
+
+
+def assert_assignment_matches_loop(shares, chunks: int) -> None:
+    picks = SplitChunkedModel.assign_chunks(shares, chunks)
+    assert picks.tolist() == looping_round_robin(shares, chunks)
+
+
+#: Rates as ``SplitChunkedModel.shares`` turns them into shares: a few
+#: round values (exact ties, exact ratios), anything else, and a rate so
+#: small that the share hits its 1e-6 floor.
+rates = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 12e9, 24e9]),
+                  st.floats(1e-3, 1e12), st.just(1e-9))
+
+
+class TestWeightedRoundRobin:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(rates, min_size=1, max_size=6), st.integers(1, 5000))
+    def test_merge_equals_loop(self, device_rates, chunks):
+        total = sum(device_rates)
+        shares = [max(rate / total, 1e-6) for rate in device_rates]
+        assert_assignment_matches_loop(shares, chunks)
+
+    def test_benchmark_fleet_at_the_smallest_ladder_rung(self):
+        devices = SplitChunkedModel.participants(
+            extended_fleet_devices().values())
+        shares = SplitChunkedModel.shares(devices)
+        assert len(set(shares)) == 5
+        assert_assignment_matches_loop(shares, 9375)
+
+    def test_all_tied_devices_take_turns_in_order(self):
+        picks = SplitChunkedModel.assign_chunks([0.25] * 4, 10)
+        assert picks.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
+
+    def test_tied_devices_keep_plug_order(self):
+        clock = VirtualClock()
+        rt = RTCoreDevice("rt", GPU_RTX_3090, clock)
+        a100 = CudaDevice("a100", GPU_A100, clock)
+        assert SplitChunkedModel.rate_proxy(rt) == \
+            SplitChunkedModel.rate_proxy(a100)
+        assert SplitChunkedModel.participants([rt, a100]) == [rt, a100]
+        assert SplitChunkedModel.participants([a100, rt]) == [a100, rt]
+
+
+# ---------------------------------------------------------------------------
+# (g) table-priced candidates == every candidate priced cold, the old way
+
+
+def cold_agg_groups(graph, node, catalog, *, data_scale, chunks=1):
+    if node.defn.cost_key != "hash_agg" or "groups" in node.cost_params:
+        return None
+    if node.cost_params.get("fused_steps"):
+        slot = cost_module._fused_group_key_slot(node)
+        if slot is None:
+            return None
+        for edge in graph.in_edges(node.node_id):
+            if edge.input_index == slot and edge.is_scan:
+                ndv = cost_module._column_ndv(catalog, edge.source.ref)
+                return max(1, round(ndv / max(1, chunks))) * data_scale
+        return None
+    for edge in graph.in_edges(node.node_id):
+        if edge.is_scan:
+            ndv = cost_module._column_ndv(catalog, edge.source.ref)
+            return max(1, round(ndv / max(1, chunks))) * data_scale
+    return None
+
+
+def cold_pipeline_components(graph, pipeline, catalog, device, *,
+                             data_scale, chunks, pinned, zero_copy,
+                             pinned_penalty=True):
+    cost = device.cost
+    scan_bytes = sum(
+        catalog.column(ref).nbytes for ref in pipeline.scan_refs
+    ) * data_scale
+
+    transfer = 0.0
+    if scan_bytes and not zero_copy:
+        setup = cost.transfer_seconds(0, direction=TransferDirection.H2D,
+                                      pinned=pinned)
+        per_column = chunks * setup
+        transfer = (len(pipeline.scan_refs) * per_column
+                    + scan_bytes / cost.bandwidth(TransferDirection.H2D,
+                                                  pinned=pinned))
+        if pinned and pinned_penalty:
+            if device.sdk is Sdk.OPENCL and \
+                    shallow_hash_pipeline(graph, pipeline):
+                transfer *= cal.OPENCL_SHALLOW_PINNED_FACTOR
+
+    if pipeline.scan_refs:
+        rows = catalog.column(pipeline.scan_refs[0]).values.shape[0]
+    else:
+        rows = 1024
+    depth_rows = float(rows * data_scale)
+
+    kernel = launch = uma = 0.0
+    for nid in pipeline.node_ids:
+        node = graph.nodes[nid]
+        n = max(1, int(depth_rows))
+        cost_params = dict(node.cost_params)
+        fused_steps = cost_params.pop("fused_steps", None)
+        fused_num_args = cost_params.pop("fused_num_args", None)
+        groups = cold_agg_groups(graph, node, catalog,
+                                 data_scale=data_scale, chunks=chunks)
+        if groups is not None and "groups" not in cost_params:
+            cost_params["groups"] = groups
+        if fused_steps is not None:
+            launch += chunks * cost.launch_seconds(int(fused_num_args or 2))
+            kernel += cost.fused_kernel_seconds(
+                fused_steps, n, groups=cost_params.get("groups"))
+        else:
+            launch += chunks * cost.launch_seconds(2)
+            kernel += cost.kernel_seconds(node.defn.cost_key, n,
+                                          **cost_params)
+        if zero_copy:
+            uma_bytes = sum(
+                catalog.column(e.source.ref).nbytes
+                for e in graph.in_edges(nid) if e.is_scan
+            ) * data_scale
+            uma += uma_bytes / (cost.bandwidth(TransferDirection.H2D,
+                                               pinned=True)
+                                * cal.UMA_READ_EFFICIENCY)
+        depth_rows *= cost_module._node_decay(node)
+    return transfer, kernel + uma, launch
+
+
+def cold_estimate_plan_seconds(plan, catalog, devices, *, default_device,
+                               overlay=None, placement=None):
+    """``estimate_plan_seconds`` as it was before the pricing table:
+    everything re-derived per call, the split model's round-robin
+    replayed by hand (devices tied on the proxy ordered by name, which
+    is what the model does only when they were plugged in that order)."""
+    model_cls = MODELS[plan.model]
+    pinned = model_cls.uses_pinned_staging
+    overlapped = model_cls.overlapped
+    zero_copy = model_cls.zero_copy
+    splits = model_cls.splits_chunks
+    chunked = "chunk" in model_cls.tunable
+    physical_chunk = plan.physical_chunk_rows
+    overlay = overlay or {}
+    graph = plan.graph
+
+    split_mode = splits and len(devices) > 1
+    fastest = None
+    proxies = {}
+    proxy_total = 0.0
+    if split_mode:
+        rate_fn = getattr(model_cls, "rate_proxy", None)
+        proxies = {
+            name: (rate_fn(devices[name]) if rate_fn is not None
+                   else 1.0)
+            for name in sorted(devices)
+        }
+        proxy_total = sum(proxies.values())
+        fastest = sorted(proxies, key=lambda n: (-proxies[n], n))[0]
+
+    placed = {}
+    pipeline_costs = []
+    for pipeline in split_pipelines(graph):
+        if placement is not None and pipeline.index in placement:
+            dev_name = placement[pipeline.index]
+        else:
+            names = sorted({
+                graph.nodes[nid].device or default_device
+                for nid in pipeline.node_ids
+            })
+            dev_name = names[0]
+        physical_rows = (
+            catalog.column(pipeline.scan_refs[0]).values.shape[0]
+            if pipeline.scan_refs else 0
+        )
+        full_input = any(graph.nodes[nid].defn.requires_full_input
+                         for nid in pipeline.node_ids)
+        chunkable = (chunked and pipeline.is_chunkable and not full_input)
+        chunks = (max(1, math.ceil(physical_rows / physical_chunk))
+                  if chunkable else 1)
+
+        if split_mode and chunkable:
+            order = sorted(proxies, key=lambda n: (-proxies[n], n))
+            weights = [max(proxies[n] / proxy_total, 1e-6)
+                       if proxy_total > 0 else 1.0 / len(order)
+                       for n in order]
+            counts = [0] * len(order)
+            for _ in range(chunks):
+                best = min(range(len(order)),
+                           key=lambda i: (counts[i] + 1) / weights[i])
+                counts[best] += 1
+            fraction = {name: counts[i] / chunks
+                        for i, name in enumerate(order)}
+            total = 0.0
+            transfer = kernel = launch = 0.0
+            for name in sorted(devices):
+                t, k, ln = cold_pipeline_components(
+                    graph, pipeline, catalog, devices[name],
+                    data_scale=plan.data_scale, chunks=chunks,
+                    pinned=pinned, zero_copy=zero_copy,
+                    pinned_penalty=False)
+                seconds = (t + k + ln) * overlay.get(name, 1.0)
+                share = fraction[name]
+                total = max(total, seconds * share)
+                transfer += t * share
+                kernel += k * share
+                launch += ln * share
+            for ext in pipeline.external_inputs:
+                nbytes = 1024 * plan.data_scale * 16
+                for name in sorted(devices):
+                    if placed.get(ext) == name:
+                        continue
+                    hop = devices[name].cost.transfer_seconds(
+                        nbytes, direction=TransferDirection.H2D,
+                        pinned=False) * overlay.get(name, 1.0)
+                    total += hop
+                    transfer += hop
+            dev_label = "+".join(sorted(devices))
+            for nid in pipeline.node_ids:
+                placed[nid] = dev_name
+            pipeline_costs.append(PipelineCost(
+                index=pipeline.index, device=dev_label, chunks=chunks,
+                transfer_seconds=transfer, kernel_seconds=kernel,
+                launch_seconds=launch, total=total))
+            continue
+
+        if split_mode:
+            dev_name = fastest
+        device = devices[dev_name]
+        transfer, kernel, launch = cold_pipeline_components(
+            graph, pipeline, catalog, device,
+            data_scale=plan.data_scale, chunks=chunks,
+            pinned=pinned, zero_copy=zero_copy)
+        for ext in pipeline.external_inputs:
+            if placed.get(ext) not in (None, dev_name):
+                nbytes = 1024 * plan.data_scale * 16
+                transfer += device.cost.transfer_seconds(
+                    nbytes, direction=TransferDirection.H2D, pinned=False)
+        if overlapped and chunks > 1:
+            total = max(transfer, kernel + launch)
+        else:
+            total = transfer + kernel + launch
+        total *= overlay.get(dev_name, 1.0)
+        for nid in pipeline.node_ids:
+            placed[nid] = dev_name
+        pipeline_costs.append(PipelineCost(
+            index=pipeline.index, device=dev_name, chunks=chunks,
+            transfer_seconds=transfer, kernel_seconds=kernel,
+            launch_seconds=launch, total=total))
+    return PlanCost(total=sum(p.total for p in pipeline_costs),
+                    pipelines=tuple(pipeline_costs))
+
+
+def cold_discount_cached(table, graph, cost):
+    """``PlanOptimizer._discount_cached`` as it was: every persisted
+    node fingerprinted and peeked again for every candidate."""
+    cache = table.subplan_cache
+    if cache is None or not len(cache):
+        return cost
+    healthy = set(table.devices)
+    memo = {}
+    by_index = {p.index: p for p in split_pipelines(graph)}
+    priced = []
+    changed = False
+    for pc in cost.pipelines:
+        pipeline = by_index.get(pc.index)
+        persisted = (sorted(persisted_node_ids(graph, pipeline))
+                     if pipeline is not None else [])
+        entries = []
+        for nid in persisted:
+            entry = cache.peek(
+                subplan_fingerprint(graph, nid, _memo=memo),
+                table.catalog, table.data_scale, healthy)
+            if entry is None:
+                entries = None
+                break
+            entries.append(entry)
+        if not entries:
+            priced.append(pc)
+            continue
+        device = table.devices.get(pc.device,
+                                   table.devices[table.default_device])
+        transfer = 0.0
+        for entry in entries:
+            logical = max(1, entry.nbytes) * table.data_scale
+            direction = (TransferDirection.D2D
+                         if entry.device == pc.device
+                         else TransferDirection.H2D)
+            transfer += device.cost.transfer_seconds(
+                logical, direction=direction)
+        transfer *= table.overlay.get(pc.device, 1.0)
+        priced.append(dataclasses.replace(
+            pc, chunks=1, transfer_seconds=transfer,
+            kernel_seconds=0.0, launch_seconds=0.0, total=transfer))
+        changed = True
+    if not changed:
+        return cost
+    return PlanCost(total=sum(p.total for p in priced),
+                    pipelines=tuple(priced))
+
+
+def cold_price(table, graph, *, model, chunk_size, placement=None):
+    """One candidate priced with nothing remembered from any other."""
+    stub = PhysicalPlan(graph=graph, model=model, chunk_size=chunk_size,
+                        data_scale=table.data_scale)
+    cost = cold_estimate_plan_seconds(
+        stub, table.catalog, table.devices,
+        default_device=table.default_device,
+        overlay=table.overlay or None, placement=placement)
+    return cold_discount_cached(table, graph, cost)
+
+
+def search_checked_against_cold_pricing(optimizer, graph, monkeypatch,
+                                        **kwargs):
+    """Run ``optimizer.search`` twice -- pricing through the table with
+    every candidate compared to its cold price, then pricing cold -- and
+    return the (equal) report and the number of candidates compared."""
+    table_price = PricingTable.price
+    compared = 0
+
+    def checked_price(table, graph, **candidate):
+        nonlocal compared
+        compared += 1
+        cost = table_price(table, graph, **candidate)
+        # Dataclass equality: every float of every pipeline, exactly.
+        assert cost == cold_price(table, graph, **candidate), candidate
+        return cost
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PricingTable, "price", checked_price)
+        report = optimizer.search(graph, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(PricingTable, "price", cold_price)
+        cold_report = optimizer.search(graph, **kwargs)
+    assert compared == report.enumerated
+    assert (report.enumerated, report.pruned, report.ranked) == \
+        (cold_report.enumerated, cold_report.pruned, cold_report.ranked)
+    return report
+
+
+#: Builders that take the catalog as their first argument.
+CATALOG_QUERIES = ("q3", "q5", "q10", "q12", "q14", "q19")
+FLEETS = {"seed": seed_fleet_devices, "extended": extended_fleet_devices}
+
+
+def benchmark_graph(name, catalog):
+    module = QUERIES[name]
+    return (module.build(catalog) if name in CATALOG_QUERIES
+            else module.build())
+
+
+class TestPlanPricing:
+    @pytest.mark.parametrize("fleet", sorted(FLEETS))
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_benchmark_searches_price_as_cold(self, query, fleet,
+                                              tiny_catalog, monkeypatch):
+        devices = FLEETS[fleet]()
+        for overlay in (None, {"gpu0": 1.7, "gpu1": 0.6}):
+            optimizer = PlanOptimizer(tiny_catalog, devices,
+                                      default_device="gpu0", data_scale=64,
+                                      overlay=overlay)
+            report = search_checked_against_cold_pricing(
+                optimizer, benchmark_graph(query, tiny_catalog),
+                monkeypatch, chunk_size=2**15)
+            assert report.enumerated > len(devices)
+
+    @pytest.mark.parametrize("query, devices, kwargs", [
+        ("q6", ("gpu0",), dict(chunk_size=1024)),
+        ("q6", ("gpu0", "cpu0"), dict(chunk_size=1024)),
+        ("q3", ("gpu0", "cpu0"), dict(chunk_size=1024, top_k=5)),
+    ])
+    def test_golden_plans_configurations_price_as_cold(
+            self, query, devices, kwargs, tiny_catalog, monkeypatch):
+        executor = make_executor(name="gpu0", extra_devices=[
+            ("cpu0", OpenMPDevice, CPU_I7_8700)])
+        optimizer = PlanOptimizer(
+            tiny_catalog, {name: executor.devices[name] for name in devices})
+        search_checked_against_cold_pricing(
+            optimizer, benchmark_graph(query, tiny_catalog), monkeypatch,
+            **kwargs)
+
+    def test_warm_subplan_cache_prices_as_cold_and_is_seen_by_the_next_search(
+            self, tiny_catalog, monkeypatch):
+        engine = Engine()
+        engine.plug_device("gpu0", CudaDevice, GPU_RTX_2080_TI, default=True)
+        engine.plug_device("gpu1", OpenCLDevice, GPU_A100)
+        optimizer = PlanOptimizer(tiny_catalog, engine.devices,
+                                  default_device="gpu0",
+                                  subplan_cache=engine.subplan_cache)
+        empty = search_checked_against_cold_pricing(
+            optimizer, q3.build(tiny_catalog), monkeypatch, chunk_size=1024)
+
+        engine.execute(q3.build(tiny_catalog), tiny_catalog, chunk_size=1024)
+        assert len(engine.subplan_cache) == 3
+        # The same optimizer: nothing priced for the first search may
+        # answer the second.
+        warm = search_checked_against_cold_pricing(
+            optimizer, q3.build(tiny_catalog), monkeypatch, chunk_size=1024)
+        served = [p for p in warm.chosen.cost.pipelines
+                  if p.kernel_seconds == 0.0 and p.launch_seconds == 0.0]
+        assert len(served) == 3
+        assert not [p for p in empty.chosen.cost.pipelines
+                    if p.kernel_seconds == 0.0]
+        assert warm.chosen.cost.total < empty.chosen.cost.total
+        # Pricing probes are read-only.
+        assert engine.subplan_stats()["hits"] == 0

@@ -1,14 +1,27 @@
 """Tests for the heterogeneous split (multi-device) execution model."""
 
+import math
+
 import pytest
 
-from repro.devices import CudaDevice, OpenCLDevice, OpenMPDevice
+from repro.core.executor import AdamantExecutor
+from repro.core.models import SplitChunkedModel
+from repro.core.pipelines import split_pipelines
+from repro.devices import (
+    CudaDevice,
+    OpenCLDevice,
+    OpenMPDevice,
+    RTCoreDevice,
+    register_rtcore_kernels,
+)
 from repro.hardware import (
     CPU_I7_8700,
     CPU_XEON_5220R,
     GPU_A100,
     GPU_RTX_2080_TI,
+    GPU_RTX_3090,
 )
+from repro.planner.cost import PricingTable
 from repro.tpch import reference
 from repro.tpch.queries import q1, q1_sorted, q3, q4, q6, q12, q14
 from repro.errors import ExecutionError
@@ -113,3 +126,45 @@ class TestScheduling:
                               model="split_chunked", chunk_size=1024)
         assert q3.finalize(result, small_catalog) == \
             reference.q3(small_catalog)
+
+
+class TestPricerAgreesWithTheRun:
+    """Who gets the odd chunk is the model's call; the plan pricer asks
+    the model instead of guessing."""
+
+    PLUGS = {"rt": (RTCoreDevice, GPU_RTX_3090),
+             "a100": (CudaDevice, GPU_A100)}
+
+    @pytest.mark.parametrize("order", [("rt", "a100"), ("a100", "rt")])
+    def test_tied_devices_split_as_priced(self, small_catalog, order):
+        executor = AdamantExecutor()
+        for name in order:
+            executor.plug_device(name, *self.PLUGS[name])
+        register_rtcore_kernels(executor.registry)
+        rt, a100 = executor.devices["rt"], executor.devices["a100"]
+        assert SplitChunkedModel.rate_proxy(rt) == \
+            SplitChunkedModel.rate_proxy(a100)
+
+        graph = q6.build()
+        [pipeline] = split_pipelines(graph)
+        rows = small_catalog.column(pipeline.scan_refs[0]).values.shape[0]
+        chunk = math.ceil(rows / 3 / 32) * 32  # three chunks: one is odd
+        result = executor.run(graph, small_catalog, model="split_chunked",
+                              chunk_size=chunk)
+        assert result.stats.chunks_processed == 3
+        kernels_run = {
+            name: sum(1 for e in executor.clock.events
+                      if e.stream == f"{name}.compute"
+                      and e.category == "compute")
+            for name in order}
+
+        table = PricingTable(small_catalog, executor.devices,
+                             default_device=order[0])
+        priced = table.split_counts("split_chunked", 3)
+        assert priced == {order[0]: 2, order[1]: 1}
+        assert kernels_run == {
+            name: count * len(pipeline.node_ids)
+            for name, count in priced.items()}
+        cost = table.price(q6.build(), model="split_chunked",
+                           chunk_size=chunk)
+        assert [p.chunks for p in cost.pipelines] == [3]
