@@ -470,7 +470,10 @@ class ExecutionModel(abc.ABC):
                     scan_edges_by_ref.setdefault(edge.source.ref, []).append(edge)
 
         persisted = self._persisted_nodes(pipeline)
-        partials: dict[str, list[ChunkPartial]] = {nid: [] for nid in persisted}
+        # In node order, not the set's: the split loop homes one buffer
+        # per entry, and a hash-seeded order would reorder its events.
+        partials: dict[str, list[ChunkPartial]] = {
+            nid: [] for nid in pipeline.node_ids if nid in persisted}
         # Per node, what every chunk reuses: the node, its result alias
         # and (zero-copy) the bytes per row its scan inputs pull over the
         # interconnect.

@@ -90,7 +90,10 @@ class SplitChunkedModel(ExecutionModel):
             self.shares(devices), len(starts))]
 
         persisted = self._persisted_nodes(pipeline)
-        partials: dict[str, list[ChunkPartial]] = {n: [] for n in persisted}
+        # Node order, not set order: the homing below schedules one
+        # allocation per entry, so a hash-seeded order moves every event.
+        partials: dict[str, list[ChunkPartial]] = {
+            n: [] for n in pipeline.node_ids if n in persisted}
         scan_edges_by_ref = self._scan_edges(pipeline)
         prev_compute: dict[str, Event] = {}
         staged: dict[tuple[str, str], str] = {}
