@@ -624,8 +624,7 @@ class ExecutionModel(abc.ABC):
             buffer.value = combined
             actual = value_nbytes(combined) * device.data_scale
             if actual > buffer.nbytes:
-                device.memory.resize(alias, actual,
-                                     at_time=self.ctx.clock.now())
+                device.resize_memory(alias, actual)
         for nid, _, alias, _ in steps:
             if nid not in persisted and alias in device.memory:
                 device.delete_memory(alias)
@@ -706,8 +705,7 @@ class ExecutionModel(abc.ABC):
             buffer = device.memory.get(alias)
             logical = max(1, entry.nbytes) * device.data_scale
             if logical > buffer.nbytes:
-                device.memory.resize(alias, logical,
-                                     at_time=self.ctx.clock.now())
+                device.resize_memory(alias, logical)
             direction = (TransferDirection.D2D
                          if entry.device == device.name
                          else TransferDirection.H2D)

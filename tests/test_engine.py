@@ -15,7 +15,8 @@ from repro.errors import (
     QueryBudgetError,
 )
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI
-from repro.tpch.queries import q3, q4, q6
+from repro.tpch import reference
+from repro.tpch.queries import q1, q3, q4, q6
 from tests.conftest import make_executor
 
 CHUNK = 2048
@@ -178,6 +179,26 @@ class TestResidencyCache:
         assert device.memory.owner_used(RESIDENCY_OWNER) > 0
         assert device.memory.owned_aliases(RESIDENCY_OWNER) == sorted(
             a for a in device.memory.aliases() if a.startswith("resident:"))
+
+    def test_growing_a_combined_result_evicts_resident_columns(
+            self, small_catalog):
+        # Q6 and Q1 leave ~1.6 MB of unpinned lineitem columns resident
+        # on a 2.2 MB device; Q3's combined hash-build result outgrows
+        # its last chunk's buffer.  That growth yields the cache's
+        # columns like any allocation instead of failing the query into
+        # the scheduler's OOM ladder.
+        engine = Engine()
+        engine.plug_device("dev0", CudaDevice, GPU_RTX_2080_TI,
+                           memory_limit=2_200_000)
+        engine.execute(q6.build(), small_catalog, chunk_size=CHUNK)
+        engine.execute(q1.build(), small_catalog, chunk_size=CHUNK)
+        evicted = engine.residency_stats()["dev0"]["evictions"]
+        result = engine.execute(q3.build(small_catalog), small_catalog,
+                                chunk_size=CHUNK)
+        assert result.stats.oom_recoveries == 0
+        assert engine.residency_stats()["dev0"]["evictions"] > evicted
+        assert q3.finalize(result, small_catalog) == \
+            reference.q3(small_catalog)
 
     def test_facade_has_no_residency(self, tiny_catalog, gpu_executor):
         assert gpu_executor.devices["dev0"].residency is None
