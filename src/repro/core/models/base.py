@@ -8,12 +8,18 @@ chunk-by-chunk serialized, or chunk-by-chunk overlapped with dual
 (optionally pinned) buffers.  Those knobs are the class attributes
 ``uses_pinned_staging`` and ``overlapped``; subclasses mostly just set
 them.
+
+The chunked models share one chunk loop over one or more *lanes*
+(:class:`Lane`); a model that spreads a pipeline over several devices
+overrides which lanes it gets and which lane takes a chunk, never the
+loop.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from repro.core.combine import ChunkPartial, combine_chunk_results
 from repro.core.context import ExecutionContext, QueryResult, cardinality
@@ -39,7 +45,7 @@ from repro.hardware.specs import Sdk
 from repro.primitives.values import value_nbytes
 from repro.task.containers import KernelContainer
 
-__all__ = ["ExecutionModel", "shallow_hash_pipeline"]
+__all__ = ["ExecutionModel", "Lane", "shallow_hash_pipeline"]
 
 
 class _Launch(NamedTuple):
@@ -52,6 +58,35 @@ class _Launch(NamedTuple):
     in_edges: list[DataEdge]   # ordered by input slot
     out_edges: list[DataEdge]
     chunk_offset_param: str | None
+
+
+@dataclass(slots=True)
+class Lane:
+    """One device's share of a chunked pipeline.
+
+    What a chunk needs and no chunk changes is resolved when the lane is
+    opened (:meth:`ExecutionModel.open_lane`); the chunk loop appends to
+    ``computes`` and sets ``staged``, nothing else.
+    """
+
+    device: SimulatedDevice
+    factor: float    # multiplier on its chunk transfers
+    n_buffers: int   # staging buffers per scan column
+    #: Scan ref -> the edges it feeds, its bytes per row, its staging
+    #: aliases (one per buffer).
+    scans: dict[str, tuple[list[DataEdge], int, list[str]]]
+    #: Per node: id, node, result alias, bytes per row its scan inputs
+    #: pull over the interconnect (zero-copy) and, per staging buffer,
+    #: its input aliases by slot.
+    steps: list[tuple[str, PrimitiveNode, str, int, list[list[str]]]]
+    #: In-edges whose external input already has a copy on the device.
+    placed_edges: list[DataEdge]
+    #: Chunk indices a static split gives this lane (a lone lane takes
+    #: every chunk and leaves it empty).
+    turns: frozenset[int] = frozenset()
+    #: Last compute event of each chunk the lane ran, in its own order.
+    computes: list[Event] = field(default_factory=list)
+    staged: bool = False
 
 
 def shallow_hash_pipeline(graph: PrimitiveGraph, pipeline: Pipeline) -> bool:
@@ -238,10 +273,6 @@ class ExecutionModel(abc.ABC):
                                            model_name=self.name)
         return result
 
-    @abc.abstractmethod
-    def run_pipeline(self, pipeline: Pipeline) -> None:
-        """Execute one pipeline (model-specific data movement)."""
-
     # -- shared node execution --------------------------------------------------
 
     def pipeline_device(self, pipeline: Pipeline) -> SimulatedDevice:
@@ -401,18 +432,6 @@ class ExecutionModel(abc.ABC):
                 deps = list(wait) + [backoff]
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def input_alias(self, node_id: str, *, scan_alias_of: dict[str, str]
-                    ) -> list[str]:
-        """Aliases feeding *node_id*: chunk buffers for scans, producer
-        buffers for intermediates."""
-        aliases = []
-        for edge in self.ctx.graph.in_edges(node_id):
-            if edge.is_scan:
-                aliases.append(scan_alias_of[edge.source.ref])
-            else:
-                aliases.append(self.node_alias[edge.source])
-        return aliases
-
     # -- pinned penalty ---------------------------------------------------------
 
     def transfer_factor(self, device: SimulatedDevice,
@@ -427,69 +446,128 @@ class ExecutionModel(abc.ABC):
             return cal.OPENCL_SHALLOW_PINNED_FACTOR
         return 1.0
 
-    # -- chunked pipeline driver ---------------------------------------------------
+    # -- lanes ---------------------------------------------------------------------
 
-    def run_chunked_pipeline(self, pipeline: Pipeline) -> None:
-        """Shared chunk loop of Algorithms 1-3.
+    def _alias(self, pipeline: Pipeline, kind: str, name: str,
+               tail: str = "") -> str:
+        """Name of a pipeline-scoped buffer: ``n`` a node's result, ``s``
+        a scan column's staging space.  Event labels carry these names,
+        so every trace does."""
+        return f"{self.qp}p{pipeline.index}:{kind}:{name}{tail}"
 
-        Serialized vs. overlapped behaviour and pinned vs. pageable
-        staging are controlled by ``overlapped`` / ``uses_pinned_staging``.
+    def open_lane(self, pipeline: Pipeline, device: SimulatedDevice, *,
+                  tags: Sequence[str], factor: float, suffix: str = "",
+                  placed: dict[str, str] | None = None) -> Lane:
+        """Resolve what *device* needs to run chunks of *pipeline*.
+
+        Args:
+            tags: Alias tail of each staging buffer of a scan column
+                (their number is the lane's buffer count).
+            factor: Multiplier on the lane's chunk transfers.
+            suffix: Tail of the lane's node-result aliases.
+            placed: External input -> alias of the copy *device* already
+                holds.  Without it the inputs keep their producers'
+                aliases and the first ``execute_node`` routes them.
         """
         graph = self.plan.graph
-        device = self.pipeline_device(pipeline)
-        if not pipeline.is_chunkable:
-            self._run_unchunked(pipeline, device)
-            return
+        scans = {
+            ref: ([], int(self.ctx.catalog.column(ref).dtype.itemsize),
+                  [self._alias(pipeline, "s", ref, tag) for tag in tags])
+            for ref in pipeline.scan_refs
+        }
+        member = set(pipeline.node_ids)
+        placed_edges = []
+        steps = []
+        for nid in pipeline.node_ids:
+            # Per staging buffer, the node's input aliases by slot.
+            inputs: list[list[str]] = [[] for _ in tags]
+            row_bytes = 0
+            for edge in graph.in_edges(nid):
+                if edge.is_scan:
+                    edges, width, staging = scans[edge.source.ref]
+                    edges.append(edge)
+                    if self.zero_copy:
+                        row_bytes += width
+                    for aliases, alias in zip(inputs, staging):
+                        aliases.append(alias)
+                    continue
+                if edge.source in member:
+                    alias = self._alias(pipeline, "n", edge.source, suffix)
+                elif placed is None:
+                    alias = self.node_alias[edge.source]
+                else:
+                    alias = placed[edge.source]
+                    placed_edges.append(edge)
+                for aliases in inputs:
+                    aliases.append(alias)
+            steps.append((nid, graph.nodes[nid],
+                          self._alias(pipeline, "n", nid, suffix),
+                          row_bytes, inputs))
+        return Lane(device, factor, len(tags), scans, steps, placed_edges)
 
-        total = self.scan_length(pipeline)
-        chunk = self.plan.physical_chunk_rows
-        factor = self.transfer_factor(device, pipeline)
+    def _stage(self, lane: Lane, rows: int) -> None:
+        """Stage phase: give every staging buffer of *lane* room for
+        *rows* rows — 4-phase uses dual pinned spaces (Figure 8).  On a
+        staged lane this regrows them, charged like any other
+        allocation."""
+        device = lane.device
+        allocate = (device.add_pinned_memory if self.uses_pinned_staging
+                    else device.prepare_memory)
+        for _, width, aliases in lane.scans.values():
+            for alias in aliases:
+                if lane.staged:
+                    device.delete_memory(alias)
+                allocate(alias, rows * width)
+        lane.staged = True
+
+    # -- the two decisions a model makes about a chunked pipeline ---------------
+
+    def open_lanes(self, pipeline: Pipeline, chunks: int) -> list[Lane]:
+        """Which devices share *pipeline* (*chunks* chunks at the planned
+        chunk size), one lane each; the first homes the results.
+
+        Here: the pipeline's annotated device alone, staged up front,
+        with dual spaces when transfers overlap or go through pinned
+        memory.
+        """
+        device = self.pipeline_device(pipeline)
         n_buffers = self.staging_buffers or (
             2 if (self.overlapped or self.uses_pinned_staging) else 1
         )
+        lane = self.open_lane(
+            pipeline, device, tags=[f":b{b}" for b in range(n_buffers)],
+            factor=self.transfer_factor(device, pipeline))
+        self._stage(lane, self.plan.physical_chunk_rows)
+        return [lane]
 
-        # Stage phase: per scan column, allocate the staging buffer(s);
-        # 4-phase uses dual pinned spaces (Figure 8).
-        scan_buffers: dict[str, list[str]] = {}
-        for ref in pipeline.scan_refs:
-            aliases = []
-            width = int(self.ctx.catalog.column(ref).dtype.itemsize)
-            for b in range(n_buffers):
-                alias = f"{self.qp}p{pipeline.index}:s:{ref}:b{b}"
-                if self.uses_pinned_staging:
-                    device.add_pinned_memory(alias, chunk * width)
-                else:
-                    device.prepare_memory(alias, chunk * width)
-                aliases.append(alias)
-            scan_buffers[ref] = aliases
+    def lane_for_chunk(self, lanes: list[Lane], pipeline: Pipeline,
+                       ci: int, rows: int) -> Lane:
+        """Which of *lanes* runs chunk *ci* (of *rows* rows)."""
+        return lanes[0]
 
-        scan_edges_by_ref: dict[str, list] = {}
-        for nid in pipeline.node_ids:
-            for edge in graph.in_edges(nid):
-                if edge.is_scan:
-                    scan_edges_by_ref.setdefault(edge.source.ref, []).append(edge)
+    # -- chunked pipeline driver ---------------------------------------------------
 
-        persisted = self._persisted_nodes(pipeline)
-        # In node order, not the set's: the split loop homes one buffer
-        # per entry, and a hash-seeded order would reorder its events.
-        partials: dict[str, list[ChunkPartial]] = {
-            nid: [] for nid in pipeline.node_ids if nid in persisted}
-        # Per node, what every chunk reuses: the node, its result alias
-        # and (zero-copy) the bytes per row its scan inputs pull over the
-        # interconnect.
-        scan_row_bytes = dict.fromkeys(pipeline.node_ids, 0)
-        if self.zero_copy:
-            for ref, edges in scan_edges_by_ref.items():
-                width = int(self.ctx.catalog.column(ref).dtype.itemsize)
-                for edge in edges:
-                    scan_row_bytes[edge.target] += width
-        steps = [
-            (nid, graph.nodes[nid], f"{self.qp}p{pipeline.index}:n:{nid}",
-             scan_row_bytes[nid])
-            for nid in pipeline.node_ids
-        ]
+    def run_pipeline(self, pipeline: Pipeline) -> None:
+        """Execute one pipeline.  Models differ in the class attributes
+        and the two decisions the chunk loop reads, not in the loop;
+        only a model that moves data differently (operator-at-a-time)
+        overrides this."""
+        self.run_chunked_pipeline(pipeline)
 
-        chunk_last_compute: list[Event] = []
+    def run_chunked_pipeline(self, pipeline: Pipeline) -> None:
+        """The chunk loop of Algorithms 1-3, over one lane or several.
+
+        Serialized vs. overlapped behaviour and pinned vs. pageable
+        staging are controlled by ``overlapped`` / ``uses_pinned_staging``;
+        who runs which chunk by :meth:`open_lanes` / :meth:`lane_for_chunk`.
+        """
+        graph = self.plan.graph
+        total = self.scan_length(pipeline)
+        chunk = self.plan.physical_chunk_rows
+        lanes = self.open_lanes(pipeline, len(range(0, total, chunk)) or 1)
+        if not pipeline.is_chunkable:
+            self._run_unchunked(pipeline, lanes[0].device)
+            return
         full_input_nodes = [
             nid for nid in pipeline.node_ids
             if graph.nodes[nid].defn.requires_full_input
@@ -500,56 +578,67 @@ class ExecutionModel(abc.ABC):
                 f"(sorting is not chunk-decomposable); run the plan under "
                 f"'oaat' or with a chunk_size covering all {total} rows"
             )
-        # Dynamic chunk sizing (adaptive runs): start from the planner's
-        # chunk, then let the sizer grow/shrink between chunks.  Results
-        # stay byte-identical — the exactness gate below disables sizing
-        # when any persisted partial would not combine exactly under a
-        # different chunk grouping.
+
+        persisted = persisted_node_ids(graph, pipeline)
+        # In node order, not the set's: homing schedules one allocation
+        # per entry, and a hash-seeded order would reorder those events.
+        partials: dict[str, list[ChunkPartial]] = {
+            nid: [] for nid in pipeline.node_ids if nid in persisted}
+
+        # Dynamic chunk sizing (adaptive runs, one lane): start from the
+        # planner's chunk, then let the sizer grow/shrink between chunks.
+        # Results stay byte-identical — the exactness gate below disables
+        # sizing when any persisted partial would not combine exactly
+        # under a different chunk grouping.  Several lanes balance by who
+        # takes the next chunk instead, which needs the chunks fixed.
         sizer = None
-        if self.adaptive is not None and not full_input_nodes \
-                and total > chunk:
-            sizer = self.adaptive.make_sizer(pipeline, total, n_buffers)
+        if self.adaptive is not None and len(lanes) == 1 and total > chunk:
+            sizer = self.adaptive.make_sizer(pipeline, total,
+                                             lanes[0].n_buffers)
         overhead = streaming = 0.0
         ci = 0
         start = 0
         while True:
             stop = min(start + chunk, total)
+            lane = self.lane_for_chunk(lanes, pipeline, ci, stop - start)
+            device = lane.device
             cursor = self.ctx.clock.event_count
-            # Which staging buffer this chunk lands in.
-            scan_alias_of = {
-                ref: buffers[ci % n_buffers]
-                for ref, buffers in scan_buffers.items()
-            }
+            if not lane.staged:
+                # A lane not staged when it was opened pays for its
+                # buffers with its first chunk, or never.
+                self._stage(lane, chunk)
+            # The lane's k-th chunk lands in its staging buffer k mod n.
+            k = len(lane.computes)
+            buffer = k % lane.n_buffers
             # Transfer dependencies: serialized models wait for the
-            # previous chunk's compute (Algorithm 1); overlapped models
+            # lane's previous compute (Algorithm 1); overlapped models
             # only wait for the buffer's previous occupant (dual spaces).
-            deps: list[Event] = []
-            if not self.overlapped and ci >= 1:
-                deps.append(chunk_last_compute[ci - 1])
-            elif self.overlapped and ci >= n_buffers:
-                deps.append(chunk_last_compute[ci - n_buffers])
+            back = lane.n_buffers if self.overlapped else 1
+            deps = [lane.computes[k - back]] if k >= back else []
 
-            for ref, edges in scan_edges_by_ref.items():
+            for edges, _, aliases in lane.scans.values():
                 self.hub.load_data(
-                    edges[0], device, scan_alias_of[ref],
+                    edges[0], device, aliases[buffer],
                     start=start, stop=stop, deps=deps,
-                    transfer_factor=factor,
+                    transfer_factor=lane.factor,
                     publish_only=self.zero_copy,
                 )
                 for edge in edges:
                     edge.device_id = device.name
                     edge.fetched_until = stop
+            for edge in lane.placed_edges:
+                edge.device_id = device.name
 
             last = None
-            for nid, node, out_alias, row_bytes in steps:
-                aliases = self.input_alias(nid, scan_alias_of=scan_alias_of)
+            for nid, node, out_alias, row_bytes, inputs in lane.steps:
                 last = self.execute_node(
-                    node, device, aliases, out_alias, chunk_base=start,
+                    node, device, inputs[buffer], out_alias,
+                    chunk_base=start,
                     uma_read_bytes=row_bytes * (stop - start))
                 if nid in persisted:
                     value = device.memory.get(out_alias).value
                     partials[nid].append(ChunkPartial(value, start))
-            chunk_last_compute.append(last)  # type: ignore[arg-type]
+            lane.computes.append(last)  # type: ignore[arg-type]
             self.chunks_processed += 1
 
             if self.adaptive is not None:
@@ -579,59 +668,65 @@ class ExecutionModel(abc.ABC):
             # that would overstate the recurring per-chunk overhead.
             if sizer is not None and ci >= 1:
                 realloc = sum(
-                    n_buffers * device.cost.alloc_seconds(
-                        2 * chunk
-                        * int(self.ctx.catalog.column(ref).dtype.itemsize),
-                        pinned=self.uses_pinned_staging)
-                    for ref in scan_buffers
+                    lane.n_buffers * device.cost.alloc_seconds(
+                        2 * chunk * width, pinned=self.uses_pinned_staging)
+                    for _, width, _ in lane.scans.values()
                 )
                 proposed = sizer.propose(stop, overhead, streaming,
                                          realloc_seconds=realloc)
                 if proposed != chunk:
                     if proposed > chunk:
-                        # Regrow the staging buffers to the new capacity
-                        # (charged like any other allocation).
-                        for ref, buffers in scan_buffers.items():
-                            width = int(
-                                self.ctx.catalog.column(ref).dtype.itemsize)
-                            for alias in buffers:
-                                device.delete_memory(alias)
-                                if self.uses_pinned_staging:
-                                    device.add_pinned_memory(
-                                        alias, proposed * width)
-                                else:
-                                    device.prepare_memory(
-                                        alias, proposed * width)
+                        self._stage(lane, proposed)
                     self.adaptive.record_resize(device, chunk, proposed)
                     chunk = proposed
             ci += 1
             start = stop
 
-        # Threads re-synchronize at the pipeline breaker (Algorithm 2).
-        self.ctx.clock.barrier([device.transfer_stream,
-                                device.compute_stream])
+        # Threads re-synchronize at the pipeline breaker (Algorithm 2),
+        # idle lanes included.
+        self.ctx.clock.barrier([
+            stream for lane in lanes
+            for stream in (lane.device.transfer_stream,
+                           lane.device.compute_stream)
+        ])
 
-        # Persist combined results in device memory; transient
-        # intermediates are released (chunked models keep only breaker
-        # results alive, Section IV-B).
+        # Persist combined results in device memory — the first lane's,
+        # under the pipeline's plain names, for downstream pipelines;
+        # transient intermediates are released (chunked models keep only
+        # breaker results alive, Section IV-B).
+        home = lanes[0].device
         for nid, parts in partials.items():
-            node = graph.nodes[nid]
             combined = combine_chunk_results(
-                parts, agg_fn=str(node.params.get("fn", "sum")),
+                parts, agg_fn=str(graph.nodes[nid].params.get("fn", "sum")),
             )
-            alias = self.node_alias[nid]
-            buffer = device.memory.get(alias)
+            alias = self._alias(pipeline, "n", nid)
+            if self.node_alias[nid] != alias:
+                # The chunks ran under suffixed names: the result gets a
+                # buffer of its own (a lone lane's last chunk already
+                # sits in it and is overwritten in place).
+                if alias in home.memory:
+                    home.delete_memory(alias)
+                home.prepare_memory(alias, value_nbytes(combined))
+            buffer = home.memory.get(alias)
             buffer.value = combined
-            actual = value_nbytes(combined) * device.data_scale
+            actual = value_nbytes(combined) * home.data_scale
             if actual > buffer.nbytes:
-                device.resize_memory(alias, actual)
-        for nid, _, alias, _ in steps:
-            if nid not in persisted and alias in device.memory:
-                device.delete_memory(alias)
-        # Delete phase: release the staging buffers.
-        for buffers in scan_buffers.values():
-            for alias in buffers:
-                device.delete_memory(alias)
+                home.resize_memory(alias, actual)
+            self.node_alias[nid] = alias
+            self.node_device[nid] = home.name
+            for edge in graph.out_edges(nid):
+                edge.device_id = home.name
+        kept = {self.node_alias[nid] for nid in partials}
+        for lane in lanes:
+            device = lane.device
+            for _, _, alias, _, _ in lane.steps:
+                if alias not in kept and alias in device.memory:
+                    device.delete_memory(alias)
+            # Delete phase: release the staging buffers.
+            if lane.staged:
+                for _, _, aliases in lane.scans.values():
+                    for alias in aliases:
+                        device.delete_memory(alias)
 
     def _run_unchunked(self, pipeline: Pipeline,
                        device: SimulatedDevice) -> None:
@@ -649,15 +744,13 @@ class ExecutionModel(abc.ABC):
                         edge.device_id = device.name
                     scan_alias_of[edge.source.ref] = alias
         for nid in pipeline.node_ids:
-            node = graph.nodes[nid]
-            aliases = self.input_alias(nid, scan_alias_of=scan_alias_of)
-            self.execute_node(node, device, aliases,
-                              f"{self.qp}p{pipeline.index}:n:{nid}")
-
-    def _persisted_nodes(self, pipeline: Pipeline) -> set[str]:
-        """Nodes whose results outlive the pipeline: breakers, query
-        outputs, and producers feeding later pipelines."""
-        return persisted_node_ids(self.ctx.graph, pipeline)
+            aliases = [
+                scan_alias_of[edge.source.ref] if edge.is_scan
+                else self.node_alias[edge.source]
+                for edge in graph.in_edges(nid)
+            ]
+            self.execute_node(graph.nodes[nid], device, aliases,
+                              self._alias(pipeline, "n", nid))
 
     # -- cross-query subplan cache ------------------------------------------------
 
@@ -682,7 +775,7 @@ class ExecutionModel(abc.ABC):
         if cache is None:
             return False
         graph = self.plan.graph
-        persisted = sorted(self._persisted_nodes(pipeline))
+        persisted = sorted(persisted_node_ids(graph, pipeline))
         if not persisted:
             return False
         healthy = self._healthy_device_names()
@@ -699,7 +792,7 @@ class ExecutionModel(abc.ABC):
         for nid, entry in entries:
             node = graph.nodes[nid]
             device = self.ctx.device_for(node)
-            alias = f"{self.qp}p{pipeline.index}:n:{nid}"
+            alias = self._alias(pipeline, "n", nid)
             if alias not in device.memory:
                 device.prepare_memory(alias, max(1, entry.nbytes))
             buffer = device.memory.get(alias)
@@ -738,7 +831,7 @@ class ExecutionModel(abc.ABC):
         graph = self.plan.graph
         memo: dict[str, tuple] = {}
         inserted = False
-        for nid in sorted(self._persisted_nodes(pipeline)):
+        for nid in sorted(persisted_node_ids(graph, pipeline)):
             alias = self.node_alias.get(nid)
             device_name = self.node_device.get(nid)
             if alias is None or device_name is None:

@@ -11,7 +11,6 @@ is bounded by the chunk size regardless of input size.
 from __future__ import annotations
 
 from repro.core.models.base import ExecutionModel
-from repro.core.pipelines import Pipeline
 
 __all__ = ["ChunkedModel"]
 
@@ -29,6 +28,3 @@ class ChunkedModel(ExecutionModel):
     name = "chunked"
     uses_pinned_staging = False
     overlapped = False
-
-    def run_pipeline(self, pipeline: Pipeline) -> None:
-        self.run_chunked_pipeline(pipeline)

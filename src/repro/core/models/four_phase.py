@@ -21,7 +21,6 @@ overlaps them (usually a small extra win, because transfer time dominates
 from __future__ import annotations
 
 from repro.core.models.base import ExecutionModel
-from repro.core.pipelines import Pipeline
 
 __all__ = ["FourPhaseChunkedModel", "FourPhasePipelinedModel"]
 
@@ -38,9 +37,6 @@ class FourPhaseChunkedModel(ExecutionModel):
     uses_pinned_staging = True
     overlapped = False
 
-    def run_pipeline(self, pipeline: Pipeline) -> None:
-        self.run_chunked_pipeline(pipeline)
-
 
 class FourPhasePipelinedModel(ExecutionModel):
     """Stage/copy/compute/delete with copy-compute overlap.
@@ -53,6 +49,3 @@ class FourPhasePipelinedModel(ExecutionModel):
     name = "four_phase_pipelined"
     uses_pinned_staging = True
     overlapped = True
-
-    def run_pipeline(self, pipeline: Pipeline) -> None:
-        self.run_chunked_pipeline(pipeline)

@@ -11,7 +11,6 @@ used the same buffer (chunk *c-2*), never for chunk *c-1*.
 from __future__ import annotations
 
 from repro.core.models.base import ExecutionModel
-from repro.core.pipelines import Pipeline
 
 __all__ = ["PipelinedModel"]
 
@@ -27,6 +26,3 @@ class PipelinedModel(ExecutionModel):
     name = "pipelined"
     uses_pinned_staging = False
     overlapped = True
-
-    def run_pipeline(self, pipeline: Pipeline) -> None:
-        self.run_chunked_pipeline(pipeline)

@@ -9,15 +9,14 @@ per-chunk partials are combined exactly as in single-device chunked
 execution (the combiners are position-aware, so chunk order and global
 row ids survive the fan-out).
 
-Mechanics per pipeline:
-
-* external inputs (hash tables from earlier pipelines) are *broadcast* to
-  every participating device through the transfer hub;
-* each device gets its own staging and intermediate buffers and processes
-  its share of chunks serialized locally, while devices run concurrently
-  (separate stream pairs on the shared clock);
-* breaker partials are collected in global chunk order and combined once,
-  then homed on the fastest device for downstream pipelines.
+The model is a chunk-assignment policy over the shared chunk loop
+(:meth:`~repro.core.models.base.ExecutionModel.run_chunked_pipeline`),
+not a loop of its own: it decides which devices share a pipeline
+(:meth:`SplitChunkedModel.open_lanes` — every plugged device, once the
+external inputs are broadcast) and which of them takes each chunk
+(:meth:`SplitChunkedModel.lane_for_chunk`).  The loop collects breaker
+partials in global chunk order, combines them once and homes them on
+the fastest device for downstream pipelines.
 
 Sort-style primitives (``requires_full_input``) and breaker-only
 pipelines run on the fastest device alone.
@@ -29,13 +28,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.combine import ChunkPartial, combine_chunk_results
-from repro.core.models.base import ExecutionModel
+from repro.core.models.base import ExecutionModel, Lane
 from repro.core.pipelines import Pipeline
 from repro.devices.base import SimulatedDevice
 from repro.errors import ExecutionError
-from repro.hardware.clock import Event
-from repro.primitives.values import value_nbytes
 
 __all__ = ["SplitChunkedModel"]
 
@@ -55,143 +51,66 @@ class SplitChunkedModel(ExecutionModel):
     splits_chunks = True
     #: Placement flips are pointless: the model distributes chunkable
     #: pipelines over every device and overrides annotations elsewhere
-    #: (``_run_single``), so the optimizer only varies chunk and fusion.
+    #: (``open_lanes``), so the optimizer only varies chunk and fusion.
     tunable = frozenset({"chunk", "fusion"})
 
-    def run_pipeline(self, pipeline: Pipeline) -> None:
+    def open_lanes(self, pipeline: Pipeline, chunks: int) -> list[Lane]:
+        """One lane per plugged device, fastest first (it homes the
+        results); pipelines that cannot fan out take the fastest device
+        alone, as under any single-device pinned model."""
         graph = self.ctx.graph
         devices = self.participants(self.ctx.devices.values())
-        fast = devices[0]
         if not pipeline.is_chunkable or len(devices) == 1 or any(
             graph.nodes[nid].defn.requires_full_input
             for nid in pipeline.node_ids
         ):
-            self._run_single(pipeline, fast)
-            return
-
-        total = self.scan_length(pipeline)
-        chunk = self.ctx.physical_chunk_rows
-        starts = list(range(0, total, chunk)) or [0]
+            # Split mode owns placement: the annotations are overridden.
+            for nid in pipeline.node_ids:
+                graph.nodes[nid].device = devices[0].name
+            return super().open_lanes(pipeline, chunks)
 
         # Broadcast external inputs to every participating device (a
         # daisy-chained copy: each hop retrieves from the previous home).
-        per_device_external: dict[tuple[str, str], str] = {}
+        placed: list[dict[str, str]] = [{} for _ in devices]
         for ext in pipeline.external_inputs:
             current = self.node_alias[ext]
             carrier = graph.out_edges(ext)[0]
-            for device in devices:
+            for device, aliases in zip(devices, placed):
                 current, _ = self.hub.router(carrier, current, device)
-                per_device_external[(ext, device.name)] = current
+                aliases[ext] = current
 
-        # Adaptive runs treat the static proportional split only as the
-        # baseline for steal accounting and instead claim each chunk
-        # from a shared morsel queue (greedy earliest-finish dispatch).
-        assignment = [devices[i] for i in self.assign_chunks(
-            self.shares(devices), len(starts))]
+        # Per device: own intermediates, one pinned staging buffer per
+        # scan column (chunks serialize locally while devices run
+        # concurrently) and no pinned penalty, which the pricer mirrors.
+        # Staged with the lane's first chunk: a device the split leaves
+        # without chunks allocates nothing.
+        lanes = [
+            self.open_lane(pipeline, device, tags=[f"@{device.name}"],
+                           factor=1.0, suffix=f"@{device.name}",
+                           placed=aliases)
+            for device, aliases in zip(devices, placed)
+        ]
+        owner = self.assign_chunks(self.shares(devices), chunks)
+        for index, lane in enumerate(lanes):
+            lane.turns = frozenset(np.flatnonzero(owner == index).tolist())
+        return lanes
 
-        persisted = self._persisted_nodes(pipeline)
-        # Node order, not set order: the homing below schedules one
-        # allocation per entry, so a hash-seeded order moves every event.
-        partials: dict[str, list[ChunkPartial]] = {
-            n: [] for n in pipeline.node_ids if n in persisted}
-        scan_edges_by_ref = self._scan_edges(pipeline)
-        prev_compute: dict[str, Event] = {}
-        staged: dict[tuple[str, str], str] = {}
+    def lane_for_chunk(self, lanes: list[Lane], pipeline: Pipeline,
+                       ci: int, rows: int) -> Lane:
+        """The static proportional split — which adaptive runs treat
+        only as the baseline for steal accounting, claiming each chunk
+        from a shared morsel queue instead."""
+        if len(lanes) == 1:  # the single-device fallback
+            return lanes[0]
+        if self.adaptive is None:
+            return next(lane for lane in lanes if ci in lane.turns)
+        lane = self._claim_chunk(lanes, pipeline, rows)
+        if ci not in lane.turns:
+            self.adaptive.record_steal(lane.device)
+        return lane
 
-        for ci, start in enumerate(starts):
-            stop = min(start + chunk, total)
-            if self.adaptive is not None:
-                device = self._claim_chunk(devices, pipeline, stop - start)
-                if device is not assignment[ci]:
-                    self.adaptive.record_steal(device)
-            else:
-                device = assignment[ci]
-            cursor = self.ctx.clock.event_count
-            scan_alias_of = {}
-            for ref in pipeline.scan_refs:
-                key = (ref, device.name)
-                if key not in staged:
-                    alias = f"{self.qp}p{pipeline.index}:s:{ref}@{device.name}"
-                    width = int(self.ctx.catalog.column(ref).dtype.itemsize)
-                    device.add_pinned_memory(alias, chunk * width)
-                    staged[key] = alias
-                scan_alias_of[ref] = staged[key]
-            deps = ([prev_compute[device.name]]
-                    if device.name in prev_compute else [])
-            for ref, edges in scan_edges_by_ref.items():
-                self.hub.load_data(edges[0], device, scan_alias_of[ref],
-                                   start=start, stop=stop, deps=deps)
-                for edge in edges:
-                    edge.device_id = device.name
-                    edge.fetched_until = max(edge.fetched_until, stop)
-
-            last = None
-            for nid in pipeline.node_ids:
-                node = graph.nodes[nid]
-                out_alias = f"{self.qp}p{pipeline.index}:n:{nid}@{device.name}"
-                aliases = []
-                for edge in graph.in_edges(nid):
-                    if edge.is_scan:
-                        aliases.append(scan_alias_of[edge.source.ref])
-                    elif edge.source in pipeline.external_inputs:
-                        aliases.append(per_device_external[
-                            (edge.source, device.name)])
-                        edge.device_id = device.name
-                    else:
-                        aliases.append(
-                            f"{self.qp}p{pipeline.index}:n:"
-                            f"{edge.source}@{device.name}")
-                last = self.execute_node(node, device, aliases, out_alias,
-                                         chunk_base=start)
-                if nid in persisted:
-                    value = device.memory.get(out_alias).value
-                    partials[nid].append(ChunkPartial(value, start))
-            prev_compute[device.name] = last  # type: ignore[assignment]
-            self.chunks_processed += 1
-            if self.adaptive is not None:
-                self.adaptive.observe_chunk(
-                    device, pipeline, stop - start,
-                    self.ctx.clock.events_since(cursor))
-            gate = self.ctx.query.gate
-            if gate is not None and ci + 1 < len(starts):
-                # Serving mode: deadline / preemption checkpoint between
-                # chunks (see the base chunk loop).
-                gate.checkpoint(self)
-
-        self.ctx.clock.barrier(
-            [s for d in devices
-             for s in (d.transfer_stream, d.compute_stream)]
-        )
-
-        # Home the combined results on the fastest device.
-        for nid, parts in partials.items():
-            node = graph.nodes[nid]
-            combined = combine_chunk_results(
-                parts, agg_fn=str(node.params.get("fn", "sum")))
-            alias = f"{self.qp}p{pipeline.index}:n:{nid}"
-            if alias in fast.memory:
-                fast.delete_memory(alias)
-            fast.prepare_memory(alias, value_nbytes(combined))
-            buffer = fast.memory.get(alias)
-            buffer.value = combined
-            self.node_alias[nid] = alias
-            self.node_device[nid] = fast.name
-            for edge in graph.out_edges(nid):
-                edge.device_id = fast.name
-        # Release per-device transient state.
-        for device in devices:
-            for nid in pipeline.node_ids:
-                alias = f"{self.qp}p{pipeline.index}:n:{nid}@{device.name}"
-                if alias in device.memory:
-                    device.delete_memory(alias)
-            for (ref, name), alias in staged.items():
-                if name == device.name and alias in device.memory:
-                    device.delete_memory(alias)
-
-    # -- helpers ------------------------------------------------------------
-
-    def _claim_chunk(self, devices: list[SimulatedDevice],
-                     pipeline: Pipeline, rows: int) -> SimulatedDevice:
+    def _claim_chunk(self, lanes: list[Lane], pipeline: Pipeline,
+                     rows: int) -> Lane:
         """Shared-morsel-queue dispatch (adaptive runs): the next chunk
         goes to the device predicted to *finish* it first — current
         stream availability plus the overlay-corrected chunk estimate.
@@ -200,9 +119,10 @@ class SplitChunkedModel(ExecutionModel):
         Deterministic: ties break by participant order (fastest first).
         """
         clock = self.ctx.clock
-        best = devices[0]
+        best = lanes[0]
         best_finish = None
-        for device in devices:
+        for lane in lanes:
+            device = lane.device
             ready = max(
                 clock.stream(device.transfer_stream).available_at,
                 clock.stream(device.compute_stream).available_at,
@@ -210,7 +130,7 @@ class SplitChunkedModel(ExecutionModel):
             finish = ready + self.adaptive.corrected_chunk_seconds(
                 pipeline, device, rows)
             if best_finish is None or finish < best_finish:
-                best, best_finish = device, finish
+                best, best_finish = lane, finish
         return best
 
     # -- the static split (shared with the plan pricer) -----------------------
@@ -262,22 +182,3 @@ class SplitChunkedModel(ExecutionModel):
         """
         due = np.arange(1, chunks + 1) / np.asarray(shares, float)[:, None]
         return np.argsort(due, axis=None, kind="stable")[:chunks] // chunks
-
-    def _scan_edges(self, pipeline: Pipeline):
-        scan_edges_by_ref: dict[str, list] = {}
-        for nid in pipeline.node_ids:
-            for edge in self.ctx.graph.in_edges(nid):
-                if edge.is_scan:
-                    scan_edges_by_ref.setdefault(
-                        edge.source.ref, []).append(edge)
-        return scan_edges_by_ref
-
-    def _run_single(self, pipeline: Pipeline,
-                    device: SimulatedDevice) -> None:
-        """Non-splittable pipelines: single-device chunked execution.
-
-        Overrides the node device annotations for the pipeline (split
-        mode owns placement)."""
-        for nid in pipeline.node_ids:
-            self.ctx.graph.nodes[nid].device = device.name
-        self.run_chunked_pipeline(pipeline)

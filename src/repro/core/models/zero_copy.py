@@ -21,7 +21,6 @@ ablation benchmark quantifies exactly that.
 from __future__ import annotations
 
 from repro.core.models.base import ExecutionModel
-from repro.core.pipelines import Pipeline
 
 __all__ = ["ZeroCopyModel"]
 
@@ -40,6 +39,3 @@ class ZeroCopyModel(ExecutionModel):
     overlapped = False
     staging_buffers = 1  # no copy phase, so no dual spaces needed
     zero_copy = True
-
-    def run_pipeline(self, pipeline: Pipeline) -> None:
-        self.run_chunked_pipeline(pipeline)

@@ -791,8 +791,8 @@ class PricingTable:
 
             if traits.participants:
                 # Non-splittable pipelines run on the fastest participant
-                # (``_run_single`` overrides annotations; split owns
-                # placement), through the chunked loop with its penalty.
+                # (the split model's ``open_lanes`` overrides annotations;
+                # split owns placement), as one lane with its penalty.
                 placed[index] = dev_name = traits.participants[0]
             transfer, kernel, launch = self._priced(shape, dev_name, chunks,
                                                     traits)

@@ -129,11 +129,11 @@ class ServeReport:
 class ChunkGate:
     """The chunk-boundary hook the service installs on batch sessions.
 
-    The chunk loops call ``gate.checkpoint(model)`` between chunks
-    (:meth:`~repro.core.models.base.ExecutionModel.run_chunked_pipeline`
-    and the split model's fan-out loop); the gate enforces the running
-    query's deadline and lets the service preempt the pipeline with
-    newly arrived interactive work.
+    The chunk loop calls ``gate.checkpoint(model)`` between chunks
+    (:meth:`~repro.core.models.base.ExecutionModel.run_chunked_pipeline`,
+    one device or fanned out); the gate enforces the running query's
+    deadline and lets the service preempt the pipeline with newly
+    arrived interactive work.
     """
 
     def __init__(self, service: "QueryService",

@@ -1,8 +1,11 @@
 """Tests for the data transfer hub, execution models, and executor facade."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
+import repro.core.models
 from repro.core.context import cardinality
 from repro.core.executor import AdamantExecutor
 from repro.core.hub import DataTransferHub
@@ -15,6 +18,8 @@ from repro.primitives.values import Bitmap, JoinPairs, PositionList, PrefixSum
 from repro.tpch import reference
 from repro.tpch.queries import q3, q4, q6
 from tests.conftest import make_context, make_executor
+
+MODELS_DIR = pathlib.Path(repro.core.models.__file__).parent
 
 
 class TestCardinality:
@@ -255,6 +260,23 @@ class TestModelBehaviour:
             "oaat", "chunked", "pipelined", "four_phase_chunked",
             "four_phase_pipelined", "zero_copy", "split_chunked",
         }
+
+    def test_there_is_one_chunk_loop(self):
+        """Every chunked model — the multi-device split included — runs
+        ``ExecutionModel.run_chunked_pipeline``; a model contributes
+        class attributes and at most the two lane decisions.  What the
+        loop does once per chunk or per pipeline is spelled once."""
+        sources = {path.name: path.read_text()
+                   for path in MODELS_DIR.glob("*.py")}
+        everything = "".join(sources.values())
+        for once in ("ChunkPartial(", "gate.checkpoint(", "observe_chunk(",
+                     "combine_chunk_results(", "chunks_processed += 1"):
+            assert everything.count(once) == 1, once
+        for loop_work in ("execute_node", "load_data", "barrier",
+                          "delete_memory"):
+            assert loop_work not in sources["split.py"], loop_work
+        assert sorted(name for name, text in sources.items()
+                      if "def run_pipeline" in text) == ["base.py", "oaat.py"]
 
     def test_peak_memory_lower_for_chunked(self, tiny_catalog):
         executor = make_executor()

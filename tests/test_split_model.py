@@ -1,10 +1,6 @@
 """Tests for the heterogeneous split (multi-device) execution model."""
 
 import math
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -130,44 +126,6 @@ class TestScheduling:
                               model="split_chunked", chunk_size=1024)
         assert q3.finalize(result, small_catalog) == \
             reference.q3(small_catalog)
-
-
-EVENT_LIST_SCRIPT = """
-from repro.core.executor import AdamantExecutor
-from repro.devices import CudaDevice, OpenCLDevice
-from repro.hardware import GPU_A100, GPU_RTX_2080_TI
-from repro.tpch import generate
-from repro.tpch.queries import q1
-
-catalog = generate(0.01, seed=11)
-executor = AdamantExecutor()
-executor.plug_device("gpu0", CudaDevice, GPU_RTX_2080_TI)
-executor.plug_device("gpu1", OpenCLDevice, GPU_A100)
-executor.run(q1.build(), catalog, model="split_chunked", chunk_size=2048)
-for e in executor.clock.events:
-    print(e.stream, e.label, e.start.hex(), e.end.hex())
-"""
-
-
-def test_timeline_does_not_depend_on_the_hash_seed():
-    """``hardware/clock.py``: "the same schedule of calls always yields
-    the same makespan" — also across interpreters, whose string hashes
-    (and so the order of any ``set[str]``) differ.  Q1 persists five
-    aggregates in one pipeline; homing them in set order permuted their
-    allocation events."""
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-
-    def event_list(hash_seed: str) -> str:
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-               "PYTHONPATH": str(src)}
-        done = subprocess.run([sys.executable, "-c", EVENT_LIST_SCRIPT],
-                              env=env, capture_output=True, text=True,
-                              timeout=120, check=True)
-        return done.stdout
-
-    first = event_list("1")
-    assert first.count("\n") > 1000
-    assert event_list("2") == first
 
 
 class TestPricerAgreesWithTheRun:

@@ -12,15 +12,18 @@ named.
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "timeline_digest.py"
 GOLDEN = ROOT / "tests" / "golden" / "timelines.json"
 
 
 def load_tool():
-    spec = importlib.util.spec_from_file_location(
-        "timeline_digest", ROOT / "tools" / "timeline_digest.py")
+    spec = importlib.util.spec_from_file_location("timeline_digest", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -39,3 +42,24 @@ def test_timelines_match_the_golden_digests():
         "`python3 tools/timeline_digest.py --out FILE` and pass both "
         "files to `--diff`; regenerate the golden only for a change "
         "that means to move virtual time.")
+
+
+def test_timeline_does_not_depend_on_the_hash_seed():
+    """``hardware/clock.py``: "the same schedule of calls always yields
+    the same makespan" — also across interpreters, whose string hashes
+    (and so the order of any ``set[str]``) differ.  Q1 persists five
+    aggregates in one pipeline; homing them in set order permuted their
+    allocation events on the fan-out."""
+    cell = "q1/split_chunked/gpu+ocl/static/unfused/2048x1"
+
+    def event_list(hash_seed: str) -> str:
+        done = subprocess.run(
+            [sys.executable, str(TOOL), "--full", "--events", cell],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                 "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=120, check=True)
+        return done.stdout
+
+    first = event_list("1")
+    assert first.count("\n") > 1000
+    assert event_list("2") == first

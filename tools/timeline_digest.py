@@ -52,6 +52,7 @@ from repro import devices, hardware  # noqa: E402
 from repro.core.executor import AdamantExecutor  # noqa: E402
 from repro.core.models import MODELS  # noqa: E402
 from repro.engine import Engine, QueryRequest  # noqa: E402
+from repro.errors import AdamantError  # noqa: E402
 from repro.serving import BATCH, INTERACTIVE, QueryService, ServeRequest  # noqa: E402
 from repro.tpch import generate, queries  # noqa: E402
 
@@ -142,11 +143,17 @@ def run_cell(cell: str, catalog) -> tuple[list, list]:
     chunk_size, data_scale = map(int, setting.split("x"))
     executor = AdamantExecutor()
     plug(executor, fleet)
-    result = executor.run(build(name, catalog), catalog, model=model,
-                          chunk_size=chunk_size, data_scale=data_scale,
-                          adaptive=mode == "adaptive",
-                          fuse=fusion == "fused")
-    return executor.clock.events, [result.outputs]
+    try:
+        outputs = executor.run(
+            build(name, catalog), catalog, model=model,
+            chunk_size=chunk_size, data_scale=data_scale,
+            adaptive=mode == "adaptive", fuse=fusion == "fused").outputs
+    except AdamantError as error:
+        # A typed failure is the cell's outcome (operator-at-a-time
+        # outgrows device memory at paper scale): the events up to it
+        # and the message are what is digested.
+        outputs = f"{type(error).__name__}: {error}"
+    return executor.clock.events, [outputs]
 
 
 def event_row(event) -> str:
@@ -187,9 +194,13 @@ def digest_cell(cell: str, catalog) -> list:
     return [digest.hexdigest(), len(events), makespan.hex()]
 
 
-def digest_matrix(full: bool = False) -> dict[str, list]:
+def make_catalog(full: bool):
     scale_factor, seed = (FULL if full else COMPACT)[:2]
-    catalog = generate(scale_factor, seed=seed)
+    return generate(scale_factor, seed=seed)
+
+
+def digest_matrix(full: bool = False) -> dict[str, list]:
+    catalog = make_catalog(full)
     return {cell: digest_cell(cell, catalog) for cell in cell_names(full)}
 
 
@@ -204,8 +215,7 @@ def render(cells: dict[str, list], full: bool) -> str:
 
 
 def print_events(cell: str, full: bool) -> None:
-    scale_factor, seed = (FULL if full else COMPACT)[:2]
-    events, outputs = run_cell(cell, generate(scale_factor, seed=seed))
+    events, outputs = run_cell(cell, make_catalog(full))
     for event in events:
         print(event_row(event))
     digest = hashlib.sha256()
