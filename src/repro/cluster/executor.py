@@ -241,8 +241,9 @@ class ClusterExecutor:
                 + catalog.column(ref).nbytes * data_scale
         return out
 
-    def _exec_catalog(self, shard: Catalog, full: Catalog,
-                      distribution: dict[str, str]) -> Catalog:
+    @staticmethod
+    def exec_catalog(shard: Catalog, full: Catalog,
+                     distribution: dict[str, str]) -> Catalog:
         """One node's execution-time catalog: its co-partitioned shards
         plus full copies of every replicated/broadcast table."""
         catalog = Catalog()
@@ -311,8 +312,8 @@ class ClusterExecutor:
         partial_bytes: list[int] = []
         failovers = 0
         for index, (node, shard) in enumerate(zip(self.nodes, shards)):
-            exec_catalog = self._exec_catalog(shard, catalog,
-                                              distribution)
+            exec_catalog = self.exec_catalog(shard, catalog,
+                                             distribution)
             graph = probe if index == 0 else graph_factory()
             try:
                 result = node.execute(graph, exec_catalog, **flags)

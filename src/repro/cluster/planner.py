@@ -23,10 +23,10 @@ from repro.core.pipelines import split_pipelines
 from repro.errors import ClusterConfigError
 from repro.planner.cost import (
     DEFAULT_SELECTIVITY,
-    _agg_groups,
-    _node_decay,
+    NOMINAL_ROWS,
     broadcast_seconds,
     estimate_graph_seconds,
+    pipeline_shape,
 )
 from repro.storage import Catalog
 
@@ -51,7 +51,7 @@ def estimate_partial_bytes(graph: PrimitiveGraph, catalog: Catalog, *,
                            data_scale: int = 1) -> int:
     """Estimated logical bytes of one node's output partials.
 
-    Mirrors :func:`~repro.planner.cost.estimate_graph_seconds`'s walk:
+    Reads the estimators' walk (:func:`~repro.planner.cost.pipeline_shape`):
     each pipeline starts at its scan cardinality and decays through
     selective primitives, so an output's partial size reflects the rows
     actually reaching it.  Group-table outputs are sized by the group
@@ -59,36 +59,27 @@ def estimate_partial_bytes(graph: PrimitiveGraph, catalog: Catalog, *,
     scalars are fixed-width, hash tables scale with their decayed build
     cardinality.
     """
-    rows_at: dict[str, float] = {}
-    for pipeline in split_pipelines(graph):
-        if pipeline.scan_refs:
-            rows = catalog.column(pipeline.scan_refs[0]).values.shape[0]
-        else:
-            rows = 1024
-        depth_rows = float(rows * data_scale)
-        for nid in pipeline.node_ids:
-            node = graph.nodes[nid]
-            depth_rows *= _node_decay(node)
-            rows_at[nid] = depth_rows
-
+    shapes = {
+        node.node_id: node
+        for pipeline in split_pipelines(graph)
+        for node in pipeline_shape(graph, pipeline, catalog,
+                                   data_scale=data_scale).nodes
+    }
     total = 0
     for out_id in graph.outputs:
-        node = graph.nodes[out_id]
-        cost_key = node.defn.cost_key
-        if cost_key == "hash_agg":
-            groups = node.cost_params.get("groups") \
-                or _agg_groups(graph, node, catalog,
-                               data_scale=data_scale) \
-                or min(rows_at.get(out_id, 1024.0), 1024.0)
+        shape = shapes[out_id]
+        if shape.cost_key == "hash_agg":
+            groups = shape.cost_params.get("groups") \
+                or shape.groups(data_scale) \
+                or min(shape.rows_after, NOMINAL_ROWS)
             total += _GROUP_ROW_BYTES * int(max(1, groups))
-        elif cost_key == "agg_block":
+        elif shape.cost_key == "agg_block":
             total += _SCALAR_BYTES * data_scale
-        elif cost_key == "hash_build":
-            build_rows = rows_at.get(out_id, 1024.0) \
-                * DEFAULT_SELECTIVITY
+        elif shape.cost_key == "hash_build":
+            build_rows = shape.rows_after * DEFAULT_SELECTIVITY
             total += _BUILD_ROW_BYTES * int(max(1, build_rows))
         else:
-            total += _SCALAR_BYTES * int(max(1, rows_at.get(out_id, 1.0)))
+            total += _SCALAR_BYTES * int(max(1, shape.rows_after))
     return total
 
 
@@ -154,12 +145,8 @@ class ShardPlanner:
         local_per_node: list[float] = []
         local = 0.0
         for shard in shards:
-            exec_catalog = Catalog()
-            for name in sorted(catalog.tables):
-                if distribution.get(name) == "co-partitioned":
-                    exec_catalog.add(shard.table(name))
-                else:
-                    exec_catalog.add(catalog.table(name))
+            exec_catalog = self.cluster.exec_catalog(shard, catalog,
+                                                     distribution)
             estimates = estimate_graph_seconds(
                 graph, exec_catalog, devices, default,
                 data_scale=data_scale)

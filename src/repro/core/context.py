@@ -12,6 +12,7 @@ from repro.devices.base import Device, SimulatedDevice
 from repro.errors import ExecutionError
 from repro.faults.policy import RetryPolicy
 from repro.hardware.clock import VirtualClock
+from repro.primitives.definitions import FUSED_PRIMITIVES
 from repro.primitives.values import Bitmap, JoinPairs, PositionList, PrefixSum
 from repro.storage import Catalog
 from repro.task.registry import TaskRegistry
@@ -21,11 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover - the planner imports this layer
 
 __all__ = ["ExecutionContext", "ExecutionStats", "QueryContext",
            "QueryResult", "RecoveryLog", "cardinality"]
-
-#: Fused primitive names (mirrors planner.fusion.FUSED_PRIMITIVES, which
-#: cannot be imported here: the planner imports the core layer).
-_FUSED_NODE_PRIMITIVES = ("fused_map_filter", "fused_probe_path",
-                          "fused_filter_agg")
 
 
 def cardinality(value: object) -> int:
@@ -349,10 +345,10 @@ class ExecutionContext:
                                  if e.category == "launch"
                                  and e.eid > restart_eid),
             fused_nodes=sum(1 for n in self.graph.nodes.values()
-                            if n.primitive in _FUSED_NODE_PRIMITIVES),
+                            if n.primitive in FUSED_PRIMITIVES),
             fused_probe_nodes=sum(
                 1 for n in self.graph.nodes.values()
-                if n.primitive in _FUSED_NODE_PRIMITIVES
+                if n.primitive in FUSED_PRIMITIVES
                 and any(step["primitive"] == "hash_probe"
                         for step in n.params.get("steps", ()))
             ),

@@ -36,13 +36,9 @@ from __future__ import annotations
 import hashlib
 
 from repro.core.graph import PrimitiveGraph
+from repro.primitives.definitions import FUSED_PRIMITIVES
 
 __all__ = ["subplan_fingerprint"]
-
-#: Fused primitive names (mirrors planner.fusion.FUSED_PRIMITIVES, which
-#: cannot be imported here: the planner builds on the core layer).
-_FUSED_PRIMITIVES = ("fused_map_filter", "fused_probe_path",
-                     "fused_filter_agg")
 
 
 def _canon_value(value: object) -> object:
@@ -82,7 +78,7 @@ def _node_canon(graph: PrimitiveGraph, node_id: str,
         else ("node", _node_canon(graph, edge.source, memo))
         for edge in graph.in_edges(node_id)  # ordered by input slot
     )
-    if node.primitive in _FUSED_PRIMITIVES:
+    if node.primitive in FUSED_PRIMITIVES:
         canon = _fused_canon(node.params.get("steps") or [], inputs)
     else:
         canon = (node.primitive, _canon_value(node.params), inputs)

@@ -28,6 +28,8 @@ from repro.core.graph import DataEdge, PrimitiveGraph, PrimitiveNode
 from repro.core.hub import DataTransferHub
 from repro.core.pipelines import (
     Pipeline,
+    chunk_count,
+    full_input_refusal,
     persisted_node_ids,
     split_pipelines,
 )
@@ -166,22 +168,18 @@ class ExecutionModel(abc.ABC):
         """Whether this model can execute *graph* at the given chunk
         size — the optimizer's feasibility filter.
 
-        The default mirrors the chunk loop's own constraint: a
-        full-input primitive (sorting) inside a chunkable pipeline must
-        see all its rows in one chunk.
+        The default is the chunk loop's own constraint
+        (:func:`~repro.core.pipelines.full_input_refusal`): a full-input
+        primitive (sorting) inside a chunkable pipeline must see all its
+        rows in one chunk.
         """
-        for pipeline in split_pipelines(graph):
-            if not pipeline.is_chunkable:
-                continue
-            if not any(graph.nodes[nid].defn.requires_full_input
-                       for nid in pipeline.node_ids):
-                continue
-            total = max(
-                (catalog.column(ref).values.shape[0]
-                 for ref in pipeline.scan_refs), default=0)
-            if total > physical_chunk_rows:
-                return False
-        return True
+        return not any(
+            full_input_refusal(
+                pipeline,
+                max((catalog.column(ref).values.shape[0]
+                     for ref in pipeline.scan_refs), default=0),
+                physical_chunk_rows)
+            for pipeline in split_pipelines(graph))
 
     def __init__(self, ctx: ExecutionContext) -> None:
         self.ctx = ctx
@@ -564,20 +562,13 @@ class ExecutionModel(abc.ABC):
         graph = self.plan.graph
         total = self.scan_length(pipeline)
         chunk = self.plan.physical_chunk_rows
-        lanes = self.open_lanes(pipeline, len(range(0, total, chunk)) or 1)
+        refusal = full_input_refusal(pipeline, total, chunk)
+        if refusal is not None:
+            raise ExecutionError(refusal)
+        lanes = self.open_lanes(pipeline, chunk_count(pipeline, total, chunk))
         if not pipeline.is_chunkable:
             self._run_unchunked(pipeline, lanes[0].device)
             return
-        full_input_nodes = [
-            nid for nid in pipeline.node_ids
-            if graph.nodes[nid].defn.requires_full_input
-        ]
-        if full_input_nodes and total > chunk:
-            raise ExecutionError(
-                f"primitives {full_input_nodes} require their full input "
-                f"(sorting is not chunk-decomposable); run the plan under "
-                f"'oaat' or with a chunk_size covering all {total} rows"
-            )
 
         persisted = persisted_node_ids(graph, pipeline)
         # In node order, not the set's: homing schedules one allocation

@@ -18,8 +18,8 @@ external inputs are broadcast) and which of them takes each chunk
 partials in global chunk order, combines them once and homes them on
 the fastest device for downstream pipelines.
 
-Sort-style primitives (``requires_full_input``) and breaker-only
-pipelines run on the fastest device alone.
+Pipelines that do not stream (a sort-style full-input primitive, or
+no scan at all) run on the fastest device alone.
 """
 
 from __future__ import annotations
@@ -60,10 +60,7 @@ class SplitChunkedModel(ExecutionModel):
         alone, as under any single-device pinned model."""
         graph = self.ctx.graph
         devices = self.participants(self.ctx.devices.values())
-        if not pipeline.is_chunkable or len(devices) == 1 or any(
-            graph.nodes[nid].defn.requires_full_input
-            for nid in pipeline.node_ids
-        ):
+        if not pipeline.streams or len(devices) == 1:
             # Split mode owns placement: the annotations are overridden.
             for nid in pipeline.node_ids:
                 graph.nodes[nid].device = devices[0].name

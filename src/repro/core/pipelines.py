@@ -12,12 +12,14 @@ edge that leaves a pipeline breaker.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.graph import PrimitiveGraph
 from repro.errors import GraphValidationError
 
-__all__ = ["Pipeline", "persisted_node_ids", "split_pipelines"]
+__all__ = ["Pipeline", "chunk_count", "full_input_refusal",
+           "persisted_node_ids", "split_pipelines"]
 
 
 @dataclass
@@ -31,6 +33,8 @@ class Pipeline:
         external_inputs: Node ids of breaker results from earlier
             pipelines this one consumes (device-resident, not chunked).
         breaker_ids: Member nodes that are pipeline breakers.
+        full_input_ids: Member nodes whose primitive is not decomposable
+            over chunks (``PrimitiveDefinition.requires_full_input``).
     """
 
     index: int
@@ -38,12 +42,50 @@ class Pipeline:
     scan_refs: list[str] = field(default_factory=list)
     external_inputs: list[str] = field(default_factory=list)
     breaker_ids: list[str] = field(default_factory=list)
+    full_input_ids: list[str] = field(default_factory=list)
 
     @property
     def is_chunkable(self) -> bool:
         """Whether the pipeline streams base data (chunked models only
         chunk scans; breaker-only pipelines run once)."""
         return bool(self.scan_refs)
+
+    @property
+    def streams(self) -> bool:
+        """Whether a chunked model may cut the scan into several chunks:
+        there is one, and no member needs its full input."""
+        return bool(self.scan_refs) and not self.full_input_ids
+
+
+def chunk_count(pipeline: Pipeline, rows: int, physical_chunk: int) -> int:
+    """The chunk rule: how many chunks a chunked model takes to run
+    *pipeline* over *rows* physical scan rows at *physical_chunk* rows
+    per chunk.
+
+    A pipeline that :attr:`~Pipeline.streams` takes
+    ``ceil(rows / physical_chunk)`` chunks (one when the scan is empty);
+    a breaker-only pipeline runs once; a pipeline with a full-input
+    member runs as one chunk or not at all
+    (:func:`full_input_refusal`).  Every reader brings its own row count
+    — the chunk loop the agreed scan length, the feasibility filter the
+    longest scan column, the estimators the leading one.
+    """
+    if not pipeline.streams:
+        return 1
+    return max(1, math.ceil(rows / physical_chunk))
+
+
+def full_input_refusal(pipeline: Pipeline, rows: int,
+                       physical_chunk: int) -> str | None:
+    """Why a chunked model refuses *pipeline* at this chunk size (the
+    text of the chunk loop's error), or None when it runs: full-input
+    members must see all *rows* scan rows in one chunk."""
+    if not (pipeline.scan_refs and pipeline.full_input_ids
+            and rows > physical_chunk):
+        return None
+    return (f"primitives {pipeline.full_input_ids} require their full "
+            f"input (sorting is not chunk-decomposable); run the plan "
+            f"under 'oaat' or with a chunk_size covering all {rows} rows")
 
 
 def persisted_node_ids(graph: PrimitiveGraph,
@@ -133,6 +175,8 @@ def split_pipelines(graph: PrimitiveGraph) -> list[Pipeline]:
             node = graph.nodes[nid]
             if node.is_breaker:
                 pipeline.breaker_ids.append(nid)
+            if node.defn.requires_full_input:
+                pipeline.full_input_ids.append(nid)
             for edge in graph.in_edges(nid):
                 if edge.is_scan:
                     if edge.source.ref not in pipeline.scan_refs:

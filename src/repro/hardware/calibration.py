@@ -168,10 +168,11 @@ FUSED_INTERNAL_STEP_FACTOR = 0.10
 FUSED_PROBE_STEP_FACTOR = 0.75
 FUSED_SINK_STEP_FACTOR = 0.85
 
-# Row-domain decay applied after each selective fused step (filters by
-# position, gathers, probes): downstream steps only touch the surviving
-# rows.  Matches the planner's DEFAULT_SELECTIVITY so fused and unfused
-# estimates of the same chain stay comparable.
+# Row-domain decay applied after each selective step (filters by
+# position, gathers, probes): whatever comes after only touches the
+# surviving rows.  The one decay: the fused sweep applies it per
+# selective step and the planner's DEFAULT_SELECTIVITY reads it, so
+# fused and unfused estimates of the same chain decay identically.
 FUSED_SELECTIVE_DECAY = 0.5
 
 # Reference devices whose rates are tabulated below; the cost model scales

@@ -17,17 +17,19 @@ which the test suite asserts.
 
 from __future__ import annotations
 
-import math
-
 from repro.core.graph import PrimitiveGraph, PrimitiveNode
-from repro.core.pipelines import split_pipelines
+from repro.core.models import MODELS
+from repro.core.pipelines import chunk_count, split_pipelines
 from repro.devices.base import SimulatedDevice
 from repro.errors import ExecutionError
-from repro.hardware.costmodel import TransferDirection
 from repro.planner.compile import compile_plan
-from repro.planner.cost import estimate_graph_seconds
-from repro.planner.fusion import FUSED_PRIMITIVES
+from repro.planner.cost import (
+    estimate_graph_seconds,
+    pipeline_placements,
+    pipeline_shape,
+)
 from repro.planner.ir import DEFAULT_CHUNK_SIZE as _DEFAULT_CHUNK_SIZE
+from repro.primitives.definitions import FUSED_PRIMITIVES
 from repro.storage import Catalog
 
 __all__ = ["explain", "explain_distributed", "explain_plans"]
@@ -133,34 +135,23 @@ def explain(graph: PrimitiveGraph, catalog: Catalog, *,
             f"  device {name}: {device.spec.kind.value}/"
             f"{device.sdk.value} ({device.spec.name})")
 
+    # Operator-at-a-time has no chunk loop: one pass, nothing to refuse.
+    chunked = "chunk" in MODELS[plan.model].tunable
     total = 0.0
     for pipeline in split_pipelines(graph):
+        shape = pipeline_shape(graph, pipeline, catalog,
+                               data_scale=data_scale)
         node_est = sum(estimates[nid] for nid in pipeline.node_ids)
-        placements = sorted({
-            graph.nodes[nid].device or default_device
-            for nid in pipeline.node_ids
-        })
-        device = devices[placements[0]]
-        scan_bytes = sum(
-            catalog.column(ref).nbytes for ref in pipeline.scan_refs
-        ) * data_scale
-        transfer_est = device.cost.transfer_seconds(
-            scan_bytes, direction=TransferDirection.H2D, pinned=False,
-        ) if scan_bytes else 0.0
-        if pipeline.scan_refs:
-            rows = catalog.column(
-                pipeline.scan_refs[0]).values.shape[0] * data_scale
-        else:
-            rows = 0
-        if plan.model == "oaat" or not pipeline.is_chunkable:
-            chunks = 1
-        else:
-            physical_rows = rows // data_scale
-            chunks = max(1, math.ceil(physical_rows / physical_chunk))
+        placements = pipeline_placements(graph, pipeline, default_device)
+        transfer_est = shape.pageable_transfer_seconds(
+            devices[placements[0]].cost)
+        rows = shape.physical_rows
+        chunks = (chunk_count(pipeline, rows, physical_chunk)
+                  if chunked else 1)
         total += node_est + transfer_est
         lines.append(
             f"  pipeline {pipeline.index}  device={'+'.join(placements)}  "
-            f"rows={rows}  chunks={chunks}  "
+            f"rows={rows * data_scale}  chunks={chunks}  "
             f"est={_fmt_seconds(node_est + transfer_est)}")
         if plan.adaptive and chunks > 1:
             if plan.model == "split_chunked" and len(devices) > 1:

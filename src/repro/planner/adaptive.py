@@ -261,17 +261,13 @@ class AdaptiveController:
         if key not in self._per_row:
             # Imported lazily to mirror the context's fusion import: the
             # core models call in here and the cost layer imports core.
-            from repro.planner.cost import estimate_pipeline_seconds
-            seconds = estimate_pipeline_seconds(
-                self.ctx.graph, pipeline, self.ctx.catalog, device,
+            from repro.planner.cost import pipeline_shape
+            shape = pipeline_shape(
+                self.ctx.graph, pipeline, self.ctx.catalog,
                 data_scale=self.ctx.data_scale,
             )
-            if pipeline.scan_refs:
-                total = int(self.ctx.catalog.column(
-                    pipeline.scan_refs[0]).values.shape[0])
-            else:
-                total = 1024
-            self._per_row[key] = seconds / max(1, total)
+            self._per_row[key] = (shape.pageable_seconds(device.cost)
+                                  / max(1, shape.start_rows))
         return self._per_row[key] * rows
 
     def corrected_chunk_seconds(self, pipeline: Pipeline, device,

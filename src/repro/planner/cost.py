@@ -25,15 +25,16 @@ Everything that turns "a plan" into "estimated seconds" lives here:
 
 All estimators deliberately reuse the same
 :class:`~repro.hardware.costmodel.CostModel` the simulated drivers
-charge, and the same selectivity-decay assumption, so EXPLAIN, the
-placement pass, the optimizer, and the simulation never disagree about
-what is cheap.
+charge, and read one description of a pipeline before it runs —
+:func:`pipeline_shape`, the one walk (scan rows, selectivity decay,
+group-key statistics, scan bytes) — so EXPLAIN, the placement pass, the
+optimizer, the adaptive predictor, the shard planner and the simulation
+never disagree about what is cheap.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
@@ -45,6 +46,7 @@ from repro.core.graph import PrimitiveGraph, PrimitiveNode
 from repro.core.models import MODELS, shallow_hash_pipeline
 from repro.core.pipelines import (
     Pipeline,
+    chunk_count,
     persisted_node_ids,
     split_pipelines,
 )
@@ -60,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = [
     "DEFAULT_SELECTIVITY",
     "MERGE_STEP_FACTOR",
-    "SELECTIVE_PRIMITIVES",
+    "NOMINAL_ROWS",
     "CostOverlayStore",
     "PipelineCost",
     "PlanCost",
@@ -73,19 +75,19 @@ __all__ = [
     "gather_seconds",
     "merge_seconds",
     "network_seconds",
+    "pipeline_placements",
+    "pipeline_shape",
     "routed_input_seconds",
     "shuffle_seconds",
 ]
 
-#: Primitives that shrink the row domain for everything downstream of
-#: them; the estimators decay cardinality by :data:`DEFAULT_SELECTIVITY`
-#: after each (a deliberate, uniform over-approximation).
-SELECTIVE_PRIMITIVES = ("materialize", "materialize_position",
-                       "hash_probe", "filter_position")
-DEFAULT_SELECTIVITY = 0.5
+#: Row-domain fraction the estimators assume survives a *selective*
+#: primitive (``PrimitiveDefinition.selective``) — a deliberate, uniform
+#: over-approximation, and the very number the fused sweep decays by.
+DEFAULT_SELECTIVITY = cal.FUSED_SELECTIVE_DECAY
 
 #: Nominal cardinality for breaker-only pipelines (no scan to size by).
-_NOMINAL_ROWS = 1024
+NOMINAL_ROWS = 1024
 
 #: Nominal byte width of a routed external input (hash table row).
 _ROUTED_ROW_BYTES = 16
@@ -228,43 +230,15 @@ def _group_key_ndv(graph: PrimitiveGraph, node: PrimitiveNode,
     """
     if node.defn.cost_key != "hash_agg" or "groups" in node.cost_params:
         return None
+    slot = None  # unfused: the first scan input is the key
     if node.cost_params.get("fused_steps"):
         slot = _fused_group_key_slot(node)
         if slot is None:
             return None
-        for edge in graph.in_edges(node.node_id):
-            if edge.input_index == slot and edge.is_scan:
-                return _column_ndv(catalog, edge.source.ref)
-        return None
     for edge in graph.in_edges(node.node_id):
-        if edge.is_scan:
+        if edge.is_scan and slot in (None, edge.input_index):
             return _column_ndv(catalog, edge.source.ref)
     return None
-
-
-def _chunk_groups(ndv: int, *, data_scale: int, chunks: int) -> int:
-    """Groups one of *chunks* chunks sees of a key with *ndv* distinct
-    values: TPC-H keys are clustered, so each chunk sees roughly its
-    slice of the key domain."""
-    return max(1, round(ndv / max(1, chunks))) * data_scale
-
-
-def _agg_groups(graph: PrimitiveGraph, node: PrimitiveNode,
-                catalog: Catalog, *, data_scale: int,
-                chunks: int = 1) -> int | None:
-    """Estimated group count a HASH_AGG kernel will see.
-
-    The simulated driver charges hash_agg's atomic-contention curve
-    with the *true* per-chunk group count (it runs the kernel
-    functionally first).  The planner cannot, so it stands in the
-    group-key column's distinct count (:func:`_group_key_ndv`) divided
-    across chunks (:func:`_chunk_groups`).  Returns None when there is
-    no statistic to use.
-    """
-    ndv = _group_key_ndv(graph, node, catalog)
-    if ndv is None:
-        return None
-    return _chunk_groups(ndv, data_scale=data_scale, chunks=chunks)
 
 
 def _node_decay(node: PrimitiveNode) -> float:
@@ -276,7 +250,7 @@ def _node_decay(node: PrimitiveNode) -> float:
     decay is priced inside ``fused_kernel_seconds`` — this is the decay
     its *successors* see).
     """
-    if node.primitive in SELECTIVE_PRIMITIVES:
+    if node.defn.selective:
         return DEFAULT_SELECTIVITY
     fused_steps = node.cost_params.get("fused_steps")
     if fused_steps:
@@ -284,6 +258,171 @@ def _node_decay(node: PrimitiveNode) -> float:
                         if len(step) > 2 and step[2])
         return DEFAULT_SELECTIVITY ** selective
     return 1.0
+
+
+class _NodeShape(NamedTuple):
+    """What pricing one node needs, on any device at any chunk count."""
+
+    node_id: str
+    cost_key: str
+    #: ``node.cost_params`` without the fusion pass's bookkeeping keys.
+    cost_params: dict
+    fused_steps: tuple | None
+    #: Kernel arguments one launch maps.
+    launch_args: int
+    #: Row domain at this node (the scan cardinality, decayed), clamped
+    #: to the at-least-one row a kernel is charged for.
+    rows: int
+    # What only the walk knows (:func:`pipeline_shape`); a node priced on
+    # its own (:func:`estimate_node_seconds`) carries the defaults.
+    #: Row domain the node leaves its successors: its own decay applied,
+    #: not clamped.
+    rows_after: float = 0.0
+    #: Group-key distinct count when the contention term divides by the
+    #: chunk count (:func:`_group_key_ndv`); None for every other node.
+    group_ndv: int | None = None
+    #: Scan bytes the node reads (what a zero-copy kernel pulls over
+    #: the interconnect itself).
+    scan_bytes: int = 0
+
+    @classmethod
+    def of(cls, node: PrimitiveNode, rows: float, **walk) -> "_NodeShape":
+        cost_params = dict(node.cost_params)
+        fused_steps = cost_params.pop("fused_steps", None)
+        fused_num_args = cost_params.pop("fused_num_args", None)
+        return cls(
+            node_id=node.node_id, cost_key=node.defn.cost_key,
+            cost_params=cost_params, fused_steps=fused_steps,
+            launch_args=(int(fused_num_args or 2)
+                         if fused_steps is not None else 2),
+            rows=max(1, int(rows)), **walk)
+
+    def groups(self, data_scale: int, chunks: int = 1) -> int | None:
+        """Estimated group count a HASH_AGG kernel will see in one of
+        *chunks* chunks.
+
+        The simulated driver charges hash_agg's atomic-contention curve
+        with the *true* per-chunk group count (it runs the kernel
+        functionally first).  The planner cannot, so it stands in the
+        group-key column's distinct count (:func:`_group_key_ndv`)
+        divided across chunks: TPC-H keys are clustered, so each chunk
+        sees roughly its slice of the key domain.  Returns None when
+        there is no statistic to use.
+        """
+        if self.group_ndv is None:
+            return None
+        return max(1, round(self.group_ndv / max(1, chunks))) * data_scale
+
+    def kernel_seconds(self, cost: CostModel, groups: int | None) -> float:
+        """Calibrated kernel time on *cost*'s device: the cost key's
+        rate, or the fused sweep over the recorded step list.  A group
+        count the node's own ``cost_params`` pin beats *groups*."""
+        params = self.cost_params
+        if groups is not None and "groups" not in params:
+            params = {**params, "groups": groups}
+        if self.fused_steps is not None:
+            return cost.fused_kernel_seconds(
+                self.fused_steps, self.rows, groups=params.get("groups"))
+        return cost.kernel_seconds(self.cost_key, self.rows, **params)
+
+    def seconds(self, cost: CostModel, groups: int | None) -> float:
+        """One launch plus the kernel."""
+        return (cost.launch_seconds(self.launch_args)
+                + self.kernel_seconds(cost, groups))
+
+
+@dataclass(eq=False)
+class _PipelineShape:
+    """The device- and chunk-independent facts of one pipeline of one
+    graph (:func:`pipeline_shape`) and, in a :class:`PricingTable`,
+    what the table knows of the graph around it and everything it has
+    priced from them."""
+
+    pipeline: Pipeline
+    data_scale: int
+    #: Physical rows of the leading scan (0 for breaker-only pipelines).
+    physical_rows: int
+    #: Physical rows the walk starts from: the leading scan's, or
+    #: :data:`NOMINAL_ROWS` for a breaker-only pipeline.
+    start_rows: int
+    scan_bytes: int
+    nodes: tuple[_NodeShape, ...]
+    # -- filled in by PricingTable._shape --
+    #: Device the graph's annotations put the pipeline on.
+    annotated: str = ""
+    shallow_hash: bool = False
+    #: Pipeline index producing each external input, in their order.
+    producers: tuple[int | None, ...] = ()
+    #: ``(device, zero_copy)`` -> :meth:`PricingTable._walk`.
+    walks: dict = field(default_factory=dict)
+    #: ``(device, chunks, pinned, zero_copy, pinned_penalty)`` ->
+    #: :meth:`PricingTable._components`.
+    components: dict = field(default_factory=dict)
+    #: Live subplan-cache entries of every persisted node, or () when
+    #: one is missing (None until resolved).
+    cached: tuple | None = None
+    #: Device label -> what serving the pipeline from those entries costs.
+    served: dict = field(default_factory=dict)
+
+    def pageable_transfer_seconds(self, cost: CostModel) -> float:
+        """The whole scan volume to the device at pageable bandwidth."""
+        if not self.scan_bytes:
+            return 0.0
+        return cost.transfer_seconds(
+            self.scan_bytes, direction=TransferDirection.H2D, pinned=False)
+
+    def pageable_seconds(self, cost: CostModel) -> float:
+        """:func:`estimate_pipeline_seconds` on *cost*'s device."""
+        seconds = self.pageable_transfer_seconds(cost)
+        for node in self.nodes:
+            seconds += cost.launch_seconds(node.launch_args)
+            seconds += node.kernel_seconds(cost, node.groups(self.data_scale))
+        return seconds
+
+
+def pipeline_shape(graph: PrimitiveGraph, pipeline: Pipeline,
+                   catalog: Catalog, *, data_scale: int = 1
+                   ) -> _PipelineShape:
+    """Describe *pipeline* before it runs — the one walk every estimate
+    reads.
+
+    The row domain starts at the leading scan column's cardinality (a
+    nominal :data:`NOMINAL_ROWS` for breaker-only pipelines) times
+    *data_scale* and decays after every selective node
+    (:func:`_node_decay`); each node records the clamped row count it is
+    priced at, the row domain it leaves behind, its group key's distinct
+    count and the scan bytes it reads.  Nothing here depends on a
+    device, a chunk size or the graph's placement annotations.
+    """
+    physical_rows = (catalog.column(pipeline.scan_refs[0]).values.shape[0]
+                     if pipeline.scan_refs else 0)
+    start_rows = physical_rows if pipeline.scan_refs else NOMINAL_ROWS
+    depth_rows = float(start_rows * data_scale)
+    nodes = []
+    for nid in pipeline.node_ids:
+        node = graph.nodes[nid]
+        rows, depth_rows = depth_rows, depth_rows * _node_decay(node)
+        nodes.append(_NodeShape.of(
+            node, rows, rows_after=depth_rows,
+            group_ndv=_group_key_ndv(graph, node, catalog),
+            scan_bytes=sum(
+                catalog.column(e.source.ref).nbytes
+                for e in graph.in_edges(nid) if e.is_scan
+            ) * data_scale))
+    return _PipelineShape(
+        pipeline=pipeline, data_scale=data_scale,
+        physical_rows=physical_rows, start_rows=start_rows,
+        scan_bytes=sum(catalog.column(ref).nbytes
+                       for ref in pipeline.scan_refs) * data_scale,
+        nodes=tuple(nodes))
+
+
+def pipeline_placements(graph: PrimitiveGraph, pipeline: Pipeline,
+                        default_device: str) -> list[str]:
+    """Devices *pipeline*'s nodes are annotated with, sorted; pipeline-
+    level estimates price it on the first."""
+    return sorted({graph.nodes[nid].device or default_device
+                   for nid in pipeline.node_ids})
 
 
 def estimate_node_seconds(node: PrimitiveNode, device: SimulatedDevice,
@@ -299,22 +438,10 @@ def estimate_node_seconds(node: PrimitiveNode, device: SimulatedDevice,
 
     Args:
         groups: Estimated group cardinality for aggregation primitives
-            (see :func:`_agg_groups`); ignored when the node's own
+            (see :meth:`_NodeShape.groups`); ignored when the node's own
             ``cost_params`` already pin a group count.
     """
-    cost = device.cost
-    n = max(1, int(n_elements))
-    cost_params = dict(node.cost_params)
-    fused_steps = cost_params.pop("fused_steps", None)
-    fused_num_args = cost_params.pop("fused_num_args", None)
-    if groups is not None and "groups" not in cost_params:
-        cost_params["groups"] = groups
-    if fused_steps is not None:
-        launch = cost.launch_seconds(int(fused_num_args or 2))
-        return launch + cost.fused_kernel_seconds(
-            fused_steps, n, groups=cost_params.get("groups"))
-    return cost.launch_seconds(2) + cost.kernel_seconds(
-        node.defn.cost_key, n, **cost_params)
+    return _NodeShape.of(node, n_elements).seconds(device.cost, groups)
 
 
 def estimate_graph_seconds(graph: PrimitiveGraph, catalog: Catalog,
@@ -325,24 +452,18 @@ def estimate_graph_seconds(graph: PrimitiveGraph, catalog: Catalog,
 
     Walks each pipeline in order, decaying the row domain after
     selective primitives, and returns ``{node_id: estimated_seconds}``
-    (kernel + launch only; transfers are pipeline-level and reported
-    separately by EXPLAIN).
+    (kernel + launch only, each node on its own annotated device;
+    transfers are pipeline-level and reported separately by EXPLAIN).
     """
     estimates: dict[str, float] = {}
     for pipeline in split_pipelines(graph):
-        if pipeline.scan_refs:
-            rows = catalog.column(pipeline.scan_refs[0]).values.shape[0]
-        else:
-            rows = _NOMINAL_ROWS
-        depth_rows = float(rows * data_scale)
-        for nid in pipeline.node_ids:
-            node = graph.nodes[nid]
-            device = devices[node.device or default_device]
-            estimates[nid] = estimate_node_seconds(
-                node, device, max(1, int(depth_rows)),
-                groups=_agg_groups(graph, node, catalog,
-                                   data_scale=data_scale))
-            depth_rows *= _node_decay(node)
+        shape = pipeline_shape(graph, pipeline, catalog,
+                               data_scale=data_scale)
+        for node in shape.nodes:
+            device = devices[graph.nodes[node.node_id].device
+                             or default_device]
+            estimates[node.node_id] = node.seconds(
+                device.cost, node.groups(data_scale))
     return estimates
 
 
@@ -355,40 +476,8 @@ def estimate_pipeline_seconds(graph: PrimitiveGraph, pipeline: Pipeline,
     the (decayed) scan cardinality + launch overheads.  This is the
     device-comparison estimate the greedy placement pass minimizes.
     """
-    cost = device.cost
-    scan_bytes = sum(
-        catalog.column(ref).nbytes for ref in pipeline.scan_refs
-    ) * data_scale
-    seconds = cost.transfer_seconds(
-        scan_bytes, direction=TransferDirection.H2D, pinned=False,
-    ) if scan_bytes else 0.0
-
-    if pipeline.scan_refs:
-        rows = catalog.column(pipeline.scan_refs[0]).values.shape[0]
-    else:
-        rows = _NOMINAL_ROWS
-    rows *= data_scale
-
-    depth_rows = float(rows)
-    for nid in pipeline.node_ids:
-        node = graph.nodes[nid]
-        n = max(1, int(depth_rows))
-        cost_params = dict(node.cost_params)
-        fused_steps = cost_params.pop("fused_steps", None)
-        fused_num_args = cost_params.pop("fused_num_args", None)
-        groups = _agg_groups(graph, node, catalog, data_scale=data_scale)
-        if groups is not None and "groups" not in cost_params:
-            cost_params["groups"] = groups
-        if fused_steps is not None:
-            seconds += cost.launch_seconds(int(fused_num_args or 2))
-            seconds += cost.fused_kernel_seconds(
-                fused_steps, n, groups=cost_params.get("groups"))
-        else:
-            seconds += cost.launch_seconds(2)
-            seconds += cost.kernel_seconds(node.defn.cost_key, n,
-                                           **cost_params)
-        depth_rows *= _node_decay(node)
-    return seconds
+    return pipeline_shape(graph, pipeline, catalog, data_scale=data_scale
+                          ).pageable_seconds(device.cost)
 
 
 # -- whole-plan pricing ------------------------------------------------------
@@ -432,66 +521,9 @@ def routed_input_seconds(device: SimulatedDevice, data_scale: int) -> float:
     table from an earlier pipeline) to reach *device*: a nominal table,
     pageable.  The one routing charge, added by the placement pass and
     the plan pricer alike."""
-    nbytes = _NOMINAL_ROWS * data_scale * _ROUTED_ROW_BYTES
+    nbytes = NOMINAL_ROWS * data_scale * _ROUTED_ROW_BYTES
     return device.cost.transfer_seconds(
         nbytes, direction=TransferDirection.H2D, pinned=False)
-
-
-class _NodeShape(NamedTuple):
-    """What pricing one node needs, on any device at any chunk count."""
-
-    cost_key: str
-    #: ``node.cost_params`` without the fusion pass's bookkeeping keys.
-    cost_params: dict
-    fused_steps: tuple | None
-    #: Kernel arguments one launch maps.
-    launch_args: int
-    #: Row domain at this node (the scan cardinality, decayed).
-    rows: int
-    #: Group-key distinct count when the contention term divides by the
-    #: chunk count (:func:`_group_key_ndv`); None for every other node.
-    group_ndv: int | None
-    #: Scan bytes the node reads (what a zero-copy kernel pulls over
-    #: the interconnect itself).
-    scan_bytes: int
-
-    def kernel_seconds(self, cost: CostModel, groups: int | None) -> float:
-        params = self.cost_params
-        if groups is not None:
-            params = {**params, "groups": groups}
-        if self.fused_steps is not None:
-            return cost.fused_kernel_seconds(
-                self.fused_steps, self.rows, groups=params.get("groups"))
-        return cost.kernel_seconds(self.cost_key, self.rows, **params)
-
-
-@dataclass(eq=False)
-class _PipelineShape:
-    """The device- and chunk-independent facts of one pipeline of one
-    graph, and everything :class:`PricingTable` has priced from them."""
-
-    pipeline: Pipeline
-    #: Device the graph's annotations put the pipeline on.
-    annotated: str
-    #: Physical rows of the leading scan (0 for breaker-only pipelines).
-    physical_rows: int
-    #: Streams a scan and holds no full-input primitive.
-    streamable: bool
-    scan_bytes: int
-    shallow_hash: bool
-    nodes: tuple[_NodeShape, ...]
-    #: Pipeline index producing each external input, in their order.
-    producers: tuple[int | None, ...]
-    #: ``(device, zero_copy)`` -> :meth:`PricingTable._walk`.
-    walks: dict = field(default_factory=dict)
-    #: ``(device, chunks, pinned, zero_copy, pinned_penalty)`` ->
-    #: :meth:`PricingTable._components`.
-    components: dict = field(default_factory=dict)
-    #: Live subplan-cache entries of every persisted node, or () when
-    #: one is missing (None until resolved).
-    cached: tuple | None = None
-    #: Device label -> what serving the pipeline from those entries costs.
-    served: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -591,45 +623,14 @@ class PricingTable:
 
     def _shape(self, graph: PrimitiveGraph, pipeline: Pipeline,
                producer: dict[str, int]) -> _PipelineShape:
-        catalog, data_scale = self.catalog, self.data_scale
-        physical_rows = (
-            catalog.column(pipeline.scan_refs[0]).values.shape[0]
-            if pipeline.scan_refs else 0)
-        depth_rows = float(
-            (physical_rows if pipeline.scan_refs else _NOMINAL_ROWS)
-            * data_scale)
-        nodes = []
-        for nid in pipeline.node_ids:
-            node = graph.nodes[nid]
-            cost_params = dict(node.cost_params)
-            fused_steps = cost_params.pop("fused_steps", None)
-            fused_num_args = cost_params.pop("fused_num_args", None)
-            nodes.append(_NodeShape(
-                cost_key=node.defn.cost_key, cost_params=cost_params,
-                fused_steps=fused_steps,
-                launch_args=(int(fused_num_args or 2)
-                             if fused_steps is not None else 2),
-                rows=max(1, int(depth_rows)),
-                group_ndv=_group_key_ndv(graph, node, catalog),
-                scan_bytes=sum(
-                    catalog.column(e.source.ref).nbytes
-                    for e in graph.in_edges(nid) if e.is_scan
-                ) * data_scale))
-            depth_rows *= _node_decay(node)
-        return _PipelineShape(
-            pipeline=pipeline,
-            annotated=sorted({graph.nodes[nid].device or self.default_device
-                              for nid in pipeline.node_ids})[0],
-            physical_rows=physical_rows,
-            streamable=pipeline.is_chunkable and not any(
-                graph.nodes[nid].defn.requires_full_input
-                for nid in pipeline.node_ids),
-            scan_bytes=sum(catalog.column(ref).nbytes
-                           for ref in pipeline.scan_refs) * data_scale,
-            shallow_hash=shallow_hash_pipeline(graph, pipeline),
-            nodes=tuple(nodes),
-            producers=tuple(producer.get(ext)
-                            for ext in pipeline.external_inputs))
+        shape = pipeline_shape(graph, pipeline, self.catalog,
+                               data_scale=self.data_scale)
+        shape.annotated = pipeline_placements(graph, pipeline,
+                                              self.default_device)[0]
+        shape.shallow_hash = shallow_hash_pipeline(graph, pipeline)
+        shape.producers = tuple(producer.get(ext)
+                                for ext in pipeline.external_inputs)
+        return shape
 
     def _walk(self, shape: _PipelineShape, device: SimulatedDevice,
               zero_copy: bool) -> tuple[tuple, tuple, float]:
@@ -692,9 +693,8 @@ class PricingTable:
         for node, per_launch, seconds in zip(shape.nodes, launches, kernels):
             launch += chunks * per_launch
             if seconds is None:
-                seconds = node.kernel_seconds(cost, _chunk_groups(
-                    node.group_ndv, data_scale=self.data_scale,
-                    chunks=chunks))
+                seconds = node.kernel_seconds(
+                    cost, node.groups(self.data_scale, chunks))
             kernel += seconds
         return transfer, kernel + uma, launch
 
@@ -738,14 +738,14 @@ class PricingTable:
         placed: dict[int, str] = {}  # pipeline -> device (routing charges)
         pipeline_costs: list[PipelineCost] = []
         for shape in self._shapes(graph).pipelines:
-            index = shape.pipeline.index
+            pipeline = shape.pipeline
+            index = pipeline.index
             dev_name = placement.get(index, shape.annotated)
-            chunkable = traits.chunked and shape.streamable
-            chunks = (max(1, math.ceil(shape.physical_rows / physical_chunk))
-                      if chunkable else 1)
+            chunks = (chunk_count(pipeline, shape.physical_rows,
+                                  physical_chunk) if traits.chunked else 1)
             placed[index] = dev_name
 
-            if traits.participants and chunkable:
+            if traits.participants and traits.chunked and pipeline.streams:
                 # Static proportional split: the model hands each device
                 # a share of chunks proportional to its coarse
                 # streaming-rate proxy, NOT to its true per-pipeline cost
@@ -815,7 +815,6 @@ class PricingTable:
         return self._discount_cached(graph, PlanCost(
             total=sum(p.total for p in pipeline_costs),
             pipelines=tuple(pipeline_costs)))
-
 
     def _discount_cached(self, graph: PrimitiveGraph,
                          cost: PlanCost) -> PlanCost:

@@ -63,6 +63,7 @@ from typing import Iterable
 
 from repro.core.graph import PrimitiveGraph, ScanSource
 from repro.planner.ir import Pass, PhysicalPlan
+from repro.primitives.definitions import FUSED_PRIMITIVES
 
 __all__ = ["FUSED_PRIMITIVE", "FUSED_PROBE_PRIMITIVE", "FUSED_AGG_PRIMITIVE",
            "FUSED_PRIMITIVES", "FUSIBLE", "PROBE_FUSIBLE", "AGG_SINKS",
@@ -78,11 +79,6 @@ FUSED_PROBE_PRIMITIVE = "fused_probe_path"
 #: Name of the synthetic primitive an aggregation-terminated chain
 #: collapses into (a pipeline breaker, like its sink).
 FUSED_AGG_PRIMITIVE = "fused_filter_agg"
-
-#: All fused primitive names (what the runtime and EXPLAIN recognise).
-FUSED_PRIMITIVES = frozenset({
-    FUSED_PRIMITIVE, FUSED_PROBE_PRIMITIVE, FUSED_AGG_PRIMITIVE,
-})
 
 #: Element-wise primitives: one value per input row, never breakers
 #: (``between`` indicators are MAP ops and ride along).
@@ -104,13 +100,6 @@ AGG_SINKS = frozenset({"hash_agg", "agg_block"})
 
 #: Everything that may merge *upward* into a consumer group.
 _MERGEABLE = FUSIBLE | PROBE_FUSIBLE
-
-#: Steps that shrink the row domain for everything after them; the cost
-#: model decays the fused sweep size past each one (mirrors
-#: SELECTIVE_PRIMITIVES in the planner's node estimator).
-_SELECTIVE_STEPS = frozenset({
-    "filter_position", "materialize", "materialize_position", "hash_probe",
-})
 
 #: Input-slot budget of the fused primitive definitions; groups needing
 #: more external inputs are split into smaller groups.
@@ -175,8 +164,10 @@ def _plan_group(graph: PrimitiveGraph, members: list[str]
             "params": dict(node.params),
             "args": args,
         })
+        # The third entry: the cost model decays the fused sweep size
+        # past each selective step, as the estimators do past the node.
         plan.cost_steps.append((node.defn.cost_key, reads_memory,
-                                node.primitive in _SELECTIVE_STEPS))
+                                node.defn.selective))
         plan.num_args += len(args) + 1  # inputs plus the step's output
     return plan
 

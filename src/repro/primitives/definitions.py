@@ -5,7 +5,9 @@ A :class:`PrimitiveDefinition` fixes, for one database primitive:
 * its **I/O semantics** (what edge types it consumes and produces), so any
   custom implementation adhering to the signature can be plugged in;
 * whether it is a **pipeline breaker** (marked with a dagger in Table I) —
-  the runtime materializes breaker results and ends the pipeline there;
+  the runtime materializes breaker results and ends the pipeline there —
+  whether it is **selective** (shrinks the row domain downstream) and
+  whether it **requires its full input** (is not chunk-decomposable);
 * its **cost key** into the calibrated rate tables;
 * an **output-size estimator** used by ``prepare_output_buffer()``.
 
@@ -22,7 +24,15 @@ from dataclasses import dataclass
 from repro.errors import UnknownPrimitiveError
 from repro.primitives.values import IOSemantic as S
 
-__all__ = ["PrimitiveDefinition", "PRIMITIVES", "register_primitive", "definition"]
+__all__ = ["FUSED_PRIMITIVES", "PrimitiveDefinition", "PRIMITIVES",
+           "register_primitive", "definition"]
+
+#: The fused node kinds registered below — what the fusion pass
+#: collapses regions into, and what the runtime, the fingerprints and
+#: EXPLAIN recognise as fused.
+FUSED_PRIMITIVES = frozenset({
+    "fused_map_filter", "fused_probe_path", "fused_filter_agg",
+})
 
 
 @dataclass(frozen=True)
@@ -46,6 +56,10 @@ class PrimitiveDefinition:
         requires_full_input: The primitive is not decomposable over chunks
             (sorting); plans containing it only run when the pipeline
             processes its input in a single chunk (e.g. operator-at-a-time).
+        selective: The primitive shrinks the row domain for everything
+            downstream of it (gathers, probes, positional filters); the
+            estimators decay cardinality once per selective node, the
+            fused sweep once per selective step.
     """
 
     name: str
@@ -57,6 +71,7 @@ class PrimitiveDefinition:
     optional_inputs: int = 0
     chunk_offset_param: str | None = None
     requires_full_input: bool = False
+    selective: bool = False
 
     @property
     def min_inputs(self) -> int:
@@ -141,6 +156,7 @@ register_primitive(PrimitiveDefinition(
     pipeline_breaker=False,
     cost_key="filter_position",
     estimate_output_bytes=_selected,
+    selective=True,
 ))
 
 register_primitive(PrimitiveDefinition(
@@ -223,6 +239,7 @@ register_primitive(PrimitiveDefinition(
     pipeline_breaker=False,
     cost_key="materialize",
     estimate_output_bytes=_selected,
+    selective=True,
 ))
 
 register_primitive(PrimitiveDefinition(
@@ -232,6 +249,7 @@ register_primitive(PrimitiveDefinition(
     pipeline_breaker=False,
     cost_key="materialize_position",
     estimate_output_bytes=_selected,
+    selective=True,
 ))
 
 register_primitive(PrimitiveDefinition(
@@ -271,6 +289,7 @@ register_primitive(PrimitiveDefinition(
     pipeline_breaker=False,
     cost_key="hash_probe",
     estimate_output_bytes=_selected,
+    selective=True,
 ))
 
 register_primitive(PrimitiveDefinition(
