@@ -19,7 +19,11 @@ from __future__ import annotations
 
 from repro.core.graph import PrimitiveGraph, PrimitiveNode
 from repro.core.models import MODELS
-from repro.core.pipelines import chunk_count, split_pipelines
+from repro.core.pipelines import (
+    chunk_count,
+    full_input_refusal,
+    split_pipelines,
+)
 from repro.devices.base import SimulatedDevice
 from repro.errors import ExecutionError
 from repro.planner.compile import compile_plan
@@ -148,11 +152,17 @@ def explain(graph: PrimitiveGraph, catalog: Catalog, *,
         rows = shape.physical_rows
         chunks = (chunk_count(pipeline, rows, physical_chunk)
                   if chunked else 1)
+        refusal = (full_input_refusal(pipeline, rows, physical_chunk)
+                   if chunked else None)
         total += node_est + transfer_est
         lines.append(
             f"  pipeline {pipeline.index}  device={'+'.join(placements)}  "
-            f"rows={rows * data_scale}  chunks={chunks}  "
+            f"rows={rows * data_scale}  "
+            f"chunks={chunks if refusal is None else 'refused'}  "
             f"est={_fmt_seconds(node_est + transfer_est)}")
+        if refusal is not None:
+            # What the run will do with this plan: raise exactly this.
+            lines.append(f"    refused: {refusal}")
         if plan.adaptive and chunks > 1:
             if plan.model == "split_chunked" and len(devices) > 1:
                 lines.append(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
+from repro.observe import explain
 from repro.primitives.kernels import group_prefix, sort_positions
 from repro.tpch import reference
 from repro.tpch.queries import q1_sorted
@@ -49,6 +50,33 @@ class TestQ1SortedPlan:
         with pytest.raises(ExecutionError, match="full input"):
             executor.run(q1_sorted.build(), small_catalog, model="chunked",
                          chunk_size=1024)
+
+    def test_explain_renders_the_refusal_the_run_raises(self, small_catalog):
+        """EXPLAIN used to promise ``chunks=59`` for a plan the chunk
+        loop refuses; it renders the refusal, in the run's own words."""
+        executor = make_executor()
+        flags = dict(model="chunked", chunk_size=1024)
+        with pytest.raises(ExecutionError) as refused:
+            executor.run(q1_sorted.build(), small_catalog, **flags)
+        text = explain(q1_sorted.build(), small_catalog,
+                       devices=executor.devices, **flags)
+        assert f"    refused: {refused.value}" in text.splitlines()
+        assert "['order', 'boundaries']" in text
+        assert "chunks=refused" in text
+        rows = small_catalog.column("lineitem.l_shipdate").values.shape[0]
+        assert f"covering all {rows} rows" in text
+        assert f"chunks={-(-rows // 1024)}" not in text
+
+    def test_explain_at_a_covering_chunk_is_one_chunk(self, small_catalog):
+        executor = make_executor()
+        text = explain(q1_sorted.build(), small_catalog,
+                       devices=executor.devices, model="chunked",
+                       chunk_size=1 << 21)
+        assert "chunks=1 " in text and "refused" not in text
+        # Operator-at-a-time has no chunk loop, so nothing to refuse.
+        assert "refused" not in explain(
+            q1_sorted.build(), small_catalog, devices=executor.devices,
+            model="oaat", chunk_size=1024)
 
     def test_single_covering_chunk_allowed(self, small_catalog):
         executor = make_executor()
