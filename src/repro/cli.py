@@ -46,24 +46,9 @@ from repro.hardware import (
     NETWORK_TIERS,
 )
 from repro.tpch import generate, reference
-from repro.tpch.queries import (q1, q3, q4, q5, q6, q10, q12, q14,
-                                q18, q19)
+from repro.tpch.queries import QUERIES
 
 __all__ = ["main"]
-
-QUERIES = {"q1": q1, "q3": q3, "q4": q4, "q5": q5, "q6": q6,
-           "q10": q10, "q12": q12, "q14": q14, "q18": q18, "q19": q19}
-
-#: Queries whose ``build()`` needs the catalog (selectivity-dependent
-#: literals resolved against the generated data).
-CATALOG_QUERIES = ("q3", "q5", "q10", "q12", "q14", "q19")
-
-ORACLES = {
-    "q1": reference.q1, "q3": reference.q3, "q4": reference.q4,
-    "q5": reference.q5, "q6": reference.q6, "q10": reference.q10,
-    "q12": reference.q12, "q14": reference.q14, "q18": reference.q18,
-    "q19": reference.q19,
-}
 
 DRIVERS = {
     "cuda": (CudaDevice, "GPU"),
@@ -92,25 +77,14 @@ DRIVER_DEFAULT_SPECS = {
 }
 
 
-def _resolve_device(driver_name, spec_name=None):
-    """Map CLI driver/spec names to (driver class, kind, spec)."""
-    driver, kind = DRIVERS[driver_name]
-    if spec_name:
-        spec = SPECS[spec_name]
-    else:
-        spec = DRIVER_DEFAULT_SPECS.get(
-            driver_name,
-            GPU_RTX_2080_TI if kind == "GPU" else CPU_I7_8700)
-    return driver, kind, spec
-
-
 #: ``--adaptive`` help shared by the subcommands that execute queries.
 ADAPTIVE_HELP = ("enable adaptive execution (online calibration, dynamic "
                  "chunk sizing, work stealing)")
 
 
 def _add_plan_options(cmd, *, sf, chunk_size, described=False,
-                      adaptive=None) -> None:
+                      adaptive=None, optimizer=False, faults=None,
+                      analyze=None, metrics_out=None, nodes=None) -> None:
     """Declare the data / device / plan flags the query subcommands share.
 
     Args:
@@ -119,6 +93,9 @@ def _add_plan_options(cmd, *, sf, chunk_size, described=False,
         adaptive: Help text of ``--adaptive``; a subcommand that passes
             none (``serve`` — its requests come from the workload
             generator) gets neither ``--no-fuse`` nor ``--adaptive``.
+        optimizer: Declare ``--model`` (with ``auto``) and ``--optimize``.
+        faults, analyze, metrics_out, nodes: Help text of that flag
+            (``--nodes`` brings ``--network``); None leaves it out.
     """
     def doc(text):
         return text if described else None
@@ -141,6 +118,28 @@ def _add_plan_options(cmd, *, sf, chunk_size, described=False,
                               + (" (MAP/FILTER chains run as individual "
                                  "kernels)" if described else ""))
         cmd.add_argument("--adaptive", action="store_true", help=adaptive)
+    if optimizer:
+        cmd.add_argument("--model", choices=[*sorted(MODELS), "auto"],
+                         default=None,
+                         help="execution model (default chunked); "
+                              "'auto' asks the cost-based optimizer")
+        cmd.add_argument("--optimize", action="store_true",
+                         help="let the cost-based optimizer pick model, "
+                              "placement, fusion and chunk size (same as "
+                              "--model auto; conflicts with an explicit "
+                              "--model)")
+    if faults is not None:
+        cmd.add_argument("--faults", default=None, metavar="SPEC", help=faults)
+    if analyze is not None:
+        cmd.add_argument("--analyze", action="store_true", help=analyze)
+    if metrics_out is not None:
+        cmd.add_argument("--metrics-out", default=None, metavar="PATH",
+                         help=metrics_out)
+    if nodes is not None:
+        cmd.add_argument("--nodes", type=int, default=1, help=nodes)
+        cmd.add_argument("--network", choices=sorted(NETWORK_TIERS),
+                         default="eth_100g",
+                         help="network tier between nodes (default eth_100g)")
 
 
 def _plan_kwargs(args) -> dict:
@@ -194,18 +193,16 @@ def _build_parser() -> argparse.ArgumentParser:
     concurrent.add_argument("--queries", default="q3,q4,q6",
                             help="comma-separated query list "
                                  "(default q3,q4,q6)")
-    _add_plan_options(concurrent, sf=0.01, chunk_size=2048,
-                      adaptive=ADAPTIVE_HELP)
-    concurrent.add_argument("--model",
-                            choices=[*sorted(MODELS), "auto"],
-                            default=None,
-                            help="execution model (default chunked); "
-                                 "'auto' asks the cost-based optimizer")
-    concurrent.add_argument("--optimize", action="store_true",
-                            help="let the cost-based optimizer pick "
-                                 "model, placement, fusion and chunk "
-                                 "size (same as --model auto; conflicts "
-                                 "with an explicit --model)")
+    _add_plan_options(
+        concurrent, sf=0.01, chunk_size=2048, adaptive=ADAPTIVE_HELP,
+        optimizer=True,
+        faults="inject faults, e.g. 'dev0:transient:0.05,seed=7' "
+               "(device:kind:value[:primitive], kinds: transient, oom, "
+               "latency, device_loss)",
+        analyze="print a per-node ANALYZE profile for each query of the "
+                "final round",
+        metrics_out="write the engine's metrics after the batch (.json -> "
+                    "JSON, otherwise Prometheus text format)")
     concurrent.add_argument("--rounds", type=int, default=2,
                             help="repeat the batch to show the residency "
                                  "cache warming up (default 2)")
@@ -213,18 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="disable the cross-query subplan "
                                  "result cache (computed intermediates "
                                  "are re-derived every round)")
-    concurrent.add_argument("--faults", default=None, metavar="SPEC",
-                            help="inject faults, e.g. "
-                                 "'dev0:transient:0.05,seed=7' "
-                                 "(device:kind:value[:primitive], kinds: "
-                                 "transient, oom, latency, device_loss)")
-    concurrent.add_argument("--analyze", action="store_true",
-                            help="print a per-node ANALYZE profile for "
-                                 "each query of the final round")
-    concurrent.add_argument("--metrics-out", default=None, metavar="PATH",
-                            help="write the engine's metrics after the "
-                                 "batch (.json -> JSON, otherwise "
-                                 "Prometheus text format)")
 
     serve = sub.add_parser(
         "serve",
@@ -236,7 +221,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--duration", type=float, default=0.02,
                        help="arrival window in virtual seconds "
                             "(default 0.02)")
-    _add_plan_options(serve, sf=0.002, chunk_size=2048)
+    _add_plan_options(
+        serve, sf=0.002, chunk_size=2048,
+        faults="inject faults while serving, e.g. "
+               "'dev0:transient:0.05,seed=7'",
+        metrics_out="write the engine's metrics after the run")
     serve.add_argument("--queries", default="q1,q6,q14,q19",
                        help="comma-separated query mix "
                             "(default q1,q6,q14,q19)")
@@ -264,9 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-preempt", action="store_true",
                        help="disable chunk-boundary preemption of "
                             "batch pipelines by interactive arrivals")
-    serve.add_argument("--faults", default=None, metavar="SPEC",
-                       help="inject faults while serving, e.g. "
-                            "'dev0:transient:0.05,seed=7'")
     serve.add_argument("--scenario", choices=sorted(SCENARIOS),
                        default=None,
                        help="named chaos scenario (conflicts with "
@@ -274,8 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--explain-admission", action="store_true",
                        help="print the admission decision log after "
                             "the run")
-    serve.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write the engine's metrics after the run")
 
     explain_cmd = sub.add_parser(
         "explain",
@@ -283,9 +267,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "variants, cost estimates) without running it")
     explain_cmd.add_argument("query", nargs="?", default="q6",
                              choices=sorted(QUERIES))
-    _add_plan_options(explain_cmd, sf=0.01, chunk_size=DEFAULT_CHUNK_SIZE,
-                      adaptive="annotate the plan with adaptive-execution "
-                               "actions")
+    _add_plan_options(
+        explain_cmd, sf=0.01, chunk_size=DEFAULT_CHUNK_SIZE,
+        adaptive="annotate the plan with adaptive-execution actions",
+        nodes="EXPLAIN DISTRIBUTED mode: render the scale-out plan for "
+              "this many simulated nodes (>= 2)")
     explain_cmd.add_argument("--model", choices=sorted(MODELS),
                              default="chunked")
     explain_cmd.add_argument("--plans", type=int, default=None,
@@ -294,76 +280,72 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "optimizer's top-K ranked candidates "
                                   "with cost breakdowns instead of the "
                                   "single-plan tree (K >= 1)")
-    explain_cmd.add_argument("--nodes", type=int, default=1,
-                             help="EXPLAIN DISTRIBUTED mode: render the "
-                                  "scale-out plan for this many "
-                                  "simulated nodes (>= 2)")
-    explain_cmd.add_argument("--network", choices=sorted(NETWORK_TIERS),
-                             default="eth_100g",
-                             help="network tier between nodes "
-                                  "(default eth_100g)")
 
     for name, help_text in (("run", "run one query under one model"),
                             ("compare", "run one query under all models")):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--query", choices=sorted(QUERIES), default="q6")
-        _add_plan_options(cmd, sf=0.01, chunk_size=DEFAULT_CHUNK_SIZE,
-                          described=True,
-                          adaptive=ADAPTIVE_HELP
-                          + "; results stay byte-identical")
-        if name == "run":
-            cmd.add_argument("--model",
-                             choices=[*sorted(MODELS), "auto"],
-                             default=None,
-                             help="execution model (default chunked); "
-                                  "'auto' asks the cost-based optimizer")
-            cmd.add_argument("--optimize", action="store_true",
-                             help="let the cost-based optimizer pick "
-                                  "model, placement, fusion and chunk "
-                                  "size (same as --model auto; conflicts "
-                                  "with an explicit --model)")
-            cmd.add_argument("--overlay-path", default=None, metavar="PATH",
-                             help="JSON file for persisted cost-overlay "
-                                  "calibration; optimizer runs load it "
-                                  "and fold their observations back in")
-            cmd.add_argument("--faults", default=None, metavar="SPEC",
-                             help="inject faults and run with recovery "
-                                  "enabled (engine mode), e.g. "
-                                  "'dev0:transient:0.05,seed=7'; a GPU "
-                                  "driver gets a host fallback device "
-                                  "'host0' for failover")
-            cmd.add_argument("--retry-budget", type=float, default=None,
-                             metavar="SECONDS",
-                             help="per-query wall-clock budget for "
-                                  "retry backoff (engine mode, with "
-                                  "--faults); exhausting it fails the "
-                                  "query with exit code 4")
-            cmd.add_argument("--analyze", action="store_true",
-                             help="print the per-node ANALYZE profile "
-                                  "after the run")
-            cmd.add_argument("--metrics-out", default=None, metavar="PATH",
-                             help="write the run's metrics (.json -> "
-                                  "JSON, otherwise Prometheus text "
-                                  "format)")
-            cmd.add_argument("--nodes", type=int, default=1,
-                             help="shard the query across this many "
-                                  "simulated nodes (default 1 = "
-                                  "single-node); results stay "
-                                  "byte-identical")
-            cmd.add_argument("--network", choices=sorted(NETWORK_TIERS),
-                             default="eth_100g",
-                             help="network tier between nodes "
-                                  "(default eth_100g)")
+        shared = dict(sf=0.01, chunk_size=DEFAULT_CHUNK_SIZE, described=True,
+                      adaptive=ADAPTIVE_HELP
+                      + "; results stay byte-identical")
+        if name == "compare":
+            _add_plan_options(cmd, **shared)
+            continue
+        _add_plan_options(
+            cmd, **shared, optimizer=True,
+            faults="inject faults and run with recovery enabled (engine "
+                   "mode), e.g. 'dev0:transient:0.05,seed=7'; a GPU driver "
+                   "gets a host fallback device 'host0' for failover",
+            analyze="print the per-node ANALYZE profile after the run",
+            metrics_out="write the run's metrics (.json -> JSON, otherwise "
+                        "Prometheus text format)",
+            nodes="shard the query across this many simulated nodes "
+                  "(default 1 = single-node); results stay byte-identical")
+        cmd.add_argument("--overlay-path", default=None, metavar="PATH",
+                         help="JSON file for persisted cost-overlay "
+                              "calibration; optimizer runs load it and "
+                              "fold their observations back in")
+        cmd.add_argument("--retry-budget", type=float, default=None,
+                         metavar="SECONDS",
+                         help="per-query wall-clock budget for retry "
+                              "backoff (engine mode, with --faults); "
+                              "exhausting it fails the query with exit "
+                              "code 4")
     return parser
 
 
+def _plug_devices(target, driver_name, spec_name=None, *,
+                  memory_limit=None, host_fallback=False) -> None:
+    """Plug the CLI's device ``dev0`` into *target* (an executor, an
+    engine or a cluster — it is the first plugged, so the default).
+    With *host_fallback* a GPU driver gets the host device ``host0``
+    beside it, so a ``device_loss`` clause demonstrates failover.
+    """
+    driver, kind = DRIVERS[driver_name]
+    if spec_name:
+        spec = SPECS[spec_name]
+    else:
+        spec = DRIVER_DEFAULT_SPECS.get(
+            driver_name,
+            GPU_RTX_2080_TI if kind == "GPU" else CPU_I7_8700)
+    target.plug_device("dev0", driver, spec, memory_limit=memory_limit)
+    if host_fallback and kind == "GPU":
+        target.plug_device("host0", OpenMPDevice, CPU_I7_8700)
+
+
 def _make_executor(args) -> AdamantExecutor:
-    driver, kind, spec = _resolve_device(args.driver, args.spec)
     executor = AdamantExecutor(
         overlay_path=getattr(args, "overlay_path", None))
-    executor.plug_device("dev0", driver, spec,
-                         memory_limit=args.memory_limit)
+    _plug_devices(executor, args.driver, args.spec,
+                  memory_limit=args.memory_limit)
     return executor
+
+
+def _matches(answer, expected) -> bool:
+    """The oracle verdict: floats to 1e-9, everything else exactly."""
+    if isinstance(answer, float):
+        return abs(answer - expected) < 1e-9
+    return answer == expected
 
 
 def _resolve_model_arg(args) -> str | None:
@@ -382,37 +364,6 @@ def _resolve_model_arg(args) -> str | None:
             return None
         return "auto"
     return args.model if args.model is not None else "chunked"
-
-
-def _query_module(name: str):
-    """The query module for *name*, exiting cleanly if unknown.
-
-    Argparse ``choices`` already rejects bad names on the typed-out
-    subcommands; this guards every other lookup path (and future
-    callers) with a clear message instead of a KeyError traceback.
-    """
-    try:
-        return QUERIES[name]
-    except KeyError:
-        print(f"unknown query {name!r}; available: "
-              f"{', '.join(sorted(QUERIES))}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
-def _build_query(name: str, catalog):
-    """Build *name*'s primitive graph (some plans need the catalog)."""
-    module = _query_module(name)
-    if name in CATALOG_QUERIES:
-        return module, module.build(catalog)
-    return module, module.build()
-
-
-def _build_graph(args, catalog):
-    return _build_query(args.query, catalog)
-
-
-def _oracle(args, catalog):
-    return _oracle_for(args.query, catalog)
 
 
 def cmd_devices(_args) -> int:
@@ -470,22 +421,19 @@ def cmd_validate(args) -> int:
     models = sorted(MODELS)
     print(f"validating {len(QUERIES)} queries x {len(models)} models x "
           f"{len(DRIVERS)} drivers at SF {args.sf}")
-    for qname in sorted(QUERIES):
-        module, graph = _build_query(qname, catalog)
-        expected = _oracle_for(qname, catalog)
+    for qname, module in sorted(QUERIES.items()):
+        graph = module.build(catalog)
+        expected = getattr(reference, qname)(catalog)
         for driver_name in sorted(DRIVERS):
-            driver, kind, spec = _resolve_device(driver_name)
             executor = AdamantExecutor()
-            executor.plug_device("dev0", driver, spec)
+            _plug_devices(executor, driver_name)
             for model in models:
                 try:
                     result = executor.run(graph, catalog, model=model,
                                           chunk_size=args.chunk_size,
                                           fuse=not args.no_fuse)
                     answer = module.finalize(result, catalog)
-                    ok = (abs(answer - expected) < 1e-9
-                          if isinstance(answer, float)
-                          else answer == expected)
+                    ok = _matches(answer, expected)
                 except Exception as error:
                     ok = False
                     answer = f"{type(error).__name__}: {error}"
@@ -495,16 +443,6 @@ def cmd_validate(args) -> int:
     total = len(QUERIES) * len(models) * len(DRIVERS)
     print(f"{total - failures}/{total} combinations match the oracles")
     return 1 if failures else 0
-
-
-def _oracle_for(qname: str, catalog):
-    try:
-        oracle = ORACLES[qname]
-    except KeyError:
-        print(f"no oracle for query {qname!r}; available: "
-              f"{', '.join(sorted(ORACLES))}", file=sys.stderr)
-        raise SystemExit(2) from None
-    return oracle(catalog)
 
 
 def _write_metrics(path: str, metrics) -> None:
@@ -517,38 +455,31 @@ def _write_metrics(path: str, metrics) -> None:
 
 
 def _run_with_faults(args, graph, catalog, plan, flags):
-    """Run one query in engine mode with *plan* armed and recovery on.
-
-    A GPU driver gets a host fallback device plugged alongside, so a
-    ``device_loss`` clause demonstrates failover instead of failing.
-    ``--retry-budget`` caps the cumulative backoff the retry ladder may
-    charge to the query. Returns ``(result, metrics)``.
+    """Run one query in engine mode with *plan* armed and recovery on
+    (a GPU driver gets the host fallback).  ``--retry-budget`` caps the
+    cumulative backoff the retry ladder may charge to the query.
+    Returns ``(result, metrics)``.
     """
     from repro.engine import Engine
 
-    driver, kind, spec = _resolve_device(args.driver, args.spec)
     budget = getattr(args, "retry_budget", None)
     policy = (RetryPolicy(budget_seconds=budget)
               if budget is not None else None)
     engine = Engine(faults=plan, retry_policy=policy)
-    engine.plug_device("dev0", driver, spec,
-                       memory_limit=args.memory_limit, default=True)
-    if kind == "GPU":
-        engine.plug_device("host0", OpenMPDevice, CPU_I7_8700)
+    _plug_devices(engine, args.driver, args.spec,
+                  memory_limit=args.memory_limit, host_fallback=True)
     result = engine.execute(graph, catalog, **flags)
     return result, engine.metrics
 
 
 def _make_cluster(args):
     """Build a ClusterExecutor per the CLI's --nodes/--network flags,
-    plugging the same device(s) single-node runs get (a GPU driver gets
-    the host fallback, so within-node failover still applies)."""
+    every node plugged with the device a single-node run gets."""
     from repro.cluster import ClusterExecutor
 
-    driver, kind, spec = _resolve_device(args.driver, args.spec)
     cluster = ClusterExecutor(nodes=args.nodes, network=args.network)
-    cluster.plug_device("dev0", driver, spec,
-                        memory_limit=args.memory_limit, default=True)
+    _plug_devices(cluster, args.driver, args.spec,
+                  memory_limit=args.memory_limit)
     return cluster
 
 
@@ -569,21 +500,14 @@ def _cmd_run_distributed(args, plan) -> int:
               "combine with --nodes", file=sys.stderr)
         return 2
     catalog = generate(args.sf, seed=args.seed)
-    module = _query_module(args.query)
-    if args.query in CATALOG_QUERIES:
-        def build():
-            return module.build(catalog)
-    else:
-        build = module.build
+    module = QUERIES[args.query]
     cluster = _make_cluster(args)
     if plan is not None:
         cluster.install_faults("node0", plan)
-    result = cluster.run(build, catalog, model=args.model,
-                         **_plan_kwargs(args))
+    result = cluster.run(lambda: module.build(catalog), catalog,
+                         model=args.model, **_plan_kwargs(args))
     answer = module.finalize(result, catalog)
-    expected = _oracle(args, catalog)
-    matches = (answer == expected if not isinstance(answer, float)
-               else abs(answer - expected) < 1e-9)
+    matches = _matches(answer, getattr(reference, args.query)(catalog))
     stats = result.stats
     print(f"query={args.query} model={args.model} driver={args.driver} "
           f"fuse={not args.no_fuse} nodes={args.nodes} "
@@ -612,7 +536,7 @@ def cmd_explain(args) -> int:
     from repro.observe import explain, explain_plans
 
     catalog = generate(args.sf, seed=args.seed)
-    _module, graph = _build_query(args.query, catalog)
+    graph = QUERIES[args.query].build(catalog)
     if args.plans is not None and args.plans < 1:
         print(f"--plans must be >= 1, got {args.plans}", file=sys.stderr)
         return 2
@@ -653,7 +577,8 @@ def cmd_run(args) -> int:
         print(f"--nodes must be >= 1, got {args.nodes}", file=sys.stderr)
         return 2
     catalog = generate(args.sf, seed=args.seed)
-    module, graph = _build_graph(args, catalog)
+    module = QUERIES[args.query]
+    graph = module.build(catalog)
     flags = dict(model=args.model, analyze=args.analyze,
                  **_plan_kwargs(args))
     if plan is not None or args.retry_budget is not None:
@@ -664,9 +589,7 @@ def cmd_run(args) -> int:
         result = executor.run(graph, catalog, **flags)
         metrics = executor.metrics
     answer = module.finalize(result, catalog)
-    expected = _oracle(args, catalog)
-    matches = (answer == expected if not isinstance(answer, float)
-               else abs(answer - expected) < 1e-9)
+    matches = _matches(answer, getattr(reference, args.query)(catalog))
     print(f"query={args.query} model={args.model} driver={args.driver} "
           f"fuse={not args.no_fuse}")
     print(f"result: {answer}")
@@ -695,8 +618,9 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     catalog = generate(args.sf, seed=args.seed)
     executor = _make_executor(args)
-    module, graph = _build_graph(args, catalog)
-    expected = _oracle(args, catalog)
+    module = QUERIES[args.query]
+    graph = module.build(catalog)
+    expected = getattr(reference, args.query)(catalog)
     print(f"query={args.query} driver={args.driver} "
           f"data_scale={args.data_scale}")
     print(f"{'model':24s} {'ok':4s} {'time':>12s} {'vs chunked':>11s}")
@@ -711,8 +635,7 @@ def cmd_compare(args) -> int:
             print(f"{model:24s} --   {type(error).__name__}: {error}")
             continue
         answer = module.finalize(result, catalog)
-        ok = (answer == expected if not isinstance(answer, float)
-              else abs(answer - expected) < 1e-9)
+        ok = _matches(answer, expected)
         status |= 0 if ok else 1
         t = result.stats.makespan
         if model == "chunked":
@@ -732,13 +655,11 @@ def cmd_concurrent(args) -> int:
     args.model = model
     plan = FaultPlan.parse(args.faults) if args.faults else None
     catalog = generate(args.sf, seed=args.seed)
-    driver, kind, spec = _resolve_device(args.driver, args.spec)
     engine = Engine(faults=plan,
                     enable_subplan_cache=not args.no_subplan_cache)
-    engine.plug_device("dev0", driver, spec,
-                       memory_limit=args.memory_limit)
-    if plan is not None and kind == "GPU":
-        engine.plug_device("host0", OpenMPDevice, CPU_I7_8700)
+    _plug_devices(engine, args.driver, args.spec,
+                  memory_limit=args.memory_limit,
+                  host_fallback=plan is not None)
     names = [name.strip() for name in args.queries.split(",") if name.strip()]
     if not names:
         print("no queries given (expected e.g. --queries q3,q4,q6)",
@@ -751,7 +672,7 @@ def cmd_concurrent(args) -> int:
 
     def batch():
         return [QueryRequest(
-            graph=_build_query(name, catalog)[1],
+            graph=QUERIES[name].build(catalog),
             catalog=catalog, model=args.model, label=name,
             analyze=args.analyze, **_plan_kwargs(args),
         ) for name in names]
@@ -766,10 +687,8 @@ def cmd_concurrent(args) -> int:
         print(f"  {'query':6s} {'ok':4s} {'makespan':>12s} "
               f"{'transfer':>12s} {'cache hits':>11s} {'subplan':>8s}")
         for name, result in zip(names, results):
-            answer = QUERIES[name].finalize(result, catalog)
-            expected = _oracle_for(name, catalog)
-            ok = (abs(answer - expected) < 1e-9
-                  if isinstance(answer, float) else answer == expected)
+            ok = _matches(QUERIES[name].finalize(result, catalog),
+                          getattr(reference, name)(catalog))
             status |= 0 if ok else 1
             print(f"  {name:6s} {str(ok):4s} "
                   f"{result.stats.makespan:>10.6f} s "
@@ -831,12 +750,10 @@ def cmd_serve(args) -> int:
     elif args.scenario:
         plan = SCENARIOS[args.scenario]()
     catalog = generate(args.sf, seed=args.seed)
-    driver, kind, spec = _resolve_device(args.driver, args.spec)
     engine = Engine(faults=plan)
-    engine.plug_device("dev0", driver, spec,
-                       memory_limit=args.memory_limit, default=True)
-    if plan is not None and kind == "GPU":
-        engine.plug_device("host0", OpenMPDevice, CPU_I7_8700)
+    _plug_devices(engine, args.driver, args.spec,
+                  memory_limit=args.memory_limit,
+                  host_fallback=plan is not None)
     controller = AdmissionController(
         default_policy=TenantPolicy(
             max_in_flight=args.max_in_flight,
@@ -862,11 +779,8 @@ def cmd_serve(args) -> int:
     for outcome in report.outcomes:
         if outcome.status != "ok":
             continue
-        module, _needs_catalog = QUERY_MIX[outcome.label]
-        answer = module.finalize(outcome.result, catalog)
-        expected = _oracle_for(outcome.label, catalog)
-        ok = (abs(answer - expected) < 1e-9
-              if isinstance(answer, float) else answer == expected)
+        answer = QUERY_MIX[outcome.label].finalize(outcome.result, catalog)
+        ok = _matches(answer, getattr(reference, outcome.label)(catalog))
         mismatches += 0 if ok else 1
     print(f"served {len(report.outcomes)} requests at {args.qps:g} qps "
           f"over {args.duration:g}s (virtual)")

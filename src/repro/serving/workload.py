@@ -17,29 +17,21 @@ import numpy as np
 from repro.engine.engine import DEFAULT_CHUNK_SIZE, QueryRequest
 from repro.serving.request import BATCH, INTERACTIVE, ServeRequest
 from repro.storage import Catalog
-from repro.tpch.queries import q1, q3, q4, q6, q12, q14, q19
+from repro.tpch.queries import QUERIES
 
 __all__ = ["QUERY_MIX", "build_query", "open_loop_workload"]
 
-#: name -> (module, needs_catalog).  The serving mix: a spread of the
-#: repo's TPC-H plans from the single-pipeline Q6 to the join-heavy Q3
-#: and the disjunctive Q19.
-QUERY_MIX: dict[str, tuple[object, bool]] = {
-    "q1": (q1, False),
-    "q3": (q3, True),
-    "q4": (q4, False),
-    "q6": (q6, False),
-    "q12": (q12, True),
-    "q14": (q14, True),
-    "q19": (q19, True),
-}
+#: The serving mix, name -> query module: a spread of the repo's TPC-H
+#: plans from the single-pipeline Q6 to the join-heavy Q3 and the
+#: disjunctive Q19.
+QUERY_MIX = {name: QUERIES[name]
+             for name in ("q1", "q3", "q4", "q6", "q12", "q14", "q19")}
 
 
 def build_query(name: str, catalog: Catalog) -> "object":
     """A fresh primitive graph for *name* (each request must own its
     graph instance — graphs carry runtime edge state)."""
-    module, needs_catalog = QUERY_MIX[name]
-    return module.build(catalog) if needs_catalog else module.build()
+    return QUERY_MIX[name].build(catalog)
 
 
 def estimate_bytes(name: str, catalog: Catalog,

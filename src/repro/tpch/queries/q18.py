@@ -21,8 +21,8 @@ from repro.tpch.reference import Q18Row
 __all__ = ["build", "finalize"]
 
 
-def build(*, quantity: int = 300, device: str | None = None
-          ) -> PrimitiveGraph:
+def build(catalog: Catalog | None = None, *, quantity: int = 300,
+          device: str | None = None) -> PrimitiveGraph:
     """Build the Q18 primitive graph (HAVING sum(l_quantity) > *quantity*)."""
     g = PrimitiveGraph("q18")
 

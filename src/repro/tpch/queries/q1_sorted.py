@@ -30,8 +30,8 @@ _AGGS = {
 }
 
 
-def build(*, delta_days: int = 90, device: str | None = None
-          ) -> PrimitiveGraph:
+def build(catalog: Catalog | None = None, *, delta_days: int = 90,
+          device: str | None = None) -> PrimitiveGraph:
     """Build the sort-based Q1 primitive graph."""
     cutoff = date_to_int("1998-12-01") - delta_days
     g = PrimitiveGraph("q1_sorted")

@@ -23,8 +23,8 @@ from repro.tpch.reference import Q4Row, _add_months
 __all__ = ["build", "finalize"]
 
 
-def build(*, date: str = "1993-07-01", device: str | None = None
-          ) -> PrimitiveGraph:
+def build(catalog: Catalog | None = None, *, date: str = "1993-07-01",
+          device: str | None = None) -> PrimitiveGraph:
     """Build the Q4 primitive graph for the quarter starting at *date*."""
     start = date_to_int(date)
     end = date_to_int(_add_months(date, 3))

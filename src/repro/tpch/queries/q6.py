@@ -15,8 +15,9 @@ from repro.tpch.reference import _add_months
 __all__ = ["build", "finalize"]
 
 
-def build(*, date: str = "1994-01-01", discount: int = 6,
-          quantity: int = 24, device: str | None = None) -> PrimitiveGraph:
+def build(catalog: Catalog | None = None, *, date: str = "1994-01-01",
+          discount: int = 6, quantity: int = 24,
+          device: str | None = None) -> PrimitiveGraph:
     """Build the Q6 primitive graph.
 
     Args match :func:`repro.tpch.reference.q6`; *device* annotates every

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import CATALOG_QUERIES, QUERIES
 from repro.cluster import (
     CO_PARTITIONED_TABLES,
     PARTITION_KEYS,
@@ -42,7 +41,7 @@ from repro.hardware.specs import (
 from repro.observe import explain_distributed
 from repro.primitives.values import GroupTable, HashTable
 from repro.tpch import dbgen
-from repro.tpch.queries import q6
+from repro.tpch.queries import QUERIES, q6
 
 #: Module-scope catalog so hypothesis properties avoid function-scoped
 #: fixture health checks (~3k lineitems, same stream as tiny_catalog).
@@ -52,10 +51,9 @@ ALL_TABLES = sorted(CATALOG.tables)
 
 
 def _build(name):
+    """The query module and the graph factory ``cluster.run`` takes."""
     module = QUERIES[name]
-    if name in CATALOG_QUERIES:
-        return module, (lambda: module.build(CATALOG))
-    return module, module.build
+    return module, (lambda: module.build(CATALOG))
 
 
 def _cluster(nodes=2, network="eth_100g", *, host_fallback=False):

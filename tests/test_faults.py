@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import Engine, FaultPlan, FaultSpec, QueryRequest, RetryPolicy
-from repro.cli import CATALOG_QUERIES, QUERIES
 from repro.devices import CudaDevice, OpenMPDevice
 from repro.engine.scheduler import _halve_chunk
 from repro.errors import (
@@ -27,7 +26,7 @@ from repro.faults.plan import FaultKind
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI
 from repro.hardware.trace import counters
 from repro.tpch import reference
-from repro.tpch.queries import q3, q4, q6
+from repro.tpch.queries import QUERIES, q3, q4, q6
 
 CHUNK = 2048
 
@@ -44,12 +43,6 @@ def blob(value):
         return ("obj", type(value).__name__, tuple(
             sorted((k, blob(v)) for k, v in vars(value).items())))
     return ("lit", repr(value))
-
-
-def build_query(name, catalog):
-    module = QUERIES[name]
-    return module.build(catalog) if name in CATALOG_QUERIES \
-        else module.build()
 
 
 def gpu_engine(faults=None, **kwargs) -> Engine:
@@ -138,9 +131,9 @@ class TestChaosEquivalence:
     def test_all_queries_chunked_under_transient_faults(self, tiny_catalog,
                                                         name):
         baseline = gpu_engine().execute(
-            build_query(name, tiny_catalog), tiny_catalog, chunk_size=CHUNK)
+            QUERIES[name].build(tiny_catalog), tiny_catalog, chunk_size=CHUNK)
         chaotic = gpu_engine(FaultPlan.parse("*:transient:0.04,seed=7")) \
-            .execute(build_query(name, tiny_catalog), tiny_catalog,
+            .execute(QUERIES[name].build(tiny_catalog), tiny_catalog,
                      chunk_size=CHUNK)
         assert blob(chaotic.outputs) == blob(baseline.outputs)
 

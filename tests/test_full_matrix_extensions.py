@@ -21,20 +21,17 @@ from repro.hardware import (
 )
 from repro.task.registry import register_variant_kernels
 from repro.tpch import reference
-from repro.tpch.queries import q1, q3, q4, q5, q6, q12, q14, q18, q19
+from repro.tpch.queries import QUERIES as ALL_QUERIES
+from repro.tpch.queries import q3, q18
 from tests.conftest import make_context, make_executor
 
-QUERIES = {
-    "q1": (q1, False), "q3": (q3, True), "q4": (q4, False),
-    "q5": (q5, True), "q6": (q6, False), "q12": (q12, True),
-    "q14": (q14, True), "q19": (q19, True),
-}
+QUERIES = {name: ALL_QUERIES[name]
+           for name in ("q1", "q3", "q4", "q5", "q6", "q12", "q14", "q19")}
 
 
 def build_graph(qname, catalog):
-    module, needs_catalog = QUERIES[qname]
-    return module, (module.build(catalog) if needs_catalog
-                    else module.build())
+    module = QUERIES[qname]
+    return module, module.build(catalog)
 
 
 def oracle(qname, catalog):

@@ -9,7 +9,6 @@ map-op astype regression.
 import numpy as np
 import pytest
 
-from repro.cli import QUERIES, _query_module
 from repro.core.graph import PrimitiveGraph
 from repro.core.pipelines import split_pipelines
 from repro.errors import SignatureError
@@ -24,22 +23,13 @@ from repro.planner.fusion import (
 )
 from repro.primitives.kernels import fused_map_filter, map_ops
 from repro.primitives.values import Bitmap, PositionList
-from repro.tpch.queries import q1, q1_sorted, q6
+from repro.tpch.queries import QUERIES, q1, q1_sorted, q6
 from tests.conftest import make_executor
 
 EQUIVALENCE_MODELS = ("oaat", "chunked", "pipelined", "four_phase_pipelined")
 
-CATALOG_QUERIES = ("q3", "q5", "q10", "q12", "q14", "q19")
-
 #: Everything in tpch/queries/: the CLI set plus the sort-based Q1.
 ALL_QUERIES = {**QUERIES, "q1_sorted": q1_sorted}
-
-
-def build_query(name, catalog):
-    module = ALL_QUERIES[name]
-    graph = (module.build(catalog) if name in CATALOG_QUERIES
-             else module.build())
-    return module, graph
 
 
 def assert_values_equal(left, right, where=""):
@@ -320,10 +310,11 @@ class TestFusedUnfusedEquivalence:
         # Sorting is not chunk-decomposable: q1_sorted needs one chunk
         # covering the whole table.
         chunk_size = 2**20 if qname == "q1_sorted" else 2048
-        module, graph = build_query(qname, tiny_catalog)
+        module = ALL_QUERIES[qname]
+        graph = module.build(tiny_catalog)
         plain = executor.run(graph, tiny_catalog, model=model,
                              chunk_size=chunk_size, fuse=False)
-        _, graph2 = build_query(qname, tiny_catalog)
+        graph2 = module.build(tiny_catalog)
         fused = executor.run(graph2, tiny_catalog, model=model,
                              chunk_size=chunk_size, fuse=True)
         assert set(plain.outputs) == set(fused.outputs)
@@ -420,10 +411,11 @@ class TestMapOpsAstype:
 
 class TestCliFusion:
     def test_query_module_unknown_name_exits_cleanly(self, capsys):
+        from repro.cli import main
         with pytest.raises(SystemExit) as exc:
-            _query_module("q99")
+            main(["run", "--query", "q99"])
         assert exc.value.code == 2
-        assert "unknown query" in capsys.readouterr().err
+        assert "invalid choice: 'q99'" in capsys.readouterr().err
 
     def test_run_reports_fusion(self, capsys):
         from repro.cli import main

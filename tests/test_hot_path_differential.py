@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import QUERIES
 from repro.cluster.exchange import merge_group_tables, merge_outputs
 from repro.cluster.partition import make_scheme, partition_table
 from repro.core.combine import ChunkPartial, combine_chunk_results
@@ -66,7 +65,7 @@ from repro.primitives.values import (
     PositionList,
 )
 from repro.storage import Catalog, Column, DictionaryColumn, Table
-from repro.tpch.queries import q3
+from repro.tpch.queries import QUERIES, q3
 from tests.conftest import make_executor
 
 # ---------------------------------------------------------------------------
@@ -1032,15 +1031,7 @@ def search_checked_against_cold_pricing(optimizer, graph, monkeypatch,
     return report
 
 
-#: Builders that take the catalog as their first argument.
-CATALOG_QUERIES = ("q3", "q5", "q10", "q12", "q14", "q19")
 FLEETS = {"seed": seed_fleet_devices, "extended": extended_fleet_devices}
-
-
-def benchmark_graph(name, catalog):
-    module = QUERIES[name]
-    return (module.build(catalog) if name in CATALOG_QUERIES
-            else module.build())
 
 
 class TestPlanPricing:
@@ -1054,7 +1045,7 @@ class TestPlanPricing:
                                       default_device="gpu0", data_scale=64,
                                       overlay=overlay)
             report = search_checked_against_cold_pricing(
-                optimizer, benchmark_graph(query, tiny_catalog),
+                optimizer, QUERIES[query].build(tiny_catalog),
                 monkeypatch, chunk_size=2**15)
             assert report.enumerated > len(devices)
 
@@ -1070,7 +1061,7 @@ class TestPlanPricing:
         optimizer = PlanOptimizer(
             tiny_catalog, {name: executor.devices[name] for name in devices})
         search_checked_against_cold_pricing(
-            optimizer, benchmark_graph(query, tiny_catalog), monkeypatch,
+            optimizer, QUERIES[query].build(tiny_catalog), monkeypatch,
             **kwargs)
 
     def test_warm_subplan_cache_prices_as_cold_and_is_seen_by_the_next_search(

@@ -30,13 +30,7 @@ from tests.conftest import make_executor
 
 CHUNK = 1024
 
-# Query name -> whether build() needs the catalog (mirrors the CLI).
-from repro.cli import CATALOG_QUERIES, QUERIES  # noqa: E402
-
-
-def build_query(name: str, catalog):
-    module = QUERIES[name]
-    return module.build(catalog) if name in CATALOG_QUERIES else module.build()
+from repro.tpch.queries import QUERIES  # noqa: E402
 
 
 def _two_device_executor():
@@ -72,7 +66,7 @@ def assert_identical(result_a, result_b):
 def run_manually(catalog, name: str, candidate):
     """Reconstruct *candidate* by hand and run it on a fresh executor."""
     executor = _two_device_executor()
-    graph = build_query(name, catalog)
+    graph = QUERIES[name].build(catalog)
     placement = dict(candidate.placement)
     if placement:
         for pipeline in split_pipelines(graph):
@@ -155,7 +149,7 @@ class TestByteIdentity:
         executor = _two_device_executor()
         opt = PlanOptimizer(tiny_catalog, executor.devices,
                             models=[model])
-        graph = build_query(query, tiny_catalog)
+        graph = QUERIES[query].build(tiny_catalog)
         try:
             plan, report = opt.choose(graph, chunk_size=CHUNK)
         except PlanError as exc:
@@ -171,13 +165,13 @@ class TestByteIdentity:
     @pytest.mark.parametrize("query", sorted(QUERIES))
     def test_auto_matches_manual(self, query, tiny_catalog):
         auto_executor = _two_device_executor()
-        auto = auto_executor.run(build_query(query, tiny_catalog),
+        auto = auto_executor.run(QUERIES[query].build(tiny_catalog),
                                  tiny_catalog, model="auto",
                                  chunk_size=CHUNK)
         # Re-derive what auto chose with the same (cold) overlay state.
         probe = _two_device_executor()
         report = PlanOptimizer(tiny_catalog, probe.devices).search(
-            build_query(query, tiny_catalog), chunk_size=CHUNK)
+            QUERIES[query].build(tiny_catalog), chunk_size=CHUNK)
         manual = run_manually(tiny_catalog, query, report.chosen)
         assert_identical(auto, manual)
 

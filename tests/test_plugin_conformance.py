@@ -36,7 +36,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Engine, FaultPlan
-from repro.cli import CATALOG_QUERIES, QUERIES
 from repro.core.executor import AdamantExecutor
 from repro.devices import (
     CoupledDevice,
@@ -61,7 +60,7 @@ from repro.hardware.costmodel import CostModel, TransferDirection
 from repro.primitives.definitions import PRIMITIVES
 from repro.task.registry import register_variant_kernels
 from repro.tpch import dbgen
-from repro.tpch.queries import q3, q6
+from repro.tpch.queries import QUERIES, q3, q6
 
 CHUNK = 2048
 
@@ -81,14 +80,10 @@ CATALOG = dbgen.generate(0.0005, seed=7)
 
 
 def build_query(qname, catalog):
-    module = QUERIES[qname]
-    if qname == "q18":
-        # The spec threshold yields empty results at tiny scale; this
-        # one produces rows so the comparison is not vacuous.
-        return module.build(quantity=220)
-    if qname in CATALOG_QUERIES:
-        return module.build(catalog)
-    return module.build()
+    # Q18's spec threshold yields empty results at tiny scale; this one
+    # produces rows so the comparison is not vacuous.
+    params = {"quantity": 220} if qname == "q18" else {}
+    return QUERIES[qname].build(catalog, **params)
 
 
 def blob(value):

@@ -78,7 +78,7 @@ def request_for(name, catalog, *, lane=BATCH, arrival_s=0.0,
 
 
 def check_oracle(outcome, catalog):
-    module, _ = QUERY_MIX[outcome.label]
+    module = QUERY_MIX[outcome.label]
     answer = module.finalize(outcome.result, catalog)
     expected = getattr(reference, outcome.label)(catalog)
     if isinstance(answer, float):
@@ -334,8 +334,7 @@ class TestPreemption:
         solo = make_engine()
         solo_result = solo.execute(build_query("q1", tiny_catalog),
                                    tiny_catalog, chunk_size=256)
-        solo_answer = QUERY_MIX["q1"][0].finalize(solo_result,
-                                                  tiny_catalog)
+        solo_answer = QUERY_MIX["q1"].finalize(solo_result, tiny_catalog)
         engine = make_engine()
         report = QueryService(engine).serve([
             request_for("q1", tiny_catalog, lane=BATCH,
@@ -345,7 +344,7 @@ class TestPreemption:
         ])
         by_id = {o.request_id: o for o in report.outcomes}
         assert by_id["b1"].preemptions == 0
-        served_answer = QUERY_MIX["q1"][0].finalize(
+        served_answer = QUERY_MIX["q1"].finalize(
             by_id["b1"].result, tiny_catalog)
         assert served_answer == solo_answer
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
-import inspect
 import itertools
 import json
 import os
@@ -97,10 +96,7 @@ def cell_names(full: bool) -> list[str]:
 
 
 def build(name: str, catalog):
-    module = getattr(queries, name)
-    if "catalog" in inspect.signature(module.build).parameters:
-        return module.build(catalog)
-    return module.build()
+    return getattr(queries, name).build(catalog)
 
 
 def plug(target, fleet: str) -> None:
