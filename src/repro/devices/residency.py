@@ -37,6 +37,11 @@ __all__ = ["RESIDENCY_OWNER", "ResidencyCache", "ResidentColumn"]
 #: Owner tag of cache-held buffers in the device memory manager.
 RESIDENCY_OWNER = "__residency__"
 
+#: Largest share of device memory the cache may occupy; columns bigger
+#: than this are never admitted, so live queries always keep at least
+#: half the device to themselves.
+MAX_FRACTION = 0.5
+
 
 @dataclass
 class ResidentColumn:
@@ -60,13 +65,8 @@ class ResidentColumn:
 class ResidencyCache:
     """LRU cache of device-resident base-table columns for one device."""
 
-    def __init__(self, device: "SimulatedDevice", *,
-                 max_fraction: float = 0.5) -> None:
+    def __init__(self, device: "SimulatedDevice") -> None:
         self.device = device
-        #: Largest share of device memory the cache may occupy; columns
-        #: bigger than this are never admitted, so live queries always
-        #: keep at least half the device to themselves.
-        self.max_fraction = max_fraction
         self._entries: dict[str, ResidentColumn] = {}
         #: (ref, catalog id, version) triples that did not fit in device
         #: memory — retried on the next catalog version, not per chunk.
@@ -91,8 +91,8 @@ class ResidencyCache:
     @property
     def max_bytes(self) -> int:
         """Admission cap: the cache never claims more of the device than
-        ``max_fraction`` of its capacity per column."""
-        return int(self.device.memory.capacity_bytes * self.max_fraction)
+        :data:`MAX_FRACTION` of its capacity per column."""
+        return int(self.device.memory.capacity_bytes * MAX_FRACTION)
 
     @property
     def resident_bytes(self) -> int:

@@ -129,7 +129,7 @@ class Engine:
         self._sessions: dict[str, QuerySession] = {}
         self._query_counter = 0
         self._scheduler = DeviceScheduler(
-            reclaim=True, quarantine_threshold=quarantine_threshold)
+            quarantine_threshold=quarantine_threshold)
         self._retry_policy = retry_policy
         self._fault_plan: FaultPlan | None = None
         #: Engine-lifetime :class:`~repro.observe.MetricsRegistry`; every

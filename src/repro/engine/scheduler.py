@@ -62,6 +62,10 @@ __all__ = ["DeviceScheduler"]
 #: Clock stream recovery markers are stamped on.
 RECOVERY_STREAM = "engine.recovery"
 
+#: Recovery restarts per query before it is failed for good (guards
+#: against recovery loops).
+MAX_RESTARTS = 6
+
 #: Signature of the engine's model-rebuild callback: a fresh model for
 #: the same session/graph with a new chunk size, devices excluded, or
 #: placement spilled to the host.
@@ -92,24 +96,14 @@ class DeviceScheduler:
     """Round-robin arbitration of query pipelines over shared devices.
 
     Args:
-        reclaim: Free each query's owner-tagged device buffers once its
-            result has been retrieved (engine mode).  The single-query
-            compatibility path leaves buffers in place, as the original
-            executor did.
         quarantine_threshold: Consecutive device faults (retry
             exhaustions) before the circuit breaker quarantines the
             device; a successful pipeline step on the device resets its
             count.
-        max_restarts: Recovery restarts per query before it is failed
-            for good (guards against recovery loops).
     """
 
-    def __init__(self, *, reclaim: bool = True,
-                 quarantine_threshold: int = 3,
-                 max_restarts: int = 6) -> None:
-        self.reclaim = reclaim
+    def __init__(self, *, quarantine_threshold: int = 3) -> None:
         self.quarantine_threshold = quarantine_threshold
-        self.max_restarts = max_restarts
         #: Consecutive-fault counter per device (circuit breaker state).
         self._fault_counts: dict[str, int] = {}
         #: Devices taken out of rotation by the circuit breaker.
@@ -152,7 +146,7 @@ class DeviceScheduler:
                 remaining = self._recover(entry, error, queue)
                 if remaining is not None:
                     entry.session._fail(remaining)
-                    self._release(entry, failed=True)
+                    self._release(entry)
             finally:
                 self._unbind(entry)
 
@@ -272,14 +266,14 @@ class DeviceScheduler:
     def _restart(self, entry: _InFlight, error: AdamantError,
                  queue: deque, *, reason: str) -> AdamantError | None:
         """Rebuild the entry's model and re-queue it from the top."""
-        if entry.restarts >= self.max_restarts:
+        if entry.restarts >= MAX_RESTARTS:
             return error
         entry.restarts += 1
         ctx = entry.model.ctx
         # Reclaim the failed attempt's device-side state before the
         # rebuilt model re-runs the graph (restarts are idempotent:
         # kernels are pure and buffers are recreated from scratch).
-        self._release(entry, failed=True)
+        self._release(entry)
         try:
             model = entry.rebuild(chunk_size=entry.chunk_size,
                                   exclude=set(entry.excluded),
@@ -329,7 +323,7 @@ class DeviceScheduler:
         for device in ctx.devices.values():
             device.unbind_query()  # type: ignore[attr-defined]
 
-    def _release(self, entry: _InFlight, *, failed: bool = False) -> None:
+    def _release(self, entry: _InFlight) -> None:
         """Release the finished (or aborted) query's device-side state."""
         ctx = entry.model.ctx
         query_id = entry.session.query_id
@@ -345,9 +339,8 @@ class DeviceScheduler:
             residency = getattr(device, "residency", None)
             if residency is not None:
                 residency.release_query(query_id)
-            if self.reclaim or failed:
-                device.memory.free_owner(  # type: ignore[attr-defined]
-                    query_id, at_time=ctx.clock.now())
+            device.memory.free_owner(  # type: ignore[attr-defined]
+                query_id, at_time=ctx.clock.now())
             device.memory.set_budget(  # type: ignore[attr-defined]
                 query_id, None)
 
