@@ -38,8 +38,13 @@ DEVICES = (
 
 
 def warm_run(driver, spec, catalog, *, fuse: bool):
-    """Warm the residency cache with one run, measure the second."""
-    engine = Engine()
+    """Warm the residency cache with one run, measure the second.
+
+    Residency-warm, not result-warm: with the subplan cache on, the
+    second run is served whole from the first one's results and launches
+    no kernel at all.
+    """
+    engine = Engine(enable_subplan_cache=False)
     engine.plug_device("dev0", driver, spec)
     engine.execute(q6.build(), catalog, chunk_size=PAPER_CHUNK,
                    data_scale=DATA_SCALE, fuse=fuse)
