@@ -2,13 +2,14 @@
 
 Everything that turns "a plan" into "estimated seconds" lives here:
 
+* :func:`pipeline_shape` — a pipeline described before it runs (scan
+  rows, selectivity decay, group-key statistics, scan bytes): the one
+  walk every estimate below, the adaptive predictor and the shard
+  planner read;
 * :func:`estimate_node_seconds` / :func:`estimate_graph_seconds` — the
-  per-node estimates EXPLAIN and ANALYZE render (these historically
-  lived backwards in :mod:`repro.observe.explain`; observe now
-  re-exports them from here);
+  per-node estimates EXPLAIN and ANALYZE render;
 * :func:`estimate_pipeline_seconds` — the per-pipeline estimate the
-  greedy placement pass compares devices with (historically in
-  :mod:`repro.planner.placement`, also re-exported);
+  greedy placement pass compares devices with;
 * :func:`estimate_plan_seconds` — the *model-aware* pricer the
   cost-based optimizer ranks whole :class:`~repro.planner.ir.PhysicalPlan`
   candidates with: it knows that overlapped models hide transfer behind
@@ -25,11 +26,8 @@ Everything that turns "a plan" into "estimated seconds" lives here:
 
 All estimators deliberately reuse the same
 :class:`~repro.hardware.costmodel.CostModel` the simulated drivers
-charge, and read one description of a pipeline before it runs —
-:func:`pipeline_shape`, the one walk (scan rows, selectivity decay,
-group-key statistics, scan bytes) — so EXPLAIN, the placement pass, the
-optimizer, the adaptive predictor, the shard planner and the simulation
-never disagree about what is cheap.
+charge, and the same walk, so EXPLAIN, the placement pass, the
+optimizer, and the simulation never disagree about what is cheap.
 """
 
 from __future__ import annotations
@@ -314,9 +312,8 @@ class _NodeShape(NamedTuple):
         return max(1, round(self.group_ndv / max(1, chunks))) * data_scale
 
     def kernel_seconds(self, cost: CostModel, groups: int | None) -> float:
-        """Calibrated kernel time on *cost*'s device: the cost key's
-        rate, or the fused sweep over the recorded step list.  A group
-        count the node's own ``cost_params`` pin beats *groups*."""
+        """Calibrated kernel time (cost key's rate, or the fused sweep);
+        a group count the node's own ``cost_params`` pin beats *groups*."""
         params = self.cost_params
         if groups is not None and "groups" not in params:
             params = {**params, "groups": groups}
@@ -334,9 +331,8 @@ class _NodeShape(NamedTuple):
 @dataclass(eq=False)
 class _PipelineShape:
     """The device- and chunk-independent facts of one pipeline of one
-    graph (:func:`pipeline_shape`) and, in a :class:`PricingTable`,
-    what the table knows of the graph around it and everything it has
-    priced from them."""
+    graph (:func:`pipeline_shape`) and, in a :class:`PricingTable`, the
+    graph around it and everything the table has priced from them."""
 
     pipeline: Pipeline
     data_scale: int
@@ -372,7 +368,11 @@ class _PipelineShape:
             self.scan_bytes, direction=TransferDirection.H2D, pinned=False)
 
     def pageable_seconds(self, cost: CostModel) -> float:
-        """:func:`estimate_pipeline_seconds` on *cost*'s device."""
+        """:func:`estimate_pipeline_seconds` on *cost*'s device: the
+        transfer, then launch, then kernel of node after node, added one
+        by one.  (:func:`estimate_graph_seconds` adds ``launch +
+        kernel`` per node — another association of the same floats;
+        published figures pin both.)"""
         seconds = self.pageable_transfer_seconds(cost)
         for node in self.nodes:
             seconds += cost.launch_seconds(node.launch_args)
