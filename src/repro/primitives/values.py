@@ -234,10 +234,16 @@ class HashTable:
         each build row number in *rows*; -1 for rows not in the table."""
         if self._row_index is None:
             size = int(self.positions.max()) + 1 if len(self.positions) else 0
-            index = np.full(size, -1, dtype=np.intp)
+            # One trailing -1 that every row outside 0..size-1 is mapped to.
+            index = np.full(size + 1, -1, dtype=np.intp)
             index[self.positions] = np.arange(len(self.positions))
             self._row_index = index
-        return self._row_index[rows]
+        index = self._row_index
+        # As unsigned numbers, negative rows lie beyond any size (the way
+        # find_slots treats keys outside its directory's span).
+        row = np.minimum(rows.astype(np.int64, copy=False).view(np.uint64),
+                         np.uint64(len(index) - 1))
+        return index[row.view(np.int64)]
 
     def lookup_payload(self, key: int, name: str) -> int:
         """Payload value *name* of the first build row matching *key*.

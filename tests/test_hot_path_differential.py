@@ -581,6 +581,22 @@ class TestHashProbe:
         with pytest.raises(SignatureError):
             gather_payload(stray, table, name="v")
 
+    @pytest.mark.parametrize("stray", [-1, -3, -2**63, 3, 2**40, 2**63 - 1])
+    def test_gather_rejects_negative_and_out_of_range_rows(self, stray):
+        """A row before the first or past the last build row is "not in
+        the table": no wrap-around to the last row's payload, no bare
+        ``IndexError``."""
+        table = hash_build(np.array([5, 3, 9]), np.array([50, 30, 90]),
+                           payload_names=("p",))
+        rows = np.array([2, stray, 0], dtype=np.int64)
+        assert table.slots_of_rows(rows).tolist() == [2, -1, 1]
+        with pytest.raises(SignatureError,
+                           match="join pairs reference rows not in the table"):
+            gather_payload(JoinPairs(left=np.zeros(3), right=rows), table,
+                           name="p")
+        held = JoinPairs(left=np.zeros(3), right=np.array([2, 1, 0]))
+        assert gather_payload(held, table, name="p").tolist() == [90, 30, 50]
+
 
 # ---------------------------------------------------------------------------
 # (e) slice-view partitioning == one mask and one copy per column per node
