@@ -5,6 +5,14 @@ insertion; here the table is a sorted-key layout (see
 :class:`~repro.primitives.values.HashTable`) that is semantically identical
 through the probe interface.  The *cost* of atomic contention is modelled in
 :mod:`repro.hardware.costmodel`, not in the result computation.
+
+Insertion is linear in the rows there, and here wherever the keys allow
+it: HASH_AGG groups through :func:`~repro.primitives.values.group_index`,
+which addresses dense integer keys directly and sorts only the rest;
+HASH_BUILD sorts once, for the layout, and finds the runs of equal keys
+with one adjacent compare.  Whether keys are dense enough is the one rule
+the probe's slot directory follows too (``DIRECTORY_SPAN_PER_KEY`` in
+:mod:`repro.primitives.values`).
 """
 
 from __future__ import annotations
@@ -12,7 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SignatureError
-from repro.primitives.values import GroupTable, HashTable, JoinPairs, PositionList
+from repro.primitives.values import (
+    GroupTable,
+    HashTable,
+    JoinPairs,
+    PositionList,
+    group_index,
+)
 
 __all__ = ["hash_build", "hash_probe", "hash_agg", "merge_hash_tables",
            "join_side", "gather_payload", "group_keys", "group_values"]
@@ -48,7 +62,14 @@ def _sorted_layout(keys: np.ndarray, order: np.ndarray,
     the row ids already in that order, *payload* columns are still in
     input order."""
     sorted_keys = keys[order]
-    uniques, starts = np.unique(sorted_keys, return_index=True)
+    # The keys are sorted: a run of equal keys starts wherever a key
+    # differs from the one before it.  NaNs sort last and are one key, the
+    # way group_index groups them, although no NaN equals another.
+    starts_run = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts_run[1:])
+    if sorted_keys.dtype.kind == "f":
+        starts_run[1:] &= ~np.isnan(sorted_keys[:-1])
+    starts = np.flatnonzero(starts_run)
     offsets = np.append(starts, len(sorted_keys)).astype(np.int64)
     carried = {}
     for name, column in payload.items():
@@ -58,8 +79,8 @@ def _sorted_layout(keys: np.ndarray, order: np.ndarray,
                 f"{keys.shape[0]}"
             )
         carried[name] = column[order]
-    return HashTable(keys=uniques, offsets=offsets, positions=positions,
-                     payload=carried)
+    return HashTable(keys=sorted_keys[starts], offsets=offsets,
+                     positions=positions, payload=carried)
 
 
 def merge_hash_tables(*tables: HashTable) -> HashTable:
@@ -190,9 +211,10 @@ def hash_agg(group_keys: np.ndarray, values: np.ndarray | None = None, *,
         raise SignatureError(
             f"value column length {values.shape} != keys {group_keys.shape}"
         )
-    keys, inverse = np.unique(group_keys, return_inverse=True)
+    keys, inverse = group_index(group_keys)
     if fn == "count":
-        out = np.bincount(inverse, minlength=len(keys)).astype(np.int64)
+        out = np.bincount(inverse, minlength=len(keys)).astype(
+            np.int64, copy=False)
     else:
         vals = values.astype(np.int64, copy=False)
         if fn == "sum":

@@ -36,6 +36,7 @@ __all__ = [
     "HashTable",
     "GroupTable",
     "JoinPairs",
+    "group_index",
     "value_nbytes",
     "semantic_of",
 ]
@@ -131,15 +132,20 @@ class PrefixSum:
         return int(self.sums.nbytes)
 
 
-#: A table gets a direct-address slot directory when its integer keys
-#: span at most this many entries per key (plus a floor for tiny tables).
-#: Every TPC-H key column qualifies: primary keys are dense, and the
-#: specification's sparse order keys use 8 of every 32 values.  The bound
-#: caps the directory's memory at eight words per key; it is not a
-#: measured speed crossover.  All five benchmark workloads probe tables
-#: on both sides of it (EXPERIMENTS.md, "Which probes take the
-#: directory"): a date filter that keeps one order in ten lands just
-#: beyond it, on the ``searchsorted`` side.
+#: The density rule of the hash kernels (:func:`_direct_span` is its only
+#: reader): integer keys are addressed directly, by ``key - lowest key``,
+#: when they span at most this many entries per key plus a floor for
+#: tiny inputs.  A probe asks once per table (:meth:`HashTable.find_slots`,
+#: counting distinct keys); aggregation and the merge of partial group
+#: tables -- chunk combine, the cluster exchange -- ask once per call
+#: (:func:`group_index`, counting rows).  Every TPC-H key column
+#: qualifies: primary keys are dense, and the specification's sparse
+#: order keys use 8 of every 32 values.  The bound caps the array at
+#: eight words per key; it is not a measured speed crossover.  All five
+#: benchmark workloads run both sides of it (EXPERIMENTS.md, "Which
+#: probes take the directory", "Which groupings are addressed
+#: directly"): a date filter that keeps one order in ten lands just
+#: beyond it, on the ``searchsorted`` / ``np.unique`` side.
 DIRECTORY_SPAN_PER_KEY = 8
 DIRECTORY_SPAN_FLOOR = 1024
 
@@ -264,6 +270,17 @@ def _fits_int64(dtype: np.dtype) -> bool:
     return dtype.kind in "iu" and np.can_cast(dtype, np.int64)
 
 
+def _direct_span(lo: int, hi: int, count: int) -> int:
+    """Entries of an array addressed by ``key - lo`` for *count* integer
+    keys between *lo* and *hi*, or 0 when they are too sparse to get one.
+    Python integers: ``hi - lo`` of keys at both ends of int64 does not
+    wrap."""
+    span = hi - lo + 1
+    if span > DIRECTORY_SPAN_PER_KEY * count + DIRECTORY_SPAN_FLOOR:
+        return 0
+    return span
+
+
 def _build_directory(keys: np.ndarray) -> np.ndarray:
     """``directory[key - keys[0]]`` = slot of *key*, -1 where no key is,
     plus one trailing -1 that out-of-span probes are mapped to.  Empty
@@ -273,12 +290,40 @@ def _build_directory(keys: np.ndarray) -> np.ndarray:
     if not _fits_int64(keys.dtype):
         return none
     lo = int(keys[0])
-    span = int(keys[-1]) - lo + 1
-    if span > DIRECTORY_SPAN_PER_KEY * len(keys) + DIRECTORY_SPAN_FLOOR:
+    span = _direct_span(lo, int(keys[-1]), len(keys))
+    if not span:
         return none
     directory = np.full(span + 1, -1, dtype=np.intp)
     directory[keys.astype(np.int64, copy=False) - lo] = np.arange(len(keys))
     return directory
+
+
+def group_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(uniques, inverse)`` exactly as ``np.unique(keys,
+    return_inverse=True)`` returns them -- the distinct keys ascending, in
+    the keys' dtype, and for each key the index of its group -- without
+    sorting where the keys can be addressed directly.
+
+    1-D integer keys that pass the density rule (:func:`_direct_span`)
+    are marked in an array over their span: the marked entries, in order,
+    are the distinct keys, and numbering them gives every row its group
+    with one gather -- the linear insert of the paper's HASH_AGG.
+    Sparse, non-integer, ``uint64`` and empty keys go to ``np.unique``.
+    """
+    keys = np.asarray(keys)
+    if keys.ndim == 1 and len(keys) and _fits_int64(keys.dtype):
+        lo = int(keys.min())
+        span = _direct_span(lo, int(keys.max()), len(keys))
+        if span:
+            offset = np.subtract(keys, lo, dtype=np.int64)
+            present = np.zeros(span, dtype=bool)
+            present[offset] = True
+            occupied = np.flatnonzero(present)
+            # Only entries of present keys are ever read.
+            directory = np.empty(span, dtype=np.intp)
+            directory[occupied] = np.arange(len(occupied))
+            return (occupied + lo).astype(keys.dtype), directory[offset]
+    return np.unique(keys, return_inverse=True)
 
 
 @dataclass
@@ -313,7 +358,9 @@ class GroupTable:
         combines the per-node ones).
 
         All keys are concatenated in table order and grouped by one
-        ``np.unique``; each aggregate is then reduced by one unbuffered
+        :func:`group_index` (direct addressing where the density rule
+        admits the keys, one sort where it does not; the answer is the
+        same); each aggregate is then reduced by one unbuffered
         ``ufunc.at``, which applies the values of a key in concatenation
         order — the same sequence of operations a left fold over pairwise
         merges performs, so the result is bit-identical to it.
@@ -322,9 +369,8 @@ class GroupTable:
             how: aggregate name -> "sum" | "min" | "max" (count merges as
                 sum).
         """
-        keys, inverse = np.unique(
-            np.concatenate([table.keys for table in tables]),
-            return_inverse=True)
+        keys, inverse = group_index(
+            np.concatenate([table.keys for table in tables]))
         merged: dict[str, np.ndarray] = {}
         for name in tables[0].aggregates:
             stacked = np.concatenate(

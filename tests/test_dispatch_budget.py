@@ -8,8 +8,9 @@ run of one interpreter, and it fails the day someone puts a per-chunk
 scan, lookup or validation back into the loop.
 
 The data path is gated the same way: the Python a probe executes does
-not grow with its matches, and a sharded run hands its nodes views of
-the catalog, not copies.
+not grow with its matches, an aggregation over dense keys sorts nothing
+and allocates its directory and no more, and a sharded run hands its
+nodes views of the catalog, not copies.
 
 So is the optimizer's search: it prices each distinct (pipeline, device,
 chunk count) once however many candidates share it, the Python it runs
@@ -20,6 +21,7 @@ count or with what the subplan cache holds.
 import cProfile
 import pstats
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -32,7 +34,12 @@ from repro.hardware import GPU_A100, GPU_RTX_2080_TI
 from repro.planner import cost as planner_cost
 from repro.planner.cost import PricingTable
 from repro.planner.optimizer import PlanOptimizer
-from repro.primitives.kernels import hash_build, hash_probe
+from repro.primitives.kernels import hash_agg, hash_build, hash_probe
+from repro.primitives.values import (
+    DIRECTORY_SPAN_FLOOR,
+    DIRECTORY_SPAN_PER_KEY,
+    group_index,
+)
 from repro.tpch.queries import q3, q6
 from tests.conftest import make_executor
 
@@ -144,6 +151,53 @@ def test_probe_does_no_per_row_python():
     few = steps_of_inner_probe(table, 500)
     assert 0 < few < 1000
     assert steps_of_inner_probe(table, 50_000) == few
+
+
+def profiled_sum(keys: np.ndarray) -> pstats.Stats:
+    values = np.ones(len(keys), dtype=np.int64)
+    profile = cProfile.Profile()
+    profile.enable()
+    hash_agg(keys, values, fn="sum")
+    profile.disable()
+    return pstats.Stats(profile)
+
+
+def sorting_calls(stats: pstats.Stats) -> list[str]:
+    """Names of the sorting functions called: ``np.unique``, ``np.sort``
+    / ``np.argsort`` and the array methods under them."""
+    return sorted({name for _, _, name in stats.stats
+                   if "unique" in name or "sort" in name})
+
+
+def test_dense_hash_agg_does_not_sort():
+    few = profiled_sum(np.arange(500, dtype=np.int64) % 250)
+    many = profiled_sum(np.arange(50_000, dtype=np.int64) % 25_000)
+    assert sorting_calls(few) == sorting_calls(many) == []
+    assert 0 < few.total_calls == many.total_calls
+    # The same lens does see the sort where the keys are sparse.
+    sparse = profiled_sum(np.arange(500, dtype=np.int64) * 1000)
+    assert any("unique" in name for name in sorting_calls(sparse))
+    assert any("sort" in name for name in sorting_calls(sparse))
+
+
+def test_group_index_allocates_its_directory_and_marks_and_no_more():
+    rows = 50_000
+    span = DIRECTORY_SPAN_PER_KEY * rows + DIRECTORY_SPAN_FLOOR
+    keys = np.zeros(rows, dtype=np.int64)
+    keys[-1] = span - 1     # exactly at the bound: the largest directory
+    word = np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        uniques, inverse = group_index(keys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert uniques.tolist() == [0, span - 1]
+    assert inverse.nbytes == rows * word
+    # One word (directory) and one byte (mark) per value of the span, one
+    # word per row for its offset and one for its group; nothing else of
+    # either size, and 64 KiB for everything small.
+    assert span * word <= peak <= span * (word + 1) + 2 * rows * word + 2**16
 
 
 def test_cluster_shards_are_read_only_views_of_the_catalog(

@@ -5,14 +5,17 @@ answers adjacency from an index, the clock answers ``events_of`` from
 per-owner lists, and breakers merge all chunk partials in one k-way
 pass.  The data path does no per-row Python: a probe resolves keys
 through a direct-address directory and expands matches with flat array
-operations, and a cluster shards sorted tables into slice views.  Each
-of those replaced a scanning / pairwise / per-row implementation; the
-old bodies live on here, as oracles, and the new code must agree with
-them exactly — byte for byte where values are arrays.
+operations, a cluster shards sorted tables into slice views, and
+aggregation, merge and build group dense integer keys by direct address
+instead of sorting them.  Each of those replaced a scanning / pairwise /
+per-row / sorting implementation; the old bodies live on here, as
+oracles, and the new code must agree with them exactly — byte for byte
+where values are arrays.
 """
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,6 +58,7 @@ from repro.primitives.kernels import (
     gather_payload,
     hash_agg,
     hash_build,
+    hash_ops,
     hash_probe,
     merge_hash_tables,
 )
@@ -63,6 +67,7 @@ from repro.primitives.values import (
     HashTable,
     JoinPairs,
     PositionList,
+    group_index,
 )
 from repro.storage import Catalog, Column, DictionaryColumn, Table
 from repro.tpch.queries import QUERIES, q3
@@ -754,6 +759,187 @@ class TestWeightedRoundRobin:
             SplitChunkedModel.rate_proxy(a100)
         assert SplitChunkedModel.participants([rt, a100]) == [rt, a100]
         assert SplitChunkedModel.participants([a100, rt]) == [a100, rt]
+
+
+# ---------------------------------------------------------------------------
+# (h) direct-address grouping == np.unique; run starts == a second sort
+
+
+def sorting_hash_agg(group_keys, values=None, *, fn="sum"):
+    """``hash_agg`` as it was: every call sorted its keys."""
+    keys, inverse = np.unique(group_keys, return_inverse=True)
+    if fn == "count":
+        out = np.bincount(inverse, minlength=len(keys)).astype(np.int64)
+    else:
+        vals = values.astype(np.int64, copy=False)
+        if fn == "sum":
+            out = np.zeros(len(keys), dtype=np.int64)
+            np.add.at(out, inverse, vals)
+        elif fn == "min":
+            out = np.full(len(keys), np.iinfo(np.int64).max, dtype=np.int64)
+            np.minimum.at(out, inverse, vals)
+        else:
+            out = np.full(len(keys), np.iinfo(np.int64).min, dtype=np.int64)
+            np.maximum.at(out, inverse, vals)
+    return GroupTable(keys=keys, aggregates={fn: out})
+
+
+def resorting_layout(keys, order, positions, payload):
+    """``hash_ops._sorted_layout`` as it was: ``np.unique`` sorted the
+    already sorted keys a second time to find their runs."""
+    sorted_keys = keys[order]
+    uniques, starts = np.unique(sorted_keys, return_index=True)
+    offsets = np.append(starts, len(sorted_keys)).astype(np.int64)
+    carried = {name: column[order] for name, column in payload.items()}
+    return HashTable(keys=uniques, offsets=offsets, positions=positions,
+                     payload=carried)
+
+
+def takes_direct_side(keys: np.ndarray) -> bool:
+    """The documented rule: 1-D integer keys that fit int64 and span at
+    most ``8 * len(keys) + 1024`` values."""
+    if keys.dtype.kind not in "iu" or keys.dtype == np.uint64 \
+            or keys.ndim != 1 or not len(keys):
+        return False
+    return int(keys.max()) - int(keys.min()) + 1 <= 8 * len(keys) + 1024
+
+
+def sorted_while(call):
+    """``(call(), whether it sorted with np.unique)``."""
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        result = call()
+    return result, unique.called
+
+
+def assert_groups_as_unique(keys: np.ndarray) -> None:
+    (uniques, inverse), sorted_ = sorted_while(lambda: group_index(keys))
+    expected_uniques, expected_inverse = np.unique(keys, return_inverse=True)
+    assert same_array(uniques, expected_uniques)
+    assert same_array(inverse, expected_inverse)
+    assert sorted_ == (not takes_direct_side(keys))
+
+
+GROUP_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+                np.uint32, np.uint64, np.float64)
+
+
+@st.composite
+def grouping_chunks(draw, max_chunks=1):
+    """1..*max_chunks* arrays of one key dtype: dense or sparse, negative,
+    at either end of int64, one distinct key (width 0), (often) empty;
+    float keys hold halves and, sometimes, NaNs."""
+    dtype = draw(st.sampled_from(GROUP_DTYPES))
+    low = draw(st.sampled_from((0, -20, 10**6, -10**12, -2**63, 2**63 - 61)))
+    width = draw(st.sampled_from((0, 6, 60, 10**5, 10**10)))
+    key = st.integers(low, low + width)
+    if dtype == np.float64:
+        key = st.one_of(key, st.just(math.nan))
+    return [cast_keys(draw(st.lists(key, max_size=draw(
+                st.sampled_from((0, 6, 40))))), dtype)
+            for _ in range(draw(st.integers(1, max_chunks)))]
+
+
+class TestGrouping:
+    @settings(max_examples=300, deadline=None)
+    @given(grouping_chunks())
+    def test_group_index_equals_unique(self, chunks):
+        assert_groups_as_unique(chunks[0])
+
+    @pytest.mark.parametrize("dtype, low", [
+        (np.int64, 0), (np.int64, -300), (np.int16, -300), (np.uint32, 7)])
+    @pytest.mark.parametrize("rows", [2, 7, 1000])
+    def test_exactly_at_the_bound_and_one_past_it(self, dtype, low, rows):
+        at_bound = 8 * rows + 1024
+        for span, direct in ((at_bound, True), (at_bound + 1, False)):
+            keys = np.full(rows, low + span // 2, dtype=dtype)
+            keys[0], keys[-1] = low + span - 1, low
+            assert takes_direct_side(keys) == direct
+            assert_groups_as_unique(keys)
+
+    @pytest.mark.parametrize("keys", [
+        [-2**63, 2**63 - 1], [2**63 - 1, -2**63, 0],
+        [-2**63, -2**63 + 5, -2**63], [2**63 - 1, 2**63 - 3],
+        [2**64 - 1, 0], [2**63, 2**63 + 1],
+    ])
+    def test_keys_at_the_ends_of_the_integers(self, keys):
+        """Span and lowest key are Python integers: nothing wraps."""
+        dtype = np.uint64 if max(keys) >= 2**63 else np.int64
+        assert_groups_as_unique(np.array(keys, dtype=dtype))
+
+    @pytest.mark.parametrize("keys", [
+        np.empty(0, dtype=np.int64), np.array([True, False]),
+        np.array([[3, 1], [1, 2]]), np.array([2.0, math.nan]),
+    ], ids=["empty", "bool", "2-D", "float"])
+    def test_what_is_not_a_key_vector_is_left_to_unique(self, keys):
+        assert not takes_direct_side(keys)
+        assert_groups_as_unique(keys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouping_chunks(), st.sampled_from(("sum", "count", "min", "max")),
+           st.data())
+    def test_hash_agg_equals_sorting_hash_agg(self, chunks, fn, data):
+        keys = chunks[0]
+        values = np.array(data.draw(st.lists(
+            big_ints, min_size=len(keys), max_size=len(keys))),
+            dtype=np.int64)
+        with np.errstate(over="ignore"):
+            table, sorted_ = sorted_while(
+                lambda: hash_agg(keys, values, fn=fn))
+            assert_same_group_table(table,
+                                    sorting_hash_agg(keys, values, fn=fn))
+        assert sorted_ == (not takes_direct_side(keys))
+
+    @settings(max_examples=120, deadline=None)
+    @given(grouping_chunks(max_chunks=12),
+           st.sampled_from(("sum", "count", "min", "max")), st.data())
+    def test_merge_all_equals_the_sorting_merge(self, chunks, fn, data):
+        how = {fn: "sum" if fn in ("sum", "count") else fn}
+        with np.errstate(over="ignore"):
+            tables = [sorting_hash_agg(keys, np.array(data.draw(st.lists(
+                big_ints, min_size=len(keys), max_size=len(keys))),
+                dtype=np.int64), fn=fn) for keys in chunks]
+            merged, sorted_ = sorted_while(
+                lambda: GroupTable.merge_all(tables, how=how))
+            # (A lone table comes back from either merge as it went in.)
+            expected = fold(tables, lambda a, b: pairwise_group_merge(
+                a, b, how=how))
+        assert_same_group_table(merged, expected)
+        assert sorted_ == (not takes_direct_side(
+            np.concatenate([table.keys for table in tables])))
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouping_chunks(max_chunks=4), st.sampled_from((0, 1000)))
+    def test_run_starts_equal_the_second_sort(self, chunks, base):
+        def build_and_merge():
+            tables, row = [], base
+            for keys in chunks:
+                tables.append(hash_build(
+                    keys, np.arange(len(keys), dtype=np.int64) * 7,
+                    payload_names=("v",), base_position=row))
+                row += len(keys)
+            return [*tables, merge_hash_tables(*tables)]
+
+        built, sorted_ = sorted_while(build_and_merge)
+        assert not sorted_
+        with mock.patch.object(hash_ops, "_sorted_layout", resorting_layout):
+            expected = build_and_merge()
+        for table, old in zip(built, expected):
+            assert_same_hash_table(table, old)
+
+    def test_nan_empty_and_single_key_tables_keep_uniques_answer(self):
+        nan = hash_build(np.array([1.0, math.nan, math.nan, 2.0]))
+        assert nan.keys.tolist()[:2] == [1.0, 2.0] and math.isnan(nan.keys[2])
+        assert nan.offsets.tolist() == [0, 1, 2, 4]
+        assert nan.positions.tolist() == [0, 3, 1, 2]
+        empty = hash_build(np.empty(0, dtype=np.int64))
+        assert empty.num_keys == 0 and empty.offsets.tolist() == [0]
+        assert empty.offsets.dtype == np.int64
+        one = hash_build(np.array([7, 7, 7]))
+        assert one.keys.tolist() == [7] and one.offsets.tolist() == [0, 3]
+        merged = merge_hash_tables(nan, hash_build(
+            np.array([math.nan, 1.0]), base_position=4))
+        assert merged.offsets.tolist() == [0, 2, 3, 6]
+        assert merged.positions.tolist() == [0, 5, 3, 1, 2, 4]
 
 
 # ---------------------------------------------------------------------------
