@@ -28,11 +28,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 TOP = 25
 
 
-def main(argv=None) -> int:
+def observed_pass(description: str, argv, observer):
+    """One pass of the workload the command line names, as the benchmark
+    runs it: set-up, a warm-up pass, then every item's timed call once
+    more inside ``with observer:`` -- graph building before the call and
+    the oracle check after it are not observed, as they are not timed.
+    Returns the parsed arguments and the oracle failures."""
     from perf.harness import run_pass
     from perf.workloads import WORKLOADS, make_workload
 
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--smoke", action="store_true",
@@ -42,19 +47,21 @@ def main(argv=None) -> int:
     workload = make_workload(args.workload, args.seed, smoke=args.smoke)
     workload.setup()
     run_pass(workload)
-    # Only the timed call of each item is profiled, as in the benchmark:
-    # graph building before it and the oracle check after it are not.
-    profile = cProfile.Profile()
     failures = []
     for item in workload.items:
         state = workload.prepare(item)
-        profile.enable()
-        result = workload.call(item, state)
-        profile.disable()
+        with observer:
+            result = workload.call(item, state)
         failures += workload.verify(item, state, result)[1]
-    pstats.Stats(profile).sort_stats("tottime").print_stats(TOP)
     for failure in failures:
         print(failure, file=sys.stderr)
+    return args, failures
+
+
+def main(argv=None) -> int:
+    profile = cProfile.Profile()
+    _, failures = observed_pass(__doc__.split("\n")[0], argv, profile)
+    pstats.Stats(profile).sort_stats("tottime").print_stats(TOP)
     return 1 if failures else 0
 
 
