@@ -308,21 +308,33 @@ class ExecutionContext:
         co-running queries account only for their own work.
         """
         query = self.query
-        events = self.clock.events_of(query.query_id)
         categories: dict[str, float] = {}
-        for e in events:
-            categories[e.category] = categories.get(e.category, 0.0) \
-                + e.duration
-        end = max((e.end for e in events), default=query.epoch_start)
-        # A scheduler restart (OOM degradation, failover) re-runs the
-        # graph from the top and stamps a zero-duration ``recovery``
-        # marker; launch events of the aborted attempts stay on the
-        # timeline (their cost is real) but only the completed run —
-        # everything after the last marker — describes the executed
-        # plan, so launches are counted from there.  Without a marker
-        # (fault-free runs) this is the plain launch count.
-        restart_eid = max((e.eid for e in events
-                           if e.category == "recovery"), default=-1)
+        end = query.epoch_start
+        transfer_bytes = computes = hits = hit_bytes = launched = 0
+        for e in self.clock.events_of(query.query_id):  # in eid order
+            category = e.category
+            categories[category] = categories.get(category, 0.0) + e.duration
+            if e.end > end:
+                end = e.end
+            if category == "compute":
+                computes += 1
+            elif category == "launch":
+                launched += 1
+            elif category == "transfer":
+                transfer_bytes += e.nbytes
+            elif category == "cache":
+                hits += 1
+                hit_bytes += e.nbytes
+            elif category == "recovery":
+                # A scheduler restart (OOM degradation, failover) re-runs
+                # the graph from the top and stamps this zero-duration
+                # marker; launch events of the aborted attempts stay on
+                # the timeline (their cost is real) but only the
+                # completed run — everything after the last marker —
+                # describes the executed plan, so launches count from it.
+                launched = 0
+        fused = [n for n in self.graph.nodes.values()
+                 if n.primitive in FUSED_PRIMITIVES]
         return ExecutionStats(
             makespan=max(0.0, end - query.epoch_start),
             time_by_category=categories,
@@ -331,26 +343,19 @@ class ExecutionContext:
                 for name, device in self.devices.items()
                 if hasattr(device, "memory")
             },
-            transfer_bytes=sum(e.nbytes for e in events
-                               if e.category == "transfer"),
+            transfer_bytes=transfer_bytes,
             chunks_processed=chunks,
-            kernel_invocations=sum(1 for e in events
-                                   if e.category == "compute"),
+            kernel_invocations=computes,
             pipeline_spans=list(pipeline_spans or ()),
             query_id=query.query_id,
-            residency_hits=sum(1 for e in events if e.category == "cache"),
-            residency_hit_bytes=sum(e.nbytes for e in events
-                                    if e.category == "cache"),
-            kernels_launched=sum(1 for e in events
-                                 if e.category == "launch"
-                                 and e.eid > restart_eid),
-            fused_nodes=sum(1 for n in self.graph.nodes.values()
-                            if n.primitive in FUSED_PRIMITIVES),
+            residency_hits=hits,
+            residency_hit_bytes=hit_bytes,
+            kernels_launched=launched,
+            fused_nodes=len(fused),
             fused_probe_nodes=sum(
-                1 for n in self.graph.nodes.values()
-                if n.primitive in FUSED_PRIMITIVES
-                and any(step["primitive"] == "hash_probe"
-                        for step in n.params.get("steps", ()))
+                1 for n in fused
+                if any(step["primitive"] == "hash_probe"
+                       for step in n.params.get("steps", ()))
             ),
             retries=query.recovery.retries,
             failovers=query.recovery.failovers,

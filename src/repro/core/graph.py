@@ -17,7 +17,6 @@ Edges have two kinds of sources:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import GraphValidationError
@@ -145,13 +144,16 @@ class PrimitiveGraph:
     **Mutation contract.**  The structure changes only through
     :meth:`add_node`, :meth:`connect` and :meth:`mark_output`; each drops
     the derived caches (adjacency index, topological order, pipeline
-    split).  ``nodes``, ``edges`` and ``outputs`` are public for reading
-    — do not append to them, and do not rewire an edge's ``source`` /
-    ``target`` / ``input_index`` in place.  (Runtime bookkeeping on an
-    edge — ``device_id`` and the cursors — and a node's ``device`` /
-    ``params`` annotations are not structure and may change freely.)  As
-    a safety net, an ``edges.append`` behind :meth:`connect`'s back is
-    noticed by its length and drops the caches too.
+    split, validation verdict, subplan digests).  ``nodes``, ``edges``
+    and ``outputs`` are public for reading — do not append to them, and
+    do not rewire an edge's ``source`` / ``target`` / ``input_index`` in
+    place.  A node's ``params`` are fixed once it is added or bound (the
+    digests name them); the same plan with other parameters is
+    :meth:`bind`.  (Runtime bookkeeping on an edge — ``device_id`` and
+    the cursors — and a node's ``device`` / ``variant`` annotations are
+    not structure and may change freely.)  As a safety net, an
+    ``edges.append`` behind :meth:`connect`'s back is noticed by its
+    length and drops the caches too.
     """
 
     def __init__(self, name: str = "query") -> None:
@@ -159,18 +161,18 @@ class PrimitiveGraph:
         self.nodes: dict[str, PrimitiveNode] = {}
         self.edges: list[DataEdge] = []
         self.outputs: list[str] = []
-        self._edge_ids = itertools.count()
-        # Derived-structure caches (adjacency, topological order,
-        # pipeline split).  Chunked/pipelined models recompute these per
-        # chunk otherwise; any structural mutation invalidates them.
+        self._invalidate_caches()
+
+    def _invalidate_caches(self) -> None:
+        """Drop the derived structure.  Topological order and pipeline
+        split may be shared with the graphs of one :meth:`bind` family:
+        they are replaced here, never written into."""
         self._edge_index: _EdgeIndex | None = None
         self._topo_cache: list[str] | None = None
         self._pipeline_cache: list | None = None
-
-    def _invalidate_caches(self) -> None:
-        self._edge_index = None
-        self._topo_cache = None
-        self._pipeline_cache = None
+        self._validated = False
+        #: node id -> subplan digest (:mod:`repro.core.fingerprint`).
+        self._digests: dict[str, str] = {}
 
     def _index(self) -> _EdgeIndex:
         """The adjacency index, (re)built when the edge list changed."""
@@ -214,7 +216,7 @@ class PrimitiveGraph:
         if target not in self.nodes:
             raise GraphValidationError(f"unknown target node {target!r}")
         edge = DataEdge(
-            data_id=next(self._edge_ids), source=source, target=target,
+            data_id=len(self.edges), source=source, target=target,
             input_index=input_index,
         )
         self.edges.append(edge)
@@ -228,6 +230,41 @@ class PrimitiveGraph:
         if node_id not in self.outputs:
             self.outputs.append(node_id)
             self._invalidate_caches()
+
+    def bind(self, params_by_node: dict[str, dict],
+             device: str | None = None) -> PrimitiveGraph:
+        """This plan with other parameters: a fresh graph whose nodes
+        named in *params_by_node* take those ``params`` and, when
+        *device* is given, whose every node is annotated with it.
+
+        The bound graph owns its nodes and edges (annotations, cursors,
+        placement) and shares, read-only, what structure alone decides:
+        topological order, pipeline split and validation verdict, worked
+        out here once.  Mutating a bound graph detaches it.
+        """
+        from repro.core.pipelines import split_pipelines  # imports us
+
+        self.validate()
+        split_pipelines(self)
+        unknown = sorted(params_by_node.keys() - self.nodes.keys())
+        if unknown:
+            raise GraphValidationError(f"bind: unknown nodes {unknown}")
+        bound = PrimitiveGraph(self.name)
+        bound.nodes = {
+            nid: PrimitiveNode(
+                nid, node.primitive,
+                dict(params_by_node.get(nid, node.params)),
+                device or node.device, dict(node.cost_params),
+                dict(node.hints), node.variant)
+            for nid, node in self.nodes.items()}
+        bound.edges = [DataEdge(e.data_id, e.source, e.target, e.input_index)
+                       for e in self.edges]
+        bound.outputs = list(self.outputs)
+        bound._edge_index = _EdgeIndex(bound.edges)
+        bound._topo_cache = self._topo_cache
+        bound._pipeline_cache = self._pipeline_cache
+        bound._validated = True
+        return bound
 
     # -- queries ---------------------------------------------------------------
 
@@ -278,7 +315,11 @@ class PrimitiveGraph:
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check structure and I/O-semantic compatibility (Section III-B3)."""
+        """Check structure and I/O-semantic compatibility (Section III-B3);
+        a pass is remembered until the graph is mutated."""
+        self._index()  # notices an out-of-band edges.append
+        if self._validated:
+            return
         self.topological_order()
         for nid, node in self.nodes.items():
             edges = self.in_edges(nid)
@@ -308,6 +349,7 @@ class PrimitiveGraph:
         for out in self.outputs:
             if out not in self.nodes:
                 raise GraphValidationError(f"unknown output {out!r}")
+        self._validated = True
 
     def _edge_semantic(self, edge: DataEdge) -> IOSemantic | None:
         if edge.is_scan:

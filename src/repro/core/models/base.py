@@ -766,17 +766,14 @@ class ExecutionModel(abc.ABC):
         if cache is None:
             return False
         graph = self.plan.graph
-        persisted = sorted(persisted_node_ids(graph, pipeline))
-        if not persisted:
+        if not pipeline.persisted_ids:
             return False
         healthy = self._healthy_device_names()
-        memo: dict[str, tuple] = {}
         entries = []
-        for nid in persisted:
+        for nid in pipeline.persisted_ids:
             entry = cache.lookup(
-                subplan_fingerprint(graph, nid, _memo=memo),
-                self.ctx.catalog, self.ctx.data_scale,
-                self.ctx.query.query_id, healthy)
+                subplan_fingerprint(graph, nid), self.ctx.catalog,
+                self.ctx.data_scale, self.ctx.query.query_id, healthy)
             if entry is None:
                 return False
             entries.append((nid, entry))
@@ -820,9 +817,8 @@ class ExecutionModel(abc.ABC):
         if cache is None:
             return
         graph = self.plan.graph
-        memo: dict[str, tuple] = {}
         inserted = False
-        for nid in sorted(persisted_node_ids(graph, pipeline)):
+        for nid in pipeline.persisted_ids:
             alias = self.node_alias.get(nid)
             device_name = self.node_device.get(nid)
             if alias is None or device_name is None:
@@ -834,7 +830,7 @@ class ExecutionModel(abc.ABC):
             if value is None:
                 continue
             entry = cache.insert(
-                subplan_fingerprint(graph, nid, _memo=memo), nid, value,
+                subplan_fingerprint(graph, nid), nid, value,
                 nbytes=value_nbytes(value), device=device_name,
                 catalog=self.ctx.catalog, data_scale=self.ctx.data_scale,
                 query_id=self.ctx.query.query_id)

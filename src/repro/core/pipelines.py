@@ -35,6 +35,8 @@ class Pipeline:
         breaker_ids: Member nodes that are pipeline breakers.
         full_input_ids: Member nodes whose primitive is not decomposable
             over chunks (``PrimitiveDefinition.requires_full_input``).
+        persisted_ids: Member nodes whose results outlive the pipeline
+            (:func:`persisted_node_ids`), sorted.
     """
 
     index: int
@@ -43,6 +45,7 @@ class Pipeline:
     external_inputs: list[str] = field(default_factory=list)
     breaker_ids: list[str] = field(default_factory=list)
     full_input_ids: list[str] = field(default_factory=list)
+    persisted_ids: list[str] = field(default_factory=list)
 
     @property
     def is_chunkable(self) -> bool:
@@ -93,21 +96,18 @@ def persisted_node_ids(graph: PrimitiveGraph,
     """Nodes whose results outlive *pipeline*: breakers, query outputs,
     and producers feeding later pipelines.  This is both what chunked
     execution keeps alive in device memory (Section IV-B) and the unit
-    the engine's subplan result cache stores and serves."""
-    member = set(pipeline.node_ids)
-    out = set(pipeline.breaker_ids)
-    out |= member & set(graph.outputs)
-    for nid in pipeline.node_ids:
-        if any(edge.target not in member for edge in graph.out_edges(nid)):
-            out.add(nid)
-    return out
+    the engine's subplan result cache stores and serves.  Worked out by
+    :func:`split_pipelines`; ``pipeline.persisted_ids`` is the same in
+    sorted order."""
+    return set(pipeline.persisted_ids)
 
 
 def split_pipelines(graph: PrimitiveGraph) -> list[Pipeline]:
     """Partition *graph* into pipelines in dependency order.
 
-    The split is cached on the graph until it is mutated; callers treat
-    the returned :class:`Pipeline` objects as read-only.
+    The split is cached on the graph until it is mutated, and shared by
+    the graphs bound from it (:meth:`PrimitiveGraph.bind`); callers
+    treat the returned :class:`Pipeline` objects as read-only.
     """
     graph._index()  # drops the caches after an out-of-band edges.append
     if graph._pipeline_cache is not None:
@@ -173,6 +173,10 @@ def split_pipelines(graph: PrimitiveGraph) -> list[Pipeline]:
         pipeline = Pipeline(index=index, node_ids=members)
         for nid in members:
             node = graph.nodes[nid]
+            if (node.is_breaker or nid in graph.outputs
+                    or any(edge.target not in member_set
+                           for edge in graph.out_edges(nid))):
+                pipeline.persisted_ids.append(nid)
             if node.is_breaker:
                 pipeline.breaker_ids.append(nid)
             if node.defn.requires_full_input:
@@ -184,6 +188,7 @@ def split_pipelines(graph: PrimitiveGraph) -> list[Pipeline]:
                 elif edge.source not in member_set:
                     if edge.source not in pipeline.external_inputs:
                         pipeline.external_inputs.append(edge.source)
+        pipeline.persisted_ids.sort()
         pipelines.append(pipeline)
     graph._pipeline_cache = list(pipelines)
     return pipelines

@@ -119,12 +119,10 @@ def explain(graph: PrimitiveGraph, catalog: Catalog, *,
     if subplan_cache is not None and len(subplan_cache):
         from repro.core.fingerprint import subplan_fingerprint
         healthy = set(devices)
-        memo: dict = {}
-        for nid in graph.nodes:
-            if subplan_cache.peek(
-                    subplan_fingerprint(graph, nid, _memo=memo),
-                    catalog, data_scale, healthy) is not None:
-                cached_nodes.add(nid)
+        cached_nodes = {
+            nid for nid in graph.nodes
+            if subplan_cache.peek(subplan_fingerprint(graph, nid), catalog,
+                                  data_scale, healthy) is not None}
 
     lines = [
         f"EXPLAIN {graph.name}",

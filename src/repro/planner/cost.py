@@ -42,12 +42,7 @@ import numpy as np
 from repro.core.fingerprint import subplan_fingerprint
 from repro.core.graph import PrimitiveGraph, PrimitiveNode
 from repro.core.models import MODELS, shallow_hash_pipeline
-from repro.core.pipelines import (
-    Pipeline,
-    chunk_count,
-    persisted_node_ids,
-    split_pipelines,
-)
+from repro.core.pipelines import Pipeline, chunk_count, split_pipelines
 from repro.devices.base import SimulatedDevice
 from repro.hardware import calibration as cal
 from repro.hardware.costmodel import CostModel, CostOverlay, TransferDirection
@@ -526,17 +521,6 @@ def routed_input_seconds(device: SimulatedDevice, data_scale: int) -> float:
         nbytes, direction=TransferDirection.H2D, pinned=False)
 
 
-@dataclass(eq=False)
-class _GraphShapes:
-    """One graph's pipelines as the table sees them.  Holding the graph
-    keeps its ``id`` — the table's key — from being reused."""
-
-    graph: PrimitiveGraph
-    pipelines: list[_PipelineShape]
-    #: ``subplan_fingerprint``'s memo, shared by every node of the graph.
-    fingerprints: dict = field(default_factory=dict)
-
-
 class _ModelTraits(NamedTuple):
     """What pricing reads off an execution-model class."""
 
@@ -587,7 +571,8 @@ class PricingTable:
         self.overlay = overlay or {}
         self.subplan_cache = subplan_cache
         self._names = sorted(devices)
-        self._graphs: dict[int, _GraphShapes] = {}
+        #: graph (by identity) -> its pipelines as the table sees them.
+        self._graphs: dict[PrimitiveGraph, list[_PipelineShape]] = {}
         self._traits: dict[str, _ModelTraits] = {}
         #: (model, chunks) -> :meth:`split_counts`.
         self._split_counts: dict[tuple[str, int], dict[str, int]] = {}
@@ -610,15 +595,15 @@ class PricingTable:
                 else ())
         return traits
 
-    def _shapes(self, graph: PrimitiveGraph) -> _GraphShapes:
-        shapes = self._graphs.get(id(graph))
+    def _shapes(self, graph: PrimitiveGraph) -> list[_PipelineShape]:
+        shapes = self._graphs.get(graph)
         if shapes is None:
             pipelines = split_pipelines(graph)
             producer = {nid: pipeline.index for pipeline in pipelines
                         for nid in pipeline.node_ids}
-            shapes = self._graphs[id(graph)] = _GraphShapes(
-                graph, [self._shape(graph, pipeline, producer)
-                        for pipeline in pipelines])
+            shapes = self._graphs[graph] = [
+                self._shape(graph, pipeline, producer)
+                for pipeline in pipelines]
         return shapes
 
     def _shape(self, graph: PrimitiveGraph, pipeline: Pipeline,
@@ -737,7 +722,7 @@ class PricingTable:
         placement = placement or {}
         placed: dict[int, str] = {}  # pipeline -> device (routing charges)
         pipeline_costs: list[PipelineCost] = []
-        for shape in self._shapes(graph).pipelines:
+        for shape in self._shapes(graph):
             pipeline = shape.pipeline
             index = pipeline.index
             dev_name = placement.get(index, shape.annotated)
@@ -831,12 +816,11 @@ class PricingTable:
         cache = self.subplan_cache
         if cache is None or not len(cache):
             return cost
-        shapes = self._shapes(graph)
         priced = []
         changed = False
-        for pc, shape in zip(cost.pipelines, shapes.pipelines):
+        for pc, shape in zip(cost.pipelines, self._shapes(graph)):
             if shape.cached is None:
-                shape.cached = self._cached_entries(shapes, shape)
+                shape.cached = self._cached_entries(graph, shape)
             if not shape.cached:
                 priced.append(pc)
                 continue
@@ -851,15 +835,14 @@ class PricingTable:
         return PlanCost(total=sum(p.total for p in priced),
                         pipelines=tuple(priced))
 
-    def _cached_entries(self, shapes: _GraphShapes,
+    def _cached_entries(self, graph: PrimitiveGraph,
                         shape: _PipelineShape) -> tuple:
-        graph = shapes.graph
         healthy = set(self.devices)
         entries = []
-        for nid in sorted(persisted_node_ids(graph, shape.pipeline)):
+        for nid in shape.pipeline.persisted_ids:
             entry = self.subplan_cache.peek(
-                subplan_fingerprint(graph, nid, _memo=shapes.fingerprints),
-                self.catalog, self.data_scale, healthy)
+                subplan_fingerprint(graph, nid), self.catalog,
+                self.data_scale, healthy)
             if entry is None:
                 return ()
             entries.append(entry)

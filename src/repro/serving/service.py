@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from repro.core.fingerprint import subplan_fingerprint
-from repro.core.pipelines import persisted_node_ids, split_pipelines
+from repro.core.pipelines import split_pipelines
 from repro.engine.engine import Engine, QueryRequest
 from repro.engine.scheduler import _halve_chunk
 from repro.engine.session import QuerySession
@@ -227,12 +227,15 @@ class QueryService:
 
     def _ingest(self, now: float) -> None:
         """Admit every pending request that has arrived by *now*."""
+        if not self._pending or self._pending[0].arrival_s > now:
+            return  # the usual call: a chunk boundary, nothing new
         metrics = self.engine.metrics
+        healthy = set(self.engine._healthy_devices())
         while self._pending and self._pending[0].arrival_s <= now:
             request = self._pending.popleft()
             outcome = self.outcomes[request.request_id]
             depth = self.lanes.depth(request.lane)
-            covered, total = self._cache_coverage(request)
+            covered, total = self._cache_coverage(request, healthy)
             fully_covered = total > 0 and covered == total
             try:
                 decision = self.controller.admit(
@@ -257,31 +260,28 @@ class QueryService:
             metrics.set("adamant_serving_queue_depth",
                         self.lanes.depth(request.lane), lane=request.lane)
 
-    def _cache_coverage(self, request: ServeRequest) -> tuple[int, int]:
+    def _cache_coverage(self, request: ServeRequest,
+                        healthy: set[str]) -> tuple[int, int]:
         """(covered, total) persisted subplans of *request* in the
-        engine's subplan cache — the admission-ordering affinity and
-        the shed-bypass signal.  Uses :meth:`SubplanCache.peek`, so it
-        touches no counters and pins nothing."""
+        engine's subplan cache on *healthy* devices — the
+        admission-ordering affinity and the shed-bypass signal.  Uses
+        :meth:`SubplanCache.peek`, so it touches no counters and pins
+        nothing."""
         cache = self.engine.subplan_cache
         if cache is None or not len(cache):
             return (0, 0)
-        graph = request.query.graph
-        healthy = set(self.engine._healthy_devices())
-        memo: dict = {}
+        query = request.query
         covered = total = 0
         try:
-            pipelines = split_pipelines(graph)
-        except AdamantError:
+            for pipeline in split_pipelines(query.graph):
+                for nid in pipeline.persisted_ids:
+                    total += 1
+                    if cache.peek(subplan_fingerprint(query.graph, nid),
+                                  query.catalog, query.data_scale,
+                                  healthy) is not None:
+                        covered += 1
+        except AdamantError:  # a plan that cannot run is not covered
             return (0, 0)
-        for pipeline in pipelines:
-            for nid in sorted(persisted_node_ids(graph, pipeline)):
-                total += 1
-                entry = cache.peek(
-                    subplan_fingerprint(graph, nid, _memo=memo),
-                    request.query.catalog, request.query.data_scale,
-                    healthy)
-                if entry is not None:
-                    covered += 1
         return (covered, total)
 
     # -- dispatch ------------------------------------------------------------

@@ -38,8 +38,7 @@ def estimate_bytes(name: str, catalog: Catalog,
                    data_scale: int = 1) -> int:
     """Admission-accounting estimate: logical bytes of every base
     column the query scans (an upper-bound proxy for its working set)."""
-    graph = build_query(name, catalog)
-    refs = {edge.source.ref for edge in graph.edges if edge.is_scan}
+    refs = QUERY_MIX[name].template().scan_refs()
     return sum(catalog.column(ref).nbytes for ref in refs) * data_scale
 
 

@@ -8,6 +8,10 @@ Every module exposes ``build(catalog, **params) -> PrimitiveGraph`` and
 the same name in :mod:`repro.tpch.reference`.  Only some builders read
 the catalog (to translate literals into dictionary codes); the others
 take it too and default it to None, so callers need not know which.
+``build`` binds its literals into ``template()`` — the plan's structure,
+built once per module and read-only — so every call returns a fresh
+graph that shares only what structure alone decides
+(:meth:`~repro.core.graph.PrimitiveGraph.bind`).
 """
 
 from repro.tpch.queries import (q1, q1_sorted, q3, q4, q5, q6, q10,

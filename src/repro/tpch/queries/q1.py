@@ -8,12 +8,14 @@ exercises multi-breaker pipelines in every execution model.
 
 from __future__ import annotations
 
+import functools
+
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
 from repro.primitives.values import GroupTable
 from repro.storage import Catalog, DictionaryColumn, date_to_int
 
-__all__ = ["build", "finalize"]
+__all__ = ["build", "finalize", "template"]
 
 _AGGS = {
     "agg_qty": ("m_qty", "sum"),
@@ -24,13 +26,12 @@ _AGGS = {
 }
 
 
-def build(catalog: Catalog | None = None, *, delta_days: int = 90,
-          device: str | None = None) -> PrimitiveGraph:
-    """Build the Q1 primitive graph (cutoff = 1998-12-01 - *delta_days*)."""
-    cutoff = date_to_int("1998-12-01") - delta_days
+@functools.cache
+def template() -> PrimitiveGraph:
+    """The Q1 plan without its literals, built once and read-only; every
+    :func:`build` binds one fresh graph from it."""
     g = PrimitiveGraph("q1")
-    g.add_node("f_ship", "filter_bitmap",
-               params=dict(cmp="le", value=cutoff), device=device)
+    g.add_node("f_ship", "filter_bitmap")
     materialized = {
         "m_rf": "lineitem.l_returnflag",
         "m_ls": "lineitem.l_linestatus",
@@ -41,33 +42,38 @@ def build(catalog: Catalog | None = None, *, delta_days: int = 90,
     }
     g.connect("lineitem.l_shipdate", "f_ship", 0)
     for node_id, ref in materialized.items():
-        g.add_node(node_id, "materialize", device=device,
+        g.add_node(node_id, "materialize",
                    hints=dict(selectivity_estimate=0.99))
         g.connect(ref, node_id, 0)
         g.connect("f_ship", node_id, 1)
 
     # group key = returnflag * |linestatus dictionary| + linestatus
-    g.add_node("keys", "map", params=dict(op="combine_keys", const=2),
-               device=device)
+    g.add_node("keys", "map", params=dict(op="combine_keys", const=2))
     g.connect("m_rf", "keys", 0)
     g.connect("m_ls", "keys", 1)
 
-    g.add_node("disc_price", "map", params=dict(op="disc_price"),
-               device=device)
+    g.add_node("disc_price", "map", params=dict(op="disc_price"))
     g.connect("m_price", "disc_price", 0)
     g.connect("m_disc", "disc_price", 1)
-    g.add_node("charge", "map", params=dict(op="tax_price"), device=device)
+    g.add_node("charge", "map", params=dict(op="tax_price"))
     g.connect("disc_price", "charge", 0)
     g.connect("m_tax", "charge", 1)
 
     for agg_id, (value_node, fn) in _AGGS.items():
-        g.add_node(agg_id, "hash_agg", params=dict(fn=fn), device=device,
+        g.add_node(agg_id, "hash_agg", params=dict(fn=fn),
                    cost_params=dict(groups=6))
         g.connect("keys", agg_id, 0)
         if value_node is not None:
             g.connect(value_node, agg_id, 1)
         g.mark_output(agg_id)
     return g
+
+
+def build(catalog: Catalog | None = None, *, delta_days: int = 90,
+          device: str | None = None) -> PrimitiveGraph:
+    """Build the Q1 primitive graph (cutoff = 1998-12-01 - *delta_days*)."""
+    cutoff = date_to_int("1998-12-01") - delta_days
+    return template().bind({"f_ship": dict(cmp="le", value=cutoff)}, device)
 
 
 def finalize(result: QueryResult, catalog: Catalog

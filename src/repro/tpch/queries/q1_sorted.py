@@ -14,12 +14,14 @@ operator-at-a-time (the runtime enforces it); the hash-based
 
 from __future__ import annotations
 
+import functools
+
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
 from repro.primitives.values import GroupTable
 from repro.storage import Catalog, DictionaryColumn, date_to_int
 
-__all__ = ["build", "finalize"]
+__all__ = ["build", "finalize", "template"]
 
 _AGGS = {
     "agg_qty": ("s_qty", "sum"),
@@ -30,13 +32,12 @@ _AGGS = {
 }
 
 
-def build(catalog: Catalog | None = None, *, delta_days: int = 90,
-          device: str | None = None) -> PrimitiveGraph:
-    """Build the sort-based Q1 primitive graph."""
-    cutoff = date_to_int("1998-12-01") - delta_days
+@functools.cache
+def template() -> PrimitiveGraph:
+    """The sort-based Q1 plan without its literals, built once and read-only; every
+    :func:`build` binds one fresh graph from it."""
     g = PrimitiveGraph("q1_sorted")
-    g.add_node("f_ship", "filter_bitmap",
-               params=dict(cmp="le", value=cutoff), device=device)
+    g.add_node("f_ship", "filter_bitmap")
     g.connect("lineitem.l_shipdate", "f_ship", 0)
 
     materialized = {
@@ -48,47 +49,52 @@ def build(catalog: Catalog | None = None, *, delta_days: int = 90,
         "m_tax": "lineitem.l_tax",
     }
     for node_id, ref in materialized.items():
-        g.add_node(node_id, "materialize", device=device,
+        g.add_node(node_id, "materialize",
                    hints=dict(selectivity_estimate=0.99))
         g.connect(ref, node_id, 0)
         g.connect("f_ship", node_id, 1)
 
-    g.add_node("keys", "map", params=dict(op="combine_keys", const=2),
-               device=device)
+    g.add_node("keys", "map", params=dict(op="combine_keys", const=2))
     g.connect("m_rf", "keys", 0)
     g.connect("m_ls", "keys", 1)
 
     # The sort path: permutation over the combined key.
-    g.add_node("order", "sort_positions", device=device)
+    g.add_node("order", "sort_positions")
     g.connect("keys", "order", 0)
-    g.add_node("s_keys", "materialize_position", device=device)
+    g.add_node("s_keys", "materialize_position")
     g.connect("keys", "s_keys", 0)
     g.connect("order", "s_keys", 1)
-    g.add_node("boundaries", "group_prefix", device=device)
+    g.add_node("boundaries", "group_prefix")
     g.connect("s_keys", "boundaries", 0)
 
     for node_id, source in (("s_qty", "m_qty"), ("s_price", "m_price"),
                             ("s_disc", "m_disc"), ("s_tax", "m_tax")):
-        g.add_node(node_id, "materialize_position", device=device)
+        g.add_node(node_id, "materialize_position")
         g.connect(source, node_id, 0)
         g.connect("order", node_id, 1)
 
-    g.add_node("disc_price", "map", params=dict(op="disc_price"),
-               device=device)
+    g.add_node("disc_price", "map", params=dict(op="disc_price"))
     g.connect("s_price", "disc_price", 0)
     g.connect("s_disc", "disc_price", 1)
-    g.add_node("charge", "map", params=dict(op="tax_price"), device=device)
+    g.add_node("charge", "map", params=dict(op="tax_price"))
     g.connect("disc_price", "charge", 0)
     g.connect("s_tax", "charge", 1)
 
     for agg_id, (value_node, fn) in _AGGS.items():
-        g.add_node(agg_id, "sort_agg", params=dict(fn=fn), device=device)
+        g.add_node(agg_id, "sort_agg", params=dict(fn=fn))
         g.connect(value_node, agg_id, 0)
         g.connect("boundaries", agg_id, 1)
         g.mark_output(agg_id)
     # Also expose the sorted keys so finalize can name the dense groups.
     g.mark_output("s_keys")
     return g
+
+
+def build(catalog: Catalog | None = None, *, delta_days: int = 90,
+          device: str | None = None) -> PrimitiveGraph:
+    """Build the sort-based Q1 primitive graph."""
+    cutoff = date_to_int("1998-12-01") - delta_days
+    return template().bind({"f_ship": dict(cmp="le", value=cutoff)}, device)
 
 
 def finalize(result: QueryResult, catalog: Catalog

@@ -7,39 +7,29 @@ map, and a block-wide sum — ending at the AGG_BLOCK pipeline breaker.
 
 from __future__ import annotations
 
+import functools
+
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
 from repro.storage import Catalog, date_to_int
 from repro.tpch.reference import _add_months
 
-__all__ = ["build", "finalize"]
+__all__ = ["build", "finalize", "template"]
 
 
-def build(catalog: Catalog | None = None, *, date: str = "1994-01-01",
-          discount: int = 6, quantity: int = 24,
-          device: str | None = None) -> PrimitiveGraph:
-    """Build the Q6 primitive graph.
-
-    Args match :func:`repro.tpch.reference.q6`; *device* annotates every
-    node (default device when omitted).
-    """
-    start = date_to_int(date)
-    end = date_to_int(_add_months(date, 12))
+@functools.cache
+def template() -> PrimitiveGraph:
+    """The Q6 plan without its literals, built once and read-only; every
+    :func:`build` binds one fresh graph from it."""
     g = PrimitiveGraph("q6")
-    g.add_node("f_ship", "filter_bitmap",
-               params=dict(lo=start, hi=end - 1), device=device)
-    g.add_node("f_disc", "filter_bitmap",
-               params=dict(lo=discount - 1, hi=discount + 1), device=device)
-    g.add_node("f_qty", "filter_bitmap",
-               params=dict(cmp="lt", value=quantity), device=device)
-    g.add_node("and_sd", "bitmap_and", device=device)
-    g.add_node("and_all", "bitmap_and", device=device)
-    g.add_node("m_price", "materialize", device=device,
-               hints=dict(selectivity_estimate=0.05))
-    g.add_node("m_disc", "materialize", device=device,
-               hints=dict(selectivity_estimate=0.05))
-    g.add_node("revenue", "map", params=dict(op="mul"), device=device)
-    g.add_node("sum_rev", "agg_block", params=dict(fn="sum"), device=device)
+    for node_id in ("f_ship", "f_disc", "f_qty"):
+        g.add_node(node_id, "filter_bitmap")
+    g.add_node("and_sd", "bitmap_and")
+    g.add_node("and_all", "bitmap_and")
+    g.add_node("m_price", "materialize", hints=dict(selectivity_estimate=0.05))
+    g.add_node("m_disc", "materialize", hints=dict(selectivity_estimate=0.05))
+    g.add_node("revenue", "map", params=dict(op="mul"))
+    g.add_node("sum_rev", "agg_block", params=dict(fn="sum"))
 
     g.connect("lineitem.l_shipdate", "f_ship", 0)
     g.connect("lineitem.l_discount", "f_disc", 0)
@@ -57,6 +47,23 @@ def build(catalog: Catalog | None = None, *, date: str = "1994-01-01",
     g.connect("revenue", "sum_rev", 0)
     g.mark_output("sum_rev")
     return g
+
+
+def build(catalog: Catalog | None = None, *, date: str = "1994-01-01",
+          discount: int = 6, quantity: int = 24,
+          device: str | None = None) -> PrimitiveGraph:
+    """Build the Q6 primitive graph.
+
+    Args match :func:`repro.tpch.reference.q6`; *device* annotates every
+    node (default device when omitted).
+    """
+    start = date_to_int(date)
+    end = date_to_int(_add_months(date, 12))
+    return template().bind({
+        "f_ship": dict(lo=start, hi=end - 1),
+        "f_disc": dict(lo=discount - 1, hi=discount + 1),
+        "f_qty": dict(cmp="lt", value=quantity),
+    }, device)
 
 
 def finalize(result: QueryResult, catalog: Catalog) -> int:

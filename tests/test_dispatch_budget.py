@@ -16,6 +16,11 @@ So is the optimizer's search: it prices each distinct (pipeline, device,
 chunk count) once however many candidates share it, the Python it runs
 per candidate is bounded, and none of it grows with a candidate's chunk
 count or with what the subplan cache holds.
+
+And the serving path: requests bound from one template derive its
+structure once between them, and naming a request's subplans hashes each
+of its nodes at most once, a bounded payload each, however deep the
+plan.
 """
 
 import cProfile
@@ -28,8 +33,9 @@ import numpy as np
 from repro.cluster import CO_PARTITIONED_TABLES, ClusterExecutor
 from repro.cluster.node import ClusterNode
 from repro.core import fingerprint
+from repro.core.graph import PrimitiveGraph
 from repro.devices import CudaDevice, OpenCLDevice
-from repro.engine import Engine
+from repro.engine import Engine, QueryRequest
 from repro.hardware import GPU_A100, GPU_RTX_2080_TI
 from repro.planner import cost as planner_cost
 from repro.planner.cost import PricingTable
@@ -40,6 +46,7 @@ from repro.primitives.values import (
     DIRECTORY_SPAN_PER_KEY,
     group_index,
 )
+from repro.serving import QueryService, ServeRequest
 from repro.tpch.queries import q3, q6
 from tests.conftest import make_executor
 
@@ -54,12 +61,15 @@ CALLS_PER_INVOCATION_CEILING = 167
 CHUNK_ROWS = 1024
 
 
-def profiled_q3(catalog, chunk_rows, model="chunked", extra_devices=()):
+def profiled_q3(catalog, chunk_rows, model="chunked", extra_devices=(),
+                detach=False):
     executor = make_executor(name="gpu0", extra_devices=extra_devices)
     # Warm-up: lazy imports and first-use registrations are not the loop.
     executor.run(q3.build(catalog), catalog, model=model,
                  chunk_size=chunk_rows)
     graph = q3.build(catalog)
+    if detach:  # derive the structure in the run, not from the template
+        graph._invalidate_caches()
     profile = cProfile.Profile()
     profile.enable()
     result = executor.run(graph, catalog, model=model,
@@ -98,8 +108,10 @@ def test_calls_per_invocation_within_budget(small_catalog):
 
 
 def test_graph_queries_do_not_scan_per_invocation(small_catalog):
-    graph, few, profile_few = profiled_q3(small_catalog, 4 * CHUNK_ROWS)
-    _, many, profile_many = profiled_q3(small_catalog, CHUNK_ROWS)
+    graph, few, profile_few = profiled_q3(small_catalog, 4 * CHUNK_ROWS,
+                                          detach=True)
+    _, many, profile_many = profiled_q3(small_catalog, CHUNK_ROWS,
+                                        detach=True)
     assert many.kernel_invocations > 3 * few.kernel_invocations
     scans_few = is_scan_calls_from_graph_queries(profile_few)
     scans_many = is_scan_calls_from_graph_queries(profile_many)
@@ -339,9 +351,9 @@ def test_warm_subplan_cache_does_not_slow_the_search(small_catalog,
     fingerprinted = []
     subplan_fingerprint = fingerprint.subplan_fingerprint
 
-    def recording_fingerprint(graph, node_id, **kwargs):
+    def recording_fingerprint(graph, node_id):
         fingerprinted.append((graph, node_id))
-        return subplan_fingerprint(graph, node_id, **kwargs)
+        return subplan_fingerprint(graph, node_id)
 
     monkeypatch.setattr(planner_cost, "subplan_fingerprint",
                         recording_fingerprint)
@@ -366,3 +378,92 @@ def test_warm_subplan_cache_does_not_slow_the_search(small_catalog,
     assert 3 <= len(fingerprinted) == len(set(fingerprinted))
     assert len(fingerprinted) < report.enumerated
     assert warm <= 1.5 * cold
+
+
+# ---------------------------------------------------------------------------
+# The serving path: structure once per template, digests once per node
+# ---------------------------------------------------------------------------
+
+def serving_plan_work(catalog, requests: int) -> dict[str, int]:
+    """Build *requests* Q3 requests with distinct literals from a cold
+    template, serve them, and count what only the *bodies* of the plan
+    functions call: list sorts of ``topological_order``, semantic
+    look-ups of ``validate``, union-find roots of ``split_pipelines``,
+    and node digests."""
+    q3.template.cache_clear()
+    engine = Engine()
+    engine.plug_device("dev0", CudaDevice, GPU_A100)
+    profile = cProfile.Profile()
+    profile.enable()
+    report = QueryService(engine).serve([
+        ServeRequest(
+            query=QueryRequest(
+                graph=q3.build(catalog, date=f"1995-03-{1 + index % 28:02d}",
+                               segment=("BUILDING", "MACHINERY")[index % 2]),
+                catalog=catalog, chunk_size=2**14),
+            arrival_s=index * 1e-3, request_id=f"r{index}")
+        for index in range(requests)])
+    profile.disable()
+    assert len(report.with_status("ok")) == requests
+    bodies = {("topological_order", "<method 'sort' of 'list' objects>"):
+              "topological_order",
+              ("validate", "_edge_semantic"): "validate",
+              ("split_pipelines", "find"): "split_pipelines"}
+    work = dict.fromkeys([*bodies.values(), "digests"], 0)
+    for (_, _, name), (_, ncalls, _, _, callers) in pstats.Stats(
+            profile).stats.items():
+        if name == "_digest":
+            work["digests"] += ncalls
+        for (_, _, caller), (calls, *_) in callers.items():
+            if (caller, name) in bodies:
+                work[bodies[caller, name]] += calls
+    return work
+
+
+def test_bound_requests_derive_structure_once_per_template(tiny_catalog):
+    nodes = len(q3.template().nodes)
+    one = serving_plan_work(tiny_catalog, 1)
+    fifty = serving_plan_work(tiny_catalog, 50)
+    for body in ("topological_order", "validate", "split_pipelines"):
+        assert 0 < fifty[body] == one[body], body
+    assert one["digests"] <= nodes
+    assert one["digests"] < fifty["digests"] <= 50 * nodes
+
+
+def ladder(depth: int) -> PrimitiveGraph:
+    """Two nodes per level, each reading both nodes of the level below:
+    ``2 ** depth`` paths from the top to the scan."""
+    graph = PrimitiveGraph()
+    below = ("t.a", "t.b")
+    for level in range(depth):
+        here = (f"l{level}", f"r{level}")
+        for nid in here:
+            graph.add_node(nid, "map", params=dict(op="add"))
+            graph.connect(below[0], nid, 0)
+            graph.connect(below[1], nid, 1)
+        below = here
+    return graph
+
+
+def test_digest_work_is_per_node_not_per_path(monkeypatch):
+    hashed = []
+    digest = fingerprint._digest
+
+    def recording_digest(primitive, params, inputs):
+        hashed.append(len(repr((primitive, params, inputs))))
+        return digest(primitive, params, inputs)
+
+    monkeypatch.setattr(fingerprint, "_digest", recording_digest)
+    payloads = {}
+    for depth in (4, 40):
+        graph = ladder(depth)
+        tops = [fingerprint.subplan_fingerprint(graph, f"{side}{depth - 1}")
+                for side in "lr"]
+        assert tops[0] == tops[1]  # the same computation twice
+        assert len(hashed) == 2 * depth == len(graph.nodes)
+        for nid in graph.nodes:  # memoised: naming the rest hashes nothing
+            fingerprint.subplan_fingerprint(graph, nid)
+        assert len(hashed) == 2 * depth
+        payloads[depth] = max(hashed)
+        hashed.clear()
+    assert payloads[40] == payloads[4] < 200

@@ -2,8 +2,15 @@
 
 import pytest
 
+from repro.core.fingerprint import subplan_fingerprint
 from repro.core.graph import PrimitiveGraph, ScanSource
+from repro.core.pipelines import split_pipelines
+from repro.devices import CudaDevice
+from repro.engine import Engine, QueryRequest
 from repro.errors import GraphValidationError, UnknownPrimitiveError
+from repro.hardware import GPU_RTX_2080_TI
+from repro.tpch import reference
+from repro.tpch.queries import q3
 
 
 def filter_materialize_graph():
@@ -162,3 +169,82 @@ class TestRuntimeState:
         mat = g.add_node("m", "materialize")
         assert agg.is_breaker
         assert not mat.is_breaker
+
+
+class TestBind:
+    """``bind`` re-parameterises a plan: siblings share the read-only
+    derived structure and nothing else."""
+
+    def test_bound_graph_owns_nodes_and_edges(self):
+        template = filter_materialize_graph()
+        bound = template.bind({"f": dict(cmp="lt", value=9)})
+        assert bound.nodes["f"].params == dict(cmp="lt", value=9)
+        assert template.nodes["f"].params == dict(cmp="lt", value=5)
+        assert bound.outputs == ["m"] and bound.outputs is not template.outputs
+        for mine, theirs in zip(bound.edges, template.edges):
+            assert mine is not theirs
+            assert (mine.data_id, mine.source, mine.target,
+                    mine.input_index) == (theirs.data_id, theirs.source,
+                                          theirs.target, theirs.input_index)
+        for nid, node in bound.nodes.items():
+            assert node is not template.nodes[nid]
+            assert node.params is not template.nodes[nid].params
+        assert bound._topo_cache is template._topo_cache
+        assert bound._pipeline_cache is template._pipeline_cache
+        assert [e.data_id for e in bound.in_edges("m")] == [1, 2]
+
+    def test_unknown_node_and_invalid_template_rejected(self):
+        with pytest.raises(GraphValidationError, match="ghost"):
+            filter_materialize_graph().bind({"ghost": {}})
+        cyclic = PrimitiveGraph()
+        cyclic.add_node("a", "map")
+        cyclic.add_node("b", "map")
+        cyclic.connect("a", "b", 0)
+        cyclic.connect("b", "a", 0)
+        with pytest.raises(GraphValidationError):
+            cyclic.bind({})
+
+    def test_mutating_one_sibling_detaches_only_it(self):
+        template = filter_materialize_graph()
+        left = template.bind({"f": dict(cmp="lt", value=1)})
+        right = template.bind({"f": dict(cmp="lt", value=1)})
+        split = [(p.node_ids, p.persisted_ids) for p in split_pipelines(right)]
+        digest = subplan_fingerprint(right, "m")
+        assert subplan_fingerprint(left, "m") == digest
+
+        left.add_node("extra", "map", params=dict(op="add_const", const=1))
+        edge = left.connect("m", "extra", 0)
+        left.mark_output("extra")
+        assert edge.data_id == len(right.edges)  # ids stay unique
+        assert [p.node_ids for p in split_pipelines(left)] == [
+            ["f", "m", "extra"]]
+        assert left._topo_cache is not template._topo_cache
+        assert "extra" not in right.nodes and len(right.edges) == 3
+        assert right._topo_cache is template._topo_cache
+        assert [(p.node_ids, p.persisted_ids)
+                for p in split_pipelines(right)] == split == [
+            (["f", "m"], ["m"])]
+        assert subplan_fingerprint(right, "m") == digest
+        assert subplan_fingerprint(left, "m") == digest  # same subtree
+        assert subplan_fingerprint(left, "extra") != digest
+
+    def test_siblings_run_concurrently_and_keep_their_own_cursors(
+            self, tiny_catalog):
+        dates = ("1995-03-15", "1995-03-01")
+        first, second = (q3.build(tiny_catalog, date=date) for date in dates)
+        assert first._pipeline_cache is second._pipeline_cache
+        engine = Engine()
+        engine.plug_device("dev0", CudaDevice, GPU_RTX_2080_TI)
+
+        # Runtime state lives on each graph's own edges.
+        engine.execute(first, tiny_catalog, chunk_size=2048)
+        assert any(e.processed_until for e in first.edges)
+        assert all(e.processed_until == e.fetched_until == 0
+                   and e.device_id is None for e in second.edges)
+
+        results = engine.run_concurrent([
+            QueryRequest(graph=graph, catalog=tiny_catalog, chunk_size=2048)
+            for graph in (first, second)])
+        for result, date in zip(results, dates):
+            assert q3.finalize(result, tiny_catalog) == reference.q3(
+                tiny_catalog, date=date)

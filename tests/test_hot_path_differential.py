@@ -2,8 +2,8 @@
 
 The per-invocation path looks chunk-invariant things up once: the graph
 answers adjacency from an index, the clock answers ``events_of`` from
-per-owner lists, and breakers merge all chunk partials in one k-way
-pass.  The data path does no per-row Python: a probe resolves keys
+per-owner lists, a finished query's statistics come from one pass over
+them, and breakers merge all chunk partials in one k-way pass.  The data path does no per-row Python: a probe resolves keys
 through a direct-address directory and expands matches with flat array
 operations, a cluster shards sorted tables into slice views, and
 aggregation, merge and build group dense integer keys by direct address
@@ -71,7 +71,7 @@ from repro.primitives.values import (
 )
 from repro.storage import Catalog, Column, DictionaryColumn, Table
 from repro.tpch.queries import QUERIES, q3
-from tests.conftest import make_executor
+from tests.conftest import make_context, make_executor
 
 # ---------------------------------------------------------------------------
 # (a) k-way breaker merge == left fold of the pairwise merge
@@ -409,6 +409,61 @@ class TestEventsOfIndex:
         clock.events_of("").append(None)
         assert len(clock.events_of("qa")) == 1
         assert clock.events_of("") == []
+
+
+# ---------------------------------------------------------------------------
+# (c') collect_stats in one pass over the events == one pass per figure
+# ---------------------------------------------------------------------------
+
+def rescanning_stats_facts(ctx) -> dict:
+    """What ``collect_stats`` derives from the event list, as it was:
+    one generator pass per figure."""
+    query = ctx.query
+    events = ctx.clock.events_of(query.query_id)
+    categories: dict[str, float] = {}
+    for e in events:
+        categories[e.category] = categories.get(e.category, 0.0) \
+            + e.duration
+    end = max((e.end for e in events), default=query.epoch_start)
+    restart_eid = max((e.eid for e in events
+                       if e.category == "recovery"), default=-1)
+    return dict(
+        makespan=max(0.0, end - query.epoch_start),
+        time_by_category=categories,
+        transfer_bytes=sum(e.nbytes for e in events
+                           if e.category == "transfer"),
+        kernel_invocations=sum(1 for e in events
+                               if e.category == "compute"),
+        residency_hits=sum(1 for e in events if e.category == "cache"),
+        residency_hit_bytes=sum(e.nbytes for e in events
+                                if e.category == "cache"),
+        kernels_launched=sum(1 for e in events
+                             if e.category == "launch"
+                             and e.eid > restart_eid),
+    )
+
+
+class TestCollectStats:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["", "q0", "other"]), st.integers(0, 2),
+        st.sampled_from(["compute", "launch", "transfer", "cache",
+                         "recovery", "subplan", "alloc"]),
+        st.integers(0, 1 << 40),
+        st.floats(0.0, 2.0, allow_nan=False)), max_size=40),
+        st.floats(0.0, 30.0, allow_nan=False))
+    def test_one_pass_equals_one_pass_per_figure(self, steps, epoch_start):
+        ctx = make_context(None)
+        ctx.query.epoch_start = epoch_start
+        for owner, stream, category, nbytes, duration in steps:
+            ctx.clock.current_owner = owner
+            ctx.clock.schedule(f"s{stream}", duration, category=category,
+                               nbytes=nbytes)
+        stats = ctx.collect_stats(chunks=3)
+        expected = rescanning_stats_facts(ctx)
+        assert {key: getattr(stats, key) for key in expected} == expected
+        assert list(stats.time_by_category) == list(
+            expected["time_by_category"])
 
 
 # ---------------------------------------------------------------------------
@@ -1153,7 +1208,6 @@ def cold_discount_cached(table, graph, cost):
     if cache is None or not len(cache):
         return cost
     healthy = set(table.devices)
-    memo = {}
     by_index = {p.index: p for p in split_pipelines(graph)}
     priced = []
     changed = False
@@ -1164,7 +1218,7 @@ def cold_discount_cached(table, graph, cost):
         entries = []
         for nid in persisted:
             entry = cache.peek(
-                subplan_fingerprint(graph, nid, _memo=memo),
+                subplan_fingerprint(graph, nid),
                 table.catalog, table.data_scale, healthy)
             if entry is None:
                 entries = None

@@ -7,6 +7,10 @@ execution models × fusion on/off × adaptive on/off — and a plain-numpy
 evaluation of the same logical plan must agree.  Chunk sizes are drawn
 to be non-divisors of the table sizes so every run exercises a ragged
 tail chunk.
+
+The same generator feeds the subplan-digest property: a digest names the
+value a subtree computes, so it is blind to node ids, placement, variant
+pins and fusion, and sees every parameter, input edge and scan column.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fingerprint import subplan_fingerprint
+from repro.core.graph import PrimitiveGraph, ScanSource
 from repro.planner import (
     AggregateSpec,
     Derive,
@@ -27,6 +33,7 @@ from repro.planner import (
     SemiJoin,
     translate,
 )
+from repro.planner.fusion import fuse_graph
 from repro.storage import Catalog, Column, Table
 from tests.conftest import make_executor
 
@@ -185,3 +192,93 @@ def test_adaptive_matches_static_exactly(plan, chunk, model, fuse):
     static = run_plan(plan, model, chunk, fuse=fuse, adaptive=False)
     adaptive = run_plan(plan, model, chunk, fuse=fuse, adaptive=True)
     assert adaptive == static
+
+
+# ---------------------------------------------------------------------------
+# Subplan digests, against their definition
+# ---------------------------------------------------------------------------
+
+def rebuilt(graph, *, rename=lambda nid: nid, edges=None, params=None,
+            sources=None) -> PrimitiveGraph:
+    """*graph* built again by hand: ids through *rename*, edges connected
+    in the order *edges* gives, ``params[nid]`` in place of that node's
+    and ``sources[data_id]`` in place of that edge's source."""
+    out = PrimitiveGraph(graph.name)
+    for nid, node in reversed(graph.nodes.items()):
+        out.add_node(rename(nid), node.primitive,
+                     params=(params or {}).get(nid, node.params))
+    for edge in edges or graph.edges:
+        source = (sources or {}).get(edge.data_id, edge.source)
+        out.connect(source if isinstance(source, ScanSource)
+                    else rename(source), rename(edge.target),
+                    edge.input_index)
+    for nid in graph.outputs:
+        out.mark_output(rename(nid))
+    return out
+
+
+def digests(graph) -> dict[str, str]:
+    return {nid: subplan_fingerprint(graph, nid) for nid in graph.nodes}
+
+
+def downstream(graph, nid: str) -> set[str]:
+    """*nid* and every node its result reaches."""
+    reached, frontier = {nid}, [nid]
+    while frontier:
+        for edge in graph.out_edges(frontier.pop()):
+            if edge.target not in reached:
+                reached.add(edge.target)
+                frontier.append(edge.target)
+    return reached
+
+
+def changed_params(draw, params: dict) -> dict:
+    key = draw(st.sampled_from(sorted(params)))
+    kind = draw(st.sampled_from(["alter", "drop", "add"]))
+    if kind == "drop":
+        return {k: v for k, v in params.items() if k != key}
+    if kind == "add":
+        return {**params, "extra": 0}
+    value = params[key]
+    return {**params,
+            key: value + 1 if isinstance(value, int) else (value, "x")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=logical_plans(), data=st.data())
+def test_digest_names_the_value_and_nothing_else(plan, data):
+    draw = data.draw
+    graph = translate(plan, catalog=CATALOG)
+    names = digests(graph)
+
+    # Blind to ids and build order, to placement, variant pins, fusion.
+    twin = rebuilt(graph, rename=lambda nid: f"renamed-{nid}",
+                   edges=draw(st.permutations(graph.edges)))
+    for node in twin.nodes.values():
+        node.device = draw(st.sampled_from([None, "gpu0", "cpu0"]))
+        node.variant = draw(st.sampled_from([None, "opencl", "cuda"]))
+    assert digests(twin) == {f"renamed-{nid}": name
+                             for nid, name in names.items()}
+    for nid, name in digests(fuse_graph(graph)).items():
+        assert name == names[nid]
+
+    # Sees any one change, exactly in what the changed node feeds.
+    node = draw(st.sampled_from(sorted(
+        nid for nid, node in graph.nodes.items() if node.params)))
+    edge = draw(st.sampled_from(graph.edges))
+    scan = draw(st.sampled_from([e for e in graph.edges if e.is_scan]))
+    other_sources = sorted(  # acyclic, and a different value
+        nid for nid in set(graph.nodes) - downstream(graph, edge.target)
+        if names[nid] != names.get(edge.source))
+    changes = [
+        (node, dict(params={node: changed_params(
+            draw, graph.nodes[node].params)})),
+        (edge.target, dict(sources={edge.data_id: draw(st.sampled_from(
+            [ScanSource("fact.elsewhere"), *other_sources]))})),
+        (scan.target, dict(sources={scan.data_id: ScanSource(
+            scan.source.ref + "_2")})),
+    ]
+    for root, change in changes:
+        affected = downstream(graph, root)
+        for nid, name in digests(rebuilt(graph, **change)).items():
+            assert (name != names[nid]) == (nid in affected), (nid, change)

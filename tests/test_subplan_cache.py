@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from repro.core.fingerprint import subplan_fingerprint
+from repro.core.graph import PrimitiveGraph
 from repro.devices import CudaDevice, OpenMPDevice
 from repro.engine import Engine, QueryRequest, SubplanCache
+from repro.errors import GraphValidationError
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI
 from repro.tpch.queries import q3, q6
 
@@ -207,6 +209,45 @@ class TestFingerprints:
             subplan_fingerprint(hi, "build_orders")
         assert subplan_fingerprint(lo, "agg_qty") == \
             subplan_fingerprint(hi, "agg_qty")
+
+    @staticmethod
+    def _filter_on(value):
+        graph = PrimitiveGraph()
+        graph.add_node("f", "filter_bitmap", params=dict(cmp="eq",
+                                                         value=value))
+        graph.connect("t.c", "f", 0)
+        return subplan_fingerprint(graph, "f")
+
+    def test_long_array_literals_are_hashed_not_elided(self):
+        # repr() of an array over 1,000 elements drops its middle.
+        values = np.arange(2000)
+        changed = values.copy()
+        changed[1000] += 1
+        assert "..." in repr(values)
+        assert self._filter_on(values) != self._filter_on(changed)
+        assert self._filter_on(values) == self._filter_on(values.copy())
+        assert self._filter_on(values) != self._filter_on(
+            values.astype(np.int32))
+        assert self._filter_on(values) != self._filter_on(
+            values.reshape(2, 1000))
+
+    def test_numpy_scalars_name_what_python_scalars_name(self):
+        assert self._filter_on(np.int64(3)) == self._filter_on(3)
+        assert self._filter_on(np.float64(0.5)) == self._filter_on(0.5)
+        assert self._filter_on(np.str_("a")) == self._filter_on("a")
+        assert self._filter_on(3) != self._filter_on(3.0)
+        assert self._filter_on(1) != self._filter_on(True)
+        assert self._filter_on("3") != self._filter_on(3)
+        assert self._filter_on(b"3") != self._filter_on("3")
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, object(), np.array(["a", None], dtype=object),
+        np.datetime64("1995-03-15"), lambda row: row])
+    def test_leaf_without_a_faithful_name_is_refused(self, value):
+        with pytest.raises(GraphValidationError, match="fingerprint"):
+            self._filter_on(value)
+        with pytest.raises(GraphValidationError, match="fingerprint"):
+            self._filter_on([1, (2, {"nested": value})])
 
 
 class TestStoreSemantics:
