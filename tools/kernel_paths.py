@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 
-from profile_workload import observed_pass
+from profile_workload import observed_pass, pass_arguments
 
 #: Distinct sorting-side cases listed in full before the list is cut.
 CASES_SHOWN = 6
@@ -129,7 +129,8 @@ class PathCounter:
 
 def main(argv=None) -> int:
     counter = PathCounter()
-    args, failures = observed_pass(__doc__.split("\n")[0], argv, counter)
+    args = pass_arguments(__doc__.split("\n")[0], argv)
+    failures = observed_pass(args, counter)
     print(f"{args.workload}, seed {args.seed}"
           f"{', smoke items' if args.smoke else ''}: one pass")
     print(counter.report())
