@@ -16,8 +16,6 @@ its best configuration:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import Report, fmt_seconds
 from repro.core.models import MODELS, FourPhasePipelinedModel
 from repro.devices import CudaDevice

@@ -16,8 +16,6 @@ measured (the structural mechanism generalizes).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import Report, fmt_seconds
 from repro.devices import CudaDevice, OpenCLDevice
 from repro.hardware import GPU_RTX_2080_TI

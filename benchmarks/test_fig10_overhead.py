@@ -10,8 +10,6 @@ transfer handling).  Expected shape: OpenCL has the largest overhead
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import Report, fmt_seconds
 from repro.devices import CudaDevice, OpenCLDevice, OpenMPDevice
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI

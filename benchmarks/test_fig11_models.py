@@ -16,8 +16,6 @@ Expected shapes (asserted):
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines import HeavyDBSimulator
 from repro.bench import Report, fmt_seconds
 from repro.devices import CudaDevice, OpenCLDevice

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
-
 from repro.bench import Report, fmt_seconds
 from repro.devices import CudaDevice
 from repro.hardware import GPU_RTX_2080_TI

@@ -91,11 +91,6 @@ class QueryContext:
             uncapped); enforced by the device memory managers.
         epoch_start: Clock time the query's epoch opened at; per-query
             makespans are measured from here, not from zero.
-        use_residency: Whether ``load_data`` may serve base-table columns
-            from the device residency cache.
-        use_subplan_cache: Whether whole pipelines may be served from
-            (and persisted into) the engine's cross-query subplan
-            result cache.
         recovery: Tally of recovery actions (retries, failovers, OOM
             degradations) taken for the query; sessions share one log
             across model rebuilds.
@@ -116,8 +111,6 @@ class QueryContext:
     alias_prefix: str = ""
     memory_budget: int | None = None
     epoch_start: float = 0.0
-    use_residency: bool = True
-    use_subplan_cache: bool = True
     recovery: RecoveryLog = field(default_factory=RecoveryLog)
     deadline: float | None = None
     gate: object | None = None

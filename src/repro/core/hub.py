@@ -70,7 +70,7 @@ class DataTransferHub:
         payload: np.ndarray = column.slice(start, stop)
         cache = device.residency
         query = self.ctx.query
-        if cache is not None and query.use_residency and not publish_only:
+        if cache is not None and not publish_only:
             resident = cache.lookup(edge.source.ref, self.ctx.catalog,
                                     query.query_id)
             if resident is not None:
@@ -91,7 +91,7 @@ class DataTransferHub:
             edge.fetched_until = stop
             return event
         event = device.place_data(alias, payload, offset=start, deps=deps)
-        if cache is not None and query.use_residency:
+        if cache is not None:
             cache.absorb(edge.source.ref, self.ctx.catalog, query.query_id,
                          start=start, payload=payload, total_rows=total)
         if transfer_factor != 1.0:

@@ -203,8 +203,7 @@ class ExecutionModel(abc.ABC):
         #: Engine-scope cross-query subplan result cache (None outside
         #: engine mode or when disabled); pipelines whose persisted
         #: results are all cached are served instead of executed.
-        self.subplan_cache = (ctx.subplan_cache
-                              if ctx.query.use_subplan_cache else None)
+        self.subplan_cache = ctx.subplan_cache
         self.subplan_hits = 0
         self.subplan_misses = 0
         #: Adaptive-execution companion (None for static runs).
@@ -817,6 +816,7 @@ class ExecutionModel(abc.ABC):
         if cache is None:
             return
         graph = self.plan.graph
+        healthy = self._healthy_device_names()
         inserted = False
         for nid in pipeline.persisted_ids:
             alias = self.node_alias.get(nid)
@@ -833,7 +833,7 @@ class ExecutionModel(abc.ABC):
                 subplan_fingerprint(graph, nid), nid, value,
                 nbytes=value_nbytes(value), device=device_name,
                 catalog=self.ctx.catalog, data_scale=self.ctx.data_scale,
-                query_id=self.ctx.query.query_id)
+                query_id=self.ctx.query.query_id, healthy=healthy)
             inserted = inserted or entry is not None
         if inserted:
             self.subplan_misses += 1

@@ -315,10 +315,10 @@ class SimulatedDevice(Device):
             label=f"{self.name}:h2d:{alias}",
             deps=deps,
             category="transfer",
-            nbytes=nbytes,
+            nbytes=self.cost.interconnect_bytes(nbytes),
         )
         if self.metrics is not None:
-            self.metrics.inc("adamant_transfer_bytes_total", nbytes,
+            self.metrics.inc("adamant_transfer_bytes_total", event.nbytes,
                              device=self.name, direction="h2d")
         self._store(buffer, data, event)
         return event
@@ -348,10 +348,10 @@ class SimulatedDevice(Device):
             label=f"{self.name}:d2h:{alias}",
             deps=wait,
             category="transfer",
-            nbytes=nbytes,
+            nbytes=self.cost.interconnect_bytes(nbytes),
         )
         if self.metrics is not None:
-            self.metrics.inc("adamant_transfer_bytes_total", nbytes,
+            self.metrics.inc("adamant_transfer_bytes_total", event.nbytes,
                              device=self.name, direction="d2h")
         return value, event
 
@@ -507,18 +507,18 @@ class SimulatedDevice(Device):
         # real shared hash table pays for through atomic contention).
         result = container(*values, **task.params)
         self._check_output_semantic(primitive, result)
-        cost_params = dict(task.cost_params)
+        # Group cardinality scales with the data (e.g. Q3's orderkey
+        # groups); plans with fixed group counts (Q1, Q4) override via
+        # cost_params.  A fused aggregation sink pays the same
+        # group-contention curve as the standalone kernel.
+        groups = (max(1, result.num_groups * self.data_scale)
+                  if hasattr(result, "num_groups") else None)
+        duration, fused_num_args = self.cost.node_seconds(
+            container.cost_key or definition(primitive).cost_key,
+            task.n_elements * self.data_scale, task.cost_params,
+            groups=groups)
         # A fused node (planner.fusion) charges ONE launch whose argument
-        # count is the summed per-step mapping cost, and one fused sweep
-        # instead of per-node kernel times.
-        fused_steps = cost_params.pop("fused_steps", None)
-        fused_num_args = cost_params.pop("fused_num_args", None)
-        if "groups" not in cost_params and hasattr(result, "num_groups"):
-            # Group cardinality scales with the data (e.g. Q3's orderkey
-            # groups); plans with fixed group counts (Q1, Q4) override via
-            # cost_params.
-            cost_params["groups"] = max(1, result.num_groups * self.data_scale)
-
+        # count is the summed per-step mapping cost.
         num_args = (container.num_args if fused_num_args is None
                     else int(fused_num_args))
         launch = self.clock.schedule(
@@ -529,18 +529,6 @@ class SimulatedDevice(Device):
             category="launch",
             node=task.node_id,
         )
-        logical_n = task.n_elements * self.data_scale
-        if fused_steps is not None:
-            # A fused aggregation sink pays the same group-contention
-            # curve as the standalone kernel (groups set above from the
-            # result's true group count).
-            duration = self.cost.fused_kernel_seconds(
-                fused_steps, logical_n, groups=cost_params.get("groups"))
-        else:
-            cost_key = (container.cost_key
-                        or definition(primitive).cost_key)
-            duration = self.cost.kernel_seconds(cost_key, logical_n,
-                                                **cost_params)
         event = self.clock.schedule(
             self.compute_stream,
             duration * latency_factor,

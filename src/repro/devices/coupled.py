@@ -9,15 +9,16 @@ fraction of a discrete card's throughput.
 
 The driver realizes that trade through the standard ten interfaces:
 
-* :meth:`CoupledDevice.place_data` / :meth:`~CoupledDevice.retrieve_data`
-  schedule a constant-latency hand-off and count **zero** bytes into
-  ``adamant_transfer_bytes_total`` (the zero-copy invariant the
-  conformance suite property-checks);
 * :class:`_CoupledCostModel` prices every transfer at the hand-off
-  latency, reports the shared memory bus as the "interconnect"
-  bandwidth (zero-copy kernel reads run at memory speed), makes pinned
-  allocation plain host malloc, and derates kernel rates by the
-  coherence traffic sharing the bus with the CPU;
+  latency and says that **zero** bytes cross the interconnect, so the
+  inherited ``place_data`` / ``retrieve_data`` schedule a
+  constant-latency, zero-byte event (it still exists, so dependency
+  ordering and ANALYZE attribution are unchanged) and count nothing
+  into ``adamant_transfer_bytes_total`` (the zero-copy invariant the
+  conformance suite property-checks); it reports the shared memory bus
+  as the "interconnect" bandwidth (zero-copy kernel reads run at memory
+  speed), makes pinned allocation plain host malloc, and derates kernel
+  rates by the coherence traffic sharing the bus with the CPU;
 * the OpenCL SDK profile applies on top (He et al.'s platform), and
   the low APU ``mem_bandwidth`` / ``compute_units`` in the device spec
   scale compute far below discrete GPUs — transfer-bound plans win on
@@ -32,10 +33,8 @@ from __future__ import annotations
 
 from repro.devices.base import SimulatedDevice
 from repro.hardware import calibration as cal
-from repro.hardware.clock import Event
 from repro.hardware.costmodel import CostModel, TransferDirection
 from repro.hardware.specs import DeviceKind, Sdk
-from repro.primitives.values import value_nbytes
 from repro.task.registry import TaskRegistry, register_variant_kernels
 
 __all__ = ["CoupledDevice", "register_coupled_kernels"]
@@ -57,6 +56,9 @@ class _CoupledCostModel(CostModel):
             from repro.errors import SchedulingError
             raise SchedulingError(f"negative transfer size {nbytes}")
         return cal.COUPLED_HANDOFF_SECONDS
+
+    def interconnect_bytes(self, nbytes: int) -> int:
+        return 0  # a cache-coherent pointer hand-off: nothing moves
 
     def alloc_seconds(self, nbytes: int, *, pinned: bool = False) -> float:
         if pinned:
@@ -86,50 +88,6 @@ class CoupledDevice(SimulatedDevice):
 
     def _make_cost_model(self) -> CostModel:
         return _CoupledCostModel(self.spec, self.sdk)
-
-    # -- zero-copy data management -----------------------------------------
-    #
-    # The base driver charges H2D/D2H volume over the interconnect and
-    # counts the bytes into the transfer metric.  On a coupled device no
-    # bytes move: both directions degenerate to a constant-latency,
-    # zero-byte hand-off event on the transfer stream (the event still
-    # exists so dependency ordering and ANALYZE attribution are
-    # unchanged).
-
-    def place_data(self, alias: str, data: object, *, offset: int = 0,
-                   deps: list[Event] | None = None) -> Event:
-        self._require_initialized()
-        if alias not in self.memory:
-            self.prepare_memory(alias, value_nbytes(data))
-        buffer = self.memory.get(alias)
-        event = self.clock.schedule(
-            self.transfer_stream, cal.COUPLED_HANDOFF_SECONDS,
-            label=f"{self.name}:h2d:{alias}", deps=deps,
-            category="transfer", nbytes=0,
-        )
-        if self.metrics is not None:
-            self.metrics.inc("adamant_transfer_bytes_total", 0,
-                             device=self.name, direction="h2d")
-        self._store(buffer, data, event)
-        return event
-
-    def retrieve_data(self, alias: str, *, deps: list[Event] | None = None,
-                      via_pinned: bool = False) -> tuple[object, Event]:
-        self._require_initialized()
-        buffer = self.memory.get(alias)
-        value = self._resolve_value(buffer)
-        wait = list(deps or ())
-        if buffer.ready is not None:
-            wait.append(buffer.ready)
-        event = self.clock.schedule(
-            self.transfer_stream, cal.COUPLED_HANDOFF_SECONDS,
-            label=f"{self.name}:d2h:{alias}", deps=wait,
-            category="transfer", nbytes=0,
-        )
-        if self.metrics is not None:
-            self.metrics.inc("adamant_transfer_bytes_total", 0,
-                             device=self.name, direction="d2h")
-        return value, event
 
 
 def register_coupled_kernels(registry: TaskRegistry) -> list[str]:

@@ -102,6 +102,13 @@ class MemoryManager:
     def owned_aliases(self, owner: str) -> list[str]:
         return sorted(a for a, b in self._buffers.items() if b.owner == owner)
 
+    def owners(self) -> set[str]:
+        """Owner tags that still have a buffer or a budget here."""
+        return {b.owner for b in self._buffers.values()} | set(self._budgets)
+
+    def budget(self, owner: str) -> int | None:
+        return self._budgets.get(owner)
+
     # -- per-query budgets ---------------------------------------------------
 
     def set_budget(self, owner: str, nbytes: int | None) -> None:

@@ -9,11 +9,10 @@ buffer as a side effect of the H2D transfers it performs anyway, and later
 queries that scan the same column receive it by device-internal copy at
 memory bandwidth — no interconnect traffic at all.
 
-Entries are reference-counted by the query ids currently using them
-(pinned entries are never evicted), evicted in LRU order under memory
-pressure, and invalidated when the catalog changes underneath
-(:attr:`~repro.storage.Catalog.version`) or when a query runs at a
-different ``data_scale`` than the one the column was cached at.
+Pinning, LRU eviction under memory pressure and invalidation (catalog
+changed, different ``data_scale``) are :mod:`repro.devices.pinned_lru`'s;
+this module is the admission policy: what fits, where it is reserved
+and how chunk coverage turns into a hit-eligible column.
 
 Cache buffers are charged to the pseudo-owner :data:`RESIDENCY_OWNER`, so
 per-query allocation accounting and OOM reclamation never touch them.
@@ -21,11 +20,12 @@ per-query allocation accounting and OOM reclamation never touch them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.devices.pinned_lru import PinnedEntry, PinnedLRU
 from repro.errors import DeviceMemoryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -44,30 +44,25 @@ MAX_FRACTION = 0.5
 
 
 @dataclass
-class ResidentColumn:
+class ResidentColumn(PinnedEntry):
     """Bookkeeping for one cached base-table column on one device."""
 
     ref: str
     alias: str
     rows: int
-    catalog_id: int
-    version: int
-    data_scale: int
     coverage: int = 0
     complete: bool = False
-    hits: int = 0
-    last_used: int = 0
-    #: Query ids currently reading the entry; pinned entries are not
-    #: evictable, so an in-flight query never loses data under its feet.
-    pins: set[str] = field(default_factory=set)
 
 
-class ResidencyCache:
+class ResidencyCache(PinnedLRU):
     """LRU cache of device-resident base-table columns for one device."""
 
+    STATS_KEYS = ("entries", "complete", "hits", "misses", "evictions",
+                  "invalidations", "resident_bytes")
+
     def __init__(self, device: "SimulatedDevice") -> None:
+        super().__init__()
         self.device = device
-        self._entries: dict[str, ResidentColumn] = {}
         #: (ref, catalog id, version) triples that did not fit in device
         #: memory — retried on the next catalog version, not per chunk.
         self._oversized: set[tuple[str, int, int]] = set()
@@ -76,17 +71,8 @@ class ResidencyCache:
         #: until a query finishes, to avoid re-admission thrash within
         #: the very pass that is under memory pressure.
         self._cooldown: set[tuple[str, int, int]] = set()
-        self._tick = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     # -- queries -------------------------------------------------------------
-
-    def __contains__(self, ref: str) -> bool:
-        entry = self._entries.get(ref)
-        return entry is not None and entry.complete
 
     @property
     def max_bytes(self) -> int:
@@ -101,22 +87,11 @@ class ResidencyCache:
                    if e.alias in memory)
 
     def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "complete": sum(1 for e in self._entries.values() if e.complete),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "resident_bytes": self.resident_bytes,
-        }
+        return super().stats(
+            complete=sum(1 for e in self._entries.values() if e.complete),
+            resident_bytes=self.resident_bytes)
 
     # -- lookup / absorb -----------------------------------------------------
-
-    def _stale(self, entry: ResidentColumn, catalog: "Catalog") -> bool:
-        return (entry.catalog_id != id(catalog)
-                or entry.version != catalog.version
-                or entry.data_scale != self.device.data_scale)
 
     def lookup(self, ref: str, catalog: "Catalog",
                query_id: str) -> np.ndarray | None:
@@ -126,19 +101,11 @@ class ResidencyCache:
         :meth:`release_query`; a stale entry (catalog changed, different
         ``data_scale``) is dropped on sight.
         """
-        entry = self._entries.get(ref)
-        if entry is not None and self._stale(entry, catalog):
-            self._drop(entry)
-            self.invalidations += 1
-            entry = None
+        entry = self._current(ref, catalog, self.device.data_scale)
         if entry is None or not entry.complete:
             self.misses += 1
             return None
-        self._tick += 1
-        entry.last_used = self._tick
-        entry.hits += 1
-        self.hits += 1
-        entry.pins.add(query_id)
+        self._hit(entry, query_id)
         return self.device.memory.get(entry.alias).value  # type: ignore[return-value]
 
     def absorb(self, ref: str, catalog: "Catalog", query_id: str, *,
@@ -151,11 +118,7 @@ class ResidencyCache:
         entry becomes hit-eligible.  Out-of-order chunks are ignored — the
         execution models stream columns front to back.
         """
-        entry = self._entries.get(ref)
-        if entry is not None and self._stale(entry, catalog):
-            self._drop(entry)
-            self.invalidations += 1
-            entry = None
+        entry = self._current(ref, catalog, self.device.data_scale)
         if entry is None:
             entry = self._admit(ref, catalog, payload.dtype, total_rows)
             if entry is None:
@@ -185,13 +148,10 @@ class ResidencyCache:
             self._oversized.add(key)
             return None
         device.memory.get(alias).value = np.empty(total_rows, dtype=dtype)
-        self._tick += 1
         entry = ResidentColumn(
             ref=ref, alias=alias, rows=total_rows, catalog_id=id(catalog),
-            version=catalog.version, data_scale=device.data_scale,
-            last_used=self._tick,
-        )
-        self._entries[ref] = entry
+            version=catalog.version, data_scale=device.data_scale)
+        self._store(ref, entry)
         return entry
 
     def _reserve(self, alias: str, logical: int) -> bool:
@@ -211,22 +171,9 @@ class ResidencyCache:
 
     # -- eviction / invalidation ---------------------------------------------
 
-    def evict_bytes(self, nbytes: int) -> int:
-        """Drop unpinned entries, coldest first, until at least *nbytes*
-        of device memory has been released; returns bytes freed."""
-        if nbytes <= 0:
-            return 0
-        freed = 0
-        victims = sorted(
-            (e for e in self._entries.values() if not e.pins),
-            key=lambda e: (e.complete, e.last_used),
-        )
-        for entry in victims:
-            freed += self._drop(entry)
-            self.evictions += 1
-            if freed >= nbytes:
-                break
-        return freed
+    def _eviction_key(self, entry: ResidentColumn) -> tuple[bool, int]:
+        """Half-filled columns go before complete ones, then coldest."""
+        return (entry.complete, entry.last_used)
 
     def _drop(self, entry: ResidentColumn) -> int:
         self._entries.pop(entry.ref, None)
@@ -246,22 +193,12 @@ class ResidencyCache:
         memory pressure that evicted half-filled entries has eased, so
         the next query may try to absorb those columns again.
         """
-        for entry in self._entries.values():
-            entry.pins.discard(query_id)
+        super().release_query(query_id)
         self._cooldown.clear()
-
-    def invalidate(self, ref: str | None = None) -> None:
-        """Drop the entry for *ref*, or every entry when None."""
-        entries = ([self._entries[ref]] if ref in self._entries
-                   else [] if ref is not None
-                   else list(self._entries.values()))
-        for entry in entries:
-            self._drop(entry)
-            self.invalidations += 1
 
     def clear(self) -> None:
         """Forget all entries and retry history (device reset/unplug);
         hit/miss counters survive for engine-lifetime statistics."""
-        self._entries.clear()
+        super().clear()
         self._oversized.clear()
         self._cooldown.clear()

@@ -32,7 +32,7 @@ from repro.devices.base import SimulatedDevice
 from repro.devices.residency import ResidencyCache
 from repro.devices.transforms import register_default_transforms
 from repro.engine.scheduler import DeviceScheduler
-from repro.engine.session import QuerySession
+from repro.engine.session import QuerySession, query_holdings, release_query
 from repro.engine.subplan_cache import SubplanCache
 from repro.errors import DeviceLostError, ExecutionError, QueryAdmissionError
 from repro.faults import FaultPlan, RetryPolicy
@@ -97,8 +97,6 @@ class Engine:
             plugged device (see :meth:`install_faults`).
         retry_policy: Backoff schedule for transient-fault retries
             (defaults to :class:`~repro.faults.RetryPolicy`'s defaults).
-        quarantine_threshold: Consecutive device faults before the
-            scheduler's circuit breaker quarantines a device.
         overlay_path: Optional JSON file the engine's
             :class:`~repro.planner.cost.CostOverlayStore` loads from and
             saves to, persisting calibrated cost corrections across
@@ -111,7 +109,6 @@ class Engine:
                  max_concurrent: int = 8,
                  faults: FaultPlan | None = None,
                  retry_policy: RetryPolicy | None = None,
-                 quarantine_threshold: int = 3,
                  overlay_path: str | Path | None = None) -> None:
         if max_concurrent < 1:
             raise ExecutionError(
@@ -128,8 +125,7 @@ class Engine:
         self._default_device: str | None = None
         self._sessions: dict[str, QuerySession] = {}
         self._query_counter = 0
-        self._scheduler = DeviceScheduler(
-            quarantine_threshold=quarantine_threshold)
+        self._scheduler = DeviceScheduler()
         self._retry_policy = retry_policy
         self._fault_plan: FaultPlan | None = None
         #: Engine-lifetime :class:`~repro.observe.MetricsRegistry`; every
@@ -278,14 +274,14 @@ class Engine:
     def _close_session(self, session: QuerySession) -> None:
         self._sessions.pop(session.query_id, None)
         self.metrics.set("adamant_sessions_active", len(self._sessions))
-        if self.subplan_cache is not None:
-            self.subplan_cache.release_query(session.query_id)
-        for device in self.devices.values():
-            if device.residency is not None:
-                device.residency.release_query(session.query_id)
-            device.memory.free_owner(session.query_id,
-                                     at_time=self.clock.now())
-            device.memory.set_budget(session.query_id, None)
+        release_query(session.query_id, self.devices.values(),
+                      self.subplan_cache, at_time=self.clock.now())
+
+    def holdings(self) -> dict[str, dict[str, int]]:
+        """What each query still holds on the engine's devices and
+        caches (:func:`~repro.engine.session.query_holdings`); empty
+        when nothing is leaked and nothing is in flight."""
+        return query_holdings(self.devices.values(), self.subplan_cache)
 
     # -- execution -----------------------------------------------------------
 

@@ -20,8 +20,8 @@ callback from the engine; the compatibility facade passes none and
 keeps the original fail-fast semantics):
 
 * **Circuit breaker / failover** — a device that keeps producing
-  :class:`~repro.errors.RetryExhaustedError` (``quarantine_threshold``
-  consecutive faults) or raises
+  :class:`~repro.errors.RetryExhaustedError`
+  (:data:`QUARANTINE_THRESHOLD` consecutive faults) or raises
   :class:`~repro.errors.DeviceLostError` is quarantined: its residency
   cache is invalidated, its buffers reclaimed, and every affected query
   is re-placed onto the surviving devices and restarted.
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 from repro.core.models.base import ExecutionModel
 from repro.core.pipelines import Pipeline
-from repro.engine.session import QuerySession
+from repro.engine.session import QuerySession, release_query
 from repro.errors import (
     AdamantError,
     DeadlineExceededError,
@@ -65,6 +65,11 @@ RECOVERY_STREAM = "engine.recovery"
 #: Recovery restarts per query before it is failed for good (guards
 #: against recovery loops).
 MAX_RESTARTS = 6
+
+#: Consecutive device faults (retry exhaustions) before the circuit
+#: breaker quarantines the device; a successful pipeline step on the
+#: device resets its count.
+QUARANTINE_THRESHOLD = 3
 
 #: Signature of the engine's model-rebuild callback: a fresh model for
 #: the same session/graph with a new chunk size, devices excluded, or
@@ -93,17 +98,10 @@ class _InFlight:
 
 
 class DeviceScheduler:
-    """Round-robin arbitration of query pipelines over shared devices.
+    """Round-robin arbitration of query pipelines over shared devices."""
 
-    Args:
-        quarantine_threshold: Consecutive device faults (retry
-            exhaustions) before the circuit breaker quarantines the
-            device; a successful pipeline step on the device resets its
-            count.
-    """
-
-    def __init__(self, *, quarantine_threshold: int = 3) -> None:
-        self.quarantine_threshold = quarantine_threshold
+    def __init__(self) -> None:
+        self.quarantine_threshold = QUARANTINE_THRESHOLD
         #: Consecutive-fault counter per device (circuit breaker state).
         self._fault_counts: dict[str, int] = {}
         #: Devices taken out of rotation by the circuit breaker.
@@ -324,25 +322,15 @@ class DeviceScheduler:
             device.unbind_query()  # type: ignore[attr-defined]
 
     def _release(self, entry: _InFlight) -> None:
-        """Release the finished (or aborted) query's device-side state."""
+        """Release the finished (or aborted) query's device-side state.
+
+        Here, not only at session close: a mid-chunk abort that kept
+        its cache pins would block eviction for every query that
+        outlives it.
+        """
         ctx = entry.model.ctx
-        query_id = entry.session.query_id
-        cache = getattr(ctx, "subplan_cache", None)
-        if cache is not None:
-            # A cancelled/restarted query's subplan-cache refcount pins
-            # must drop here, not only at session close: a mid-chunk
-            # abort that kept its pins would block eviction for every
-            # query that outlives it.  Safe across restarts — the
-            # rebuilt model re-pins on its next cache lookup.
-            cache.release_query(query_id)
-        for device in ctx.devices.values():
-            residency = getattr(device, "residency", None)
-            if residency is not None:
-                residency.release_query(query_id)
-            device.memory.free_owner(  # type: ignore[attr-defined]
-                query_id, at_time=ctx.clock.now())
-            device.memory.set_budget(  # type: ignore[attr-defined]
-                query_id, None)
+        release_query(entry.session.query_id, ctx.devices.values(),
+                      ctx.subplan_cache, at_time=ctx.clock.now())
 
 
 def _halve_chunk(chunk_size: int, data_scale: int) -> int | None:

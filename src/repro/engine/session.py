@@ -1,16 +1,71 @@
-"""Query sessions: admission tickets into the multi-query engine."""
+"""Query sessions: admission tickets into the multi-query engine, and
+what the admitted query holds there.
+
+An in-flight query holds pins on subplan-cache entries, pins on each
+device's residency cache, owner-tagged device buffers and a per-device
+memory budget.  Finishing, failing, restarting, cancelling and closing
+all let go of them through :func:`release_query`;
+:func:`query_holdings` is the read side.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.core.context import QueryContext, QueryResult, RecoveryLog
+from repro.devices.base import SimulatedDevice
+from repro.devices.residency import RESIDENCY_OWNER
 from repro.errors import AdamantError, QueryCancelledError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import Engine
+    from repro.engine.subplan_cache import SubplanCache
 
-__all__ = ["QuerySession"]
+__all__ = ["QuerySession", "query_holdings", "release_query"]
+
+
+def release_query(query_id: str, devices: Iterable[SimulatedDevice],
+                  subplan_cache: "SubplanCache | None", *,
+                  at_time: float) -> None:
+    """Let go of everything *query_id* holds on *devices* and in
+    *subplan_cache*.  Safe to repeat, and safe across restarts — a
+    rebuilt model re-pins on its next cache lookup."""
+    if subplan_cache is not None:
+        subplan_cache.release_query(query_id)
+    for device in devices:
+        if device.residency is not None:
+            device.residency.release_query(query_id)
+        # Frees the owner's buffers (views others took over them first)
+        # and lifts its budget.
+        device.memory.free_owner(query_id, at_time=at_time)
+
+
+def query_holdings(devices: Iterable[SimulatedDevice],
+                   subplan_cache: "SubplanCache | None"
+                   ) -> dict[str, dict[str, int]]:
+    """Per query id, what it still holds: ``pins`` (cache entries, both
+    caches), ``buffers`` / ``bytes`` (owner-tagged, residency's own
+    excluded) and ``budgets`` (devices that still cap it).  Empty once
+    the engine is quiescent."""
+    held: dict[str, dict[str, int]] = {}
+
+    def of(query_id: str) -> dict[str, int]:
+        return held.setdefault(
+            query_id, {"pins": 0, "buffers": 0, "bytes": 0, "budgets": 0})
+
+    devices = list(devices)
+    for cache in [subplan_cache, *(d.residency for d in devices)]:
+        if cache is not None:
+            for query_id, pins in cache.pinned().items():
+                of(query_id)["pins"] += pins
+    for device in devices:
+        memory = device.memory
+        for owner in memory.owners() - {"", RESIDENCY_OWNER}:
+            of(owner)["buffers"] += len(memory.owned_aliases(owner))
+            of(owner)["bytes"] += memory.owner_used(owner)
+            of(owner)["budgets"] += memory.budget(owner) is not None
+    return held
 
 
 class QuerySession:

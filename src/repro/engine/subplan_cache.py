@@ -19,18 +19,19 @@ chunk-invariant, a warm Q3 run under ``model="auto"`` hits the entries a
 cold chunked Q3 wrote, and concurrent queries sharing a build side
 (scheduled round-robin one pipeline at a time) execute it once.
 
-Entries are reference-counted by the query ids currently reading them
-(pinned entries are never evicted), evicted in LRU order under the byte
-budget, and dropped when the catalog changes underneath, a query runs at
-a different ``data_scale``, or the device that computed them is lost,
-quarantined or unplugged — results produced by hardware that later
-proved faulty are re-derived rather than trusted.
+Pinning, LRU eviction and invalidation (catalog changed, different
+``data_scale``) are :mod:`repro.devices.pinned_lru`'s; this module adds
+the byte budget and the device-health rule: entries whose producing
+device is lost, quarantined or unplugged are dropped — results produced
+by hardware that later proved faulty are re-derived rather than trusted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from repro.devices.pinned_lru import PinnedEntry, PinnedLRU
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage import Catalog
@@ -44,7 +45,7 @@ SUBPLAN_CACHE_MAX_BYTES = 256 * 2**20
 
 
 @dataclass
-class CachedSubplan:
+class CachedSubplan(PinnedEntry):
     """One cached intermediate result with its provenance."""
 
     fingerprint: str
@@ -59,29 +60,18 @@ class CachedSubplan:
     #: Device that computed the value; entries from devices later lost,
     #: quarantined or unplugged are invalidated, not served.
     device: str
-    catalog_id: int
-    version: int
-    data_scale: int
-    hits: int = 0
-    last_used: int = 0
-    #: Query ids currently reading the entry; pinned entries are not
-    #: evictable, so an in-flight consumer never loses data under its
-    #: feet.
-    pins: set[str] = field(default_factory=set)
 
 
-class SubplanCache:
+class SubplanCache(PinnedLRU):
     """Engine-scope LRU store of fingerprinted subplan results."""
 
+    STATS_KEYS = ("entries", "hits", "misses", "insertions", "evictions",
+                  "invalidations", "cached_bytes")
+
     def __init__(self, *, max_bytes: int = SUBPLAN_CACHE_MAX_BYTES) -> None:
+        super().__init__()
         self.max_bytes = max_bytes
-        self._entries: dict[str, CachedSubplan] = {}
-        self._tick = 0
-        self.hits = 0
-        self.misses = 0
         self.insertions = 0
-        self.evictions = 0
-        self.invalidations = 0
 
     # -- queries -------------------------------------------------------------
 
@@ -93,21 +83,13 @@ class SubplanCache:
         return sum(entry.nbytes for entry in self._entries.values())
 
     def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "cached_bytes": self.cached_bytes,
-        }
+        return super().stats(insertions=self.insertions,
+                             cached_bytes=self.cached_bytes)
 
     def _stale(self, entry: CachedSubplan, catalog: "Catalog",
-               data_scale: int) -> bool:
-        return (entry.catalog_id != id(catalog)
-                or entry.version != catalog.version
-                or entry.data_scale != data_scale)
+               data_scale: int, healthy: set[str]) -> bool:
+        return (super()._stale(entry, catalog, data_scale)
+                or entry.device not in healthy)
 
     def peek(self, fingerprint: str, catalog: "Catalog", data_scale: int,
              healthy: set[str]) -> CachedSubplan | None:
@@ -115,8 +97,7 @@ class SubplanCache:
         optimizer's pricing and EXPLAIN; touches no counters, pins
         nothing, drops nothing."""
         entry = self._entries.get(fingerprint)
-        if (entry is None or self._stale(entry, catalog, data_scale)
-                or entry.device not in healthy):
+        if entry is None or self._stale(entry, catalog, data_scale, healthy):
             return None
         return entry
 
@@ -132,115 +113,64 @@ class SubplanCache:
         different ``data_scale``) or one whose producing device is no
         longer healthy is dropped on sight.
         """
-        entry = self._entries.get(fingerprint)
-        if entry is not None and (self._stale(entry, catalog, data_scale)
-                                  or entry.device not in healthy):
-            self._drop(entry)
-            self.invalidations += 1
-            entry = None
+        entry = self._current(fingerprint, catalog, data_scale, healthy)
         if entry is None:
             self.misses += 1
             return None
-        self._tick += 1
-        entry.last_used = self._tick
-        entry.hits += 1
-        self.hits += 1
-        entry.pins.add(query_id)
+        self._hit(entry, query_id)
         return entry
 
     def insert(self, fingerprint: str, node_id: str, value: object, *,
                nbytes: int, device: str, catalog: "Catalog",
-               data_scale: int, query_id: str) -> CachedSubplan | None:
+               data_scale: int, query_id: str,
+               healthy: set[str]) -> CachedSubplan | None:
         """Store one persisted result; returns the entry, or None when
         it cannot be admitted (over budget and nothing evictable).
 
         An existing live entry is kept (first writer wins — both copies
-        are byte-identical by construction) and pinned for *query_id*.
+        are byte-identical by construction) and pinned for *query_id*;
+        one written by a device no longer in *healthy* is replaced, so a
+        failed-over query's recomputed value is not discarded in favour
+        of an entry the next lookup would drop.
         """
-        entry = self._entries.get(fingerprint)
+        entry = self._current(fingerprint, catalog, data_scale, healthy)
         if entry is not None:
-            if not self._stale(entry, catalog, data_scale):
-                entry.pins.add(query_id)
-                return entry
-            self._drop(entry)
-            self.invalidations += 1
+            entry.pins.add(query_id)
+            return entry
         if nbytes > self.max_bytes:
             return None
         needed = self.cached_bytes + nbytes - self.max_bytes
         if needed > 0 and self.evict_bytes(needed) < needed:
             return None
-        self._tick += 1
         entry = CachedSubplan(
             fingerprint=fingerprint, node_id=node_id, value=value,
             nbytes=nbytes, device=device, catalog_id=id(catalog),
             version=catalog.version, data_scale=data_scale,
-            last_used=self._tick, pins={query_id},
-        )
-        self._entries[fingerprint] = entry
+            pins={query_id})
+        self._store(fingerprint, entry)
         self.insertions += 1
         return entry
 
     # -- eviction / invalidation ---------------------------------------------
-
-    def evict_bytes(self, nbytes: int) -> int:
-        """Drop unpinned entries, coldest first, until at least *nbytes*
-        have been released; returns bytes freed."""
-        if nbytes <= 0:
-            return 0
-        freed = 0
-        victims = sorted(
-            (entry for entry in self._entries.values() if not entry.pins),
-            key=lambda entry: entry.last_used,
-        )
-        for entry in victims:
-            freed += self._drop(entry)
-            self.evictions += 1
-            if freed >= nbytes:
-                break
-        return freed
 
     def _drop(self, entry: CachedSubplan) -> int:
         self._entries.pop(entry.fingerprint, None)
         return entry.nbytes
 
     def release_query(self, query_id: str) -> None:
-        """Unpin every entry *query_id* was holding (query finished)."""
-        for entry in self._entries.values():
-            entry.pins.discard(query_id)
+        # Defined here, not inherited: perf/spans.py rebinds the targets
+        # it times through ``vars(cls)``.
+        super().release_query(query_id)
 
     def invalidate_device(self, device: str) -> int:
         """Drop every entry computed on *device* (unplugged or dead);
         returns the number of entries dropped."""
-        victims = [entry for entry in self._entries.values()
-                   if entry.device == device]
-        for entry in victims:
-            self._drop(entry)
-            self.invalidations += 1
-        return len(victims)
+        return self._invalidate(entry for entry in self._entries.values()
+                                if entry.device == device)
 
     def sweep(self, healthy: set[str]) -> int:
         """Drop entries whose producing device is not in *healthy* (the
         engine calls this after every scheduler run, so entries written
         by a device that faulted mid-stream do not outlive the wave)."""
-        dropped = 0
-        for entry in list(self._entries.values()):
-            if entry.device not in healthy:
-                self._drop(entry)
-                self.invalidations += 1
-                dropped += 1
-        return dropped
-
-    def invalidate(self, fingerprint: str | None = None) -> None:
-        """Drop the entry for *fingerprint*, or every entry when None."""
-        entries = ([self._entries[fingerprint]]
-                   if fingerprint in self._entries
-                   else [] if fingerprint is not None
-                   else list(self._entries.values()))
-        for entry in entries:
-            self._drop(entry)
-            self.invalidations += 1
-
-    def clear(self) -> None:
-        """Forget all entries; counters survive for engine-lifetime
-        statistics."""
-        self._entries.clear()
+        return self._invalidate(entry for entry in self._entries.values()
+                                if entry.device not in healthy)

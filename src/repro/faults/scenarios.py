@@ -22,15 +22,20 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 __all__ = ["SCENARIOS", "flapping_device", "overload_faults"]
 
 
+#: A flapping device's latency storms: this share of its kernels runs
+#: this many times slower.
+STORM_RATE = 0.1
+STORM_FACTOR = 4.0
+
+
 def flapping_device(device: str = "dev0", *, rate: float = 0.2,
-                    latency_rate: float = 0.1, latency_factor: float = 4.0,
                     seed: int = 7) -> FaultPlan:
     """A device that flaps: transient faults at *rate* plus latency
-    storms (kernels *latency_factor* x slower at *latency_rate*)."""
+    storms (:data:`STORM_RATE`, :data:`STORM_FACTOR`)."""
     return FaultPlan([
         FaultSpec(kind=FaultKind.TRANSIENT, device=device, rate=rate),
         FaultSpec(kind=FaultKind.LATENCY, device=device,
-                  rate=latency_rate, factor=latency_factor),
+                  rate=STORM_RATE, factor=STORM_FACTOR),
     ], seed=seed)
 
 

@@ -13,6 +13,7 @@ All shaping constants come from :mod:`repro.hardware.calibration`.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.errors import SchedulingError
@@ -106,6 +107,12 @@ class CostModel:
             raise SchedulingError(f"negative transfer size {nbytes}")
         setup = 10e-6 if self.spec.kind is DeviceKind.GPU else 1e-6
         return setup + nbytes / self.bandwidth(direction, pinned)
+
+    def interconnect_bytes(self, nbytes: int) -> int:
+        """Bytes a host transfer of *nbytes* moves over the interconnect
+        (what the driver records): all of them, unless device and host
+        share physical memory."""
+        return nbytes
 
     def alloc_seconds(self, nbytes: int, *, pinned: bool = False) -> float:
         """Time for ``prepare_memory`` / ``add_pinned_memory``."""
@@ -205,6 +212,29 @@ class CostModel:
             if selective:
                 effective_n *= cal.FUSED_SELECTIVE_DECAY
         return total
+
+    def node_seconds(self, cost_key: str, n_elements: int,
+                     cost_params: Mapping, *, groups: int | None = None
+                     ) -> tuple[float, int | None]:
+        """Kernel time of one graph node, from its ``cost_params``.
+
+        The fusion pass records a fused node's step list and summed
+        launch-argument count there (``fused_steps``,
+        ``fused_num_args``): such a node is charged one fused sweep and
+        the count for its one launch is returned with it.  Any other
+        node is charged *cost_key*'s rate and returns None — its
+        argument count is the caller's to know.  *groups* is the
+        aggregation's group count; one pinned in ``cost_params`` wins.
+        """
+        fused_steps = cost_params.get("fused_steps")
+        if fused_steps is not None:
+            return (self.fused_kernel_seconds(
+                fused_steps, n_elements,
+                groups=cost_params.get("groups", groups)),
+                cost_params.get("fused_num_args"))
+        if groups is not None and "groups" not in cost_params:
+            cost_params = {**cost_params, "groups": groups}
+        return self.kernel_seconds(cost_key, n_elements, **cost_params), None
 
     def throughput(self, primitive: str, n_elements: int, *,
                    groups: int | None = None) -> float:

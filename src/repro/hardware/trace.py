@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from repro.hardware.clock import Event, VirtualClock
+from repro.hardware.clock import VirtualClock
 
 __all__ = ["to_chrome_trace", "ascii_gantt", "overlap_ratio", "counters"]
 
@@ -77,22 +77,22 @@ def counters(clock: VirtualClock) -> dict[str, int]:
     }
 
 
-def to_chrome_trace(clock: VirtualClock, *, process_name: str = "adamant",
-                    time_scale: float = 1e6) -> str:
-    """Serialize the clock's events as Chrome tracing JSON.
+#: Shown as the process row in the trace viewer.
+PROCESS_NAME = "adamant"
 
-    Args:
-        process_name: Shown as the process row in the viewer.
-        time_scale: Multiplier from simulated seconds to trace
-            microseconds (the format's unit).
-    """
+#: Simulated seconds to trace microseconds (the format's unit).
+TIME_SCALE = 1e6
+
+
+def to_chrome_trace(clock: VirtualClock) -> str:
+    """Serialize the clock's events as Chrome tracing JSON."""
     streams = sorted({e.stream for e in clock.events})
     tid_of = {name: i for i, name in enumerate(streams)}
     events: list[dict] = [{
         "name": "process_name",
         "ph": "M",
         "pid": 0,
-        "args": {"name": process_name},
+        "args": {"name": PROCESS_NAME},
     }]
     for name, tid in tid_of.items():
         events.append({
@@ -115,8 +115,8 @@ def to_chrome_trace(clock: VirtualClock, *, process_name: str = "adamant",
             "ph": "X",
             "pid": 0,
             "tid": tid_of[event.stream],
-            "ts": event.start * time_scale,
-            "dur": event.duration * time_scale,
+            "ts": event.start * TIME_SCALE,
+            "dur": event.duration * TIME_SCALE,
             "args": ({"nbytes": event.nbytes, "node": event.node}
                      if event.node else {"nbytes": event.nbytes}),
         })

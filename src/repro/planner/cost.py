@@ -258,11 +258,10 @@ class _NodeShape(NamedTuple):
 
     node_id: str
     cost_key: str
-    #: ``node.cost_params`` without the fusion pass's bookkeeping keys.
+    #: ``node.cost_params`` as the graph carries them
+    #: (:meth:`~repro.hardware.costmodel.CostModel.node_seconds` reads
+    #: them).
     cost_params: dict
-    fused_steps: tuple | None
-    #: Kernel arguments one launch maps.
-    launch_args: int
     #: Row domain at this node (the scan cardinality, decayed), clamped
     #: to the at-least-one row a kernel is charged for.
     rows: int
@@ -280,15 +279,9 @@ class _NodeShape(NamedTuple):
 
     @classmethod
     def of(cls, node: PrimitiveNode, rows: float, **walk) -> "_NodeShape":
-        cost_params = dict(node.cost_params)
-        fused_steps = cost_params.pop("fused_steps", None)
-        fused_num_args = cost_params.pop("fused_num_args", None)
         return cls(
             node_id=node.node_id, cost_key=node.defn.cost_key,
-            cost_params=cost_params, fused_steps=fused_steps,
-            launch_args=(int(fused_num_args or 2)
-                         if fused_steps is not None else 2),
-            rows=max(1, int(rows)), **walk)
+            cost_params=node.cost_params, rows=max(1, int(rows)), **walk)
 
     def groups(self, data_scale: int, chunks: int = 1) -> int | None:
         """Estimated group count a HASH_AGG kernel will see in one of
@@ -306,21 +299,20 @@ class _NodeShape(NamedTuple):
             return None
         return max(1, round(self.group_ndv / max(1, chunks))) * data_scale
 
-    def kernel_seconds(self, cost: CostModel, groups: int | None) -> float:
-        """Calibrated kernel time (cost key's rate, or the fused sweep);
-        a group count the node's own ``cost_params`` pin beats *groups*."""
-        params = self.cost_params
-        if groups is not None and "groups" not in params:
-            params = {**params, "groups": groups}
-        if self.fused_steps is not None:
-            return cost.fused_kernel_seconds(
-                self.fused_steps, self.rows, groups=params.get("groups"))
-        return cost.kernel_seconds(self.cost_key, self.rows, **params)
+    def priced(self, cost: CostModel, groups: int | None
+               ) -> tuple[float, float]:
+        """Launch seconds and calibrated kernel seconds (cost key's
+        rate, or the fused sweep); a group count the node's own
+        ``cost_params`` pin beats *groups*.  An unfused launch is
+        assumed to map two arguments."""
+        kernel, fused_num_args = cost.node_seconds(
+            self.cost_key, self.rows, self.cost_params, groups=groups)
+        return cost.launch_seconds(int(fused_num_args or 2)), kernel
 
     def seconds(self, cost: CostModel, groups: int | None) -> float:
         """One launch plus the kernel."""
-        return (cost.launch_seconds(self.launch_args)
-                + self.kernel_seconds(cost, groups))
+        launch, kernel = self.priced(cost, groups)
+        return launch + kernel
 
 
 @dataclass(eq=False)
@@ -370,8 +362,9 @@ class _PipelineShape:
         published figures pin both.)"""
         seconds = self.pageable_transfer_seconds(cost)
         for node in self.nodes:
-            seconds += cost.launch_seconds(node.launch_args)
-            seconds += node.kernel_seconds(cost, node.groups(self.data_scale))
+            launch, kernel = node.priced(cost, node.groups(self.data_scale))
+            seconds += launch
+            seconds += kernel
         return seconds
 
 
@@ -623,11 +616,10 @@ class PricingTable:
         they depend on the chunk count) and the pipeline's zero-copy
         interconnect reads, on *device*."""
         cost = device.cost
-        launches = tuple(cost.launch_seconds(node.launch_args)
-                         for node in shape.nodes)
-        kernels = tuple(None if node.group_ndv is not None
-                        else node.kernel_seconds(cost, None)
-                        for node in shape.nodes)
+        priced = [node.priced(cost, None) for node in shape.nodes]
+        launches = tuple(launch for launch, _ in priced)
+        kernels = tuple(None if node.group_ndv is not None else kernel
+                        for node, (_, kernel) in zip(shape.nodes, priced))
         uma = 0.0
         if zero_copy:
             # Every kernel consuming scan data pays the interconnect
@@ -678,7 +670,7 @@ class PricingTable:
         for node, per_launch, seconds in zip(shape.nodes, launches, kernels):
             launch += chunks * per_launch
             if seconds is None:
-                seconds = node.kernel_seconds(
+                _, seconds = node.priced(
                     cost, node.groups(self.data_scale, chunks))
             kernel += seconds
         return transfer, kernel + uma, launch

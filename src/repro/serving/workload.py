@@ -27,6 +27,9 @@ __all__ = ["QUERY_MIX", "build_query", "open_loop_workload"]
 QUERY_MIX = {name: QUERIES[name]
              for name in ("q1", "q3", "q4", "q6", "q12", "q14", "q19")}
 
+#: Tenants the generated requests are spread over.
+TENANTS = ("tenant-a", "tenant-b")
+
 
 def build_query(name: str, catalog: Catalog) -> "object":
     """A fresh primitive graph for *name* (each request must own its
@@ -45,22 +48,20 @@ def estimate_bytes(name: str, catalog: Catalog,
 def open_loop_workload(catalog: Catalog, *, qps: float,
                        duration_s: float, seed: int = 0,
                        interactive_fraction: float = 0.5,
-                       tenants: tuple[str, ...] = ("tenant-a", "tenant-b"),
                        queries: tuple[str, ...] = ("q1", "q6", "q14", "q19"),
                        interactive_deadline_s: float | None = None,
                        batch_deadline_s: float | None = None,
                        chunk_size: int = DEFAULT_CHUNK_SIZE,
                        data_scale: int = 1,
-                       model: str = "chunked",
-                       start_s: float = 0.0) -> list[ServeRequest]:
+                       model: str = "chunked") -> list[ServeRequest]:
     """A deterministic open-loop request schedule.
 
     Args:
         qps: Mean arrival rate (requests per simulated second).
         duration_s: Length of the arrival window; the generator stops
-            at the first arrival past ``start_s + duration_s``.
+            at the first arrival past it.
         seed: Seeds interarrival gaps and per-slot query/tenant/lane
-            choices.
+            choices (tenants from :data:`TENANTS`).
         interactive_fraction: Probability a request rides the
             interactive lane (the rest are batch).
         interactive_deadline_s / batch_deadline_s: Relative deadlines
@@ -79,15 +80,15 @@ def open_loop_workload(catalog: Catalog, *, qps: float,
     estimates = {name: estimate_bytes(name, catalog, data_scale)
                  for name in queries}
     requests: list[ServeRequest] = []
-    at = start_s
+    at = 0.0
     index = 0
     while True:
         at += float(rng.exponential(1.0 / qps))
-        if at > start_s + duration_s:
+        if at > duration_s:
             break
         index += 1
         name = queries[int(rng.integers(len(queries)))]
-        tenant = tenants[int(rng.integers(len(tenants)))]
+        tenant = TENANTS[int(rng.integers(len(TENANTS)))]
         lane = (INTERACTIVE if rng.random() < interactive_fraction
                 else BATCH)
         deadline = (interactive_deadline_s if lane == INTERACTIVE

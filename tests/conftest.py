@@ -9,6 +9,7 @@ import pytest
 from repro.core.context import ExecutionContext
 from repro.core.executor import AdamantExecutor
 from repro.devices import CudaDevice, OpenCLDevice, OpenMPDevice
+from repro.engine import Engine
 from repro.hardware import (
     CPU_I7_8700,
     GPU_RTX_2080_TI,
@@ -30,6 +31,33 @@ def pytest_addoption(parser):
 @pytest.fixture()
 def update_golden(request):
     return request.config.getoption("--update-golden")
+
+
+def assert_quiescent(engine):
+    """Nothing may stay held once every session is torn down: no open
+    session, and per query no cache pin, owner-tagged buffer or byte,
+    or memory budget (``Engine.holdings``)."""
+    assert engine.active_sessions == 0, "sessions still open"
+    assert not engine.holdings(), f"leaked: {engine.holdings()}"
+
+
+@pytest.fixture(autouse=True)
+def engines_end_quiescent(monkeypatch):
+    """Every engine a test creates and drains — serving, fault, engine,
+    cluster or facade — ends the test holding nothing.  An engine the
+    test leaves with a session open is not drained and is skipped."""
+    engines = []
+    init = Engine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(Engine, "__init__", recording_init)
+    yield
+    for engine in engines:
+        if engine.active_sessions == 0:
+            assert_quiescent(engine)
 
 
 @pytest.fixture(scope="session")

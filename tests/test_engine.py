@@ -17,7 +17,7 @@ from repro.errors import (
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI
 from repro.tpch import reference
 from repro.tpch.queries import q1, q3, q4, q6
-from tests.conftest import make_executor
+from tests.conftest import assert_quiescent, make_executor
 
 CHUNK = 2048
 
@@ -230,6 +230,29 @@ class TestSessionsAndIsolation:
         device = engine.devices["dev0"]
         assert device.memory.owner_used(session.query_id) == 0
         assert not device.memory.owned_aliases(session.query_id)
+
+    def test_holdings_name_what_a_query_in_flight_holds(self, tiny_catalog):
+        engine = make_engine(enable_subplan_cache=False)
+        engine.execute(q6.build(), tiny_catalog, chunk_size=CHUNK)
+        seen = []
+
+        class Gate:
+            def checkpoint(self, model):
+                seen.append(engine.holdings())
+
+        with engine.open_session(memory_budget=2**30) as session:
+            session.gate = Gate()
+            engine.execute(q6.build(), tiny_catalog, chunk_size=CHUNK,
+                           session=session)
+            # Finishing let go of everything; the open session holds
+            # only its admission slot.
+            assert engine.holdings() == {}
+        assert set(seen[-1]) == {session.query_id}
+        held = seen[-1][session.query_id]
+        assert held["pins"] > 0  # resident columns the warm run reads
+        assert held["buffers"] > 0 and held["bytes"] > 0
+        assert held["budgets"] == len(engine.devices)
+        assert_quiescent(engine)
 
     def test_budget_oom_is_isolated(self, tiny_catalog):
         engine = make_engine()

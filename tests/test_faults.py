@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro import Engine, FaultPlan, FaultSpec, QueryRequest, RetryPolicy
+from repro.core.fingerprint import subplan_fingerprint
 from repro.devices import CudaDevice, OpenMPDevice
 from repro.engine.scheduler import _halve_chunk
 from repro.errors import (
@@ -291,6 +292,34 @@ class TestDeviceLossFailover:
                               default_device="cpu0")
         assert warm.stats.subplan_cache_hits == 0
         assert warm.stats.kernels_launched > 0
+
+    def test_failed_over_recompute_replaces_the_dead_devices_entry(
+            self, tiny_catalog):
+        """A pipeline with several persisted results stops looking up at
+        its first miss, so a dead device's entry for a later result is
+        still in the store when the failed-over query inserts its own:
+        the survivor's value must win, or the post-wave sweep empties
+        what was just recomputed."""
+        engine = hybrid_engine()
+        q1 = QUERIES["q1"]
+        engine.execute(q1.build(tiny_catalog), tiny_catalog,
+                       chunk_size=1024)
+        cache = engine.subplan_cache
+        persisted = len(cache)
+        assert persisted > 1
+        cache.invalidate(subplan_fingerprint(q1.build(tiny_catalog),
+                                             "agg_charge"))
+        engine.install_faults(FaultPlan.parse("gpu0:device_loss:10"))
+        result = engine.execute(q1.build(tiny_catalog), tiny_catalog,
+                                chunk_size=1024)
+        assert result.stats.failovers >= 1
+        assert engine.quarantined_devices == ["gpu0"]
+        assert len(cache) == persisted
+        warm = engine.execute(q1.build(tiny_catalog), tiny_catalog,
+                              chunk_size=1024)
+        assert warm.stats.subplan_cache_hits == 1
+        assert warm.stats.kernels_launched == 0
+        assert blob(warm.outputs) == blob(result.outputs)
 
     def test_engine_survives_loss_across_later_queries(self, tiny_catalog):
         engine = hybrid_engine(FaultPlan.parse("gpu0:device_loss:10"))

@@ -54,6 +54,7 @@ from repro.serving import (
 )
 from repro.serving.workload import QUERY_MIX, build_query, estimate_bytes
 from repro.tpch import reference
+from tests.conftest import assert_quiescent
 
 
 def make_engine(*, faults=None, retry_policy=None, host_fallback=False,
@@ -85,23 +86,6 @@ def check_oracle(outcome, catalog):
         assert abs(answer - expected) < 1e-9, outcome.label
     else:
         assert answer == expected, outcome.label
-
-
-def assert_no_leaked_pins(engine):
-    """Nothing may stay pinned once every session is torn down."""
-    cache = engine.subplan_cache
-    if cache is not None:
-        leaked = {key: set(entry.pins)
-                  for key, entry in cache._entries.items() if entry.pins}
-        assert not leaked, f"leaked subplan pins: {leaked}"
-    for name, device in engine.devices.items():
-        residency = getattr(device, "residency", None)
-        if residency is None:
-            continue
-        leaked = {ref: set(entry.pins)
-                  for ref, entry in residency._entries.items()
-                  if entry.pins}
-        assert not leaked, f"leaked residency pins on {name}: {leaked}"
 
 
 class TestAdmissionController:
@@ -258,7 +242,7 @@ class TestServeBasics:
         assert total == len(requests)
         assert engine.metrics.total(
             "adamant_serving_admitted_total") == len(requests)
-        assert_no_leaked_pins(engine)
+        assert_quiescent(engine)
 
     def test_workload_is_deterministic(self, tiny_catalog):
         streams = [open_loop_workload(tiny_catalog, qps=500,
@@ -307,7 +291,7 @@ class TestServeBasics:
         log = explain_admission(service.controller.decisions)
         assert log.startswith("ADMISSION LOG")
         assert "shed" in log
-        assert_no_leaked_pins(engine)
+        assert_quiescent(engine)
 
 
 class TestPreemption:
@@ -387,7 +371,7 @@ class TestDeadlines:
             "adamant_serving_deadline_misses_total") == 1
         assert engine.metrics.value("adamant_sessions_active") == 0
         assert service.controller.in_flight("default") == 0
-        assert_no_leaked_pins(engine)
+        assert_quiescent(engine)
 
     def test_scheduler_enforces_deadline_at_pipeline_boundary(
             self, tiny_catalog):
@@ -402,7 +386,7 @@ class TestDeadlines:
                            model="pipelined", session=session)
         session.close()
         assert engine.metrics.value("adamant_sessions_active") == 0
-        assert_no_leaked_pins(engine)
+        assert_quiescent(engine)
 
     def test_deadline_generous_enough_is_met(self, tiny_catalog):
         engine = make_engine()
@@ -500,7 +484,7 @@ class TestChaosUnderOverload:
         for outcome in shed:
             assert isinstance(outcome.error, AdmissionRejected)
         assert report.deadline_miss_rate(INTERACTIVE) == 0.0
-        assert_no_leaked_pins(engine)
+        assert_quiescent(engine)
 
     def test_decisions_are_reproducible(self, tiny_catalog, scenario):
         def run():

@@ -252,12 +252,13 @@ class TestFingerprints:
 
 class TestStoreSemantics:
     def _insert(self, cache, catalog, fingerprint, *, nbytes=100,
-                device="gpu0", query="qA", value=None):
+                device="gpu0", query="qA", value=None,
+                healthy=frozenset({"gpu0", "cpu0"})):
         return cache.insert(
             fingerprint, "n0",
             value if value is not None else np.zeros(4),
             nbytes=nbytes, device=device, catalog=catalog,
-            data_scale=1, query_id=query)
+            data_scale=1, query_id=query, healthy=healthy)
 
     def test_pinned_entries_survive_pressure(self, tiny_catalog):
         cache = SubplanCache(max_bytes=250)
@@ -291,6 +292,21 @@ class TestStoreSemantics:
         assert again is first
         assert again.pins == {"qA", "qB"}
         assert cache.stats()["insertions"] == 1
+
+    def test_dead_writers_entry_is_replaced(self, tiny_catalog):
+        """First writer wins only while its device is healthy: after a
+        failover the survivor's recomputed value takes the slot instead
+        of being discarded for an entry the next lookup would drop."""
+        cache = SubplanCache()
+        self._insert(cache, tiny_catalog, "a", device="gpu0", query="qA")
+        fresh = self._insert(cache, tiny_catalog, "a", device="cpu0",
+                             query="qA", value=np.ones(4),
+                             healthy={"cpu0"})
+        assert fresh.device == "cpu0"
+        assert cache.lookup("a", tiny_catalog, 1, "qB", {"cpu0"}) is fresh
+        stats = cache.stats()
+        assert (stats["entries"], stats["insertions"],
+                stats["invalidations"]) == (1, 2, 1)
 
     def test_peek_touches_nothing(self, tiny_catalog):
         cache = SubplanCache()
