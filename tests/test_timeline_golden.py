@@ -1,13 +1,16 @@
 """Every virtual timeline of a compact run matrix, pinned bit for bit.
 
 ``tests/golden/timelines.json`` holds one digest per cell — every model
-x 1-3 devices x static/adaptive x fused/unfused on Q1, Q3 and Q6, an
-engine run served from a warm subplan cache and two served runs
+x 1-3 devices x static/adaptive x fused/unfused on Q1, Q3 and Q6, five
+engine runs (warm subplan cache, transient faults, a failover, an OOM
+restart, two concurrent queries over two rounds) and two served runs
 preempted at a chunk boundary (``tools/timeline_digest.py``).  The
-digest covers every event's stream, label, start and end (as float hex)
-and the output bytes, so a change to the chunk loop that reorders two
-allocations or moves one transfer by an ulp fails here, with the cell
-named.
+first digest covers every event's stream, label, start and end (as
+float hex) and the output bytes, so a change to the chunk loop that
+reorders two allocations or moves one transfer by an ulp fails here,
+with the cell named; the second covers the metrics registry the run
+leaves behind, so a series that is booked twice, dropped, or summed in
+another order fails here too.
 """
 
 import importlib.util
@@ -36,12 +39,13 @@ def test_timelines_match_the_golden_digests():
     differing = [cell for cell in got if got[cell] != golden[cell]]
     assert not differing, (
         f"{len(differing)} of {len(got)} timelines moved, first "
-        f"{differing[0]}: [sha256, events, makespan] {got[differing[0]]} "
+        f"{differing[0]}: [sha256, events, makespan, metrics sha256] "
+        f"{got[differing[0]]} "
         f"!= golden {golden[differing[0]]}.  To see the first differing "
-        "event, write this tree's digests and a clean checkout's with "
-        "`python3 tools/timeline_digest.py --out FILE` and pass both "
-        "files to `--diff`; regenerate the golden only for a change "
-        "that means to move virtual time.")
+        "event or metric series, write this tree's digests and a clean "
+        "checkout's with `python3 tools/timeline_digest.py --out FILE` "
+        "and pass both files to `--diff`; regenerate the golden only "
+        "for a change that means to move virtual time or a series.")
 
 
 def test_timeline_does_not_depend_on_the_hash_seed():

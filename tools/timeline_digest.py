@@ -7,21 +7,27 @@
     python3 tools/timeline_digest.py --diff A.json B.json
 
 A cell is one run: query / model / device fleet / static-or-adaptive /
-fused-or-unfused / chunk size x ``data_scale``, plus an engine run
-served from a warm subplan cache and a ``QueryService`` run whose batch
-query is preempted at a ``ChunkGate`` checkpoint.  Its line holds the
-sha256 over every event of the run in schedule order (stream, label,
-start and end as float hex, category, bytes, node) followed by the
-output bytes, with the event count and the makespan (float hex) beside
-it so that a mismatch says what kind it is.  A refactor of the chunk
-loop that moves one event by one ulp changes the digest.
+fused-or-unfused / chunk size x ``data_scale``, plus engine runs (warm
+subplan cache, transient faults, a ``device_loss`` failover, an OOM
+restart, two concurrent queries over two rounds) and ``QueryService``
+runs whose batch query is preempted at a ``ChunkGate`` checkpoint.  Its
+line holds the sha256 over every event of the run in schedule order
+(stream, label, start and end as float hex, category, bytes, node)
+followed by the output bytes, with the event count and the makespan
+(float hex) beside it so that a mismatch says what kind it is, and last
+the sha256 of the ``metrics.snapshot()`` the run's engine / executor is
+left with (sorted JSON, floats as hex).  A refactor of the chunk loop
+that moves one event by one ulp changes the first digest; one that
+books a launch twice, or sums kernel seconds in another order, the
+second.
 
 ``tests/golden/timelines.json`` is the compact matrix on the tiny
 catalog (``tests/test_timeline_golden.py`` compares against it);
-``--full`` is the 2,016-cell cross at SF 0.01 for a parent/change
+``--full`` is the 2,023-cell cross at SF 0.01 for a parent/change
 comparison.  ``--diff`` finds the first cell on which two digest files
 disagree, re-runs it under the source tree each file was made from and
-prints the first event at which the two runs part.
+prints the first event — or, the events being equal, the first metric
+series — at which the two runs part.
 
 The program digested is whichever ``repro`` is importable —
 ``PYTHONPATH=<other checkout>/src`` digests that checkout — and this
@@ -52,6 +58,7 @@ from repro.core.executor import AdamantExecutor  # noqa: E402
 from repro.core.models import MODELS  # noqa: E402
 from repro.engine import Engine, QueryRequest  # noqa: E402
 from repro.errors import AdamantError  # noqa: E402
+from repro.faults import FaultPlan  # noqa: E402
 from repro.serving import BATCH, INTERACTIVE, QueryService, ServeRequest  # noqa: E402
 from repro.tpch import generate, queries  # noqa: E402
 
@@ -84,8 +91,24 @@ FULL = (0.01, 11,
         tuple(FLEETS), ("2048x1", "33554432x2048"))
 
 ENGINE_CELLS = ("engine/warm-subplan-cache",
+                "engine/transient-faults",
+                "engine/device-loss-failover",
+                "engine/oom-ladder-restart",
+                "engine/concurrent-two-rounds",
                 "serve/chunked/gpu/preempted",
                 "serve/split_chunked/gpu+ocl/preempted")
+
+#: Engine cell -> (fleet, fault plan, the recovery stat that must be
+#: non-zero for the cell to mean anything).  These are where the cold
+#: metric series (retries, injected faults, recovery actions) live.
+FAULT_CELLS = {
+    "transient-faults": ("gpu+ocl", "gpu0:transient:0.05,seed=3",
+                         "retries"),
+    "device-loss-failover": ("gpu+ocl+cpu", "gpu0:device_loss:30",
+                             "failovers"),
+    "oom-ladder-restart": ("gpu+ocl", "gpu0:oom:0.05,seed=3",
+                           "oom_recoveries"),
+}
 
 
 def cell_names(full: bool) -> list[str]:
@@ -105,17 +128,35 @@ def plug(target, fleet: str) -> None:
                            getattr(hardware, spec))
 
 
-def run_cell(cell: str, catalog) -> tuple[list, list]:
-    """(the clock's events in schedule order, the outputs) of *cell*."""
+def run_cell(cell: str, catalog) -> tuple[list, list, dict]:
+    """(the clock's events in schedule order, the outputs, the metrics
+    snapshot of the engine / executor afterwards) of *cell*."""
     parts = cell.split("/")
+    if parts[0] == "engine" and parts[1] in FAULT_CELLS:
+        fleet, faults, stat = FAULT_CELLS[parts[1]]
+        engine = Engine(faults=FaultPlan.parse(faults))
+        plug(engine, fleet)
+        result = engine.execute(build("q3", catalog), catalog,
+                                chunk_size=256)
+        if not getattr(result.stats, stat):
+            raise SystemExit(f"{cell}: stats.{stat} is 0")
+        return engine.clock.events, [result.outputs], \
+            engine.metrics.snapshot()
     if parts[0] == "engine":
         # Q3 twice on one engine: the second run is served from the
-        # subplan cache, pipeline by pipeline.
+        # subplan cache, pipeline by pipeline.  Or Q3 beside Q6, twice:
+        # round two hits the residency cache as well.
         engine = Engine()
         plug(engine, "gpu+ocl")
-        results = [engine.execute(build("q3", catalog), catalog,
-                                  chunk_size=256) for _ in range(2)]
-        return engine.clock.events, [r.outputs for r in results]
+        if parts[1] == "concurrent-two-rounds":
+            results = [r for _ in range(2) for r in engine.run_concurrent(
+                [QueryRequest(graph=build(name, catalog), catalog=catalog,
+                              chunk_size=256) for name in ("q3", "q6")])]
+        else:
+            results = [engine.execute(build("q3", catalog), catalog,
+                                      chunk_size=256) for _ in range(2)]
+        return engine.clock.events, [r.outputs for r in results], \
+            engine.metrics.snapshot()
     if parts[0] == "serve":
         # A batch Q1 with an interactive Q6 arriving just behind it: the
         # batch pipeline yields at its first ChunkGate checkpoint.
@@ -134,7 +175,8 @@ def run_cell(cell: str, catalog) -> tuple[list, list]:
         if not preempted:
             raise SystemExit(f"{cell}: nothing was preempted")
         return engine.clock.events, [(o.status, o.result.outputs)
-                                     for o in report.outcomes]
+                                     for o in report.outcomes], \
+            engine.metrics.snapshot()
     name, model, fleet, mode, fusion, setting = parts
     chunk_size, data_scale = map(int, setting.split("x"))
     executor = AdamantExecutor()
@@ -149,7 +191,7 @@ def run_cell(cell: str, catalog) -> tuple[list, list]:
         # outgrows device memory at paper scale): the events up to it
         # and the message are what is digested.
         outputs = f"{type(error).__name__}: {error}"
-    return executor.clock.events, [outputs]
+    return executor.clock.events, [outputs], executor.metrics.snapshot()
 
 
 def event_row(event) -> str:
@@ -178,16 +220,36 @@ def feed(digest, value) -> None:
         digest.update(repr(value).encode())
 
 
+def metric_rows(snapshot: dict) -> list[str]:
+    """One line per series of a ``metrics.snapshot()``, sorted, floats
+    as hex: ``name{label="value",...} value`` (a histogram's buckets,
+    sum and count on its one line)."""
+    rows = []
+    for name in sorted(snapshot):
+        for sample in snapshot[name]["samples"]:
+            labels = ",".join(f'{key}="{value}"' for key, value
+                              in sorted(sample["labels"].items()))
+            values = ([sample["value"]] if "value" in sample else
+                      [*sample["buckets"].values(), sample["sum"],
+                       sample["count"]])
+            rows.append(f"{name}{{{labels}}} "
+                        + " ".join(float(v).hex() for v in values))
+    return rows
+
+
 def digest_cell(cell: str, catalog) -> list:
-    """[sha256, event count, makespan as float hex] of *cell*."""
-    events, outputs = run_cell(cell, catalog)
+    """[sha256, event count, makespan as float hex, sha256 of the
+    metrics snapshot] of *cell*."""
+    events, outputs, snapshot = run_cell(cell, catalog)
     digest = hashlib.sha256()
     for event in events:
         digest.update(event_row(event).encode())
         digest.update(b"\n")
     feed(digest, outputs)
     makespan = max((e.end for e in events), default=0.0)
-    return [digest.hexdigest(), len(events), makespan.hex()]
+    metrics = hashlib.sha256("\n".join(metric_rows(snapshot)).encode())
+    return [digest.hexdigest(), len(events), makespan.hex(),
+            metrics.hexdigest()]
 
 
 def make_catalog(full: bool):
@@ -211,12 +273,14 @@ def render(cells: dict[str, list], full: bool) -> str:
 
 
 def print_events(cell: str, full: bool) -> None:
-    events, outputs = run_cell(cell, make_catalog(full))
+    events, outputs, snapshot = run_cell(cell, make_catalog(full))
     for event in events:
         print(event_row(event))
     digest = hashlib.sha256()
     feed(digest, outputs)
     print("outputs", digest.hexdigest())
+    for row in metric_rows(snapshot):
+        print("metric", row)
 
 
 def diff(path_a: str, path_b: str) -> int:
@@ -243,13 +307,16 @@ def diff(path_a: str, path_b: str) -> int:
         runs.append(done.stdout.splitlines())
     for index, rows in enumerate(itertools.zip_longest(*runs)):
         if rows[0] != rows[1]:
-            print(f"first differing event, #{index}:\n"
+            what = ("metric series" if (rows[0] or rows[1]).startswith(
+                "metric ") else f"event, #{index}")
+            print(f"first differing {what}:\n"
                   f"  {sides[0]['src']}: {rows[0]}\n"
                   f"  {sides[1]['src']}: {rows[1]}")
             return 1
     print("re-running the cell under both source trees gives one event "
-          "list: the difference lies in how the files were made "
-          "(PYTHONHASHSEED, interpreter, numpy), not in the trees")
+          "list and one set of series: the difference lies in how the "
+          "files were made (PYTHONHASHSEED, interpreter, numpy), not in "
+          "the trees")
     return 1
 
 
@@ -258,7 +325,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", metavar="FILE",
                         help="write the digests here instead of stdout")
     parser.add_argument("--full", action="store_true",
-                        help="the 2,016-cell cross at SF 0.01 (minutes)")
+                        help="the 2,023-cell cross at SF 0.01 (minutes)")
     parser.add_argument("--diff", nargs=2, metavar=("A.json", "B.json"),
                         help="first differing cell and event of two files")
     parser.add_argument("--events", metavar="CELL",
