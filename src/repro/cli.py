@@ -499,6 +499,11 @@ def _cmd_run_distributed(args, plan) -> int:
         print("--retry-budget is a single-node engine flag; it does not "
               "combine with --nodes", file=sys.stderr)
         return 2
+    if args.analyze:
+        print("--analyze does not combine with --nodes (a sharded run "
+              "has no per-node profile yet; ROADMAP item 2)",
+              file=sys.stderr)
+        return 2
     catalog = generate(args.sf, seed=args.seed)
     module = QUERIES[args.query]
     cluster = _make_cluster(args)

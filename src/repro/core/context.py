@@ -12,6 +12,7 @@ from repro.devices.base import Device, SimulatedDevice
 from repro.errors import ExecutionError
 from repro.faults.policy import RetryPolicy
 from repro.hardware.clock import VirtualClock
+from repro.hardware.trace import fold
 from repro.primitives.definitions import FUSED_PRIMITIVES
 from repro.primitives.values import Bitmap, JoinPairs, PositionList, PrefixSum
 from repro.storage import Catalog
@@ -54,8 +55,9 @@ class RecoveryLog:
     model — counters must survive the restart.
     """
 
-    #: Chunk-level kernel retries after transient device faults.
-    retries: int = 0
+    #: Chunk-level kernel retries after transient device faults, per
+    #: ``(device, primitive)`` that was retried.
+    retried: dict[tuple[str, str], int] = field(default_factory=dict)
     #: Cumulative backoff seconds those retries charged to the query;
     #: checked against the retry policy's per-query ``budget_seconds``.
     retry_backoff_seconds: float = 0.0
@@ -70,6 +72,10 @@ class RecoveryLog:
     oom_recoveries: int = 0
     #: Devices quarantined while this query was in flight (in order).
     quarantined_devices: list[str] = field(default_factory=list)
+
+    @property
+    def retries(self) -> int:
+        return sum(self.retried.values())
 
 
 @dataclass
@@ -206,7 +212,7 @@ class ExecutionContext:
     A thin binding of a :class:`~repro.planner.ir.PhysicalPlan` (the
     *decisions*: graph, model, chunk size, fusion, adaptive arming,
     ANALYZE) to the *machinery* that executes it (catalog, devices,
-    registry, clock, query identity, retry policy, metrics).  Plans
+    registry, clock, query identity, retry policy).  Plans
     come from :func:`~repro.planner.compile.compile_plan` or the
     optimizer, both of which hand over validated plans; the context
     checks only what it adds — the devices.
@@ -217,7 +223,6 @@ class ExecutionContext:
                  clock: VirtualClock, default_device: str,
                  query: QueryContext | None = None,
                  retry_policy: "RetryPolicy | None" = None,
-                 metrics: object | None = None,
                  subplan_cache: object | None = None) -> None:
         if not devices:
             raise ExecutionError("no devices plugged into the executor")
@@ -238,9 +243,6 @@ class ExecutionContext:
         self.query = query if query is not None else QueryContext()
         self.retry_policy = (retry_policy if retry_policy is not None
                              else RetryPolicy())
-        #: :class:`~repro.observe.MetricsRegistry` the hub and models
-        #: report into (None = no instrumentation).
-        self.metrics = metrics
         #: Engine-scope :class:`~repro.engine.subplan_cache.SubplanCache`
         #: (None outside engine mode or when the cache is disabled);
         #: execution models serve and populate whole pipelines from it.
@@ -301,49 +303,25 @@ class ExecutionContext:
         co-running queries account only for their own work.
         """
         query = self.query
-        categories: dict[str, float] = {}
-        end = query.epoch_start
-        transfer_bytes = computes = hits = hit_bytes = launched = 0
-        for e in self.clock.events_of(query.query_id):  # in eid order
-            category = e.category
-            categories[category] = categories.get(category, 0.0) + e.duration
-            if e.end > end:
-                end = e.end
-            if category == "compute":
-                computes += 1
-            elif category == "launch":
-                launched += 1
-            elif category == "transfer":
-                transfer_bytes += e.nbytes
-            elif category == "cache":
-                hits += 1
-                hit_bytes += e.nbytes
-            elif category == "recovery":
-                # A scheduler restart (OOM degradation, failover) re-runs
-                # the graph from the top and stamps this zero-duration
-                # marker; launch events of the aborted attempts stay on
-                # the timeline (their cost is real) but only the
-                # completed run — everything after the last marker —
-                # describes the executed plan, so launches count from it.
-                launched = 0
+        ledger = fold(self.clock.events_of(query.query_id))
         fused = [n for n in self.graph.nodes.values()
                  if n.primitive in FUSED_PRIMITIVES]
         return ExecutionStats(
-            makespan=max(0.0, end - query.epoch_start),
-            time_by_category=categories,
+            makespan=max(0.0, ledger.end - query.epoch_start),
+            time_by_category=ledger.seconds,
             peak_device_bytes={
                 name: device.memory.peak_device_used  # type: ignore[attr-defined]
                 for name, device in self.devices.items()
                 if hasattr(device, "memory")
             },
-            transfer_bytes=transfer_bytes,
+            transfer_bytes=ledger.nbytes.get("transfer", 0),
             chunks_processed=chunks,
-            kernel_invocations=computes,
+            kernel_invocations=ledger.count.get("compute", 0),
             pipeline_spans=list(pipeline_spans or ()),
             query_id=query.query_id,
-            residency_hits=hits,
-            residency_hit_bytes=hit_bytes,
-            kernels_launched=launched,
+            residency_hits=ledger.count.get("cache", 0),
+            residency_hit_bytes=ledger.nbytes.get("cache", 0),
+            kernels_launched=ledger.launches,
             fused_nodes=len(fused),
             fused_probe_nodes=sum(
                 1 for n in fused

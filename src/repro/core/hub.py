@@ -125,11 +125,6 @@ class DataTransferHub:
             category="cache",
             nbytes=nbytes,
         )
-        if self.ctx.metrics is not None:
-            self.ctx.metrics.inc("adamant_residency_hits_total",
-                                 device=device.name)
-            self.ctx.metrics.inc("adamant_residency_hit_bytes_total",
-                                 nbytes, device=device.name)
         buffer.value = payload
         buffer.ready = event
         edge.device_id = device.name

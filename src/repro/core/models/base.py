@@ -401,10 +401,6 @@ class ExecutionModel(abc.ABC):
                     # degradation), so the stream sheds the query
                     # instead of stalling indefinitely.
                     recovery.retry_budget_exhausted = True
-                    if self.ctx.metrics is not None:
-                        self.ctx.metrics.inc(
-                            "adamant_retry_budget_exhausted_total",
-                            device=device.name)
                     raise RetryBudgetExhaustedError(
                         f"retry budget of {policy.budget_seconds:g}s "
                         f"spent ({recovery.retry_backoff_seconds:g}s "
@@ -413,12 +409,10 @@ class ExecutionModel(abc.ABC):
                     ).annotate(device=device.name,
                                query_id=self.ctx.query.query_id,
                                node_id=node.node_id) from fault
-                recovery.retries += 1
+                retried = (device.name, node.primitive)
+                recovery.retried[retried] = \
+                    recovery.retried.get(retried, 0) + 1
                 recovery.retry_backoff_seconds += pause
-                if self.ctx.metrics is not None:
-                    self.ctx.metrics.inc("adamant_retries_total",
-                                         device=device.name,
-                                         primitive=node.primitive)
                 backoff = self.ctx.clock.schedule(
                     device.compute_stream,
                     pause,
@@ -805,8 +799,6 @@ class ExecutionModel(abc.ABC):
             for edge in graph.out_edges(nid):
                 edge.device_id = device.name
         self.subplan_hits += 1
-        if self.ctx.metrics is not None:
-            self.ctx.metrics.inc("adamant_subplan_cache_hits_total")
         return True
 
     def _cache_persisted(self, pipeline: Pipeline) -> None:
@@ -837,8 +829,6 @@ class ExecutionModel(abc.ABC):
             inserted = inserted or entry is not None
         if inserted:
             self.subplan_misses += 1
-            if self.ctx.metrics is not None:
-                self.ctx.metrics.inc("adamant_subplan_cache_misses_total")
 
     def _retrieve_outputs(self) -> dict[str, object]:
         outputs: dict[str, object] = {}

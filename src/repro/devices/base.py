@@ -178,10 +178,6 @@ class SimulatedDevice(Device):
         #: Fault injector armed by a :class:`~repro.faults.FaultPlan`
         #: (None = healthy device, zero overhead).
         self.faults = None
-        #: :class:`~repro.observe.MetricsRegistry` the driver reports
-        #: launches and transfers into; attached by the engine (None =
-        #: no instrumentation, zero overhead).
-        self.metrics = None
         #: Set by an injected permanent failure: the device is gone and
         #: every further use raises :class:`DeviceLostError`.
         self.lost = False
@@ -317,9 +313,6 @@ class SimulatedDevice(Device):
             category="transfer",
             nbytes=self.cost.interconnect_bytes(nbytes),
         )
-        if self.metrics is not None:
-            self.metrics.inc("adamant_transfer_bytes_total", event.nbytes,
-                             device=self.name, direction="h2d")
         self._store(buffer, data, event)
         return event
 
@@ -350,9 +343,6 @@ class SimulatedDevice(Device):
             category="transfer",
             nbytes=self.cost.interconnect_bytes(nbytes),
         )
-        if self.metrics is not None:
-            self.metrics.inc("adamant_transfer_bytes_total", event.nbytes,
-                             device=self.name, direction="d2h")
         return value, event
 
     def _allocate(self, alias: str, logical: int, *,
@@ -537,12 +527,6 @@ class SimulatedDevice(Device):
             category="compute",
             node=task.node_id,
         )
-        if self.metrics is not None:
-            self.metrics.inc("adamant_kernel_launches_total",
-                             device=self.name, primitive=primitive)
-            self.metrics.inc("adamant_kernel_seconds_total", event.duration,
-                             device=self.name, primitive=primitive)
-
         if task.output is not None:
             if task.output not in self.memory:
                 self.prepare_memory(task.output, value_nbytes(result))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.context import ExecutionContext, QueryResult
+from repro.core.context import ExecutionContext, QueryResult, RecoveryLog
 from repro.core.graph import PrimitiveGraph
 from repro.core.models import MODELS
 from repro.core.models.base import ExecutionModel
@@ -34,10 +34,16 @@ from repro.devices.transforms import register_default_transforms
 from repro.engine.scheduler import DeviceScheduler
 from repro.engine.session import QuerySession, query_holdings, release_query
 from repro.engine.subplan_cache import SubplanCache
-from repro.errors import DeviceLostError, ExecutionError, QueryAdmissionError
+from repro.errors import (
+    DeviceLostError,
+    ExecutionError,
+    QueryAdmissionError,
+    RetryBudgetExhaustedError,
+)
 from repro.faults import FaultPlan, RetryPolicy
 from repro.hardware.clock import VirtualClock
 from repro.hardware.specs import DeviceKind, DeviceSpec
+from repro.hardware.trace import fold
 from repro.observe.metrics import MetricsRegistry
 from repro.planner.compile import compile_plan
 from repro.planner.cost import CostOverlayStore
@@ -128,10 +134,15 @@ class Engine:
         self._scheduler = DeviceScheduler()
         self._retry_policy = retry_policy
         self._fault_plan: FaultPlan | None = None
-        #: Engine-lifetime :class:`~repro.observe.MetricsRegistry`; every
-        #: plugged device, armed injector, and executed query reports
-        #: into it (see ``docs/observability.md``).
+        #: Engine-lifetime :class:`~repro.observe.MetricsRegistry`.  Only
+        #: the engine (and the serving layer above it) writes to it: at
+        #: the end of every wave and fresh run :meth:`_publish` folds the
+        #: clock's new events into it (see ``docs/observability.md``).
         self.metrics = MetricsRegistry()
+        #: How many of the clock's events :meth:`_publish` has folded.
+        self._published = 0
+        #: device -> (its injector, the ``injected`` tally published).
+        self._injected: dict[str, tuple[object, dict[str, int]]] = {}
         #: Calibrated per-device-spec cost corrections; the optimizer
         #: prices with it and every ``model="auto"`` execution folds its
         #: observed/predicted ratio back in.
@@ -152,15 +163,16 @@ class Engine:
         """
         if name in self.devices:
             raise ExecutionError(f"device name {name!r} already plugged")
+        if ":" in name:
+            # Event labels are ``device:kind:subject`` and every counter
+            # is read back out of them (``hardware.trace.fold``).
+            raise ExecutionError(f"device name {name!r} contains ':'")
         device = driver(name, spec, self.clock, memory_limit=memory_limit)
         register_default_transforms(device)
         if self.enable_residency:
             device.residency = ResidencyCache(device)
-        device.metrics = self.metrics
         if self._fault_plan is not None:
             device.faults = self._fault_plan.injector_for(name)
-            if device.faults is not None:
-                device.faults.metrics = self.metrics
         self.devices[name] = device
         if default or self._default_device is None:
             self._default_device = name
@@ -209,8 +221,6 @@ class Engine:
         self._fault_plan = plan
         for name, device in self.devices.items():
             device.faults = plan.injector_for(name)
-            if device.faults is not None:
-                device.faults.metrics = self.metrics
 
     def clear_faults(self) -> None:
         """Disarm fault injection on every device."""
@@ -391,11 +401,19 @@ class Engine:
             default_device=request.default_device or self.default_device,
             data_scale=request.data_scale,
             overlay=self.overlay.factors(devices),
-            metrics=self.metrics, subplan_cache=self.subplan_cache)
-        return optimizer.choose(request.graph,
-                                chunk_size=request.chunk_size,
-                                analyze=request.analyze,
-                                adaptive=request.adaptive)
+            subplan_cache=self.subplan_cache)
+        plan, report = optimizer.choose(request.graph,
+                                        chunk_size=request.chunk_size,
+                                        analyze=request.analyze,
+                                        adaptive=request.adaptive)
+        query = report.graph_name or "q0"
+        self.metrics.inc("adamant_optimizer_candidates_total",
+                         report.enumerated, query=query)
+        self.metrics.inc("adamant_optimizer_pruned_total", report.pruned,
+                         query=query)
+        self.metrics.set("adamant_optimizer_chosen_cost_seconds",
+                         report.chosen.cost.total, query=query)
+        return plan, report
 
     def _run_wave(self, wave: list[tuple[QueryRequest, PhysicalPlan,
                                          OptimizerReport | None]], *,
@@ -412,24 +430,28 @@ class Engine:
         epoch_start = self.clock.begin_epoch()
         sessions: list[QuerySession] = []
         work: list[tuple] = []
+        #: Every model the wave runs, restarts' rebuilds included.
+        models: list[ExecutionModel] = []
+        # Only a caller's session can arrive with retries on its log.
+        retried = dict(session.recovery.retried) if session else {}
         try:
             for request, plan, _ in wave:
                 own = session if session is not None else \
                     self.open_session(memory_budget=request.memory_budget,
                                       label=request.label)
                 sessions.append(own)
-                work.append((
-                    own,
-                    self._build_model(plan, request.catalog,
-                                      request.default_device, session=own,
-                                      epoch_start=epoch_start),
-                    self._make_rebuild(own, request, plan, epoch_start)))
+                models.append(self._build_model(
+                    plan, request.catalog, request.default_device,
+                    session=own, epoch_start=epoch_start))
+                work.append((own, models[-1], self._make_rebuild(
+                    own, request, plan, epoch_start, models)))
             self._scheduler.run(work)
             self._sweep_subplan_cache()
             results: list[QueryResult | Exception] = []
             for own, (_, plan, _) in zip(sessions, wave):
-                self._record_query(plan.model, result=own.result,
-                                   error=own.error)
+                self._record_query(plan.model, own.recovery,
+                                   result=own.result, error=own.error,
+                                   retried=retried)
                 results.append(own.error if own.error is not None
                                else own.result)
             failure = next((r for r in results
@@ -441,6 +463,7 @@ class Engine:
                     self._finish_optimized(report, result)
             return results
         finally:
+            self._publish(models)
             if session is None:
                 for own in sessions:
                     own.close()
@@ -490,16 +513,17 @@ class Engine:
             default_device=default_device or self.default_device,
             query=query,
             retry_policy=self._retry_policy,
-            metrics=self.metrics,
             subplan_cache=subplan_cache,
         )
         return MODELS[plan.model](ctx)
 
     def _make_rebuild(self, session: QuerySession, request: QueryRequest,
-                      plan: PhysicalPlan, epoch_start: float):
+                      plan: PhysicalPlan, epoch_start: float,
+                      models: list[ExecutionModel]):
         """The scheduler's recovery callback: a fresh model for the same
         query at a degraded configuration (new chunk size, devices
-        excluded after quarantine, or placement spilled to the host).
+        excluded after quarantine, or placement spilled to the host),
+        appended to the wave's *models*.
 
         Failover re-runs the cost-based placement pass over the
         request's graph restricted to the surviving devices, then
@@ -536,36 +560,94 @@ class Engine:
                 graph, model=plan.model, chunk_size=chunk_size,
                 data_scale=plan.data_scale, fuse=fuse,
                 analyze=plan.analyze, adaptive=plan.adaptive)
-            return self._build_model(degraded, request.catalog, default,
-                                     session=session,
-                                     epoch_start=epoch_start,
-                                     devices=survivors)
+            models.append(self._build_model(
+                degraded, request.catalog, default, session=session,
+                epoch_start=epoch_start, devices=survivors))
+            return models[-1]
         return rebuild
 
     def _execute_fresh(self, plan: PhysicalPlan, catalog: Catalog,
                        default_device: str | None) -> QueryResult:
         """Single-shot semantics: reset the timeline and devices, run."""
+        self._publish()  # whatever was scheduled since, before it goes
         self.clock.reset()
+        self._published = 0
         for device in self.devices.values():
             device.reset(data_scale=plan.data_scale)
         model_obj = self._build_model(plan, catalog, default_device)
+        recovery = model_obj.ctx.query.recovery
         try:
             result = model_obj.run()
         except Exception as error:
-            self._record_query(plan.model, error=error)
+            self._record_query(plan.model, recovery, error=error)
             raise
-        self._record_query(plan.model, result=result)
+        finally:
+            self._publish([model_obj])
+        self._record_query(plan.model, recovery, result=result)
         return result
 
     # -- statistics ----------------------------------------------------------
 
-    def _record_query(self, model: str, *,
+    def _publish(self, models: list[ExecutionModel] = ()) -> None:
+        """Book what happened since the previous publish, each fact once.
+
+        Whatever an event carries comes from the fold of the clock's new
+        events — every query's, aborted attempts included, continuing
+        the registry's running totals in schedule order.  What no event
+        carries comes from state: the subplan-cache hits and misses and
+        the calibrator of each of *models* (every model the wave or
+        fresh run built, so a restart's aborted attempt counts), and
+        the injectors' tallies.
+        """
+        metrics = self.metrics
+        ledger = fold(self.clock.events_since(self._published),
+                      metrics.running())
+        self._published = self.clock.event_count
+        metrics.advance(ledger.series)
+        for model in models:
+            if model.subplan_hits:
+                metrics.inc("adamant_subplan_cache_hits_total",
+                            model.subplan_hits)
+            if model.subplan_misses:
+                metrics.inc("adamant_subplan_cache_misses_total",
+                            model.subplan_misses)
+            if model.adaptive is not None:
+                overlays = model.adaptive.calibrator.overlays
+                for name, overlay in overlays.items():
+                    metrics.set("adamant_adaptive_overlay_factor",
+                                overlay.factor, device=name)
+        for name, device in self.devices.items():
+            if device.faults is None:
+                continue
+            injector, booked = self._injected.get(name, (None, {}))
+            if injector is not device.faults:
+                booked = {}
+            for kind, count in device.faults.injected.items():
+                if count > booked.get(kind, 0):
+                    metrics.inc("adamant_faults_injected_total",
+                                count - booked.get(kind, 0),
+                                device=name, kind=kind)
+            self._injected[name] = (device.faults,
+                                    dict(device.faults.injected))
+
+    def _record_query(self, model: str, recovery: RecoveryLog, *,
                       result: QueryResult | None = None,
-                      error: Exception | None = None) -> None:
+                      error: Exception | None = None,
+                      retried: dict[tuple[str, str], int] = {}) -> None:
         """Publish one finished query's stats into the metrics registry
-        and refresh the per-device gauges."""
+        and refresh the per-device gauges.  *retried* is what
+        *recovery* held before the query ran (a caller's session)."""
         status = "ok" if error is None else "failed"
         self.metrics.inc("adamant_queries_total", model=model, status=status)
+        for (device, primitive), count in recovery.retried.items():
+            if count > retried.get((device, primitive), 0):
+                self.metrics.inc(
+                    "adamant_retries_total",
+                    count - retried.get((device, primitive), 0),
+                    device=device, primitive=primitive)
+        if isinstance(error, RetryBudgetExhaustedError):
+            self.metrics.inc("adamant_retry_budget_exhausted_total",
+                             device=error.device)
         if result is not None:
             stats = result.stats
             self.metrics.observe("adamant_query_seconds", stats.makespan,

@@ -281,14 +281,6 @@ class DeviceScheduler:
         if isinstance(error, DeviceMemoryError) and not \
                 isinstance(error, QueryBudgetError):
             entry.session.recovery.oom_recoveries += 1
-        if ctx.metrics is not None:
-            # Low-cardinality reason label: strip device names and chunk
-            # values ("failover:dev0" -> "failover", "oom:chunk=512" ->
-            # "oom:chunk").
-            parts = reason.split(":")
-            kind = (parts[0] if parts[0] in ("failover", "device-fault")
-                    else ":".join(parts[:2]).split("=")[0])
-            ctx.metrics.inc("adamant_recovery_actions_total", reason=kind)
         ctx.clock.schedule(
             RECOVERY_STREAM, 0.0,
             label=f"recovery:{reason}:{entry.session.query_id}",

@@ -109,14 +109,11 @@ class QuerySession:
         """The query's own simulated runtime (None until finished)."""
         return self.result.stats.makespan if self.result else None
 
-    def query_context(self, *, alias_prefix: str | None = None,
-                      epoch_start: float = 0.0) -> QueryContext:
+    def query_context(self, *, epoch_start: float = 0.0) -> QueryContext:
         """The :class:`QueryContext` threaded through this session's run."""
-        prefix = (f"{self.query_id}:" if alias_prefix is None
-                  else alias_prefix)
         return QueryContext(
             query_id=self.query_id,
-            alias_prefix=prefix,
+            alias_prefix=f"{self.query_id}:",
             memory_budget=self.memory_budget,
             epoch_start=epoch_start,
             recovery=self.recovery,
@@ -142,7 +139,7 @@ class QuerySession:
     def cancelled(self) -> bool:
         return isinstance(self.error, QueryCancelledError)
 
-    def cancel(self, error: QueryCancelledError | None = None) -> None:
+    def cancel(self) -> None:
         """Cancel the in-flight query and tear down all its state.
 
         Cancellation gets the *full* teardown a completed or failed
@@ -153,9 +150,7 @@ class QuerySession:
         """
         if self.state in ("closed", "finished"):
             return
-        self._fail(error if error is not None
-                   else QueryCancelledError(
-                       f"query {self.query_id} cancelled"))
+        self._fail(QueryCancelledError(f"query {self.query_id} cancelled"))
         self.close()
 
     def close(self) -> None:

@@ -45,15 +45,9 @@ class FaultInjector:
         #: Hooked operations seen so far (drives ``device_loss.after``).
         self.ops = 0
         self.injected: dict[str, int] = {k.value: 0 for k in FaultKind}
-        #: :class:`~repro.observe.MetricsRegistry` injections are
-        #: mirrored into (attached by the engine; None = counters only).
-        self.metrics = None
 
     def _record(self, kind: str) -> None:
         self.injected[kind] += 1
-        if self.metrics is not None:
-            self.metrics.inc("adamant_faults_injected_total",
-                             device=self.device_name, kind=kind)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<FaultInjector {self.device_name!r} "

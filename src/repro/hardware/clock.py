@@ -20,7 +20,7 @@ compute of chunk *c*").
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -77,11 +77,6 @@ class Stream:
 
     name: str
     available_at: float = 0.0
-    events: list[Event] = field(default_factory=list)
-
-    def busy_time(self) -> float:
-        """Total time this stream spent executing events."""
-        return sum(e.duration for e in self.events)
 
 
 _EID = attrgetter("eid")
@@ -161,7 +156,6 @@ class VirtualClock:
         event = Event(next(self._ids), stream, label, start, end, category,
                       nbytes, owner, node)
         s.available_at = end
-        s.events.append(event)
         self._events.append(event)
         self._events_by_owner.setdefault(owner, []).append(event)
         return event

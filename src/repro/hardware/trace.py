@@ -16,10 +16,13 @@ query can be traced by running it and passing ``executor.clock``.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
+from functools import lru_cache
 
-from repro.hardware.clock import VirtualClock
+from repro.hardware.clock import Event, VirtualClock
 
-__all__ = ["to_chrome_trace", "ascii_gantt", "overlap_ratio", "counters"]
+__all__ = ["to_chrome_trace", "ascii_gantt", "overlap_ratio", "counters",
+           "fold", "Ledger"]
 
 #: Category -> single-character glyph for the ASCII chart.
 _GLYPHS = {
@@ -37,43 +40,155 @@ _GLYPHS = {
 }
 
 
-def counters(clock: VirtualClock) -> dict[str, int]:
-    """Launch counters of the recorded timeline.
+#: Event categories whose label names a metric series.
+_LABELLED = frozenset(
+    ("compute", "launch", "transfer", "cache", "recovery", "adaptive"))
 
-    ``kernels_launched`` counts every host-side launch event of each
-    query's *completed* run; ``fused_kernels_launched`` the subset that
-    launched the planner's fused MAP/FILTER kernel.  The difference
-    before/after fusion is the launch-overhead saving the pass buys.
-    ``retries`` counts the backoff waits charged by transient-fault
-    recovery and ``recovery_actions`` the scheduler's restart markers
-    (OOM degradation and device failover).
+
+@lru_cache(maxsize=4096)
+def _parse(stream: str, label: str) -> tuple[str, str, str]:
+    """``(device, kind, subject)`` of an event on *stream* labelled
+    ``device:kind:subject`` (the device is the stream's, so a label's
+    first field is never trusted; a two-field label has no subject)."""
+    _, _, rest = label.partition(":")
+    kind, _, subject = rest.partition(":")
+    return stream.rpartition(".")[0], kind, subject
+
+
+class Ledger:
+    """What a run of events adds up to (the result of :func:`fold`).
+
+    Attributes:
+        seconds, count, nbytes: Per event category, the summed
+            durations (in schedule order), the number of events and the
+            summed payload bytes.
+        end: Latest end time of any event (0.0 for no events).
+        launches, fused_launches: ``launch`` events of each owner's
+            *completed* attempt, and those among them that launched a
+            planner-fused kernel.
+        series: The labelled metric series the events carry, keyed
+            ``(metric name, *label values)`` with the label values in
+            the order ``observe.metrics.METRIC_CATALOG`` declares them.
+    """
+
+    __slots__ = ("seconds", "count", "nbytes", "end", "launches",
+                 "fused_launches", "series")
+
+
+def fold(events: Iterable[Event],
+         series: dict[tuple[str, ...], float] | None = None) -> Ledger:
+    """The one reading of the event log: every counter the system
+    prints is a field of this fold over *events* (in schedule order).
+
+    An event says where it ran through its stream (``<device>.transfer``
+    / ``<device>.compute``) and what it was through its label, whose
+    grammar is ``device:kind:subject`` — ``gpu0:launch:filter_bitmap``,
+    ``gpu0:h2d:q7:lineitem.l_quantity#0``, ``gpu0:adaptive-steal``; the
+    scheduler's markers are ``recovery:<reason>:<query id>``.  Which
+    series an event feeds follows from its category and kind alone, so
+    a driver that schedules its own ``h2d`` event is counted like the
+    built-in ones.
+
+    *series* continues running totals (the engine passes its registry's,
+    so a float sum keeps one association across publishes); without it
+    the series start from zero.
 
     A scheduler restart re-runs a query's graph from the top, leaving
     the aborted attempt's launch events on the shared timeline; counting
     them would double-charge the plan (most visibly for fused nodes,
-    whose whole point is a lower launch count).  Launches are therefore
-    counted per owner only after the owner's last ``recovery`` marker —
-    exactly the run that completed.  ``retries`` and
-    ``recovery_actions`` intentionally keep counting *every* recovery
-    action, aborted attempts included.
+    whose whole point is a lower launch count).  ``launches`` therefore
+    counts, per owner, only what follows the owner's last ``recovery``
+    marker — exactly the run that completed.  Every other field,
+    ``series`` included, counts *every* event, aborted attempts too.
     """
-    events = clock.events  # the property copies the timeline: read once
-    restart_eid: dict[str, int] = {}
-    for e in events:
-        if e.category == "recovery":
-            restart_eid[e.owner] = max(restart_eid.get(e.owner, -1), e.eid)
-    launches = [e for e in events if e.category == "launch"
-                and e.eid > restart_eid.get(e.owner, -1)]
+    ledger = Ledger()
+    seconds = ledger.seconds = {}
+    count = ledger.count = {}
+    volume = ledger.nbytes = {}
+    series = ledger.series = {} if series is None else series
+    #: owner -> [launches, fused launches] since its last recovery marker
+    live: dict[str, list[int]] = {}
+    last = 0.0
+    for _, stream, label, start, end, category, nbytes, owner, _ in events:
+        seconds[category] = seconds.get(category, 0.0) + (end - start)
+        count[category] = count.get(category, 0) + 1
+        if nbytes:
+            volume[category] = volume.get(category, 0) + nbytes
+        if end > last:
+            last = end
+        if category not in _LABELLED:
+            continue
+        device, kind, subject = _parse(stream, label)
+        if category == "compute":
+            key = ("adamant_kernel_seconds_total", device, subject)
+            series[key] = series.get(key, 0) + (end - start)
+        elif category == "launch":
+            key = ("adamant_kernel_launches_total", device, subject)
+            series[key] = series.get(key, 0) + 1
+            tally = live.get(owner)
+            if tally is None:
+                tally = live[owner] = [0, 0]
+            tally[0] += 1
+            if subject.startswith("fused_"):
+                tally[1] += 1
+        elif category == "transfer":
+            if kind in ("h2d", "d2h"):
+                key = ("adamant_transfer_bytes_total", device, kind)
+                series[key] = series.get(key, 0) + nbytes
+        elif category == "cache":
+            key = ("adamant_residency_hits_total", device)
+            series[key] = series.get(key, 0) + 1
+            key = ("adamant_residency_hit_bytes_total", device)
+            series[key] = series.get(key, 0) + nbytes
+        elif category == "recovery":
+            # The marker's owner starts over, and with it the launches
+            # charged to nobody, which ``events_of`` shows every owner;
+            # a marker charged to nobody restarts everyone.
+            if owner:
+                live.pop(owner, None)
+                live.pop("", None)
+            else:
+                live.clear()
+            if kind == "oom":  # "oom:chunk=512:q7" -> reason "oom:chunk"
+                kind += ":" + subject.rsplit(":", 1)[0].split("=")[0]
+            key = ("adamant_recovery_actions_total", kind)
+            series[key] = series.get(key, 0) + 1
+        else:  # adaptive
+            if kind == "adaptive-resize":
+                old, _, new = subject.partition("->")
+                key = ("adamant_adaptive_resize_total",
+                       "grow" if int(new) > int(old) else "shrink")
+            elif kind == "adaptive-steal":
+                key = ("adamant_adaptive_steals_total", device)
+            else:
+                key = ("adamant_adaptive_replacements_total",)
+            series[key] = series.get(key, 0) + 1
+    ledger.end = last
+    ledger.launches = sum(tally[0] for tally in live.values())
+    ledger.fused_launches = sum(tally[1] for tally in live.values())
+    return ledger
+
+
+def counters(clock: VirtualClock) -> dict[str, int]:
+    """Launch and recovery counters of the whole recorded timeline.
+
+    ``kernels_launched`` counts every host-side launch event of each
+    query's *completed* run (see :func:`fold`); ``fused_kernels_launched``
+    the subset that launched the planner's fused MAP/FILTER kernel.  The
+    difference before/after fusion is the launch-overhead saving the
+    pass buys.  ``retries`` counts the backoff waits charged by
+    transient-fault recovery, ``recovery_actions`` the scheduler's
+    restart markers (OOM degradation and device failover) and
+    ``adaptive_actions`` the adaptive controller's markers — all three
+    over *every* attempt, aborted ones included.
+    """
+    ledger = fold(clock.events_since(0))
     return {
-        "kernels_launched": len(launches),
-        "fused_kernels_launched": sum(
-            1 for e in launches
-            if (e.label or "").rsplit(":", 1)[-1].startswith("fused_")),
-        "retries": sum(1 for e in events if e.category == "backoff"),
-        "recovery_actions": sum(1 for e in events
-                                if e.category == "recovery"),
-        "adaptive_actions": sum(1 for e in events
-                                if e.category == "adaptive"),
+        "kernels_launched": ledger.launches,
+        "fused_kernels_launched": ledger.fused_launches,
+        "retries": ledger.count.get("backoff", 0),
+        "recovery_actions": ledger.count.get("recovery", 0),
+        "adaptive_actions": ledger.count.get("adaptive", 0),
     }
 
 

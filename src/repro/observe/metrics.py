@@ -248,8 +248,7 @@ class MetricsRegistry:
     # -- declaration ---------------------------------------------------------
 
     def _declare(self, name: str, kind: str,
-                 labelnames: tuple[str, ...] | None, help_text: str,
-                 buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> _Metric:
+                 labelnames: tuple[str, ...] = ()) -> _Metric:
         metric = self._metrics.get(name)
         if metric is not None:
             if metric.kind != kind:
@@ -258,31 +257,25 @@ class MetricsRegistry:
             return metric
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
+        help_text = ""
         if name in METRIC_CATALOG:
-            cat_kind, cat_labels, cat_help = METRIC_CATALOG[name]
+            cat_kind, labelnames, help_text = METRIC_CATALOG[name]
             if cat_kind != kind:
                 raise ValueError(
                     f"metric {name!r} is declared as a {cat_kind}")
-            labelnames = cat_labels
-            help_text = help_text or cat_help
-        metric = _Metric(name, kind, tuple(labelnames or ()), help_text,
-                         buckets if kind == "histogram" else ())
+        metric = _Metric(name, kind, labelnames, help_text,
+                         DEFAULT_BUCKETS if kind == "histogram" else ())
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, help_text: str = "",
-                labelnames: tuple[str, ...] | None = None) -> _Metric:
-        return self._declare(name, "counter", labelnames, help_text)
+    def counter(self, name: str) -> _Metric:
+        return self._declare(name, "counter")
 
-    def gauge(self, name: str, help_text: str = "",
-              labelnames: tuple[str, ...] | None = None) -> _Metric:
-        return self._declare(name, "gauge", labelnames, help_text)
+    def gauge(self, name: str) -> _Metric:
+        return self._declare(name, "gauge")
 
-    def histogram(self, name: str, help_text: str = "",
-                  labelnames: tuple[str, ...] | None = None,
-                  buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> _Metric:
-        return self._declare(name, "histogram", labelnames, help_text,
-                             buckets)
+    def histogram(self, name: str) -> _Metric:
+        return self._declare(name, "histogram")
 
     # -- convenience instrumentation -----------------------------------------
 
@@ -293,7 +286,7 @@ class MetricsRegistry:
         :meth:`_declare`."""
         metric = self._metrics.get(name)
         if metric is None or metric.kind != kind:
-            metric = self._declare(name, kind, tuple(sorted(labels)), "")
+            metric = self._declare(name, kind, tuple(sorted(labels)))
         return metric
 
     def inc(self, name: str, amount: float = 1.0, **labels: str) -> None:
@@ -308,6 +301,27 @@ class MetricsRegistry:
         """Record *value* into histogram *name* (creating it on first
         use with :data:`DEFAULT_BUCKETS`)."""
         self._instrument(name, "histogram", labels).observe(value, **labels)
+
+    # -- publishing a fold --------------------------------------------------
+
+    def running(self) -> dict[tuple[str, ...], float]:
+        """Every counter series' running total, keyed ``(name, *label
+        values)`` in declared label order — what a fold of new events
+        (:func:`repro.hardware.trace.fold`) continues from."""
+        return {(name, *key): series[0]
+                for name, metric in self._metrics.items()
+                if metric.kind == "counter"
+                for key, series in metric.samples.items()}
+
+    def advance(self, totals: dict[tuple[str, ...], float]) -> None:
+        """Move counter series to *totals* (keyed as :meth:`running`,
+        which the totals continued), creating the ones not yet seen."""
+        for (name, *values), total in totals.items():
+            metric = self.counter(name)
+            series = metric._series(dict(zip(metric.labelnames, values)))
+            if total < series[0]:
+                raise ValueError(f"counter {name!r} cannot decrease")
+            series[0] = float(total)
 
     # -- reading -------------------------------------------------------------
 
@@ -356,9 +370,9 @@ class MetricsRegistry:
 
     # -- exporters -----------------------------------------------------------
 
-    def to_json(self, *, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Serialize :meth:`snapshot` as JSON."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
     def prometheus_text(self) -> str:
         """Render every metric in the Prometheus text exposition format."""

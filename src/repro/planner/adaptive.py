@@ -296,11 +296,7 @@ class AdaptiveController:
                 overhead += e.duration
         observed = overhead + streaming
         predicted = self.predicted_chunk_seconds(pipeline, device, rows)
-        factor = self.calibrator.observe(device.name, observed, predicted)
-        if self.ctx.metrics is not None:
-            self.ctx.metrics.set(
-                "adamant_adaptive_overlay_factor", factor,
-                device=device.name)
+        self.calibrator.observe(device.name, observed, predicted)
         return overhead, streaming
 
     # -- sizing -----------------------------------------------------------
@@ -311,19 +307,12 @@ class AdaptiveController:
 
     def record_resize(self, device, old_rows: int, new_rows: int) -> None:
         self.resizes += 1
-        direction = "grow" if new_rows > old_rows else "shrink"
-        if self.ctx.metrics is not None:
-            self.ctx.metrics.inc("adamant_adaptive_resize_total",
-                                 direction=direction)
         self._marker(device, f"resize:{old_rows}->{new_rows}")
 
     # -- stealing ---------------------------------------------------------
 
     def record_steal(self, device) -> None:
         self.steals += 1
-        if self.ctx.metrics is not None:
-            self.ctx.metrics.inc("adamant_adaptive_steals_total",
-                                 device=device.name)
         self._marker(device, "steal")
 
     # -- re-placement -----------------------------------------------------
@@ -348,8 +337,6 @@ class AdaptiveController:
         if not moved:
             return False
         self.replacements += 1
-        if self.ctx.metrics is not None:
-            self.ctx.metrics.inc("adamant_adaptive_replacements_total")
         device = self.ctx.devices[self.ctx.default_device]
         self._marker(device, f"replace:{len(moved)}-nodes")
         return True

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.core.graph import PrimitiveGraph
 from repro.core.models import MODELS
@@ -48,9 +48,6 @@ from repro.planner.fusion import fuse_graph, fusion_groups
 from repro.planner.ir import DEFAULT_CHUNK_SIZE, PhysicalPlan
 from repro.planner.placement import annotate_devices
 from repro.storage import Catalog
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.observe.metrics import MetricsRegistry
 
 __all__ = ["DEFAULT_BEAM_WIDTH", "DEFAULT_TOP_K", "OptimizerReport",
            "PlanCandidate", "PlanOptimizer"]
@@ -147,8 +144,6 @@ class PlanOptimizer:
         models: Execution-model names to consider (default: all
             registered models, sorted).
         beam_width: Survivors kept between stages.
-        metrics: Optional registry; the search publishes the
-            ``adamant_optimizer_*`` series into it.
         subplan_cache: Optional engine
             :class:`~repro.engine.subplan_cache.SubplanCache`.  When
             set, pipelines whose persisted subplans are all already
@@ -163,7 +158,6 @@ class PlanOptimizer:
                  overlay: Mapping[str, float] | None = None,
                  models: list[str] | None = None,
                  beam_width: int = DEFAULT_BEAM_WIDTH,
-                 metrics: "MetricsRegistry | None" = None,
                  subplan_cache: object | None = None) -> None:
         if not devices:
             raise PlanError("no devices to optimize for")
@@ -185,7 +179,6 @@ class PlanOptimizer:
         if beam_width < 1:
             raise PlanError(f"beam_width must be >= 1, got {beam_width}")
         self.beam_width = beam_width
-        self.metrics = metrics
         self.subplan_cache = subplan_cache
 
     # -- search space ------------------------------------------------------
@@ -403,24 +396,14 @@ class PlanOptimizer:
             if len(ranked) >= top_k:
                 break
 
-        report = OptimizerReport(
+        return OptimizerReport(
             graph_name=graph.name, default_device=self.default_device,
             beam_width=self.beam_width, enumerated=enumerated,
             pruned=enumerated - len(ranked), ranked=tuple(ranked))
-        if self.metrics is not None:
-            query = graph.name or "q0"
-            self.metrics.inc("adamant_optimizer_candidates_total",
-                             enumerated, query=query)
-            self.metrics.inc("adamant_optimizer_pruned_total",
-                             report.pruned, query=query)
-            self.metrics.set("adamant_optimizer_chosen_cost_seconds",
-                             report.chosen.cost.total, query=query)
-        return report
 
     def choose(self, graph: PrimitiveGraph, *,
                chunk_size: int = DEFAULT_CHUNK_SIZE,
-               top_k: int = DEFAULT_TOP_K, analyze: bool = False,
-               adaptive: bool = False
+               analyze: bool = False, adaptive: bool = False
                ) -> tuple[PhysicalPlan, OptimizerReport]:
         """Search, then realize the winner as an executable plan.
 
@@ -431,7 +414,7 @@ class PlanOptimizer:
         returned plan executes byte-identically to the same manual
         configuration.
         """
-        report = self.search(graph, chunk_size=chunk_size, top_k=top_k)
+        report = self.search(graph, chunk_size=chunk_size)
         best = report.chosen
         placement = dict(best.placement)
         for pipeline in split_pipelines(graph):

@@ -98,6 +98,16 @@ class TestOptimize:
         assert code == 2
         assert "--optimize conflicts" in err
 
+    def test_nodes_refuses_analyze(self, capsys):
+        """A sharded run has no profile to print (ROADMAP item 2); the
+        flag pair is refused instead of silently dropping --analyze."""
+        code = main(["run", "--query", "q6", "--sf", "0.002",
+                     "--nodes", "2", "--analyze"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--analyze does not combine with --nodes" in captured.err
+        assert captured.out == ""
+
     def test_concurrent_optimize_conflict(self, capsys):
         code = main(["concurrent", "--queries", "q6,q6", "--sf", "0.002",
                      "--optimize", "--model", "chunked"])

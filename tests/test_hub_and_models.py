@@ -1,5 +1,6 @@
 """Tests for the data transfer hub, execution models, and executor facade."""
 
+import ast
 import pathlib
 
 import numpy as np
@@ -277,6 +278,29 @@ class TestModelBehaviour:
             assert loop_work not in sources["split.py"], loop_work
         assert sorted(name for name, text in sources.items()
                       if "def run_pipeline" in text) == ["base.py", "oaat.py"]
+
+    def test_nothing_below_the_engine_names_a_metrics_registry(self):
+        """The device interfaces, the hub, the models, the adaptive
+        controller, the fault injectors and the scheduler charge the
+        clock and nothing else: the engine reads every counter back out
+        of the event log (``hardware.trace.fold``).  Checked on the
+        syntax tree, so prose may say "metrics"."""
+        package = MODELS_DIR.parents[1]
+        paths = [*(package / "devices").glob("*.py"),
+                 *MODELS_DIR.glob("*.py"),
+                 *(package / "faults").glob("*.py"),
+                 package / "core" / "hub.py",
+                 package / "core" / "context.py",
+                 package / "planner" / "adaptive.py",
+                 package / "engine" / "scheduler.py"]
+        assert len(paths) > 25
+        for path in paths:
+            named = [node.lineno for node in ast.walk(
+                ast.parse(path.read_text()))
+                if "metrics" in (getattr(node, "id", None),
+                                 getattr(node, "attr", None),
+                                 getattr(node, "arg", None))]
+            assert not named, f"{path}: lines {named}"
 
     def test_peak_memory_lower_for_chunked(self, tiny_catalog):
         executor = make_executor()

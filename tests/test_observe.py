@@ -20,7 +20,8 @@ import pytest
 
 from repro.cli import main
 from repro.devices import CudaDevice, OpenMPDevice
-from repro.engine import Engine
+from repro.engine import Engine, QueryRequest
+from repro.errors import ExecutionError
 from repro.faults import FaultPlan
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI, trace
 from repro.observe import (
@@ -29,6 +30,7 @@ from repro.observe import (
     MetricsRegistry,
     explain,
 )
+from repro.serving import BATCH, INTERACTIVE, QueryService, ServeRequest
 from repro.tpch import generate
 from repro.tpch.queries import q3, q4, q6
 from tests.conftest import make_executor
@@ -448,6 +450,105 @@ class TestLaunchCountingAcrossRestarts:
             tiny_catalog, FaultPlan.parse("dev0:transient:0.5,seed=7"))
         counters = trace.counters(engine.clock)
         assert counters["retries"] == faulted.stats.retries > 0
+
+
+# ---------------------------------------------------------------------------
+# The event log is the only ledger: every event is published exactly once
+
+
+#: The series ``hardware.trace.fold`` derives from events.
+FOLDED = {
+    "adamant_kernel_launches_total", "adamant_kernel_seconds_total",
+    "adamant_transfer_bytes_total", "adamant_residency_hits_total",
+    "adamant_residency_hit_bytes_total", "adamant_recovery_actions_total",
+    "adamant_adaptive_resize_total", "adamant_adaptive_steals_total",
+    "adamant_adaptive_replacements_total",
+}
+
+
+def assert_registry_is_the_fold_of_the_trace(engine):
+    """Whatever the registry holds under a folded name is, bit for bit,
+    the same fold applied to the clock's whole event list — nothing
+    published twice, nothing missed, float sums in schedule order."""
+    want = trace.fold(engine.clock.events).series
+    got = {key: value for key, value in engine.metrics.running().items()
+           if key[0] in FOLDED}
+    assert {key[0] for key in want} <= FOLDED
+    assert got == want
+    assert want  # the run did something
+
+
+class TestEveryEventIsPublishedOnce:
+    def _engine(self, **kwargs):
+        engine = Engine(**kwargs)
+        engine.plug_device("dev0", CudaDevice, GPU_RTX_2080_TI,
+                           default=True)
+        engine.plug_device("host0", OpenMPDevice, CPU_I7_8700)
+        return engine
+
+    def test_concurrent_batch_over_two_waves(self, tiny_catalog):
+        engine = self._engine(max_concurrent=2)
+        for _ in range(2):  # round two hits both caches
+            results = engine.run_concurrent([
+                QueryRequest(graph=_graph(name, tiny_catalog),
+                             catalog=tiny_catalog, chunk_size=1024)
+                for name in ("q3", "q6", "q4")])
+        assert_registry_is_the_fold_of_the_trace(engine)
+        assert engine.metrics.total("adamant_residency_hits_total") > 0
+        assert engine.metrics.total("adamant_subplan_cache_hits_total") \
+            == sum(r.stats.subplan_cache_hits for r in results) > 0
+
+    def test_failover_restart(self, tiny_catalog):
+        clean = self._engine().execute(
+            q6.build(), tiny_catalog, chunk_size=1024)
+        engine = self._engine(
+            faults=FaultPlan.parse("dev0:device_loss:30"))
+        result = engine.execute(q6.build(), tiny_catalog, chunk_size=1024)
+        assert result.stats.failovers == 1
+        assert_registry_is_the_fold_of_the_trace(engine)
+        assert engine.metrics.value("adamant_recovery_actions_total",
+                                    reason="failover") == 1.0
+        # The registry keeps the aborted attempt; the stats describe
+        # the run that completed.
+        assert result.stats.kernels_launched == clean.stats.kernels_launched
+        assert engine.metrics.total("adamant_kernel_launches_total") > \
+            result.stats.kernels_launched
+        assert engine.metrics.value("adamant_faults_injected_total",
+                                    device="dev0", kind="device_loss") == 1.0
+
+    def test_served_requests_with_a_preemption(self, tiny_catalog):
+        """The interactive query runs as a nested ``execute`` inside the
+        batch query's wave: the inner publish takes the outer query's
+        events so far, the outer one only the rest."""
+        engine = self._engine()
+        report = QueryService(engine).serve([
+            ServeRequest(
+                query=QueryRequest(graph=_graph(name, tiny_catalog),
+                                   catalog=tiny_catalog, chunk_size=256,
+                                   label=name),
+                lane=lane, arrival_s=arrival, request_id=name)
+            for name, lane, arrival in (("q3", BATCH, 0.0),
+                                        ("q6", INTERACTIVE, 1e-6))])
+        assert sum(o.preemptions for o in report.outcomes) > 0
+        assert_registry_is_the_fold_of_the_trace(engine)
+        assert engine.metrics.total("adamant_kernel_launches_total") == \
+            sum(o.result.stats.kernels_launched for o in report.outcomes)
+
+    def test_a_reused_session_publishes_its_retries_once(self,
+                                                         tiny_catalog):
+        engine = self._engine(
+            faults=FaultPlan.parse("dev0:transient:0.2,seed=3"))
+        with engine.open_session() as session:
+            for _ in range(2):
+                engine.execute(q6.build(), tiny_catalog, chunk_size=1024,
+                               session=session)
+            assert engine.metrics.total("adamant_retries_total") == \
+                session.recovery.retries > 0
+        assert_registry_is_the_fold_of_the_trace(engine)
+
+    def test_device_names_must_not_break_the_label_grammar(self):
+        with pytest.raises(ExecutionError, match="':'"):
+            Engine().plug_device("gpu:0", CudaDevice, GPU_RTX_2080_TI)
 
 
 # ---------------------------------------------------------------------------

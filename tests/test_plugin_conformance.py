@@ -58,6 +58,7 @@ from repro.hardware import (
 )
 from repro.hardware.costmodel import CostModel, TransferDirection
 from repro.primitives.definitions import PRIMITIVES
+from repro.primitives.values import value_nbytes
 from repro.task.registry import register_variant_kernels
 from repro.tpch import dbgen
 from repro.tpch.queries import QUERIES, q3, q6
@@ -339,6 +340,52 @@ class TestBrokenDeviceFailsLoudly:
                            match="release contract violated"):
             check_unplug_teardown(LeakyReleaseDevice, GPU_RTX_2080_TI,
                                   tiny_catalog)
+
+
+# ---------------------------------------------------------------------------
+# A driver charges the clock; the counters follow from the event log
+# ---------------------------------------------------------------------------
+
+
+class OwnDmaDevice(CudaDevice):
+    """Fixture: a driver that overrides an interface wholesale — its
+    ``place_data`` schedules its own (twice as fast) ``h2d`` event
+    instead of calling the base class."""
+
+    def place_data(self, alias, data, *, offset=0, deps=None):
+        self._require_initialized()
+        if alias not in self.memory:
+            self.prepare_memory(alias, value_nbytes(data))
+        nbytes = value_nbytes(data) * self.data_scale
+        event = self.clock.schedule(
+            self.transfer_stream,
+            self.cost.transfer_seconds(
+                nbytes, direction=TransferDirection.H2D) / 2,
+            label=f"{self.name}:h2d:{alias}", deps=deps,
+            category="transfer", nbytes=nbytes)
+        self._store(self.memory.get(alias), data, event)
+        return event
+
+
+class TestCountersFollowFromTheEventLog:
+    def test_an_overridden_interface_is_still_counted(self, tiny_catalog):
+        """The plug-in never sees a metrics registry, yet its transfers
+        are published: the engine reads them out of the events."""
+        runs = {}
+        for driver in (CudaDevice, OwnDmaDevice):
+            executor = AdamantExecutor()
+            device = plug(executor, driver, GPU_RTX_2080_TI)
+            assert not hasattr(device, "metrics")
+            result = executor.run(q6.build(), tiny_catalog,
+                                  chunk_size=1024)
+            runs[driver] = (result, executor.metrics.value(
+                "adamant_transfer_bytes_total", device="dev0",
+                direction="h2d"))
+        (stock, stock_bytes), (own, own_bytes) = runs.values()
+        assert own_bytes == stock_bytes > 0
+        assert blob(own.outputs) == blob(stock.outputs)
+        assert own.stats.time_by_category["transfer"] < \
+            stock.stats.time_by_category["transfer"]
 
 
 # ---------------------------------------------------------------------------

@@ -46,14 +46,10 @@ ALLOWED: dict[str, str] = {
         "ClusterExecutor(registry)", "AdamantExecutor(registry)",
         "PartitionScheme(replicated)", "execute_node(deps)",
         "retrieve_data(deps)", "add_view(data_format)",
-        "query_context(alias_prefix)", "cancel(error)",
-        "flapping_device(device)", "counter(help_text)",
-        "counter(labelnames)", "gauge(help_text)", "gauge(labelnames)",
-        "histogram(help_text)", "histogram(labelnames)",
-        "histogram(buckets)", "to_json(indent)",
+        "flapping_device(device)",
         "estimate_node_seconds(groups)", "estimate_plan_seconds(overlay)",
         "estimate_plan_seconds(placement)", "Derived(const)",
-        "choose(top_k)", "PlacementPass(overlay)",
+        "PlacementPass(overlay)",
         "PlacementPass(from_index)", "conjunction_selectivity(sample_rows)",
         "AdmissionController(policies)", "open_loop_workload(model)",
         "KernelContainer(cost_key)", "register_variant_kernels(overrides)",
