@@ -34,6 +34,9 @@ class OneApiDevice(SimulatedDevice):
 
     Nothing here touches the runtime: the class only describes how the
     wrapper behaves (cost model, kernel namespace, compilation support).
+    It never sees a metrics registry either — a driver charges the
+    virtual clock, and the engine reads every counter back out of the
+    events (``repro.hardware.trace.fold``).
     """
 
     sdk = Sdk.CUDA  # cost basis: rides on the CUDA calibration
@@ -86,6 +89,11 @@ def main() -> None:
           f"(oracle match: {revenue == expected})")
     print(f"simulated time: {result.stats.makespan * 1e3:.2f} ms over "
           f"{result.stats.chunks_processed} chunks")
+    # Published by the engine from the events the wrapper scheduled.
+    launches = executor.metrics.total("adamant_kernel_launches_total")
+    h2d = executor.metrics.value("adamant_transfer_bytes_total",
+                                 device="xpu0", direction="h2d")
+    print(f"metrics: {launches:.0f} launches, {h2d:.0f} H2D bytes")
 
 
 if __name__ == "__main__":

@@ -501,8 +501,7 @@ def _cmd_run_distributed(args, plan) -> int:
         return 2
     if args.analyze:
         print("--analyze does not combine with --nodes (a sharded run "
-              "has no per-node profile yet; ROADMAP item 2)",
-              file=sys.stderr)
+              "has no profile yet; ROADMAP item 2)", file=sys.stderr)
         return 2
     catalog = generate(args.sf, seed=args.seed)
     module = QUERIES[args.query]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -46,7 +47,7 @@ def cardinality(value: object) -> int:
     return 0
 
 
-@dataclass
+@dataclass(eq=False)
 class RecoveryLog:
     """Recovery actions taken on behalf of one query.
 
@@ -57,7 +58,7 @@ class RecoveryLog:
 
     #: Chunk-level kernel retries after transient device faults, per
     #: ``(device, primitive)`` that was retried.
-    retried: dict[tuple[str, str], int] = field(default_factory=dict)
+    retried: Counter[tuple[str, str]] = field(default_factory=Counter)
     #: Cumulative backoff seconds those retries charged to the query;
     #: checked against the retry policy's per-query ``budget_seconds``.
     retry_backoff_seconds: float = 0.0
@@ -321,7 +322,8 @@ class ExecutionContext:
             query_id=query.query_id,
             residency_hits=ledger.count.get("cache", 0),
             residency_hit_bytes=ledger.nbytes.get("cache", 0),
-            kernels_launched=ledger.launches,
+            kernels_launched=sum(category == "launch"
+                                 for category, _, _ in ledger.completed),
             fused_nodes=len(fused),
             fused_probe_nodes=sum(
                 1 for n in fused

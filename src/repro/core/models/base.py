@@ -303,7 +303,6 @@ class ExecutionModel(abc.ABC):
 
     def execute_node(self, node: PrimitiveNode, device: SimulatedDevice,
                      input_aliases: list[str], output_alias: str, *,
-                     deps: list[Event] | None = None,
                      chunk_base: int = 0,
                      uma_read_bytes: int = 0) -> Event:
         """Route inputs, prepare the output buffer, run the kernel.
@@ -325,7 +324,7 @@ class ExecutionModel(abc.ABC):
                 node.defn.chunk_offset_param,
             )
         container, in_edges, out_edges, offset_param = launch
-        wait = list(deps or ())
+        wait: list[Event] = []
         if uma_read_bytes:
             rate = (device.cost.bandwidth("h2d", pinned=True)
                     * cal.UMA_READ_EFFICIENCY)
@@ -409,9 +408,7 @@ class ExecutionModel(abc.ABC):
                     ).annotate(device=device.name,
                                query_id=self.ctx.query.query_id,
                                node_id=node.node_id) from fault
-                retried = (device.name, node.primitive)
-                recovery.retried[retried] = \
-                    recovery.retried.get(retried, 0) + 1
+                recovery.retried[device.name, node.primitive] += 1
                 recovery.retry_backoff_seconds += pause
                 backoff = self.ctx.clock.schedule(
                     device.compute_stream,

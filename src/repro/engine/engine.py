@@ -21,8 +21,10 @@ engine (``fresh`` mode), byte-compatible with its original behavior.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 from repro.core.context import ExecutionContext, QueryResult, RecoveryLog
 from repro.core.graph import PrimitiveGraph
@@ -141,8 +143,9 @@ class Engine:
         self.metrics = MetricsRegistry()
         #: How many of the clock's events :meth:`_publish` has folded.
         self._published = 0
-        #: device -> (its injector, the ``injected`` tally published).
-        self._injected: dict[str, tuple[object, dict[str, int]]] = {}
+        #: Owner of a cumulative tally (an injector, a recovery log) ->
+        #: how much of the tally is published already.
+        self._booked: WeakKeyDictionary = WeakKeyDictionary()
         #: Calibrated per-device-spec cost corrections; the optimizer
         #: prices with it and every ``model="auto"`` execution folds its
         #: observed/predicted ratio back in.
@@ -432,8 +435,6 @@ class Engine:
         work: list[tuple] = []
         #: Every model the wave runs, restarts' rebuilds included.
         models: list[ExecutionModel] = []
-        # Only a caller's session can arrive with retries on its log.
-        retried = dict(session.recovery.retried) if session else {}
         try:
             for request, plan, _ in wave:
                 own = session if session is not None else \
@@ -450,8 +451,7 @@ class Engine:
             results: list[QueryResult | Exception] = []
             for own, (_, plan, _) in zip(sessions, wave):
                 self._record_query(plan.model, own.recovery,
-                                   result=own.result, error=own.error,
-                                   retried=retried)
+                                   result=own.result, error=own.error)
                 results.append(own.error if own.error is not None
                                else own.result)
             failure = next((r for r in results
@@ -601,7 +601,7 @@ class Engine:
         """
         metrics = self.metrics
         ledger = fold(self.clock.events_since(self._published),
-                      metrics.running())
+                      metrics.running)
         self._published = self.clock.event_count
         metrics.advance(ledger.series)
         for model in models:
@@ -611,40 +611,38 @@ class Engine:
             if model.subplan_misses:
                 metrics.inc("adamant_subplan_cache_misses_total",
                             model.subplan_misses)
-            if model.adaptive is not None:
-                overlays = model.adaptive.calibrator.overlays
-                for name, overlay in overlays.items():
-                    metrics.set("adamant_adaptive_overlay_factor",
-                                overlay.factor, device=name)
+            calibrated = (model.adaptive.calibrator.overlays
+                          if model.adaptive is not None else {})
+            for name, overlay in calibrated.items():
+                metrics.set("adamant_adaptive_overlay_factor",
+                            overlay.factor, device=name)
         for name, device in self.devices.items():
-            if device.faults is None:
-                continue
-            injector, booked = self._injected.get(name, (None, {}))
-            if injector is not device.faults:
-                booked = {}
-            for kind, count in device.faults.injected.items():
-                if count > booked.get(kind, 0):
-                    metrics.inc("adamant_faults_injected_total",
-                                count - booked.get(kind, 0),
+            if device.faults is not None:
+                injected = self._gained(device.faults, device.faults.injected)
+                for kind, count in injected.items():
+                    metrics.inc("adamant_faults_injected_total", count,
                                 device=name, kind=kind)
-            self._injected[name] = (device.faults,
-                                    dict(device.faults.injected))
+
+    def _gained(self, owner: object, tally: dict) -> Counter:
+        """What *owner*'s cumulative *tally* gained since this was last
+        asked: an injector outlives a wave, a caller's session (and its
+        recovery log) an ``execute``."""
+        seen = self._booked.setdefault(owner, Counter())
+        gained = Counter(tally) - seen
+        seen += gained
+        return gained
 
     def _record_query(self, model: str, recovery: RecoveryLog, *,
                       result: QueryResult | None = None,
-                      error: Exception | None = None,
-                      retried: dict[tuple[str, str], int] = {}) -> None:
+                      error: Exception | None = None) -> None:
         """Publish one finished query's stats into the metrics registry
-        and refresh the per-device gauges.  *retried* is what
-        *recovery* held before the query ran (a caller's session)."""
+        and refresh the per-device gauges."""
         status = "ok" if error is None else "failed"
         self.metrics.inc("adamant_queries_total", model=model, status=status)
-        for (device, primitive), count in recovery.retried.items():
-            if count > retried.get((device, primitive), 0):
-                self.metrics.inc(
-                    "adamant_retries_total",
-                    count - retried.get((device, primitive), 0),
-                    device=device, primitive=primitive)
+        retried = self._gained(recovery, recovery.retried)
+        for (device, primitive), count in retried.items():
+            self.metrics.inc("adamant_retries_total", count,
+                             device=device, primitive=primitive)
         if isinstance(error, RetryBudgetExhaustedError):
             self.metrics.inc("adamant_retry_budget_exhausted_total",
                              device=error.device)

@@ -46,9 +46,6 @@ class FaultInjector:
         self.ops = 0
         self.injected: dict[str, int] = {k.value: 0 for k in FaultKind}
 
-    def _record(self, kind: str) -> None:
-        self.injected[kind] += 1
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<FaultInjector {self.device_name!r} "
                 f"specs={len(self.specs)} ops={self.ops}>")
@@ -72,7 +69,7 @@ class FaultInjector:
                 self._check_loss(device, spec)
             elif spec.kind is FaultKind.TRANSIENT:
                 if self.rng.random() < spec.rate:
-                    self._record("transient")
+                    self.injected["transient"] += 1
                     raise TransientDeviceError(
                         f"injected transient kernel fault in "
                         f"{primitive!r} (op #{self.ops})"
@@ -81,7 +78,7 @@ class FaultInjector:
                                node_id=task.node_id)
             elif spec.kind is FaultKind.LATENCY:
                 if self.rng.random() < spec.rate:
-                    self._record("latency")
+                    self.injected["latency"] += 1
                     factor = max(factor, spec.factor)
         return factor
 
@@ -99,7 +96,7 @@ class FaultInjector:
                 self._check_loss(device, spec)
             elif spec.kind is FaultKind.OOM:
                 if spec.primitive is None and self.rng.random() < spec.rate:
-                    self._record("oom")
+                    self.injected["oom"] += 1
                     raise DeviceMemoryError(
                         f"injected allocation failure for {alias!r} "
                         f"(op #{self.ops})",
@@ -113,7 +110,7 @@ class FaultInjector:
             return
         if not device.lost:
             device.lost = True
-            self._record("device_loss")
+            self.injected["device_loss"] += 1
         raise DeviceLostError(
             f"injected permanent device loss (op #{self.ops}, "
             f"after={spec.after})"

@@ -98,11 +98,6 @@ class VirtualClock:
         #: the whole timeline.
         self._events_by_owner: dict[str, list[Event]] = {}
         self._ids = itertools.count()
-        #: Epoch counter: a long-lived engine advances an epoch per query
-        #: batch instead of resetting the timeline, so device state (and
-        #: the residency cache) survives between queries.
-        self.epoch = 0
-        self.epoch_start = 0.0
         #: Query id new events are charged to (set by the scheduler).
         self.current_owner: str | None = None
 
@@ -196,38 +191,15 @@ class VirtualClock:
         """End time of the last finished event (total simulated runtime)."""
         return max((e.end for e in self._events), default=0.0)
 
-    def busy_time(self, category: str | None = None) -> float:
-        """Sum of event durations, optionally restricted to one category."""
-        return sum(
-            e.duration
-            for e in self._events
-            if category is None or e.category == category
-        )
-
-    def events_by_category(self) -> dict[str, float]:
-        """Total busy time per category (drives the Figure 10 breakdown)."""
-        totals: dict[str, float] = {}
-        for e in self._events:
-            totals[e.category] = totals.get(e.category, 0.0) + e.duration
-        return totals
-
-    def trace(self) -> list[tuple[float, float, str, str]]:
-        """(start, end, stream, label) rows sorted by start time."""
-        return sorted(
-            (e.start, e.end, e.stream, e.label) for e in self._events
-        )
-
     def begin_epoch(self) -> float:
         """Open a new epoch at the current time and return its start.
 
-        The engine calls this between queries instead of :meth:`reset`:
-        events and stream positions are preserved (device buffers stay
-        meaningful), but per-query accounting measures from the epoch
-        start rather than from zero.
+        The engine calls this per query batch instead of :meth:`reset`:
+        events and stream positions are preserved (device buffers and
+        the residency cache stay meaningful), but per-query accounting
+        measures from the epoch start rather than from zero.
         """
-        self.epoch += 1
-        self.epoch_start = self.now()
-        return self.epoch_start
+        return self.now()
 
     def events_of(self, owner: str) -> list[Event]:
         """Events charged to *owner* plus unowned (engine-free) events,
@@ -252,6 +224,4 @@ class VirtualClock:
         self._events.clear()
         self._events_by_owner.clear()
         self._ids = itertools.count()
-        self.epoch = 0
-        self.epoch_start = 0.0
         self.current_owner = None

@@ -1,7 +1,11 @@
-"""Execution-trace export: Chrome tracing JSON and ASCII Gantt charts.
+"""Reading the event log: the one fold, and the trace exports.
 
 The virtual clock records every simulated event (transfers, launches,
-kernels, allocations).  This module renders that record two ways:
+kernels, allocations) and that record is the system's only ledger:
+:func:`fold` is the one pass that turns events into counters — a
+query's statistics, the whole timeline's :func:`counters` and the
+engine's metrics registry are three calls of it.  The module also
+renders the record two ways:
 
 * :func:`to_chrome_trace` — the Chrome/Perfetto ``chrome://tracing`` JSON
   format (one row per stream), for interactive inspection of
@@ -16,8 +20,9 @@ query can be traced by running it and passing ``executor.clock``.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.hardware.clock import Event, VirtualClock
 
@@ -55,28 +60,39 @@ def _parse(stream: str, label: str) -> tuple[str, str, str]:
     return stream.rpartition(".")[0], kind, subject
 
 
-class Ledger:
-    """What a run of events adds up to (the result of :func:`fold`).
 
-    Attributes:
-        seconds, count, nbytes: Per event category, the summed
-            durations (in schedule order), the number of events and the
-            summed payload bytes.
-        end: Latest end time of any event (0.0 for no events).
-        launches, fused_launches: ``launch`` events of each owner's
-            *completed* attempt, and those among them that launched a
-            planner-fused kernel.
-        series: The labelled metric series the events carry, keyed
-            ``(metric name, *label values)`` with the label values in
-            the order ``observe.metrics.METRIC_CATALOG`` declares them.
-    """
+class _Totals(dict):
+    """Series totals that start where *running* says (or at zero)."""
 
-    __slots__ = ("seconds", "count", "nbytes", "end", "launches",
-                 "fused_launches", "series")
+    def __init__(self, running: Callable | None) -> None:
+        self.running = running
+
+    def __missing__(self, key: tuple[str, ...]) -> float:
+        return self.running(key) if self.running else 0.0
+
+
+class Ledger(NamedTuple):
+    """What a run of events adds up to (the result of :func:`fold`)."""
+
+    #: Per event category: the summed durations (in schedule order),
+    #: the number of events and the summed payload bytes.
+    seconds: dict[str, float]
+    count: dict[str, int]
+    nbytes: dict[str, int]
+    #: Latest end time of any event (0.0 for no events).
+    end: float
+    #: ``(category, node id, primitive)`` of the ``launch`` and
+    #: ``compute`` events of each owner's *completed* attempt.
+    completed: list[tuple[str, str, str]]
+    #: The labelled metric series the events fed, keyed ``(metric
+    #: name, *label values)``, the values in the order
+    #: ``observe.metrics.METRIC_CATALOG`` declares the labels.
+    series: dict[tuple[str, ...], float]
 
 
 def fold(events: Iterable[Event],
-         series: dict[tuple[str, ...], float] | None = None) -> Ledger:
+         running: Callable[[tuple[str, ...]], float] | None = None
+         ) -> Ledger:
     """The one reading of the event log: every counter the system
     prints is a field of this fold over *events* (in schedule order).
 
@@ -89,27 +105,26 @@ def fold(events: Iterable[Event],
     a driver that schedules its own ``h2d`` event is counted like the
     built-in ones.
 
-    *series* continues running totals (the engine passes its registry's,
-    so a float sum keeps one association across publishes); without it
-    the series start from zero.
+    With *running*, a series continues from ``running(key)`` (the engine
+    passes its registry's, so a float sum keeps one association across
+    publishes); without it every series starts from zero.
 
     A scheduler restart re-runs a query's graph from the top, leaving
     the aborted attempt's launch events on the shared timeline; counting
     them would double-charge the plan (most visibly for fused nodes,
-    whose whole point is a lower launch count).  ``launches`` therefore
-    counts, per owner, only what follows the owner's last ``recovery``
+    whose whole point is a lower launch count).  ``completed`` therefore
+    holds, per owner, only what follows the owner's last ``recovery``
     marker — exactly the run that completed.  Every other field,
     ``series`` included, counts *every* event, aborted attempts too.
     """
-    ledger = Ledger()
-    seconds = ledger.seconds = {}
-    count = ledger.count = {}
-    volume = ledger.nbytes = {}
-    series = ledger.series = {} if series is None else series
-    #: owner -> [launches, fused launches] since its last recovery marker
-    live: dict[str, list[int]] = {}
+    seconds: dict[str, float] = {}
+    count: dict[str, int] = {}
+    volume: dict[str, int] = {}
+    series = _Totals(running)
+    #: owner -> its kernel events since its last recovery marker
+    live: dict[str, list[tuple[str, str, str]]] = {}
     last = 0.0
-    for _, stream, label, start, end, category, nbytes, owner, _ in events:
+    for _, stream, label, start, end, category, nbytes, owner, node in events:
         seconds[category] = seconds.get(category, 0.0) + (end - start)
         count[category] = count.get(category, 0) + 1
         if nbytes:
@@ -119,27 +134,23 @@ def fold(events: Iterable[Event],
         if category not in _LABELLED:
             continue
         device, kind, subject = _parse(stream, label)
+        amount = 1
         if category == "compute":
             key = ("adamant_kernel_seconds_total", device, subject)
-            series[key] = series.get(key, 0) + (end - start)
+            amount = end - start
+            live.setdefault(owner, []).append((category, node, subject))
         elif category == "launch":
             key = ("adamant_kernel_launches_total", device, subject)
-            series[key] = series.get(key, 0) + 1
-            tally = live.get(owner)
-            if tally is None:
-                tally = live[owner] = [0, 0]
-            tally[0] += 1
-            if subject.startswith("fused_"):
-                tally[1] += 1
+            live.setdefault(owner, []).append((category, node, subject))
         elif category == "transfer":
-            if kind in ("h2d", "d2h"):
-                key = ("adamant_transfer_bytes_total", device, kind)
-                series[key] = series.get(key, 0) + nbytes
+            if kind not in ("h2d", "d2h"):
+                continue  # pinned-map, uma-publish, uma-read: time only
+            key = ("adamant_transfer_bytes_total", device, kind)
+            amount = nbytes
         elif category == "cache":
-            key = ("adamant_residency_hits_total", device)
-            series[key] = series.get(key, 0) + 1
             key = ("adamant_residency_hit_bytes_total", device)
-            series[key] = series.get(key, 0) + nbytes
+            series[key] += nbytes
+            key = ("adamant_residency_hits_total", device)
         elif category == "recovery":
             # The marker's owner starts over, and with it the launches
             # charged to nobody, which ``events_of`` shows every owner;
@@ -152,21 +163,17 @@ def fold(events: Iterable[Event],
             if kind == "oom":  # "oom:chunk=512:q7" -> reason "oom:chunk"
                 kind += ":" + subject.rsplit(":", 1)[0].split("=")[0]
             key = ("adamant_recovery_actions_total", kind)
-            series[key] = series.get(key, 0) + 1
-        else:  # adaptive
-            if kind == "adaptive-resize":
-                old, _, new = subject.partition("->")
-                key = ("adamant_adaptive_resize_total",
-                       "grow" if int(new) > int(old) else "shrink")
-            elif kind == "adaptive-steal":
-                key = ("adamant_adaptive_steals_total", device)
-            else:
-                key = ("adamant_adaptive_replacements_total",)
-            series[key] = series.get(key, 0) + 1
-    ledger.end = last
-    ledger.launches = sum(tally[0] for tally in live.values())
-    ledger.fused_launches = sum(tally[1] for tally in live.values())
-    return ledger
+        elif kind == "adaptive-resize":
+            old, _, new = subject.partition("->")
+            key = ("adamant_adaptive_resize_total",
+                   "grow" if int(new) > int(old) else "shrink")
+        elif kind == "adaptive-steal":
+            key = ("adamant_adaptive_steals_total", device)
+        else:
+            key = ("adamant_adaptive_replacements_total",)
+        series[key] += amount
+    completed = [kernel for run in live.values() for kernel in run]
+    return Ledger(seconds, count, volume, last, completed, series)
 
 
 def counters(clock: VirtualClock) -> dict[str, int]:
@@ -183,9 +190,12 @@ def counters(clock: VirtualClock) -> dict[str, int]:
     over *every* attempt, aborted ones included.
     """
     ledger = fold(clock.events_since(0))
+    launched = [primitive for category, _, primitive in ledger.completed
+                if category == "launch"]
     return {
-        "kernels_launched": ledger.launches,
-        "fused_kernels_launched": ledger.fused_launches,
+        "kernels_launched": len(launched),
+        "fused_kernels_launched": sum(
+            primitive.startswith("fused_") for primitive in launched),
         "retries": ledger.count.get("backoff", 0),
         "recovery_actions": ledger.count.get("recovery", 0),
         "adaptive_actions": ledger.count.get("adaptive", 0),

@@ -1,10 +1,12 @@
-"""The metrics registry: one sink for every runtime counter.
+"""The metrics registry: where the engine publishes what happened.
 
-Before this module existed, introspection numbers were scattered across
-``ExecutionStats`` fields, ``trace.counters()``, residency-cache dicts
-and fault-injector tallies.  :class:`MetricsRegistry` gives the engine,
-scheduler, transfer hub, fault ladder and residency cache one place to
-report into, with the three standard instrument kinds:
+The virtual clock's event log is the ledger; this registry is a view of
+it with names and labels.  The engine is its writer — when a wave or
+fresh run ends it publishes the fold of the clock's new events
+(:func:`repro.hardware.trace.fold`) and a few per-query facts no event
+carries; the serving layer and the cluster executor add their own
+series.  The layers below the engine never see it.  The three standard
+instrument kinds:
 
 * **counter** — monotonically increasing totals (kernel launches,
   transferred bytes, retries);
@@ -15,8 +17,7 @@ Metrics carry labels (``device``, ``query``, ``primitive``, ``model``,
 ...) and export three ways: :meth:`MetricsRegistry.snapshot` (plain
 dict, for tests), :meth:`MetricsRegistry.to_json` and
 :meth:`MetricsRegistry.prometheus_text` (the Prometheus text exposition
-format).  The module imports nothing from the rest of the library, so
-any layer may report into a registry without import cycles.
+format).  The module imports nothing from the rest of the library.
 
 The well-known metrics are declared in :data:`METRIC_CATALOG`; the
 ``docs/observability.md`` catalog table is generated from the same
@@ -245,10 +246,13 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
 
-    # -- declaration ---------------------------------------------------------
+    # -- convenience instrumentation -----------------------------------------
 
     def _declare(self, name: str, kind: str,
-                 labelnames: tuple[str, ...] = ()) -> _Metric:
+                 labels: dict[str, str] | tuple = ()) -> _Metric:
+        """The *kind* metric called *name*: one dict lookup and a kind
+        check once it is declared; first use declares it — as the
+        catalog says or, for other names, with the call's *labels*."""
         metric = self._metrics.get(name)
         if metric is not None:
             if metric.kind != kind:
@@ -257,7 +261,7 @@ class MetricsRegistry:
             return metric
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
-        help_text = ""
+        labelnames, help_text = tuple(sorted(labels)), ""
         if name in METRIC_CATALOG:
             cat_kind, labelnames, help_text = METRIC_CATALOG[name]
             if cat_kind != kind:
@@ -268,79 +272,51 @@ class MetricsRegistry:
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str) -> _Metric:
-        return self._declare(name, "counter")
-
-    def gauge(self, name: str) -> _Metric:
-        return self._declare(name, "gauge")
-
-    def histogram(self, name: str) -> _Metric:
-        return self._declare(name, "histogram")
-
-    # -- convenience instrumentation -----------------------------------------
-
-    def _instrument(self, name: str, kind: str,
-                    labels: dict[str, str]) -> _Metric:
-        """The *kind* metric called *name*: one dict lookup once it is
-        declared; first use (and a kind clash) go through
-        :meth:`_declare`."""
-        metric = self._metrics.get(name)
-        if metric is None or metric.kind != kind:
-            metric = self._declare(name, kind, tuple(sorted(labels)))
-        return metric
-
     def inc(self, name: str, amount: float = 1.0, **labels: str) -> None:
         """Increment counter *name* (creating it on first use)."""
-        self._instrument(name, "counter", labels).inc(amount, **labels)
+        self._declare(name, "counter", labels).inc(amount, **labels)
 
     def set(self, name: str, value: float, **labels: str) -> None:
         """Set gauge *name* (creating it on first use)."""
-        self._instrument(name, "gauge", labels).set(value, **labels)
+        self._declare(name, "gauge", labels).set(value, **labels)
 
     def observe(self, name: str, value: float, **labels: str) -> None:
         """Record *value* into histogram *name* (creating it on first
         use with :data:`DEFAULT_BUCKETS`)."""
-        self._instrument(name, "histogram", labels).observe(value, **labels)
+        self._declare(name, "histogram", labels).observe(value, **labels)
 
     # -- publishing a fold --------------------------------------------------
 
-    def running(self) -> dict[tuple[str, ...], float]:
-        """Every counter series' running total, keyed ``(name, *label
-        values)`` in declared label order — what a fold of new events
-        (:func:`repro.hardware.trace.fold`) continues from."""
-        return {(name, *key): series[0]
-                for name, metric in self._metrics.items()
-                if metric.kind == "counter"
-                for key, series in metric.samples.items()}
+    def running(self, key: tuple[str, ...]) -> float:
+        """Running total of the counter series ``(name, *label values)``
+        (declared label order; 0.0 before its first publish) — what a
+        fold of new events (:func:`repro.hardware.trace.fold`)
+        continues from."""
+        metric = self._metrics.get(key[0])
+        series = metric.samples.get(key[1:]) if metric is not None else None
+        return series[0] if series else 0.0
 
     def advance(self, totals: dict[tuple[str, ...], float]) -> None:
         """Move counter series to *totals* (keyed as :meth:`running`,
         which the totals continued), creating the ones not yet seen."""
         for (name, *values), total in totals.items():
-            metric = self.counter(name)
-            series = metric._series(dict(zip(metric.labelnames, values)))
-            if total < series[0]:
-                raise ValueError(f"counter {name!r} cannot decrease")
-            series[0] = float(total)
+            metric = self._declare(name, "counter")
+            metric._series(dict(zip(metric.labelnames, values)))[0] = total
 
     # -- reading -------------------------------------------------------------
 
     def value(self, name: str, **labels: str) -> float:
         """Current value of a counter/gauge series (0.0 if never set)."""
         metric = self._metrics.get(name)
-        if metric is None:
-            return 0.0
-        series = metric.samples.get(metric._key(labels))
-        return series[0] if series else 0.0
+        return self.running((name, *metric._key(labels))) if metric else 0.0
 
     def total(self, name: str) -> float:
         """Sum of a counter/gauge over all of its label series."""
         metric = self._metrics.get(name)
         if metric is None:
             return 0.0
-        if metric.kind == "histogram":
-            return sum(series[-1] for series in metric.samples.values())
-        return sum(series[0] for series in metric.samples.values())
+        index = -1 if metric.kind == "histogram" else 0  # its count
+        return sum(series[index] for series in metric.samples.values())
 
     def snapshot(self) -> dict:
         """Plain-dict view of every metric, for tests and the JSON
@@ -387,13 +363,11 @@ class MetricsRegistry:
                 pairs = [f'{label}="{_escape(value)}"'
                          for label, value in zip(metric.labelnames, key)]
                 if metric.kind == "histogram":
-                    cumulative = 0.0
                     for i, bound in enumerate(metric.buckets):
-                        cumulative = series[i]
                         bucket_pairs = pairs + [f'le="{bound:g}"']
                         lines.append(
                             f"{name}_bucket{{{','.join(bucket_pairs)}}} "
-                            f"{_fmt(cumulative)}")
+                            f"{_fmt(series[i])}")
                     inf_pairs = pairs + ['le="+Inf"']
                     lines.append(f"{name}_bucket{{{','.join(inf_pairs)}}} "
                                  f"{_fmt(series[-1])}")

@@ -22,9 +22,11 @@ is precisely the copy/compute overlap the pipelined models buy.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.pipelines import split_pipelines
+from repro.hardware.trace import fold
 from repro.planner.cost import estimate_graph_seconds
 
 __all__ = ["NodeProfile", "QueryProfile", "build_profile"]
@@ -199,14 +201,10 @@ def build_profile(ctx, stats, *, model_name: str) -> QueryProfile:
         graph, ctx.catalog, ctx.devices, ctx.default_device,
         data_scale=ctx.data_scale)
 
-    # A restart marker means everything before it belongs to an aborted
-    # attempt; launch/chunk counts describe only the completed run (the
+    # Launch and chunk counts describe only the completed run (the
     # attributed *time* keeps all attempts — their cost was real).
-    restart_eid = max((e.eid for e in events if e.category == "recovery"),
-                      default=-1)
+    completed = Counter(kernel[:2] for kernel in fold(events).completed)
     busy: dict[str, float] = {}
-    launches: dict[str, int] = {}
-    chunks: dict[str, int] = {}
     retries: dict[str, int] = {}
     for e in events:
         if not e.node or e.node not in node_ids:
@@ -214,11 +212,7 @@ def build_profile(ctx, stats, *, model_name: str) -> QueryProfile:
         start = max(e.start, query.epoch_start)
         if e.end > start:
             busy[e.node] = busy.get(e.node, 0.0) + (e.end - start)
-        if e.category == "launch" and e.eid > restart_eid:
-            launches[e.node] = launches.get(e.node, 0) + 1
-        elif e.category == "compute" and e.eid > restart_eid:
-            chunks[e.node] = chunks.get(e.node, 0) + 1
-        elif e.category == "backoff":
+        if e.category == "backoff":
             retries[e.node] = retries.get(e.node, 0) + 1
 
     pipeline_of = {
@@ -237,8 +231,8 @@ def build_profile(ctx, stats, *, model_name: str) -> QueryProfile:
                 pipeline_index=pipeline_of[nid],
                 attributed_seconds=node_seconds.get(nid, 0.0),
                 busy_seconds=busy.get(nid, 0.0),
-                launches=launches.get(nid, 0),
-                chunks=chunks.get(nid, 0),
+                launches=completed["launch", nid],
+                chunks=completed["compute", nid],
                 retries=retries.get(nid, 0),
                 estimated_seconds=estimates.get(nid, 0.0),
             ))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.hardware.clock import VirtualClock
+from repro.hardware.trace import fold
 
 
 class TestScheduling:
@@ -110,16 +111,10 @@ class TestInspection:
         clock.schedule("s", 1.0, category="transfer")
         clock.schedule("s", 2.0, category="compute")
         clock.schedule("s", 3.0, category="compute")
-        assert clock.busy_time() == 6.0
-        assert clock.busy_time("compute") == 5.0
-        assert clock.events_by_category() == {"transfer": 1.0, "compute": 5.0}
-
-    def test_trace_sorted_by_start(self, clock):
-        clock.schedule("b", 2.0, label="late")
-        clock.schedule("a", 1.0, label="early")
-        trace = clock.trace()
-        assert [row[3] for row in trace] == ["late", "early"] or \
-            trace == sorted(trace)
+        ledger = fold(clock.events)
+        assert ledger.seconds == {"transfer": 1.0, "compute": 5.0}
+        assert ledger.count == {"transfer": 1, "compute": 2}
+        assert ledger.end == 6.0
 
     def test_stream_busy_time(self, clock):
         clock.schedule("s", 1.5)

@@ -99,7 +99,7 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             reg.set("thing_total", 1)
         with pytest.raises(ValueError):
-            reg.counter("adamant_sessions_active")  # declared as gauge
+            reg.inc("adamant_sessions_active")  # declared as gauge
 
     def test_invalid_name_rejected(self):
         reg = MetricsRegistry()
@@ -126,7 +126,6 @@ class TestMetricsRegistry:
                                 model="oaat", status="ok"),
                 lambda: reg.observe("depth", 1.0, lane="batch"),
                 lambda: reg.inc("latency_seconds", lane="batch"),
-                lambda: reg.gauge("adamant_queries_total"),
                 # invalid names can never have been declared
                 lambda: reg.inc("bad name"),
                 lambda: reg.set("9lives", 1),
@@ -471,8 +470,10 @@ def assert_registry_is_the_fold_of_the_trace(engine):
     the same fold applied to the clock's whole event list — nothing
     published twice, nothing missed, float sums in schedule order."""
     want = trace.fold(engine.clock.events).series
-    got = {key: value for key, value in engine.metrics.running().items()
-           if key[0] in FOLDED}
+    snapshot = engine.metrics.snapshot()
+    got = {(name, *sample["labels"].values()): sample["value"]
+           for name in FOLDED if name in snapshot
+           for sample in snapshot[name]["samples"]}
     assert {key[0] for key in want} <= FOLDED
     assert got == want
     assert want  # the run did something

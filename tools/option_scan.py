@@ -44,7 +44,7 @@ ALLOWED: dict[str, str] = {
     **dict.fromkeys((
         "MicroBench(registry)", "MicroBench(seed)", "profile(params)",
         "ClusterExecutor(registry)", "AdamantExecutor(registry)",
-        "PartitionScheme(replicated)", "execute_node(deps)",
+        "PartitionScheme(replicated)",
         "retrieve_data(deps)", "add_view(data_format)",
         "flapping_device(device)",
         "estimate_node_seconds(groups)", "estimate_plan_seconds(overlay)",
