@@ -53,7 +53,8 @@ class RecoveryLog:
 
     Owned by the query's session (or context) rather than the execution
     model instance, because failover and OOM degradation *rebuild* the
-    model — counters must survive the restart.
+    model — counters must survive the restart.  Compared and hashed by
+    identity: the engine keeps, per log, how much of it is published.
     """
 
     #: Chunk-level kernel retries after transient device faults, per

@@ -569,7 +569,7 @@ class Engine:
     def _execute_fresh(self, plan: PhysicalPlan, catalog: Catalog,
                        default_device: str | None) -> QueryResult:
         """Single-shot semantics: reset the timeline and devices, run."""
-        self._publish()  # whatever was scheduled since, before it goes
+        self._publish([])  # whatever was scheduled since, before it goes
         self.clock.reset()
         self._published = 0
         for device in self.devices.values():
@@ -588,7 +588,7 @@ class Engine:
 
     # -- statistics ----------------------------------------------------------
 
-    def _publish(self, models: list[ExecutionModel] = ()) -> None:
+    def _publish(self, models: list[ExecutionModel]) -> None:
         """Book what happened since the previous publish, each fact once.
 
         Whatever an event carries comes from the fold of the clock's new

@@ -60,7 +60,6 @@ def _parse(stream: str, label: str) -> tuple[str, str, str]:
     return stream.rpartition(".")[0], kind, subject
 
 
-
 class _Totals(dict):
     """Series totals that start where *running* says (or at zero)."""
 
@@ -179,15 +178,12 @@ def fold(events: Iterable[Event],
 def counters(clock: VirtualClock) -> dict[str, int]:
     """Launch and recovery counters of the whole recorded timeline.
 
-    ``kernels_launched`` counts every host-side launch event of each
-    query's *completed* run (see :func:`fold`); ``fused_kernels_launched``
-    the subset that launched the planner's fused MAP/FILTER kernel.  The
-    difference before/after fusion is the launch-overhead saving the
-    pass buys.  ``retries`` counts the backoff waits charged by
-    transient-fault recovery, ``recovery_actions`` the scheduler's
-    restart markers (OOM degradation and device failover) and
-    ``adaptive_actions`` the adaptive controller's markers — all three
-    over *every* attempt, aborted ones included.
+    ``kernels_launched`` counts the launch events of each query's
+    *completed* run (see :func:`fold`) and ``fused_kernels_launched``
+    those that launched a planner-fused kernel — the difference
+    before/after fusion is the launch overhead the pass saves.
+    ``retries`` (backoff waits), ``recovery_actions`` (the scheduler's
+    restart markers) and ``adaptive_actions`` count *every* attempt.
     """
     ledger = fold(clock.events_since(0))
     launched = [primitive for category, _, primitive in ledger.completed

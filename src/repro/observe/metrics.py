@@ -315,8 +315,9 @@ class MetricsRegistry:
         metric = self._metrics.get(name)
         if metric is None:
             return 0.0
-        index = -1 if metric.kind == "histogram" else 0  # its count
-        return sum(series[index] for series in metric.samples.values())
+        if metric.kind == "histogram":
+            return sum(series[-1] for series in metric.samples.values())
+        return sum(series[0] for series in metric.samples.values())
 
     def snapshot(self) -> dict:
         """Plain-dict view of every metric, for tests and the JSON
