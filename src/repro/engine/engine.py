@@ -639,7 +639,8 @@ class Engine:
         and refresh the per-device gauges."""
         status = "ok" if error is None else "failed"
         self.metrics.inc("adamant_queries_total", model=model, status=status)
-        retried = self._gained(recovery, recovery.retried)
+        retried = self._gained(recovery, recovery.retried) \
+            if recovery.retried else {}
         for (device, primitive), count in retried.items():
             self.metrics.inc("adamant_retries_total", count,
                              device=device, primitive=primitive)

@@ -50,7 +50,7 @@ _LABELLED = frozenset(
     ("compute", "launch", "transfer", "cache", "recovery", "adaptive"))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1024)
 def _parse(stream: str, label: str) -> tuple[str, str, str]:
     """``(device, kind, subject)`` of an event on *stream* labelled
     ``device:kind:subject`` (the device is the stream's, so a label's

@@ -301,7 +301,10 @@ class MetricsRegistry:
         which the totals continued), creating the ones not yet seen."""
         for (name, *values), total in totals.items():
             metric = self._declare(name, "counter")
-            metric._series(dict(zip(metric.labelnames, values)))[0] = total
+            series = metric.samples.get(tuple(values))
+            if series is None:  # first publish: validate, then create
+                series = metric._series(dict(zip(metric.labelnames, values)))
+            series[0] = total
 
     # -- reading -------------------------------------------------------------
 
