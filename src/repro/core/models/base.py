@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from repro.core.combine import ChunkPartial, combine_chunk_results
 from repro.core.context import ExecutionContext, QueryResult, cardinality
@@ -47,19 +47,33 @@ from repro.hardware.specs import Sdk
 from repro.primitives.values import value_nbytes
 from repro.task.containers import KernelContainer
 
-__all__ = ["ExecutionModel", "Lane", "shallow_hash_pipeline"]
+__all__ = ["ExecutionModel", "Lane", "LaneStep", "shallow_hash_pipeline"]
 
 
-class _Launch(NamedTuple):
-    """What launching one node on one device needs that no chunk changes.
+@dataclass(slots=True)
+class LaneStep:
+    """One node's launch on one lane: what no chunk changes
+    (:meth:`ExecutionModel.bind_step`).
 
     The kernel's cost key and argument count travel inside *container*.
     """
 
+    node: PrimitiveNode
     container: KernelContainer
     in_edges: list[DataEdge]   # ordered by input slot
     out_edges: list[DataEdge]
     chunk_offset_param: str | None
+    alias: str                 # of the result buffer
+    #: Per staging buffer, the input aliases by slot.
+    inputs: list[list[str]]
+    #: Bytes per row the scan inputs pull over the interconnect
+    #: (zero-copy).
+    row_bytes: int
+    #: Slots the hub routes on every launch: those whose producer is
+    #: outside the pipeline.  A scan the lane staged and a result its
+    #: own device produced this chunk are on that device, in that
+    #: device's format, by construction.
+    foreign: Sequence[int]
 
 
 @dataclass(slots=True)
@@ -77,10 +91,8 @@ class Lane:
     #: Scan ref -> the edges it feeds, its bytes per row, its staging
     #: aliases (one per buffer).
     scans: dict[str, tuple[list[DataEdge], int, list[str]]]
-    #: Per node: id, node, result alias, bytes per row its scan inputs
-    #: pull over the interconnect (zero-copy) and, per staging buffer,
-    #: its input aliases by slot.
-    steps: list[tuple[str, PrimitiveNode, str, int, list[list[str]]]]
+    #: The pipeline's nodes, in order, bound to the lane's device.
+    steps: list[LaneStep]
     #: In-edges whose external input already has a copy on the device.
     placed_edges: list[DataEdge]
     #: Chunk indices a static split gives this lane (a lone lane takes
@@ -196,10 +208,6 @@ class ExecutionModel(abc.ABC):
         #: keeps concurrent queries' buffers apart in shared devices.
         self.qp = ctx.query.alias_prefix
         self._spans: list[tuple[int, float, float]] = []
-        #: (node id, device name) -> the chunk-invariant part of that
-        #: launch, filled by the first chunk.  A model executes one fixed
-        #: graph, and re-placing a node changes its key.
-        self._launches: dict[tuple[str, str], _Launch] = {}
         #: Engine-scope cross-query subplan result cache (None outside
         #: engine mode or when disabled); pipelines whose persisted
         #: results are all cached are served instead of executed.
@@ -301,65 +309,80 @@ class ExecutionModel(abc.ABC):
             )
         return lengths.pop() if lengths else 0
 
-    def execute_node(self, node: PrimitiveNode, device: SimulatedDevice,
-                     input_aliases: list[str], output_alias: str, *,
-                     chunk_base: int = 0,
-                     uma_read_bytes: int = 0) -> Event:
-        """Route inputs, prepare the output buffer, run the kernel.
+    def bind_step(self, nid: str, device: SimulatedDevice, alias: str,
+                  inputs: list[list[str]], *, row_bytes: int = 0,
+                  member: frozenset[str] | None = None) -> LaneStep:
+        """Resolve what launching node *nid* on *device* needs.
 
         Args:
-            uma_read_bytes: Physical bytes the kernel must pull over the
-                interconnect itself (zero-copy mode); charged on the
-                compute stream ahead of the kernel.
+            member: The pipeline's nodes, for a lane whose scans and
+                results stay on *device*; without it every input is
+                routed (a step that runs once).
         """
-        key = (node.node_id, device.name)
-        launch = self._launches.get(key)
-        if launch is None:
-            graph = self.plan.graph
-            launch = self._launches[key] = _Launch(
-                self.ctx.registry.resolve(
-                    node.primitive, node.variant or device.variant_key),
-                graph.in_edges(node.node_id),
-                graph.out_edges(node.node_id),
-                node.defn.chunk_offset_param,
-            )
-        container, in_edges, out_edges, offset_param = launch
+        graph = self.plan.graph
+        node = graph.nodes[nid]
+        in_edges = graph.in_edges(nid)
+        return LaneStep(
+            node,
+            self.ctx.registry.resolve(
+                node.primitive, node.variant or device.variant_key),
+            in_edges, graph.out_edges(nid), node.defn.chunk_offset_param,
+            alias, inputs, row_bytes,
+            range(len(in_edges)) if member is None else
+            [slot for slot, edge in enumerate(in_edges)
+             if not edge.is_scan and edge.source not in member])
+
+    def execute_node(self, step: LaneStep, device: SimulatedDevice,
+                     buffer: int = 0, *, chunk_base: int = 0,
+                     rows: int = 0) -> Event:
+        """Route the foreign inputs, prepare the output buffer, run the
+        kernel.
+
+        Args:
+            buffer: Which staging buffer holds the chunk.
+            rows: Rows of the chunk; a zero-copy kernel pulls
+                ``step.row_bytes`` of each over the interconnect itself,
+                charged on the compute stream ahead of the kernel.
+        """
+        node = step.node
+        nid = node.node_id
         wait: list[Event] = []
-        if uma_read_bytes:
+        if step.row_bytes:
+            uma_read_bytes = step.row_bytes * rows
             rate = (device.cost.bandwidth("h2d", pinned=True)
                     * cal.UMA_READ_EFFICIENCY)
             wait.append(device.clock.schedule(
                 device.compute_stream,
                 uma_read_bytes * device.data_scale / rate,
-                label=f"{device.name}:uma-read:{node.node_id}",
+                label=f"{device.name}:uma-read:{nid}",
                 category="transfer",
                 nbytes=uma_read_bytes * device.data_scale,
-                node=node.node_id,
+                node=nid,
             ))
-        routed: list[str] = []
-        for edge, alias in zip(in_edges, input_aliases):
-            alias, events = self.hub.router(edge, alias, device)
-            routed.append(alias)
-            wait.extend(events)
+        routed = step.inputs[buffer]
+        if step.foreign:
+            routed = list(routed)
+            for slot in step.foreign:
+                routed[slot], events = self.hub.router(
+                    step.in_edges[slot], routed[slot], device)
+                wait.extend(events)
         first = device.memory.get(routed[0]) if routed else None
         n = cardinality(device._resolve_value(first)) if first else 0
-        self.hub.prepare_output_buffer(node, device, output_alias, n)
+        if step.alias not in device.memory:
+            self.hub.prepare_output_buffer(node, device, step.alias, n)
         params = node.params
-        if offset_param is not None:
-            params = {**params, offset_param: chunk_base}
-        task = Task(
-            container=container, inputs=routed, output=output_alias,
-            params=params, n_elements=n, cost_params=node.cost_params,
-            node_id=node.node_id,
-        )
+        if step.chunk_offset_param is not None:
+            params = {**params, step.chunk_offset_param: chunk_base}
+        task = Task(step.container, routed, step.alias, params, n,
+                    node.cost_params, nid)
         event = self._execute_with_retry(node, device, task, wait)
-        for edge in in_edges:
+        for edge in step.in_edges:
             if edge.fetched_until > edge.processed_until:
                 edge.processed_until = edge.fetched_until
-        for edge in out_edges:
+        for edge in step.out_edges:
             edge.device_id = device.name
-        self.node_alias[node.node_id] = output_alias
-        self.node_device[node.node_id] = device.name
+        self.node_alias[nid] = step.alias
+        self.node_device[nid] = device.name
         return event
 
     def _execute_with_retry(self, node: PrimitiveNode,
@@ -455,7 +478,7 @@ class ExecutionModel(abc.ABC):
             suffix: Tail of the lane's node-result aliases.
             placed: External input -> alias of the copy *device* already
                 holds.  Without it the inputs keep their producers'
-                aliases and the first ``execute_node`` routes them.
+                aliases and ``execute_node`` routes them.
         """
         graph = self.plan.graph
         scans = {
@@ -463,7 +486,7 @@ class ExecutionModel(abc.ABC):
                   [self._alias(pipeline, "s", ref, tag) for tag in tags])
             for ref in pipeline.scan_refs
         }
-        member = set(pipeline.node_ids)
+        member = frozenset(pipeline.node_ids)
         placed_edges = []
         steps = []
         for nid in pipeline.node_ids:
@@ -488,9 +511,9 @@ class ExecutionModel(abc.ABC):
                     placed_edges.append(edge)
                 for aliases in inputs:
                     aliases.append(alias)
-            steps.append((nid, graph.nodes[nid],
-                          self._alias(pipeline, "n", nid, suffix),
-                          row_bytes, inputs))
+            steps.append(self.bind_step(
+                nid, device, self._alias(pipeline, "n", nid, suffix),
+                inputs, row_bytes=row_bytes, member=member))
         return Lane(device, factor, len(tags), scans, steps, placed_edges)
 
     def _stage(self, lane: Lane, rows: int) -> None:
@@ -611,14 +634,13 @@ class ExecutionModel(abc.ABC):
                 edge.device_id = device.name
 
             last = None
-            for nid, node, out_alias, row_bytes, inputs in lane.steps:
-                last = self.execute_node(
-                    node, device, inputs[buffer], out_alias,
-                    chunk_base=start,
-                    uma_read_bytes=row_bytes * (stop - start))
-                if nid in persisted:
-                    value = device.memory.get(out_alias).value
-                    partials[nid].append(ChunkPartial(value, start))
+            for step in lane.steps:
+                last = self.execute_node(step, device, buffer,
+                                         chunk_base=start, rows=stop - start)
+                parts = partials.get(step.node.node_id)
+                if parts is not None:
+                    value = device.memory.get(step.alias).value
+                    parts.append(ChunkPartial(value, start))
             lane.computes.append(last)  # type: ignore[arg-type]
             self.chunks_processed += 1
 
@@ -700,9 +722,9 @@ class ExecutionModel(abc.ABC):
         kept = {self.node_alias[nid] for nid in partials}
         for lane in lanes:
             device = lane.device
-            for _, _, alias, _, _ in lane.steps:
-                if alias not in kept and alias in device.memory:
-                    device.delete_memory(alias)
+            for step in lane.steps:
+                if step.alias not in kept and step.alias in device.memory:
+                    device.delete_memory(step.alias)
             # Delete phase: release the staging buffers.
             if lane.staged:
                 for _, _, aliases in lane.scans.values():
@@ -730,8 +752,10 @@ class ExecutionModel(abc.ABC):
                 else self.node_alias[edge.source]
                 for edge in graph.in_edges(nid)
             ]
-            self.execute_node(graph.nodes[nid], device, aliases,
-                              self._alias(pipeline, "n", nid))
+            self.execute_node(
+                self.bind_step(nid, device, self._alias(pipeline, "n", nid),
+                               [aliases]),
+                device)
 
     # -- cross-query subplan cache ------------------------------------------------
 

@@ -186,6 +186,9 @@ class SimulatedDevice(Device):
         self.quarantined = False
         self._initialized = False
         self._compiled: set[str] = set()
+        #: Primitive -> its ``launch`` and ``run`` event labels, declared
+        #: output semantic and definition's cost key (first launch).
+        self._launch_facts: dict[str, tuple[str, str, IOSemantic, str]] = {}
 
     def _make_cost_model(self) -> CostModel:
         """Build this driver's cost model; plug-ins may override to supply
@@ -477,7 +480,8 @@ class SimulatedDevice(Device):
 
     def _execute(self, task: Task, *, deps: list[Event] | None = None
                  ) -> Event:
-        self._require_initialized()
+        if self.lost or self.quarantined or not self._initialized:
+            self._require_initialized()
         latency_factor = (self.faults.on_execute(self, task)
                           if self.faults is not None else 1.0)
         container = task.container
@@ -496,7 +500,14 @@ class SimulatedDevice(Device):
         # true result statistics (e.g. the group count of HASH_AGG, which a
         # real shared hash table pays for through atomic contention).
         result = container(*values, **task.params)
-        self._check_output_semantic(primitive, result)
+        facts = self._launch_facts.get(primitive)
+        if facts is None:
+            defn = definition(primitive)
+            facts = self._launch_facts[primitive] = (
+                f"{self.name}:launch:{primitive}",
+                f"{self.name}:run:{primitive}", defn.output, defn.cost_key)
+        launch_label, run_label, declared, cost_key = facts
+        self._check_output_semantic(primitive, declared, result)
         # Group cardinality scales with the data (e.g. Q3's orderkey
         # groups); plans with fixed group counts (Q1, Q4) override via
         # cost_params.  A fused aggregation sink pays the same
@@ -504,7 +515,7 @@ class SimulatedDevice(Device):
         groups = (max(1, result.num_groups * self.data_scale)
                   if hasattr(result, "num_groups") else None)
         duration, fused_num_args = self.cost.node_seconds(
-            container.cost_key or definition(primitive).cost_key,
+            container.cost_key or cost_key,
             task.n_elements * self.data_scale, task.cost_params,
             groups=groups)
         # A fused node (planner.fusion) charges ONE launch whose argument
@@ -514,7 +525,7 @@ class SimulatedDevice(Device):
         launch = self.clock.schedule(
             self.compute_stream,
             self.cost.launch_seconds(num_args),
-            label=f"{self.name}:launch:{primitive}",
+            label=launch_label,
             deps=wait,
             category="launch",
             node=task.node_id,
@@ -522,16 +533,17 @@ class SimulatedDevice(Device):
         event = self.clock.schedule(
             self.compute_stream,
             duration * latency_factor,
-            label=f"{self.name}:run:{primitive}",
+            label=run_label,
             deps=[launch],
             category="compute",
             node=task.node_id,
         )
         if task.output is not None:
+            nbytes = value_nbytes(result)
             if task.output not in self.memory:
-                self.prepare_memory(task.output, value_nbytes(result))
+                self.prepare_memory(task.output, nbytes)
             out = self.memory.get(task.output)
-            actual = value_nbytes(result) * self.data_scale
+            actual = nbytes * self.data_scale
             if out.view_of is None and actual > out.nbytes:
                 self.resize_memory(task.output, actual)
             self._store(out, result, event)
@@ -540,15 +552,16 @@ class SimulatedDevice(Device):
     # -- helpers --------------------------------------------------------------------------
 
     @staticmethod
-    def _check_output_semantic(primitive: str, result: object) -> None:
-        """Enforce the primitive's declared output semantic at runtime.
+    def _check_output_semantic(primitive: str, expected: IOSemantic,
+                               result: object) -> None:
+        """Enforce the output semantic *primitive* declares (*expected*)
+        at runtime.
 
         Plugged kernel variants only have to *adhere to the I/O
         semantics* (Section III-B2); this check catches a variant that
         silently returns the wrong edge type before the value corrupts a
         downstream primitive.
         """
-        expected = definition(primitive).output
         if expected is IOSemantic.GENERIC or result is None:
             return
         produced = semantic_of(result)

@@ -98,6 +98,8 @@ class VirtualClock:
         #: the whole timeline.
         self._events_by_owner: dict[str, list[Event]] = {}
         self._ids = itertools.count()
+        #: Latest ``available_at`` over the streams (:meth:`now`).
+        self._now = 0.0
         #: Query id new events are charged to (set by the scheduler).
         self.current_owner: str | None = None
 
@@ -148,9 +150,13 @@ class VirtualClock:
                 start = dep.end
         owner = self.current_owner or ""
         end = start + duration
-        event = Event(next(self._ids), stream, label, start, end, category,
-                      nbytes, owner, node)
+        # Not ``Event(...)``: the namedtuple's own ``__new__`` is a
+        # Python-level call per event.
+        event = tuple.__new__(Event, (next(self._ids), stream, label, start,
+                                      end, category, nbytes, owner, node))
         s.available_at = end
+        if end > self._now:
+            self._now = end
         self._events.append(event)
         self._events_by_owner.setdefault(owner, []).append(event)
         return event
@@ -184,8 +190,9 @@ class VirtualClock:
         return self._events[cursor:]
 
     def now(self) -> float:
-        """Latest point in time any stream has reached."""
-        return max((s.available_at for s in self._streams.values()), default=0.0)
+        """Latest point in time any stream has reached (a barrier only
+        raises streams to a time one of them already reached)."""
+        return self._now
 
     def makespan(self) -> float:
         """End time of the last finished event (total simulated runtime)."""
@@ -217,6 +224,8 @@ class VirtualClock:
         """Forget a stream's position (used when a device is unplugged);
         its already-recorded events remain on the timeline."""
         self._streams.pop(name, None)
+        self._now = max((s.available_at for s in self._streams.values()),
+                        default=0.0)
 
     def reset(self) -> None:
         """Forget all events and stream positions (fresh timeline)."""
@@ -224,4 +233,5 @@ class VirtualClock:
         self._events.clear()
         self._events_by_owner.clear()
         self._ids = itertools.count()
+        self._now = 0.0
         self.current_owner = None

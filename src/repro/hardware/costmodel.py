@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import SchedulingError
 from repro.hardware import calibration as cal
@@ -67,16 +68,28 @@ class CostOverlay:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Durations of device-interface operations for one (device, SDK) pair."""
+    """Durations of device-interface operations for one (device, SDK) pair.
+
+    *spec* and *sdk* are immutable, so what follows from them alone —
+    the SDK profile, each primitive's scaled base rate — is read from
+    the calibration tables once per instance.
+    """
 
     spec: DeviceSpec
     sdk: Sdk
 
     # -- derived properties ---------------------------------------------------
 
-    @property
+    @cached_property
     def profile(self) -> cal.SdkProfile:
         return cal.SDK_PROFILES[self.sdk]
+
+    @cached_property
+    def _base_rates(self) -> dict[str, float]:
+        """Calibrated primitive -> its rate scaled to this device."""
+        rates = cal.PRIMITIVE_RATES.get((self.spec.kind, self.sdk)) or {}
+        return {primitive: rate * self._scale(primitive)
+                for primitive, rate in rates.items()}
 
     def bandwidth(self, direction: str = TransferDirection.H2D,
                   pinned: bool = False) -> float:
@@ -157,13 +170,12 @@ class CostModel:
             groups: Distinct-group count for aggregation primitives; feeds
                 the contention curve of Figure 9c.
         """
-        rates = cal.PRIMITIVE_RATES.get((self.spec.kind, self.sdk))
-        if rates is None or primitive not in (rates or {}):
+        rate = self._base_rates.get(primitive)
+        if rate is None:
             raise SchedulingError(
                 f"no calibrated rate for primitive {primitive!r} on "
                 f"{self.spec.kind.value}/{self.sdk.value}"
             )
-        rate = rates[primitive] * self._scale(primitive)
         rate /= self._contention_factor(primitive, n_elements, groups)
         if rate <= 0:
             raise SchedulingError(f"non-positive rate for {primitive!r}")
@@ -232,6 +244,9 @@ class CostModel:
                 fused_steps, n_elements,
                 groups=cost_params.get("groups", groups)),
                 cost_params.get("fused_num_args"))
+        if not cost_params:
+            return self.kernel_seconds(cost_key, n_elements,
+                                       groups=groups), None
         if groups is not None and "groups" not in cost_params:
             cost_params = {**cost_params, "groups": groups}
         return self.kernel_seconds(cost_key, n_elements, **cost_params), None

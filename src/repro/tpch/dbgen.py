@@ -255,9 +255,10 @@ def _gen_orders_and_lineitem(
     # dictionary sorted(["F", "O"]) => F=0, O=1; shipped long ago => F.
     returnflag = rng_l.integers(0, len(RETURN_FLAGS), n)
 
-    linenumber = np.concatenate(
-        [np.arange(1, k + 1, dtype=np.int32) for k in per_order]
-    ) if n_orders else np.empty(0, dtype=np.int32)
+    # 1..k within each order: the row's position minus its order's first.
+    linenumber = (np.arange(n)
+                  - np.repeat(np.cumsum(per_order) - per_order, per_order)
+                  + 1).astype(np.int32)
 
     lineitem = Table("lineitem", [
         Column("l_orderkey", l_orderkey),

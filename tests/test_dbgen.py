@@ -165,6 +165,19 @@ class TestValueDistributions:
         first[1:] = keys[1:] != keys[:-1]
         assert (linenumbers[first] == 1).all()
 
+    @pytest.mark.parametrize("sf", [0.001, 0.01, 0.05])
+    def test_linenumbers_equal_the_per_order_loop(self, sf):
+        """``l_linenumber`` is built without a Python loop over orders;
+        the loop it replaced stays here as the oracle."""
+        li = generate(sf, seed=11, tables=["lineitem"]).table("lineitem")
+        _, per_order = np.unique(li.column("l_orderkey").values,
+                                 return_counts=True)
+        oracle = np.concatenate(
+            [np.arange(1, k + 1, dtype=np.int32) for k in per_order])
+        linenumbers = li.column("l_linenumber").values
+        assert linenumbers.dtype == oracle.dtype
+        assert linenumbers.tobytes() == oracle.tobytes()
+
     def test_partsupp_four_suppliers_per_part(self, catalog):
         ps = catalog.table("partsupp")
         _, counts = np.unique(ps.column("ps_partkey").values,

@@ -34,6 +34,7 @@ from repro.cluster import CO_PARTITIONED_TABLES, ClusterExecutor
 from repro.cluster.node import ClusterNode
 from repro.core import fingerprint
 from repro.core.graph import PrimitiveGraph
+from repro.core.pipelines import chunk_count, split_pipelines
 from repro.devices import CudaDevice, OpenCLDevice
 from repro.engine import Engine, QueryRequest
 from repro.hardware import GPU_A100, GPU_RTX_2080_TI
@@ -56,9 +57,11 @@ from tests.conftest import make_executor
 #: 135 on one lane / 140 fanned out over two devices once the chunk
 #: loop resolved aliases and input lists per lane, not per chunk, and
 #: 125 / 131 since the device interfaces, hub and models report to no
-#: metrics registry (the engine folds the event log once per run);
+#: metrics registry (the engine folds the event log once per run),
+#: and 99 / 103 since a lane step is the bound launch (only foreign
+#: inputs routed; labels, rates and ``now()`` not re-derived per call);
 #: the ceiling leaves ~10 % for interpreter and numpy drift.
-CALLS_PER_INVOCATION_CEILING = 144
+CALLS_PER_INVOCATION_CEILING = 114
 
 CHUNK_ROWS = 1024
 
@@ -107,6 +110,31 @@ def test_calls_per_invocation_within_budget(small_catalog):
             f"invocation (ceiling {CALLS_PER_INVOCATION_CEILING}): "
             "something chunk-invariant is being recomputed inside the "
             "chunk loop")
+
+
+def test_router_runs_for_foreign_inputs_only(small_catalog):
+    graph, stats, profile = profiled_q3(small_catalog, CHUNK_ROWS)
+    routed = sum(calls for (filename, _, name), (_, calls, *_)
+                 in profile.stats.items()
+                 if name == "router" and filename.endswith("core/hub.py"))
+    foreign = every = chunks = 0
+    for pipeline in split_pipelines(graph):
+        assert pipeline.is_chunkable  # no step that routes everything
+        edges = [edge for nid in pipeline.node_ids
+                 for edge in graph.in_edges(nid)]
+        turns = chunk_count(
+            pipeline, len(small_catalog.column(pipeline.scan_refs[0]).values),
+            CHUNK_ROWS)
+        chunks += turns
+        every += turns * len(edges)
+        foreign += turns * sum(
+            not edge.is_scan and edge.source not in pipeline.node_ids
+            for edge in edges)
+    assert chunks == stats.chunks_processed
+    # A scan the lane staged and a result it produced this chunk are
+    # where the kernel wants them; only a build side made elsewhere is
+    # the hub's business.
+    assert 0 < routed == foreign < every / 10
 
 
 def test_graph_queries_do_not_scan_per_invocation(small_catalog):

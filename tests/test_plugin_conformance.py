@@ -342,6 +342,38 @@ class TestBrokenDeviceFailsLoudly:
                                   tiny_catalog)
 
 
+class _TickingCostModel(CostModel):
+    """Fixture: every kernel is priced one microsecond dearer than the
+    one before, so a price read once would show."""
+
+    def kernel_seconds(self, primitive, n_elements, *, groups=None):
+        priced = vars(self).setdefault("priced", [])
+        priced.append(primitive)
+        return 1e-6 * len(priced)
+
+
+class TickingCostDevice(CudaDevice):
+    def _make_cost_model(self):
+        return _TickingCostModel(self.spec, self.sdk)
+
+
+class TestCostOverridesRunPerInvocation:
+    def test_a_plugged_kernel_price_is_asked_for_every_launch(
+            self, tiny_catalog):
+        executor = AdamantExecutor()
+        device = plug(executor, TickingCostDevice, GPU_RTX_2080_TI)
+        result = executor.run(q6.build(), tiny_catalog, chunk_size=1024)
+        runs = [event for event in executor.clock.events
+                if event.category == "compute"]
+        assert result.stats.chunks_processed > 1
+        assert len(device.cost.priced) == len(runs) \
+            == result.stats.kernel_invocations
+        assert [PRIMITIVES[event.label.rpartition(":")[2]].cost_key
+                for event in runs] == device.cost.priced
+        assert [event.duration for event in runs] == pytest.approx(
+            [1e-6 * (index + 1) for index in range(len(runs))])
+
+
 # ---------------------------------------------------------------------------
 # A driver charges the clock; the counters follow from the event log
 # ---------------------------------------------------------------------------

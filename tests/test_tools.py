@@ -88,3 +88,35 @@ class TestOptionScan:
         assert tool("option_scan").unused_options(tmp_path, allowed={}) == [
             "src/mod.py:2 run(dead)", "src/mod.py:11 Request(never)",
             "src/mod.py:14 Engine(spare)", "src/mod.py:16 execute(fuse)"]
+
+
+class TestShareTimer:
+    def test_times_static_and_class_methods_in_their_own_kind(self):
+        from repro.core.models.split import SplitChunkedModel
+        from repro.devices import CudaDevice
+        from repro.devices.base import SimulatedDevice
+        from repro.hardware import GPU_A100, VirtualClock
+        from repro.primitives.values import IOSemantic
+
+        paths = {
+            "check": "repro.devices.base.SimulatedDevice"
+                     "._check_output_semantic",                  # static
+            "ranked": "repro.core.models.split.SplitChunkedModel"
+                      ".participants",                           # class
+            "proxy": "repro.core.models.split.SplitChunkedModel"
+                     ".rate_proxy",                              # static
+        }
+        found = (vars(SimulatedDevice)["_check_output_semantic"],
+                 vars(SplitChunkedModel)["participants"])
+        device = CudaDevice("gpu0", GPU_A100, VirtualClock())
+        timer = tool("profile_workload").ShareTimer(list(paths.values()))
+        with timer:
+            # Through an instance: a plain function in the static
+            # method's place would receive the device as *primitive*.
+            device._check_output_semantic("map", IOSemantic.GENERIC, None)
+            assert SplitChunkedModel.participants([device]) == [device]
+        assert (vars(SimulatedDevice)["_check_output_semantic"],
+                vars(SplitChunkedModel)["participants"]) == found
+        assert {name: timer.tally[path][0]
+                for name, path in paths.items()} == {
+                    "check": 1, "ranked": 1, "proxy": 1}

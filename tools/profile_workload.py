@@ -133,7 +133,14 @@ class ShareTimer:
             for holder, attr in _holders(name):
                 original = vars(holder)[attr]
                 self._replaced.append((holder, attr, original))
-                setattr(holder, attr, self._timed(slot, original))
+                if isinstance(original, (staticmethod, classmethod)):
+                    # Re-wrap in the descriptor found: a plain function
+                    # in its place would bind ``self``.
+                    timed = type(original)(
+                        self._timed(slot, original.__func__))
+                else:
+                    timed = self._timed(slot, original)
+                setattr(holder, attr, timed)
         self._entered = time.perf_counter()
         return self
 
