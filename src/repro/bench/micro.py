@@ -18,9 +18,12 @@ from repro.devices.base import SimulatedDevice
 from repro.errors import WorkloadError
 from repro.hardware import SETUPS, VirtualClock
 from repro.hardware.specs import DeviceSpec
-from repro.task import TaskRegistry, default_registry
+from repro.task import default_registry
 
 __all__ = ["MicroBench", "MicroResult", "DRIVER_MATRIX"]
+
+#: Seed of the standard input column.
+SEED = 3
 
 #: The paper's four driver configurations per setup.
 DRIVER_MATRIX = [
@@ -58,8 +61,7 @@ class MicroBench:
     """
 
     def __init__(self, *, logical_n: int = 2**28, physical_n: int = 2**16,
-                 setup: str = "setup1",
-                 registry: TaskRegistry | None = None, seed: int = 3) -> None:
+                 setup: str = "setup1") -> None:
         if logical_n % physical_n != 0:
             raise WorkloadError(
                 f"logical_n ({logical_n}) must be a multiple of "
@@ -73,8 +75,7 @@ class MicroBench:
         self.physical_n = physical_n
         self.scale = logical_n // physical_n
         self.setup = SETUPS[setup]
-        self.registry = registry if registry is not None else default_registry()
-        self.seed = seed
+        self.registry = default_registry()
 
     # -- driver construction -------------------------------------------------
 
@@ -97,14 +98,14 @@ class MicroBench:
     # -- profiling -------------------------------------------------------------
 
     def input_column(self) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(SEED)
         return rng.integers(0, 2**20, self.physical_n).astype(np.int64)
 
     def profile(self, driver_key: str, primitive: str, *,
-                params: dict | None = None,
                 cost_params: dict | None = None) -> MicroResult:
-        """Execute one primitive over the standard input column."""
-        chain = self._chain_for(primitive, params or {}, cost_params or {})
+        """Execute one primitive, with its standard parameters, over the
+        standard input column."""
+        chain = self._chain_for(primitive, cost_params or {})
         return self.profile_chain(driver_key, primitive, chain)
 
     def profile_chain(self, driver_key: str, label: str,
@@ -121,7 +122,7 @@ class MicroBench:
             logical_elements=self.logical_n, compute_seconds=compute,
         )
 
-    def _chain_for(self, primitive: str, params: dict, cost_params: dict):
+    def _chain_for(self, primitive: str, cost_params: dict):
         defaults = {
             "map": dict(op="add_const", const=1),
             "filter_bitmap": dict(cmp="lt", value=2**19),
@@ -137,12 +138,12 @@ class MicroBench:
                 f"no standalone micro profile for {primitive!r}; "
                 f"available: {sorted(defaults)}"
             )
-        merged = {**defaults[primitive], **params}
+        params = defaults[primitive]
 
         def tasks(device):
             container = self.registry.resolve(primitive,
                                               device.variant_key)
-            return [Task(container, ["in"], "out", params=merged,
+            return [Task(container, ["in"], "out", params=params,
                          n_elements=self.physical_n,
                          cost_params=cost_params)]
         return tasks

@@ -93,7 +93,7 @@ def _add_plan_options(cmd, *, sf, chunk_size, described=False,
         adaptive: Help text of ``--adaptive``; a subcommand that passes
             none (``serve`` — its requests come from the workload
             generator) gets neither ``--no-fuse`` nor ``--adaptive``.
-        optimizer: Declare ``--model`` (with ``auto``) and ``--optimize``.
+        optimizer: Declare ``--model`` with ``auto`` among its choices.
         faults, analyze, metrics_out, nodes: Help text of that flag
             (``--nodes`` brings ``--network``); None leaves it out.
     """
@@ -120,14 +120,10 @@ def _add_plan_options(cmd, *, sf, chunk_size, described=False,
         cmd.add_argument("--adaptive", action="store_true", help=adaptive)
     if optimizer:
         cmd.add_argument("--model", choices=[*sorted(MODELS), "auto"],
-                         default=None,
-                         help="execution model (default chunked); "
-                              "'auto' asks the cost-based optimizer")
-        cmd.add_argument("--optimize", action="store_true",
-                         help="let the cost-based optimizer pick model, "
-                              "placement, fusion and chunk size (same as "
-                              "--model auto; conflicts with an explicit "
-                              "--model)")
+                         default="chunked",
+                         help="execution model (default chunked); 'auto' "
+                              "lets the cost-based optimizer pick model, "
+                              "placement, fusion and chunk size")
     if faults is not None:
         cmd.add_argument("--faults", default=None, metavar="SPEC", help=faults)
     if analyze is not None:
@@ -348,24 +344,6 @@ def _matches(answer, expected) -> bool:
     return answer == expected
 
 
-def _resolve_model_arg(args) -> str | None:
-    """The effective model for run/concurrent.
-
-    ``--optimize`` maps to ``"auto"`` and conflicts loudly with an
-    explicit ``--model``; with neither flag the default stays
-    ``"chunked"``.  Returns None (after printing the error) on
-    conflict.
-    """
-    if getattr(args, "optimize", False):
-        if args.model is not None:
-            print(f"--optimize conflicts with an explicit "
-                  f"--model {args.model}; pass one or the other",
-                  file=sys.stderr)
-            return None
-        return "auto"
-    return args.model if args.model is not None else "chunked"
-
-
 def cmd_devices(_args) -> int:
     print(f"{'device':24s} {'kind':5s} {'memory':>10s} "
           f"{'mem bw':>10s} {'interconnect':>13s} {'units':>6s}")
@@ -491,7 +469,7 @@ def _cmd_run_distributed(args, plan) -> int:
     survivor and the answer still matches the oracle byte-for-byte.
     """
     if args.model == "auto":
-        print("--nodes does not combine with --model auto / --optimize "
+        print("--nodes does not combine with --model auto "
               "(the shard planner prices node counts instead; see "
               "'repro explain --nodes')", file=sys.stderr)
         return 2
@@ -570,10 +548,6 @@ def cmd_explain(args) -> int:
 
 
 def cmd_run(args) -> int:
-    model = _resolve_model_arg(args)
-    if model is None:
-        return 2
-    args.model = model
     plan = FaultPlan.parse(args.faults) if args.faults else None
     if args.nodes > 1:
         return _cmd_run_distributed(args, plan)
@@ -653,10 +627,6 @@ def cmd_concurrent(args) -> int:
     """Interleave a query batch on one shared device (engine mode)."""
     from repro.engine import Engine, QueryRequest
 
-    model = _resolve_model_arg(args)
-    if model is None:
-        return 2
-    args.model = model
     plan = FaultPlan.parse(args.faults) if args.faults else None
     catalog = generate(args.sf, seed=args.seed)
     engine = Engine(faults=plan,

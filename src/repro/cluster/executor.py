@@ -47,7 +47,6 @@ from repro.hardware.specs import (
 from repro.observe.metrics import MetricsRegistry
 from repro.planner.cost import broadcast_seconds
 from repro.storage import Catalog
-from repro.task.registry import TaskRegistry
 
 from repro.cluster.exchange import (
     ExchangeDecision,
@@ -151,7 +150,6 @@ class ClusterExecutor:
             :class:`~repro.hardware.specs.InterconnectSpec`; used for
             every exchange unless a :class:`NodeSpec` list overrides
             per-node NICs (the slowest NIC of a transfer prices it).
-        registry: Task registry shared by every node's engine.
 
     Usage::
 
@@ -161,8 +159,7 @@ class ClusterExecutor:
     """
 
     def __init__(self, nodes: int | list[NodeSpec] = 2, *,
-                 network: str | InterconnectSpec = ETH_100G,
-                 registry: TaskRegistry | None = None) -> None:
+                 network: str | InterconnectSpec = ETH_100G) -> None:
         tier = resolve_tier(network)
         if isinstance(nodes, int):
             if nodes < 1:
@@ -178,7 +175,7 @@ class ClusterExecutor:
             raise ClusterConfigError("node names must be unique")
         self.network = tier
         self.nodes: list[ClusterNode] = [
-            ClusterNode(spec, registry=registry) for spec in specs]
+            ClusterNode(spec) for spec in specs]
         #: Cluster-lifetime metrics (exchange volumes, failovers, node
         #: gauge); separate from each node engine's own registry.
         self.metrics = MetricsRegistry()

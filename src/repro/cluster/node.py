@@ -26,7 +26,6 @@ from repro.errors import (
 from repro.faults import FaultPlan
 from repro.hardware.specs import DeviceSpec, NodeSpec
 from repro.storage import Catalog
-from repro.task.registry import TaskRegistry
 
 __all__ = ["ClusterNode"]
 
@@ -37,14 +36,11 @@ class ClusterNode:
     Args:
         spec: Static description (name, NIC tier, optional host<->device
             interconnect override).
-        registry: Task registry shared across the cluster (kernels are
-            code, not state — sharing is safe).
     """
 
-    def __init__(self, spec: NodeSpec, *,
-                 registry: TaskRegistry | None = None) -> None:
+    def __init__(self, spec: NodeSpec) -> None:
         self.spec = spec
-        self.engine = Engine(registry=registry, enable_residency=False,
+        self.engine = Engine(enable_residency=False,
                              enable_subplan_cache=False,
                              max_concurrent=1)
         #: Set when every device of the node is gone; the executor

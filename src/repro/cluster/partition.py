@@ -82,13 +82,12 @@ class PartitionScheme:
     Attributes:
         num_nodes: Number of shards every partitioned table splits into.
         ranges: ``table -> [KeyRange per node]``; co-partitioned tables
-            share identical boundary lists.
-        replicated: Tables copied whole to every node.
+            share identical boundary lists.  Tables without ranges are
+            replicated (:data:`REPLICATED_TABLES`) or broadcast.
     """
 
     num_nodes: int
     ranges: dict[str, list[KeyRange]] = field(default_factory=dict)
-    replicated: tuple[str, ...] = REPLICATED_TABLES
 
     def node_for_key(self, table: str, key: int) -> int:
         """The shard index owning *key* of *table* (tests/EXPLAIN)."""

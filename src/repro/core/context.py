@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.graph import PrimitiveGraph, PrimitiveNode
+from repro.core.graph import PrimitiveNode
 from repro.devices.base import Device, SimulatedDevice
 from repro.errors import ExecutionError
 from repro.faults.policy import RetryPolicy
@@ -212,12 +212,14 @@ class ExecutionContext:
     """Everything an execution model needs to run one query.
 
     A thin binding of a :class:`~repro.planner.ir.PhysicalPlan` (the
-    *decisions*: graph, model, chunk size, fusion, adaptive arming,
-    ANALYZE) to the *machinery* that executes it (catalog, devices,
-    registry, clock, query identity, retry policy).  Plans
-    come from :func:`~repro.planner.compile.compile_plan` or the
-    optimizer, both of which hand over validated plans; the context
-    checks only what it adds — the devices.
+    *decisions*: graph, model, chunk size, data scale, fusion, adaptive
+    arming, ANALYZE) to the *machinery* that executes it (catalog,
+    devices, registry, clock, default device, query identity, retry
+    policy, subplan cache).  A plan fact is read as ``ctx.plan.X``;
+    the context keeps no copy of any.  Plans come from
+    :func:`~repro.planner.compile.compile_plan` or the optimizer, both
+    of which hand over validated plans; the context checks only what it
+    adds — the devices.
     """
 
     def __init__(self, *, plan: "PhysicalPlan", catalog: Catalog,
@@ -234,8 +236,7 @@ class ExecutionContext:
                 f"plugged: {sorted(devices)}"
             )
         #: The :class:`~repro.planner.ir.PhysicalPlan` this context
-        #: executes; ``graph``/``chunk_size``/``data_scale``/``analyze``
-        #: /``adaptive`` delegate to it.
+        #: executes.
         self.plan = plan
         self.catalog = catalog
         self.devices = devices
@@ -249,38 +250,6 @@ class ExecutionContext:
         #: (None outside engine mode or when the cache is disabled);
         #: execution models serve and populate whole pipelines from it.
         self.subplan_cache = subplan_cache
-
-    # -- plan delegation ----------------------------------------------------
-
-    @property
-    def graph(self) -> PrimitiveGraph:
-        return self.plan.graph
-
-    @property
-    def chunk_size(self) -> int:
-        return self.plan.chunk_size
-
-    @property
-    def data_scale(self) -> int:
-        return self.plan.data_scale
-
-    @property
-    def analyze(self) -> bool:
-        """Attach a per-node :class:`~repro.observe.QueryProfile` to the
-        result (EXPLAIN ANALYZE mode)."""
-        return self.plan.analyze
-
-    @property
-    def adaptive(self) -> bool:
-        """Online calibration, dynamic chunk sizing and work-stealing
-        (see :mod:`repro.planner.adaptive`) are armed; results stay
-        byte-identical to the static run."""
-        return self.plan.adaptive
-
-    @property
-    def physical_chunk_rows(self) -> int:
-        """Rows of the (down-scaled) physical arrays per logical chunk."""
-        return self.chunk_size // self.data_scale
 
     def device_for(self, node: PrimitiveNode) -> SimulatedDevice:
         """Resolve a node's device annotation (Figure 2's markings)."""
@@ -306,7 +275,7 @@ class ExecutionContext:
         """
         query = self.query
         ledger = fold(self.clock.events_of(query.query_id))
-        fused = [n for n in self.graph.nodes.values()
+        fused = [n for n in self.plan.graph.nodes.values()
                  if n.primitive in FUSED_PRIMITIVES]
         return ExecutionStats(
             makespan=max(0.0, ledger.end - query.epoch_start),

@@ -42,10 +42,8 @@ __all__ = ["AdamantExecutor", "DEFAULT_CHUNK_SIZE"]
 class AdamantExecutor:
     """A query executor with plug-in interfaces for co-processors."""
 
-    def __init__(self, *, registry: TaskRegistry | None = None,
-                 overlay_path: str | None = None) -> None:
-        self._engine = Engine(registry=registry, enable_residency=False,
-                              max_concurrent=1,
+    def __init__(self, *, overlay_path: str | None = None) -> None:
+        self._engine = Engine(enable_residency=False, max_concurrent=1,
                               overlay_path=overlay_path)
 
     # -- engine delegation ----------------------------------------------------

@@ -55,7 +55,8 @@ class LaneStep:
     """One node's launch on one lane: what no chunk changes
     (:meth:`ExecutionModel.bind_step`).
 
-    The kernel's cost key and argument count travel inside *container*.
+    The kernel's argument count travels inside *container*; its cost key
+    is the primitive definition's.
     """
 
     node: PrimitiveNode
@@ -282,7 +283,7 @@ class ExecutionModel(abc.ABC):
 
     def pipeline_device(self, pipeline: Pipeline) -> SimulatedDevice:
         """The device executing *pipeline* (its nodes must agree)."""
-        graph = self.ctx.graph
+        graph = self.plan.graph
         devices = {
             self.ctx.device_for(graph.nodes[nid]).name
             for nid in pipeline.node_ids
@@ -453,7 +454,7 @@ class ExecutionModel(abc.ABC):
             return 1.0
         if device.sdk is not Sdk.OPENCL:
             return 1.0
-        if shallow_hash_pipeline(self.ctx.graph, pipeline):
+        if shallow_hash_pipeline(self.plan.graph, pipeline):
             return cal.OPENCL_SHALLOW_PINNED_FACTOR
         return 1.0
 
@@ -735,7 +736,7 @@ class ExecutionModel(abc.ABC):
                        device: SimulatedDevice) -> None:
         """Run a pipeline once over fully loaded inputs (used for
         breaker-only pipelines and by operator-at-a-time)."""
-        graph = self.ctx.graph
+        graph = self.plan.graph
         scan_alias_of: dict[str, str] = {}
         for nid in pipeline.node_ids:
             for edge in graph.in_edges(nid):
@@ -787,7 +788,7 @@ class ExecutionModel(abc.ABC):
         for nid in pipeline.persisted_ids:
             entry = cache.lookup(
                 subplan_fingerprint(graph, nid), self.ctx.catalog,
-                self.ctx.data_scale, self.ctx.query.query_id, healthy)
+                self.plan.data_scale, self.ctx.query.query_id, healthy)
             if entry is None:
                 return False
             entries.append((nid, entry))
@@ -845,7 +846,7 @@ class ExecutionModel(abc.ABC):
             entry = cache.insert(
                 subplan_fingerprint(graph, nid), nid, value,
                 nbytes=value_nbytes(value), device=device_name,
-                catalog=self.ctx.catalog, data_scale=self.ctx.data_scale,
+                catalog=self.ctx.catalog, data_scale=self.plan.data_scale,
                 query_id=self.ctx.query.query_id, healthy=healthy)
             inserted = inserted or entry is not None
         if inserted:
@@ -853,7 +854,7 @@ class ExecutionModel(abc.ABC):
 
     def _retrieve_outputs(self) -> dict[str, object]:
         outputs: dict[str, object] = {}
-        for nid in self.ctx.graph.outputs:
+        for nid in self.plan.graph.outputs:
             device = self.ctx.devices[self.node_device[nid]]
             value, _ = device.retrieve_data(  # type: ignore[attr-defined]
                 self.node_alias[nid],

@@ -58,7 +58,7 @@ class SplitChunkedModel(ExecutionModel):
         """One lane per plugged device, fastest first (it homes the
         results); pipelines that cannot fan out take the fastest device
         alone, as under any single-device pinned model."""
-        graph = self.ctx.graph
+        graph = self.plan.graph
         devices = self.participants(self.ctx.devices.values())
         if not pipeline.streams or len(devices) == 1:
             # Split mode owns placement: the annotations are overridden.

@@ -8,6 +8,10 @@ must finish before the probe pipeline starts.
 
 Pipelines are the maximal connected subgraphs left after cutting every
 edge that leaves a pipeline breaker.
+
+The chunk rule lives here too: the quantum a chunk size is a multiple
+of, the logical-to-physical conversion, the halving step, how many
+chunks a pipeline takes and when a chunked model refuses one.
 """
 
 from __future__ import annotations
@@ -18,8 +22,14 @@ from dataclasses import dataclass, field
 from repro.core.graph import PrimitiveGraph
 from repro.errors import GraphValidationError
 
-__all__ = ["Pipeline", "chunk_count", "full_input_refusal",
+__all__ = ["CHUNK_QUANTUM", "Pipeline", "chunk_count", "chunk_quantum",
+           "descale_chunk", "full_input_refusal", "halve_chunk",
            "persisted_node_ids", "split_pipelines"]
+
+#: Chunks are cut at multiples of this many *physical* rows: a boundary
+#: inside a 32-bit bitmap word would break the word-wise bitmap
+#: concatenation in :mod:`repro.core.combine`.
+CHUNK_QUANTUM = 32
 
 
 @dataclass
@@ -58,6 +68,30 @@ class Pipeline:
         """Whether a chunked model may cut the scan into several chunks:
         there is one, and no member needs its full input."""
         return bool(self.scan_refs) and not self.full_input_ids
+
+
+def chunk_quantum(data_scale: int) -> int:
+    """The smallest logical chunk size at *data_scale*: one
+    :data:`CHUNK_QUANTUM` of physical rows.  A valid ``chunk_size`` is a
+    positive multiple of it."""
+    return CHUNK_QUANTUM * data_scale
+
+
+def descale_chunk(chunk_size: int, data_scale: int) -> int:
+    """Physical rows per chunk of *chunk_size* logical rows (at least
+    one)."""
+    return max(1, chunk_size // data_scale)
+
+
+def halve_chunk(chunk_size: int, data_scale: int) -> int | None:
+    """Half of *chunk_size*, floored to :func:`chunk_quantum`; None when it
+    cannot shrink further.  The step of the OOM ladder and of serving's
+    queue-pressure degradation."""
+    quantum = chunk_quantum(data_scale)
+    halved = (chunk_size // 2) // quantum * quantum
+    if halved < quantum or halved >= chunk_size:
+        return None
+    return halved
 
 
 def chunk_count(pipeline: Pipeline, rows: int, physical_chunk: int) -> int:

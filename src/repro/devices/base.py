@@ -515,8 +515,7 @@ class SimulatedDevice(Device):
         groups = (max(1, result.num_groups * self.data_scale)
                   if hasattr(result, "num_groups") else None)
         duration, fused_num_args = self.cost.node_seconds(
-            container.cost_key or cost_key,
-            task.n_elements * self.data_scale, task.cost_params,
+            cost_key, task.n_elements * self.data_scale, task.cost_params,
             groups=groups)
         # A fused node (planner.fusion) charges ONE launch whose argument
         # count is the summed per-step mapping cost.

@@ -176,14 +176,15 @@ class MemoryManager:
         return buffer
 
     def add_view(self, alias: str, parent: str, *,
-                 data_format: str = "", owner: str = "") -> Buffer:
-        """Register a zero-copy view (``create_chunk``) of *parent*."""
+                 owner: str = "") -> Buffer:
+        """Register a zero-copy view (``create_chunk``) of *parent*, in
+        its data format."""
         if alias in self._buffers:
             raise DeviceMemoryError(f"buffer {alias!r} already allocated")
         parent_buffer = self.get(parent)
         buffer = Buffer(
             alias=alias, nbytes=0, pinned=parent_buffer.pinned,
-            data_format=data_format or parent_buffer.data_format,
+            data_format=parent_buffer.data_format,
             view_of=parent, owner=owner or parent_buffer.owner,
         )
         self._buffers[alias] = buffer

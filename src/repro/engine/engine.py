@@ -91,7 +91,6 @@ class Engine:
     """A long-lived multi-query executor with shared-device scheduling.
 
     Args:
-        registry: Task registry (defaults to the built-in kernels).
         enable_residency: Attach a cross-query residency cache to every
             plugged device (the compatibility facade turns this off).
         enable_subplan_cache: Keep an engine-scope
@@ -111,8 +110,7 @@ class Engine:
             processes (None keeps the store in-memory only).
     """
 
-    def __init__(self, *, registry: TaskRegistry | None = None,
-                 enable_residency: bool = True,
+    def __init__(self, *, enable_residency: bool = True,
                  enable_subplan_cache: bool = True,
                  max_concurrent: int = 8,
                  faults: FaultPlan | None = None,
@@ -122,7 +120,9 @@ class Engine:
             raise ExecutionError(
                 f"max_concurrent must be >= 1, got {max_concurrent}")
         self.clock = VirtualClock()
-        self.registry = registry if registry is not None else default_registry()
+        #: Task registry (the built-in kernels; plug-ins register more,
+        #: or assign a registry of their own).
+        self.registry: TaskRegistry = default_registry()
         self.devices: dict[str, SimulatedDevice] = {}
         self.enable_residency = enable_residency
         #: Cross-query subplan result cache shared by every session

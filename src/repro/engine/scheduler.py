@@ -46,7 +46,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.models.base import ExecutionModel
-from repro.core.pipelines import Pipeline
+from repro.core.pipelines import Pipeline, halve_chunk
 from repro.engine.session import QuerySession, release_query
 from repro.errors import (
     AdamantError,
@@ -120,7 +120,7 @@ class DeviceScheduler:
             _InFlight(session=item[0], model=item[1],
                       steps=item[1].iter_pipelines(),
                       rebuild=item[2] if len(item) > 2 else None,
-                      chunk_size=item[1].ctx.chunk_size)
+                      chunk_size=item[1].plan.chunk_size)
             for item in work
         )
         while queue:
@@ -249,7 +249,7 @@ class DeviceScheduler:
                 return self._restart(entry, error, queue,
                                      reason="oom:evict-residency")
             # Nothing to evict; fall through to chunk halving.
-        halved = _halve_chunk(entry.chunk_size, ctx.data_scale)
+        halved = halve_chunk(entry.chunk_size, ctx.plan.data_scale)
         if halved is not None:
             entry.chunk_size = halved
             return self._restart(entry, error, queue,
@@ -302,7 +302,7 @@ class DeviceScheduler:
         for device in ctx.devices.values():
             device.bind_query(  # type: ignore[attr-defined]
                 entry.session.query_id,
-                data_scale=ctx.data_scale,
+                data_scale=ctx.plan.data_scale,
                 memory_budget=entry.session.memory_budget,
             )
 
@@ -324,12 +324,3 @@ class DeviceScheduler:
         release_query(entry.session.query_id, ctx.devices.values(),
                       ctx.subplan_cache, at_time=ctx.clock.now())
 
-
-def _halve_chunk(chunk_size: int, data_scale: int) -> int | None:
-    """Half of *chunk_size*, floored to the bitmap-word alignment
-    ``compile_plan`` enforces; None when it cannot shrink further."""
-    quantum = 32 * data_scale
-    halved = (chunk_size // 2) // quantum * quantum
-    if halved < quantum or halved >= chunk_size:
-        return None
-    return halved

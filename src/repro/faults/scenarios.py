@@ -28,13 +28,13 @@ STORM_RATE = 0.1
 STORM_FACTOR = 4.0
 
 
-def flapping_device(device: str = "dev0", *, rate: float = 0.2,
-                    seed: int = 7) -> FaultPlan:
-    """A device that flaps: transient faults at *rate* plus latency
-    storms (:data:`STORM_RATE`, :data:`STORM_FACTOR`)."""
+def flapping_device(*, rate: float = 0.2, seed: int = 7) -> FaultPlan:
+    """Device ``dev0`` (the first-plugged, default device) flaps:
+    transient faults at *rate* plus latency storms (:data:`STORM_RATE`,
+    :data:`STORM_FACTOR`)."""
     return FaultPlan([
-        FaultSpec(kind=FaultKind.TRANSIENT, device=device, rate=rate),
-        FaultSpec(kind=FaultKind.LATENCY, device=device,
+        FaultSpec(kind=FaultKind.TRANSIENT, device="dev0", rate=rate),
+        FaultSpec(kind=FaultKind.LATENCY, device="dev0",
                   rate=STORM_RATE, factor=STORM_FACTOR),
     ], seed=seed)
 

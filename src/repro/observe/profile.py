@@ -187,10 +187,10 @@ def build_profile(ctx, stats, *, model_name: str) -> QueryProfile:
     """Build the ANALYZE profile for the run recorded in *ctx*.
 
     *ctx* is the query's execution context (duck-typed: ``clock``,
-    ``query``, ``graph``, ``catalog``, ``devices``, ``default_device``,
-    ``data_scale``); *stats* its :class:`ExecutionStats`.
+    ``query``, ``plan``, ``catalog``, ``devices``, ``default_device``);
+    *stats* its :class:`ExecutionStats`.
     """
-    graph = ctx.graph
+    graph = ctx.plan.graph
     query = ctx.query
     events = ctx.clock.events_of(query.query_id)
     node_ids = set(graph.nodes)
@@ -199,7 +199,7 @@ def build_profile(ctx, stats, *, model_name: str) -> QueryProfile:
 
     estimates = estimate_graph_seconds(
         graph, ctx.catalog, ctx.devices, ctx.default_device,
-        data_scale=ctx.data_scale)
+        data_scale=ctx.plan.data_scale)
 
     # Launch and chunk counts describe only the completed run (the
     # attributed *time* keeps all attempts — their cost was real).

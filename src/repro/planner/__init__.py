@@ -1,6 +1,5 @@
 """Logical plans, the shared plan IR, and the cost-based optimizer."""
 
-from repro.planner.adaptive import AdaptivePass
 from repro.planner.compile import compile_plan
 from repro.planner.cost import (
     CostOverlayStore,
@@ -21,11 +20,10 @@ from repro.planner.fusion import (
     MAX_FUSED_INPUTS,
     PROBE_FUSIBLE,
     FusionGroup,
-    FusionPass,
     fuse_graph,
     fusion_groups,
 )
-from repro.planner.ir import DEFAULT_CHUNK_SIZE, Pass, PhysicalPlan
+from repro.planner.ir import DEFAULT_CHUNK_SIZE, PhysicalPlan
 from repro.planner.logical import (
     AggregateSpec,
     Derive,
@@ -44,11 +42,7 @@ from repro.planner.optimizer import (
     PlanCandidate,
     PlanOptimizer,
 )
-from repro.planner.placement import (
-    PlacementPass,
-    PlacementReport,
-    annotate_devices,
-)
+from repro.planner.placement import PlacementReport, annotate_devices
 from repro.planner.stats import conjunction_selectivity, estimate_selectivity
 from repro.planner.translate import translate
 
@@ -65,16 +59,12 @@ __all__ = [
     "AGG_SINKS",
     "MAX_FUSED_INPUTS",
     "FusionGroup",
-    "FusionPass",
-    "AdaptivePass",
     "annotate_devices",
     "estimate_pipeline_seconds",
-    "PlacementPass",
     "PlacementReport",
     "estimate_selectivity",
     "conjunction_selectivity",
     "DEFAULT_CHUNK_SIZE",
-    "Pass",
     "PhysicalPlan",
     "compile_plan",
     "CostOverlayStore",

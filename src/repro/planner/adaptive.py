@@ -2,7 +2,7 @@
 
 The paper fixes chunk size and device placement *before* execution; this
 module closes the loop at runtime.  Three cooperating mechanisms, all
-gated by ``adaptive=True`` on the execution context:
+armed by ``adaptive=True`` on the plan:
 
 1. **Online calibration** — every chunk's events on the executing
    device's streams are compared against the placement estimator's
@@ -16,8 +16,9 @@ gated by ``adaptive=True`` on the execution context:
    per-chunk fixed overhead (launches, allocations, DMA setup) exceeds
    ``OVERHEAD_TARGET`` of the streaming time, shrinking back near the
    tail so the final rows still split into overlappable chunks.  Chunk
-   boundaries stay multiples of :data:`CHUNK_QUANTUM` physical rows
-   (bitmap word alignment), and sizing is enabled only when every
+   boundaries stay multiples of
+   :data:`~repro.core.pipelines.CHUNK_QUANTUM` physical rows (bitmap
+   word alignment), and sizing is enabled only when every
    persisted partial of the pipeline combines exactly under regrouping
    (see :func:`exact_partial`), so results are byte-identical.
 
@@ -36,10 +37,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pipelines import Pipeline
+from repro.core.pipelines import CHUNK_QUANTUM, Pipeline
 from repro.hardware.clock import Event
 from repro.hardware.costmodel import CostOverlay
-from repro.planner.ir import Pass, PhysicalPlan
 from repro.primitives.values import (
     Bitmap,
     GroupTable,
@@ -51,7 +51,6 @@ from repro.primitives.values import (
 
 __all__ = [
     "AdaptiveController",
-    "AdaptivePass",
     "ChunkSizer",
     "OnlineCalibrator",
     "exact_partial",
@@ -72,11 +71,6 @@ OVERHEAD_TARGET = 0.10
 
 #: A pipeline's chunk may grow to at most this multiple of its start size.
 MAX_GROWTH = 8
-
-#: Chunk sizes and starts stay multiples of this many *physical* rows:
-#: interior chunks must cover whole 32-bit bitmap words or the word-wise
-#: bitmap concatenation in :mod:`repro.core.combine` would reject them.
-CHUNK_QUANTUM = 32
 
 #: Overlay factors only count toward the divergence trigger after this
 #: many folded chunks (one chunk is noise, not a trend).
@@ -164,8 +158,8 @@ class ChunkSizer:
     Grows the chunk while fixed per-chunk overhead dominates streaming
     time; shrinks back toward the initial size near the tail so the last
     rows still split across the staging buffers.  All sizes are
-    multiples of :data:`CHUNK_QUANTUM` and at most ``initial *
-    MAX_GROWTH``, and never drop below the initial size.
+    multiples of :data:`~repro.core.pipelines.CHUNK_QUANTUM` and at most
+    ``initial * MAX_GROWTH``, and never drop below the initial size.
     """
 
     def __init__(self, initial: int, total: int, n_buffers: int) -> None:
@@ -215,23 +209,6 @@ class ChunkSizer:
         return chunk
 
 
-class AdaptivePass(Pass):
-    """Adaptive-execution arming as a pass over the plan IR.
-
-    The mechanisms themselves are runtime companions
-    (:class:`AdaptiveController` rides along with the execution model);
-    the *decision* to arm them is a planning decision, so the pass form
-    records it on the :class:`~repro.planner.ir.PhysicalPlan` like any
-    other.
-    """
-
-    name = "adaptive"
-
-    def run(self, plan: PhysicalPlan) -> PhysicalPlan:
-        plan.adaptive = True
-        return plan
-
-
 class AdaptiveController:
     """Runtime companion of one execution model instance.
 
@@ -263,8 +240,8 @@ class AdaptiveController:
             # core models call in here and the cost layer imports core.
             from repro.planner.cost import pipeline_shape
             shape = pipeline_shape(
-                self.ctx.graph, pipeline, self.ctx.catalog,
-                data_scale=self.ctx.data_scale,
+                self.ctx.plan.graph, pipeline, self.ctx.catalog,
+                data_scale=self.ctx.plan.data_scale,
             )
             self._per_row[key] = (shape.pageable_seconds(device.cost)
                                   / max(1, shape.start_rows))
@@ -303,7 +280,8 @@ class AdaptiveController:
 
     def make_sizer(self, pipeline: Pipeline, total: int,
                    n_buffers: int) -> ChunkSizer:
-        return ChunkSizer(self.ctx.physical_chunk_rows, total, n_buffers)
+        return ChunkSizer(self.ctx.plan.physical_chunk_rows, total,
+                          n_buffers)
 
     def record_resize(self, device, old_rows: int, new_rows: int) -> None:
         self.resizes += 1
@@ -323,12 +301,12 @@ class AdaptiveController:
         pipeline actually moved."""
         if self.calibrator.divergence() <= DIVERGENCE_THRESHOLD:
             return False
-        graph = self.ctx.graph
+        graph = self.ctx.plan.graph
         before = {nid: node.device for nid, node in graph.nodes.items()}
         from repro.planner.placement import annotate_devices
         annotate_devices(
             graph, self.ctx.catalog, self.ctx.devices,
-            data_scale=self.ctx.data_scale,
+            data_scale=self.ctx.plan.data_scale,
             overlay=self.calibrator.factors(),
             from_index=completed_index + 1,
         )

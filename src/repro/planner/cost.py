@@ -42,7 +42,12 @@ import numpy as np
 from repro.core.fingerprint import subplan_fingerprint
 from repro.core.graph import PrimitiveGraph, PrimitiveNode
 from repro.core.models import MODELS, shallow_hash_pipeline
-from repro.core.pipelines import Pipeline, chunk_count, split_pipelines
+from repro.core.pipelines import (
+    Pipeline,
+    chunk_count,
+    descale_chunk,
+    split_pipelines,
+)
 from repro.devices.base import SimulatedDevice
 from repro.hardware import calibration as cal
 from repro.hardware.costmodel import CostModel, CostOverlay, TransferDirection
@@ -414,22 +419,18 @@ def pipeline_placements(graph: PrimitiveGraph, pipeline: Pipeline,
 
 
 def estimate_node_seconds(node: PrimitiveNode, device: SimulatedDevice,
-                          n_elements: int, *,
-                          groups: int | None = None) -> float:
+                          n_elements: int) -> float:
     """Cost-model estimate for one node at cardinality *n_elements*.
 
     Regular nodes are charged one launch plus the calibrated kernel
     time for their cost key; fused MAP/FILTER nodes are charged one
     launch plus
     :meth:`~repro.hardware.costmodel.CostModel.fused_kernel_seconds`
-    over their recorded step list.
-
-    Args:
-        groups: Estimated group cardinality for aggregation primitives
-            (see :meth:`_NodeShape.groups`); ignored when the node's own
-            ``cost_params`` already pin a group count.
+    over their recorded step list.  An aggregation sees only the group
+    count its own ``cost_params`` pin; the group-key statistic is the
+    walk's (:func:`estimate_graph_seconds`).
     """
-    return _NodeShape.of(node, n_elements).seconds(device.cost, groups)
+    return _NodeShape.of(node, n_elements).seconds(device.cost, None)
 
 
 def estimate_graph_seconds(graph: PrimitiveGraph, catalog: Catalog,
@@ -708,8 +709,7 @@ class PricingTable:
         pipelines placed by *placement* (the graph's own annotations
         where it has no entry)."""
         traits = self._model(model)
-        # PhysicalPlan.physical_chunk_rows
-        physical_chunk = max(1, chunk_size // self.data_scale)
+        physical_chunk = descale_chunk(chunk_size, self.data_scale)
         overlay = self.overlay
         placement = placement or {}
         placed: dict[int, str] = {}  # pipeline -> device (routing charges)
@@ -862,10 +862,7 @@ class PricingTable:
 
 def estimate_plan_seconds(plan: "PhysicalPlan", catalog: Catalog,
                           devices: dict[str, SimulatedDevice], *,
-                          default_device: str,
-                          overlay: Mapping[str, float] | None = None,
-                          placement: Mapping[int, str] | None = None,
-                          ) -> PlanCost:
+                          default_device: str) -> PlanCost:
     """Price one plan candidate, model-awarely, without executing it.
 
     One plan through a fresh :class:`PricingTable`; whoever prices many
@@ -877,19 +874,13 @@ def estimate_plan_seconds(plan: "PhysicalPlan", catalog: Catalog,
     class (``participants`` / ``shares`` / ``assign_chunks``), so the
     estimate and the run apportion chunks identically.
 
-    Args:
-        plan: The candidate (its graph carries fusion state; its model /
-            chunk size / data scale shape the estimate).
-        overlay: Per-device slowdown factors (calibrated corrections);
-            each pipeline's estimate is scaled by its device's factor.
-        placement: Optional ``{pipeline index: device name}`` override,
-            so the optimizer can price alternative placements without
-            mutating the graph's annotations.
+    *plan*'s graph carries its fusion state and device annotations; its
+    model, chunk size and data scale shape the estimate.
     """
     table = PricingTable(catalog, devices, default_device=default_device,
-                         data_scale=plan.data_scale, overlay=overlay)
+                         data_scale=plan.data_scale)
     return table.price(plan.graph, model=plan.model,
-                       chunk_size=plan.chunk_size, placement=placement)
+                       chunk_size=plan.chunk_size)
 
 
 # -- persistent overlay store ------------------------------------------------

@@ -62,13 +62,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.graph import PrimitiveGraph, ScanSource
-from repro.planner.ir import Pass, PhysicalPlan
 from repro.primitives.definitions import FUSED_PRIMITIVES
 
 __all__ = ["FUSED_PRIMITIVE", "FUSED_PROBE_PRIMITIVE", "FUSED_AGG_PRIMITIVE",
            "FUSED_PRIMITIVES", "FUSIBLE", "PROBE_FUSIBLE", "AGG_SINKS",
-           "MAX_FUSED_INPUTS", "FusionGroup", "FusionPass", "fuse_graph",
-           "fusion_groups"]
+           "MAX_FUSED_INPUTS", "FusionGroup", "fuse_graph", "fusion_groups"]
 
 #: Name of the synthetic primitive an element-wise chain collapses into.
 FUSED_PRIMITIVE = "fused_map_filter"
@@ -348,27 +346,3 @@ def fuse_graph(graph: PrimitiveGraph, *,
         fused.mark_output(out)
     return fused
 
-
-class FusionPass(Pass):
-    """Kernel fusion as a pass over the plan IR.
-
-    Replaces the plan's graph with the fused rewrite and records which
-    group exits actually collapsed in :attr:`PhysicalPlan.fused_groups`.
-    """
-
-    name = "fusion"
-
-    def __init__(self, *, only: Iterable[str] | None = None) -> None:
-        self.only = frozenset(only) if only is not None else None
-
-    def run(self, plan: PhysicalPlan) -> PhysicalPlan:
-        groups = fusion_groups(plan.graph)
-        chosen = [g.exit_id for g in groups
-                  if self.only is None or g.exit_id in self.only]
-        plan.graph = fuse_graph(plan.graph, only=chosen)
-        plan.fuse = True
-        plan.fused_groups = tuple(
-            exit_id for exit_id in chosen
-            if plan.graph.nodes[exit_id].primitive in FUSED_PRIMITIVES
-        )
-        return plan

@@ -59,13 +59,12 @@ class Predicate:
 
 @dataclass(frozen=True)
 class Derived:
-    """A derived column: ``name = op(left, right | const)``."""
+    """A derived column: ``name = op(left[, right])``."""
 
     name: str
     op: str
     left: str
     right: str | None = None
-    const: object = None
 
 
 @dataclass(frozen=True)

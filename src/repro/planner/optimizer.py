@@ -40,9 +40,10 @@ from typing import Mapping
 
 from repro.core.graph import PrimitiveGraph
 from repro.core.models import MODELS
-from repro.core.pipelines import split_pipelines
+from repro.core.pipelines import chunk_quantum, descale_chunk, split_pipelines
 from repro.devices.base import SimulatedDevice
 from repro.errors import PlanError
+from repro.planner.compile import validate_flags
 from repro.planner.cost import PlanCost, PricingTable
 from repro.planner.fusion import fuse_graph, fusion_groups
 from repro.planner.ir import DEFAULT_CHUNK_SIZE, PhysicalPlan
@@ -189,27 +190,23 @@ class PlanOptimizer:
 
         Geometric rungs ``quantum * STEP**k`` below the largest scan,
         plus one size covering it in a single chunk, plus *base_chunk*
-        when it is quantum-aligned (so the caller's configuration is
-        always in the running).
+        (a valid chunk size: the caller's configuration is always in the
+        running).
         """
-        quantum = 32 * self.data_scale
+        quantum = chunk_quantum(self.data_scale)
         rows = 0
         for pipeline in split_pipelines(graph):
             for ref in pipeline.scan_refs:
                 rows = max(rows,
                            self.catalog.column(ref).values.shape[0])
         logical_rows = rows * self.data_scale
-        ladder: set[int] = set()
-        if base_chunk > 0 and base_chunk % quantum == 0:
-            ladder.add(base_chunk)
+        ladder = {base_chunk}
         size = quantum
         while size < logical_rows and len(ladder) < MAX_LADDER_RUNGS:
             ladder.add(size)
             size *= CHUNK_LADDER_STEP
         if logical_rows:
             ladder.add(math.ceil(logical_rows / quantum) * quantum)
-        if not ladder:
-            ladder.add(quantum)
         return sorted(ladder)
 
     def _fusion_options(self, graph: PrimitiveGraph
@@ -255,9 +252,9 @@ class PlanOptimizer:
 
     def _supports(self, model: str, graph: PrimitiveGraph,
                   chunk_size: int) -> bool:
-        physical = max(1, chunk_size // self.data_scale)
-        return MODELS[model].supports(graph, self.catalog,
-                                      physical_chunk_rows=physical)
+        return MODELS[model].supports(
+            graph, self.catalog,
+            physical_chunk_rows=descale_chunk(chunk_size, self.data_scale))
 
     def _feasible_chunk(self, model: str, graph: PrimitiveGraph,
                         preferred: int, ladder: list[int]) -> int | None:
@@ -279,13 +276,15 @@ class PlanOptimizer:
 
         Deterministic: same graph, catalog, devices and overlay always
         yield the same report (ties break on the candidate summary
-        string).  The input graph is never mutated.
+        string).  The input graph is never mutated.  *chunk_size* and
+        the optimizer's data scale are refused exactly as
+        :func:`~repro.planner.compile.compile_plan` refuses them.
         """
+        validate_flags(chunk_size=chunk_size, data_scale=self.data_scale)
         if top_k < 1:
             raise PlanError(f"top_k must be >= 1, got {top_k}")
         graph.validate()
         ladder = self.chunk_ladder(graph, base_chunk=chunk_size)
-        preferred = chunk_size if chunk_size in ladder else ladder[-1]
         greedy, placements = self._placements(graph)
         fusion_options = self._fusion_options(graph)
         fused_cache: dict[tuple[str, ...], PrimitiveGraph] = {(): graph}
@@ -309,7 +308,7 @@ class PlanOptimizer:
         # Stage A: model x placement at one feasible chunk, unfused.
         stage: list[_Candidate] = []
         for model in self.models:
-            chunk = self._feasible_chunk(model, graph, preferred, ladder)
+            chunk = self._feasible_chunk(model, graph, chunk_size, ladder)
             if chunk is None:
                 continue
             tunable = MODELS[model].tunable
@@ -426,8 +425,6 @@ class PlanOptimizer:
         plan = PhysicalPlan(
             graph=run_graph, model=best.model,
             chunk_size=best.chunk_size, data_scale=self.data_scale,
-            fuse=bool(best.fused_groups), fused_groups=best.fused_groups,
-            adaptive=adaptive, analyze=analyze,
-            estimated_seconds=best.cost.total,
-            provenance=("optimizer",))
+            fuse=bool(best.fused_groups), adaptive=adaptive,
+            analyze=analyze)
         return plan, report

@@ -12,9 +12,6 @@ The estimator itself lives in :mod:`repro.planner.cost`
 (:func:`~repro.planner.cost.estimate_pipeline_seconds`), so placement
 decisions are consistent with what the executor will charge and with
 what the plan optimizer prices.
-
-:class:`PlacementPass` is the pass-form of :func:`annotate_devices` over
-the shared plan IR (:mod:`repro.planner.ir`).
 """
 
 from __future__ import annotations
@@ -29,10 +26,9 @@ from repro.planner.cost import (
     estimate_pipeline_seconds,
     routed_input_seconds,
 )
-from repro.planner.ir import Pass, PhysicalPlan
 from repro.storage import Catalog
 
-__all__ = ["PlacementPass", "PlacementReport", "annotate_devices"]
+__all__ = ["PlacementReport", "annotate_devices"]
 
 
 @dataclass(frozen=True)
@@ -99,31 +95,3 @@ def annotate_devices(graph: PrimitiveGraph, catalog: Catalog,
         ))
     return reports
 
-
-class PlacementPass(Pass):
-    """Greedy cost-based placement as a pass over the plan IR.
-
-    Annotates the plan's graph in place (the runtime reads device
-    markings off the nodes) and records the per-pipeline decisions in
-    :attr:`PhysicalPlan.placement`.
-    """
-
-    name = "placement"
-
-    def __init__(self, catalog: Catalog,
-                 devices: dict[str, SimulatedDevice], *,
-                 overlay: dict[str, float] | None = None,
-                 from_index: int = 0) -> None:
-        self.catalog = catalog
-        self.devices = devices
-        self.overlay = overlay
-        self.from_index = from_index
-
-    def run(self, plan: PhysicalPlan) -> PhysicalPlan:
-        reports = annotate_devices(
-            plan.graph, self.catalog, self.devices,
-            data_scale=plan.data_scale, overlay=self.overlay,
-            from_index=self.from_index,
-        )
-        plan.placement = tuple(reports)
-        return plan

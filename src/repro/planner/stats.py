@@ -23,18 +23,18 @@ SAMPLE_ROWS = 1024
 _SEED = 0x5EED
 
 
-def _sample(values: np.ndarray, rows: int) -> np.ndarray:
-    if values.shape[0] <= rows:
+def _sample(values: np.ndarray) -> np.ndarray:
+    if values.shape[0] <= SAMPLE_ROWS:
         return values
     rng = np.random.Generator(np.random.PCG64(_SEED))
-    index = rng.choice(values.shape[0], size=rows, replace=False)
+    index = rng.choice(values.shape[0], size=SAMPLE_ROWS, replace=False)
     return values[index]
 
 
 def estimate_selectivity(catalog: Catalog, table: str,
-                         predicate: Predicate, *,
-                         sample_rows: int = SAMPLE_ROWS) -> float:
-    """Estimated fraction of *table*'s rows satisfying *predicate*.
+                         predicate: Predicate) -> float:
+    """Estimated fraction of *table*'s rows satisfying *predicate*, on
+    a seeded sample of :data:`SAMPLE_ROWS` rows.
 
     Clamped away from exactly 0 so downstream buffer estimates never
     allocate nothing for a predicate the sample happened to miss.
@@ -45,7 +45,7 @@ def estimate_selectivity(catalog: Catalog, table: str,
         raise PlanError(
             f"cannot sample {table}.{predicate.column}: {error}"
         ) from error
-    sample = _sample(column.values, sample_rows)
+    sample = _sample(column.values)
     if sample.shape[0] == 0:
         return 1.0
     if predicate.cmp is not None:
@@ -61,13 +61,11 @@ def estimate_selectivity(catalog: Catalog, table: str,
 
 
 def conjunction_selectivity(catalog: Catalog, table: str,
-                            predicates: list[Predicate], *,
-                            sample_rows: int = SAMPLE_ROWS) -> float:
+                            predicates: list[Predicate]) -> float:
     """Selectivity of a predicate conjunction, assuming independence
     (the textbook estimator; correlated columns under-estimate, which the
     runtime tolerates by growing buffers)."""
     selectivity = 1.0
     for predicate in predicates:
-        selectivity *= estimate_selectivity(catalog, table, predicate,
-                                            sample_rows=sample_rows)
+        selectivity *= estimate_selectivity(catalog, table, predicate)
     return max(selectivity, 1e-4)

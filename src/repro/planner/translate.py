@@ -186,7 +186,7 @@ class _Translator:
         for name in sorted(required & set(derived)):
             d = derived[name]
             m = self.node(f"map_{name}", "map",
-                          params=dict(op=d.op, const=d.const))
+                          params=dict(op=d.op))
             self.graph.connect(sources[d.left], m, 0)
             if d.right is not None:
                 self.graph.connect(sources[d.right], m, 1)

@@ -87,22 +87,19 @@ class AdmissionController:
     """Quota accounting and shedding decisions for the serving layer."""
 
     def __init__(self, *, default_policy: TenantPolicy | None = None,
-                 policies: dict[str, TenantPolicy] | None = None,
                  max_queue_per_lane: int = 16) -> None:
         if max_queue_per_lane < 1:
             raise ValueError(
                 f"max_queue_per_lane must be >= 1, got {max_queue_per_lane}")
+        #: The contract every tenant is held to (each with its own
+        #: tally).
         self.default_policy = default_policy or TenantPolicy()
-        self.policies = dict(policies or {})
         self.max_queue_per_lane = max_queue_per_lane
         self._tenants: dict[str, _TenantState] = {}
         #: Every verdict in decision order (EXPLAIN reads this).
         self.decisions: list[AdmissionDecision] = []
 
     # -- inspection ----------------------------------------------------------
-
-    def policy(self, tenant: str) -> TenantPolicy:
-        return self.policies.get(tenant, self.default_policy)
 
     def in_flight(self, tenant: str) -> int:
         state = self._tenants.get(tenant)
@@ -131,7 +128,7 @@ class AdmissionController:
             retry_after_s: Back-off hint stamped onto a rejection.
         """
         assert request.lane in LANES
-        policy = self.policy(request.tenant)
+        policy = self.default_policy
         state = self._tenants.setdefault(request.tenant, _TenantState())
         reason = None
         if state.in_flight >= policy.max_in_flight:

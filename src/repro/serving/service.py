@@ -37,9 +37,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from repro.core.fingerprint import subplan_fingerprint
-from repro.core.pipelines import split_pipelines
+from repro.core.pipelines import halve_chunk, split_pipelines
 from repro.engine.engine import Engine, QueryRequest
-from repro.engine.scheduler import _halve_chunk
 from repro.engine.session import QuerySession
 from repro.errors import (
     AdamantError,
@@ -298,7 +297,7 @@ class QueryService:
                 or query.model not in ("chunked", "auto")
                 or self.lanes.total_depth + 1 < self.degrade_queue_depth):
             return query, False
-        halved = _halve_chunk(query.chunk_size, query.data_scale)
+        halved = halve_chunk(query.chunk_size, query.data_scale)
         if halved is None:
             return query, False
         return replace(query, chunk_size=halved), True
@@ -421,5 +420,5 @@ class QueryService:
             clock.current_owner = saved_owner
             for device in ctx.devices.values():
                 device.bind_query(  # type: ignore[attr-defined]
-                    session.query_id, data_scale=ctx.data_scale,
+                    session.query_id, data_scale=ctx.plan.data_scale,
                     memory_budget=session.memory_budget)

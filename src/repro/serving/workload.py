@@ -52,8 +52,7 @@ def open_loop_workload(catalog: Catalog, *, qps: float,
                        interactive_deadline_s: float | None = None,
                        batch_deadline_s: float | None = None,
                        chunk_size: int = DEFAULT_CHUNK_SIZE,
-                       data_scale: int = 1,
-                       model: str = "chunked") -> list[ServeRequest]:
+                       data_scale: int = 1) -> list[ServeRequest]:
     """A deterministic open-loop request schedule.
 
     Args:
@@ -67,6 +66,8 @@ def open_loop_workload(catalog: Catalog, *, qps: float,
         interactive_deadline_s / batch_deadline_s: Relative deadlines
             stamped per lane (None = no deadline for that lane).
         queries: Names from :data:`QUERY_MIX` to draw from.
+
+    Every request runs the ``chunked`` model.
     """
     if qps <= 0:
         raise ValueError(f"qps must be > 0, got {qps}")
@@ -96,7 +97,7 @@ def open_loop_workload(catalog: Catalog, *, qps: float,
         requests.append(ServeRequest(
             query=QueryRequest(
                 graph=build_query(name, catalog), catalog=catalog,
-                model=model, chunk_size=chunk_size,
+                model="chunked", chunk_size=chunk_size,
                 data_scale=data_scale, label=name),
             tenant=tenant, lane=lane, arrival_s=at,
             deadline_s=deadline, est_bytes=estimates[name],

@@ -4,8 +4,9 @@ The paper's task model wraps every operator implementation in two adapters:
 
 * :class:`KernelContainer` — a callable plus the runtime information needed
   to execute it (which primitive it implements, how it was produced, the
-  kernel source for runtime compilation, and the cost key the simulator
-  charges it under).
+  kernel source for runtime compilation, its launch-argument count).  The
+  simulator charges it under its primitive's cost key: a cost class
+  belongs to the primitive's definition, not to one implementation.
 * :class:`DataContainer` — the data-format bookkeeping for a task, with a
   lookup table of format-to-format transformations so the runtime can
   convert an OpenCL buffer into a CUDA device pointer *in place* instead of
@@ -43,8 +44,6 @@ class KernelContainer:
             workload-specialized variants are explicitly allowed.
         fn: The callable: ``fn(*inputs, **params) -> value``.
         kind: Provenance (:class:`ImplementationKind`).
-        cost_key: Rate-table key the simulator charges execution under;
-            defaults to the primitive's own cost key.
         source: Kernel source string for runtime compilation, when the
             SDK supports ``prepare_kernel`` (kept verbatim; the simulated
             drivers only charge its compilation time).
@@ -56,7 +55,6 @@ class KernelContainer:
     variant: str
     fn: Callable[..., object]
     kind: str = ImplementationKind.HANDWRITTEN
-    cost_key: str | None = None
     source: str | None = None
     num_args: int = 2
     compiled: bool = False

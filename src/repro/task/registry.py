@@ -136,25 +136,22 @@ def _fused_kernels() -> list[KernelContainer]:
     ]
 
 
-def register_variant_kernels(registry: TaskRegistry, variant: str, *,
-                             overrides: dict[str, KernelContainer]
-                             | None = None) -> list[str]:
+def register_variant_kernels(registry: TaskRegistry,
+                             variant: str) -> list[str]:
     """Register a *full* kernel-variant set for *variant*.
 
     Device plug-ins call this to claim their own implementation of every
     primitive that has a reference kernel: each registered container is
     the reference implementation re-tagged under the plug-in's variant
-    key, except where *overrides* supplies a specialized container (keyed
-    by primitive name).  Registering the full set — rather than relying
-    on the reference fallback — is what the conformance suite's
-    "every kernel variant present" check asserts, and it lets a plug-in
-    later swap any single primitive for a tuned kernel without changing
-    how plans resolve.
+    key.  Registering the full set — rather than relying on the
+    reference fallback — is what the conformance suite's "every kernel
+    variant present" check asserts, and it lets a plug-in later swap any
+    single primitive for a tuned kernel (``registry.register(...,
+    replace=True)``) without changing how plans resolve.
 
     Returns the primitive names registered (sorted); primitives the
     variant already claims are left untouched.
     """
-    overrides = overrides or {}
     registered: list[str] = []
     for primitive in sorted(PRIMITIVES):
         if (primitive, variant) in registry:
@@ -163,10 +160,7 @@ def register_variant_kernels(registry: TaskRegistry, variant: str, *,
             ref = registry.resolve(primitive, REFERENCE_VARIANT)
         except NoImplementationError:
             continue
-        container = overrides.get(primitive)
-        if container is None:
-            container = _replace(ref, variant=variant, compiled=False)
-        registry.register(container)
+        registry.register(_replace(ref, variant=variant, compiled=False))
         registered.append(primitive)
     return registered
 

@@ -126,8 +126,7 @@ def generate(scale_factor: float = 0.01, *, seed: int = 42,
 
 
 def generate_partitioned(scale_factor: float = 0.01, nodes: int = 2, *,
-                         seed: int = 42,
-                         tables: list[str] | None = None):
+                         seed: int = 42):
     """Generate a TPC-H catalog already sharded across *nodes*.
 
     Convenience front door for scale-out experiments: generates the
@@ -144,7 +143,7 @@ def generate_partitioned(scale_factor: float = 0.01, nodes: int = 2, *,
     # importing it at module scope would cycle through the executor.
     from repro.cluster.partition import make_scheme, partition_catalog
 
-    catalog = generate(scale_factor, seed=seed, tables=tables)
+    catalog = generate(scale_factor, seed=seed)
     scheme = make_scheme(catalog, nodes)
     shards = partition_catalog(catalog, nodes, scheme=scheme)
     return shards, scheme

@@ -80,23 +80,23 @@ class TestCompare:
 class TestOptimize:
     def test_run_optimize(self, capsys):
         code = main(["run", "--query", "q6", "--sf", "0.002",
-                     "--chunk-size", "1024", "--optimize"])
+                     "--chunk-size", "1024", "--model", "auto"])
         out = capsys.readouterr().out
         assert code == 0
         assert "oracle match: True" in out
+        assert "model=auto" in out
 
     def test_model_auto_equivalent(self, capsys):
-        code = main(["run", "--query", "q6", "--sf", "0.002",
-                     "--chunk-size", "1024", "--model", "auto"])
-        assert code == 0
-        assert "oracle match: True" in capsys.readouterr().out
-
-    def test_optimize_conflicts_with_model(self, capsys):
-        code = main(["run", "--query", "q6", "--sf", "0.002",
-                     "--optimize", "--model", "oaat"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "--optimize conflicts" in err
+        """``--model auto`` refuses a bad flag exactly like a manual
+        model: exit 3 and the same message."""
+        errors = []
+        for model in ("chunked", "auto"):
+            code = main(["run", "--query", "q6", "--sf", "0.001",
+                         "--model", model, "--data-scale", "0"])
+            assert code == 3, model
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("execution failed: data_scale")
 
     def test_nodes_refuses_analyze(self, capsys):
         """A sharded run has no profile to print (ROADMAP item 2); the
@@ -108,15 +108,9 @@ class TestOptimize:
         assert "--analyze does not combine with --nodes" in captured.err
         assert captured.out == ""
 
-    def test_concurrent_optimize_conflict(self, capsys):
-        code = main(["concurrent", "--queries", "q6,q6", "--sf", "0.002",
-                     "--optimize", "--model", "chunked"])
-        assert code == 2
-        assert "--optimize conflicts" in capsys.readouterr().err
-
     def test_concurrent_optimize(self, capsys):
         code = main(["concurrent", "--queries", "q6,q4", "--sf", "0.002",
-                     "--chunk-size", "1024", "--optimize"])
+                     "--chunk-size", "1024", "--model", "auto"])
         out = capsys.readouterr().out
         assert code == 0
         assert "q6" in out and "q4" in out
@@ -124,7 +118,7 @@ class TestOptimize:
     def test_run_overlay_path_persists(self, capsys, tmp_path):
         path = tmp_path / "overlay.json"
         code = main(["run", "--query", "q6", "--sf", "0.002",
-                     "--chunk-size", "1024", "--optimize",
+                     "--chunk-size", "1024", "--model", "auto",
                      "--overlay-path", str(path)])
         assert code == 0
         assert path.exists()

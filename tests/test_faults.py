@@ -12,8 +12,8 @@ import pytest
 
 from repro import Engine, FaultPlan, FaultSpec, QueryRequest, RetryPolicy
 from repro.core.fingerprint import subplan_fingerprint
+from repro.core.pipelines import halve_chunk
 from repro.devices import CudaDevice, OpenMPDevice
-from repro.engine.scheduler import _halve_chunk
 from repro.errors import (
     DeviceLostError,
     FaultConfigError,
@@ -400,11 +400,11 @@ class TestOOMDegradation:
                            memory_budget=64)
 
     def test_halve_chunk_respects_alignment(self):
-        assert _halve_chunk(1024, 1) == 512
-        assert _halve_chunk(96, 1) == 32  # floored to the 32-row quantum
-        assert _halve_chunk(32, 1) is None
-        assert _halve_chunk(2048, 16) == 1024
-        assert _halve_chunk(512, 16) is None  # quantum is 512 rows
+        assert halve_chunk(1024, 1) == 512
+        assert halve_chunk(96, 1) == 32  # floored to the 32-row quantum
+        assert halve_chunk(32, 1) is None
+        assert halve_chunk(2048, 16) == 1024
+        assert halve_chunk(512, 16) is None  # quantum is 512 rows
 
 
 class TestWaveIsolation:

@@ -155,7 +155,7 @@ class TestMultiHopRouting:
         hub = DataTransferHub(ctx)
         payload = np.arange(16, dtype=np.int64)
         gpu.place_data("x", payload)
-        edge = ctx.graph.edges[0]
+        edge = ctx.plan.graph.edges[0]
         edge.device_id = "gpu"
         current = "x"
         for device in (cpu, fpga, gpu):

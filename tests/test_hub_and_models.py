@@ -37,7 +37,7 @@ class TestHub:
     def test_load_data_full_column(self, tiny_catalog):
         ctx = make_context(tiny_catalog)
         hub = DataTransferHub(ctx)
-        edge = next(e for e in ctx.graph.edges if e.is_scan)
+        edge = next(e for e in ctx.plan.graph.edges if e.is_scan)
         device = ctx.devices["dev"]
         event = hub.load_data(edge, device, "buf")
         assert event.category == "transfer"
@@ -49,7 +49,7 @@ class TestHub:
     def test_load_data_chunk_range(self, tiny_catalog):
         ctx = make_context(tiny_catalog)
         hub = DataTransferHub(ctx)
-        edge = next(e for e in ctx.graph.edges if e.is_scan)
+        edge = next(e for e in ctx.plan.graph.edges if e.is_scan)
         device = ctx.devices["dev"]
         hub.load_data(edge, device, "buf", start=10, stop=20)
         assert device.memory.get("buf").value.shape == (10,)
@@ -57,14 +57,14 @@ class TestHub:
     def test_load_data_rejects_non_scan(self, tiny_catalog):
         ctx = make_context(tiny_catalog)
         hub = DataTransferHub(ctx)
-        edge = next(e for e in ctx.graph.edges if not e.is_scan)
+        edge = next(e for e in ctx.plan.graph.edges if not e.is_scan)
         with pytest.raises(ExecutionError):
             hub.load_data(edge, ctx.devices["dev"], "buf")
 
     def test_transfer_factor_extends_duration(self, tiny_catalog):
         ctx = make_context(tiny_catalog)
         hub = DataTransferHub(ctx)
-        edges = [e for e in ctx.graph.edges if e.is_scan]
+        edges = [e for e in ctx.plan.graph.edges if e.is_scan]
         device = ctx.devices["dev"]
         plain = hub.load_data(edges[0], device, "b0")
         slow = hub.load_data(edges[1], device, "b1", transfer_factor=3.0)
@@ -76,7 +76,7 @@ class TestHub:
         hub = DataTransferHub(ctx)
         device = ctx.devices["dev"]
         device.place_data("x", np.arange(4))
-        edge = ctx.graph.edges[0]
+        edge = ctx.plan.graph.edges[0]
         edge.device_id = "dev"
         alias, events = hub.router(edge, "x", device)
         assert alias == "x" and events == []
@@ -89,7 +89,7 @@ class TestHub:
         ctx = make_context(tiny_catalog, devices={"gpu": gpu, "cpu": cpu})
         hub = DataTransferHub(ctx)
         gpu.place_data("x", np.arange(8, dtype=np.int64))
-        edge = ctx.graph.edges[0]
+        edge = ctx.plan.graph.edges[0]
         edge.device_id = "gpu"
         alias, events = hub.router(edge, "x", cpu)
         assert alias == "x@cpu"
@@ -100,7 +100,7 @@ class TestHub:
     def test_prepare_output_buffer_uses_estimate(self, tiny_catalog):
         ctx = make_context(tiny_catalog)
         hub = DataTransferHub(ctx)
-        node = ctx.graph.nodes["m_price"]
+        node = ctx.plan.graph.nodes["m_price"]
         device = ctx.devices["dev"]
         hub.prepare_output_buffer(node, device, "out", 1000)
         # estimate = n * selectivity_estimate(0.05) * 8 bytes
@@ -111,7 +111,7 @@ class TestHub:
         hub = DataTransferHub(ctx)
         device = ctx.devices["dev"]
         device.prepare_memory("out", 64)
-        node = ctx.graph.nodes["m_price"]
+        node = ctx.plan.graph.nodes["m_price"]
         assert hub.prepare_output_buffer(node, device, "out", 1000) is None
         assert device.memory.get("out").nbytes == 64
 

@@ -1,35 +1,38 @@
-"""The shared plan IR: PhysicalPlan, passes, and the layering fix."""
+"""The plan IR: a PhysicalPlan is the graph plus the decisions that run
+it, compile_plan is where flags become one, and the context holds the
+plan without copying any of its facts."""
 
 from __future__ import annotations
+
+import dataclasses
+import inspect
 
 import pytest
 
 from repro.core.context import ExecutionContext
-from repro.devices import OpenMPDevice
+from repro.core.models import MODELS
 from repro.errors import ExecutionError
-from repro.hardware import CPU_I7_8700
 from repro.observe import explain
-from repro.planner.adaptive import AdaptivePass
+from repro.planner.adaptive import AdaptiveController
 from repro.planner.compile import compile_plan
-from repro.planner.fusion import (
-    FUSED_PRIMITIVES,
-    FusionPass,
-    fusion_groups,
-)
-from repro.planner.ir import DEFAULT_CHUNK_SIZE, Pass, PhysicalPlan
-from repro.planner.placement import PlacementPass
+from repro.planner.fusion import FUSED_PRIMITIVES, fuse_graph, fusion_groups
+from repro.planner.ir import DEFAULT_CHUNK_SIZE, PhysicalPlan
 from repro.tpch.queries import q6, q19
 from tests.conftest import make_executor
+
+#: The decisions a plan carries, and nothing else.
+PLAN_FIELDS = {"graph", "model", "chunk_size", "data_scale", "fuse",
+               "adaptive", "analyze"}
 
 
 class TestPhysicalPlan:
     def test_defaults(self):
         plan = PhysicalPlan(graph=q6.build())
+        assert {f.name for f in dataclasses.fields(plan)} == PLAN_FIELDS
         assert plan.model == "chunked"
         assert plan.chunk_size == DEFAULT_CHUNK_SIZE
         assert plan.data_scale == 1
         assert not plan.fuse and not plan.adaptive and not plan.analyze
-        assert plan.fused_groups == () and plan.provenance == ()
 
     def test_physical_chunk_rows_descales(self):
         plan = PhysicalPlan(graph=q6.build(), chunk_size=2048,
@@ -39,71 +42,55 @@ class TestPhysicalPlan:
                             data_scale=1024)
         assert tiny.physical_chunk_rows == 1  # floor at one row
 
-    def test_replace_keeps_graph_identity(self):
-        plan = PhysicalPlan(graph=q6.build())
-        other = plan.replace(model="oaat", chunk_size=4096)
-        assert other.graph is plan.graph
-        assert other.model == "oaat" and plan.model == "chunked"
 
-    def test_describe_is_deterministic(self):
-        graph = q6.build()
-        plan = PhysicalPlan(graph=graph, model="pipelined",
-                            chunk_size=1024)
-        text = plan.describe("dev0")
-        assert text.startswith("model=pipelined chunk=1024 fuse=off ")
-        assert text == plan.describe("dev0")
+def machinery(catalog):
+    executor = make_executor(name="dev0")
+    return dict(catalog=catalog, devices=executor.devices,
+                registry=executor.registry, clock=executor.clock,
+                default_device="dev0")
 
-    def test_device_map_falls_back_to_default(self):
-        plan = PhysicalPlan(graph=q6.build())
-        mapping = plan.device_map("dev0")
-        assert set(mapping.values()) == {"dev0"}
+
+def compiled(graph, **flags):
+    return compile_plan(graph, **{
+        **dict(model="pipelined", chunk_size=1024, data_scale=1,
+               fuse=False, analyze=False, adaptive=False), **flags})
 
 
 class TestPasses:
-    def test_pass_records_provenance(self):
-        class NopPass(Pass):
-            name = "nop"
-
-            def run(self, plan):
-                return plan
-
-        plan = NopPass()(PhysicalPlan(graph=q6.build()))
-        assert plan.provenance == ("nop",)
+    """The planner's rewrites are plain calls: fusion is
+    :func:`fuse_graph`, adaptive arming is the plan's flag."""
 
     def test_fusion_pass_sets_groups(self):
         graph = q6.build()
         groups = fusion_groups(graph)
         assert groups, "q6 should have a fusible MAP/FILTER chain"
-        plan = FusionPass()(PhysicalPlan(graph=graph))
-        assert plan.fuse
-        assert plan.fused_groups == tuple(g.exit_id for g in groups)
-        assert plan.provenance == ("fusion",)
-        for exit_id in plan.fused_groups:
-            assert plan.graph.nodes[exit_id].primitive in FUSED_PRIMITIVES
+        plan = compiled(graph, fuse=True)
+        assert plan.fuse and plan.graph is not graph
+        # The graph is the one record of what fused: every group's exit
+        # is a fused node and its interior is gone.
+        for group in groups:
+            assert plan.graph.nodes[group.exit_id].primitive \
+                in FUSED_PRIMITIVES
+            assert not set(group.members[:-1]) & set(plan.graph.nodes)
+        assert not any(node.primitive in FUSED_PRIMITIVES
+                       for node in graph.nodes.values())
 
     def test_fusion_pass_only_subset(self, tiny_catalog):
         graph = q19.build(tiny_catalog)
         groups = fusion_groups(graph)
         assert len(groups) >= 2, "q19 should expose several groups"
         keep = groups[0].exit_id
-        plan = FusionPass(only=[keep])(PhysicalPlan(graph=graph))
-        assert plan.fused_groups == (keep,)
+        fused = fuse_graph(graph, only=[keep])
+        assert [nid for nid, node in fused.nodes.items()
+                if node.primitive in FUSED_PRIMITIVES] == [keep]
 
-    def test_placement_pass_annotates_and_reports(self, tiny_catalog):
-        executor = make_executor(name="gpu0", extra_devices=[
-            ("cpu0", OpenMPDevice, CPU_I7_8700)])
-        graph = q6.build()
-        plan = PlacementPass(tiny_catalog, executor.devices)(
-            PhysicalPlan(graph=graph))
-        assert plan.placement, "placement reports recorded on the plan"
-        assert plan.provenance == ("placement",)
-        for node in graph.nodes.values():
-            assert node.device in executor.devices
-
-    def test_adaptive_pass_arms(self):
-        plan = AdaptivePass()(PhysicalPlan(graph=q6.build()))
-        assert plan.adaptive
-        assert plan.provenance == ("adaptive",)
+    def test_adaptive_pass_arms(self, tiny_catalog):
+        for adaptive in (False, True):
+            plan = compiled(q6.build(), adaptive=adaptive)
+            ctx = ExecutionContext(plan=plan, **machinery(tiny_catalog))
+            model = MODELS[plan.model](ctx)
+            assert isinstance(model.adaptive, AdaptiveController) \
+                is adaptive
 
 
 class TestCompilePlan:
@@ -112,21 +99,17 @@ class TestCompilePlan:
     FLAGS = dict(model="pipelined", chunk_size=1024, data_scale=1,
                  fuse=False, adaptive=False)
 
-    @pytest.mark.parametrize("fuse,adaptive,provenance", [
-        (False, False, ()),
-        (True, False, ("fusion",)),
-        (False, True, ("adaptive",)),
-        (True, True, ("fusion", "adaptive")),
-    ])
-    def test_flags_become_passes(self, tiny_catalog, fuse, adaptive,
-                                 provenance):
+    @pytest.mark.parametrize("fuse,adaptive", [
+        (False, False), (True, False), (False, True), (True, True)])
+    def test_flags_become_the_plan(self, tiny_catalog, fuse, adaptive):
         flags = {**self.FLAGS, "fuse": fuse, "adaptive": adaptive}
         plan = compile_plan(q6.build(), **flags, analyze=True)
-        assert plan.provenance == provenance
         assert plan.model == "pipelined" and plan.chunk_size == 1024
         assert plan.analyze
         assert plan.fuse == fuse and plan.adaptive == adaptive
-        assert bool(plan.fused_groups) == fuse
+        fused = [node for node in plan.graph.nodes.values()
+                 if node.primitive in FUSED_PRIMITIVES]
+        assert bool(fused) == fuse
         # EXPLAIN renders that same plan: its header and fused-step
         # lines are the plan's fields, not a second reading of the flags.
         text = explain(q6.build(), tiny_catalog,
@@ -136,10 +119,9 @@ class TestCompilePlan:
             f"  model={plan.model}  chunk_size={plan.chunk_size}  "
             f"data_scale={plan.data_scale}  fuse={on[plan.fuse]}  "
             f"adaptive={on[plan.adaptive]}")
-        for exit_id in plan.fused_groups:
-            node = plan.graph.nodes[exit_id]
+        for node in fused:
             steps = "+".join(s["primitive"] for s in node.params["steps"])
-            assert f"    {exit_id}: {node.primitive}[{steps}]" in text
+            assert f"    {node.node_id}: {node.primitive}[{steps}]" in text
 
     @pytest.mark.parametrize("bad,match", [
         (dict(chunk_size=33), "positive multiple"),
@@ -154,33 +136,23 @@ class TestCompilePlan:
 
 
 class TestContextPlanBinding:
-    def _machinery(self, catalog):
-        executor = make_executor(name="dev0")
-        return dict(catalog=catalog, devices=executor.devices,
-                    registry=executor.registry,
-                    clock=executor.clock, default_device="dev0")
-
     def test_context_takes_a_plan_only(self):
-        import inspect
-
         params = inspect.signature(ExecutionContext.__init__).parameters
         assert "plan" in params
-        assert not {"graph", "chunk_size", "data_scale", "fuse",
-                    "analyze", "adaptive"} & set(params)
+        assert not PLAN_FIELDS & set(params)
 
-    def test_context_properties_delegate(self, tiny_catalog):
-        plan = PhysicalPlan(graph=q6.build(), chunk_size=2048,
-                            analyze=True, adaptive=True)
-        ctx = ExecutionContext(plan=plan,
-                               **self._machinery(tiny_catalog))
+    def test_context_has_no_plan_fact_attributes(self, tiny_catalog):
+        plan = compiled(q6.build())
+        ctx = ExecutionContext(plan=plan, **machinery(tiny_catalog))
         assert ctx.plan is plan
-        assert ctx.graph is plan.graph
-        assert ctx.chunk_size == 2048
-        assert ctx.analyze and ctx.adaptive
+        for name in ("graph", "chunk_size", "data_scale", "analyze",
+                     "adaptive", "physical_chunk_rows"):
+            assert not hasattr(ctx, name), name
 
 
 class TestLayering:
-    """The estimators live in planner.cost and nowhere else."""
+    """The estimators live in planner.cost and nowhere else; the pass
+    framework is gone."""
 
     def test_engine_chunk_size_reexport(self):
         from repro.engine import engine as engine_mod
@@ -191,11 +163,13 @@ class TestLayering:
     def test_planner_package_exports_ir_surface(self):
         import repro.planner as planner
 
-        for name in ("PhysicalPlan", "Pass", "PlacementPass",
-                     "FusionPass", "AdaptivePass", "PlanOptimizer",
-                     "CostOverlayStore", "estimate_plan_seconds",
-                     "compile_plan"):
+        for name in ("PhysicalPlan", "PlanOptimizer", "CostOverlayStore",
+                     "estimate_plan_seconds", "compile_plan",
+                     "fuse_graph", "annotate_devices"):
             assert hasattr(planner, name), name
+        for name in ("Pass", "PlacementPass", "FusionPass",
+                     "AdaptivePass"):
+            assert not hasattr(planner, name), name
         # The deprecated estimator re-exports are gone: callers import
         # from repro.planner.cost.
         import repro.observe as observe
