@@ -9,7 +9,10 @@ Two passes over the top-level ``*.md`` files and ``docs/*.md``:
   (`` `src/...` ``, `` `docs/...` ``, `` `tests/...` ``,
   `` `benchmarks/...` ``, `` `examples/...` ``, `` `tools/...` ``)
   must exist relative to the repo root, so prose never points at a
-  moved or deleted file.
+  moved or deleted file. A backticked repo path is a claim that the
+  file exists, so a file that is only planned is written as a bare
+  file name with its directory given separately, e.g.
+  "`` `mutation_scan.py` ``, under `` `tools/` ``".
 
 Run by CI and, via :func:`broken_links` / :func:`broken_path_refs`, by
 ``tests/test_docs.py``.
