@@ -123,6 +123,17 @@ class TestOneHomePerFact:
                          and any(alias.name.startswith("_")
                                  for alias in n.names))
 
+    def test_only_the_graph_writes_placement_and_run_state(self):
+        # Plans are values: placement lands on a copy made by
+        # ``PrimitiveGraph.bind``, and where data lives is the run's.
+        assert not [name for name in where(
+            lambda n: isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Store)
+            and n.attr in {"device", "device_id", "fetched_until",
+                           "processed_until"}
+            and not named(n.value, "self"))
+            if name != "core/graph.py"]
+
     def test_the_decay_is_applied_by_the_one_walk(self):
         trees = modules()
         calls = {
