@@ -196,7 +196,8 @@ def test_optimizer_speedup(benchmark, catalog):
 @pytest.mark.parametrize("qname", [
     "Q3",
     pytest.param("Q6", marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: the optimizer picks split_chunked with sum_rev "
+        "ROADMAP 'One source of truth for cost': the optimizer picks "
+        "split_chunked with sum_rev "
         "fused, whose estimate equals its run (0.4231 s), over the "
         "unfused plan, which runs 2.7 % faster (0.4118 s) - a pricing "
         "error of the hand-written estimator. Remove this mark the day "

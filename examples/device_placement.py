@@ -3,8 +3,9 @@
 
 Plugs a GPU and a CPU, lets the placement annotator choose a device per
 pipeline of TPC-H Q3 from the calibrated cost model, runs the annotated
-plan, and then compares against the ``split_chunked`` model that fans
-each pipeline's chunks across *both* devices.
+copy of the plan it returns, and then compares against the
+``split_chunked`` model that fans each pipeline's chunks across *both*
+devices.
 """
 
 from repro import AdamantExecutor
@@ -23,9 +24,8 @@ def main() -> None:
     executor.plug_device("gpu", CudaDevice, GPU_RTX_2080_TI)
     executor.plug_device("cpu", OpenMPDevice, CPU_XEON_5220R)
 
-    graph = q3.build(catalog)
-    reports = annotate_devices(graph, catalog, executor.devices,
-                               data_scale=SCALE)
+    graph, reports = annotate_devices(q3.build(catalog), catalog,
+                                      executor.devices, data_scale=SCALE)
     print("placement decisions (per pipeline):")
     for report in reports:
         estimates = ", ".join(f"{name}={sec * 1e3:.1f}ms"

@@ -479,7 +479,9 @@ def _cmd_run_distributed(args, plan) -> int:
         return 2
     if args.analyze:
         print("--analyze does not combine with --nodes (a sharded run "
-              "has no profile yet; ROADMAP item 2)", file=sys.stderr)
+              "has no profile yet; ROADMAP: 'One trace id per request; "
+              "ANALYZE for served requests and for clusters')",
+              file=sys.stderr)
         return 2
     catalog = generate(args.sf, seed=args.seed)
     module = QUERIES[args.query]
@@ -644,18 +646,17 @@ def cmd_concurrent(args) -> int:
         print(f"unknown queries: {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    def batch():
-        return [QueryRequest(
-            graph=QUERIES[name].build(catalog),
-            catalog=catalog, model=args.model, label=name,
-            analyze=args.analyze, **_plan_kwargs(args),
-        ) for name in names]
+    graphs = {name: QUERIES[name].build(catalog) for name in names}
+    batch = [QueryRequest(
+        graph=graphs[name], catalog=catalog, model=args.model, label=name,
+        analyze=args.analyze, **_plan_kwargs(args),
+    ) for name in names]
 
     status = 0
     rounds = max(1, args.rounds)
     results = []
     for round_no in range(1, rounds + 1):
-        results = engine.run_concurrent(batch())
+        results = engine.run_concurrent(batch)
         combined = max(r.stats.makespan for r in results)
         print(f"round {round_no}: combined makespan {combined:.6f} s")
         print(f"  {'query':6s} {'ok':4s} {'makespan':>12s} "

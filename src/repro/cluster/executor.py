@@ -269,10 +269,10 @@ class ClusterExecutor:
         """Execute one query data-parallel across every node.
 
         Args:
-            graph_factory: Zero-argument callable returning a *fresh*
-                :class:`~repro.core.graph.PrimitiveGraph` per call
-                (graphs carry runtime edge state, so each node — and
-                each failover re-run — needs its own instance).
+            graph_factory: Zero-argument callable returning the
+                :class:`~repro.core.graph.PrimitiveGraph` to run; it is
+                called once, and every node and every failover re-run
+                reads that one graph.
             catalog: The full unsharded catalog; partitioned internally
                 per *scheme* (or a freshly computed one).
             model, chunk_size, data_scale, fuse, adaptive: Forwarded to
@@ -286,15 +286,14 @@ class ClusterExecutor:
         if not callable(graph_factory):
             raise ClusterConfigError(
                 "graph_factory must be a zero-argument callable "
-                "returning a fresh PrimitiveGraph (graphs carry "
-                "runtime edge state and cannot be shared)")
-        probe = graph_factory()
+                "returning a PrimitiveGraph")
+        graph = graph_factory()
         if scheme is None:
             scheme = make_scheme(catalog, self.num_nodes)
         shards = partition_catalog(catalog, self.num_nodes,
                                    scheme=scheme)
-        distribution = self.classify_tables(probe)
-        bcast = self.broadcast_columns(probe, catalog, distribution,
+        distribution = self.classify_tables(graph)
+        bcast = self.broadcast_columns(graph, catalog, distribution,
                                        data_scale)
         bcast_total = sum(bcast.values())
         bcast_s = sum(
@@ -308,10 +307,9 @@ class ClusterExecutor:
         shard_results: list[QueryResult] = []
         partial_bytes: list[int] = []
         failovers = 0
-        for index, (node, shard) in enumerate(zip(self.nodes, shards)):
+        for node, shard in zip(self.nodes, shards):
             exec_catalog = self.exec_catalog(shard, catalog,
                                              distribution)
-            graph = probe if index == 0 else graph_factory()
             try:
                 result = node.execute(graph, exec_catalog, **flags)
                 ran_on = node
@@ -320,23 +318,22 @@ class ClusterExecutor:
                 survivor = self._survivor()
                 self.metrics.inc("adamant_node_failovers_total",
                                  node=node.name)
-                result = survivor.execute(graph_factory(), exec_catalog,
-                                          **flags)
+                result = survivor.execute(graph, exec_catalog, **flags)
                 ran_on = survivor
             node_seconds[ran_on.name] += result.stats.makespan
             shard_results.append(result)
             partial_bytes.append(
-                partials_nbytes(probe, result.outputs, data_scale))
+                partials_nbytes(graph, result.outputs, data_scale))
 
         merged = merge_outputs(
-            probe, [r.outputs for r in shard_results])
-        merged_bytes = partials_nbytes(probe, merged, data_scale)
+            graph, [r.outputs for r in shard_results])
+        merged_bytes = partials_nbytes(graph, merged, data_scale)
         exchange = plan_exchange(
             partial_bytes, merged_bytes, tier=self.network,
             mem_bandwidth=self._coordinator_mem_bandwidth())
 
         plan = DistributedPlan(
-            query=probe.name, num_nodes=self.num_nodes,
+            query=graph.name, num_nodes=self.num_nodes,
             network=self.network, scheme=scheme,
             distribution=distribution, broadcast_bytes=bcast,
             broadcast_seconds=bcast_s, exchange=exchange)

@@ -10,8 +10,8 @@ work shrinks with node count while the network legs grow with it, the
 argmin captures the scale-out sweet spot: Q6 keeps improving (an 8-byte
 partial is free to ship), Q3 hits its shuffle-bound knee.
 
-Estimates never mutate the graph, so one graph instance can be priced at
-every candidate; execution still needs fresh graphs per node.
+Estimates, like runs, never write into the graph, so one graph instance
+can be priced at every candidate and then executed on every node.
 """
 
 from __future__ import annotations

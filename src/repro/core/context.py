@@ -236,7 +236,7 @@ class ExecutionContext:
                 f"plugged: {sorted(devices)}"
             )
         #: The :class:`~repro.planner.ir.PhysicalPlan` this context
-        #: executes.
+        #: executes; a re-placement mid-run swaps in a placed copy.
         self.plan = plan
         self.catalog = catalog
         self.devices = devices

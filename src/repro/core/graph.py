@@ -3,10 +3,10 @@
 A query plan "generated from any existing optimizer" is translated into a
 graph whose nodes are Table I primitives and whose edges carry data between
 them.  Each node is annotated with the *device* that executes it; each edge
-carries the runtime bookkeeping the paper lists — a unique data ID, the
-device the data lives on, and the ``processed_until`` / ``fetched_until``
-cursors that synchronize the transfer and execution threads of the
-pipelined models.
+has the paper's unique data ID.  The rest of the paper's edge bookkeeping
+is the run's: where the data lives is a per-run table keyed by data ID
+(:meth:`PrimitiveGraph.reset_runtime_state`), and its fetch and process
+cursors are the virtual clock's event dependencies.
 
 Edges have two kinds of sources:
 
@@ -49,31 +49,21 @@ class DataEdge:
     """A data path between a source (scan or node) and a node input slot.
 
     Attributes:
-        data_id: Unique ID for the data path (paper: *data ID*).
+        data_id: Unique ID for the data path (paper: *data ID*); a run
+            keys where the data lives by it.
         source: A :class:`ScanSource` or the producing node's id.
         target: Consuming node id.
         input_index: Positional input slot at the target primitive.
-        device_id: Where the data currently lives (paper: *device ID*);
-            maintained by the runtime.
-        processed_until: Row index processed so far (execution cursor).
-        fetched_until: Row index transferred so far (transfer cursor).
     """
 
     data_id: int
     source: ScanSource | str
     target: str
     input_index: int
-    device_id: str | None = None
-    processed_until: int = 0
-    fetched_until: int = 0
 
     @property
     def is_scan(self) -> bool:
         return isinstance(self.source, ScanSource)
-
-    def reset_cursors(self) -> None:
-        self.processed_until = 0
-        self.fetched_until = 0
 
 
 @dataclass
@@ -141,19 +131,19 @@ class _EdgeIndex:
 class PrimitiveGraph:
     """A DAG of primitives with annotated data edges.
 
-    **Mutation contract.**  The structure changes only through
-    :meth:`add_node`, :meth:`connect` and :meth:`mark_output`; each drops
-    the derived caches (adjacency index, topological order, pipeline
-    split, validation verdict, subplan digests).  ``nodes``, ``edges``
-    and ``outputs`` are public for reading — do not append to them, and
-    do not rewire an edge's ``source`` / ``target`` / ``input_index`` in
-    place.  A node's ``params`` are fixed once it is added or bound (the
-    digests name them); the same plan with other parameters is
-    :meth:`bind`.  (Runtime bookkeeping on an edge — ``device_id`` and
-    the cursors — and a node's ``device`` / ``variant`` annotations are
-    not structure and may change freely.)  As a safety net, an
-    ``edges.append`` behind :meth:`connect`'s back is noticed by its
-    length and drops the caches too.
+    **Mutation contract.**  A graph is built through :meth:`add_node`,
+    :meth:`connect` and :meth:`mark_output`; each drops the derived
+    caches (adjacency index, topological order, pipeline split,
+    validation verdict, subplan digests).  Once built it is a value:
+    ``nodes``, ``edges`` and ``outputs`` are public for reading, and no
+    run, placement pass or optimizer writes into them.  The same plan
+    with other parameters or other device annotations is :meth:`bind`
+    (``annotate_devices``, the optimizer, failover and adaptive
+    re-placement all place a copy), and a run keeps where its data lives
+    in a table of its own (:meth:`reset_runtime_state`).  So one
+    instance may run again, on any engine, or twice in one concurrent
+    wave.  As a safety net, an ``edges.append`` behind :meth:`connect`'s
+    back is noticed by its length and drops the caches.
     """
 
     def __init__(self, name: str = "query") -> None:
@@ -232,21 +222,25 @@ class PrimitiveGraph:
             self._invalidate_caches()
 
     def bind(self, params_by_node: dict[str, dict],
-             device: str | None = None) -> PrimitiveGraph:
-        """This plan with other parameters: a fresh graph whose nodes
-        named in *params_by_node* take those ``params`` and, when
-        *device* is given, whose every node is annotated with it.
+             device: str | dict[str, str] | None = None) -> PrimitiveGraph:
+        """This plan with other parameters or placement: a fresh graph
+        whose nodes named in *params_by_node* take those ``params``, and
+        whose every node (a device name) or named nodes (a ``{node id:
+        device}`` mapping) are annotated with *device*.
 
-        The bound graph owns its nodes and edges (annotations, cursors,
-        placement) and shares, read-only, what structure alone decides:
-        topological order, pipeline split and validation verdict, worked
-        out here once.  Mutating a bound graph detaches it.
+        The bound graph owns its nodes and edges and shares, read-only,
+        what structure alone decides: topological order, pipeline split
+        and validation verdict, worked out here once — and the subplan
+        digests when no parameter changes.  Mutating it detaches it.
         """
         from repro.core.pipelines import split_pipelines  # imports us
 
         self.validate()
         split_pipelines(self)
-        unknown = sorted(params_by_node.keys() - self.nodes.keys())
+        placement = device if isinstance(device, dict) else \
+            dict.fromkeys(self.nodes if device else (), device)
+        unknown = sorted((params_by_node.keys() | placement.keys())
+                         - self.nodes.keys())
         if unknown:
             raise GraphValidationError(f"bind: unknown nodes {unknown}")
         bound = PrimitiveGraph(self.name)
@@ -254,7 +248,7 @@ class PrimitiveGraph:
             nid: PrimitiveNode(
                 nid, node.primitive,
                 dict(params_by_node.get(nid, node.params)),
-                device or node.device, dict(node.cost_params),
+                placement.get(nid, node.device), dict(node.cost_params),
                 dict(node.hints), node.variant)
             for nid, node in self.nodes.items()}
         bound.edges = [DataEdge(e.data_id, e.source, e.target, e.input_index)
@@ -264,6 +258,8 @@ class PrimitiveGraph:
         bound._topo_cache = self._topo_cache
         bound._pipeline_cache = self._pipeline_cache
         bound._validated = True
+        if not params_by_node:
+            bound._digests = self._digests
         return bound
 
     # -- queries ---------------------------------------------------------------
@@ -356,8 +352,8 @@ class PrimitiveGraph:
             return IOSemantic.NUMERIC
         return self.nodes[edge.source].defn.output
 
-    def reset_runtime_state(self) -> None:
-        """Clear edge cursors/placement before a fresh execution."""
-        for edge in self.edges:
-            edge.reset_cursors()
-            edge.device_id = None
+    def reset_runtime_state(self) -> dict[int, str]:
+        """A fresh run's state over this graph's edges: an empty table,
+        ``{data_id: device name}``, of where each edge's data lives (the
+        paper's per-edge *device ID*).  The run owns it, not the graph."""
+        return {}

@@ -10,6 +10,8 @@ The hub performs all data movement for the runtime:
   ``transform_memory`` for same-device format changes (Figure 4);
 * :meth:`DataTransferHub.prepare_output_buffer` pre-allocates a result
   buffer from the primitive's output-size estimate.
+
+Where each edge's data lives is the hub's table, one per run.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ class DataTransferHub:
 
     def __init__(self, ctx: ExecutionContext) -> None:
         self.ctx = ctx
+        #: data_id -> device the edge's data lives on (paper: *device
+        #: ID*), for this run only; the graph keeps none.
+        self.device_ids = ctx.plan.graph.reset_runtime_state()
 
     # -- base-table input ----------------------------------------------------
 
@@ -75,9 +80,7 @@ class DataTransferHub:
                                     query.query_id)
             if resident is not None:
                 return self._serve_resident(
-                    edge, device, alias, resident[start:stop],
-                    stop=stop, deps=deps,
-                )
+                    edge, device, alias, resident[start:stop], deps=deps)
         if publish_only:
             buffer = device.memory.get(alias)
             event = device.clock.schedule(
@@ -87,8 +90,7 @@ class DataTransferHub:
             )
             buffer.value = payload
             buffer.ready = event
-            edge.device_id = device.name
-            edge.fetched_until = stop
+            self.device_ids[edge.data_id] = device.name
             return event
         event = device.place_data(alias, payload, offset=start, deps=deps)
         if cache is not None:
@@ -103,12 +105,11 @@ class DataTransferHub:
                 category="transfer",
             )
             device.memory.get(alias).ready = event
-        edge.device_id = device.name
-        edge.fetched_until = stop
+        self.device_ids[edge.data_id] = device.name
         return event
 
     def _serve_resident(self, edge: DataEdge, device: SimulatedDevice,
-                        alias: str, payload: np.ndarray, *, stop: int,
+                        alias: str, payload: np.ndarray, *,
                         deps: list[Event] | None) -> Event:
         """Residency-cache hit: fill *alias* from the device-resident
         column by device-internal copy instead of an H2D transfer."""
@@ -127,8 +128,7 @@ class DataTransferHub:
         )
         buffer.value = payload
         buffer.ready = event
-        edge.device_id = device.name
-        edge.fetched_until = stop
+        self.device_ids[edge.data_id] = device.name
         return event
 
     # -- intermediate routing -------------------------------------------------
@@ -143,7 +143,7 @@ class DataTransferHub:
         host).  Returns the alias to read on the target device plus any
         events the consumer must wait for.
         """
-        source_name = edge.device_id
+        source_name = self.device_ids.get(edge.data_id)
         if source_name is None or source_name == target_device.name:
             events: list[Event] = []
             # A chunked consumer re-routes the same edge every chunk: the
@@ -160,7 +160,7 @@ class DataTransferHub:
                     source_alias, buffer.data_format,
                     target_device.data_format,
                 ))
-            edge.device_id = target_device.name
+            self.device_ids[edge.data_id] = target_device.name
             return source_alias, events
 
         source_device = self.ctx.devices[source_name]
@@ -169,7 +169,7 @@ class DataTransferHub:
         if routed_alias in target_device.memory:
             target_device.delete_memory(routed_alias)
         h2d = target_device.place_data(routed_alias, value, deps=[d2h])
-        edge.device_id = target_device.name
+        self.device_ids[edge.data_id] = target_device.name
         return routed_alias, [h2d]
 
     # -- output buffers -------------------------------------------------------------

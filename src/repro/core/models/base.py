@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.combine import ChunkPartial, combine_chunk_results
 from repro.core.context import ExecutionContext, QueryResult, cardinality
@@ -46,6 +46,9 @@ from repro.hardware.costmodel import TransferDirection
 from repro.hardware.specs import Sdk
 from repro.primitives.values import value_nbytes
 from repro.task.containers import KernelContainer
+
+if TYPE_CHECKING:  # pragma: no cover - the planner imports this layer
+    from repro.planner.ir import PhysicalPlan
 
 __all__ = ["ExecutionModel", "Lane", "LaneStep", "shallow_hash_pipeline"]
 
@@ -196,9 +199,6 @@ class ExecutionModel(abc.ABC):
 
     def __init__(self, ctx: ExecutionContext) -> None:
         self.ctx = ctx
-        #: The :class:`~repro.planner.ir.PhysicalPlan` being executed
-        #: (shared with the context; the decision surface of the run).
-        self.plan = ctx.plan
         self.hub = DataTransferHub(ctx)
         #: node id -> alias of its (current) result buffer
         self.node_alias: dict[str, str] = {}
@@ -223,6 +223,12 @@ class ExecutionModel(abc.ABC):
             from repro.planner.adaptive import AdaptiveController
             self.adaptive = AdaptiveController(ctx)
 
+    @property
+    def plan(self) -> PhysicalPlan:
+        """The :class:`~repro.planner.ir.PhysicalPlan` being executed:
+        the context's, which a re-placement swaps for a placed copy."""
+        return self.ctx.plan
+
     # -- template -----------------------------------------------------------
 
     def run(self) -> QueryResult:
@@ -241,7 +247,6 @@ class ExecutionModel(abc.ABC):
         """
         graph = self.plan.graph
         graph.validate()
-        graph.reset_runtime_state()
         for device in self.ctx.devices.values():
             device.initialize()
         for pipeline in split_pipelines(graph):
@@ -377,11 +382,9 @@ class ExecutionModel(abc.ABC):
         task = Task(step.container, routed, step.alias, params, n,
                     node.cost_params, nid)
         event = self._execute_with_retry(node, device, task, wait)
-        for edge in step.in_edges:
-            if edge.fetched_until > edge.processed_until:
-                edge.processed_until = edge.fetched_until
+        device_ids = self.hub.device_ids
         for edge in step.out_edges:
-            edge.device_id = device.name
+            device_ids[edge.data_id] = device.name
         self.node_alias[nid] = step.alias
         self.node_device[nid] = device.name
         return event
@@ -600,6 +603,7 @@ class ExecutionModel(abc.ABC):
         if self.adaptive is not None and len(lanes) == 1 and total > chunk:
             sizer = self.adaptive.make_sizer(pipeline, total,
                                              lanes[0].n_buffers)
+        device_ids = self.hub.device_ids
         overhead = streaming = 0.0
         ci = 0
         start = 0
@@ -629,10 +633,9 @@ class ExecutionModel(abc.ABC):
                     publish_only=self.zero_copy,
                 )
                 for edge in edges:
-                    edge.device_id = device.name
-                    edge.fetched_until = stop
+                    device_ids[edge.data_id] = device.name
             for edge in lane.placed_edges:
-                edge.device_id = device.name
+                device_ids[edge.data_id] = device.name
 
             last = None
             for step in lane.steps:
@@ -719,7 +722,7 @@ class ExecutionModel(abc.ABC):
             self.node_alias[nid] = alias
             self.node_device[nid] = home.name
             for edge in graph.out_edges(nid):
-                edge.device_id = home.name
+                device_ids[edge.data_id] = home.name
         kept = {self.node_alias[nid] for nid in partials}
         for lane in lanes:
             device = lane.device
@@ -745,7 +748,7 @@ class ExecutionModel(abc.ABC):
                     if alias not in device.memory:
                         self.hub.load_data(edge, device, alias)
                     else:
-                        edge.device_id = device.name
+                        self.hub.device_ids[edge.data_id] = device.name
                     scan_alias_of[edge.source.ref] = alias
         for nid in pipeline.node_ids:
             aliases = [
@@ -819,7 +822,7 @@ class ExecutionModel(abc.ABC):
             self.node_alias[nid] = alias
             self.node_device[nid] = device.name
             for edge in graph.out_edges(nid):
-                edge.device_id = device.name
+                self.hub.device_ids[edge.data_id] = device.name
         self.subplan_hits += 1
         return True
 

@@ -1,11 +1,12 @@
 """Pipelined chunked execution (Algorithm 2, Section IV-C).
 
 A transfer thread prefetches chunk *c+1* while the compute stream
-processes chunk *c*; the two synchronize through the ``fetched_until`` /
-``processed_until`` cursors and re-join at every pipeline breaker.  In the
-event simulation this materializes as dual staging buffers per scan
-column: the transfer of chunk *c* only waits for the compute that last
-used the same buffer (chunk *c-2*), never for chunk *c-1*.
+processes chunk *c*; the paper's per-edge fetch and process cursors
+that synchronize the two are clock event dependencies here, and both
+re-join at every pipeline breaker.  This materializes as dual
+staging buffers per scan column: the transfer of chunk *c* only waits
+for the compute that last used the same buffer (chunk *c-2*), never for
+chunk *c-1*.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ no scan at all) run on the fastest device alone.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,9 +62,14 @@ class SplitChunkedModel(ExecutionModel):
         graph = self.plan.graph
         devices = self.participants(self.ctx.devices.values())
         if not pipeline.streams or len(devices) == 1:
-            # Split mode owns placement: the annotations are overridden.
-            for nid in pipeline.node_ids:
-                graph.nodes[nid].device = devices[0].name
+            # Split mode owns placement: the run continues on a copy of
+            # its plan with the annotations overridden.
+            home = devices[0].name
+            if any(graph.nodes[nid].device != home
+                   for nid in pipeline.node_ids):
+                placed = graph.bind(
+                    {}, device=dict.fromkeys(pipeline.node_ids, home))
+                self.ctx.plan = dataclasses.replace(self.plan, graph=placed)
             return super().open_lanes(pipeline, chunks)
 
         # Broadcast external inputs to every participating device (a

@@ -62,8 +62,8 @@ __all__ = ["DEFAULT_CHUNK_SIZE", "Engine", "QueryRequest"]
 class QueryRequest:
     """One query of a concurrent batch (:meth:`Engine.run_concurrent`).
 
-    Each request needs its *own* graph instance — primitive graphs carry
-    runtime edge state, so two in-flight queries must not share one.
+    The graph is only read: requests may share one instance, in one
+    wave or across waves.
     """
 
     graph: PrimitiveGraph
@@ -368,12 +368,6 @@ class Engine:
                 (like ``asyncio.gather``) instead of raised after the
                 wave finishes.
         """
-        graphs = {id(request.graph) for request in requests}
-        if len(graphs) != len(requests):
-            raise ExecutionError(
-                "each concurrent request needs its own graph instance "
-                "(primitive graphs carry runtime edge state)"
-            )
         # Every request gets its plan before any wave is admitted, so a
         # bad flag fails the batch up front.
         resolved = [(request, *self._resolve(request))
@@ -530,7 +524,9 @@ class Engine:
         recompiles the request's flags at the degraded chunk size — the
         plan the engine would have built had the dead device never been
         plugged.  An optimizer-made plan's graph is already fused, so it
-        is re-placed and re-armed as it stands.
+        is re-placed and re-armed as it stands.  Placement lands on a
+        copy that later restarts start from: nothing is written into the
+        request or the plan, so a restart recompiles from them.
         """
         if request.model == "auto":
             graph, fuse = plan.graph, False
@@ -539,6 +535,7 @@ class Engine:
 
         def rebuild(*, chunk_size: int, exclude: set[str],
                     spill: bool) -> ExecutionModel:
+            nonlocal graph
             survivors = self._healthy_devices(exclude=exclude)
             if spill:
                 hosts = {name: device for name, device in survivors.items()
@@ -551,8 +548,9 @@ class Engine:
             stale = any(node.device and node.device not in survivors
                         for node in graph.nodes.values())
             if stale or spill:
-                annotate_devices(graph, request.catalog, survivors,
-                                 data_scale=plan.data_scale)
+                graph, _ = annotate_devices(graph, request.catalog,
+                                            survivors,
+                                            data_scale=plan.data_scale)
             default = request.default_device or self._default_device
             if default not in survivors:
                 default = next(iter(survivors))

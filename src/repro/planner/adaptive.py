@@ -35,6 +35,8 @@ state, so adaptive runs are exactly reproducible.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.core.pipelines import CHUNK_QUANTUM, Pipeline
@@ -297,23 +299,24 @@ class AdaptiveController:
 
     def maybe_replace(self, completed_index: int) -> bool:
         """Re-place pipelines after *completed_index* when the overlay
-        diverges beyond the threshold.  Returns True when any pending
-        pipeline actually moved."""
+        diverges beyond the threshold: the run continues on a placed
+        copy of its plan (the context's plan is swapped, never written
+        into).  Returns True when any pending pipeline actually moved."""
         if self.calibrator.divergence() <= DIVERGENCE_THRESHOLD:
             return False
-        graph = self.ctx.plan.graph
-        before = {nid: node.device for nid, node in graph.nodes.items()}
+        plan = self.ctx.plan
         from repro.planner.placement import annotate_devices
-        annotate_devices(
-            graph, self.ctx.catalog, self.ctx.devices,
-            data_scale=self.ctx.plan.data_scale,
+        placed, _ = annotate_devices(
+            plan.graph, self.ctx.catalog, self.ctx.devices,
+            data_scale=plan.data_scale,
             overlay=self.calibrator.factors(),
             from_index=completed_index + 1,
         )
-        moved = [nid for nid, dev in before.items()
-                 if graph.nodes[nid].device != dev]
+        moved = [nid for nid, node in plan.graph.nodes.items()
+                 if placed.nodes[nid].device != node.device]
         if not moved:
             return False
+        self.ctx.plan = dataclasses.replace(plan, graph=placed)
         self.replacements += 1
         device = self.ctx.devices[self.ctx.default_device]
         self._marker(device, f"replace:{len(moved)}-nodes")

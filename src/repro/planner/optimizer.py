@@ -224,21 +224,10 @@ class PlanOptimizer:
 
     def _placements(self, graph: PrimitiveGraph
                     ) -> tuple[dict[int, str], list[dict[int, str]]]:
-        """(greedy placement, [greedy + single-pipeline deviations]).
-
-        The greedy annotation runs against the caller's graph but every
-        node's prior annotation is restored afterwards — the search
-        never mutates its input.
-        """
-        snapshot = {nid: node.device for nid, node in graph.nodes.items()}
-        try:
-            reports = annotate_devices(
-                graph, self.catalog, self.devices,
-                data_scale=self.data_scale,
-                overlay=self.overlay or None)
-        finally:
-            for nid, device in snapshot.items():
-                graph.nodes[nid].device = device
+        """(greedy placement, [greedy + single-pipeline deviations])."""
+        _, reports = annotate_devices(
+            graph, self.catalog, self.devices, data_scale=self.data_scale,
+            overlay=self.overlay or None)
         greedy = {r.pipeline_index: r.chosen for r in reports}
         configs = [greedy]
         for index in sorted(greedy):
@@ -292,7 +281,7 @@ class PlanOptimizer:
         # devices and chunk counts, so what is priced for one is looked
         # up by the next.  It dies with the search, so the next one sees
         # whatever changed in between (overlay folds, subplan-cache
-        # inserts and evictions, re-annotated graphs).
+        # inserts and evictions).
         table = PricingTable(
             self.catalog, self.devices, default_device=self.default_device,
             data_scale=self.data_scale, overlay=self.overlay,
@@ -406,22 +395,23 @@ class PlanOptimizer:
                ) -> tuple[PhysicalPlan, OptimizerReport]:
         """Search, then realize the winner as an executable plan.
 
-        The caller's graph is annotated with the winning placement (in
-        place, exactly as a manual ``annotate_devices`` + explicit
-        override would), and the winning fusion subset is applied with
-        the public :func:`~repro.planner.fusion.fuse_graph` — so the
-        returned plan executes byte-identically to the same manual
-        configuration.
+        The winning placement lands on a copy of the caller's graph
+        (:meth:`~repro.core.graph.PrimitiveGraph.bind`, exactly as a
+        manual ``annotate_devices`` + explicit override would place
+        it), and the winning fusion subset is applied with the public
+        :func:`~repro.planner.fusion.fuse_graph` — so the returned plan
+        executes byte-identically to the same manual configuration, and
+        the caller's graph is not written into.
         """
         report = self.search(graph, chunk_size=chunk_size)
         best = report.chosen
         placement = dict(best.placement)
-        for pipeline in split_pipelines(graph):
-            device = placement[pipeline.index]
-            for nid in pipeline.node_ids:
-                graph.nodes[nid].device = device
-        run_graph = (fuse_graph(graph, only=best.fused_groups)
-                     if best.fused_groups else graph)
+        placed = graph.bind({}, device={
+            nid: placement[pipeline.index]
+            for pipeline in split_pipelines(graph)
+            for nid in pipeline.node_ids})
+        run_graph = (fuse_graph(placed, only=best.fused_groups)
+                     if best.fused_groups else placed)
         plan = PhysicalPlan(
             graph=run_graph, model=best.model,
             chunk_size=best.chunk_size, data_scale=self.data_scale,

@@ -45,9 +45,10 @@ def annotate_devices(graph: PrimitiveGraph, catalog: Catalog,
                      data_scale: int = 1,
                      overlay: dict[str, float] | None = None,
                      from_index: int = 0,
-                     ) -> list[PlacementReport]:
-    """Annotate every node of *graph* with the cheapest device per
-    pipeline (in place) and return the per-pipeline decisions.
+                     ) -> tuple[PrimitiveGraph, list[PlacementReport]]:
+    """Place every pipeline of *graph* on its cheapest device; return a
+    copy (:meth:`~repro.core.graph.PrimitiveGraph.bind`) whose nodes carry
+    the choices, and the per-pipeline decisions.
 
     Cross-pipeline inputs add a routing charge when the producing
     pipeline landed on a different device, so small build sides tend to
@@ -87,11 +88,13 @@ def annotate_devices(graph: PrimitiveGraph, catalog: Catalog,
             estimates[name] = seconds
         chosen = min(sorted(estimates), key=estimates.__getitem__)
         for nid in pipeline.node_ids:
-            graph.nodes[nid].device = chosen
             placed[nid] = chosen
         reports.append(PlacementReport(
             pipeline_index=pipeline.index, chosen=chosen,
             estimates=estimates,
         ))
-    return reports
+    return graph.bind({}, device={
+        nid: placed[nid] for pipeline in pipelines
+        if pipeline.index >= from_index for nid in pipeline.node_ids
+    }), reports
 

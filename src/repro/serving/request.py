@@ -40,8 +40,8 @@ class ServeRequest:
     """One query submitted to the :class:`~repro.serving.QueryService`.
 
     Attributes:
-        query: The engine request to run (must own its graph instance,
-            exactly as for :meth:`~repro.engine.Engine.run_concurrent`).
+        query: The engine request to run (its graph is only read, as
+            for :meth:`~repro.engine.Engine.run_concurrent`).
         tenant: Admission-accounting identity; quotas and memory
             budgets are enforced per tenant.
         lane: ``"interactive"`` or ``"batch"``.

@@ -32,8 +32,7 @@ TENANTS = ("tenant-a", "tenant-b")
 
 
 def build_query(name: str, catalog: Catalog) -> "object":
-    """A fresh primitive graph for *name* (each request must own its
-    graph instance — graphs carry runtime edge state)."""
+    """A primitive graph for *name*, bound with its default literals."""
     return QUERY_MIX[name].build(catalog)
 
 

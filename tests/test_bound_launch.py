@@ -143,9 +143,11 @@ def run_routing(catalog, query, model, fuse, spread, *, route_all):
             if slot in step.foreign:
                 continue
             alias = step.inputs[buffer][slot]
-            before = (edge.device_id, self.ctx.clock.event_count)
+            where = self.hub.device_ids
+            before = (where.get(edge.data_id), self.ctx.clock.event_count)
             assert self.hub.router(edge, alias, device) == (alias, [])
-            assert (edge.device_id, self.ctx.clock.event_count) == before
+            assert (where.get(edge.data_id),
+                    self.ctx.clock.event_count) == before
             skipped.append(edge)
         return execute_node(self, step, device, buffer, **chunk)
 

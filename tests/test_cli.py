@@ -99,7 +99,8 @@ class TestOptimize:
         assert errors[0].startswith("execution failed: data_scale")
 
     def test_nodes_refuses_analyze(self, capsys):
-        """A sharded run has no profile to print (ROADMAP item 2); the
+        """A sharded run has no profile to print (ROADMAP "One trace id
+        per request; ANALYZE for served requests and for clusters"); the
         flag pair is refused instead of silently dropping --analyze."""
         code = main(["run", "--query", "q6", "--sf", "0.002",
                      "--nodes", "2", "--analyze"])

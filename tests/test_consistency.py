@@ -102,7 +102,7 @@ class TestHubPublishOnly:
         assert "uma-publish" in event.label
         assert np.array_equal(device.memory.get("buf").value,
                               np.arange(32))
-        assert edge.fetched_until == 32
+        assert hub.device_ids == {edge.data_id: "dev"}
 
 
 class TestCliFiguresWiring:

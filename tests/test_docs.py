@@ -128,3 +128,25 @@ class TestCrossReferences:
         finally:
             sys.path.pop(0)
         assert broken_path_refs(ROOT) == []
+
+    def test_path_checker_sees_perf_and_suffixed_paths(self, tmp_path):
+        """`perf/` paths and paths with a `:N` / `::name` suffix are
+        checked too (their file part)."""
+        import sys
+
+        sys.path.insert(0, str(ROOT / "tools"))
+        try:
+            from check_doc_links import broken_path_refs
+        finally:
+            sys.path.pop(0)
+        for name in ("perf/run.py", "tests/test_a.py"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text("")
+        (tmp_path / "NOTES.md").write_text(
+            "`perf/run.py`, `perf/gone.py`, `tests/test_a.py:12`, "
+            "`tests/test_a.py::TestA::test_b[x-1]`, "
+            "`tests/test_gone.py::test_b`, `perf/gone.py:3`, "
+            "`tests/*.py`\n")
+        assert broken_path_refs(tmp_path) == [
+            "NOTES.md: perf/gone.py", "NOTES.md: tests/test_gone.py",
+            "NOTES.md: perf/gone.py"]

@@ -108,16 +108,18 @@ class TestConcurrentCorrectness:
         total_sequential = sum(r.stats.makespan for r in sequential)
         assert combined <= total_sequential
 
-    def test_shared_graph_instance_rejected(self, tiny_catalog):
-        engine = make_engine()
+    def test_shared_graph_instance_accepted(self, tiny_catalog):
         graph = q6.build()
-        with pytest.raises(ExecutionError, match="own graph instance"):
-            engine.run_concurrent([
-                QueryRequest(graph=graph, catalog=tiny_catalog,
-                             chunk_size=CHUNK),
-                QueryRequest(graph=graph, catalog=tiny_catalog,
-                             chunk_size=CHUNK),
-            ])
+        shared = make_engine().run_concurrent([
+            QueryRequest(graph=graph, catalog=tiny_catalog, chunk_size=CHUNK)
+            for _ in range(2)])
+        separate = make_engine().run_concurrent([
+            QueryRequest(graph=q6.build(), catalog=tiny_catalog,
+                         chunk_size=CHUNK)
+            for _ in range(2)])
+        for got, want in zip(shared, separate):
+            assert_identical_outputs(got, want)
+            assert got.stats.makespan == want.stats.makespan
 
     def test_more_requests_than_slots_run_in_waves(self, tiny_catalog):
         engine = make_engine(max_concurrent=2)

@@ -112,9 +112,8 @@ class TestFpgaIntegration:
         executor = make_executor(
             OpenMPDevice, CPU_I7_8700, name="cpu",
             extra_devices=[("fpga", FpgaDevice, FPGA_ALVEO_U250)])
-        graph = q6.build()
-        reports = annotate_devices(graph, small_catalog, executor.devices,
-                                   data_scale=1024)
+        graph, reports = annotate_devices(q6.build(), small_catalog,
+                                          executor.devices, data_scale=1024)
         assert reports[0].chosen == "fpga"
         result = executor.run(graph, small_catalog, model="chunked",
                               chunk_size=2048)

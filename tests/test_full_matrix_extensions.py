@@ -156,7 +156,7 @@ class TestMultiHopRouting:
         payload = np.arange(16, dtype=np.int64)
         gpu.place_data("x", payload)
         edge = ctx.plan.graph.edges[0]
-        edge.device_id = "gpu"
+        hub.device_ids[edge.data_id] = "gpu"
         current = "x"
         for device in (cpu, fpga, gpu):
             current, _ = hub.router(edge, current, device)

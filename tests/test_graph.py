@@ -153,15 +153,14 @@ class TestValidation:
 
 class TestRuntimeState:
     def test_reset_runtime_state(self):
+        # Run state is a fresh table per run; the edges hold none.
         g = filter_materialize_graph()
-        edge = g.edges[0]
-        edge.device_id = "gpu0"
-        edge.processed_until = 500
-        edge.fetched_until = 600
-        g.reset_runtime_state()
-        assert edge.device_id is None
-        assert edge.processed_until == 0
-        assert edge.fetched_until == 0
+        first = g.reset_runtime_state()
+        first[g.edges[0].data_id] = "gpu0"
+        assert g.reset_runtime_state() == {}
+        assert g.reset_runtime_state() is not first
+        assert [list(vars(edge)) for edge in g.edges] == [
+            ["data_id", "source", "target", "input_index"]] * len(g.edges)
 
     def test_node_breaker_flag(self):
         g = PrimitiveGraph()
@@ -228,19 +227,18 @@ class TestBind:
         assert subplan_fingerprint(left, "m") == digest  # same subtree
         assert subplan_fingerprint(left, "extra") != digest
 
-    def test_siblings_run_concurrently_and_keep_their_own_cursors(
-            self, tiny_catalog):
+    def test_siblings_run_concurrently(self, tiny_catalog):
         dates = ("1995-03-15", "1995-03-01")
         first, second = (q3.build(tiny_catalog, date=date) for date in dates)
         assert first._pipeline_cache is second._pipeline_cache
         engine = Engine()
         engine.plug_device("dev0", CudaDevice, GPU_RTX_2080_TI)
 
-        # Runtime state lives on each graph's own edges.
+        # A run keeps its state to itself: no sibling's edges change.
+        edges = [vars(e).copy() for e in first.edges]
         engine.execute(first, tiny_catalog, chunk_size=2048)
-        assert any(e.processed_until for e in first.edges)
-        assert all(e.processed_until == e.fetched_until == 0
-                   and e.device_id is None for e in second.edges)
+        assert [vars(e) for e in first.edges] == edges
+        assert [vars(e) for e in second.edges] == edges
 
         results = engine.run_concurrent([
             QueryRequest(graph=graph, catalog=tiny_catalog, chunk_size=2048)

@@ -41,9 +41,8 @@ class TestHub:
         device = ctx.devices["dev"]
         event = hub.load_data(edge, device, "buf")
         assert event.category == "transfer"
-        assert edge.device_id == "dev"
+        assert hub.device_ids == {edge.data_id: "dev"}
         n = len(tiny_catalog.table("lineitem"))
-        assert edge.fetched_until == n
         assert device.memory.get("buf").value.shape == (n,)
 
     def test_load_data_chunk_range(self, tiny_catalog):
@@ -77,7 +76,7 @@ class TestHub:
         device = ctx.devices["dev"]
         device.place_data("x", np.arange(4))
         edge = ctx.plan.graph.edges[0]
-        edge.device_id = "dev"
+        hub.device_ids[edge.data_id] = "dev"
         alias, events = hub.router(edge, "x", device)
         assert alias == "x" and events == []
 
@@ -90,12 +89,12 @@ class TestHub:
         hub = DataTransferHub(ctx)
         gpu.place_data("x", np.arange(8, dtype=np.int64))
         edge = ctx.plan.graph.edges[0]
-        edge.device_id = "gpu"
+        hub.device_ids[edge.data_id] = "gpu"
         alias, events = hub.router(edge, "x", cpu)
         assert alias == "x@cpu"
         assert events
         assert np.array_equal(cpu.memory.get(alias).value, np.arange(8))
-        assert edge.device_id == "cpu"
+        assert hub.device_ids[edge.data_id] == "cpu"
 
     def test_prepare_output_buffer_uses_estimate(self, tiny_catalog):
         ctx = make_context(tiny_catalog)

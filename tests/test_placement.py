@@ -47,20 +47,21 @@ class TestEstimates:
 class TestAnnotation:
     def test_annotates_every_node(self, tiny_catalog):
         executor = two_device_executor()
-        graph = q3.build(tiny_catalog)
-        reports = annotate_devices(graph, tiny_catalog, executor.devices,
-                                   data_scale=1024)
+        original = q3.build(tiny_catalog)
+        graph, reports = annotate_devices(original, tiny_catalog,
+                                          executor.devices, data_scale=1024)
         assert len(reports) == 3
         assert all(node.device in ("gpu", "cpu")
                    for node in graph.nodes.values())
+        assert all(node.device is None for node in original.nodes.values())
         for report in reports:
             assert set(report.estimates) == {"gpu", "cpu"}
             assert report.chosen in report.estimates
 
     def test_one_device_per_pipeline(self, tiny_catalog):
         executor = two_device_executor()
-        graph = q4.build()
-        annotate_devices(graph, tiny_catalog, executor.devices)
+        graph, _ = annotate_devices(q4.build(), tiny_catalog,
+                                    executor.devices)
         for pipeline in split_pipelines(graph):
             devices = {graph.nodes[nid].device for nid in pipeline.node_ids}
             assert len(devices) == 1
@@ -71,9 +72,8 @@ class TestAnnotation:
 
     def test_annotated_plan_executes_correctly(self, tiny_catalog):
         executor = two_device_executor()
-        graph = q4.build()
-        annotate_devices(graph, tiny_catalog, executor.devices,
-                         data_scale=1024)
+        graph, _ = annotate_devices(q4.build(), tiny_catalog,
+                                    executor.devices, data_scale=1024)
         result = executor.run(graph, tiny_catalog, model="chunked",
                               chunk_size=1024)
         assert q4.finalize(result, tiny_catalog) == \
@@ -83,9 +83,8 @@ class TestAnnotation:
         """The annotated plan is no slower than forcing everything onto
         the slower device."""
         executor = two_device_executor()
-        graph = q6.build()
-        annotate_devices(graph, small_catalog, executor.devices,
-                         data_scale=1024)
+        graph, _ = annotate_devices(q6.build(), small_catalog,
+                                    executor.devices, data_scale=1024)
         placed = executor.run(graph, small_catalog, model="chunked",
                               chunk_size=32 * 1024, data_scale=1024)
         cpu_only = executor.run(q6.build(device="cpu"), small_catalog,

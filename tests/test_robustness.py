@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.graph import PrimitiveGraph
+from repro.core.models import MODELS
 from repro.errors import (
     DeviceMemoryError,
     GraphValidationError,
@@ -13,7 +14,7 @@ from repro.storage import Catalog, Column, Table
 from repro.task import KernelContainer
 from repro.tpch import reference
 from repro.tpch.queries import q6
-from tests.conftest import make_executor
+from tests.conftest import make_context, make_executor
 
 
 class TestRecoveryAfterFailure:
@@ -166,15 +167,16 @@ class TestStateIsolation:
                          chunk_size=1024)
         assert q6.finalize(a, tiny_catalog) == q6.finalize(b, tiny_catalog)
 
-    def test_edge_cursors_reset(self, tiny_catalog):
-        executor = make_executor()
-        graph = q6.build()
-        executor.run(graph, tiny_catalog, model="chunked", chunk_size=1024)
-        n = len(tiny_catalog.table("lineitem"))
-        scans = [e for e in graph.edges if e.is_scan]
-        assert all(e.fetched_until == n for e in scans)
-        executor.run(graph, tiny_catalog, model="chunked", chunk_size=1024)
-        assert all(e.fetched_until == n for e in scans)
+    def test_each_run_starts_from_an_empty_table(self, tiny_catalog):
+        # Where data lives is the run's: each model (one run) starts
+        # with an empty table and ends with every scan on its device.
+        graph = make_context(tiny_catalog).plan.graph
+        scans = [e.data_id for e in graph.edges if e.is_scan]
+        for _ in range(2):
+            model = MODELS["chunked"](make_context(tiny_catalog, graph=graph))
+            assert model.hub.device_ids == {}
+            model.run()
+            assert all(model.hub.device_ids[i] == "dev" for i in scans)
 
     def test_same_graph_different_catalogs(self, tiny_catalog,
                                            small_catalog):

@@ -7,8 +7,10 @@ Two passes over the top-level ``*.md`` files and ``docs/*.md``:
   resolve (absolute URLs and pure in-page anchors are ignored);
 * **path references** — every backticked repo path
   (`` `src/...` ``, `` `docs/...` ``, `` `tests/...` ``,
-  `` `benchmarks/...` ``, `` `examples/...` ``, `` `tools/...` ``)
-  must exist relative to the repo root, so prose never points at a
+  `` `benchmarks/...` ``, `` `examples/...` ``, `` `tools/...` ``,
+  `` `perf/...` ``), also one followed by a line (``:N``) or a name
+  (``::name``) inside the backticks, must exist relative to the repo
+  root (the file part is checked), so prose never points at a
   moved or deleted file. A backticked repo path is a claim that the
   file exists, so a file that is only planned is written as a bare
   file name with its directory given separately, e.g.
@@ -26,11 +28,14 @@ import sys
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL = ("http://", "https://", "mailto:")
-#: Backticked repo-relative paths in prose, e.g. `src/repro/serving/`
-#: or `benchmarks/test_serving.py`. Only path-shaped spans (a known
-#: top-level directory plus at least one path component) are checked.
+#: Backticked repo-relative paths in prose, e.g. `src/repro/serving/`,
+#: `benchmarks/test_serving.py`, `src/repro/cli.py:482` or
+#: `perf/test_perf_harness.py::test_every_target_exists`. Only
+#: path-shaped spans (a known top-level directory plus at least one
+#: path component) are checked; the group is the file part.
 _PATH_REF = re.compile(
-    r"`((?:src|docs|tests|benchmarks|examples|tools)/[\w./-]*)`")
+    r"`((?:src|docs|tests|benchmarks|examples|tools|perf)/[\w./-]*)"
+    r"(?::\d+(?:-\d+)?|(?:::[\w\[\].,-]+)+)?`")
 
 
 def _markdown_files(root: pathlib.Path) -> list[pathlib.Path]:

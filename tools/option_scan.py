@@ -14,7 +14,8 @@ so the scan under-reports rather than over-reports; what it cannot see
 :data:`ALLOWED` with the reason.
 
 Everything else is printed as ``path:line name(option)`` and fails the
-run: with one value in use an option is a constant (ROADMAP item 10).
+run: with one value in use an option is a constant (ROADMAP "Small
+deletions and the layers the instrument says are next", done).
 Run by CI and, via :func:`unused_options`, by ``tests/test_tools.py``.
 """
 
