@@ -120,3 +120,33 @@ class TestShareTimer:
         assert {name: timer.tally[path][0]
                 for name, path in paths.items()} == {
                     "check": 1, "ranked": 1, "proxy": 1}
+
+
+class TestLineCoverage:
+    def test_counts_what_ran_and_names_what_did_not(self, tmp_path):
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            "def pick(flag):\n"
+            "    if flag:\n"
+            "        return 1\n"
+            "    return 2\n"
+            "\n"
+            "\n"
+            "def never():\n"
+            "    return 3\n")
+        (tmp_path / "src" / "other.py").write_text("x = 1\n")
+        coverage = tool("line_coverage")
+        spec = importlib.util.spec_from_file_location(
+            "pkg_mod", package / "mod.py")
+        module = importlib.util.module_from_spec(spec)
+
+        def run():
+            spec.loader.exec_module(module)
+            return module.pick(True)
+        reached, result = coverage.record(run, package)
+        assert result == 1
+        assert set(reached) == {str((package / "mod.py").resolve())}
+        assert coverage.report(reached, package) == [
+            "pkg/mod.py 4/6  4, 8",
+            "total 4/6 lines reached (66.7 %)"]
