@@ -2,9 +2,10 @@
 
 Hypothesis generates small logical plans (filter chains, derived columns,
 optional semi-join, scalar or grouped aggregation) over a fixed synthetic
-database; each translated plan must produce identical results under all
-execution models × fusion on/off × adaptive on/off — and a plain-numpy
-evaluation of the same logical plan must agree.  Chunk sizes are drawn
+database; each translated plan must produce identical results under the
+execution models, fusion and adaptive settings of the cell table's axes
+(``tools/timeline_digest.py``) — and a plain-numpy evaluation of the
+same logical plan must agree.  Chunk sizes are drawn
 to be non-divisors of the table sizes so every run exercises a ragged
 tail chunk.
 
@@ -36,6 +37,7 @@ from repro.planner import (
 from repro.planner.fusion import fuse_graph
 from repro.storage import Catalog, Column, Table
 from tests.conftest import make_executor
+from tests.test_timeline_golden import load_tool
 
 N_FACT = 463  # deliberately not a multiple of any chunk size
 N_DIM = 57
@@ -162,20 +164,24 @@ def run_plan(plan, model: str, chunk: int, *, fuse: bool = False,
             for k, v in zip(table.keys, table.aggregates[fn])}
 
 
-#: Every execution model the runtime ships; ``oaat`` is the per-example
-#: baseline inside the test, so the strategy draws from the other six.
-ALL_MODELS = ["chunked", "pipelined", "four_phase_chunked",
-              "four_phase_pipelined", "zero_copy", "split_chunked"]
+#: The random-plan column of the cell table: its models (``oaat`` is
+#: the per-example baseline inside the test, so the strategy draws from
+#: the others) and its fuse and adaptive axes.
+AXES = load_tool().PAIRS
+MODELS = [model for model in AXES["model"] if model != "oaat"]
+FUSED = st.sampled_from(AXES["fuse"]).map(lambda fuse: fuse == "fused")
 
-#: None of these divide N_FACT=463 (prime) or N_DIM=57, so every chunked
-#: run ends on a ragged tail chunk.
+#: The table's chunk settings are sized for SF 0.01; none of these
+#: divide N_FACT=463 (prime) or N_DIM=57, so every chunked run ends on a
+#: ragged tail chunk.
 CHUNKS = [32, 96, 160, 288]
 
 
 @settings(max_examples=60, deadline=None)
 @given(plan=logical_plans(), chunk=st.sampled_from(CHUNKS),
-       model=st.sampled_from(ALL_MODELS), fuse=st.booleans(),
-       adaptive=st.booleans())
+       model=st.sampled_from(MODELS), fuse=FUSED,
+       adaptive=st.sampled_from(AXES["mode"]).map(
+           lambda mode: mode == "adaptive"))
 def test_random_plan_all_models_match_numpy(plan, chunk, model, fuse,
                                             adaptive):
     expected = numpy_eval(plan)
@@ -186,7 +192,7 @@ def test_random_plan_all_models_match_numpy(plan, chunk, model, fuse,
 
 @settings(max_examples=25, deadline=None)
 @given(plan=logical_plans(), chunk=st.sampled_from(CHUNKS),
-       model=st.sampled_from(ALL_MODELS), fuse=st.booleans())
+       model=st.sampled_from(MODELS), fuse=FUSED)
 def test_adaptive_matches_static_exactly(plan, chunk, model, fuse):
     """Adaptive execution is an optimization, never a semantics change."""
     static = run_plan(plan, model, chunk, fuse=fuse, adaptive=False)
