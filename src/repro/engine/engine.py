@@ -497,11 +497,13 @@ class Engine:
         if session is not None:
             query = session.query_context(epoch_start=epoch_start)
             subplan_cache = self.subplan_cache
+        devices = self._healthy_devices() if devices is None else devices
+        if self.devices and not devices:
+            raise DeviceLostError("every device is lost or quarantined")
         ctx = ExecutionContext(
             plan=plan,
             catalog=catalog,
-            devices=devices if devices is not None
-            else self._healthy_devices(),
+            devices=devices,
             registry=self.registry,
             clock=self.clock,
             default_device=default_device or self.default_device,
