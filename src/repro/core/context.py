@@ -228,8 +228,6 @@ class ExecutionContext:
                  query: QueryContext | None = None,
                  retry_policy: "RetryPolicy | None" = None,
                  subplan_cache: object | None = None) -> None:
-        if not devices:
-            raise ExecutionError("no devices plugged into the executor")
         if default_device not in devices:
             raise ExecutionError(
                 f"default device {default_device!r} not registered; "
