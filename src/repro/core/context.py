@@ -272,7 +272,7 @@ class ExecutionContext:
         co-running queries account only for their own work.
         """
         query = self.query
-        ledger = fold(self.clock.events_of(query.query_id))
+        ledger = fold(self.clock, query.query_id)
         fused = [n for n in self.plan.graph.nodes.values()
                  if n.primitive in FUSED_PRIMITIVES]
         return ExecutionStats(
@@ -290,8 +290,9 @@ class ExecutionContext:
             query_id=query.query_id,
             residency_hits=ledger.count.get("cache", 0),
             residency_hit_bytes=ledger.nbytes.get("cache", 0),
-            kernels_launched=sum(category == "launch"
-                                 for category, _, _ in ledger.completed),
+            kernels_launched=sum(n for (category, _, _), n
+                                 in ledger.completed.items()
+                                 if category == "launch"),
             fused_nodes=len(fused),
             fused_probe_nodes=sum(
                 1 for n in fused

@@ -600,10 +600,10 @@ class Engine:
         the injectors' tallies.
         """
         metrics = self.metrics
-        ledger = fold(self.clock.events_since(self._published),
-                      metrics.running)
+        if self.clock.event_count > self._published:
+            metrics.advance(fold(self.clock, since=self._published,
+                                 running=metrics.running).series)
         self._published = self.clock.event_count
-        metrics.advance(ledger.series)
         for model in models:
             if model.subplan_hits:
                 metrics.inc("adamant_subplan_cache_hits_total",

@@ -203,7 +203,10 @@ def build_profile(ctx, stats, *, model_name: str) -> QueryProfile:
 
     # Launch and chunk counts describe only the completed run (the
     # attributed *time* keeps all attempts — their cost was real).
-    completed = Counter(kernel[:2] for kernel in fold(events).completed)
+    completed: Counter = Counter()
+    for (category, node, _), n in fold(ctx.clock,
+                                       query.query_id).completed.items():
+        completed[category, node] += n
     busy: dict[str, float] = {}
     retries: dict[str, int] = {}
     for e in events:

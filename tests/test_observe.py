@@ -469,7 +469,7 @@ def assert_registry_is_the_fold_of_the_trace(engine):
     """Whatever the registry holds under a folded name is, bit for bit,
     the same fold applied to the clock's whole event list — nothing
     published twice, nothing missed, float sums in schedule order."""
-    want = trace.fold(engine.clock.events).series
+    want = trace.fold(engine.clock).series
     snapshot = engine.metrics.snapshot()
     got = {(name, *sample["labels"].values()): sample["value"]
            for name in FOLDED if name in snapshot
