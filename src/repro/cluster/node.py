@@ -41,8 +41,7 @@ class ClusterNode:
     def __init__(self, spec: NodeSpec) -> None:
         self.spec = spec
         self.engine = Engine(enable_residency=False,
-                             enable_subplan_cache=False,
-                             max_concurrent=1)
+                             enable_subplan_cache=False)
         #: Set when every device of the node is gone; the executor
         #: fails the node's shard over to a survivor.
         self.lost = False

@@ -43,7 +43,7 @@ class AdamantExecutor:
     """A query executor with plug-in interfaces for co-processors."""
 
     def __init__(self, *, overlay_path: str | None = None) -> None:
-        self._engine = Engine(enable_residency=False, max_concurrent=1,
+        self._engine = Engine(enable_residency=False,
                               overlay_path=overlay_path)
 
     # -- engine delegation ----------------------------------------------------

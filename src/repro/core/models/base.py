@@ -112,8 +112,17 @@ def shallow_hash_pipeline(graph: PrimitiveGraph, pipeline: Pipeline) -> bool:
 
     This is the structural condition under which the paper observes the
     OpenCL pinned-memory penalty (Q4: "the query starts with building a
-    hash table"); see ``calibration.OPENCL_SHALLOW_PINNED_FACTOR``.
+    hash table"); see ``calibration.OPENCL_SHALLOW_PINNED_FACTOR``.  The
+    verdict is kept on *pipeline*: every graph sharing its split has
+    the same structure.
     """
+    if pipeline.shallow_hash is None:
+        pipeline.shallow_hash = _reaches_hash_breaker(graph, pipeline)
+    return pipeline.shallow_hash
+
+
+def _reaches_hash_breaker(graph: PrimitiveGraph, pipeline: Pipeline
+                          ) -> bool:
     member = set(pipeline.node_ids)
     # Seed: nodes directly consuming scan edges.
     frontier = {
@@ -232,10 +241,18 @@ class ExecutionModel(abc.ABC):
     # -- template -----------------------------------------------------------
 
     def run(self) -> QueryResult:
-        """Execute the context's graph and collect outputs + statistics."""
-        for _ in self.iter_pipelines():
-            pass
-        return self.finalize()
+        """Execute the context's graph and collect outputs + statistics,
+        charging the clock's new events to the context's query (as the
+        engine's scheduler does for each slice of a wave)."""
+        clock = self.ctx.clock
+        owner = clock.current_owner
+        clock.current_owner = self.ctx.query.query_id
+        try:
+            for _ in self.iter_pipelines():
+                pass
+            return self.finalize()
+        finally:
+            clock.current_owner = owner
 
     def iter_pipelines(self):
         """Generator stepping through the query one pipeline at a time.
@@ -355,11 +372,10 @@ class ExecutionModel(abc.ABC):
         wait: list[Event] = []
         if step.row_bytes:
             uma_read_bytes = step.row_bytes * rows
-            rate = (device.cost.bandwidth("h2d", pinned=True)
-                    * cal.UMA_READ_EFFICIENCY)
             wait.append(device.clock.schedule(
                 device.compute_stream,
-                uma_read_bytes * device.data_scale / rate,
+                uma_read_bytes * device.data_scale
+                / device.cost.uma_read_rate(),
                 label=f"{device.name}:uma-read:{nid}",
                 category="transfer",
                 nbytes=uma_read_bytes * device.data_scale,
@@ -449,15 +465,14 @@ class ExecutionModel(abc.ABC):
 
     # -- pinned penalty ---------------------------------------------------------
 
-    def transfer_factor(self, device: SimulatedDevice,
+    @classmethod
+    def transfer_factor(cls, device: SimulatedDevice, graph: PrimitiveGraph,
                         pipeline: Pipeline) -> float:
         """Per-pipeline multiplier on pinned chunk transfers (the OpenCL
-        shallow-hash penalty; 1.0 everywhere else)."""
-        if not self.uses_pinned_staging:
-            return 1.0
-        if device.sdk is not Sdk.OPENCL:
-            return 1.0
-        if shallow_hash_pipeline(self.plan.graph, pipeline):
+        shallow-hash penalty; 1.0 everywhere else).  Class-level, so
+        that the plan pricer charges the penalty by calling it."""
+        if cls.uses_pinned_staging and device.sdk is Sdk.OPENCL \
+                and shallow_hash_pipeline(graph, pipeline):
             return cal.OPENCL_SHALLOW_PINNED_FACTOR
         return 1.0
 
@@ -551,7 +566,7 @@ class ExecutionModel(abc.ABC):
         )
         lane = self.open_lane(
             pipeline, device, tags=[f":b{b}" for b in range(n_buffers)],
-            factor=self.transfer_factor(device, pipeline))
+            factor=self.transfer_factor(device, self.plan.graph, pipeline))
         self._stage(lane, self.plan.physical_chunk_rows)
         return [lane]
 

@@ -54,6 +54,10 @@ class SplitChunkedModel(ExecutionModel):
     #: pipelines over every device and overrides annotations elsewhere
     #: (``open_lanes``), so the optimizer only varies chunk and fusion.
     tunable = frozenset({"chunk", "fusion"})
+    #: Multiplier on a fan-out lane's pinned chunk transfers: none —
+    #: each device serializes its own chunks while the devices run
+    #: concurrently, so the pricer charges no penalty either.
+    fan_out_factor = 1.0
 
     def open_lanes(self, pipeline: Pipeline, chunks: int) -> list[Lane]:
         """One lane per plugged device, fastest first (it homes the
@@ -82,14 +86,13 @@ class SplitChunkedModel(ExecutionModel):
                 current, _ = self.hub.router(carrier, current, device)
                 aliases[ext] = current
 
-        # Per device: own intermediates, one pinned staging buffer per
-        # scan column (chunks serialize locally while devices run
-        # concurrently) and no pinned penalty, which the pricer mirrors.
-        # Staged with the lane's first chunk: a device the split leaves
-        # without chunks allocates nothing.
+        # Per device: own intermediates and one pinned staging buffer
+        # per scan column.  Staged with the lane's first chunk: a device
+        # the split leaves without chunks allocates nothing.
         lanes = [
             self.open_lane(pipeline, device, tags=[f"@{device.name}"],
-                           factor=1.0, suffix=f"@{device.name}",
+                           factor=self.fan_out_factor,
+                           suffix=f"@{device.name}",
                            placed=aliases)
             for device, aliases in zip(devices, placed)
         ]

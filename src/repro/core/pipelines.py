@@ -47,6 +47,10 @@ class Pipeline:
             over chunks (``PrimitiveDefinition.requires_full_input``).
         persisted_ids: Member nodes whose results outlive the pipeline
             (:func:`persisted_node_ids`), sorted.
+        shallow_hash: Whether scan data reaches a hash breaker within a
+            few hops; None until
+            :func:`~repro.core.models.base.shallow_hash_pipeline` is
+            first asked.
     """
 
     index: int
@@ -56,6 +60,7 @@ class Pipeline:
     breaker_ids: list[str] = field(default_factory=list)
     full_input_ids: list[str] = field(default_factory=list)
     persisted_ids: list[str] = field(default_factory=list)
+    shallow_hash: bool | None = field(default=None, init=False)
 
     @property
     def is_chunkable(self) -> bool:

@@ -424,7 +424,7 @@ class Engine:
         *session*, which stays open.  The first failure is raised after
         the whole wave finished unless *return_exceptions* is set.
         """
-        epoch_start = self.clock.begin_epoch()
+        epoch_start = self.clock.now()
         sessions: list[QuerySession] = []
         work: list[tuple] = []
         #: Every model the wave runs, restarts' rebuilds included.

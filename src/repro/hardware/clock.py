@@ -55,9 +55,9 @@ class Event(NamedTuple):
             ``alloc`` ...) used by the instrumentation that reproduces
             Figure 10 (abstraction overhead).
         nbytes: Payload size for transfer events (0 otherwise).
-        owner: Query id the event was charged to (empty outside engine
-            runs); the engine's per-query makespan accounting filters on
-            it when several queries share one timeline.
+        owner: Query id the event was charged to (empty for work
+            charged to nobody, such as serving's arrival markers); a
+            query's statistics read exactly its own events.
         node: Plan node the event realizes (kernel launches, kernel
             runs, retry backoffs and unified-memory reads carry it);
             empty for work that is not attributable to a single node.
@@ -283,16 +283,12 @@ class VirtualClock:
         """Name the rows :meth:`events_of` (*owner*) or else
         :meth:`events_since` (*since*) would list: ``(since, count,
         owner)``, where *owner* is None when the rows are every row from
-        *since* on (an owner whose events and the unowned ones are the
-        whole log names the same rows as ``since=0``)."""
+        *since* on (an owner whose rows are the whole log names the same
+        rows as ``since=0``)."""
         count = len(self._labels)
-        if owner is None:
-            return (since, count, None)
-        rows = len(self._rows_of[0])
-        if owner:
-            oid = self._owner_ids.get(owner)
-            rows += len(self._rows_of[oid]) if oid is not None else 0
-        return (0, count, None if rows == count else owner)
+        if owner is not None and len(self._rows(owner)) != count:
+            return (0, count, owner)
+        return (0 if owner is not None else since, count, None)
 
     def columns(self, window: tuple) -> np.ndarray:
         """The rows of *window* (see :meth:`window`), one per event in
@@ -302,17 +298,12 @@ class VirtualClock:
         table = self._flush()
         if owner is None:
             return table[since:count]
-        return table[self._row_ids(owner)]
+        return table[self._rows(owner)]
 
-    def _row_ids(self, owner: str) -> list[int]:
-        """Rows charged to *owner* or to nobody, ascending."""
-        unowned = self._rows_of[0]
-        oid = self._owner_ids.get(owner) if owner else None
-        if oid is None:
-            return unowned
-        owned = self._rows_of[oid]
-        # Both runs are already ascending: the sort is one merge.
-        return sorted(owned + unowned) if unowned else owned
+    def _rows(self, owner: str) -> list[int]:
+        """Rows charged to *owner* (``""``: to nobody), ascending."""
+        oid = self._owner_ids.get(owner)
+        return self._rows_of[oid] if oid is not None else []
 
     def _flush(self) -> np.ndarray:
         """Move the rows scheduled since the last read into the table,
@@ -377,20 +368,10 @@ class VirtualClock:
         table = self._flush()
         return float(table[:, 1].max()) if len(table) else 0.0
 
-    def begin_epoch(self) -> float:
-        """Open a new epoch at the current time and return its start.
-
-        The engine calls this per query batch instead of :meth:`reset`:
-        events and stream positions are preserved (device buffers and
-        the residency cache stay meaningful), but per-query accounting
-        measures from the epoch start rather than from zero.
-        """
-        return self.now()
-
     def events_of(self, owner: str) -> list[Event]:
-        """Events charged to *owner* plus unowned (engine-free) events,
-        in schedule order."""
-        return self._materialise(self._row_ids(owner))
+        """Events charged to *owner* (``""``: to nobody), in schedule
+        order."""
+        return self._materialise(self._rows(owner))
 
     def drop_stream(self, name: str) -> None:
         """Forget a stream's position (used when a device is unplugged);

@@ -110,6 +110,13 @@ class CostModel:
             bw *= cal.PAGEABLE_FACTOR
         return bw
 
+    def uma_read_rate(self) -> float:
+        """Bytes per second a zero-copy kernel reads host memory at over
+        the interconnect (Listing 2): the pinned H2D bandwidth, derated
+        by ``UMA_READ_EFFICIENCY``."""
+        return (self.bandwidth(TransferDirection.H2D, pinned=True)
+                * cal.UMA_READ_EFFICIENCY)
+
     # -- data management -------------------------------------------------------
 
     def transfer_seconds(self, nbytes: int, *,

@@ -281,10 +281,11 @@ def fold(clock: VirtualClock, owner: str | None = None, *, since: int = 0,
          running: Callable[[tuple[str, ...]], float] | None = None
          ) -> Ledger:
     """The one reading of the event log: every counter the system
-    prints is a field of this fold over the events
-    ``clock.events_of(owner)`` lists, or else ``clock.events_since(since)``
-    (in schedule order); every dict lists its keys in the order the
-    events first fed them.
+    prints is a field of this fold over exactly the rows charged to
+    *owner* (the events ``clock.events_of(owner)`` lists), or else over
+    every row from *since* on (``clock.events_since(since)``), rows
+    charged to nobody included; in schedule order either way, and every
+    dict lists its keys in the order the events first fed them.
 
     An event says where it ran through its stream (``<device>.transfer``
     / ``<device>.compute``) and what it was through its label, whose
@@ -309,9 +310,7 @@ def fold(clock: VirtualClock, owner: str | None = None, *, since: int = 0,
     them would double-charge the plan (most visibly for fused nodes,
     whose whole point is a lower launch count).  ``completed`` therefore
     counts, per owner, only what follows the owner's last ``recovery``
-    marker — exactly the run that completed; a marker charged to nobody
-    restarts everyone, and unowned kernel events (which ``events_of``
-    shows every owner) restart with any marker.  Every other field,
+    marker — exactly the run that completed.  Every other field,
     ``series`` included, counts *every* event, aborted attempts too.
     """
     window = clock.window(owner, since)
@@ -324,8 +323,8 @@ def fold(clock: VirtualClock, owner: str | None = None, *, since: int = 0,
 
 def _aborted(owner: np.ndarray, markers: np.ndarray, owners: int
              ) -> np.ndarray:
-    """Which rows a later ``recovery`` marker restarts: one charged to
-    the row's owner or to nobody, or any marker for an unowned row."""
+    """Which rows a later ``recovery`` marker of the row's own owner
+    restarts."""
     at = np.flatnonzero(markers)
     by = owner[at]
     # The last marker of each owner: sort the markers by owner and keep
@@ -335,9 +334,7 @@ def _aborted(owner: np.ndarray, markers: np.ndarray, owners: int
     last = np.flatnonzero(np.diff(by, append=-1))
     latest = np.full(owners, -1)
     latest[by[last]] = at[last]
-    cut = np.where(owner == 0, at.max(),
-                   np.maximum(latest[owner], latest[0]))
-    return np.arange(len(owner)) < cut
+    return np.arange(len(owner)) < latest[owner]
 
 
 def counters(clock: VirtualClock) -> dict[str, int]:

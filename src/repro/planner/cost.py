@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.fingerprint import subplan_fingerprint
 from repro.core.graph import PrimitiveGraph, PrimitiveNode
-from repro.core.models import MODELS, shallow_hash_pipeline
+from repro.core.models import MODELS
 from repro.core.pipelines import (
     Pipeline,
     chunk_count,
@@ -51,7 +51,6 @@ from repro.core.pipelines import (
 from repro.devices.base import SimulatedDevice
 from repro.hardware import calibration as cal
 from repro.hardware.costmodel import CostModel, CostOverlay, TransferDirection
-from repro.hardware.specs import Sdk
 from repro.storage import Catalog
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -338,12 +337,11 @@ class _PipelineShape:
     # -- filled in by PricingTable._shape --
     #: Device the graph's annotations put the pipeline on.
     annotated: str = ""
-    shallow_hash: bool = False
     #: Pipeline index producing each external input, in their order.
     producers: tuple[int | None, ...] = ()
     #: ``(device, zero_copy)`` -> :meth:`PricingTable._walk`.
     walks: dict = field(default_factory=dict)
-    #: ``(device, chunks, pinned, zero_copy, pinned_penalty)`` ->
+    #: ``(device, chunks, pinned, zero_copy)`` ->
     #: :meth:`PricingTable._components`.
     components: dict = field(default_factory=dict)
     #: Live subplan-cache entries of every persisted node, or () when
@@ -606,7 +604,6 @@ class PricingTable:
                                data_scale=self.data_scale)
         shape.annotated = pipeline_placements(graph, pipeline,
                                               self.default_device)[0]
-        shape.shallow_hash = shallow_hash_pipeline(graph, pipeline)
         shape.producers = tuple(producer.get(ext)
                                 for ext in pipeline.external_inputs)
         return shape
@@ -625,27 +622,22 @@ class PricingTable:
         if zero_copy:
             # Every kernel consuming scan data pays the interconnect
             # read itself, on the compute stream (Listing 2).
-            read_rate = (cost.bandwidth(TransferDirection.H2D, pinned=True)
-                         * cal.UMA_READ_EFFICIENCY)
+            read_rate = cost.uma_read_rate()
             for node in shape.nodes:
                 uma += node.scan_bytes / read_rate
         return launches, kernels, uma
 
     def _components(self, shape: _PipelineShape, device: SimulatedDevice,
-                    chunks: int, pinned: bool, zero_copy: bool,
-                    pinned_penalty: bool) -> tuple[float, float, float]:
-        """(transfer, kernel, launch) seconds of a pipeline on *device*.
+                    chunks: int, pinned: bool, zero_copy: bool
+                    ) -> tuple[float, float, float]:
+        """(transfer, kernel, launch) seconds of a pipeline on *device*,
+        before the lane's transfer factor (the model's
+        ``transfer_factor``, or the split model's ``fan_out_factor``).
 
         Kernel time is total work (chunking does not change it, the
         aggregation's groups-per-chunk term aside); launch and DMA
         set-up multiply with the chunk count — exactly the trade the
         chunk-size ladder explores.
-
-        Args:
-            pinned_penalty: Charge the OpenCL shallow-hash pinned factor
-                (``ExecutionModel.transfer_factor``).  The split model's
-                fan-out loop stages chunks without that factor, so its
-                pricing branch turns this off to stay faithful.
         """
         cost = device.cost
         key = (device.name, zero_copy)
@@ -662,10 +654,6 @@ class PricingTable:
             transfer = (len(shape.pipeline.scan_refs) * per_column
                         + shape.scan_bytes / cost.bandwidth(
                             TransferDirection.H2D, pinned=pinned))
-            if pinned and pinned_penalty and device.sdk is Sdk.OPENCL \
-                    and shape.shallow_hash:
-                # OpenCL shallow-hash pinned penalty (calibration, Q4).
-                transfer *= cal.OPENCL_SHALLOW_PINNED_FACTOR
 
         kernel = launch = 0.0
         for node, per_launch, seconds in zip(shape.nodes, launches, kernels):
@@ -677,14 +665,13 @@ class PricingTable:
         return transfer, kernel + uma, launch
 
     def _priced(self, shape: _PipelineShape, name: str, chunks: int,
-                traits: _ModelTraits, *, pinned_penalty: bool = True
-                ) -> tuple[float, float, float]:
-        key = (name, chunks, traits.pinned, traits.zero_copy, pinned_penalty)
+                traits: _ModelTraits) -> tuple[float, float, float]:
+        key = (name, chunks, traits.pinned, traits.zero_copy)
         priced = shape.components.get(key)
         if priced is None:
             priced = shape.components[key] = self._components(
                 shape, self.devices[name], chunks, traits.pinned,
-                traits.zero_copy, pinned_penalty)
+                traits.zero_copy)
         return priced
 
     def split_counts(self, model: str, chunks: int) -> dict[str, int]:
@@ -740,8 +727,8 @@ class PricingTable:
                 total = 0.0
                 transfer = kernel = launch = 0.0
                 for name in self._names:
-                    t, k, ln = self._priced(shape, name, chunks, traits,
-                                            pinned_penalty=False)
+                    t, k, ln = self._priced(shape, name, chunks, traits)
+                    t *= traits.model_cls.fan_out_factor
                     seconds = (t + k + ln) * overlay.get(name, 1.0)
                     share = counts[name] / chunks
                     total = max(total, seconds * share)
@@ -773,6 +760,8 @@ class PricingTable:
                 placed[index] = dev_name = traits.participants[0]
             transfer, kernel, launch = self._priced(shape, dev_name, chunks,
                                                     traits)
+            transfer *= traits.model_cls.transfer_factor(
+                self.devices[dev_name], graph, pipeline)
             # Routing charge for external inputs built on another device.
             for producer in shape.producers:
                 if placed.get(producer) not in (None, dev_name):

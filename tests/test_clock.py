@@ -230,11 +230,10 @@ def series_fed(event):
 
 
 def restarted(event, events):
-    """Whether a later recovery marker restarts *event*'s attempt: one
-    charged to its owner or to nobody, or any one if it is unowned."""
+    """Whether a later recovery marker of *event*'s own owner restarts
+    its attempt."""
     return any(later.category == "recovery" and later.eid > event.eid
-               and (later.owner in ("", event.owner) or not event.owner)
-               for later in events)
+               and later.owner == event.owner for later in events)
 
 
 def defined_ledger(events, running):
@@ -296,7 +295,7 @@ class TestFoldDefinition:
         assert clock.events_since(cursor) == scheduled[cursor:]
         windows = [(dict(since=cursor), scheduled[cursor:])]
         for owner in ("", "qa", "qb", "never-ran"):
-            mine = [e for e in scheduled if e.owner in (owner, "")]
+            mine = [e for e in scheduled if e.owner == owner]
             assert clock.events_of(owner) == mine
             windows.append((dict(owner=owner), mine))
         windows.append((dict(), scheduled))
@@ -315,7 +314,7 @@ class TestFoldDefinition:
         clock.schedule("gpu0.compute", 0.1, label="gpu0:run:map")
         clock.schedule("gpu0.compute", 0.2, label="gpu0:run:map")
         key = ("adamant_kernel_seconds_total", "gpu0", "map")
-        assert fold(clock, "q0").series == {key: 0.1 + 0.2}
+        assert fold(clock, "").series == {key: 0.1 + 0.2}
         assert fold(clock, running=lambda series: 0.7).series == \
             {key: 0.7 + 0.1 + 0.2}
         assert fold(clock).series == {key: 0.1 + 0.2}

@@ -119,7 +119,7 @@ class TestCrossReferences:
 
     def test_backticked_path_references_resolve(self):
         """Every backticked `src/...`-style path mentioned in prose
-        exists (same check tools/check_doc_links.py runs in CI)."""
+        exists (the check tools/check_doc_links.py runs)."""
         import sys
 
         sys.path.insert(0, str(ROOT / "tools"))

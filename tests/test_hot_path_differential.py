@@ -376,7 +376,6 @@ OWNERS = (None, "", "qa", "qb", "qc")
 clock_steps = st.lists(st.one_of(
     st.tuples(st.just("schedule"), st.sampled_from(OWNERS),
               st.integers(0, 2)),
-    st.tuples(st.just("begin_epoch"), st.none(), st.none()),
     st.tuples(st.just("drop_stream"), st.none(), st.integers(0, 2)),
     st.tuples(st.just("reset"), st.none(), st.none()),
 ), max_size=60)
@@ -391,15 +390,13 @@ class TestEventsOfIndex:
             if op == "schedule":
                 clock.current_owner = owner
                 clock.schedule(f"s{stream}", 0.5)
-            elif op == "begin_epoch":
-                clock.begin_epoch()
             elif op == "drop_stream":
                 clock.drop_stream(f"s{stream}")
             else:
                 clock.reset()
             for query in ("", "qa", "qb", "qc", "never-ran"):
                 assert clock.events_of(query) == [
-                    e for e in clock.events if e.owner in (query, "")]
+                    e for e in clock.events if e.owner == query]
 
     def test_returned_list_is_the_callers(self):
         clock = VirtualClock()

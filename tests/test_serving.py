@@ -18,6 +18,8 @@ Covers the overload-robustness contract end to end:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,7 @@ from repro.faults import (
     overload_faults,
 )
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI
+from repro.hardware.trace import fold
 from repro.observe import explain_admission
 from repro.serving import (
     BATCH,
@@ -243,6 +246,26 @@ class TestServeBasics:
         assert engine.metrics.total(
             "adamant_serving_admitted_total") == len(requests)
         assert_quiescent(engine)
+
+    def test_a_served_query_folds_only_its_own_rows(self, tiny_catalog):
+        """Arrival markers are scheduled while the engine idles, charged
+        to nobody: they are no request's work, so no request's
+        statistics count them."""
+        engine = make_engine()
+        report = QueryService(engine).serve([
+            request_for(name, tiny_catalog, arrival_s=at,
+                        request_id=f"r{i}")
+            for i, (name, at) in enumerate(
+                (("q6", 0.0), ("q1", 1.0), ("q6", 2.0), ("q6", 3.0)))])
+        assert [o.status for o in report.outcomes] == ["ok"] * 4
+        markers = [e for e in engine.clock.events if e.category == "serving"]
+        assert len(markers) >= 3 and not any(e.owner for e in markers)
+        for outcome in report.outcomes:
+            stats = outcome.result.stats
+            assert "serving" not in stats.time_by_category
+            own = Counter(e.category for e in engine.clock.events
+                          if e.owner == stats.query_id)
+            assert fold(engine.clock, stats.query_id).count == own
 
     def test_workload_is_deterministic(self, tiny_catalog):
         streams = [open_loop_workload(tiny_catalog, qps=500,

@@ -16,8 +16,8 @@ Two passes over the top-level ``*.md`` files and ``docs/*.md``:
   file name with its directory given separately, e.g.
   "`` `mutation_scan.py` ``, under `` `tools/` ``".
 
-Run by CI and, via :func:`broken_links` / :func:`broken_path_refs`, by
-``tests/test_docs.py``.
+The test suite runs it through :func:`broken_links` and
+:func:`broken_path_refs` (``tests/test_docs.py``).
 """
 
 from __future__ import annotations

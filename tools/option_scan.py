@@ -16,7 +16,8 @@ so the scan under-reports rather than over-reports; what it cannot see
 Everything else is printed as ``path:line name(option)`` and fails the
 run: with one value in use an option is a constant (ROADMAP "Small
 deletions and the layers the instrument says are next", done).
-Run by CI and, via :func:`unused_options`, by ``tests/test_tools.py``.
+The test suite runs it through :func:`unused_options`
+(``tests/test_tools.py``).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ and lines marked ``# noqa`` are skipped, as is every import of an
 ``__init__.py`` that defines no ``__all__`` (a package namespace).
 
 Prints ``path:line name`` per finding and exits non-zero when there is
-one.  Run over :data:`TREES` by CI and, via :func:`unused_imports`, by
-``tests/test_tools.py``.
+one.  The test suite runs it over :data:`TREES` through
+:func:`unused_imports` (``tests/test_tools.py``).
 """
 
 from __future__ import annotations
