@@ -20,6 +20,7 @@ per-query allocation accounting and OOM reclamation never touch them.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -62,7 +63,9 @@ class ResidencyCache(PinnedLRU):
 
     def __init__(self, device: "SimulatedDevice") -> None:
         super().__init__()
-        self.device = device
+        # Weak: the device owns its cache (``device.residency``), so a
+        # dropped engine's devices are freed by reference counting.
+        self._device = weakref.ref(device)
         #: (ref, catalog id, version) triples that did not fit in device
         #: memory — retried on the next catalog version, not per chunk.
         self._oversized: set[tuple[str, int, int]] = set()
@@ -73,6 +76,10 @@ class ResidencyCache(PinnedLRU):
         self._cooldown: set[tuple[str, int, int]] = set()
 
     # -- queries -------------------------------------------------------------
+
+    @property
+    def device(self) -> "SimulatedDevice":
+        return self._device()
 
     @property
     def max_bytes(self) -> int:

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from repro.core.fingerprint import subplan_fingerprint
 from repro.core.pipelines import halve_chunk, split_pipelines
 from repro.engine.engine import Engine, QueryRequest
-from repro.engine.session import QuerySession
 from repro.errors import (
     AdamantError,
     AdmissionRejected,
@@ -135,13 +134,11 @@ class ChunkGate:
     arrived interactive work.
     """
 
-    def __init__(self, service: "QueryService",
-                 session: QuerySession) -> None:
+    def __init__(self, service: "QueryService") -> None:
         self._service = service
-        self._session = session
 
     def checkpoint(self, model) -> None:
-        self._service._checkpoint(self._session, model)
+        self._service._checkpoint(model)
 
 
 class QueryService:
@@ -330,7 +327,7 @@ class QueryService:
             return
         session.deadline = deadline
         if self.preempt or deadline is not None:
-            session.gate = ChunkGate(self, session)
+            session.gate = ChunkGate(self)
         try:
             result = engine.execute(
                 query.graph, query.catalog, model=query.model,
@@ -378,7 +375,7 @@ class QueryService:
 
     # -- the gate ------------------------------------------------------------
 
-    def _checkpoint(self, session: QuerySession, model) -> None:
+    def _checkpoint(self, model) -> None:
         """Called by a running query's chunk loop between chunks.
 
         Deadline first (cheap, applies to every gated query), then —
@@ -390,10 +387,11 @@ class QueryService:
         """
         clock = self.engine.clock
         now = clock.now()
-        if session.deadline is not None and now > session.deadline:
+        query = model.ctx.query
+        if query.deadline is not None and now > query.deadline:
             raise DeadlineExceededError(
-                f"query {session.query_id}: deadline "
-                f"{session.deadline:.6f}s passed at {now:.6f}s "
+                f"query {query.query_id}: deadline "
+                f"{query.deadline:.6f}s passed at {now:.6f}s "
                 f"(chunk boundary)")
         if not self.preempt or self._draining:
             return
@@ -420,5 +418,5 @@ class QueryService:
             clock.current_owner = saved_owner
             for device in ctx.devices.values():
                 device.bind_query(  # type: ignore[attr-defined]
-                    session.query_id, data_scale=ctx.plan.data_scale,
-                    memory_budget=session.memory_budget)
+                    query.query_id, data_scale=ctx.plan.data_scale,
+                    memory_budget=query.memory_budget)
