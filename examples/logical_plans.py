@@ -62,7 +62,7 @@ def main() -> None:
         HashJoin(probe=lineitems, build=Scan("orders"),
                  probe_key="l_orderkey", build_key="o_orderkey",
                  payload=["o_orderpriority"]),
-        keys=["l_orderkey"],
+        keys=["o_orderpriority"],
         aggregates=[AggregateSpec("rev", "sum", "revenue")],
     )
     graph = translate(plan, name="revenue_per_priority")
@@ -77,15 +77,8 @@ def main() -> None:
             result = executor.run(graph, catalog, model=model,
                                   chunk_size=2**13)
             table = result.output("rev")
-            # roll per-order revenue up to priorities on the host
-            orders = catalog.table("orders")
-            prio_of = dict(zip(
-                orders.column("o_orderkey").values.tolist(),
-                orders.column("o_orderpriority").values.tolist()))
-            got: dict[int, int] = {}
-            for key, value in zip(table.keys.tolist(),
-                                  table.aggregates["sum"].tolist()):
-                got[prio_of[key]] = got.get(prio_of[key], 0) + value
+            got = dict(zip(table.keys.tolist(),
+                           table.aggregates["sum"].tolist()))
             ok = got == expected_by_prio
             print(f"{label:7s} {model:22s} oracle match: {ok} "
                   f"({result.stats.makespan * 1e3:8.2f} ms simulated)")

@@ -2,11 +2,21 @@
 
 ADAMANT consumes "a query plan (generated from any existing optimizer)
 translated into a primitive graph" (Section III).  This module is the
-library's stand-in for that optimizer output: a small algebra of logical
-operators that :mod:`repro.planner.translate` compiles into primitive
-graphs.  It deliberately covers the plan shapes of the paper's workload —
-selective scans, derived columns, scalar and grouped aggregation, hash
-(semi-)joins — and rejects anything else with :class:`~repro.errors.PlanError`.
+library's stand-in for that optimizer output, and every TPC-H query
+module declares its plan in it: a small algebra that
+:mod:`repro.planner.translate` compiles into primitive graphs.  It covers
+the workload's plan shapes — conjunctive selections with disjunctions
+inside, derived columns with constants, scalar, grouped and sort-based
+aggregation, HAVING over a grouped aggregate, hash (semi-)joins whose
+build-side payload is read after the join, hash tables kept as outputs —
+and rejects anything else with :class:`~repro.errors.PlanError`.
+
+Operators that emit primitives take optional node ids (``id``, ``ids``
+by column, ...), ``hints`` for the materializations they emit (``{}``
+for none) and ``cost_params``; absent, the translator picks fresh ids
+and a sampled or 0.5 ``selectivity_estimate``.  A predicate or derived
+column whose literals are bound later by node id
+(:meth:`~repro.core.graph.PrimitiveGraph.bind`) carries none.
 """
 
 from __future__ import annotations
@@ -17,59 +27,96 @@ from repro.errors import PlanError
 
 __all__ = [
     "Predicate",
+    "AnyOf",
     "Derived",
     "AggregateSpec",
     "LogicalPlan",
     "Scan",
     "Select",
     "Derive",
+    "Rename",
+    "Sort",
     "ScalarAggregate",
     "GroupAggregate",
     "HashJoin",
     "SemiJoin",
+    "HashBuild",
 ]
 
 
 @dataclass(frozen=True)
 class Predicate:
-    """A filter on one column: comparator+value or an inclusive range."""
+    """A filter on one column: comparator+value, an inclusive range, or
+    neither when its node *id* binds them later."""
 
     column: str
     cmp: str | None = None
     value: object = None
     lo: object = None
     hi: object = None
+    id: str | None = None
 
     def __post_init__(self) -> None:
-        if self.cmp is None and self.lo is None and self.hi is None:
-            raise PlanError(
-                f"predicate on {self.column!r} needs cmp+value or lo/hi"
-            )
+        if self.cmp is None and self.lo is None and self.hi is None \
+                and self.id is None:
+            raise PlanError(f"predicate on {self.column!r} needs cmp+value, "
+                            "lo/hi or a node id to bind them by")
         if self.cmp is not None and self.value is None:
             raise PlanError(
                 f"predicate on {self.column!r}: comparator {self.cmp!r} "
                 "needs a value"
             )
 
+    @property
+    def terms(self) -> list[Predicate]:
+        return [self]
+
     def kernel_params(self) -> dict:
         if self.cmp is not None:
             return {"cmp": self.cmp, "value": self.value}
+        if self.lo is None and self.hi is None:
+            return {}
         return {"lo": self.lo, "hi": self.hi}
 
 
 @dataclass(frozen=True)
+class AnyOf:
+    """A disjunction of predicates (BITMAP_OR nodes *ids*)."""
+
+    terms: list[Predicate]
+    ids: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if len(self.terms) < 2:
+            raise PlanError("AnyOf needs at least two predicates")
+
+
+@dataclass(frozen=True)
 class Derived:
-    """A derived column: ``name = op(left[, right])``."""
+    """A derived column ``name = op(left[, right])``, with an optional
+    map constant; an *op* of None is bound later by node *id*."""
 
     name: str
-    op: str
+    op: str | None
     left: str
     right: str | None = None
+    const: object = None
+    id: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.op is None and self.id is None:
+            raise PlanError(f"derived column {self.name!r} needs an op or "
+                            "a node id to bind it by")
+
+    def kernel_params(self) -> dict:
+        params = {} if self.op is None else {"op": self.op}
+        return params if self.const is None else {**params,
+                                                  "const": self.const}
 
 
 @dataclass(frozen=True)
 class AggregateSpec:
-    """One aggregate of a GROUP BY: ``name = fn(column)``."""
+    """One aggregate: ``name = fn(column)``; *name* is its node id."""
 
     name: str
     fn: str
@@ -80,11 +127,22 @@ class AggregateSpec:
             raise PlanError(f"aggregate {self.name!r}: {self.fn} needs a column")
 
 
+def _check_names(aggregates: list[AggregateSpec]) -> None:
+    names = [a.name for a in aggregates]
+    if not names or len(set(names)) != len(names):
+        raise PlanError(f"need distinct aggregate names, got {names}")
+
+
+def _check_payload(payload: list[str]) -> None:
+    if len(payload) > 3:
+        raise PlanError("hash_build carries at most three payload columns")
+
+
 class LogicalPlan:
     """Base class for logical operators."""
 
     def children(self) -> list["LogicalPlan"]:
-        return []
+        return [self.child] if hasattr(self, "child") else []
 
 
 @dataclass
@@ -96,55 +154,85 @@ class Scan(LogicalPlan):
 
 @dataclass
 class Select(LogicalPlan):
-    """Conjunctive filter over the child's rows."""
+    """Conjunctive filter (BITMAP_AND nodes *and_ids*), then a
+    MATERIALIZE of each column needed above (*ids* by column)."""
 
     child: LogicalPlan
-    predicates: list[Predicate]
+    predicates: list[Predicate | AnyOf]
+    ids: dict[str, str] = field(default_factory=dict)
+    and_ids: list[str] = field(default_factory=list)
+    hints: dict | None = None
 
     def __post_init__(self) -> None:
         if not self.predicates:
             raise PlanError("Select needs at least one predicate")
 
-    def children(self) -> list[LogicalPlan]:
-        return [self.child]
-
 
 @dataclass
 class Derive(LogicalPlan):
-    """Add derived columns to the child's output."""
+    """Add derived columns; each may read the ones listed before it."""
 
     child: LogicalPlan
     columns: list[Derived]
 
-    def children(self) -> list[LogicalPlan]:
-        return [self.child]
+
+@dataclass
+class Rename(LogicalPlan):
+    """Expose child columns under new names (``{new: old}``)."""
+
+    child: LogicalPlan
+    columns: dict[str, str]
+
+
+@dataclass
+class Sort(LogicalPlan):
+    """Stable sort by *key*: SORT_POSITIONS (node *id*), then a
+    MATERIALIZE_POSITION of each column needed above (*ids*)."""
+
+    child: LogicalPlan
+    key: str
+    id: str | None = None
+    ids: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
 class ScalarAggregate(LogicalPlan):
-    """Whole-input reduction: ``fn(column)`` -> one value."""
+    """Whole-input reductions, one AGG_BLOCK output per aggregate (every
+    one, COUNT too, reads a column)."""
 
     child: LogicalPlan
-    fn: str
-    column: str
+    aggregates: list[AggregateSpec]
 
-    def children(self) -> list[LogicalPlan]:
-        return [self.child]
+    def __post_init__(self) -> None:
+        _check_names(self.aggregates)
+        if any(spec.column is None for spec in self.aggregates):
+            raise PlanError("a scalar aggregate needs a column")
 
 
 @dataclass
 class GroupAggregate(LogicalPlan):
     """GROUP BY *keys* with one or more aggregates.
 
-    With two key columns the translator combines them into one numeric key
-    (``key1 * second_key_domain + key2``), so *second_key_domain* — the
-    number of distinct values of the second key — is required then.
+    Two key columns combine into one numeric key (``key1 *
+    second_key_domain + key2``, a MAP with id *key_id*), so
+    *second_key_domain* — the number of distinct values of the second key
+    — is required then.  With *sort* the child is sorted by the one key
+    (:class:`Sort`): GROUP_PREFIX (id *key_id*) and SORT_AGG aggregate it,
+    and the sorted keys follow the aggregates as an output (SORT_AGG
+    numbers groups densely).  Below the root, the key and aggregates are
+    columns (GROUP_KEYS / GROUP_VALUES, *ids*) a :class:`Select` filters
+    — SQL's HAVING — and *output* keeps the aggregates as outputs.
     """
 
     child: LogicalPlan
     keys: list[str]
     aggregates: list[AggregateSpec] = field(default_factory=list)
     second_key_domain: int | None = None
+    sort: bool = False
+    key_id: str | None = None
+    ids: dict[str, str] = field(default_factory=dict)
+    cost_params: dict = field(default_factory=dict)
+    output: bool = False
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.keys) <= 2:
@@ -156,29 +244,39 @@ class GroupAggregate(LogicalPlan):
             raise PlanError(
                 "GroupAggregate with two keys needs second_key_domain"
             )
-        if not self.aggregates:
-            raise PlanError("GroupAggregate needs at least one aggregate")
-        names = [a.name for a in self.aggregates]
-        if len(set(names)) != len(names):
-            raise PlanError(f"duplicate aggregate names: {names}")
-
-    def children(self) -> list[LogicalPlan]:
-        return [self.child]
+        _check_names(self.aggregates)
+        if self.sort:
+            node = self.child
+            while isinstance(node, Derive):
+                node = node.child
+            if not (isinstance(node, Sort) and self.keys == [node.key]):
+                raise PlanError("a sort-based GroupAggregate needs its input "
+                                "sorted by its one key")
+            if any(spec.column is None for spec in self.aggregates):
+                raise PlanError("a sort aggregate needs a column")
 
 
 @dataclass
 class HashJoin(LogicalPlan):
-    """Inner hash join; *build* side may carry payload columns through."""
+    """Inner hash join; *payload* build columns ride in the hash table
+    and are read after the join (GATHER_PAYLOAD).  Node ids: *build_id*,
+    *probe_id*, *side_id* (JOIN_SIDE) and *ids* of the gathers by column;
+    *output* keeps the hash table as an output."""
 
     probe: LogicalPlan
     build: LogicalPlan
     probe_key: str
     build_key: str
     payload: list[str] = field(default_factory=list)
+    build_id: str | None = None
+    probe_id: str | None = None
+    side_id: str | None = None
+    ids: dict[str, str] = field(default_factory=dict)
+    hints: dict | None = None
+    output: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.payload) > 3:
-            raise PlanError("hash_build carries at most three payload columns")
+        _check_payload(self.payload)
 
     def children(self) -> list[LogicalPlan]:
         return [self.probe, self.build]
@@ -186,12 +284,31 @@ class HashJoin(LogicalPlan):
 
 @dataclass
 class SemiJoin(LogicalPlan):
-    """EXISTS: keep probe rows whose key appears on the build side."""
+    """EXISTS: keep probe rows whose key appears on the build side
+    (node ids as for :class:`HashJoin`)."""
 
     probe: LogicalPlan
     build: LogicalPlan
     probe_key: str
     build_key: str
+    build_id: str | None = None
+    probe_id: str | None = None
+    ids: dict[str, str] = field(default_factory=dict)
+    hints: dict | None = None
 
     def children(self) -> list[LogicalPlan]:
         return [self.probe, self.build]
+
+
+@dataclass
+class HashBuild(LogicalPlan):
+    """A plan root: the child's rows hash-built on *key* with *payload*
+    (node *id*), the table itself the output."""
+
+    child: LogicalPlan
+    key: str
+    payload: list[str]
+    id: str | None = None
+
+    def __post_init__(self) -> None:
+        _check_payload(self.payload)

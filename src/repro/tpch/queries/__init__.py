@@ -1,16 +1,20 @@
 """Primitive-graph plans for TPC-H queries.
 
-Q1/Q3/Q4/Q6 are the paper's evaluated queries; Q5, Q12 and Q14 extend
-the workload (five-way joins, IN-lists, payload gathers, conditional
-aggregation), and ``q1_sorted`` is the SORT_AGG-based alternative plan.
-Every module exposes ``build(catalog, **params) -> PrimitiveGraph`` and
+Q1/Q3/Q4/Q6 are the paper's evaluated queries; Q5, Q10, Q12, Q14, Q18
+and Q19 extend the workload (five-way joins, IN-lists, payload gathers,
+HAVING, conditional aggregation), and ``q1_sorted`` is the
+SORT_AGG-based alternative plan.  Every module declares its plan once,
+as a logical plan (``PLAN``, :mod:`repro.planner.logical`), and
+``template()`` is :func:`~repro.planner.translate.translate` of it,
+translated once and read-only: the plan's structure without its
+literals, with the node ids ``build`` binds them by.  Every module
+exposes ``build(catalog, **params) -> PrimitiveGraph`` and
 ``finalize(result, catalog)`` returning the same shape as the oracle of
 the same name in :mod:`repro.tpch.reference`.  Only some builders read
 the catalog (to translate literals into dictionary codes); the others
 take it too and default it to None, so callers need not know which.
-``build`` binds its literals into ``template()`` — the plan's structure,
-built once per module and read-only — so every call returns a fresh
-graph that shares only what structure alone decides
+``build`` binds its literals into ``template()``, so every call returns
+a fresh graph that shares only what structure alone decides
 (:meth:`~repro.core.graph.PrimitiveGraph.bind`).
 """
 

@@ -12,61 +12,50 @@ import functools
 
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
+from repro.planner.logical import (AggregateSpec, Derive, Derived,
+                                   GroupAggregate, Predicate, Scan, Select)
+from repro.planner.translate import translate
 from repro.primitives.values import GroupTable
 from repro.storage import Catalog, DictionaryColumn, date_to_int
 
-__all__ = ["build", "finalize", "template"]
+__all__ = ["FIELDS", "LINEITEMS", "PLAN", "PRICES", "assemble", "build",
+           "finalize", "template"]
 
-_AGGS = {
-    "agg_qty": ("m_qty", "sum"),
-    "agg_price": ("m_price", "sum"),
-    "agg_disc_price": ("disc_price", "sum"),
-    "agg_charge": ("charge", "sum"),
-    "agg_count": (None, "count"),
-}
-
-
-@functools.cache
-def template() -> PrimitiveGraph:
-    """The Q1 plan without its literals, built once and read-only; every
-    :func:`build` binds one fresh graph from it."""
-    g = PrimitiveGraph("q1")
-    g.add_node("f_ship", "filter_bitmap")
-    materialized = {
-        "m_rf": "lineitem.l_returnflag",
-        "m_ls": "lineitem.l_linestatus",
-        "m_qty": "lineitem.l_quantity",
-        "m_price": "lineitem.l_extendedprice",
-        "m_disc": "lineitem.l_discount",
-        "m_tax": "lineitem.l_tax",
-    }
-    g.connect("lineitem.l_shipdate", "f_ship", 0)
-    for node_id, ref in materialized.items():
-        g.add_node(node_id, "materialize",
+#: The shipdate filter (bound by :func:`build`) and the six columns it
+#: materializes, and the two revenue expressions; the sort-based plan
+#: (:mod:`repro.tpch.queries.q1_sorted`) shares both.
+LINEITEMS = Select(Scan("lineitem"), [Predicate("l_shipdate", id="f_ship")],
+                   ids={"l_returnflag": "m_rf", "l_linestatus": "m_ls",
+                        "l_quantity": "m_qty", "l_extendedprice": "m_price",
+                        "l_discount": "m_disc", "l_tax": "m_tax"},
                    hints=dict(selectivity_estimate=0.99))
-        g.connect(ref, node_id, 0)
-        g.connect("f_ship", node_id, 1)
+PRICES = [Derived("disc_price", "disc_price", "l_extendedprice",
+                  "l_discount", id="disc_price"),
+          Derived("charge", "tax_price", "disc_price", "l_tax", id="charge")]
 
+#: The Q1 plan.
+PLAN = GroupAggregate(
+    Derive(LINEITEMS, PRICES),
     # group key = returnflag * |linestatus dictionary| + linestatus
-    g.add_node("keys", "map", params=dict(op="combine_keys", const=2))
-    g.connect("m_rf", "keys", 0)
-    g.connect("m_ls", "keys", 1)
+    keys=["l_returnflag", "l_linestatus"], second_key_domain=2,
+    key_id="keys",
+    aggregates=[AggregateSpec("agg_qty", "sum", "l_quantity"),
+                AggregateSpec("agg_price", "sum", "l_extendedprice"),
+                AggregateSpec("agg_disc_price", "sum", "disc_price"),
+                AggregateSpec("agg_charge", "sum", "charge"),
+                AggregateSpec("agg_count", "count")],
+    cost_params=dict(groups=6))
 
-    g.add_node("disc_price", "map", params=dict(op="disc_price"))
-    g.connect("m_price", "disc_price", 0)
-    g.connect("m_disc", "disc_price", 1)
-    g.add_node("charge", "map", params=dict(op="tax_price"))
-    g.connect("disc_price", "charge", 0)
-    g.connect("m_tax", "charge", 1)
+#: Aggregate node id -> the reference oracle's field.
+FIELDS = {"agg_qty": "sum_qty", "agg_price": "sum_base_price",
+          "agg_disc_price": "sum_disc_price", "agg_charge": "sum_charge",
+          "agg_count": "count"}
 
-    for agg_id, (value_node, fn) in _AGGS.items():
-        g.add_node(agg_id, "hash_agg", params=dict(fn=fn),
-                   cost_params=dict(groups=6))
-        g.connect("keys", agg_id, 0)
-        if value_node is not None:
-            g.connect(value_node, agg_id, 1)
-        g.mark_output(agg_id)
-    return g
+
+#: :data:`PLAN` translated once, read-only: every :func:`build` binds a
+#: fresh graph from it.
+template = functools.cache(
+    functools.partial(translate, PLAN, name="q1"))
 
 
 def build(catalog: Catalog | None = None, *, delta_days: int = 90,
@@ -79,24 +68,23 @@ def build(catalog: Catalog | None = None, *, delta_days: int = 90,
 def finalize(result: QueryResult, catalog: Catalog
              ) -> dict[tuple[str, str], dict]:
     """Decode group keys and assemble the reference-oracle layout."""
+    return assemble(result, catalog, PLAN, int)
+
+
+def assemble(result: QueryResult, catalog: Catalog, plan: GroupAggregate,
+             combined_key) -> dict[tuple[str, str], dict]:
+    """The oracle's layout of *plan*'s aggregate outputs; *combined_key*
+    maps an output group key to its combined (returnflag, linestatus)
+    code."""
     rf = catalog.column("lineitem.l_returnflag")
     ls = catalog.column("lineitem.l_linestatus")
     assert isinstance(rf, DictionaryColumn) and isinstance(ls, DictionaryColumn)
-
-    named = {
-        "agg_qty": "sum_qty",
-        "agg_price": "sum_base_price",
-        "agg_disc_price": "sum_disc_price",
-        "agg_charge": "sum_charge",
-        "agg_count": "count",
-    }
     out: dict[tuple[str, str], dict] = {}
-    for agg_id, out_name in named.items():
-        table = result.output(agg_id)
+    for spec in plan.aggregates:
+        table = result.output(spec.name)
         assert isinstance(table, GroupTable)
-        fn = _AGGS[agg_id][1]
-        for key, value in zip(table.keys, table.aggregates[fn]):
-            rname = rf.dictionary[int(key) // len(ls.dictionary)]
-            lname = ls.dictionary[int(key) % len(ls.dictionary)]
-            out.setdefault((rname, lname), {})[out_name] = int(value)
+        for key, value in zip(table.keys, table.aggregates[spec.fn]):
+            rf_code, ls_code = divmod(combined_key(key), len(ls.dictionary))
+            out.setdefault((rf.dictionary[rf_code], ls.dictionary[ls_code]),
+                           {})[FIELDS[spec.name]] = int(value)
     return out

@@ -18,65 +18,50 @@ import functools
 
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
+from repro.planner.logical import (AggregateSpec, Derive, Derived,
+                                   GroupAggregate, HashJoin, Predicate, Scan,
+                                   Select)
+from repro.planner.translate import translate
 from repro.primitives.values import GroupTable
 from repro.storage import Catalog, DictionaryColumn, date_to_int
 from repro.tpch.reference import Q10Row, _add_months
 
-__all__ = ["build", "finalize", "template"]
+__all__ = ["PLAN", "build", "finalize", "template"]
 
 
-@functools.cache
-def template() -> PrimitiveGraph:
-    """The Q10 plan without its literals, built once and read-only; every
-    :func:`build` binds one fresh graph from it."""
-    g = PrimitiveGraph("q10")
+#: The Q10 plan; its two filters are bound by :func:`build`.
+PLAN = GroupAggregate(
+    Derive(
+        HashJoin(
+            # Pipeline 2: returned lineitems joined back to their customers.
+            probe=Select(Scan("lineitem"),
+                         [Predicate("l_returnflag", id="f_returned")],
+                         ids={"l_orderkey": "m_lkey",
+                              "l_extendedprice": "m_price",
+                              "l_discount": "m_disc"},
+                         hints=dict(selectivity_estimate=0.35)),
+            # Pipeline 1: the quarter's orders with their customers.
+            build=Select(Scan("orders"),
+                         [Predicate("o_orderdate", id="f_odate")],
+                         ids={"o_orderkey": "m_okey",
+                              "o_custkey": "m_ocust"},
+                         hints=dict(selectivity_estimate=0.05)),
+            probe_key="l_orderkey", build_key="o_orderkey",
+            payload=["o_custkey"], build_id="build_orders",
+            probe_id="probe", side_id="jleft",
+            ids={"l_extendedprice": "j_price", "l_discount": "j_disc",
+                 "o_custkey": "custkeys"},
+            hints=dict(selectivity_estimate=0.02)),
+        [Derived("revenue", "disc_price", "l_extendedprice", "l_discount",
+                 id="revenue")]),
+    keys=["o_custkey"], aggregates=[AggregateSpec("agg_rev", "sum",
+                                                  "revenue")])
 
-    # Pipeline 1: the quarter's orders with their customers.
-    g.add_node("f_odate", "filter_bitmap")
-    g.connect("orders.o_orderdate", "f_odate", 0)
-    for node_id, ref in (("m_okey", "orders.o_orderkey"),
-                         ("m_ocust", "orders.o_custkey")):
-        g.add_node(node_id, "materialize",
-                   hints=dict(selectivity_estimate=0.05))
-        g.connect(ref, node_id, 0)
-        g.connect("f_odate", node_id, 1)
-    g.add_node("build_orders", "hash_build",
-               params=dict(payload_names=("o_custkey",)))
-    g.connect("m_okey", "build_orders", 0)
-    g.connect("m_ocust", "build_orders", 1)
 
-    # Pipeline 2: returned lineitems joined back to their customers.
-    g.add_node("f_returned", "filter_bitmap")
-    g.connect("lineitem.l_returnflag", "f_returned", 0)
-    for node_id, ref in (("m_lkey", "lineitem.l_orderkey"),
-                         ("m_price", "lineitem.l_extendedprice"),
-                         ("m_disc", "lineitem.l_discount")):
-        g.add_node(node_id, "materialize",
-                   hints=dict(selectivity_estimate=0.35))
-        g.connect(ref, node_id, 0)
-        g.connect("f_returned", node_id, 1)
-    g.add_node("probe", "hash_probe", params=dict(mode="inner"))
-    g.connect("m_lkey", "probe", 0)
-    g.connect("build_orders", "probe", 1)
-    g.add_node("jleft", "join_side", params=dict(side="left"))
-    g.connect("probe", "jleft", 0)
-    for node_id, source in (("j_price", "m_price"), ("j_disc", "m_disc")):
-        g.add_node(node_id, "materialize_position",
-                   hints=dict(selectivity_estimate=0.02))
-        g.connect(source, node_id, 0)
-        g.connect("jleft", node_id, 1)
-    g.add_node("custkeys", "gather_payload", params=dict(name="o_custkey"),
-               hints=dict(selectivity_estimate=0.02))
-    g.connect("probe", "custkeys", 0)
-    g.connect("build_orders", "custkeys", 1)
-    g.add_node("revenue", "map", params=dict(op="disc_price"))
-    g.connect("j_price", "revenue", 0)
-    g.connect("j_disc", "revenue", 1)
-    g.add_node("agg_rev", "hash_agg", params=dict(fn="sum"))
-    g.connect("custkeys", "agg_rev", 0)
-    g.connect("revenue", "agg_rev", 1)
-    g.mark_output("agg_rev")
-    return g
+#: :data:`PLAN` translated once, read-only: every :func:`build` binds a
+#: fresh graph from it.
+template = functools.cache(
+    functools.partial(translate, PLAN, name="q10"))
 
 
 def build(catalog: Catalog, *, date: str = "1993-10-01",

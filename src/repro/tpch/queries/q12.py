@@ -19,91 +19,54 @@ import functools
 
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
+from repro.planner.logical import (AggregateSpec, AnyOf, Derive, Derived,
+                                   GroupAggregate, HashJoin, Predicate, Scan,
+                                   Select)
+from repro.planner.translate import translate
 from repro.primitives.values import GroupTable
 from repro.storage import Catalog, DictionaryColumn, date_to_int
 from repro.tpch.reference import Q12Row, _add_months
 
-__all__ = ["build", "finalize", "template"]
+__all__ = ["PLAN", "build", "finalize", "template"]
 
 
-@functools.cache
-def template() -> PrimitiveGraph:
-    """The Q12 plan without its literals, built once and read-only; every
-    :func:`build` binds one fresh graph from it."""
-    g = PrimitiveGraph("q12")
+#: The Q12 plan; the two modes, the receipt year and the high-priority
+#: band are bound by :func:`build`.
+PLAN = GroupAggregate(
+    Derive(
+        HashJoin(
+            # Pipeline 2: qualifying lineitems joined back to their orders.
+            probe=Select(
+                Derive(Scan("lineitem"),
+                       [Derived("commit_slack", "sub", "l_receiptdate",
+                                "l_commitdate", id="commit_slack"),
+                        Derived("ship_slack", "sub", "l_commitdate",
+                                "l_shipdate", id="ship_slack")]),
+                [AnyOf([Predicate("l_shipmode", id="f_mode_a"),
+                        Predicate("l_shipmode", id="f_mode_b")],
+                       ids=["modes"]),
+                 Predicate("commit_slack", cmp="gt", value=0, id="f_late"),
+                 Predicate("ship_slack", cmp="gt", value=0,
+                           id="f_shipped_early"),
+                 Predicate("l_receiptdate", id="f_receipt")],
+                and_ids=["and1", "and2", "and3"],
+                ids={"l_orderkey": "m_lkey", "l_shipmode": "m_mode"},
+                hints=dict(selectivity_estimate=0.05)),
+            # Pipeline 1: the unfiltered orders with their priority.
+            build=Scan("orders"), probe_key="l_orderkey",
+            build_key="o_orderkey", payload=["o_orderpriority"],
+            build_id="build_orders", probe_id="probe", side_id="jleft",
+            ids={"l_shipmode": "mode_sel", "o_orderpriority": "prio_vals"},
+            hints=dict(selectivity_estimate=0.05)),
+        [Derived("is_high", None, "o_orderpriority", id="is_high")]),
+    keys=["l_shipmode", "is_high"], second_key_domain=2, key_id="keys",
+    aggregates=[AggregateSpec("agg", "count")], cost_params=dict(groups=4))
 
-    # Pipeline 1: the orders hash table with priority payload.
-    g.add_node("build_orders", "hash_build",
-               params=dict(payload_names=("o_orderpriority",)))
-    g.connect("orders.o_orderkey", "build_orders", 0)
-    g.connect("orders.o_orderpriority", "build_orders", 1)
 
-    # Pipeline 2: qualifying lineitems joined back to their orders.
-    g.add_node("f_mode_a", "filter_bitmap")
-    g.add_node("f_mode_b", "filter_bitmap")
-    g.add_node("modes", "bitmap_or")
-    g.connect("lineitem.l_shipmode", "f_mode_a", 0)
-    g.connect("lineitem.l_shipmode", "f_mode_b", 0)
-    g.connect("f_mode_a", "modes", 0)
-    g.connect("f_mode_b", "modes", 1)
-
-    g.add_node("commit_slack", "map", params=dict(op="sub"))
-    g.connect("lineitem.l_receiptdate", "commit_slack", 0)
-    g.connect("lineitem.l_commitdate", "commit_slack", 1)
-    g.add_node("f_late", "filter_bitmap", params=dict(cmp="gt", value=0))
-    g.connect("commit_slack", "f_late", 0)
-
-    g.add_node("ship_slack", "map", params=dict(op="sub"))
-    g.connect("lineitem.l_commitdate", "ship_slack", 0)
-    g.connect("lineitem.l_shipdate", "ship_slack", 1)
-    g.add_node("f_shipped_early", "filter_bitmap",
-               params=dict(cmp="gt", value=0))
-    g.connect("ship_slack", "f_shipped_early", 0)
-
-    g.add_node("f_receipt", "filter_bitmap")
-    g.connect("lineitem.l_receiptdate", "f_receipt", 0)
-
-    g.add_node("and1", "bitmap_and")
-    g.add_node("and2", "bitmap_and")
-    g.add_node("and3", "bitmap_and")
-    g.connect("modes", "and1", 0)
-    g.connect("f_late", "and1", 1)
-    g.connect("and1", "and2", 0)
-    g.connect("f_shipped_early", "and2", 1)
-    g.connect("and2", "and3", 0)
-    g.connect("f_receipt", "and3", 1)
-
-    for node_id, ref in (("m_lkey", "lineitem.l_orderkey"),
-                         ("m_mode", "lineitem.l_shipmode")):
-        g.add_node(node_id, "materialize",
-                   hints=dict(selectivity_estimate=0.05))
-        g.connect(ref, node_id, 0)
-        g.connect("and3", node_id, 1)
-
-    g.add_node("probe", "hash_probe", params=dict(mode="inner"))
-    g.connect("m_lkey", "probe", 0)
-    g.connect("build_orders", "probe", 1)
-    g.add_node("jleft", "join_side", params=dict(side="left"))
-    g.connect("probe", "jleft", 0)
-    g.add_node("mode_sel", "materialize_position",
-               hints=dict(selectivity_estimate=0.05))
-    g.connect("m_mode", "mode_sel", 0)
-    g.connect("jleft", "mode_sel", 1)
-    g.add_node("prio_vals", "gather_payload",
-               params=dict(name="o_orderpriority"),
-               hints=dict(selectivity_estimate=0.05))
-    g.connect("probe", "prio_vals", 0)
-    g.connect("build_orders", "prio_vals", 1)
-    g.add_node("is_high", "map")
-    g.connect("prio_vals", "is_high", 0)
-    g.add_node("keys", "map", params=dict(op="combine_keys", const=2))
-    g.connect("mode_sel", "keys", 0)
-    g.connect("is_high", "keys", 1)
-    g.add_node("agg", "hash_agg", params=dict(fn="count"),
-               cost_params=dict(groups=4))
-    g.connect("keys", "agg", 0)
-    g.mark_output("agg")
-    return g
+#: :data:`PLAN` translated once, read-only: every :func:`build` binds a
+#: fresh graph from it.
+template = functools.cache(
+    functools.partial(translate, PLAN, name="q12"))
 
 
 def build(catalog: Catalog, *, modes: tuple[str, str] = ("MAIL", "SHIP"),

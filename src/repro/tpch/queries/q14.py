@@ -18,64 +18,48 @@ import functools
 
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
+from repro.planner.logical import (AggregateSpec, Derive, Derived, HashJoin,
+                                   Predicate, ScalarAggregate, Scan, Select)
+from repro.planner.translate import translate
 from repro.storage import Catalog, DictionaryColumn, date_to_int
 from repro.tpch.reference import _add_months
 
-__all__ = ["build", "finalize", "template"]
+__all__ = ["PLAN", "build", "finalize", "template"]
 
 
-@functools.cache
-def template() -> PrimitiveGraph:
-    """The Q14 plan without its literals, built once and read-only; every
-    :func:`build` binds one fresh graph from it."""
-    g = PrimitiveGraph("q14")
+#: The Q14 plan; the month and the PROMO code band are bound by
+#: :func:`build`.
+PLAN = ScalarAggregate(
+    Derive(
+        HashJoin(
+            # Pipeline 2: the month's lineitems joined to their parts.
+            probe=Derive(
+                Select(Scan("lineitem"),
+                       [Predicate("l_shipdate", id="f_ship")],
+                       ids={"l_partkey": "m_partkey",
+                            "l_extendedprice": "m_price",
+                            "l_discount": "m_disc"},
+                       hints=dict(selectivity_estimate=0.02)),
+                [Derived("revenue", "disc_price", "l_extendedprice",
+                         "l_discount", id="revenue")]),
+            # Pipeline 1: part keys with a promo flag payload.
+            build=Derive(Scan("part"), [Derived("is_promo", None, "p_type",
+                                                id="is_promo")]),
+            probe_key="l_partkey", build_key="p_partkey",
+            payload=["is_promo"], build_id="build_part", probe_id="probe",
+            side_id="jleft",
+            ids={"revenue": "rev_sel", "is_promo": "promo_flag"},
+            hints=dict(selectivity_estimate=0.02)),
+        [Derived("promo_rev", "mul", "revenue", "is_promo",
+                 id="promo_rev")]),
+    [AggregateSpec("sum_total", "sum", "revenue"),
+     AggregateSpec("sum_promo", "sum", "promo_rev")])
 
-    # Pipeline 1: part keys with a promo flag payload.
-    g.add_node("is_promo", "map")
-    g.connect("part.p_type", "is_promo", 0)
-    g.add_node("build_part", "hash_build",
-               params=dict(payload_names=("is_promo",)))
-    g.connect("part.p_partkey", "build_part", 0)
-    g.connect("is_promo", "build_part", 1)
 
-    # Pipeline 2: the month's lineitems joined to their parts.
-    g.add_node("f_ship", "filter_bitmap")
-    g.connect("lineitem.l_shipdate", "f_ship", 0)
-    for node_id, ref in (("m_partkey", "lineitem.l_partkey"),
-                         ("m_price", "lineitem.l_extendedprice"),
-                         ("m_disc", "lineitem.l_discount")):
-        g.add_node(node_id, "materialize",
-                   hints=dict(selectivity_estimate=0.02))
-        g.connect(ref, node_id, 0)
-        g.connect("f_ship", node_id, 1)
-    g.add_node("revenue", "map", params=dict(op="disc_price"))
-    g.connect("m_price", "revenue", 0)
-    g.connect("m_disc", "revenue", 1)
-
-    g.add_node("probe", "hash_probe", params=dict(mode="inner"))
-    g.connect("m_partkey", "probe", 0)
-    g.connect("build_part", "probe", 1)
-    g.add_node("jleft", "join_side", params=dict(side="left"))
-    g.connect("probe", "jleft", 0)
-    g.add_node("rev_sel", "materialize_position",
-               hints=dict(selectivity_estimate=0.02))
-    g.connect("revenue", "rev_sel", 0)
-    g.connect("jleft", "rev_sel", 1)
-    g.add_node("promo_flag", "gather_payload", params=dict(name="is_promo"),
-               hints=dict(selectivity_estimate=0.02))
-    g.connect("probe", "promo_flag", 0)
-    g.connect("build_part", "promo_flag", 1)
-    g.add_node("promo_rev", "map", params=dict(op="mul"))
-    g.connect("rev_sel", "promo_rev", 0)
-    g.connect("promo_flag", "promo_rev", 1)
-
-    g.add_node("sum_total", "agg_block", params=dict(fn="sum"))
-    g.connect("rev_sel", "sum_total", 0)
-    g.add_node("sum_promo", "agg_block", params=dict(fn="sum"))
-    g.connect("promo_rev", "sum_promo", 0)
-    g.mark_output("sum_total")
-    g.mark_output("sum_promo")
-    return g
+#: :data:`PLAN` translated once, read-only: every :func:`build` binds a
+#: fresh graph from it.
+template = functools.cache(
+    functools.partial(translate, PLAN, name="q14"))
 
 
 def build(catalog: Catalog, *, date: str = "1995-09-01",

@@ -16,59 +16,45 @@ import functools
 
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
+from repro.planner.logical import (AggregateSpec, GroupAggregate, HashBuild,
+                                   Predicate, Scan, Select, SemiJoin)
+from repro.planner.translate import translate
 from repro.primitives.values import GroupTable, HashTable
 from repro.storage import Catalog
 from repro.tpch.reference import Q18Row
 
-__all__ = ["build", "finalize", "template"]
+__all__ = ["PLAN", "build", "finalize", "template"]
 
 
-@functools.cache
-def template() -> PrimitiveGraph:
-    """The Q18 plan without its literals, built once and read-only; every
-    :func:`build` binds one fresh graph from it."""
-    g = PrimitiveGraph("q18")
-
-    # Pipeline 1: quantity per order.
-    g.add_node("agg_qty", "hash_agg", params=dict(fn="sum"))
-    g.connect("lineitem.l_orderkey", "agg_qty", 0)
-    g.connect("lineitem.l_quantity", "agg_qty", 1)
-
-    # Pipeline 2 (breaker-only): HAVING sum > quantity.
-    g.add_node("gkeys", "group_keys")
-    g.connect("agg_qty", "gkeys", 0)
-    g.add_node("gsums", "group_values", params=dict(fn="sum"))
-    g.connect("agg_qty", "gsums", 0)
-    g.add_node("f_big", "filter_bitmap")
-    g.connect("gsums", "f_big", 0)
-    g.add_node("big_keys", "materialize",
-               hints=dict(selectivity_estimate=0.05))
-    g.connect("gkeys", "big_keys", 0)
-    g.connect("f_big", "big_keys", 1)
-    g.add_node("build_big", "hash_build")
-    g.connect("big_keys", "build_big", 0)
-
+#: The Q18 plan; the HAVING threshold is bound by :func:`build`.
+PLAN = HashBuild(
     # Pipeline 3: the qualifying orders with their attributes.
-    g.add_node("exists_big", "hash_probe", params=dict(mode="semi"))
-    g.connect("orders.o_orderkey", "exists_big", 0)
-    g.connect("build_big", "exists_big", 1)
-    for node_id, ref in (("sel_okey", "orders.o_orderkey"),
-                         ("sel_ckey", "orders.o_custkey"),
-                         ("sel_date", "orders.o_orderdate"),
-                         ("sel_price", "orders.o_totalprice")):
-        g.add_node(node_id, "materialize_position",
-                   hints=dict(selectivity_estimate=0.01))
-        g.connect(ref, node_id, 0)
-        g.connect("exists_big", node_id, 1)
-    g.add_node("build_orders", "hash_build",
-               params=dict(payload_names=("o_custkey", "o_orderdate", "o_totalprice")))
-    g.connect("sel_okey", "build_orders", 0)
-    g.connect("sel_ckey", "build_orders", 1)
-    g.connect("sel_date", "build_orders", 2)
-    g.connect("sel_price", "build_orders", 3)
-    g.mark_output("build_orders")
-    g.mark_output("agg_qty")
-    return g
+    SemiJoin(
+        probe=Scan("orders"),
+        # Pipeline 2 (breaker-only): HAVING sum > quantity.
+        build=Select(
+            # Pipeline 1: quantity per order, itself an output.
+            GroupAggregate(Scan("lineitem"), keys=["l_orderkey"],
+                           aggregates=[AggregateSpec("agg_qty", "sum",
+                                                     "l_quantity")],
+                           ids={"l_orderkey": "gkeys", "agg_qty": "gsums"},
+                           output=True),
+            [Predicate("agg_qty", id="f_big")],
+            ids={"l_orderkey": "big_keys"},
+            hints=dict(selectivity_estimate=0.05)),
+        probe_key="o_orderkey", build_key="l_orderkey",
+        build_id="build_big", probe_id="exists_big",
+        ids={"o_orderkey": "sel_okey", "o_custkey": "sel_ckey",
+             "o_orderdate": "sel_date", "o_totalprice": "sel_price"},
+        hints=dict(selectivity_estimate=0.01)),
+    key="o_orderkey", payload=["o_custkey", "o_orderdate", "o_totalprice"],
+    id="build_orders")
+
+
+#: :data:`PLAN` translated once, read-only: every :func:`build` binds a
+#: fresh graph from it.
+template = functools.cache(
+    functools.partial(translate, PLAN, name="q18"))
 
 
 def build(catalog: Catalog | None = None, *, quantity: int = 300,

@@ -18,10 +18,13 @@ import functools
 
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
+from repro.planner.logical import (AggregateSpec, Derive, Derived, HashJoin,
+                                   ScalarAggregate, Scan)
+from repro.planner.translate import translate
 from repro.storage import Catalog, DictionaryColumn
 from repro.tpch.reference import Q19_CLAUSES
 
-__all__ = ["build", "finalize", "template"]
+__all__ = ["PLAN", "build", "finalize", "template"]
 
 
 def _code_band(column: DictionaryColumn, prefix: str) -> tuple[int, int]:
@@ -35,81 +38,55 @@ def _code_band(column: DictionaryColumn, prefix: str) -> tuple[int, int]:
     return codes[0], codes[-1]
 
 
-@functools.cache
-def template() -> PrimitiveGraph:
-    """The Q19 plan without its literals, built once and read-only; every
-    :func:`build` binds one fresh graph from it."""
-    g = PrimitiveGraph("q19")
-
-    # Pipeline 1 (part): a 0/1 indicator per clause, carried as payload.
-    payload_names = []
-    for index, (_, _, _, _, size_hi) in enumerate(Q19_CLAUSES):
-        g.add_node(f"is_brand{index}", "map")
-        g.connect("part.p_brand", f"is_brand{index}", 0)
-        g.add_node(f"is_cont{index}", "map")
-        g.connect("part.p_container", f"is_cont{index}", 0)
-        g.add_node(f"is_size{index}", "map",
-                   params=dict(op="between", const=(1, size_hi)))
-        g.connect("part.p_size", f"is_size{index}", 0)
-        g.add_node(f"bc{index}", "map", params=dict(op="mul"))
-        g.connect(f"is_brand{index}", f"bc{index}", 0)
-        g.connect(f"is_cont{index}", f"bc{index}", 1)
-        g.add_node(f"clause{index}", "map", params=dict(op="mul"))
-        g.connect(f"bc{index}", f"clause{index}", 0)
-        g.connect(f"is_size{index}", f"clause{index}", 1)
-        payload_names.append(f"clause{index}")
-
-    g.add_node("build_part", "hash_build",
-               params=dict(payload_names=tuple(payload_names)))
-    g.connect("part.p_partkey", "build_part", 0)
-    for slot, name in enumerate(payload_names, start=1):
-        g.connect(name, "build_part", slot)
-
-    # Pipeline 2 (lineitem): join, combine with quantity bands, reduce.
-    g.add_node("probe", "hash_probe", params=dict(mode="inner"))
-    g.connect("lineitem.l_partkey", "probe", 0)
-    g.connect("build_part", "probe", 1)
-    g.add_node("jleft", "join_side", params=dict(side="left"))
-    g.connect("probe", "jleft", 0)
-    for node_id, ref in (("qty", "lineitem.l_quantity"),
-                         ("price", "lineitem.l_extendedprice"),
-                         ("disc", "lineitem.l_discount")):
-        g.add_node(node_id, "materialize_position")
-        g.connect(ref, node_id, 0)
-        g.connect("jleft", node_id, 1)
-
-    match_terms = []
-    for index, (_, _, lo, hi, _) in enumerate(Q19_CLAUSES):
-        g.add_node(f"part_ok{index}", "gather_payload",
-                   params=dict(name=f"clause{index}"))
-        g.connect("probe", f"part_ok{index}", 0)
-        g.connect("build_part", f"part_ok{index}", 1)
-        g.add_node(f"qty_ok{index}", "map",
-                   params=dict(op="between", const=(lo, hi)))
-        g.connect("qty", f"qty_ok{index}", 0)
-        g.add_node(f"match{index}", "map", params=dict(op="mul"))
-        g.connect(f"part_ok{index}", f"match{index}", 0)
-        g.connect(f"qty_ok{index}", f"match{index}", 1)
-        match_terms.append(f"match{index}")
-
+def _plan() -> ScalarAggregate:
+    part_side, payload, joined, matches = [], [], [], []
+    for index, (_, _, lo, hi, size_hi) in enumerate(Q19_CLAUSES):
+        # Part side: a 0/1 indicator per clause, carried as payload; the
+        # brand and container bands are bound by :func:`build`.
+        brand, cont, size, both, clause = (
+            f"is_brand{index}", f"is_cont{index}", f"is_size{index}",
+            f"bc{index}", f"clause{index}")
+        part_side += [
+            Derived(brand, None, "p_brand", id=brand),
+            Derived(cont, None, "p_container", id=cont),
+            Derived(size, "between", "p_size", const=(1, size_hi), id=size),
+            Derived(both, "mul", brand, cont, id=both),
+            Derived(clause, "mul", both, size, id=clause)]
+        payload.append(clause)
+        # Lineitem side: the clause's part flag times its quantity band.
+        qty_ok, match = f"qty_ok{index}", f"match{index}"
+        joined += [
+            Derived(qty_ok, "between", "l_quantity", const=(lo, hi),
+                    id=qty_ok),
+            Derived(match, "mul", clause, qty_ok, id=match)]
+        matches.append(match)
     # Brands are disjoint, so the OR of the clauses is their sum.
-    g.add_node("any01", "map", params=dict(op="add"))
-    g.connect(match_terms[0], "any01", 0)
-    g.connect(match_terms[1], "any01", 1)
-    g.add_node("any", "map", params=dict(op="add"))
-    g.connect("any01", "any", 0)
-    g.connect(match_terms[2], "any", 1)
+    joined += [
+        Derived("any01", "add", matches[0], matches[1], id="any01"),
+        Derived("any", "add", "any01", matches[2], id="any"),
+        Derived("revenue", "disc_price", "l_extendedprice", "l_discount",
+                id="revenue"),
+        Derived("matched_rev", "mul", "revenue", "any", id="matched_rev")]
+    return ScalarAggregate(
+        Derive(HashJoin(
+            probe=Scan("lineitem"), build=Derive(Scan("part"), part_side),
+            probe_key="l_partkey", build_key="p_partkey", payload=payload,
+            build_id="build_part", probe_id="probe", side_id="jleft",
+            ids={"l_quantity": "qty", "l_extendedprice": "price",
+                 "l_discount": "disc",
+                 **{name: f"part_ok{i}" for i, name in enumerate(payload)}},
+            hints={}), joined),
+        [AggregateSpec("sum_rev", "sum", "matched_rev")])
 
-    g.add_node("revenue", "map", params=dict(op="disc_price"))
-    g.connect("price", "revenue", 0)
-    g.connect("disc", "revenue", 1)
-    g.add_node("matched_rev", "map", params=dict(op="mul"))
-    g.connect("revenue", "matched_rev", 0)
-    g.connect("any", "matched_rev", 1)
-    g.add_node("sum_rev", "agg_block", params=dict(fn="sum"))
-    g.connect("matched_rev", "sum_rev", 0)
-    g.mark_output("sum_rev")
-    return g
+
+#: The Q19 plan.
+PLAN = _plan()
+
+
+#: :data:`PLAN` translated once, read-only: every :func:`build` binds a
+#: fresh graph from it.
+template = functools.cache(
+    functools.partial(translate, PLAN, name="q19"))
 
 
 def build(catalog: Catalog, *, device: str | None = None) -> PrimitiveGraph:

@@ -20,86 +20,63 @@ import functools
 
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
+from repro.planner.logical import (AggregateSpec, Derive, Derived,
+                                   GroupAggregate, HashJoin, Predicate, Scan,
+                                   Select, SemiJoin)
+from repro.planner.translate import translate
 from repro.primitives.values import GroupTable, HashTable
 from repro.storage import Catalog, DictionaryColumn, date_to_int
 from repro.tpch.reference import Q3Row
 
-__all__ = ["build", "finalize", "template"]
+__all__ = ["PLAN", "build", "finalize", "template"]
 
 
-@functools.cache
-def template() -> PrimitiveGraph:
-    """The Q3 plan without its literals, built once and read-only; every
-    :func:`build` binds one fresh graph from it."""
-    g = PrimitiveGraph("q3")
+#: The Q3 plan; its three filters are bound by :func:`build`.
+PLAN = GroupAggregate(
+    Derive(
+        HashJoin(
+            # Pipeline 3: unshipped lineitems joined to pipeline 2's table.
+            probe=Select(Scan("lineitem"),
+                         [Predicate("l_shipdate", id="f_lship")],
+                         ids={"l_orderkey": "m_lkey",
+                              "l_extendedprice": "m_price",
+                              "l_discount": "m_disc"},
+                         hints=dict(selectivity_estimate=0.6)),
+            # Pipeline 2: open orders of those customers.
+            build=SemiJoin(
+                probe=Select(Scan("orders"),
+                             [Predicate("o_orderdate", id="f_odate")],
+                             ids={"o_orderkey": "m_okey",
+                                  "o_custkey": "m_ocust",
+                                  "o_orderdate": "m_odate",
+                                  "o_shippriority": "m_oprio"},
+                             hints=dict(selectivity_estimate=0.6)),
+                # Pipeline 1: customers in the segment.
+                build=Select(Scan("customer"),
+                             [Predicate("c_mktsegment", id="f_seg")],
+                             ids={"c_custkey": "m_cust"},
+                             hints=dict(selectivity_estimate=0.25)),
+                probe_key="o_custkey", build_key="c_custkey",
+                build_id="build_cust", probe_id="probe_cust",
+                ids={"o_orderkey": "sel_okey", "o_orderdate": "sel_odate",
+                     "o_shippriority": "sel_oprio"},
+                hints=dict(selectivity_estimate=0.25)),
+            probe_key="l_orderkey", build_key="o_orderkey",
+            payload=["o_orderdate", "o_shippriority"],
+            build_id="build_orders", probe_id="probe_ord", side_id="jleft",
+            ids={"l_orderkey": "j_lkey", "l_extendedprice": "j_price",
+                 "l_discount": "j_disc"},
+            hints=dict(selectivity_estimate=0.1), output=True),
+        [Derived("revenue", "disc_price", "l_extendedprice", "l_discount",
+                 id="revenue")]),
+    keys=["l_orderkey"], aggregates=[AggregateSpec("agg_rev", "sum",
+                                                   "revenue")])
 
-    # Pipeline 1: customers in the segment.
-    g.add_node("f_seg", "filter_bitmap")
-    g.add_node("m_cust", "materialize", hints=dict(selectivity_estimate=0.25))
-    g.add_node("build_cust", "hash_build")
-    g.connect("customer.c_mktsegment", "f_seg", 0)
-    g.connect("customer.c_custkey", "m_cust", 0)
-    g.connect("f_seg", "m_cust", 1)
-    g.connect("m_cust", "build_cust", 0)
 
-    # Pipeline 2: open orders of those customers.
-    g.add_node("f_odate", "filter_bitmap")
-    g.connect("orders.o_orderdate", "f_odate", 0)
-    for node_id, ref in (("m_okey", "orders.o_orderkey"),
-                         ("m_ocust", "orders.o_custkey"),
-                         ("m_odate", "orders.o_orderdate"),
-                         ("m_oprio", "orders.o_shippriority")):
-        g.add_node(node_id, "materialize",
-                   hints=dict(selectivity_estimate=0.6))
-        g.connect(ref, node_id, 0)
-        g.connect("f_odate", node_id, 1)
-    g.add_node("probe_cust", "hash_probe", params=dict(mode="semi"))
-    g.connect("m_ocust", "probe_cust", 0)
-    g.connect("build_cust", "probe_cust", 1)
-    for node_id, source in (("sel_okey", "m_okey"),
-                            ("sel_odate", "m_odate"),
-                            ("sel_oprio", "m_oprio")):
-        g.add_node(node_id, "materialize_position",
-                   hints=dict(selectivity_estimate=0.25))
-        g.connect(source, node_id, 0)
-        g.connect("probe_cust", node_id, 1)
-    g.add_node("build_orders", "hash_build",
-               params=dict(payload_names=("o_orderdate", "o_shippriority")))
-    g.connect("sel_okey", "build_orders", 0)
-    g.connect("sel_odate", "build_orders", 1)
-    g.connect("sel_oprio", "build_orders", 2)
-
-    # Pipeline 3: unshipped lineitems joined and aggregated.
-    g.add_node("f_lship", "filter_bitmap")
-    g.connect("lineitem.l_shipdate", "f_lship", 0)
-    for node_id, ref in (("m_lkey", "lineitem.l_orderkey"),
-                         ("m_price", "lineitem.l_extendedprice"),
-                         ("m_disc", "lineitem.l_discount")):
-        g.add_node(node_id, "materialize",
-                   hints=dict(selectivity_estimate=0.6))
-        g.connect(ref, node_id, 0)
-        g.connect("f_lship", node_id, 1)
-    g.add_node("probe_ord", "hash_probe", params=dict(mode="inner"))
-    g.connect("m_lkey", "probe_ord", 0)
-    g.connect("build_orders", "probe_ord", 1)
-    g.add_node("jleft", "join_side", params=dict(side="left"))
-    g.connect("probe_ord", "jleft", 0)
-    for node_id, source in (("j_lkey", "m_lkey"),
-                            ("j_price", "m_price"),
-                            ("j_disc", "m_disc")):
-        g.add_node(node_id, "materialize_position",
-                   hints=dict(selectivity_estimate=0.1))
-        g.connect(source, node_id, 0)
-        g.connect("jleft", node_id, 1)
-    g.add_node("revenue", "map", params=dict(op="disc_price"))
-    g.connect("j_price", "revenue", 0)
-    g.connect("j_disc", "revenue", 1)
-    g.add_node("agg_rev", "hash_agg", params=dict(fn="sum"))
-    g.connect("j_lkey", "agg_rev", 0)
-    g.connect("revenue", "agg_rev", 1)
-    g.mark_output("agg_rev")
-    g.mark_output("build_orders")
-    return g
+#: :data:`PLAN` translated once, read-only: every :func:`build` binds a
+#: fresh graph from it.
+template = functools.cache(
+    functools.partial(translate, PLAN, name="q3"))
 
 
 def build(catalog: Catalog, *, segment: str = "BUILDING",

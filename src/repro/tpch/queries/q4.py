@@ -18,57 +18,48 @@ import functools
 
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
+from repro.planner.logical import (AggregateSpec, Derive, Derived,
+                                   GroupAggregate, Predicate, Scan, Select,
+                                   SemiJoin)
+from repro.planner.translate import translate
 from repro.primitives.values import GroupTable
 from repro.storage import Catalog, DictionaryColumn, date_to_int
 from repro.tpch.reference import Q4Row, _add_months
 
-__all__ = ["build", "finalize", "template"]
+__all__ = ["PLAN", "build", "finalize", "template"]
 
 
-@functools.cache
-def template() -> PrimitiveGraph:
-    """The Q4 plan without its literals, built once and read-only; every
-    :func:`build` binds one fresh graph from it."""
-    g = PrimitiveGraph("q4")
+#: The Q4 plan; its quarter bounds are bound by :func:`build`.
+PLAN = GroupAggregate(
+    SemiJoin(
+        # Pipeline 2: orders in the quarter with a late lineitem.
+        probe=Select(Scan("orders"), [Predicate("o_orderdate", id="f_lo"),
+                                      Predicate("o_orderdate", id="f_hi")],
+                     and_ids=["f_range"],
+                     ids={"o_orderkey": "m_okey",
+                          "o_orderpriority": "m_oprio"},
+                     hints=dict(selectivity_estimate=0.05)),
+        # Pipeline 1: orderkeys of lineitems delivered late.
+        build=Select(
+            Derive(Scan("lineitem"),
+                   [Derived("lateness", "sub", "l_receiptdate",
+                            "l_commitdate", id="lateness")]),
+            [Predicate("lateness", cmp="gt", value=0, id="f_late")],
+            ids={"l_orderkey": "m_lkey"},
+            hints=dict(selectivity_estimate=0.7)),
+        probe_key="o_orderkey", build_key="l_orderkey",
+        build_id="build_late", probe_id="exists",
+        ids={"o_orderpriority": "sel_prio"},
+        hints=dict(selectivity_estimate=0.05)),
+    keys=["o_orderpriority"], aggregates=[AggregateSpec("agg_prio",
+                                                        "count")],
+    cost_params=dict(groups=5))
 
-    # Pipeline 1: orderkeys of lineitems delivered late.
-    g.add_node("lateness", "map", params=dict(op="sub"))
-    g.add_node("f_late", "filter_bitmap", params=dict(cmp="gt", value=0))
-    g.add_node("m_lkey", "materialize", hints=dict(selectivity_estimate=0.7))
-    g.add_node("build_late", "hash_build")
-    g.connect("lineitem.l_receiptdate", "lateness", 0)
-    g.connect("lineitem.l_commitdate", "lateness", 1)
-    g.connect("lateness", "f_late", 0)
-    g.connect("lineitem.l_orderkey", "m_lkey", 0)
-    g.connect("f_late", "m_lkey", 1)
-    g.connect("m_lkey", "build_late", 0)
 
-    # Pipeline 2: orders in the quarter with a late lineitem.
-    g.add_node("f_lo", "filter_bitmap")
-    g.add_node("f_hi", "filter_bitmap")
-    g.add_node("f_range", "bitmap_and")
-    g.connect("orders.o_orderdate", "f_lo", 0)
-    g.connect("orders.o_orderdate", "f_hi", 0)
-    g.connect("f_lo", "f_range", 0)
-    g.connect("f_hi", "f_range", 1)
-    for node_id, ref in (("m_okey", "orders.o_orderkey"),
-                         ("m_oprio", "orders.o_orderpriority")):
-        g.add_node(node_id, "materialize",
-                   hints=dict(selectivity_estimate=0.05))
-        g.connect(ref, node_id, 0)
-        g.connect("f_range", node_id, 1)
-    g.add_node("exists", "hash_probe", params=dict(mode="semi"))
-    g.connect("m_okey", "exists", 0)
-    g.connect("build_late", "exists", 1)
-    g.add_node("sel_prio", "materialize_position",
-               hints=dict(selectivity_estimate=0.05))
-    g.connect("m_oprio", "sel_prio", 0)
-    g.connect("exists", "sel_prio", 1)
-    g.add_node("agg_prio", "hash_agg", params=dict(fn="count"),
-               cost_params=dict(groups=5))
-    g.connect("sel_prio", "agg_prio", 0)
-    g.mark_output("agg_prio")
-    return g
+#: :data:`PLAN` translated once, read-only: every :func:`build` binds a
+#: fresh graph from it.
+template = functools.cache(
+    functools.partial(translate, PLAN, name="q4"))
 
 
 def build(catalog: Catalog | None = None, *, date: str = "1993-07-01",

@@ -24,143 +24,92 @@ import functools
 
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
+from repro.planner.logical import (AggregateSpec, Derive, Derived,
+                                   GroupAggregate, HashJoin, Predicate, Rename,
+                                   Scan, Select, SemiJoin)
+from repro.planner.translate import translate
 from repro.primitives.values import GroupTable
 from repro.storage import Catalog, DictionaryColumn, date_to_int
 from repro.tpch.reference import Q5Row, _add_months
 
-__all__ = ["build", "finalize", "template"]
+__all__ = ["PLAN", "build", "finalize", "template"]
 
 
-@functools.cache
-def template() -> PrimitiveGraph:
-    """The Q5 plan without its literals, built once and read-only; every
-    :func:`build` binds one fresh graph from it."""
-    g = PrimitiveGraph("q5")
+#: Pipelines 1-2: customers of the region's nations (custkey ->
+#: nationkey); the region name is bound by :func:`build`.
+_CUSTOMERS = SemiJoin(
+    probe=Scan("customer"),
+    build=SemiJoin(
+        probe=Scan("nation"),
+        build=Select(Scan("region"), [Predicate("r_name", id="f_region")],
+                     ids={"r_regionkey": "m_rkey"}, hints={}),
+        probe_key="n_regionkey", build_key="r_regionkey",
+        build_id="build_region", probe_id="probe_region",
+        ids={"n_nationkey": "sel_nkey"}, hints={}),
+    probe_key="c_nationkey", build_key="n_nationkey",
+    build_id="build_nation", probe_id="probe_cnation",
+    ids={"c_custkey": "sel_ckey", "c_nationkey": "sel_cnat"},
+    hints=dict(selectivity_estimate=0.25))
 
-    # Pipeline 1a: the region key(s) for the named region.
-    g.add_node("f_region", "filter_bitmap")
-    g.connect("region.r_name", "f_region", 0)
-    g.add_node("m_rkey", "materialize")
-    g.connect("region.r_regionkey", "m_rkey", 0)
-    g.connect("f_region", "m_rkey", 1)
-    g.add_node("build_region", "hash_build")
-    g.connect("m_rkey", "build_region", 0)
+#: Pipeline 3: the year's orders joined to customers, the customer's
+#: nation carried as payload "nation"; the dates are bound by :func:`build`.
+_ORDERS = Rename(
+    HashJoin(probe=Select(Scan("orders"),
+                          [Predicate("o_orderdate", id="f_odate")],
+                          ids={"o_orderkey": "m_okey",
+                               "o_custkey": "m_ocust"},
+                          hints=dict(selectivity_estimate=0.2)),
+             build=_CUSTOMERS, probe_key="o_custkey",
+             build_key="c_custkey", payload=["c_nationkey"],
+             build_id="build_cust", probe_id="probe_cust",
+             side_id="jl_orders",
+             ids={"o_orderkey": "sel_okey2", "c_nationkey": "cust_nat"},
+             hints=dict(selectivity_estimate=0.1)),
+    {"nation": "c_nationkey"})
 
-    # Pipeline 1b: nations within the region.
-    g.add_node("probe_region", "hash_probe", params=dict(mode="semi"))
-    g.connect("nation.n_regionkey", "probe_region", 0)
-    g.connect("build_region", "probe_region", 1)
-    g.add_node("sel_nkey", "materialize_position")
-    g.connect("nation.n_nationkey", "sel_nkey", 0)
-    g.connect("probe_region", "sel_nkey", 1)
-    g.add_node("build_nation", "hash_build")
-    g.connect("sel_nkey", "build_nation", 0)
+#: Pipelines 4-5: lineitems joined to orders and suppliers; keep rows
+#: where the customer and supplier nations agree, revenue per nation.
+#: Supplier keys are unique, so the second probe keeps row order but may
+#: drop unmatched rows: every carried column is realigned through it.
+PLAN = GroupAggregate(
+    Derive(
+        Select(
+            Derive(
+                HashJoin(
+                    probe=HashJoin(
+                        probe=Scan("lineitem"), build=_ORDERS,
+                        probe_key="l_orderkey", build_key="o_orderkey",
+                        payload=["nation"], build_id="build_orders",
+                        probe_id="probe_ord", side_id="jl_line",
+                        ids={"l_suppkey": "l_supp",
+                             "l_extendedprice": "l_price",
+                             "l_discount": "l_disc", "nation": "o_nation"},
+                        hints=dict(selectivity_estimate=0.05)),
+                    build=Scan("supplier"), probe_key="l_suppkey",
+                    build_key="s_suppkey", payload=["s_nationkey"],
+                    build_id="build_supp", probe_id="probe_supp",
+                    side_id="jl_supp",
+                    ids={"l_extendedprice": "s_price",
+                         "l_discount": "s_disc", "nation": "s_onation",
+                         "s_nationkey": "s_nation"},
+                    hints=dict(selectivity_estimate=0.05)),
+                [Derived("nation_diff", "sub", "nation", "s_nationkey",
+                         id="nation_diff")]),
+            [Predicate("nation_diff", cmp="eq", value=0, id="f_same")],
+            ids={"nation": "k_nation", "l_extendedprice": "k_price",
+                 "l_discount": "k_disc"},
+            hints=dict(selectivity_estimate=0.05)),
+        [Derived("revenue", "disc_price", "l_extendedprice", "l_discount",
+                 id="revenue")]),
+    keys=["nation"], aggregates=[AggregateSpec("agg_rev", "sum",
+                                               "revenue")],
+    cost_params=dict(groups=5))
 
-    # Pipeline 2: customers of those nations (custkey -> nationkey).
-    g.add_node("probe_cnation", "hash_probe", params=dict(mode="semi"))
-    g.connect("customer.c_nationkey", "probe_cnation", 0)
-    g.connect("build_nation", "probe_cnation", 1)
-    for node_id, ref in (("sel_ckey", "customer.c_custkey"),
-                         ("sel_cnat", "customer.c_nationkey")):
-        g.add_node(node_id, "materialize_position",
-                   hints=dict(selectivity_estimate=0.25))
-        g.connect(ref, node_id, 0)
-        g.connect("probe_cnation", node_id, 1)
-    g.add_node("build_cust", "hash_build",
-               params=dict(payload_names=("c_nationkey",)))
-    g.connect("sel_ckey", "build_cust", 0)
-    g.connect("sel_cnat", "build_cust", 1)
 
-    # Pipeline 3: one-year orders joined to customers.
-    g.add_node("f_odate", "filter_bitmap")
-    g.connect("orders.o_orderdate", "f_odate", 0)
-    for node_id, ref in (("m_okey", "orders.o_orderkey"),
-                         ("m_ocust", "orders.o_custkey")):
-        g.add_node(node_id, "materialize",
-                   hints=dict(selectivity_estimate=0.2))
-        g.connect(ref, node_id, 0)
-        g.connect("f_odate", node_id, 1)
-    g.add_node("probe_cust", "hash_probe", params=dict(mode="inner"))
-    g.connect("m_ocust", "probe_cust", 0)
-    g.connect("build_cust", "probe_cust", 1)
-    g.add_node("jl_orders", "join_side", params=dict(side="left"))
-    g.connect("probe_cust", "jl_orders", 0)
-    g.add_node("sel_okey2", "materialize_position",
-               hints=dict(selectivity_estimate=0.1))
-    g.connect("m_okey", "sel_okey2", 0)
-    g.connect("jl_orders", "sel_okey2", 1)
-    g.add_node("cust_nat", "gather_payload", params=dict(name="c_nationkey"),
-               hints=dict(selectivity_estimate=0.1))
-    g.connect("probe_cust", "cust_nat", 0)
-    g.connect("build_cust", "cust_nat", 1)
-    g.add_node("build_orders", "hash_build",
-               params=dict(payload_names=("nation",)))
-    g.connect("sel_okey2", "build_orders", 0)
-    g.connect("cust_nat", "build_orders", 1)
-
-    # Pipeline 4: supplier nation lookup table.
-    g.add_node("build_supp", "hash_build",
-               params=dict(payload_names=("s_nationkey",)))
-    g.connect("supplier.s_suppkey", "build_supp", 0)
-    g.connect("supplier.s_nationkey", "build_supp", 1)
-
-    # Pipeline 5: lineitems joined to orders and suppliers.
-    g.add_node("probe_ord", "hash_probe", params=dict(mode="inner"))
-    g.connect("lineitem.l_orderkey", "probe_ord", 0)
-    g.connect("build_orders", "probe_ord", 1)
-    g.add_node("jl_line", "join_side", params=dict(side="left"))
-    g.connect("probe_ord", "jl_line", 0)
-    for node_id, ref in (("l_supp", "lineitem.l_suppkey"),
-                         ("l_price", "lineitem.l_extendedprice"),
-                         ("l_disc", "lineitem.l_discount")):
-        g.add_node(node_id, "materialize_position",
-                   hints=dict(selectivity_estimate=0.05))
-        g.connect(ref, node_id, 0)
-        g.connect("jl_line", node_id, 1)
-    g.add_node("o_nation", "gather_payload", params=dict(name="nation"),
-               hints=dict(selectivity_estimate=0.05))
-    g.connect("probe_ord", "o_nation", 0)
-    g.connect("build_orders", "o_nation", 1)
-
-    g.add_node("probe_supp", "hash_probe", params=dict(mode="inner"))
-    g.connect("l_supp", "probe_supp", 0)
-    g.connect("build_supp", "probe_supp", 1)
-    g.add_node("jl_supp", "join_side", params=dict(side="left"))
-    g.connect("probe_supp", "jl_supp", 0)
-    # Supplier keys are unique, so the probe keeps row order but may drop
-    # unmatched rows; realign every carried column through the pairs.
-    for node_id, source in (("s_price", "l_price"), ("s_disc", "l_disc"),
-                            ("s_onation", "o_nation")):
-        g.add_node(node_id, "materialize_position",
-                   hints=dict(selectivity_estimate=0.05))
-        g.connect(source, node_id, 0)
-        g.connect("jl_supp", node_id, 1)
-    g.add_node("s_nation", "gather_payload", params=dict(name="s_nationkey"),
-               hints=dict(selectivity_estimate=0.05))
-    g.connect("probe_supp", "s_nation", 0)
-    g.connect("build_supp", "s_nation", 1)
-
-    # Keep rows where the customer and supplier nations agree.
-    g.add_node("nation_diff", "map", params=dict(op="sub"))
-    g.connect("s_onation", "nation_diff", 0)
-    g.connect("s_nation", "nation_diff", 1)
-    g.add_node("f_same", "filter_bitmap", params=dict(cmp="eq", value=0))
-    g.connect("nation_diff", "f_same", 0)
-    for node_id, source in (("k_nation", "s_onation"),
-                            ("k_price", "s_price"), ("k_disc", "s_disc")):
-        g.add_node(node_id, "materialize",
-                   hints=dict(selectivity_estimate=0.05))
-        g.connect(source, node_id, 0)
-        g.connect("f_same", node_id, 1)
-    g.add_node("revenue", "map", params=dict(op="disc_price"))
-    g.connect("k_price", "revenue", 0)
-    g.connect("k_disc", "revenue", 1)
-    g.add_node("agg_rev", "hash_agg", params=dict(fn="sum"),
-               cost_params=dict(groups=5))
-    g.connect("k_nation", "agg_rev", 0)
-    g.connect("revenue", "agg_rev", 1)
-    g.mark_output("agg_rev")
-    return g
+#: :data:`PLAN` translated once, read-only: every :func:`build` binds a
+#: fresh graph from it.
+template = functools.cache(
+    functools.partial(translate, PLAN, name="q5"))
 
 
 def build(catalog: Catalog, *, region: str = "ASIA",

@@ -11,42 +11,33 @@ import functools
 
 from repro.core.context import QueryResult
 from repro.core.graph import PrimitiveGraph
+from repro.planner.logical import (AggregateSpec, Derive, Derived, Predicate,
+                                   ScalarAggregate, Scan, Select)
+from repro.planner.translate import translate
 from repro.storage import Catalog, date_to_int
 from repro.tpch.reference import _add_months
 
-__all__ = ["build", "finalize", "template"]
+__all__ = ["PLAN", "build", "finalize", "template"]
 
 
-@functools.cache
-def template() -> PrimitiveGraph:
-    """The Q6 plan without its literals, built once and read-only; every
-    :func:`build` binds one fresh graph from it."""
-    g = PrimitiveGraph("q6")
-    for node_id in ("f_ship", "f_disc", "f_qty"):
-        g.add_node(node_id, "filter_bitmap")
-    g.add_node("and_sd", "bitmap_and")
-    g.add_node("and_all", "bitmap_and")
-    g.add_node("m_price", "materialize", hints=dict(selectivity_estimate=0.05))
-    g.add_node("m_disc", "materialize", hints=dict(selectivity_estimate=0.05))
-    g.add_node("revenue", "map", params=dict(op="mul"))
-    g.add_node("sum_rev", "agg_block", params=dict(fn="sum"))
+#: The Q6 plan; its three filters are bound by :func:`build`.
+PLAN = ScalarAggregate(
+    Derive(
+        Select(Scan("lineitem"), [Predicate("l_shipdate", id="f_ship"),
+                                  Predicate("l_discount", id="f_disc"),
+                                  Predicate("l_quantity", id="f_qty")],
+               and_ids=["and_sd", "and_all"],
+               ids={"l_extendedprice": "m_price", "l_discount": "m_disc"},
+               hints=dict(selectivity_estimate=0.05)),
+        [Derived("revenue", "mul", "l_extendedprice", "l_discount",
+                 id="revenue")]),
+    [AggregateSpec("sum_rev", "sum", "revenue")])
 
-    g.connect("lineitem.l_shipdate", "f_ship", 0)
-    g.connect("lineitem.l_discount", "f_disc", 0)
-    g.connect("lineitem.l_quantity", "f_qty", 0)
-    g.connect("f_ship", "and_sd", 0)
-    g.connect("f_disc", "and_sd", 1)
-    g.connect("and_sd", "and_all", 0)
-    g.connect("f_qty", "and_all", 1)
-    g.connect("lineitem.l_extendedprice", "m_price", 0)
-    g.connect("and_all", "m_price", 1)
-    g.connect("lineitem.l_discount", "m_disc", 0)
-    g.connect("and_all", "m_disc", 1)
-    g.connect("m_price", "revenue", 0)
-    g.connect("m_disc", "revenue", 1)
-    g.connect("revenue", "sum_rev", 0)
-    g.mark_output("sum_rev")
-    return g
+
+#: :data:`PLAN` translated once, read-only: every :func:`build` binds a
+#: fresh graph from it.
+template = functools.cache(
+    functools.partial(translate, PLAN, name="q6"))
 
 
 def build(catalog: Catalog | None = None, *, date: str = "1994-01-01",

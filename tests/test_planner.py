@@ -6,15 +6,18 @@ import pytest
 from repro.errors import PlanError
 from repro.planner import (
     AggregateSpec,
+    AnyOf,
     Derive,
     Derived,
     GroupAggregate,
+    HashBuild,
     HashJoin,
     Predicate,
     ScalarAggregate,
     Scan,
     Select,
     SemiJoin,
+    Sort,
     translate,
 )
 from repro.storage import date_to_int
@@ -71,9 +74,53 @@ class TestLogicalValidation:
         join = SemiJoin(Scan("a"), Scan("b"), "k", "k")
         assert len(join.children()) == 2
         assert Scan("a").children() == []
+        assert Sort(Scan("a"), "k").children() == [Scan("a")]
+
+    def test_extension_limits(self):
+        """Literals may be left to ``bind`` only under a node id; a
+        disjunction needs two terms; a scalar or sort aggregate reads a
+        column; a sort aggregate needs its input sorted by its key."""
+        assert Predicate("x", id="f").kernel_params() == {}
+        assert Derived("d", None, "x", id="m").kernel_params() == {}
+        assert Derived("d", "between", "x", const=(1, 2)).kernel_params() \
+            == {"op": "between", "const": (1, 2)}
+        with pytest.raises(PlanError):
+            Derived("d", None, "x")
+        with pytest.raises(PlanError):
+            AnyOf([Predicate("x", cmp="lt", value=1)])
+        with pytest.raises(PlanError):
+            ScalarAggregate(Scan("t"), [AggregateSpec("n", "count")])
+        with pytest.raises(PlanError):
+            ScalarAggregate(Scan("t"), [])
+        with pytest.raises(PlanError):
+            GroupAggregate(Scan("t"), keys=["k"], sort=True,
+                           aggregates=[AggregateSpec("s", "sum", "v")])
+        with pytest.raises(PlanError):
+            GroupAggregate(Sort(Scan("t"), "k"), keys=["k"], sort=True,
+                           aggregates=[AggregateSpec("n", "count")])
+        with pytest.raises(PlanError):
+            HashBuild(Scan("t"), "k", payload=["a", "b", "c", "d"])
 
 
 class TestTranslationStructure:
+    def test_having_reads_one_key_hash_aggregates_only(self):
+        def having(group):
+            return ScalarAggregate(
+                Select(group, [Predicate("n", cmp="gt", value=1)]),
+                [AggregateSpec("s", "sum", "n")])
+        counted = [AggregateSpec("n", "count")]
+        with pytest.raises(PlanError):
+            translate(having(GroupAggregate(
+                Scan("t"), keys=["a", "b"], second_key_domain=2,
+                aggregates=counted)))
+        with pytest.raises(PlanError):  # no such column
+            translate(ScalarAggregate(
+                GroupAggregate(Scan("t"), keys=["a"], aggregates=counted),
+                [AggregateSpec("s", "sum", "missing")]))
+        graph = translate(having(GroupAggregate(
+            Scan("t"), keys=["a"], aggregates=counted, output=True)))
+        assert graph.outputs == ["s", "n"]
+
     def test_root_must_be_aggregate(self):
         with pytest.raises(PlanError):
             translate(Scan("lineitem"))
@@ -82,17 +129,18 @@ class TestTranslationStructure:
 
     def test_unsupported_operator_position(self):
         # An aggregate nested under a select is not a supported shape.
-        inner = ScalarAggregate(Scan("t"), fn="sum", column="c")
+        inner = ScalarAggregate(Scan("t"),
+                                [AggregateSpec("result", "sum", "c")])
         with pytest.raises(PlanError):
             translate(ScalarAggregate(
                 Select(inner, [Predicate("c", cmp="lt", value=1)]),
-                fn="sum", column="c"))
+                [AggregateSpec("result", "sum", "c")]))
 
     def test_translated_graph_validates(self):
         plan = ScalarAggregate(
             Select(Scan("lineitem"),
                    [Predicate("l_quantity", cmp="lt", value=24)]),
-            fn="count", column="l_quantity")
+            [AggregateSpec("result", "count", "l_quantity")])
         graph = translate(plan)
         assert graph.outputs == ["result"]
         assert graph.nodes["result"].primitive == "agg_block"
@@ -108,8 +156,8 @@ class TestTranslationStructure:
         assert set(graph.outputs) == {"revenue", "n"}
 
     def test_device_annotation_applied(self):
-        plan = ScalarAggregate(Scan("lineitem"), fn="sum",
-                               column="l_quantity")
+        plan = ScalarAggregate(Scan("lineitem"),
+                               [AggregateSpec("result", "sum", "l_quantity")])
         graph = translate(plan, device="gpu7")
         assert all(node.device == "gpu7" for node in graph.nodes.values())
 
@@ -120,7 +168,7 @@ class TestTranslationStructure:
                 Predicate("l_discount", lo=5, hi=7),
                 Predicate("l_tax", cmp="ge", value=1),
             ]),
-            fn="count", column="l_quantity")
+            [AggregateSpec("result", "count", "l_quantity")])
         graph = translate(plan)
         kinds = [n.primitive for n in graph.nodes.values()]
         assert kinds.count("filter_bitmap") == 3
@@ -141,7 +189,7 @@ class TestTranslationSemantics:
                 ]),
                 [Derived("revenue", "mul", "l_extendedprice", "l_discount")],
             ),
-            fn="sum", column="revenue")
+            [AggregateSpec("result", "sum", "revenue")])
         graph = translate(plan)
         executor = make_executor()
         for model in ("oaat", "chunked", "four_phase_pipelined"):
@@ -188,7 +236,7 @@ class TestTranslationSemantics:
         plan = ScalarAggregate(
             HashJoin(probe=Scan("lineitem"), build=orders,
                      probe_key="l_orderkey", build_key="o_orderkey"),
-            fn="sum", column="l_extendedprice")
+            [AggregateSpec("result", "sum", "l_extendedprice")])
         graph = translate(plan)
         executor = make_executor()
         result = executor.run(graph, tiny_catalog, model="chunked",

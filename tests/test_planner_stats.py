@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import PlanError
 from repro.planner import (
+    AggregateSpec,
     Predicate,
     ScalarAggregate,
     Scan,
@@ -91,7 +92,7 @@ class TestTranslatorIntegration:
                 Predicate("l_discount", lo=5, hi=7),
                 Predicate("l_quantity", cmp="lt", value=24),
             ]),
-            fn="sum", column="l_extendedprice")
+            [AggregateSpec("result", "sum", "l_extendedprice")])
         with_stats = translate(plan, catalog=small_catalog)
         without = translate(plan)
         pick = lambda g: [n.hints["selectivity_estimate"]
@@ -112,7 +113,7 @@ class TestTranslatorIntegration:
                           hi=date_to_int("1995-01-01") - 1),
                 Predicate("l_quantity", cmp="lt", value=24),
             ]),
-            fn="sum", column="l_extendedprice")
+            [AggregateSpec("result", "sum", "l_extendedprice")])
         executor = make_executor()
         smart = executor.run(translate(plan, catalog=small_catalog),
                              small_catalog, model="oaat")

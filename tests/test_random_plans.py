@@ -1,7 +1,9 @@
 """Property-based end-to-end test: random logical plans, every model.
 
-Hypothesis generates small logical plans (filter chains, derived columns,
-optional semi-join, scalar or grouped aggregation) over a fixed synthetic
+Hypothesis generates small logical plans (filter chains with
+disjunctions inside, derived columns, an optional semi-join or inner
+join whose build payload is read after it, several scalar aggregates, a
+grouped aggregate or a HAVING over one) over a fixed synthetic
 database; each translated plan must produce identical results under the
 execution models, fusion and adaptive settings of the cell table's axes
 (``tools/timeline_digest.py``) — and a plain-numpy evaluation of the
@@ -24,9 +26,11 @@ from repro.core.fingerprint import subplan_fingerprint
 from repro.core.graph import PrimitiveGraph, ScanSource
 from repro.planner import (
     AggregateSpec,
+    AnyOf,
     Derive,
     Derived,
     GroupAggregate,
+    HashJoin,
     Predicate,
     ScalarAggregate,
     Scan,
@@ -54,51 +58,96 @@ def build_catalog() -> Catalog:
     ]))
     catalog.add(Table("dim", [
         Column("dk", rng.integers(0, 80, N_DIM).astype(np.int64)),
+        Column("dp", rng.integers(0, 5, N_DIM).astype(np.int64)),
     ]))
     return catalog
 
 
 CATALOG = build_catalog()
 
+predicate = st.builds(
+    Predicate,
+    column=st.sampled_from(["k", "v", "w", "g"]),
+    cmp=st.sampled_from(["lt", "le", "gt", "ge", "eq", "ne"]),
+    value=st.integers(-60, 90),
+)
 predicates = st.lists(
-    st.builds(
-        Predicate,
-        column=st.sampled_from(["k", "v", "w", "g"]),
-        cmp=st.sampled_from(["lt", "le", "gt", "ge", "eq", "ne"]),
-        value=st.integers(-60, 90),
-    ),
+    st.one_of(predicate, st.builds(
+        AnyOf, st.lists(predicate, min_size=2, max_size=3))),
     min_size=1, max_size=3,
 )
 
 derive_ops = st.sampled_from(["add", "sub", "mul"])
+functions = st.sampled_from(["sum", "count", "min", "max"])
 
 
 @st.composite
 def logical_plans(draw):
-    plan = Scan("fact")
-    plan = Select(plan, draw(predicates))
+    """A selection (disjunctions inside), maybe a derived column, maybe
+    a semi-join or an inner join whose build payload is read after it,
+    then several scalar aggregates, a grouped aggregate, or a HAVING
+    over a grouped aggregate."""
+    plan = Select(Scan("fact"), draw(predicates))
+    values, keys = ["v", "w"], ["g"]
     if draw(st.booleans()):
         op = draw(derive_ops)
         plan = Derive(plan, [Derived("d", op, "v", "w")])
-        value_col = "d"
-    else:
-        value_col = "v"
-    if draw(st.booleans()):
+        values.append("d")
+    join = draw(st.sampled_from([None, "semi", "inner"]))
+    if join == "semi":
         plan = SemiJoin(probe=plan, build=Scan("dim"),
                         probe_key="k", build_key="dk")
-    if draw(st.booleans()):
-        plan = GroupAggregate(plan, keys=["g"], aggregates=[
-            AggregateSpec("agg", draw(st.sampled_from(["sum", "count"])),
-                          value_col),
-        ])
-    else:
-        plan = ScalarAggregate(plan, fn=draw(st.sampled_from(
-            ["sum", "count", "min", "max"])), column=value_col)
-    return plan
+    elif join == "inner":
+        plan = HashJoin(probe=plan, build=Scan("dim"), probe_key="k",
+                        build_key="dk", payload=["dp"])
+        values.append("dp")
+        keys.append("dp")
+    shape = draw(st.sampled_from(["scalar", "group", "having"]))
+    group = GroupAggregate(plan, keys=[draw(st.sampled_from(keys))],
+                           aggregates=[AggregateSpec(
+                               "agg", draw(functions),
+                               draw(st.sampled_from(values)))])
+    if shape == "group":
+        return group
+    if shape == "having":
+        plan = Select(group, [Predicate("agg", draw(st.sampled_from(
+            ["lt", "gt", "ne"])), draw(st.integers(-100, 200)))])
+        values = [group.keys[0], "agg"]
+    columns = draw(st.lists(st.sampled_from(values), min_size=1,
+                            max_size=3))
+    return ScalarAggregate(plan, [
+        AggregateSpec(f"a{i}", draw(functions), column)
+        for i, column in enumerate(columns)])
+
+
+COMPARE = {"lt": np.less, "le": np.less_equal, "gt": np.greater,
+           "ge": np.greater_equal, "eq": np.equal, "ne": np.not_equal}
+REDUCE = {"sum": np.sum, "min": np.min, "max": np.max}
+EMPTY = {"sum": 0, "count": 0, "min": np.iinfo(np.int64).max,
+         "max": np.iinfo(np.int64).min}
+
+
+def reduce(fn: str, values: np.ndarray) -> int:
+    if fn == "count":
+        return int(values.shape[0])
+    return int(REDUCE[fn](values)) if values.shape[0] else EMPTY[fn]
 
 
 def numpy_eval(plan):
     """Independent evaluation of the logical plan with plain numpy."""
+    def mask(data, term) -> np.ndarray:
+        if isinstance(term, AnyOf):
+            return np.logical_or.reduce([mask(data, p) for p in term.terms])
+        return COMPARE[term.cmp](data[term.column], term.value)
+
+    def grouped(node) -> dict[int, int]:
+        data = frame(node.child)
+        keys = data[node.keys[0]]
+        spec = node.aggregates[0]
+        return {int(key): reduce(spec.fn, data[spec.column][keys == key]
+                                 if spec.column else keys[keys == key])
+                for key in np.unique(keys)}
+
     def frame(node) -> dict[str, np.ndarray]:
         if isinstance(node, Scan):
             table = CATALOG.table(node.table)
@@ -106,13 +155,9 @@ def numpy_eval(plan):
                     for c in table.columns}
         if isinstance(node, Select):
             data = frame(node.child)
-            mask = np.ones(len(next(iter(data.values()))), dtype=bool)
-            for p in node.predicates:
-                ops = {"lt": np.less, "le": np.less_equal,
-                       "gt": np.greater, "ge": np.greater_equal,
-                       "eq": np.equal, "ne": np.not_equal}
-                mask &= ops[p.cmp](data[p.column], p.value)
-            return {k: v[mask] for k, v in data.items()}
+            keep = np.logical_and.reduce([mask(data, t)
+                                          for t in node.predicates])
+            return {k: v[keep] for k, v in data.items()}
         if isinstance(node, Derive):
             data = frame(node.child)
             for d in node.columns:
@@ -123,31 +168,25 @@ def numpy_eval(plan):
         if isinstance(node, SemiJoin):
             data = frame(node.probe)
             build = frame(node.build)[node.build_key]
-            mask = np.isin(data[node.probe_key], build)
-            return {k: v[mask] for k, v in data.items()}
+            keep = np.isin(data[node.probe_key], build)
+            return {k: v[keep] for k, v in data.items()}
+        if isinstance(node, HashJoin):
+            data, build = frame(node.probe), frame(node.build)
+            left, right = np.nonzero(data[node.probe_key][:, None]
+                                     == build[node.build_key][None, :])
+            return {**{k: v[left] for k, v in data.items()},
+                    **{p: build[p][right] for p in node.payload}}
+        if isinstance(node, GroupAggregate):
+            groups = grouped(node)
+            return {node.keys[0]: np.array(list(groups), dtype=np.int64),
+                    "agg": np.array(list(groups.values()), dtype=np.int64)}
         raise AssertionError(type(node))
 
     if isinstance(plan, ScalarAggregate):
-        values = frame(plan.child)[plan.column]
-        if plan.fn == "count":
-            return int(values.shape[0])
-        if values.shape[0] == 0:
-            return {"sum": 0, "min": np.iinfo(np.int64).max,
-                    "max": np.iinfo(np.int64).min}[plan.fn]
-        return int({"sum": np.sum, "min": np.min,
-                    "max": np.max}[plan.fn](values))
-    # GroupAggregate
-    data = frame(plan.child)
-    keys = data[plan.keys[0]]
-    spec = plan.aggregates[0]
-    out = {}
-    for key in np.unique(keys):
-        sel = keys == key
-        if spec.fn == "count":
-            out[int(key)] = int(sel.sum())
-        else:
-            out[int(key)] = int(data[spec.column][sel].sum())
-    return out
+        data = frame(plan.child)
+        return {spec.name: reduce(spec.fn, data[spec.column])
+                for spec in plan.aggregates}
+    return grouped(plan)
 
 
 def run_plan(plan, model: str, chunk: int, *, fuse: bool = False,
@@ -157,7 +196,8 @@ def run_plan(plan, model: str, chunk: int, *, fuse: bool = False,
     result = executor.run(graph, CATALOG, model=model, chunk_size=chunk,
                           fuse=fuse, adaptive=adaptive)
     if isinstance(plan, ScalarAggregate):
-        return int(result.output("result")[0])
+        return {spec.name: int(result.output(spec.name)[0])
+                for spec in plan.aggregates}
     table = result.output("agg")
     fn = plan.aggregates[0].fn
     return {int(k): int(v)
