@@ -90,6 +90,57 @@ class TestOptionScan:
             "src/mod.py:14 Engine(spare)", "src/mod.py:16 execute(fuse)"]
 
 
+class TestMutationScan:
+    def test_every_target_resolves_and_no_equivalent_is_stale(self):
+        scan = tool("mutation_scan")
+        ids = set()
+        for target in scan.TARGETS.values():
+            source = (ROOT / "src" / target.module).read_text()
+            ids.update(scan.mutants(source, scan._module_name(target.module),
+                                    target.scopes))
+            assert all((ROOT / test).is_file() for test in target.tests)
+        assert set(scan.EQUIVALENT) <= ids
+
+    def test_kills_misses_and_times_out_in_a_copy(self, tmp_path):
+        scan = tool("mutation_scan")
+        write_tree(tmp_path, {
+            "src/mod.py": (
+                "def pick(flag):\n"
+                "    return 1 if flag else 2\n"
+                "\n\n"
+                "def halve(n):\n"
+                "    while n > 1:\n"
+                "        n //= 2\n"
+                "    return n\n"),
+            "tests/test_mod.py": (
+                "from mod import halve, pick\n\n\n"
+                "def test_mod():\n"
+                "    assert pick(True) == 1\n"
+                "    assert halve(8) == 1\n"),
+        })
+        tree = {path: path.read_bytes()
+                for path in (tmp_path / "src").rglob("*")}
+        target = scan.Target("mod.py", ("pick", "halve"),
+                             ("tests/test_mod.py",))
+        results = scan.scan(tmp_path, {"mod": target}, timeout=2)
+        outcomes = {mutant.split("::")[1]: outcome
+                    for mutant, outcome in results["mod"].items()}
+        assert outcomes == {
+            "pick:return:0": "killed", "pick:drop:0": "killed",
+            "pick:const:0": "killed", "pick:const:1": "survived",
+            "halve:return:0": "killed", "halve:drop:0": "killed",
+            "halve:cmp:0": "killed", "halve:const:0": "killed",
+            "halve:drop:1": "timeout", "halve:const:1": "killed",
+            "halve:drop:2": "killed"}
+        lines, missing = scan.report(results, equivalent={})
+        assert missing == 1 and lines[-1] == "survived: mod::pick:const:1"
+        assert scan.report(results, equivalent={
+            "mod::pick:const:1": "never asked for False"})[1] == 0
+        # Every mutant went into a private copy, never the scanned tree.
+        assert {path: path.read_bytes()
+                for path in (tmp_path / "src").rglob("*")} == tree
+
+
 class TestShareTimer:
     def test_times_static_and_class_methods_in_their_own_kind(self):
         from repro.core.models.split import SplitChunkedModel
