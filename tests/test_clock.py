@@ -318,7 +318,11 @@ class TestFoldDefinition:
         assert fold(clock, running=lambda series: 0.7).series == \
             {key: 0.7 + 0.1 + 0.2}
         assert fold(clock).series == {key: 0.1 + 0.2}
-
+        # One fold of the rows, shared; a new row is a new window.
+        assert fold(clock)._rows is fold(clock, running=len)._rows
+        before = fold(clock)._rows
+        clock.schedule("gpu0.compute", 0.3, label="gpu0:run:map")
+        assert fold(clock)._rows is not before
 
     def test_a_ledger_outlives_a_reset(self):
         """Ledger fields are worked out when first read; rows scheduled
@@ -357,3 +361,42 @@ class TestClassTable:
         serve(40, 80)
         assert engine.clock.event_count > rows
         assert len(engine.clock.classes) == classes
+
+
+# Per-owner event lists == the filter over the whole timeline
+
+OWNERS = (None, "", "qa", "qb", "qc")
+
+clock_steps = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), st.sampled_from(OWNERS),
+              st.integers(0, 2)),
+    st.tuples(st.just("drop_stream"), st.none(), st.integers(0, 2)),
+    st.tuples(st.just("reset"), st.none(), st.none()),
+), max_size=60)
+
+
+class TestEventsOfIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(clock_steps)
+    def test_events_of_equals_filter(self, steps):
+        clock = VirtualClock()
+        for op, owner, stream in steps:
+            if op == "schedule":
+                clock.current_owner = owner
+                clock.schedule(f"s{stream}", 0.5)
+            elif op == "drop_stream":
+                clock.drop_stream(f"s{stream}")
+            else:
+                clock.reset()
+            for query in ("", "qa", "qb", "qc", "never-ran"):
+                assert clock.events_of(query) == [
+                    e for e in clock.events if e.owner == query]
+
+    def test_returned_list_is_the_callers(self):
+        clock = VirtualClock()
+        clock.current_owner = "qa"
+        clock.schedule("s", 1.0)
+        clock.events_of("qa").clear()
+        clock.events_of("").append(None)
+        assert len(clock.events_of("qa")) == 1
+        assert clock.events_of("") == []

@@ -24,6 +24,7 @@ from repro.cluster import (
     merge_outputs,
     output_agg_fn,
     partition_catalog,
+    partition_table,
     plan_exchange,
     reassemble_table,
     resolve_tier,
@@ -40,6 +41,7 @@ from repro.hardware.specs import (
     NodeSpec,
 )
 from repro.observe import explain_distributed
+from repro.storage import Catalog, Column, DictionaryColumn, Table
 from repro.tpch import dbgen
 from repro.tpch.queries import QUERIES, q1_sorted, q6
 
@@ -123,13 +125,6 @@ class TestPartitioning:
             node = scheme.node_for_key("orders", key)
             owned = shards[node].table("orders").column("o_orderkey")
             assert key in owned.values
-
-    def test_dictionary_columns_survive_sharding(self):
-        shards = partition_catalog(CATALOG, 2)
-        whole = CATALOG.table("orders").column("o_orderpriority")
-        for shard in shards:
-            part = shard.table("orders").column("o_orderpriority")
-            assert part.dictionary == whole.dictionary
 
     def test_generate_partitioned_matches_generate(self):
         shards, scheme = dbgen.generate_partitioned(0.0005, 2, seed=7)
@@ -418,3 +413,64 @@ class TestNewDeviceCluster:
         assert cluster.node("node0").lost
         assert dist.stats.node_seconds["node0"] == 0.0
         assert dist.stats.node_seconds["node1"] > 0.0
+
+
+# Slice-view partitioning == each range's row mask
+
+
+def orders_table(keys: list[int]) -> Table:
+    return Table("orders", [
+        Column("o_orderkey", np.array(keys, dtype=np.int64)),
+        Column("o_row", np.arange(len(keys), dtype=np.int64)),
+        DictionaryColumn.from_strings(
+            "o_status", [("F", "O", "P")[k % 3] for k in keys]),
+    ])
+
+
+def assert_shards_are_the_masks(parts: list[Table], table: Table,
+                                ranges) -> None:
+    keys = table.column("o_orderkey").values
+    assert len(parts) == len(ranges)
+    for part, key_range in zip(parts, ranges):
+        mask = (keys >= key_range.lo) & (keys < key_range.hi)
+        assert part.name == table.name
+        assert part.column_names == table.column_names
+        for mine, column in zip(part.columns, table.columns):
+            assert type(mine) is type(column)
+            assert mine.values.dtype == column.values.dtype
+            assert np.array_equal(mine.values, column.values[mask])
+            assert not mine.values.flags.writeable
+            if isinstance(column, DictionaryColumn):
+                assert mine.dictionary == column.dictionary
+    # The ranges cover every key: each row is in exactly one shard.
+    assert sum(part.num_rows for part in parts) == len(keys)
+
+
+def shares_every_column(part: Table, table: Table) -> bool:
+    return all(np.shares_memory(c.values, table.column(c.name).values)
+               for c in part.columns)
+
+
+class TestPartitionTable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 60), max_size=40), st.integers(1, 8),
+           st.randoms(use_true_random=False))
+    def test_shards_are_the_range_masks(self, keys, num_nodes, shuffler):
+        table = orders_table(sorted(keys))
+        catalog = Catalog()
+        catalog.add(table)
+        ranges = make_scheme(catalog, num_nodes).ranges["orders"]
+        parts = partition_table(table, "o_orderkey", ranges)
+        assert_shards_are_the_masks(parts, table, ranges)
+        # Sorted keys: every non-empty shard is a view (empty ranges --
+        # more nodes than distinct keys -- hold no bytes to share).
+        assert all(shares_every_column(part, table)
+                   for part in parts if part.num_rows)
+
+        shuffler.shuffle(keys)
+        shuffled = orders_table(keys)
+        parts = partition_table(shuffled, "o_orderkey", ranges)
+        assert_shards_are_the_masks(parts, shuffled, ranges)
+        if keys != sorted(keys):
+            assert not any(shares_every_column(part, shuffled)
+                           for part in parts)

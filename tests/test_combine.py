@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.combine import ChunkPartial, combine_chunk_results
 from repro.errors import ExecutionError
-from repro.primitives.kernels import hash_agg, hash_build, hash_probe
 from repro.primitives.values import (
     Bitmap,
     JoinPairs,
@@ -88,28 +87,6 @@ class TestPositionsAndPairs:
         out = combine_chunk_results(parts((a, 0), (b, 50)))
         assert list(out.left) == [0, 52]
         assert list(out.right) == [42, 43]  # build positions already global
-
-
-class TestTables:
-    def test_group_tables_merge_sum(self):
-        a = hash_agg(np.array([1, 2]), np.array([10, 20]), fn="sum")
-        b = hash_agg(np.array([2, 3]), np.array([1, 2]), fn="sum")
-        out = combine_chunk_results(parts((a, 0), (b, 64)), agg_fn="sum")
-        assert list(out.keys) == [1, 2, 3]
-        assert list(out.aggregates["sum"]) == [10, 21, 2]
-
-    def test_group_tables_merge_count(self):
-        a = hash_agg(np.array([1, 1]), fn="count")
-        b = hash_agg(np.array([1]), fn="count")
-        out = combine_chunk_results(parts((a, 0), (b, 64)), agg_fn="count")
-        assert list(out.aggregates["count"]) == [3]
-
-    def test_hash_tables_union_with_global_positions(self):
-        a = hash_build(np.array([1, 2]), base_position=0)
-        b = hash_build(np.array([1]), base_position=2)
-        out = combine_chunk_results(parts((a, 0), (b, 2)))
-        pairs = hash_probe(np.array([1]), out, mode="inner")
-        assert sorted(pairs.right.tolist()) == [0, 2]
 
 
 class TestPrefixSums:

@@ -86,6 +86,14 @@ class TestFacadeDeterminism:
         assert replug.stats.makespan == baseline.stats.makespan
 
 
+def test_fused_probe_nodes_count_the_fused_nodes_that_probe(tiny_catalog):
+    engine = Engine()
+    engine.plug_device("gpu0", CudaDevice, GPU_RTX_2080_TI)
+    result = engine.execute(q3.build(tiny_catalog), tiny_catalog,
+                            chunk_size=1024, fuse=True)
+    assert (result.stats.fused_nodes, result.stats.fused_probe_nodes) == (6, 2)
+
+
 class TestConcurrentCorrectness:
     """Interleaved execution must not change what queries compute."""
 

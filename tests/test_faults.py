@@ -7,6 +7,8 @@ degradation and device failover change the timeline, never the answer.
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from repro import Engine, FaultPlan, FaultSpec, QueryRequest, RetryPolicy
@@ -15,6 +17,7 @@ from repro.core.pipelines import halve_chunk
 from repro.devices import CudaDevice, OpenMPDevice
 from repro.errors import (
     DeviceLostError,
+    DeviceMemoryError,
     FaultConfigError,
     KernelCompilationError,
     QueryBudgetError,
@@ -40,6 +43,14 @@ def gpu_engine(faults=None, **kwargs) -> Engine:
     engine = Engine(faults=faults, **kwargs)
     engine.plug_device("gpu0", CudaDevice, GPU_RTX_2080_TI)
     return engine
+
+
+def reasons(engine: Engine) -> list[str]:
+    """The scheduler's recovery markers, in order, without the query id:
+    which rung of which ladder each restart took."""
+    return [event.label.rsplit(":", 1)[0].removeprefix("recovery:")
+            for event in engine.clock.events
+            if event.category == "recovery"]
 
 
 def hybrid_engine(faults=None, *, gpu_memory_limit=None, **kwargs) -> Engine:
@@ -203,9 +214,19 @@ class TestRetryExhaustion:
                                      chunk_size=1024,
                                      default_device="cpu0")
         assert blob(result.outputs) == blob(expected.outputs)
-        assert result.stats.failovers >= 1
+        # Below the breaker's threshold a fault restarts in place; the
+        # third quarantines gpu0 and fails over, once.
+        assert reasons(engine) == ["device-fault:gpu0", "device-fault:gpu0",
+                                   "failover:gpu0"]
+        assert (result.stats.failovers, result.stats.oom_recoveries) == (1, 0)
         assert "gpu0" in result.stats.quarantined_devices
         assert result.stats.retries >= RetryPolicy().max_attempts - 1
+
+    def test_an_error_naming_no_device_is_not_counted(self):
+        scheduler = Engine()._scheduler
+        error = RetryExhaustedError("no device named")
+        assert scheduler._recover_device_fault(None, error, deque()) is error
+        assert not scheduler._fault_counts and not scheduler.quarantined
 
     def test_custom_retry_policy_is_honoured(self, tiny_catalog):
         policy = RetryPolicy(max_attempts=2, base_backoff=1e-3)
@@ -368,7 +389,31 @@ class TestOOMDegradation:
         engine = gpu_engine(FaultPlan.parse("gpu0:oom:0.05,seed=3"))
         result = engine.execute(q6.build(), tiny_catalog, chunk_size=1024)
         assert blob(result.outputs) == blob(baseline.outputs)
-        assert result.stats.oom_recoveries >= 1
+        # Nothing resident to evict: the ladder starts by halving.
+        assert reasons(engine) == ["oom:chunk=512", "oom:chunk=256"]
+        assert result.stats.oom_recoveries == 2
+
+    def test_the_ladder_evicts_resident_columns_before_it_halves(
+            self, tiny_catalog):
+        engine = hybrid_engine(enable_subplan_cache=False)
+        baseline = engine.execute(q6.build(), tiny_catalog, chunk_size=1024)
+        residency = engine.devices["gpu0"].residency
+        assert residency.stats()["entries"] == 4
+        engine.install_faults(FaultPlan.parse("gpu0:oom:0.05,seed=3"))
+        result = engine.execute(q6.build(), tiny_catalog, chunk_size=1024)
+        assert blob(result.outputs) == blob(baseline.outputs)
+        assert reasons(engine) == ["oom:evict-residency", "oom:chunk=512"]
+        assert result.stats.oom_recoveries == 2
+        assert residency.stats()["evictions"] == 4
+
+    def test_a_storm_past_the_spill_rung_fails(self, tiny_catalog):
+        """At the smallest chunk with the host out of memory too, the
+        ladder's last rung is spent and the query fails."""
+        engine = hybrid_engine(FaultPlan.parse(
+            "gpu0:oom:1.0,cpu0:oom:1.0,seed=3"))
+        with pytest.raises(DeviceMemoryError):
+            engine.execute(q6.build(), tiny_catalog, chunk_size=32)
+        assert reasons(engine) == ["oom:spill"]
 
     def test_capacity_oom_degrades_to_host_spill(self, tiny_catalog):
         # gpu0 cannot hold even one 32-row chunk of Q6's three scan
@@ -388,6 +433,7 @@ class TestOOMDegradation:
         with pytest.raises(QueryBudgetError):
             engine.execute(q6.build(), tiny_catalog, chunk_size=1024,
                            memory_budget=64)
+        assert reasons(engine) == []
 
     def test_halve_chunk_respects_alignment(self):
         assert halve_chunk(1024, 1) == 512

@@ -1,10 +1,12 @@
 """Tests for the primitive graph (construction, validation, traversal)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fingerprint import subplan_fingerprint
-from repro.core.graph import PrimitiveGraph, ScanSource
-from repro.core.pipelines import split_pipelines
+from repro.core.graph import DataEdge, PrimitiveGraph, ScanSource
+from repro.core.pipelines import persisted_node_ids, split_pipelines
 from repro.devices import CudaDevice
 from repro.engine import Engine, QueryRequest
 from repro.errors import GraphValidationError, UnknownPrimitiveError
@@ -76,19 +78,6 @@ class TestConstruction:
 
 
 class TestTraversal:
-    def test_in_edges_ordered_by_slot(self):
-        g = PrimitiveGraph()
-        g.add_node("m", "materialize")
-        g.connect("t.b", "m", 1)
-        g.connect("t.a", "m", 0)
-        slots = [e.input_index for e in g.in_edges("m")]
-        assert slots == [0, 1]
-
-    def test_topological_order(self):
-        g = filter_materialize_graph()
-        order = g.topological_order()
-        assert order.index("f") < order.index("m")
-
     def test_cycle_detected(self):
         g = PrimitiveGraph()
         g.add_node("a", "map")
@@ -246,3 +235,116 @@ class TestBind:
         for result, date in zip(results, dates):
             assert q3.finalize(result, tiny_catalog) == reference.q3(
                 tiny_catalog, date=date)
+
+
+# The adjacency index == the scan definition
+
+
+def scan_in_edges(graph, node_id):
+    return sorted((e for e in graph.edges if e.target == node_id),
+                  key=lambda e: e.input_index)
+
+
+def scan_out_edges(graph, node_id):
+    return [e for e in graph.edges
+            if not e.is_scan and e.source == node_id]
+
+
+def scan_persisted(graph, pipeline):
+    member = set(pipeline.node_ids)
+    out = set(pipeline.breaker_ids) | (member & set(graph.outputs))
+    for edge in graph.edges:
+        if not edge.is_scan and edge.source in member \
+                and edge.target not in member:
+            out.add(edge.source)
+    return out
+
+
+def scan_topological_order(graph):
+    incoming = {nid: sum(1 for e in scan_in_edges(graph, nid)
+                         if not e.is_scan) for nid in graph.nodes}
+    ready = sorted(nid for nid, degree in incoming.items() if degree == 0)
+    order = []
+    while ready:
+        nid = ready.pop(0)
+        order.append(nid)
+        for edge in scan_out_edges(graph, nid):
+            incoming[edge.target] -= 1
+            if incoming[edge.target] == 0:
+                ready.append(edge.target)
+        ready.sort()
+    return order
+
+
+def assert_index_matches_scan(graph):
+    for nid in [*graph.nodes, "no-such-node"]:
+        assert graph.in_edges(nid) == scan_in_edges(graph, nid)
+        assert graph.out_edges(nid) == scan_out_edges(graph, nid)
+    assert graph.scan_refs() == sorted(
+        {e.source.ref for e in graph.edges if e.is_scan})
+    assert graph.topological_order() == scan_topological_order(graph)
+
+
+#: One step of a random build: the integers pick nodes / slots modulo
+#: what exists, so every drawn step is applicable.
+graph_steps = st.lists(st.tuples(
+    st.sampled_from(("add_map", "add_breaker", "connect_node",
+                     "connect_scan", "mark_output", "in_edges",
+                     "out_edges", "split")),
+    st.integers(0, 50), st.integers(0, 50), st.integers(0, 3)),
+    max_size=40)
+
+
+class TestAdjacencyIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(graph_steps)
+    def test_index_equals_scan_under_any_interleaving(self, steps):
+        graph = PrimitiveGraph()
+        graph.add_node("n0", "map")
+        for op, a, b, slot in steps:
+            ids = list(graph.nodes)
+            if op == "add_map":
+                graph.add_node(f"n{len(ids)}", "map")
+            elif op == "add_breaker":
+                graph.add_node(f"n{len(ids)}", "hash_agg")
+            elif op == "connect_node" and len(ids) > 1:
+                # Edges point from older to newer nodes: always a DAG.
+                low, high = sorted((a % len(ids), b % len(ids)))
+                if low != high:
+                    graph.connect(ids[low], ids[high], slot)
+            elif op == "connect_scan":
+                graph.connect(f"t.c{b % 3}", ids[a % len(ids)], slot)
+            elif op == "mark_output":
+                graph.mark_output(ids[a % len(ids)])
+            elif op == "in_edges":
+                # A caller scribbling on its list must not reach the index.
+                graph.in_edges(ids[a % len(ids)]).clear()
+                graph.scan_refs().append("bogus.column")
+            elif op == "out_edges":
+                graph.out_edges(ids[a % len(ids)]).append(None)
+            elif op == "split":
+                split_pipelines(graph).clear()
+            assert_index_matches_scan(graph)
+            cached = split_pipelines(graph)
+            for pipeline in cached:
+                assert persisted_node_ids(graph, pipeline) \
+                    == scan_persisted(graph, pipeline)
+            graph._invalidate_caches()
+            assert split_pipelines(graph) == cached
+
+    def test_out_of_band_edge_append_is_noticed(self):
+        graph = PrimitiveGraph()
+        graph.add_node("a", "map")
+        graph.add_node("b", "hash_agg")
+        graph.add_node("c", "map")
+        graph.connect("t.x", "a", 0)
+        graph.connect("a", "b", 0)
+        assert graph.topological_order() == ["a", "b", "c"]
+        assert len(split_pipelines(graph)) == 2
+        # Breaking the mutation contract: no connect(), no invalidation.
+        graph.edges.append(DataEdge(data_id=99, source="c", target="a",
+                                    input_index=1))
+        assert_index_matches_scan(graph)
+        assert graph.topological_order() == ["c", "a", "b"]
+        assert [p.node_ids for p in split_pipelines(graph)] \
+            == [["c", "a", "b"]]

@@ -17,6 +17,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.devices import CudaDevice, OpenMPDevice
@@ -33,7 +35,7 @@ from repro.observe import (
 from repro.serving import BATCH, INTERACTIVE, QueryService, ServeRequest
 from repro.tpch import generate
 from repro.tpch.queries import q3, q4, q6
-from tests.conftest import make_executor
+from tests.conftest import make_context, make_executor
 
 PAPER_MODELS = ("oaat", "chunked", "pipelined", "four_phase_pipelined")
 
@@ -604,3 +606,54 @@ class TestCli:
         assert "ANALYZE" in out
         typed, _ = _parse_prometheus(path.read_text())
         assert typed["adamant_queries_total"] == "counter"
+
+
+def stats_by_definition(ctx) -> dict:
+    """What ``collect_stats`` derives from the query's events: one sum
+    per figure; launches count only after the last restart."""
+    query = ctx.query
+    events = ctx.clock.events_of(query.query_id)
+    categories: dict[str, float] = {}
+    for e in events:
+        categories[e.category] = categories.get(e.category, 0.0) \
+            + e.duration
+    end = max((e.end for e in events), default=query.epoch_start)
+    restart_eid = max((e.eid for e in events
+                       if e.category == "recovery"), default=-1)
+    return dict(
+        makespan=max(0.0, end - query.epoch_start),
+        time_by_category=categories,
+        transfer_bytes=sum(e.nbytes for e in events
+                           if e.category == "transfer"),
+        kernel_invocations=sum(1 for e in events
+                               if e.category == "compute"),
+        residency_hits=sum(1 for e in events if e.category == "cache"),
+        residency_hit_bytes=sum(e.nbytes for e in events
+                                if e.category == "cache"),
+        kernels_launched=sum(1 for e in events
+                             if e.category == "launch"
+                             and e.eid > restart_eid),
+    )
+
+
+class TestCollectStats:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["", "q0", "other"]), st.integers(0, 2),
+        st.sampled_from(["compute", "launch", "transfer", "cache",
+                         "recovery", "subplan", "alloc"]),
+        st.integers(0, 1 << 40),
+        st.floats(0.0, 2.0, allow_nan=False)), max_size=40),
+        st.floats(0.0, 30.0, allow_nan=False))
+    def test_one_pass_equals_one_sum_per_figure(self, steps, epoch_start):
+        ctx = make_context(None)
+        ctx.query.epoch_start = epoch_start
+        for owner, stream, category, nbytes, duration in steps:
+            ctx.clock.current_owner = owner
+            ctx.clock.schedule(f"s{stream}", duration, category=category,
+                               nbytes=nbytes)
+        stats = ctx.collect_stats(chunks=3)
+        expected = stats_by_definition(ctx)
+        assert {key: getattr(stats, key) for key in expected} == expected
+        assert list(stats.time_by_category) == list(
+            expected["time_by_category"])

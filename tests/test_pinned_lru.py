@@ -187,3 +187,12 @@ TestSubplanEvictionKey = PinnedLRUMachine.TestCase
 TestSubplanEvictionKey.settings = PROFILE
 TestResidencyEvictionKey = ColumnStoreMachine.TestCase
 TestResidencyEvictionKey.settings = PROFILE
+
+
+def test_one_byte_asked_evicts_the_coldest_unpinned_entry():
+    store = Store()
+    store._store("a", Item(catalog_id=0, version=0, data_scale=1, key="a",
+                           nbytes=8, complete=True))
+    assert store.evict_bytes(0) == 0 and store.evict_bytes(-1) == 0
+    assert store.evict_bytes(1) == 8
+    assert (len(store._entries), store.evictions) == (0, 1)

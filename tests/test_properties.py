@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.combine import ChunkPartial, combine_chunk_results
 from repro.hardware.clock import VirtualClock
 from repro.primitives import kernels
-from repro.primitives.values import Bitmap, GroupTable, PrefixSum
+from repro.primitives.values import Bitmap
 
 int_arrays = hnp.arrays(
     dtype=np.int64,
@@ -79,67 +79,7 @@ class TestPrefixSumProperties:
         assert np.array_equal(combined.sums, np.cumsum(a))
 
 
-class TestHashProperties:
-    @given(small_keys, small_keys)
-    def test_join_matches_nested_loop(self, build, probe):
-        table = kernels.hash_build(build)
-        pairs = kernels.hash_probe(probe, table, mode="inner")
-        expected = sorted(
-            (p, b)
-            for p in range(len(probe))
-            for b in range(len(build))
-            if probe[p] == build[b]
-        )
-        assert sorted(zip(pairs.left.tolist(), pairs.right.tolist())) == \
-            expected
-
-    @given(small_keys, small_keys)
-    def test_semi_anti_partition_probe(self, build, probe):
-        table = kernels.hash_build(build)
-        semi = kernels.hash_probe(probe, table, mode="semi")
-        anti = kernels.hash_probe(probe, table, mode="anti")
-        union = np.sort(np.concatenate([semi.positions, anti.positions]))
-        assert np.array_equal(union, np.arange(len(probe)))
-
-    @given(small_keys, st.integers(1, 50))
-    def test_chunked_build_equals_whole_build(self, keys, chunk):
-        whole = kernels.hash_build(keys)
-        partials = [
-            ChunkPartial(kernels.hash_build(keys[i:i + chunk],
-                                            base_position=i), i)
-            for i in range(0, max(len(keys), 1), chunk)
-        ]
-        merged = combine_chunk_results(partials)
-        probe = np.arange(0, 21)
-        a = kernels.hash_probe(probe, whole, mode="inner")
-        b = kernels.hash_probe(probe, merged, mode="inner")
-        assert sorted(zip(a.left.tolist(), a.right.tolist())) == \
-            sorted(zip(b.left.tolist(), b.right.tolist()))
-
-    @given(small_keys, st.data())
-    def test_hash_agg_sum_matches_oracle(self, keys, data):
-        values = data.draw(hnp.arrays(np.int64, len(keys),
-                                      elements=st.integers(-100, 100)))
-        table = kernels.hash_agg(keys, values, fn="sum")
-        assert int(table.aggregates["sum"].sum()) == int(values.sum())
-        for key, total in zip(table.keys, table.aggregates["sum"]):
-            assert total == values[keys == key].sum()
-
-    @given(small_keys, st.integers(1, 50), st.data())
-    def test_chunked_hash_agg_equals_whole(self, keys, chunk, data):
-        values = data.draw(hnp.arrays(np.int64, len(keys),
-                                      elements=st.integers(-100, 100)))
-        whole = kernels.hash_agg(keys, values, fn="sum")
-        partials = [
-            ChunkPartial(kernels.hash_agg(keys[i:i + chunk],
-                                          values[i:i + chunk], fn="sum"), i)
-            for i in range(0, max(len(keys), 1), chunk)
-        ]
-        merged = combine_chunk_results(partials, agg_fn="sum")
-        assert np.array_equal(merged.keys, whole.keys)
-        assert np.array_equal(merged.aggregates["sum"],
-                              whole.aggregates["sum"])
-
+class TestSortAggProperties:
     @given(small_keys, st.data())
     def test_sort_agg_equals_hash_agg(self, keys, data):
         values = data.draw(hnp.arrays(np.int64, len(keys),
@@ -153,23 +93,6 @@ class TestHashProperties:
         assert np.array_equal(by_sort.keys, by_hash.keys)
         assert np.array_equal(by_sort.aggregates["sum"],
                               by_hash.aggregates["sum"])
-
-
-class TestGroupTableMergeProperties:
-    @given(small_keys, small_keys, st.data())
-    def test_merge_commutative_for_sum(self, k1, k2, data):
-        v1 = data.draw(hnp.arrays(np.int64, len(k1),
-                                  elements=st.integers(-50, 50)))
-        v2 = data.draw(hnp.arrays(np.int64, len(k2),
-                                  elements=st.integers(-50, 50)))
-        a = kernels.hash_agg(k1, v1, fn="sum") if len(k1) else \
-            GroupTable(np.empty(0, np.int64), {"sum": np.empty(0, np.int64)})
-        b = kernels.hash_agg(k2, v2, fn="sum") if len(k2) else \
-            GroupTable(np.empty(0, np.int64), {"sum": np.empty(0, np.int64)})
-        ab = a.merge(b, how={"sum": "sum"})
-        ba = b.merge(a, how={"sum": "sum"})
-        assert np.array_equal(ab.keys, ba.keys)
-        assert np.array_equal(ab.aggregates["sum"], ba.aggregates["sum"])
 
 
 class TestClockProperties:

@@ -3,11 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.executor import AdamantExecutor
 from repro.core.models import SplitChunkedModel
 from repro.core.pipelines import split_pipelines
 from repro.devices import (
+    CoupledDevice,
     CudaDevice,
     OpenCLDevice,
     OpenMPDevice,
@@ -15,12 +18,14 @@ from repro.devices import (
     register_rtcore_kernels,
 )
 from repro.hardware import (
+    APU_RYZEN_7_8700G,
     CPU_I7_8700,
     CPU_XEON_5220R,
     GPU_A100,
     GPU_RTX_2080_TI,
     GPU_RTX_3090,
 )
+from repro.hardware.clock import VirtualClock
 from repro.planner.cost import PricingTable
 from repro.tpch import reference
 from repro.tpch.queries import q1, q1_sorted, q3, q4, q6, q12, q14
@@ -168,3 +173,61 @@ class TestPricerAgreesWithTheRun:
         cost = table.price(q6.build(), model="split_chunked",
                            chunk_size=chunk)
         assert [p.chunks for p in cost.pipelines] == [3]
+
+
+# Vectorised weighted round-robin == the chunk-by-chunk greedy loop
+
+
+def looping_round_robin(shares, chunks: int) -> list[int]:
+    """The split model's chunk assignment by definition: each chunk to
+    the device whose next chunk would lag least behind its share."""
+    counters = [0] * len(shares)
+    picks = []
+    for _ in range(chunks):
+        best = min(range(len(shares)),
+                   key=lambda i: (counters[i] + 1) / shares[i])
+        counters[best] += 1
+        picks.append(best)
+    return picks
+
+
+#: Rates as ``SplitChunkedModel.shares`` turns them into shares: a few
+#: round values (exact ties, exact ratios), anything else, and a rate so
+#: small that the share hits its 1e-6 floor.
+rates = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 12e9, 24e9]),
+                  st.floats(1e-3, 1e12), st.just(1e-9))
+
+
+class TestWeightedRoundRobin:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(rates, min_size=1, max_size=6), st.integers(1, 5000))
+    def test_merge_equals_loop(self, device_rates, chunks):
+        total = sum(device_rates)
+        shares = [max(rate / total, 1e-6) for rate in device_rates]
+        assert SplitChunkedModel.assign_chunks(shares, chunks).tolist() \
+            == looping_round_robin(shares, chunks)
+
+    def test_benchmark_fleet_at_the_smallest_ladder_rung(self):
+        """The five-device fleet of ``perf/workloads.py``."""
+        executor = make_executor(
+            CudaDevice, GPU_RTX_2080_TI, name="gpu0", extra_devices=[
+                ("gpu1", OpenCLDevice, GPU_A100),
+                ("cpu", OpenMPDevice, CPU_XEON_5220R),
+                ("rt", RTCoreDevice, GPU_RTX_3090),
+                ("apu", CoupledDevice, APU_RYZEN_7_8700G)])
+        devices = SplitChunkedModel.participants(executor.devices.values())
+        shares = SplitChunkedModel.shares(devices)
+        assert len(set(shares)) == 5
+        assert SplitChunkedModel.assign_chunks(shares, 9375).tolist() \
+            == looping_round_robin(shares, 9375)
+
+    def test_tied_devices_take_turns_in_plug_order(self):
+        picks = SplitChunkedModel.assign_chunks([0.25] * 4, 10)
+        assert picks.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
+        clock = VirtualClock()
+        rt = RTCoreDevice("rt", GPU_RTX_3090, clock)
+        a100 = CudaDevice("a100", GPU_A100, clock)
+        assert SplitChunkedModel.rate_proxy(rt) == \
+            SplitChunkedModel.rate_proxy(a100)
+        assert SplitChunkedModel.participants([rt, a100]) == [rt, a100]
+        assert SplitChunkedModel.participants([a100, rt]) == [a100, rt]

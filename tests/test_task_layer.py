@@ -1,6 +1,5 @@
 """Tests for the task layer: definitions, containers, registry."""
 
-import numpy as np
 import pytest
 
 from repro.errors import (

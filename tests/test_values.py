@@ -112,34 +112,6 @@ class TestHashTable:
 
 
 class TestGroupTable:
-    def test_merge_sum(self):
-        a = GroupTable(np.array([1, 2]), {"sum": np.array([10, 20])})
-        b = GroupTable(np.array([2, 3]), {"sum": np.array([5, 7])})
-        merged = a.merge(b, how={"sum": "sum"})
-        assert list(merged.keys) == [1, 2, 3]
-        assert list(merged.aggregates["sum"]) == [10, 25, 7]
-
-    def test_merge_min_max(self):
-        a = GroupTable(np.array([1]), {"min": np.array([10]),
-                                       "max": np.array([10])})
-        b = GroupTable(np.array([1]), {"min": np.array([3]),
-                                       "max": np.array([30])})
-        merged = a.merge(b, how={"min": "min", "max": "max"})
-        assert merged.aggregates["min"][0] == 3
-        assert merged.aggregates["max"][0] == 30
-
-    def test_merge_disjoint_keys(self):
-        a = GroupTable(np.array([1]), {"sum": np.array([1])})
-        b = GroupTable(np.array([9]), {"sum": np.array([9])})
-        merged = a.merge(b, how={"sum": "sum"})
-        assert merged.num_groups == 2
-
-    def test_merge_unknown_kind(self):
-        a = GroupTable(np.array([1]), {"avg": np.array([1])})
-        b = GroupTable(np.array([1]), {"avg": np.array([2])})
-        with pytest.raises(ValueError):
-            a.merge(b, how={"avg": "mean"})
-
     def test_num_groups(self):
         assert GroupTable(np.arange(7), {"sum": np.zeros(7)}).num_groups == 7
 
