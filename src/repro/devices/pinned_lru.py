@@ -113,12 +113,11 @@ class PinnedLRU:
         for entry in self._entries.values():
             entry.pins.discard(query_id)
 
-    def _invalidate(self, entries: Iterable[PinnedEntry]) -> int:
+    def _invalidate(self, entries: Iterable[PinnedEntry]) -> None:
         entries = list(entries)
         for entry in entries:
             self._drop(entry)
         self.invalidations += len(entries)
-        return len(entries)
 
     def invalidate(self, key: str | None = None) -> None:
         """Drop the entry under *key*, or every entry when None."""

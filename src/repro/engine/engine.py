@@ -249,11 +249,10 @@ class Engine:
         self._scheduler.quarantined.discard(name)
         self._scheduler._fault_counts.pop(name, None)
 
-    def _healthy_devices(self, *, exclude: set[str] | frozenset[str] =
-                         frozenset()) -> dict[str, SimulatedDevice]:
+    def _healthy_devices(self) -> dict[str, SimulatedDevice]:
         return {
             name: device for name, device in self.devices.items()
-            if not (device.lost or device.quarantined) and name not in exclude
+            if not (device.lost or device.quarantined)
         }
 
     # -- sessions ------------------------------------------------------------
@@ -517,8 +516,8 @@ class Engine:
                       plan: PhysicalPlan, epoch_start: float,
                       models: list[ExecutionModel]):
         """The scheduler's recovery callback: a fresh model for the same
-        query at a degraded configuration (new chunk size, devices
-        excluded after quarantine, or placement spilled to the host),
+        query at a degraded configuration (new chunk size, the devices
+        left after a quarantine, or placement spilled to the host),
         appended to the wave's *models*.
 
         Failover re-runs the cost-based placement pass over the
@@ -535,10 +534,9 @@ class Engine:
         else:
             graph, fuse = request.graph, request.fuse
 
-        def rebuild(*, chunk_size: int, exclude: set[str],
-                    spill: bool) -> ExecutionModel:
+        def rebuild(*, chunk_size: int, spill: bool) -> ExecutionModel:
             nonlocal graph
-            survivors = self._healthy_devices(exclude=exclude)
+            survivors = self._healthy_devices()
             if spill:
                 hosts = {name: device for name, device in survivors.items()
                          if device.spec.kind is DeviceKind.CPU}

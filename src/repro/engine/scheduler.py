@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.models.base import ExecutionModel
 from repro.core.pipelines import Pipeline, halve_chunk
@@ -71,8 +71,8 @@ MAX_RESTARTS = 6
 QUARANTINE_THRESHOLD = 3
 
 #: Signature of the engine's model-rebuild callback: a fresh model for
-#: the same session/graph with a new chunk size, devices excluded, or
-#: placement spilled to the host.
+#: the same session/graph with a new chunk size, on the devices still
+#: healthy, or with placement spilled to the host.
 RebuildFn = Callable[..., ExecutionModel]
 
 
@@ -89,8 +89,6 @@ class _InFlight:
     #: Next rung of the OOM ladder (0 = evict residency first).
     oom_stage: int = 0
     restarts: int = 0
-    #: Devices this query must avoid when re-placed.
-    excluded: set[str] = field(default_factory=set)
     #: Placement restricted to host (CPU-kind) devices.
     spill: bool = False
 
@@ -189,7 +187,6 @@ class DeviceScheduler:
         self._fault_counts[device_name] = count
         if lost or count >= self.quarantine_threshold:
             self._quarantine(entry, device_name)
-            entry.excluded |= self.quarantined
             recovery = entry.session.recovery
             recovery.failovers += 1
             if device_name not in recovery.quarantined_devices:
@@ -263,7 +260,6 @@ class DeviceScheduler:
         self._release(entry)
         try:
             model = entry.rebuild(chunk_size=entry.chunk_size,
-                                  exclude=set(entry.excluded),
                                   spill=entry.spill)
         except AdamantError as rebuild_error:
             return rebuild_error
@@ -279,7 +275,6 @@ class DeviceScheduler:
         entry.model = model
         entry.steps = model.iter_pipelines()
         queue.append(entry)
-        return None
 
     # -- query <-> device binding -------------------------------------------
 

@@ -162,15 +162,14 @@ class SubplanCache(PinnedLRU):
         # it times through ``vars(cls)``.
         super().release_query(query_id)
 
-    def invalidate_device(self, device: str) -> int:
-        """Drop every entry computed on *device* (unplugged or dead);
-        returns the number of entries dropped."""
-        return self._invalidate(entry for entry in self._entries.values()
+    def invalidate_device(self, device: str) -> None:
+        """Drop every entry computed on *device* (unplugged or dead)."""
+        self._invalidate(entry for entry in self._entries.values()
                                 if entry.device == device)
 
-    def sweep(self, healthy: set[str]) -> int:
+    def sweep(self, healthy: set[str]) -> None:
         """Drop entries whose producing device is not in *healthy* (the
         engine calls this after every scheduler run, so entries written
         by a device that faulted mid-stream do not outlive the wave)."""
-        return self._invalidate(entry for entry in self._entries.values()
+        self._invalidate(entry for entry in self._entries.values()
                                 if entry.device not in healthy)

@@ -326,14 +326,10 @@ def _aborted(owner: np.ndarray, markers: np.ndarray, owners: int
     """Which rows a later ``recovery`` marker of the row's own owner
     restarts."""
     at = np.flatnonzero(markers)
-    by = owner[at]
-    # The last marker of each owner: sort the markers by owner and keep
-    # the last of each run.
-    order = np.lexsort((at, by))
-    by, at = by[order], at[order]
-    last = np.flatnonzero(np.diff(by, append=-1))
-    latest = np.full(owners, -1)
-    latest[by[last]] = at[last]
+    # Per owner the row of its last marker (0, restarting nothing, for
+    # an owner with none).
+    latest = np.zeros(owners, dtype=np.intp)
+    np.maximum.at(latest, owner[at], at)
     return np.arange(len(owner)) < latest[owner]
 
 

@@ -798,7 +798,6 @@ class PricingTable:
         if cache is None or not len(cache):
             return cost
         priced = []
-        changed = False
         for pc, shape in zip(cost.pipelines, self._shapes(graph)):
             if shape.cached is None:
                 shape.cached = self._cached_entries(graph, shape)
@@ -810,9 +809,6 @@ class PricingTable:
                 served = shape.served[pc.device] = self._served(
                     shape, pc.device)
             priced.append(served)
-            changed = True
-        if not changed:
-            return cost
         return PlanCost(total=sum(p.total for p in priced),
                         pipelines=tuple(priced))
 

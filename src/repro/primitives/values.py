@@ -310,7 +310,6 @@ def group_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with one gather -- the linear insert of the paper's HASH_AGG.
     Sparse, non-integer, ``uint64`` and empty keys go to ``np.unique``.
     """
-    keys = np.asarray(keys)
     if keys.ndim == 1 and len(keys) and _fits_int64(keys.dtype):
         lo = int(keys.min())
         span = _direct_span(lo, int(keys.max()), len(keys))
