@@ -12,9 +12,10 @@ which runs every query on each through every front door and fault plan):
 * the cost model prices every primitive positive and finite — the
   optimizer consumes these numbers unguarded.
 
-``check_query_byte_identity`` (outputs equal the OpenMP driver's) and
-``check_fault_recovery`` (faults converge to the fault-free answer)
-complete the checklist a plug-in author runs on a device of their own.
+That every query's answer on the device equals the oracle's, through
+every front door and under every fault plan, is the cell table's
+pairs section: one ``DEVICE_CLASSES`` entry in
+``tools/timeline_digest.py`` puts a device of one's own through it.
 
 The checks are plain functions so the suite can also be pointed at a
 *deliberately broken* device and must then fail loudly, naming the
@@ -35,27 +36,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Engine, FaultPlan
+from repro import Engine
 from repro.core.executor import AdamantExecutor
-from repro.devices import (
-    CoupledDevice,
-    CudaDevice,
-    OpenMPDevice,
-    RTCoreDevice,
-)
+from repro.devices import CoupledDevice, CudaDevice, RTCoreDevice
 from repro.errors import NoImplementationError
-from repro.hardware import (
-    APU_RYZEN_7_8700G,
-    CPU_I7_8700,
-    GPU_RTX_2080_TI,
-    GPU_RTX_3090,
-)
+from repro.hardware import APU_RYZEN_7_8700G, GPU_RTX_2080_TI, GPU_RTX_3090
 from repro.hardware.costmodel import CostModel, TransferDirection
 from repro.primitives.definitions import PRIMITIVES
 from repro.primitives.values import value_nbytes
 from repro.task.registry import register_variant_kernels
 from repro.tpch import dbgen
-from repro.tpch.queries import QUERIES, q3, q6
+from repro.tpch.queries import q6
 from tests.test_timeline_golden import load_tool
 
 CHUNK = 2048
@@ -67,13 +58,6 @@ DEVICE_CLASSES = load_tool().DEVICE_CLASSES
 #: Module-scope catalog (same stream as ``tiny_catalog``) so hypothesis
 #: properties avoid function-scoped fixture health checks.
 CATALOG = dbgen.generate(0.0005, seed=7)
-
-
-def build_query(qname, catalog):
-    # Q18's spec threshold yields empty results at tiny scale; this one
-    # produces rows so the comparison is not vacuous.
-    params = {"quantity": 220} if qname == "q18" else {}
-    return QUERIES[qname].build(catalog, **params)
 
 
 #: The cell table's digest of an output's types, shapes and bytes.
@@ -144,33 +128,6 @@ def check_cost_model(device) -> None:
             f"cost-model contract violated: {fn}{args} = {seconds!r}")
 
 
-def check_query_byte_identity(device_cls, spec, qname, catalog) -> None:
-    """The device's answer equals the OpenMP reference, byte for byte."""
-    module = QUERIES[qname]
-
-    def run(cls, dev_spec):
-        executor = AdamantExecutor()
-        plug(executor, cls, dev_spec, default=True)
-        return executor.run(build_query(qname, catalog), catalog,
-                            model="four_phase_pipelined",
-                            chunk_size=CHUNK)
-    result = run(device_cls, spec)
-    reference = run(OpenMPDevice, CPU_I7_8700)
-    assert sorted(result.outputs) == sorted(reference.outputs), (
-        f"execute contract violated: {device_cls.__name__} produced "
-        f"different outputs for {qname}")
-    for out in reference.outputs:
-        assert blob(result.output(out)) == blob(reference.output(out)), (
-            f"execute contract violated: {device_cls.__name__} output "
-            f"{out!r} of {qname} is not byte-identical to the OpenMP "
-            f"reference")
-    # The human-facing answer agrees too (guards finalize-path drift).
-    assert blob(module.finalize(result, catalog)) == \
-        blob(module.finalize(reference, catalog)), (
-            f"execute contract violated: {device_cls.__name__} "
-            f"finalized answer for {qname} diverges from the reference")
-
-
 def check_unplug_teardown(device_cls, spec, catalog) -> None:
     """``unplug_device`` (-> ``release``) leaves no residue behind."""
     engine = Engine()
@@ -196,42 +153,6 @@ def check_unplug_teardown(device_cls, spec, catalog) -> None:
             f"release contract violated: {device_cls.__name__}."
             f"release() left clock stream {stream!r} after "
             f"unplug_device")
-
-
-#: kind -> (fault spec, query builder).  OOM uses the chunk-halving
-#: ladder's proven envelope (kernel-time spikes on a streaming scan);
-#: transient and device-loss run the join so retries and failover
-#: replay hash-table state.
-FAULT_LADDER = {
-    "transient": ("dev0:transient:0.2,seed=5",
-                  lambda catalog: q3.build(catalog)),
-    "oom": ("dev0:oom:0.05,seed=3", lambda catalog: q6.build()),
-    "device_loss": ("dev0:device_loss:5,seed=5",
-                    lambda catalog: q3.build(catalog)),
-}
-
-
-def check_fault_recovery(device_cls, spec, catalog, kind) -> None:
-    """Injected faults change the timeline, never the answer."""
-    fault_spec, build = FAULT_LADDER[kind]
-
-    def run(faults=None):
-        engine = Engine(faults=FaultPlan.parse(faults) if faults
-                        else None)
-        plug(engine, device_cls, spec, default=True)
-        engine.plug_device("host0", OpenMPDevice, CPU_I7_8700)
-        return engine.execute(build(catalog), catalog,
-                              chunk_size=CHUNK)
-    clean = run()
-    faulted = run(fault_spec)
-    assert sorted(clean.outputs) == sorted(faulted.outputs), (
-        f"fault-recovery contract violated: {device_cls.__name__} "
-        f"under {kind!r} faults lost outputs")
-    for out in clean.outputs:
-        assert blob(clean.output(out)) == blob(faulted.output(out)), (
-            f"fault-recovery contract violated: {device_cls.__name__} "
-            f"under {kind!r} faults diverged on output {out!r} — the "
-            f"retry/degrade/failover ladder did not converge")
 
 
 # ---------------------------------------------------------------------------
