@@ -165,11 +165,11 @@ class SubplanCache(PinnedLRU):
     def invalidate_device(self, device: str) -> None:
         """Drop every entry computed on *device* (unplugged or dead)."""
         self._invalidate(entry for entry in self._entries.values()
-                                if entry.device == device)
+                         if entry.device == device)
 
     def sweep(self, healthy: set[str]) -> None:
         """Drop entries whose producing device is not in *healthy* (the
         engine calls this after every scheduler run, so entries written
         by a device that faulted mid-stream do not outlive the wave)."""
         self._invalidate(entry for entry in self._entries.values()
-                                if entry.device not in healthy)
+                         if entry.device not in healthy)
