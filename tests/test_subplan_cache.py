@@ -260,30 +260,6 @@ class TestStoreSemantics:
             nbytes=nbytes, device=device, catalog=catalog,
             data_scale=1, query_id=query, healthy=healthy)
 
-    def test_pinned_entries_survive_pressure(self, tiny_catalog):
-        cache = SubplanCache(max_bytes=250)
-        assert self._insert(cache, tiny_catalog, "a", query="qA")
-        # qA still pins "a": the second insert must evict, cannot, and
-        # is rejected rather than tossing a live consumer's data.
-        assert self._insert(cache, tiny_catalog, "b", nbytes=200,
-                            query="qB") is None
-        cache.release_query("qA")
-        assert self._insert(cache, tiny_catalog, "b", nbytes=200,
-                            query="qB") is not None
-        assert cache.peek("a", tiny_catalog, 1, {"gpu0"}) is None
-
-    def test_lru_eviction_order(self, tiny_catalog):
-        cache = SubplanCache(max_bytes=300)
-        for name in ("a", "b", "c"):
-            self._insert(cache, tiny_catalog, name, query="q1")
-        cache.release_query("q1")
-        cache.lookup("a", tiny_catalog, 1, "q2", {"gpu0"})  # refresh a
-        cache.release_query("q2")
-        self._insert(cache, tiny_catalog, "d", query="q3")
-        held = {fp for fp in ("a", "b", "c", "d")
-                if cache.peek(fp, tiny_catalog, 1, {"gpu0"})}
-        assert "b" not in held and "a" in held and "d" in held
-
     def test_first_writer_wins(self, tiny_catalog):
         cache = SubplanCache()
         first = self._insert(cache, tiny_catalog, "a", query="qA")
@@ -321,14 +297,3 @@ class TestStoreSemantics:
         assert self._insert(cache, tiny_catalog, "a",
                             nbytes=11) is None
         assert len(cache) == 0
-
-    def test_invalidate_and_clear(self, tiny_catalog):
-        cache = SubplanCache()
-        self._insert(cache, tiny_catalog, "a")
-        self._insert(cache, tiny_catalog, "b")
-        cache.invalidate("a")
-        assert cache.peek("a", tiny_catalog, 1, {"gpu0"}) is None
-        assert cache.peek("b", tiny_catalog, 1, {"gpu0"}) is not None
-        cache.invalidate()
-        assert len(cache) == 0
-        assert cache.stats()["invalidations"] == 2

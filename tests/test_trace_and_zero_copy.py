@@ -88,13 +88,6 @@ class TestOverlapRatio:
 
 
 class TestZeroCopyModel:
-    @pytest.mark.parametrize("chunk", [512, 4096])
-    def test_results_exact(self, small_catalog, chunk):
-        executor = make_executor()
-        result = executor.run(q6.build(), small_catalog, model="zero_copy",
-                              chunk_size=chunk)
-        assert q6.finalize(result, small_catalog) == \
-            reference.q6(small_catalog)
 
     def test_q1_multi_breaker(self, small_catalog):
         executor = make_executor()

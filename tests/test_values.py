@@ -80,9 +80,6 @@ class TestHashTable:
             payload={"v": np.array([0, 20, 10], dtype=np.int64)},
         )
 
-    def test_num_keys(self):
-        assert self.make().num_keys == 2
-
     def test_lookup_payload(self):
         table = self.make()
         assert table.lookup_payload(5, "v") == 0
@@ -91,10 +88,6 @@ class TestHashTable:
     def test_lookup_missing_key(self):
         with pytest.raises(KeyError):
             self.make().lookup_payload(7, "v")
-
-    def test_lookup_missing_payload(self):
-        with pytest.raises(KeyError):
-            self.make().lookup_payload(5, "nope")
 
     def test_nbytes_includes_payload(self):
         table = self.make()

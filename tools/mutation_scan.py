@@ -86,8 +86,7 @@ TARGETS: dict[str, Target] = {
     "pinned": Target(
         "repro/devices/pinned_lru.py", ("PinnedLRU",),
         ("tests/test_pinned_lru.py", "tests/test_subplan_cache.py",
-         "tests/test_residency_properties.py", "tests/test_memory.py",
-         GOLDEN)),
+         "tests/test_memory.py", GOLDEN)),
     "session": Target(
         "repro/engine/session.py", ("release_query",),
         ("tests/test_engine.py", "tests/test_faults.py",
