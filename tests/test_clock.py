@@ -15,11 +15,16 @@ from repro.serving.workload import build_query
 
 
 class TestScheduling:
-
     def test_different_streams_overlap(self, clock):
         clock.schedule("a", 5.0)
         clock.schedule("b", 3.0)
         assert clock.makespan() == 5.0
+
+    def test_multiple_dependencies_use_latest(self, clock):
+        a = clock.schedule("t", 4.0)
+        b = clock.schedule("u", 7.0)
+        c = clock.schedule("c", 1.0, deps=[a, b])
+        assert c.start == 7.0
 
     def test_not_before(self, clock):
         event = clock.schedule("s", 1.0, not_before=10.0)

@@ -75,7 +75,6 @@ def _engine():
 
 
 class TestPartitioning:
-
     @settings(max_examples=10, deadline=None)
     @given(num_nodes=st.integers(1, 8))
     def test_co_partitioned_boundaries_shared(self, num_nodes):

@@ -34,7 +34,6 @@ class TestNumericAndScalar:
 
 
 class TestBitmaps:
-
     def test_unaligned_interior_chunk_rejected(self):
         a = Bitmap.from_mask(np.array([True] * 30))  # not 32-aligned
         b = Bitmap.from_mask(np.array([True] * 32))

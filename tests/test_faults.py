@@ -11,7 +11,7 @@ from collections import deque
 
 import pytest
 
-from repro import Engine, FaultPlan, FaultSpec, RetryPolicy
+from repro import Engine, FaultPlan, FaultSpec, QueryRequest, RetryPolicy
 from repro.core.fingerprint import subplan_fingerprint
 from repro.core.pipelines import halve_chunk
 from repro.devices import CudaDevice, OpenMPDevice
@@ -29,7 +29,7 @@ from repro.faults.plan import FaultKind
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI
 from repro.hardware.trace import counters
 from repro.tpch import reference
-from repro.tpch.queries import QUERIES, q3, q6
+from repro.tpch.queries import QUERIES, q3, q4, q6
 from tests.test_timeline_golden import load_tool
 
 CHUNK = 2048
@@ -129,6 +129,15 @@ class TestRetryPolicy:
 class TestChaosEquivalence:
     """Every query completes byte-identical under injected faults."""
 
+    def test_latency_faults_slow_but_do_not_corrupt(self, tiny_catalog):
+        baseline = gpu_engine().execute(q6.build(), tiny_catalog,
+                                        chunk_size=1024)
+        slowed = gpu_engine(FaultPlan.parse("*:latency:1.0x16,seed=1")) \
+            .execute(q6.build(), tiny_catalog, chunk_size=1024)
+        assert blob(slowed.outputs) == blob(baseline.outputs)
+        assert slowed.stats.makespan > baseline.stats.makespan
+        assert slowed.stats.retries == 0
+
     def test_retries_are_observed_and_charged(self, tiny_catalog):
         engine = gpu_engine(FaultPlan.parse("*:transient:0.1,seed=7"))
         result = engine.execute(q3.build(tiny_catalog), tiny_catalog,
@@ -186,7 +195,6 @@ class TestRetryExhaustion:
 
 
 class TestDeviceLossFailover:
-
     @pytest.mark.parametrize("model", ["chunked", "auto"])
     def test_failover_reruns_the_requested_decision_vector(
             self, tiny_catalog, model):
@@ -256,11 +264,46 @@ class TestDeviceLossFailover:
         assert warm.stats.kernels_launched == 0
         assert blob(warm.outputs) == blob(result.outputs)
 
+    def test_engine_survives_loss_across_later_queries(self, tiny_catalog):
+        engine = hybrid_engine(FaultPlan.parse("gpu0:device_loss:10"))
+        engine.execute(q6.build(), tiny_catalog, chunk_size=1024)
+        # gpu0 is gone; the next query runs on the survivor directly.
+        follow_up = engine.execute(q4.build(), tiny_catalog,
+                                   chunk_size=1024)
+        reference = Engine()
+        reference.plug_device("cpu0", OpenMPDevice, CPU_I7_8700)
+        expected = reference.execute(q4.build(), tiny_catalog,
+                                     chunk_size=1024)
+        assert blob(follow_up.outputs) == blob(expected.outputs)
+        assert follow_up.stats.failovers == 0
+
     def test_loss_without_survivors_is_fatal(self, tiny_catalog):
         engine = gpu_engine(FaultPlan.parse("gpu0:device_loss:5"))
         with pytest.raises(DeviceLostError) as excinfo:
             engine.execute(q6.build(), tiny_catalog, chunk_size=1024)
         assert "no healthy devices" in str(excinfo.value)
+
+    def test_mid_query_loss_fails_over_and_reclaims(self, tiny_catalog):
+        # Subplan caching would serve the rerun without touching the
+        # dying device; disable it so the failover path actually runs.
+        engine = hybrid_engine(enable_subplan_cache=False)
+        # Warm the residency cache on the device that is about to die.
+        engine.execute(q6.build(), tiny_catalog, chunk_size=1024)
+        gpu = engine.devices["gpu0"]
+        assert gpu.residency.stats()["entries"] > 0
+        engine.install_faults(FaultPlan.parse("gpu0:device_loss:10"))
+        result = engine.execute(q6.build(), tiny_catalog, chunk_size=1024)
+        reference = gpu_engine().execute(q6.build(), tiny_catalog,
+                                         chunk_size=1024)
+        assert blob(result.outputs) == blob(reference.outputs)
+        assert result.stats.failovers >= 1
+        assert result.stats.quarantined_devices == ["gpu0"]
+        assert engine.quarantined_devices == ["gpu0"]
+        # The dead device's residency entries and buffers are reclaimed.
+        assert gpu.residency.stats()["entries"] == 0
+        assert gpu.memory.device_used == 0
+        assert not gpu.memory.aliases()
+        assert counters(engine.clock)["recovery_actions"] >= 1
 
     def test_reinstate_returns_device_to_rotation(self, tiny_catalog):
         engine = hybrid_engine(FaultPlan.parse("gpu0:device_loss:10"))
@@ -334,6 +377,32 @@ class TestOOMDegradation:
         assert halve_chunk(512, 16) is None  # quantum is 512 rows
 
 
+class TestWaveIsolation:
+    """A mid-wave failure must not leak state into co-running queries."""
+
+    def test_failed_query_fully_reclaimed_mid_wave(self, tiny_catalog):
+        engine = gpu_engine()
+        results = engine.run_concurrent(
+            [
+                QueryRequest(graph=q3.build(tiny_catalog),
+                             catalog=tiny_catalog, chunk_size=1024,
+                             memory_budget=64, label="starved"),
+                QueryRequest(graph=q6.build(), catalog=tiny_catalog,
+                             chunk_size=1024, label="healthy"),
+            ],
+            return_exceptions=True,
+        )
+        error, healthy = results
+        assert isinstance(error, QueryBudgetError)
+        baseline = gpu_engine().execute(q6.build(), tiny_catalog,
+                                        chunk_size=1024)
+        assert blob(healthy.outputs) == blob(baseline.outputs)
+        device = engine.devices["gpu0"]
+        # The starved query's owner accounting returns to exactly zero.
+        assert device.memory.owner_used(error.query_id) == 0
+        assert device.memory.owned_aliases(error.query_id) == []
+
+
 class TestErrorContext:
     """Device errors surface device / query / node attribution."""
 
@@ -385,3 +454,17 @@ class TestErrorContext:
         with pytest.raises(KernelCompilationError) as excinfo:
             device.prepare_kernel(container)
         assert "device=cpu0" in str(excinfo.value)
+
+
+class TestFacadeUnaffected:
+    """The single-shot facade keeps byte-identical behaviour."""
+
+    def test_fresh_mode_timeline_unchanged(self, tiny_catalog,
+                                           gpu_executor):
+        first = gpu_executor.run(q6.build(), tiny_catalog, chunk_size=CHUNK)
+        second = gpu_executor.run(q6.build(), tiny_catalog,
+                                  chunk_size=CHUNK)
+        assert first.stats.makespan == second.stats.makespan
+        assert first.stats.retries == 0
+        assert first.stats.failovers == 0
+        assert first.stats.quarantined_devices == []

@@ -158,6 +158,19 @@ class TestHashProbe:
         assert_probe_is_the_nested_loop(probe, build, table, base)
         assert has_directory(table) == qualifies_for_directory(build)
 
+    @pytest.mark.parametrize("build", [
+        [0, 1, 2], [-2**62 + 1, -2**62 + 2], [2**62 - 2, 2**62 - 1],
+        [-2**62, -2**62 + 1], [2**63 - 2, 2**63 - 1], [-2**63, -2**63 + 1],
+    ])
+    def test_probe_keys_at_the_ends_of_int64(self, build):
+        """No int64 wrap-around of ``key - keys[0]`` lands in the span."""
+        build = np.array(build, dtype=np.int64)
+        table = hash_build(build)
+        probe = np.array([-2**63, -2**63 + 1, -2**62, -1, 0, 1, 2, 2**62,
+                          2**63 - 2, 2**63 - 1, *build], dtype=np.int64)
+        assert_probe_is_the_nested_loop(probe, build, table)
+        assert has_directory(table)
+
     @pytest.mark.parametrize("stray", [-1, -3, -2**63, 3, 2**40, 2**63 - 1])
     def test_gather_rejects_rows_the_table_does_not_hold(self, stray):
         """A row before the first or past the last build row is "not in
@@ -285,6 +298,20 @@ class TestGrouping:
             keys[0], keys[-1] = low + span - 1, low
             assert takes_direct_side(keys) == direct
             assert_groups_as_unique(keys)
+
+    @pytest.mark.parametrize("keys", [
+        np.array([-2**63, 2**63 - 1]), np.array([2**63 - 1, -2**63, 0]),
+        np.array([-2**63, -2**63 + 5, -2**63]),
+        np.array([2**63 - 1, 2**63 - 3]),
+        np.array([2**64 - 1, 0], dtype=np.uint64),
+        np.array([2**63, 2**63 + 1], dtype=np.uint64),
+        np.empty(0, dtype=np.int64), np.array([True, False]),
+        np.array([[3, 1], [1, 2]]), np.array([2.0, math.nan]),
+    ])
+    def test_ends_of_the_integers_and_what_is_not_a_key_vector(self, keys):
+        """Span and lowest key are Python integers: nothing wraps; what
+        is not a 1-D integer vector is left to ``np.unique``."""
+        assert_groups_as_unique(keys)
 
     @settings(max_examples=200, deadline=None)
     @given(grouping_chunks(), FNS, st.data())

@@ -88,7 +88,6 @@ class TestOverlapRatio:
 
 
 class TestZeroCopyModel:
-
     def test_q1_multi_breaker(self, small_catalog):
         executor = make_executor()
         result = executor.run(q1.build(), small_catalog, model="zero_copy",
