@@ -127,7 +127,7 @@ class TestRetryPolicy:
 
 
 class TestChaosEquivalence:
-    """Every query completes byte-identical under injected faults."""
+    """Injected faults cost time, never an answer byte."""
 
     def test_latency_faults_slow_but_do_not_corrupt(self, tiny_catalog):
         baseline = gpu_engine().execute(q6.build(), tiny_catalog,
