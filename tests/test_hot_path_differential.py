@@ -382,8 +382,9 @@ class TestGrouping:
 class TestPlanPricing:
     @pytest.mark.parametrize("default_device", ["gpu0", "gpu1"])
     @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("query", sorted(QUERIES))
     def test_each_pipeline_is_priced_by_its_models_rule(
-            self, model, default_device, tiny_catalog):
+            self, query, model, default_device, tiny_catalog):
         """A pipeline's price from its per-device ``(transfer, kernel,
         launch)``: one lane pays transfer times the model's transfer
         factor, plus a routed input per producer on another device,
@@ -404,49 +405,48 @@ class TestPlanPricing:
         table = PricingTable(tiny_catalog, devices, data_scale=64,
                              default_device=default_device, overlay=overlay)
         traits = table._model(model)
-        for query in ("q3", "q5", "q12", "q18"):
-            graph = QUERIES[query].build(tiny_catalog)
-            cost = table.price(graph, model=model, chunk_size=2**15)
-            home: dict[int, str] = {}
-            for shape, pc in zip(table._shapes(graph), cost.pipelines):
-                parts = {name: table._priced(shape, name, pc.chunks, traits)
-                         for name in names}
-                home[pc.index] = shape.annotated
-                if cls.splits_chunks and shape.pipeline.streams:
-                    share = {name: n / pc.chunks for name, n in
-                             table.split_counts(model, pc.chunks).items()}
-                    hops = sum(routed[name] * scale[name]
-                               for producer in shape.producers
-                               for name in names
-                               if name != home.get(producer))
-                    t, k, ln = ([parts[n][i] * share[n] for n in names]
-                                for i in range(3))
-                    expected = ("+".join(names), sum(t) + hops, sum(k),
-                                sum(ln), hops + max(
-                                    sum(parts[n]) * scale[n] * share[n]
-                                    for n in names))
-                else:
-                    if cls.splits_chunks:
-                        home[pc.index] = cls.participants(
-                            devices.values())[0].name
-                    device = home[pc.index]
-                    transfer, kernel, launch = parts[device]
-                    transfer *= cls.transfer_factor(devices[device], graph,
-                                                    shape.pipeline)
-                    transfer += sum(routed[device]
-                                    for producer in shape.producers
-                                    if home.get(producer, device) != device)
-                    total = (max(transfer, kernel + launch)
-                             if cls.overlapped and pc.chunks > 1
-                             else transfer + kernel + launch)
-                    expected = (device, transfer, kernel, launch,
-                                total * scale[device])
-                assert (pc.device, pc.transfer_seconds, pc.kernel_seconds,
-                        pc.launch_seconds, pc.total) == \
-                    (expected[0], *map(pytest.approx, expected[1:])), \
-                    (query, pc.index)
-            assert cost.total == pytest.approx(
-                sum(p.total for p in cost.pipelines))
+        graph = QUERIES[query].build(tiny_catalog)
+        cost = table.price(graph, model=model, chunk_size=2**15)
+        home: dict[int, str] = {}
+        for shape, pc in zip(table._shapes(graph), cost.pipelines):
+            parts = {name: table._priced(shape, name, pc.chunks, traits)
+                     for name in names}
+            home[pc.index] = shape.annotated
+            if cls.splits_chunks and shape.pipeline.streams:
+                share = {name: n / pc.chunks for name, n in
+                         table.split_counts(model, pc.chunks).items()}
+                hops = sum(routed[name] * scale[name]
+                           for producer in shape.producers
+                           for name in names
+                           if name != home.get(producer))
+                t, k, ln = ([parts[n][i] * share[n] for n in names]
+                            for i in range(3))
+                expected = ("+".join(names), sum(t) + hops, sum(k),
+                            sum(ln), hops + max(
+                                sum(parts[n]) * scale[n] * share[n]
+                                for n in names))
+            else:
+                if cls.splits_chunks:
+                    home[pc.index] = cls.participants(
+                        devices.values())[0].name
+                device = home[pc.index]
+                transfer, kernel, launch = parts[device]
+                transfer *= cls.transfer_factor(devices[device], graph,
+                                                shape.pipeline)
+                transfer += sum(routed[device]
+                                for producer in shape.producers
+                                if home.get(producer, device) != device)
+                total = (max(transfer, kernel + launch)
+                         if cls.overlapped and pc.chunks > 1
+                         else transfer + kernel + launch)
+                expected = (device, transfer, kernel, launch,
+                            total * scale[device])
+            assert (pc.device, pc.transfer_seconds, pc.kernel_seconds,
+                    pc.launch_seconds, pc.total) == \
+                (expected[0], *map(pytest.approx, expected[1:])), \
+                (query, pc.index)
+        assert cost.total == pytest.approx(
+            sum(p.total for p in cost.pipelines))
 
     def test_only_the_pipelines_the_cache_holds_are_discounted(
             self, tiny_catalog):
