@@ -8,7 +8,14 @@ are committed once under ``tools/`` and run here and in CI.
 from __future__ import annotations
 
 import importlib.util
+import os
 import pathlib
+import signal
+import tempfile
+import threading
+import time
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -139,6 +146,41 @@ class TestMutationScan:
         # Every mutant went into a private copy, never the scanned tree.
         assert {path: path.read_bytes()
                 for path in (tmp_path / "src").rglob("*")} == tree
+
+    def test_sigterm_kills_the_runs_and_removes_the_copies(
+            self, tmp_path, monkeypatch):
+        # Only the constant's mutant blocks, once it has written its pid.
+        write_tree(tmp_path, {
+            "src/mod.py": "def wait():\n    return 0\n",
+            "tests/test_mod.py": (
+                "import os, pathlib, time\nfrom mod import wait\n\n\n"
+                "def test_mod():\n"
+                "    if wait():\n"
+                "        pathlib.Path('pid~').write_text(str(os.getpid()))\n"
+                "        os.replace('pid~', 'pid')\n"
+                "        time.sleep(60)\n")})
+        (tmp_path / "temp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "temp"))
+
+        def stop(deadline=time.monotonic() + 30):
+            while not (tmp_path / "pid").exists():
+                if time.monotonic() > deadline:
+                    return
+                time.sleep(0.05)
+            sent.append(time.monotonic())
+            os.kill(os.getpid(), signal.SIGTERM)
+        sent = []
+        threading.Thread(target=stop, daemon=True).start()
+        scan = tool("mutation_scan")
+        with pytest.raises(SystemExit) as stopped:
+            scan.scan(tmp_path, {"mod": scan.Target(
+                "mod.py", ("wait",), ("tests/test_mod.py",))}, timeout=60)
+        # Killed at once, not by the 60 s timeout.
+        assert stopped.value.code == 128 + signal.SIGTERM
+        assert time.monotonic() - sent[0] < 10
+        with pytest.raises(ProcessLookupError):
+            os.kill(int((tmp_path / "pid").read_text()), 0)
+        assert not any((tmp_path / "temp").iterdir())
 
 
 class TestShareTimer:

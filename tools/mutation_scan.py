@@ -19,9 +19,13 @@ fixed ``--hypothesis-seed`` and no Hypothesis example database, so one
 mutant always meets the same examples).  The mutant is *killed* when a
 test fails, *timed out* when the run outlives the timeout (the whole
 process group is killed), and *survives* otherwise.  At most
-``os.cpu_count()`` test processes run at once.  Before any mutant, each
-distinct test set runs once on the unmutated copy: it must pass, and
-three times its wall time plus 30 s is the timeout.
+``os.cpu_count()`` test processes run at once, each with at most
+:data:`MEMORY_LIMIT` bytes of address space: a mutant that allocates
+without bound fails with ``MemoryError`` (killed) instead of taking the
+machine's memory.  Before any mutant, each distinct test set runs once
+on the unmutated copy: it must pass, and three times its wall time plus
+30 s is the timeout.  A scan stopped with SIGTERM or SIGINT kills every
+test run in flight and removes its copies before it exits.
 
 A survivor is a test that is missing, unless :data:`EQUIVALENT` says
 why no test can tell it from the original; the run exits 1 on any
@@ -211,10 +215,19 @@ _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}
 _BODIES = ("body", "orelse", "finalbody")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-#: Loaded into every test run (``-p``): Hypothesis with no example
-#: database, so no run replays what an earlier mutant failed on, and no
-#: shrinking, since a failure is all a kill needs.
-_SETTINGS_PLUGIN = ("from hypothesis import Phase, settings\n"
+#: The address space one test run may take: about ten times the
+#: 230 MB peak of the heaviest unmutated test set (the ``chunks``
+#: target's, on two cores).  A machine that needs more fails the
+#: unmutated run, so the scan stops before any mutant.
+MEMORY_LIMIT = 2 << 30
+
+#: Loaded into every test run (``-p``): the memory limit, and Hypothesis
+#: with no example database, so no run replays what an earlier mutant
+#: failed on, and no shrinking, since a failure is all a kill needs.
+_SETTINGS_PLUGIN = ("import resource\n"
+                    "resource.setrlimit(resource.RLIMIT_AS, "
+                    f"({MEMORY_LIMIT}, {MEMORY_LIMIT}))\n"
+                    "from hypothesis import Phase, settings\n"
                     "settings.register_profile('mutation-scan', "
                     "database=None, phases=[Phase.explicit, "
                     "Phase.generate])\n"
@@ -332,11 +345,44 @@ def _module_name(path: str) -> str:
     return path.removesuffix(".py").replace("/", ".")
 
 
+class _Groups:
+    """The process groups of the test runs in flight, so that a stopped
+    scan can kill them all and start no more."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.live: set[int] = set()
+        self.stopped = False
+
+    def start(self, command: list[str], **kwargs) -> subprocess.Popen | None:
+        """The started run in its own process group, or None once the
+        scan is stopped."""
+        with self.lock:
+            if self.stopped:
+                return None
+            proc = subprocess.Popen(command, start_new_session=True,
+                                    **kwargs)
+            self.live.add(proc.pid)
+            return proc
+
+    def done(self, proc: subprocess.Popen) -> None:
+        with self.lock:
+            self.live.discard(proc.pid)
+        _reap(proc.pid)
+
+    def stop(self) -> None:
+        with self.lock:
+            self.stopped = True
+            for group in self.live:
+                _reap(group)
+
+
 class _Worker:
     """One private copy of ``src/`` and the test runs made against it."""
 
-    def __init__(self, root: Path, home: Path) -> None:
+    def __init__(self, root: Path, home: Path, groups: _Groups) -> None:
         self.root = root
+        self.groups = groups
         self.src = home / "src"
         shutil.copytree(root / "src", self.src,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -352,16 +398,18 @@ class _Worker:
                             (str(self.src), str(home / "plugin"))))
 
     def run(self, tests: tuple[str, ...], timeout: float) -> tuple[str, float]:
-        """``killed`` / ``survived`` / ``timeout`` and the wall time."""
+        """``killed`` / ``survived`` / ``timeout`` (``stopped`` once the
+        scan is stopped) and the wall time."""
         command = [sys.executable, "-m", "pytest", "-x", "-q",
                    "-p", "no:cacheprovider", "-p", "_hypothesis_pytestplugin",
                    "-p", "_mutation_scan_settings",
                    "--hypothesis-seed=0", *tests]
         start = time.perf_counter()
-        proc = subprocess.Popen(command, cwd=self.root, env=self.env,
-                                stdout=subprocess.DEVNULL,
-                                stderr=subprocess.DEVNULL,
-                                start_new_session=True)
+        proc = self.groups.start(command, cwd=self.root, env=self.env,
+                                 stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.DEVNULL)
+        if proc is None:
+            return "stopped", 0.0
         try:
             code = proc.wait(timeout)
         except subprocess.TimeoutExpired:
@@ -369,7 +417,7 @@ class _Worker:
             proc.wait()
             return "timeout", time.perf_counter() - start
         finally:
-            _reap(proc.pid)
+            self.groups.done(proc)
         if code == 5:
             raise RuntimeError(f"no tests collected from {tests}")
         return ("survived" if code == 0 else "killed"), \
@@ -385,22 +433,44 @@ def _reap(group: int) -> None:
 
 
 def scan(root: Path, targets: dict[str, Target], *,
-         jobs: int | None = None, timeout: float | None = None,
+         timeout: float | None = None,
          progress=None) -> dict[str, dict[str, str]]:
     """Per target: mutant id -> ``killed`` / ``survived`` / ``timeout``.
 
     *timeout* fixes every run's timeout instead of deriving it from the
     unmutated run.  *progress* is called with each finished mutant's
-    ``(target, id, outcome, seconds)``.
+    ``(target, id, outcome, seconds)``.  Called from the main thread,
+    SIGTERM and SIGINT stop the scan: the runs in flight are killed,
+    the copies removed, and ``SystemExit(128 + signal)`` is raised.
     """
-    jobs = min(jobs or os.cpu_count() or 1, os.cpu_count() or 1)
+    groups = _Groups()
+
+    def stop(signum, frame):
+        groups.stop()
+        raise SystemExit(128 + signum)
+
+    handled = (signal.SIGTERM, signal.SIGINT)
+    before = ({s: signal.signal(s, stop) for s in handled}
+              if threading.current_thread() is threading.main_thread()
+              else {})
+    try:
+        return _scan(root, targets, groups, timeout, progress)
+    finally:
+        for s, handler in before.items():
+            signal.signal(s, handler)
+
+
+def _scan(root: Path, targets: dict[str, Target], groups: _Groups,
+          timeout: float | None, progress) -> dict[str, dict[str, str]]:
+    jobs = os.cpu_count() or 1
     sources = {name: (root / "src" / t.module).read_text()
                for name, t in targets.items()}
     work = [(name, mutant) for name, t in targets.items()
             for mutant in mutants(sources[name], _module_name(t.module),
                                   t.scopes)]
     with tempfile.TemporaryDirectory(prefix="mutation-scan-") as tmp:
-        idle = [_Worker(root, Path(tmp) / str(i)) for i in range(jobs)]
+        idle = [_Worker(root, Path(tmp) / str(i), groups)
+                for i in range(jobs)]
         lock = threading.Lock()
 
         def borrow():
@@ -419,12 +489,16 @@ def scan(root: Path, targets: dict[str, Target], *,
                 outcome, seconds = worker.run(tests, timeout or 3600)
             finally:
                 give_back(worker)
+            if outcome == "stopped":
+                return
             if outcome != "survived":
                 raise RuntimeError(f"{tests} fail on the unmutated tree")
             limits[tests] = timeout or 3 * seconds + 30
 
         def one(item):
             name, mutant = item
+            if groups.stopped:
+                return name, mutant, "stopped"
             target = targets[name]
             worker = borrow()
             path = worker.src / target.module
@@ -479,9 +553,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="print the mutant ids and exit")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="checkout whose src/ and tests/ are used")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="test processes at once (at most, and by "
-                             "default, os.cpu_count())")
     parser.add_argument("--out", type=Path,
                         help="write {target: {id: outcome}} as JSON")
     args = parser.parse_args(argv)
@@ -498,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{outcome:8} {seconds:6.1f}s {mutant}", file=sys.stderr,
               flush=True)
 
-    results = scan(args.root, chosen, jobs=args.jobs, progress=progress)
+    results = scan(args.root, chosen, progress=progress)
     if args.out:
         args.out.write_text(json.dumps(results, indent=1) + "\n")
     lines, missing = report(results)
