@@ -204,17 +204,21 @@ class TestShardPlanner:
 # ---------------------------------------------------------------------------
 
 
+def _run_losing(cluster, faults: str, query: str, single):
+    """*query* on *cluster* with *faults* on node0; its answer must be
+    what the one engine *single* gives."""
+    module, build = _build(query)
+    cluster.install_faults("node0", FaultPlan.parse(faults))
+    dist = cluster.run(build, CATALOG, data_scale=2)
+    assert module.finalize(dist, CATALOG) == module.finalize(
+        single.execute(build(), CATALOG, data_scale=2, fresh=True), CATALOG)
+    return dist
+
+
 class TestNodeLoss:
     def test_node_loss_fails_over_and_stays_identical(self):
-        module, build = _build("q3")
         cluster = _cluster(2)
-        cluster.install_faults("node0",
-                               FaultPlan.parse("dev0:device_loss:1"))
-        dist = cluster.run(build, CATALOG, data_scale=2)
-        single = _engine().execute(build(), CATALOG, data_scale=2,
-                                   fresh=True)
-        assert module.finalize(dist, CATALOG) == \
-            module.finalize(single, CATALOG)
+        dist = _run_losing(cluster, "dev0:device_loss:1", "q3", _engine())
         assert dist.stats.node_failovers == 1
         assert cluster.node("node0").lost
         assert cluster.metrics.value("adamant_node_failovers_total",
@@ -234,15 +238,8 @@ class TestNodeLoss:
 
     def test_within_node_failover_does_not_lose_node(self):
         """With a host fallback plugged, device loss stays node-local."""
-        module, build = _build("q6")
         cluster = _cluster(2, host_fallback=True)
-        cluster.install_faults("node0",
-                               FaultPlan.parse("dev0:device_loss:1"))
-        dist = cluster.run(build, CATALOG, data_scale=2)
-        single = _engine().execute(build(), CATALOG, data_scale=2,
-                                   fresh=True)
-        assert module.finalize(dist, CATALOG) == \
-            module.finalize(single, CATALOG)
+        dist = _run_losing(cluster, "dev0:device_loss:1", "q6", _engine())
         assert dist.stats.node_failovers == 0
         assert not cluster.node("node0").lost
         assert dist.stats.failovers >= 1  # device-level, inside node0
@@ -353,31 +350,18 @@ class TestNewDeviceCluster:
     def test_rtcore_loss_fails_over_within_node(self):
         """Losing the RT-core leaves the APU to carry the shard: no
         node failover, answers unchanged."""
-        module, build = _build("q6")
         cluster = self._cluster()
-        cluster.install_faults("node0",
-                               FaultPlan.parse("rt0:device_loss:1"))
-        dist = cluster.run(build, CATALOG, data_scale=2)
-        single = self._single().execute(build(), CATALOG, data_scale=2,
-                                        fresh=True)
-        assert module.finalize(dist, CATALOG) == \
-            module.finalize(single, CATALOG)
+        dist = _run_losing(cluster, "rt0:device_loss:1", "q6",
+                           self._single())
         assert dist.stats.node_failovers == 0
         assert not cluster.node("node0").lost
         assert dist.stats.failovers >= 1
 
     def test_losing_every_new_device_fails_over_to_survivor(self):
         """node0 loses RT-core *and* APU: the shard re-runs on node1."""
-        module, build = _build("q3")
         cluster = self._cluster()
-        cluster.install_faults(
-            "node0",
-            FaultPlan.parse("rt0:device_loss:1,apu0:device_loss:1"))
-        dist = cluster.run(build, CATALOG, data_scale=2)
-        single = self._single().execute(build(), CATALOG, data_scale=2,
-                                        fresh=True)
-        assert module.finalize(dist, CATALOG) == \
-            module.finalize(single, CATALOG)
+        dist = _run_losing(cluster, "rt0:device_loss:1,apu0:device_loss:1",
+                           "q3", self._single())
         assert dist.stats.node_failovers == 1
         assert cluster.node("node0").lost
         assert dist.stats.node_seconds["node0"] == 0.0

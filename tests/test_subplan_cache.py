@@ -12,26 +12,12 @@ import pytest
 
 from repro.core.fingerprint import subplan_fingerprint
 from repro.core.graph import PrimitiveGraph
-from repro.devices import CudaDevice, OpenMPDevice
-from repro.engine import Engine, QueryRequest, SubplanCache
+from repro.engine import QueryRequest, SubplanCache
 from repro.errors import GraphValidationError
-from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI
 from repro.tpch.queries import q3, q6
+from tests.test_faults import gpu_engine, hybrid_engine
 
 CHUNK = 1024
-
-
-def gpu_engine(**kwargs) -> Engine:
-    engine = Engine(**kwargs)
-    engine.plug_device("gpu0", CudaDevice, GPU_RTX_2080_TI)
-    return engine
-
-
-def hybrid_engine(**kwargs) -> Engine:
-    engine = Engine(**kwargs)
-    engine.plug_device("gpu0", CudaDevice, GPU_RTX_2080_TI, default=True)
-    engine.plug_device("cpu0", OpenMPDevice, CPU_I7_8700)
-    return engine
 
 
 def blob(outputs):
