@@ -125,8 +125,10 @@ def test_explain_matches_golden(name, tiny_catalog, update_golden):
 
 
 def test_golden_files_have_no_strays():
-    """Every checked-in snapshot corresponds to a scenario."""
+    """Every checked-in snapshot corresponds to a scenario (or is the
+    CLI transcript ``tests/test_cli.py`` checks)."""
     known = {f"{name}.txt" for name in (*SCENARIOS, *PLANS_SCENARIOS,
                                         *DISTRIBUTED_SCENARIOS)}
+    known.add("cli_transcript.txt")
     present = {p.name for p in GOLDEN_DIR.glob("*.txt")}
     assert present <= known, present - known
