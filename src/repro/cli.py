@@ -337,13 +337,6 @@ def _make_executor(args) -> AdamantExecutor:
     return executor
 
 
-def _matches(answer, expected) -> bool:
-    """The oracle verdict: floats to 1e-9, everything else exactly."""
-    if isinstance(answer, float):
-        return abs(answer - expected) < 1e-9
-    return answer == expected
-
-
 def cmd_devices(_args) -> int:
     print(f"{'device':24s} {'kind':5s} {'memory':>10s} "
           f"{'mem bw':>10s} {'interconnect':>13s} {'units':>6s}")
@@ -411,7 +404,7 @@ def cmd_validate(args) -> int:
                                           chunk_size=args.chunk_size,
                                           fuse=not args.no_fuse)
                     answer = module.finalize(result, catalog)
-                    ok = _matches(answer, expected)
+                    ok = reference.matches(answer, expected)
                 except Exception as error:
                     ok = False
                     answer = f"{type(error).__name__}: {error}"
@@ -491,7 +484,7 @@ def _cmd_run_distributed(args, plan) -> int:
     result = cluster.run(lambda: module.build(catalog), catalog,
                          model=args.model, **_plan_kwargs(args))
     answer = module.finalize(result, catalog)
-    matches = _matches(answer, getattr(reference, args.query)(catalog))
+    matches = reference.matches(answer, getattr(reference, args.query)(catalog))
     stats = result.stats
     print(f"query={args.query} model={args.model} driver={args.driver} "
           f"fuse={not args.no_fuse} nodes={args.nodes} "
@@ -569,7 +562,7 @@ def cmd_run(args) -> int:
         result = executor.run(graph, catalog, **flags)
         metrics = executor.metrics
     answer = module.finalize(result, catalog)
-    matches = _matches(answer, getattr(reference, args.query)(catalog))
+    matches = reference.matches(answer, getattr(reference, args.query)(catalog))
     print(f"query={args.query} model={args.model} driver={args.driver} "
           f"fuse={not args.no_fuse}")
     print(f"result: {answer}")
@@ -615,7 +608,7 @@ def cmd_compare(args) -> int:
             print(f"{model:24s} --   {type(error).__name__}: {error}")
             continue
         answer = module.finalize(result, catalog)
-        ok = _matches(answer, expected)
+        ok = reference.matches(answer, expected)
         status |= 0 if ok else 1
         t = result.stats.makespan
         if model == "chunked":
@@ -662,7 +655,7 @@ def cmd_concurrent(args) -> int:
         print(f"  {'query':6s} {'ok':4s} {'makespan':>12s} "
               f"{'transfer':>12s} {'cache hits':>11s} {'subplan':>8s}")
         for name, result in zip(names, results):
-            ok = _matches(QUERIES[name].finalize(result, catalog),
+            ok = reference.matches(QUERIES[name].finalize(result, catalog),
                           getattr(reference, name)(catalog))
             status |= 0 if ok else 1
             print(f"  {name:6s} {str(ok):4s} "
@@ -755,7 +748,7 @@ def cmd_serve(args) -> int:
         if outcome.status != "ok":
             continue
         answer = QUERY_MIX[outcome.label].finalize(outcome.result, catalog)
-        ok = _matches(answer, getattr(reference, outcome.label)(catalog))
+        ok = reference.matches(answer, getattr(reference, outcome.label)(catalog))
         mismatches += 0 if ok else 1
     print(f"served {len(report.outcomes)} requests at {args.qps:g} qps "
           f"over {args.duration:g}s (virtual)")

@@ -20,7 +20,15 @@ import numpy as np
 from repro.storage import Catalog, DictionaryColumn, date_to_int
 
 __all__ = ["q1", "q3", "q4", "q5", "q6", "q10", "q12", "q14", "q18", "q19",
-           "Q3Row", "Q4Row", "Q5Row", "Q10Row", "Q12Row", "Q18Row"]
+           "Q3Row", "Q4Row", "Q5Row", "Q10Row", "Q12Row", "Q18Row",
+           "matches"]
+
+
+def matches(answer, expected) -> bool:
+    """The oracle verdict: floats to 1e-9, everything else exactly."""
+    if isinstance(answer, float):
+        return abs(answer - expected) < 1e-9
+    return answer == expected
 
 
 def _dict_code(catalog: Catalog, ref: str, value: str) -> int:

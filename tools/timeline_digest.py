@@ -64,7 +64,6 @@ if importlib.util.find_spec("repro") is None:
 
 import repro  # noqa: E402 - needs the path set above
 from repro import devices, hardware  # noqa: E402
-from repro.cli import _matches  # noqa: E402
 from repro.cluster import ClusterExecutor  # noqa: E402
 from repro.core.executor import AdamantExecutor  # noqa: E402
 from repro.core.models import MODELS  # noqa: E402
@@ -284,7 +283,7 @@ def check(cell: str, name: str, outcome, catalog) -> None:
         return
     literals = LITERALS.get(name, {}) if cell.startswith("pairs/") else {}
     answer = getattr(queries, name).finalize(outcome, catalog)
-    if not _matches(answer, oracle(name, catalog, literals)):
+    if not reference.matches(answer, oracle(name, catalog, literals)):
         raise SystemExit(f"{cell}: {name} misses its oracle: "
                          f"{str(answer)[:200]}")
 
