@@ -23,6 +23,7 @@ wall-clock retry budget exhausted (``--retry-budget``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -109,13 +110,15 @@ class Fleet:
         if faults and scenario:
             raise UsageError("--faults conflicts with --scenario; pass one "
                              "or the other")
+        plan = (FaultPlan.parse(faults) if faults
+                else SCENARIOS[scenario]() if scenario else None)
+        nodes = options.get("nodes", 1)
+        if nodes < 1:
+            raise UsageError(f"--nodes must be >= 1, got {nodes}")
         return cls(
             driver=options.get("driver", "cuda"), spec=options.get("spec"),
-            memory_limit=options.get("memory_limit"),
-            nodes=options.get("nodes", 1),
-            network=options.get("network", "eth_100g"),
-            faults=(FaultPlan.parse(faults) if faults
-                    else SCENARIOS[scenario]() if scenario else None),
+            memory_limit=options.get("memory_limit"), nodes=nodes,
+            network=options.get("network", "eth_100g"), faults=plan,
             retry_budget=options.get("retry_budget"),
             overlay_path=options.get("overlay_path"))
 
@@ -299,9 +302,10 @@ def cmd_explain(args) -> int:
         raise UsageError(f"--plans must be >= 1, got {args.plans}")
     if args.plans is not None and args.nodes > 1:
         raise UsageError("--plans does not combine with --nodes")
+    fleet = Fleet.of(args)
     catalog = generate(args.sf, seed=args.seed)
     request = _request(args, catalog, args.query)
-    target = Fleet.of(args).target()
+    target = fleet.target()
     flags = dict(model=request.model, chunk_size=request.chunk_size,
                  data_scale=request.data_scale, fuse=request.fuse)
     if isinstance(target, ClusterExecutor):
@@ -336,8 +340,6 @@ def cmd_run(args) -> int:
                          "sharded run has no profile yet; ROADMAP: 'One "
                          "trace id per request; ANALYZE for served "
                          "requests and for clusters')")
-    if fleet.nodes < 1:
-        raise UsageError(f"--nodes must be >= 1, got {fleet.nodes}")
     catalog = generate(args.sf, seed=args.seed)
     request = _request(args, catalog, args.query)
     target = fleet.target()
@@ -680,7 +682,16 @@ EXITS = [(UsageError, 2, ""), (FaultConfigError, 2, "error: "),
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro devices | head -1``):
+        # stop without a traceback, with the status a shell reports for
+        # a writer that SIGPIPE ends (128 + 13), and send what is still
+        # buffered to /dev/null so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, AdamantError) as error:
         code, prefix = next((code, prefix) for kind, code, prefix in EXITS
                             if isinstance(error, kind))

@@ -9,7 +9,10 @@ after an intentional change; the diff then shows up in review.
 
 import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -203,6 +206,19 @@ def test_transcript_matches_golden(capsys, monkeypatch, tmp_path,
         "the CLI drifted from tests/golden/cli_transcript.txt; if "
         "intentional, run pytest --update-golden and commit the diff")
 
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that stops early (``repro devices | head -1``) ends the
+    CLI with the SIGPIPE status and no traceback."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "repro", "devices"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
 
 class TestDevices:
     def test_lists_specs(self, capsys):
