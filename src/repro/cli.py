@@ -395,8 +395,7 @@ def cmd_compare(args) -> int:
     print(f"{'model':24s} {'ok':4s} {'time':>12s} {'vs chunked':>11s}")
     baseline = None
     status = 0
-    for model in ("oaat", "chunked", "pipelined", "four_phase_chunked",
-                  "four_phase_pipelined"):
+    for model in MODELS:
         try:
             result = _execute(executor, request, model=model)
         except Exception as error:  # OOM for oaat is expected behaviour
