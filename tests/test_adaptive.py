@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import Engine, FaultPlan
-from repro.cli import main
 from repro.devices import CudaDevice, OpenMPDevice
 from repro.hardware import CPU_I7_8700, GPU_RTX_2080_TI
 from repro.hardware.costmodel import CostOverlay
@@ -272,17 +271,3 @@ class TestAdaptiveSurface:
                          model="split_chunked", chunk_size=1024)
         assert "adaptive=off" in static
         assert "adaptive:" not in static
-
-    def test_cli_run_adaptive(self, capsys):
-        code = main(["run", "--query", "q6", "--model", "chunked",
-                     "--sf", "0.002", "--chunk-size", "1024",
-                     "--adaptive"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "adaptive:" in out
-
-    def test_cli_explain_adaptive(self, capsys):
-        code = main(["explain", "q6", "--sf", "0.002",
-                     "--chunk-size", "1024", "--adaptive"])
-        assert code == 0
-        assert "adaptive=on" in capsys.readouterr().out

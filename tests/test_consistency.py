@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
 from repro.core.graph import PrimitiveGraph
 from repro.core.hub import DataTransferHub
 from repro.devices import CudaDevice
@@ -103,23 +102,6 @@ class TestHubPublishOnly:
         assert np.array_equal(device.memory.get("buf").value,
                               np.arange(32))
         assert hub.device_ids == {edge.data_id: "dev"}
-
-
-class TestCliFiguresWiring:
-    def test_figures_invokes_pytest_on_benchmarks(self, monkeypatch):
-        captured = {}
-
-        def fake_main(argv):
-            captured["argv"] = argv
-            return 0
-
-        import pytest as pytest_module
-        monkeypatch.setattr(pytest_module, "main", fake_main)
-        assert main(["figures", "--filter", "fig3"]) == 0
-        argv = captured["argv"]
-        assert any(str(a).endswith("benchmarks") for a in argv)
-        assert "--benchmark-only" in argv
-        assert argv[argv.index("-k") + 1] == "fig3"
 
 
 class TestMixedPrecisionColumns:

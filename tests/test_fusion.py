@@ -354,31 +354,3 @@ class TestMapOpsAstype:
         b = np.array([3, 4], dtype=np.int64)
         out = map_ops.MAP_OPS["combine_keys"](a, b, 10)
         assert np.array_equal(out, np.array([13, 24]))
-
-
-class TestCliFusion:
-    def test_query_module_unknown_name_exits_cleanly(self, capsys):
-        from repro.cli import main
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--query", "q99"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'q99'" in capsys.readouterr().err
-
-    def test_run_reports_fusion(self, capsys):
-        from repro.cli import main
-        code = main(["run", "--query", "q6", "--sf", "0.002",
-                     "--chunk-size", "1024", "--model", "chunked"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "fuse=True" in out
-        assert "1 fused nodes" in out
-
-    def test_no_fuse_flag(self, capsys):
-        from repro.cli import main
-        code = main(["run", "--query", "q6", "--sf", "0.002",
-                     "--chunk-size", "1024", "--model", "chunked",
-                     "--no-fuse"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "fuse=False" in out
-        assert "0 fused nodes" in out

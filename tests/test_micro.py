@@ -1,9 +1,8 @@
-"""Tests for the primitive microbenchmark library and new CLI commands."""
+"""Tests for the primitive microbenchmark library."""
 
 import pytest
 
 from repro.bench import DRIVER_MATRIX, MicroBench
-from repro.cli import main
 from repro.errors import WorkloadError
 
 
@@ -58,28 +57,3 @@ class TestMicroBench:
         keys = [k for k, _, _ in DRIVER_MATRIX]
         assert keys == ["openmp-cpu", "opencl-cpu", "opencl-gpu",
                         "cuda-gpu"]
-
-
-class TestCliMicroAndValidate:
-    def test_micro_command(self, capsys):
-        code = main(["micro", "--primitive", "map",
-                     "--logical-n", str(2**22)])
-        out = capsys.readouterr().out
-        assert code == 0
-        for key, _, _ in DRIVER_MATRIX:
-            assert key in out
-
-    def test_micro_with_groups(self, capsys):
-        code = main(["micro", "--primitive", "hash_agg",
-                     "--groups", "1024", "--logical-n", str(2**22)])
-        assert code == 0
-
-    def test_validate_command_passes(self, capsys):
-        code = main(["validate", "--sf", "0.002", "--chunk-size", "1024"])
-        out = capsys.readouterr().out
-        assert code == 0
-        # (query count) x 7 models x (driver count), all matching —
-        # the driver table includes the rtcore/coupled plug-ins.
-        from repro.cli import DRIVERS, QUERIES
-        total = len(QUERIES) * 7 * len(DRIVERS)
-        assert f"{total}/{total}" in out

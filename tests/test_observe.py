@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
 from repro.devices import CudaDevice, OpenMPDevice
 from repro.engine import Engine, QueryRequest
 from repro.errors import ExecutionError
@@ -552,60 +551,6 @@ class TestEveryEventIsPublishedOnce:
     def test_device_names_must_not_break_the_label_grammar(self):
         with pytest.raises(ExecutionError, match="':'"):
             Engine().plug_device("gpu:0", CudaDevice, GPU_RTX_2080_TI)
-
-
-# ---------------------------------------------------------------------------
-# CLI
-
-
-class TestCli:
-    def test_explain_prints_plan(self, capsys):
-        assert main(["explain", "q6", "--sf", "0.002",
-                     "--chunk-size", "1024"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("EXPLAIN q6")
-        assert "fused_filter_agg[" in out  # fusion on by default
-
-    def test_explain_no_fuse(self, capsys):
-        assert main(["explain", "q6", "--sf", "0.002",
-                     "--no-fuse"]) == 0
-        assert "fused_" not in capsys.readouterr().out
-
-    def test_run_analyze(self, capsys):
-        assert main(["run", "--query", "q6", "--sf", "0.002",
-                     "--chunk-size", "1024", "--analyze"]) == 0
-        out = capsys.readouterr().out
-        assert "oracle match: True" in out
-        assert "ANALYZE" in out
-        assert "overhead transfer:" in out
-
-    def test_run_metrics_out_prometheus(self, capsys, tmp_path):
-        path = tmp_path / "metrics.prom"
-        assert main(["run", "--query", "q6", "--sf", "0.002",
-                     "--chunk-size", "1024",
-                     "--metrics-out", str(path)]) == 0
-        typed, samples = _parse_prometheus(path.read_text())
-        assert typed["adamant_queries_total"] == "counter"
-        assert any(key.startswith("adamant_kernel_launches_total")
-                   for key in samples)
-
-    def test_run_metrics_out_json(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        assert main(["run", "--query", "q6", "--sf", "0.002",
-                     "--chunk-size", "1024",
-                     "--metrics-out", str(path)]) == 0
-        snap = json.loads(path.read_text())
-        assert snap["adamant_queries_total"]["type"] == "counter"
-
-    def test_concurrent_analyze_and_metrics(self, capsys, tmp_path):
-        path = tmp_path / "metrics.prom"
-        assert main(["concurrent", "--queries", "q6,q6",
-                     "--sf", "0.002", "--chunk-size", "1024",
-                     "--analyze", "--metrics-out", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "ANALYZE" in out
-        typed, _ = _parse_prometheus(path.read_text())
-        assert typed["adamant_queries_total"] == "counter"
 
 
 def stats_by_definition(ctx) -> dict:

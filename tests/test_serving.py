@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
 from repro.devices import CudaDevice, OpenMPDevice
 from repro.engine import Engine, QueryRequest
 from repro.errors import (
@@ -558,49 +557,3 @@ class TestRetryBudget:
             RetryPolicy(budget_seconds=0.0)
         with pytest.raises(FaultConfigError):
             RetryPolicy(budget_seconds=-1.0)
-
-
-class TestServingCli:
-    def test_serve_smoke(self, capsys):
-        code = main(["serve", "--qps", "2000", "--duration", "0.01",
-                     "--sf", "0.0005", "--interactive-deadline-ms",
-                     "500", "--explain-admission"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "served" in out
-        assert "interactive" in out and "batch" in out
-        assert "ADMISSION LOG" in out
-
-    def test_serve_with_scenario_sheds(self, capsys):
-        code = main(["serve", "--qps", "20000", "--duration", "0.002",
-                     "--sf", "0.0005", "--scenario", "overload",
-                     "--max-queue", "3", "--max-in-flight", "2"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "oracle mismatches among admitted: 0" in out
-
-    def test_serve_metrics_out(self, tmp_path, capsys):
-        target = tmp_path / "serve.json"
-        code = main(["serve", "--qps", "1000", "--duration", "0.005",
-                     "--sf", "0.0005", "--metrics-out", str(target)])
-        capsys.readouterr()
-        assert code == 0
-        assert "adamant_serving_admitted_total" in target.read_text()
-
-    def test_serve_rejects_unknown_query(self, capsys):
-        assert main(["serve", "--queries", "q99"]) == 2
-        assert "unknown serve queries" in capsys.readouterr().err
-
-    def test_serve_rejects_faults_plus_scenario(self, capsys):
-        code = main(["serve", "--scenario", "overload",
-                     "--faults", "dev0:transient:0.1"])
-        assert code == 2
-        assert "conflicts" in capsys.readouterr().err
-
-    def test_retry_budget_exit_code(self, capsys):
-        code = main(["run", "--query", "q6", "--sf", "0.0005",
-                     "--chunk-size", "512",
-                     "--faults", "dev0:transient:0.9,seed=3",
-                     "--retry-budget", "1e-7"])
-        assert code == 4
-        assert "retry budget exhausted" in capsys.readouterr().err
