@@ -27,16 +27,10 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
+from repro import devices, hardware
 from repro.cluster import ClusterExecutor
 from repro.core.executor import DEFAULT_CHUNK_SIZE, AdamantExecutor
 from repro.core.models import MODELS
-from repro.devices import (
-    CoupledDevice,
-    CudaDevice,
-    OpenCLDevice,
-    OpenMPDevice,
-    RTCoreDevice,
-)
 from repro.engine import Engine, QueryRequest
 from repro.errors import (
     AdamantError,
@@ -44,17 +38,6 @@ from repro.errors import (
     RetryBudgetExhaustedError,
 )
 from repro.faults import SCENARIOS, FaultPlan, RetryPolicy
-from repro.hardware import (
-    ALL_GPUS,
-    APU_RYZEN_7_8700G,
-    CPU_I7_8700,
-    CPU_XEON_5220R,
-    GPU_A100,
-    GPU_RTX_2080_TI,
-    GPU_RTX_3090,
-    NETWORK_TIERS,
-    DeviceKind,
-)
 from repro.tpch import generate, reference
 from repro.tpch.queries import QUERIES
 
@@ -64,21 +47,21 @@ __all__ = ["main"]
 #: the part it needs (RT cores need a GPU that has them; the coupled
 #: driver an APU whose CPU and GPU share physical memory).
 DRIVERS = {
-    "cuda": (CudaDevice, GPU_RTX_2080_TI),
-    "opencl-gpu": (OpenCLDevice, GPU_RTX_2080_TI),
-    "opencl-cpu": (OpenCLDevice, CPU_I7_8700),
-    "openmp": (OpenMPDevice, CPU_I7_8700),
-    "rtcore": (RTCoreDevice, GPU_RTX_3090),
-    "coupled": (CoupledDevice, APU_RYZEN_7_8700G),
+    "cuda": (devices.CudaDevice, hardware.GPU_RTX_2080_TI),
+    "opencl-gpu": (devices.OpenCLDevice, hardware.GPU_RTX_2080_TI),
+    "opencl-cpu": (devices.OpenCLDevice, hardware.CPU_I7_8700),
+    "openmp": (devices.OpenMPDevice, hardware.CPU_I7_8700),
+    "rtcore": (devices.RTCoreDevice, hardware.GPU_RTX_3090),
+    "coupled": (devices.CoupledDevice, hardware.APU_RYZEN_7_8700G),
 }
 
 SPECS = {
-    "2080ti": GPU_RTX_2080_TI,
-    "3090": GPU_RTX_3090,
-    "8700g": APU_RYZEN_7_8700G,
-    "a100": GPU_A100,
-    "i7": CPU_I7_8700,
-    "xeon": CPU_XEON_5220R,
+    "2080ti": hardware.GPU_RTX_2080_TI,
+    "3090": hardware.GPU_RTX_3090,
+    "8700g": hardware.APU_RYZEN_7_8700G,
+    "a100": hardware.GPU_A100,
+    "i7": hardware.CPU_I7_8700,
+    "xeon": hardware.CPU_XEON_5220R,
 }
 
 
@@ -136,8 +119,10 @@ class Fleet:
         target.plug_device("dev0", driver,
                            SPECS[self.spec] if self.spec else default,
                            memory_limit=self.memory_limit)
-        if self.armed and self.nodes == 1 and default.kind is DeviceKind.GPU:
-            target.plug_device("host0", OpenMPDevice, CPU_I7_8700)
+        if (self.armed and self.nodes == 1
+                and default.kind is hardware.DeviceKind.GPU):
+            target.plug_device("host0", devices.OpenMPDevice,
+                               hardware.CPU_I7_8700)
 
     def engine(self, **options) -> Engine:
         """An engine with this fleet's faults and retry budget armed."""
@@ -223,8 +208,9 @@ def _query_list(text: str, known, example: str, unknown: str) -> list[str]:
 def cmd_devices(_args) -> int:
     print(f"{'device':24s} {'kind':5s} {'memory':>10s} "
           f"{'mem bw':>10s} {'interconnect':>13s} {'units':>6s}")
-    for spec in [*ALL_GPUS, GPU_RTX_3090, APU_RYZEN_7_8700G,
-                 CPU_I7_8700, CPU_XEON_5220R]:
+    for spec in [*hardware.ALL_GPUS, hardware.GPU_RTX_3090,
+                 hardware.APU_RYZEN_7_8700G, hardware.CPU_I7_8700,
+                 hardware.CPU_XEON_5220R]:
         print(f"{spec.name:24s} {spec.kind.value:5s} "
               f"{spec.memory_bytes / 2**30:>8.1f}Gi "
               f"{spec.mem_bandwidth / 1e9:>7.0f}GB/s "
@@ -558,7 +544,8 @@ FLAGS = {
     "--nodes": dict(type=int, default=1, help=(
         "shard across this many simulated nodes; results stay "
         "byte-identical")),
-    "--network": dict(default="eth_100g", choices=sorted(NETWORK_TIERS),
+    "--network": dict(default="eth_100g",
+                      choices=sorted(hardware.NETWORK_TIERS),
                       help="network tier between nodes"),
     "--overlay-path": dict(metavar="PATH", help=(
         "JSON file of cost-overlay calibration that optimizer runs load "
@@ -606,7 +593,8 @@ FLAGS = {
 }
 
 #: The data and device flags of every query subcommand.
-_DEVICE = "--sf --seed --driver --spec --chunk-size --data-scale --memory-limit"
+_DEVICE = ("--sf --seed --driver --spec --chunk-size --data-scale "
+           "--memory-limit")
 
 #: Each subcommand in ``repro -h`` order: its handler, its help, its
 #: flags, and the keywords of those flags that differ from ``FLAGS``.
@@ -653,7 +641,6 @@ COMMANDS = {
     "compare": (cmd_compare, "run one query under all models",
                 f"--query {_DEVICE} --no-fuse --adaptive", {}),
 }
-
 
 
 def _build_parser() -> argparse.ArgumentParser:
