@@ -159,12 +159,17 @@ def _request(args, catalog, name: str) -> QueryRequest:
         adaptive=options.get("adaptive", False))
 
 
-def _execute(target, request: QueryRequest, **changes):
-    """Run *request* on a :meth:`Fleet.target`, with *changes* to its
-    plan flags."""
-    flags = dict(model=request.model, chunk_size=request.chunk_size,
-                 data_scale=request.data_scale, fuse=request.fuse,
-                 adaptive=request.adaptive) | changes
+def _plan_flags(request: QueryRequest) -> dict:
+    """The plan flags of *request* as the keywords every front door and
+    ``explain`` take."""
+    return dict(model=request.model, chunk_size=request.chunk_size,
+                data_scale=request.data_scale, fuse=request.fuse,
+                adaptive=request.adaptive)
+
+
+def _execute(target, request: QueryRequest):
+    """Run *request* on a :meth:`Fleet.target`."""
+    flags = _plan_flags(request)
     if isinstance(target, ClusterExecutor):
         return target.run(lambda: request.graph, request.catalog, **flags)
     run = target.execute if isinstance(target, Engine) else target.run
@@ -266,9 +271,8 @@ def cmd_validate(args) -> int:
             executor = replace(fleet, driver=driver_name).target()
             for model in models:
                 try:
-                    answer, ok = _verdict(
-                        qname, _execute(executor, request, model=model),
-                        catalog)
+                    answer, ok = _verdict(qname, _execute(
+                        executor, replace(request, model=model)), catalog)
                 except Exception as error:
                     ok = False
                     answer = f"{type(error).__name__}: {error}"
@@ -292,10 +296,9 @@ def cmd_explain(args) -> int:
     catalog = generate(args.sf, seed=args.seed)
     request = _request(args, catalog, args.query)
     target = fleet.target()
-    flags = dict(model=request.model, chunk_size=request.chunk_size,
-                 data_scale=request.data_scale, fuse=request.fuse)
+    flags = _plan_flags(request)
     if isinstance(target, ClusterExecutor):
-        # No adaptive annotations across nodes.
+        del flags["adaptive"]  # no adaptive annotations across nodes
         print(explain_distributed(request.graph, catalog, cluster=target,
                                   **flags))
     elif args.plans is not None:
@@ -306,8 +309,7 @@ def cmd_explain(args) -> int:
                             top_k=args.plans))
     else:
         print(explain(request.graph, catalog, devices=target.devices,
-                      default_device=target.default_device,
-                      adaptive=request.adaptive, **flags))
+                      default_device=target.default_device, **flags))
     return 0
 
 
@@ -383,7 +385,7 @@ def cmd_compare(args) -> int:
     status = 0
     for model in MODELS:
         try:
-            result = _execute(executor, request, model=model)
+            result = _execute(executor, replace(request, model=model))
         except Exception as error:  # OOM for oaat is expected behaviour
             print(f"{model:24s} --   {type(error).__name__}: {error}")
             continue
