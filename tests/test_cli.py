@@ -3,8 +3,9 @@
 ``tests/golden/cli_transcript.txt`` pins the whole surface byte for
 byte: for each argv in ``CASES`` the exit code, stdout, stderr and the
 files it writes, then every subcommand's flags (option strings, kind,
-type, default, choices).  Run ``pytest --update-golden`` to rewrite it
-after an intentional change; the diff then shows up in review.
+nargs, type, default, choices).  Run ``pytest --update-golden`` to
+rewrite it after an intentional change; the diff then shows up in
+review.
 """
 
 import argparse
