@@ -265,14 +265,16 @@ def cmd_validate(args) -> int:
     models = sorted(MODELS)
     print(f"validating {len(QUERIES)} queries x {len(models)} models x "
           f"{len(DRIVERS)} drivers at SF {args.sf}")
-    for qname in sorted(QUERIES):
+    for qname, module in sorted(QUERIES.items()):
         request = _request(args, catalog, qname)
+        expected = getattr(reference, qname)(catalog)
         for driver_name in sorted(DRIVERS):
             executor = replace(fleet, driver=driver_name).target()
             for model in models:
                 try:
-                    answer, ok = _verdict(qname, _execute(
+                    answer = module.finalize(_execute(
                         executor, replace(request, model=model)), catalog)
+                    ok = reference.matches(answer, expected)
                 except Exception as error:
                     ok = False
                     answer = f"{type(error).__name__}: {error}"
