@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import shlex
-import subprocess
 import sys
 from pathlib import Path
 
@@ -208,17 +207,15 @@ def test_transcript_matches_golden(capsys, monkeypatch, tmp_path,
         "intentional, run pytest --update-golden and commit the diff")
 
 
-def test_closed_stdout_exits_quietly():
+def test_closed_stdout_exits_quietly(capsys, monkeypatch):
     """A reader that stops early (``repro devices | head -1``) ends the
     CLI with the SIGPIPE status and no traceback."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.Popen([sys.executable, "-m", "repro", "devices"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(), err) == (141, b"")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["devices"])
+    assert (code, capsys.readouterr().err) == (141, "")
 
 
 class TestRun:
