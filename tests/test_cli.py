@@ -3,8 +3,9 @@
 ``tests/golden/cli_transcript.txt`` pins the whole surface byte for
 byte: for each argv in ``CASES`` the exit code, stdout, stderr and the
 files it writes, then every subcommand's flags (option strings, kind,
-nargs, type, default, choices).  Run ``pytest --update-golden`` to
-rewrite it after an intentional change; the diff then shows up in
+nargs, type, default, choices).  Each case is its own test, so a
+failure names the argv that drifted.  Run ``pytest --update-golden``
+to rewrite it after an intentional change; the diff then shows up in
 review.
 """
 
@@ -188,23 +189,39 @@ def _parser_table() -> list[str]:
     return lines
 
 
-def test_transcript_matches_golden(capsys, monkeypatch, tmp_path,
-                                   update_golden):
-    monkeypatch.chdir(tmp_path)
-    lines = []
-    for case in CASES:
-        lines += _run_case(case, capsys, monkeypatch) + [""]
-    text = "\n".join(lines + _parser_table()) + "\n"
+def _check_part(index: int, text: str, update_golden: bool) -> None:
+    """Compare ``text`` with the transcript's part ``index``: one part
+    per case, in ``CASES`` order, then the flag table, separated by a
+    blank line.  With ``--update-golden`` rewrite that part instead."""
+    parts = (TRANSCRIPT.read_text().split("\n\n")
+             if TRANSCRIPT.exists() else [])
     if update_golden:
-        if TRANSCRIPT.exists() and TRANSCRIPT.read_text() == text:
+        if len(parts) != len(CASES) + 1:
+            parts = [""] * (len(CASES) + 1)
+        if parts[index] == text:
             pytest.skip("CLI transcript already up to date")
-        TRANSCRIPT.write_text(text)
+        parts[index] = text
+        TRANSCRIPT.write_text("\n\n".join(parts))
         pytest.skip("CLI transcript updated (content changed)")
-    assert TRANSCRIPT.exists(), (
-        f"missing {TRANSCRIPT}; run pytest --update-golden")
-    assert text == TRANSCRIPT.read_text(), (
+    assert len(parts) == len(CASES) + 1, (
+        f"{TRANSCRIPT} does not hold one part per case and the flag "
+        "table; run pytest --update-golden")
+    assert text == parts[index], (
         "the CLI drifted from tests/golden/cli_transcript.txt; if "
         "intentional, run pytest --update-golden and commit the diff")
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=CASES)
+def test_transcript_case(index, capsys, monkeypatch, tmp_path,
+                         update_golden):
+    monkeypatch.chdir(tmp_path)
+    lines = _run_case(CASES[index], capsys, monkeypatch)
+    _check_part(index, "\n".join(lines), update_golden)
+
+
+def test_transcript_flag_table(update_golden):
+    _check_part(len(CASES), "\n".join(_parser_table()) + "\n",
+                update_golden)
 
 
 def test_closed_stdout_exits_quietly(capsys, monkeypatch):
